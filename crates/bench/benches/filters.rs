@@ -3,23 +3,26 @@
 //! per-coordinate sort dominates and CGE's single norm-sort wins.
 
 use abft_bench::gradient_bundle;
-use abft_filters::all_filters;
+use abft_filters::{all_filters, batch_of};
+use abft_linalg::Vector;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 fn bench_filters(c: &mut Criterion) {
     let mut group = c.benchmark_group("filter_aggregate");
     for (n, f, dim) in [(10usize, 1usize, 10usize), (10, 1, 1000), (50, 5, 100)] {
-        let bundle = gradient_bundle(n, f, dim, 42);
+        // One reused batch and output per shape, as the drivers run it.
+        let batch = batch_of(&gradient_bundle(n, f, dim, 42)).expect("batch builds");
+        let mut out = Vector::zeros(dim);
         for filter in all_filters() {
             group.bench_with_input(
                 BenchmarkId::new(filter.name(), format!("n{n}_d{dim}")),
-                &bundle,
-                |b, bundle| {
+                &batch,
+                |b, batch| {
                     b.iter(|| {
                         // Some filters have (n, f) preconditions; errors are
                         // still "work" worth timing consistently.
-                        let _ = black_box(filter.aggregate(black_box(bundle), f));
+                        let _ = black_box(filter.aggregate_into(black_box(batch), f, &mut out));
                     });
                 },
             );

@@ -1,7 +1,9 @@
 //! Thread-scaling of the sharded aggregation path at the production shape
-//! (`n = 100` gradients of dimension `d = 10 000`).
+//! (`n = 100` gradients of dimension `d = 10 000`), plus Krum and Bulyan
+//! at the benchmark's wide shape (`n = 40`, same `d`), where their shared
+//! pairwise-distance matrix is the whole cost.
 //!
-//! For each filter the same reused `GradientBatch` is aggregated with no
+//! For each case the same reused `GradientBatch` is aggregated with no
 //! pool (serial) and with worker pools of 2 and 4 threads; the speedup
 //! table prints `serial / parallel` per thread count. Outputs are asserted
 //! **bit-identical** across all variants before anything is timed — the
@@ -23,27 +25,28 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-const N: usize = 100;
-const F: usize = 10;
 const DIM: usize = 10_000;
 const THREADS: [usize; 2] = [2, 4];
 
-/// The filters the tentpole parallelizes: the per-coordinate family
-/// (column tiles) and the distance-based family (score rows).
-const FILTERS: [&str; 7] = [
-    "cwtm",
-    "cwmed",
-    "sign-majority",
-    "mean",
-    "cge",
-    "krum",
-    "geomed",
+/// `(filter, n, f)`: the per-coordinate family (column tiles), the
+/// per-row family (slot rows) and the Krum family (pair indices).
+const CASES: [(&str, usize, usize); 9] = [
+    ("cwtm", 100, 10),
+    ("cwmed", 100, 10),
+    ("sign-majority", 100, 10),
+    ("mean", 100, 10),
+    ("cge", 100, 10),
+    ("krum", 100, 10),
+    ("geomed", 100, 10),
+    ("krum", 40, 4),
+    ("bulyan", 40, 4),
 ];
 
 /// Median wall-clock seconds of `reps` aggregations.
 fn time_aggregations(
     filter: &dyn abft_filters::GradientFilter,
     batch: &abft_linalg::GradientBatch,
+    f: usize,
     out: &mut Vector,
     reps: usize,
 ) -> f64 {
@@ -51,7 +54,7 @@ fn time_aggregations(
     for _ in 0..reps {
         let started = Instant::now();
         filter
-            .aggregate_into(black_box(batch), F, out)
+            .aggregate_into(black_box(batch), f, out)
             .expect("aggregates");
         samples.push(started.elapsed().as_secs_f64());
         black_box(&out);
@@ -61,19 +64,19 @@ fn time_aggregations(
 }
 
 fn main() {
-    let gradients = gradient_bundle(N, F, DIM, 42);
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!(
-        "filters_parallel: n = {N}, d = {DIM}, f = {F}, threads in {THREADS:?} \
+        "filters_parallel: d = {DIM}, threads in {THREADS:?} \
          (machine parallelism: {cores})\n"
     );
     println!(
-        "{:<14} {:>11} {:>11} {:>7} {:>11} {:>7}",
-        "filter", "serial ms", "2t ms", "2t x", "4t ms", "4t x"
+        "{:<14} {:>4} {:>3} {:>11} {:>11} {:>7} {:>11} {:>7}",
+        "filter", "n", "f", "serial ms", "2t ms", "2t x", "4t ms", "4t x"
     );
 
     let mut cwtm_speedup_4t = 0.0;
-    for name in FILTERS {
+    for (name, n, f) in CASES {
+        let gradients = gradient_bundle(n, f, DIM, 42);
         let filter = by_name(name).expect("registered");
         // Iterative/quadratic filters are slower per call; fewer reps keep
         // the bench seconds-scale without hurting the median.
@@ -85,16 +88,16 @@ fn main() {
         let serial_batch = batch_of(&gradients).expect("batch builds");
         let mut serial_out = Vector::zeros(DIM);
         // Warm the scratch arena, then measure.
-        let _ = time_aggregations(filter.as_ref(), &serial_batch, &mut serial_out, 2);
-        let serial = time_aggregations(filter.as_ref(), &serial_batch, &mut serial_out, reps);
+        let _ = time_aggregations(filter.as_ref(), &serial_batch, f, &mut serial_out, 2);
+        let serial = time_aggregations(filter.as_ref(), &serial_batch, f, &mut serial_out, reps);
 
         let mut cells = Vec::new();
         for threads in THREADS {
             let mut batch = batch_of(&gradients).expect("batch builds");
             batch.set_worker_pool(Some(Arc::new(WorkerPool::new(threads))));
             let mut out = Vector::zeros(DIM);
-            let _ = time_aggregations(filter.as_ref(), &batch, &mut out, 2);
-            let parallel = time_aggregations(filter.as_ref(), &batch, &mut out, reps);
+            let _ = time_aggregations(filter.as_ref(), &batch, f, &mut out, 2);
+            let parallel = time_aggregations(filter.as_ref(), &batch, f, &mut out, reps);
             assert!(
                 serial_out
                     .iter()
@@ -109,7 +112,7 @@ fn main() {
             cells.push((parallel, speedup));
         }
         println!(
-            "{name:<14} {:>11.3} {:>11.3} {:>6.2}x {:>11.3} {:>6.2}x",
+            "{name:<14} {n:>4} {f:>3} {:>11.3} {:>11.3} {:>6.2}x {:>11.3} {:>6.2}x",
             serial * 1e3,
             cells[0].0 * 1e3,
             cells[0].1,

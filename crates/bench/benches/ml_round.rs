@@ -1,7 +1,7 @@
 //! Figure 4/5 driver bench: one D-SGD round (10 agents × batch 128 MLP
 //! gradients + robust aggregation) on the synthetic-MNIST substitute.
 
-use abft_filters::{Cge, Cwtm, GradientFilter, Mean};
+use abft_filters::{batch_of, Cge, Cwtm, GradientFilter, Mean};
 use abft_linalg::rng::seeded_rng;
 use abft_linalg::Vector;
 use abft_ml::{DatasetSpec, Mlp, Model};
@@ -44,6 +44,8 @@ fn bench_ml_round(c: &mut Criterion) {
         .zip(&batches)
         .map(|(shard, batch)| model.loss_and_gradient(shard, batch).1)
         .collect();
+    let batch = batch_of(&gradients).expect("batch builds");
+    let mut out = Vector::zeros(batch.dim());
     let filters: [(&str, Box<dyn GradientFilter>); 3] = [
         ("mean", Box::new(Mean::new())),
         ("cge", Box::new(Cge::averaged())),
@@ -52,9 +54,14 @@ fn bench_ml_round(c: &mut Criterion) {
     for (name, filter) in &filters {
         group.bench_with_input(
             BenchmarkId::new("aggregate_2410d", name),
-            &gradients,
-            |b, gs| {
-                b.iter(|| black_box(filter.aggregate(black_box(gs), 3).expect("valid inputs")));
+            &batch,
+            |b, batch| {
+                b.iter(|| {
+                    filter
+                        .aggregate_into(black_box(batch), 3, &mut out)
+                        .expect("valid inputs");
+                    black_box(&out);
+                });
             },
         );
     }

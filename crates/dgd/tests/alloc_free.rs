@@ -7,21 +7,41 @@
 
 use abft_attacks::{GradientReverse, LittleIsEnough};
 use abft_dgd::{DgdSimulation, RunOptions};
-use abft_filters::by_name;
+use abft_filters::{batch_of, by_name};
+use abft_linalg::Vector;
 use abft_problems::RegressionProblem;
 use abft_telemetry::{Counter, Phase, Telemetry, TelemetryConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made *by this thread*. The harness runs the tests below
+    /// on parallel threads, so a process-wide counter would charge one
+    /// test's set-up to another's measured window; every measured section
+    /// here (serial aggregation, telemetry off or wall) stays on its own
+    /// thread. Const-initialized and `Drop`-free, so touching it from
+    /// inside the allocator never allocates or registers a destructor.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one allocation against the calling thread.
+fn count_allocation() {
+    // `try_with`: a thread's last frees may run after its locals are gone.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+/// The calling thread's allocation count so far.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: every method delegates to `System`, preserving its guarantees.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: same contract as `System.alloc`, to which this forwards.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: forwards the caller's layout contract to `System`.
         unsafe { System.alloc(layout) }
     }
@@ -34,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: same contract as `System.realloc`, to which this forwards.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: forwards the caller's pointer and layout to `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -65,9 +85,9 @@ fn allocations_for_run(filter_name: &str, byzantine: bool, iterations: usize) ->
         .with_telemetry(TelemetryConfig::Off);
     let filter = by_name(filter_name).expect("registered");
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let result = sim.run(filter.as_ref(), &options).expect("runs");
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(result.trace.len(), iterations + 1, "sanity");
     after - before
 }
@@ -117,7 +137,7 @@ fn summary_only_observation_memory_does_not_grow_with_t() {
             .with_telemetry(TelemetryConfig::Off);
         let filter = by_name("cge").expect("registered");
         let mut workspace = abft_dgd::RoundWorkspace::new();
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         sim.run_observed(
             filter.as_ref(),
             &options,
@@ -125,7 +145,7 @@ fn summary_only_observation_memory_does_not_grow_with_t() {
             &mut abft_core::observe::NullObserver,
         )
         .expect("runs");
-        ALLOCATIONS.load(Ordering::Relaxed) - before
+        allocations() - before
     };
     let _ = run(5);
     let short = run(10);
@@ -142,7 +162,7 @@ fn telemetry_hot_path_allocates_nothing() {
     // A disabled handle must be free: no clock reads is a contract checked
     // elsewhere; here we pin *no allocator traffic at all*.
     let mut off = Telemetry::wall(TelemetryConfig::Off);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..10_000 {
         let round = off.begin(Phase::Round);
         let fill = off.begin(Phase::GradientFill);
@@ -151,14 +171,14 @@ fn telemetry_hot_path_allocates_nothing() {
         off.end(round);
     }
     assert!(off.finish().is_none(), "disabled handles produce no report");
-    let disabled = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let disabled = allocations() - before;
     assert_eq!(disabled, 0, "disabled telemetry touched the allocator");
 
     // An enabled handle allocates once up front (the preallocated span
     // ring); its begin/end/add hot path must then stay allocation-free
     // even past ring wrap-around.
     let mut on = Telemetry::wall(TelemetryConfig::On);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..100_000 {
         let round = on.begin(Phase::Round);
         let fill = on.begin(Phase::GradientFill);
@@ -166,7 +186,7 @@ fn telemetry_hot_path_allocates_nothing() {
         on.add(Counter::Rounds, 1);
         on.end(round);
     }
-    let enabled = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let enabled = allocations() - before;
     assert_eq!(enabled, 0, "enabled hot path touched the allocator");
     let report = on.finish().expect("enabled handles report");
     assert_eq!(report.counter("rounds"), 100_000);
@@ -189,9 +209,9 @@ fn omniscient_attacks_stay_on_the_zero_copy_path() {
             .with_aggregation_threads(1) // serial contract; see above
             .with_telemetry(TelemetryConfig::Off);
         let filter = by_name("cwtm").expect("registered");
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         sim.run(filter.as_ref(), &options).expect("runs");
-        ALLOCATIONS.load(Ordering::Relaxed) - before
+        allocations() - before
     };
     let _ = run(5);
     let short = run(10);
@@ -200,4 +220,28 @@ fn omniscient_attacks_stay_on_the_zero_copy_path() {
         long.saturating_sub(short) <= 32,
         "ALIE path allocates per iteration: {short} vs {long}"
     );
+}
+
+#[test]
+fn krum_family_aggregation_allocates_nothing_after_warm_up() {
+    // The Krum family works out of the batch's scratch arena — the n × n
+    // distance matrix included: the first call at a shape sizes the
+    // buffers, every later one must reuse them (n = 11 admits Bulyan's
+    // f = 2).
+    let rows: Vec<Vector> = (0..11)
+        .map(|i| Vector::from_fn(64, |k| ((i * 7 + k * 3) % 11) as f64 + 0.1 * i as f64))
+        .collect();
+    let batch = batch_of(&rows).expect("batch builds");
+    let mut out = Vector::zeros(64);
+    for name in ["krum", "multi-krum", "bulyan"] {
+        let filter = by_name(name).expect("registered");
+        filter.aggregate_into(&batch, 2, &mut out).expect("warm-up");
+        let before = allocations();
+        for _ in 0..10 {
+            filter
+                .aggregate_into(&batch, 2, &mut out)
+                .expect("aggregates");
+        }
+        assert_eq!(allocations() - before, 0, "{name} allocated after warm-up");
+    }
 }

@@ -3,7 +3,7 @@
 
 use crate::error::FilterError;
 use crate::krum::krum_scores_into;
-use crate::par::for_each_column;
+use crate::par::{for_each_column, pairwise_dist_sq_into};
 use crate::traits::{validate_batch, zeroed_out, GradientFilter};
 use abft_linalg::stats::trimmed_mean_in_place;
 use abft_linalg::{rowops, GradientBatch, Vector};
@@ -20,6 +20,11 @@ use abft_linalg::{rowops, GradientBatch, Vector};
 ///
 /// Requires `n ≥ 4f + 3` so that every intermediate Krum call sees at least
 /// `2f + 3` gradients and the final trim keeps at least one value.
+///
+/// Cost per call: `n(n−1)/2` full-`d` distance passes — the batch's
+/// squared-distance matrix, computed once and shared by all `θ` selection
+/// rounds — plus `O(θ · n² log n)` scalar work re-scoring the shrinking
+/// pool out of it, plus the trimmed mean's `O(d · θ log θ)`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Bulyan;
 
@@ -55,31 +60,37 @@ impl GradientFilter for Bulyan {
         // neighbour count is clamped (standard in Bulyan implementations):
         // the top-level n ≥ 4f + 3 requirement carries the guarantee. The
         // pool is a shrinking list of batch row indices — no gradient is
-        // ever copied during selection.
+        // ever copied during selection, and every round scores out of the
+        // one distance matrix computed here.
         let theta = n - 2 * f;
+        pairwise_dist_sq_into(batch, &mut s.dist_sq);
         s.pool.clear();
         s.pool.extend(0..n);
         s.selection.clear();
         while s.selection.len() < theta {
             let neighbours = s.pool.len().saturating_sub(f + 2).max(1);
-            krum_scores_into(batch, &s.pool, neighbours, &mut s.column, &mut s.keys);
+            krum_scores_into(
+                &s.dist_sq,
+                n,
+                &s.pool,
+                neighbours,
+                &mut s.column,
+                &mut s.keys,
+            );
             // Ties are broken by the gradient's lexicographic value (not its
             // index) so the selection depends only on the received multiset,
             // keeping the filter permutation-invariant.
-            let pool = &s.pool;
             let winner_in_pool = s
                 .keys
                 .iter()
+                .zip(&s.pool)
                 .enumerate()
-                .min_by(|(i, a), (j, b)| {
+                .min_by(|(_, (a, &i)), (_, (b, &j))| {
                     a.total_cmp(b)
-                        // LINT-ALLOW(panic-reach): keys holds one score per
-                        // pool member, so enumerate indices stay in bounds
-                        .then_with(|| rowops::lex_cmp(batch.row(pool[*i]), batch.row(pool[*j])))
+                        .then_with(|| rowops::lex_cmp(batch.row(i), batch.row(j)))
                 })
-                .map(|(i, _)| i)
-                // LINT-ALLOW(no-panic-hot-path): the pool is non-empty until selection completes
-                .expect("pool is non-empty while selection is incomplete");
+                .map(|(p, _)| p)
+                .ok_or(FilterError::Empty)?;
             let winner = s.pool.remove(winner_in_pool);
             s.selection.push(winner);
         }

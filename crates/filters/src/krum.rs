@@ -2,51 +2,51 @@
 //! reference \[6\]).
 
 use crate::error::FilterError;
-use crate::par::{fill_slots_with_scratch, weighted_sum_into, Rows};
+use crate::par::{pairwise_dist_sq_into, weighted_sum_into, Rows};
 use crate::traits::{batch_of, validate_batch, zeroed_out, GradientFilter};
-use abft_linalg::{rowops, GradientBatch, Vector};
+use abft_linalg::{rowops, BatchScratch, GradientBatch, Vector};
 
 /// Computes each pool member's Krum score — the sum of squared distances
 /// to its `neighbours` nearest neighbours within the pool — into
-/// `scores`. `pool` holds batch row indices; `dists` is reusable scratch.
+/// `scores`, reading the batch's `n × n` squared-distance matrix
+/// `dist_sq` ([`pairwise_dist_sq_into`]). `pool` holds batch row indices;
+/// `dists` is reusable scratch.
 ///
-/// Scores are independent per member, so with a worker pool attached to
-/// the batch the pairwise-distance rows are split across its threads —
-/// each worker sorting its members' distances in a persistent scratch
-/// buffer — bit-identically to the serial pass. Distances compare under
-/// `total_cmp`, so a NaN reaching this deep orders deterministically
-/// instead of aborting.
+/// Pure scalar work, `O(|pool|² log |pool|)`: no gradient row is touched.
+/// Distances compare under `total_cmp`, so a NaN reaching this deep
+/// orders deterministically instead of aborting.
 pub(crate) fn krum_scores_into(
-    batch: &GradientBatch,
+    dist_sq: &[f64],
+    n: usize,
     pool: &[usize],
     neighbours: usize,
     dists: &mut Vec<f64>,
     scores: &mut Vec<f64>,
 ) {
-    let rows = Rows::of(batch);
     scores.clear();
-    scores.resize(pool.len(), 0.0);
-    // Each score visits every other member once: O(|pool| · dim) work.
-    fill_slots_with_scratch(
-        batch.worker_pool(),
-        batch.dispatch_profile(),
-        pool.len().saturating_mul(batch.dim()),
-        dists,
-        scores,
-        |buf, p| {
-            // LINT-ALLOW(panic-reach): scores was resized to pool.len()
-            // and fill_slots_with_scratch hands out slot indices
-            let i = pool[p];
-            buf.clear();
-            for &j in pool {
-                if j != i {
-                    let d = rowops::dist(rows.row(i), rows.row(j));
-                    buf.push(d * d);
-                }
-            }
-            buf.sort_unstable_by(f64::total_cmp);
-            buf.iter().take(neighbours).sum()
-        },
+    for &i in pool {
+        let row = dist_sq.get(i * n..(i + 1) * n).unwrap_or_default();
+        dists.clear();
+        dists.extend(pool.iter().filter(|&&j| j != i).filter_map(|&j| row.get(j)));
+        dists.sort_unstable_by(f64::total_cmp);
+        scores.push(dists.iter().take(neighbours).sum());
+    }
+}
+
+/// Scores every row of the batch against all others (`neighbours =
+/// n − f − 2`) into `s.keys`, filling `s.dist_sq` on the way.
+fn score_all_rows(batch: &GradientBatch, f: usize, s: &mut BatchScratch) {
+    let n = batch.len();
+    pairwise_dist_sq_into(batch, &mut s.dist_sq);
+    s.pool.clear();
+    s.pool.extend(0..n);
+    krum_scores_into(
+        &s.dist_sq,
+        n,
+        &s.pool,
+        n - f - 2,
+        &mut s.column,
+        &mut s.keys,
     );
 }
 
@@ -74,6 +74,10 @@ fn validate_krum(
 ///
 /// Requires `n ≥ 2f + 3`. This is the paper's reference \[6\], included as a
 /// baseline for the filter-vs-attack grid.
+///
+/// Cost per call: `n(n−1)/2` full-`d` distance passes (each unordered pair
+/// once, into the batch's squared-distance matrix) plus `O(n² log n)`
+/// scalar work scoring out of it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Krum;
 
@@ -86,19 +90,15 @@ impl Krum {
     /// The row index Krum selects (ties broken by lowest index).
     pub(crate) fn selected_row(batch: &GradientBatch, f: usize) -> Result<usize, FilterError> {
         validate_krum("krum", batch, f)?;
-        let n = batch.len();
         let mut scratch = batch.scratch();
-        let s = &mut *scratch;
-        s.pool.clear();
-        s.pool.extend(0..n);
-        krum_scores_into(batch, &s.pool, n - f - 2, &mut s.column, &mut s.keys);
-        Ok(s.keys
+        score_all_rows(batch, f, &mut scratch);
+        scratch
+            .keys
             .iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| a.total_cmp(b))
             .map(|(i, _)| i)
-            // LINT-ALLOW(no-panic-hot-path): validate_krum guarantees a non-empty batch
-            .expect("non-empty scores"))
+            .ok_or(FilterError::Empty)
     }
 
     /// The index Krum selects (ties broken by lowest index).
@@ -132,7 +132,8 @@ impl GradientFilter for Krum {
 /// Multi-Krum: averages the `m` gradients with the best Krum scores.
 ///
 /// `m = 1` reduces to [`Krum`]; `m = n − f` approaches the mean over a
-/// plausible honest set.
+/// plausible honest set. Scoring costs what [`Krum`]'s does; the average
+/// adds `m` row passes.
 #[derive(Debug, Clone, Copy)]
 pub struct MultiKrum {
     m: usize,
@@ -172,16 +173,13 @@ impl GradientFilter for MultiKrum {
         }
         let mut scratch = batch.scratch();
         let s = &mut *scratch;
-        s.pool.clear();
-        s.pool.extend(0..n);
-        krum_scores_into(batch, &s.pool, n - f - 2, &mut s.column, &mut s.keys);
+        score_all_rows(batch, f, s);
         s.order.clear();
         s.order.extend(0..n);
         let scores = &s.keys;
-        // LINT-ALLOW(panic-reach): order holds 0..n and krum_scores_into
-        // filled one score per pool member (n of them)
+        let score = |i: usize| scores.get(i).copied().unwrap_or(f64::NAN);
         s.order
-            .sort_unstable_by(|&i, &j| scores[i].total_cmp(&scores[j]).then(i.cmp(&j)));
+            .sort_unstable_by(|&i, &j| score(i).total_cmp(&score(j)).then(i.cmp(&j)));
         s.order.truncate(self.m);
 
         let acc = zeroed_out(out, dim);
@@ -273,9 +271,9 @@ mod tests {
     fn scores_prefer_dense_neighbourhoods() {
         let gs = clustered_with_outlier();
         let batch = batch_of(&gs).unwrap();
-        let pool: Vec<usize> = (0..gs.len()).collect();
-        let (mut dists, mut scores) = (Vec::new(), Vec::new());
-        krum_scores_into(&batch, &pool, gs.len() - 3, &mut dists, &mut scores);
+        let mut scratch = batch.scratch();
+        score_all_rows(&batch, 1, &mut scratch);
+        let scores = &scratch.keys;
         let outlier_score = scores[5];
         for s in &scores[..5] {
             assert!(s < &outlier_score);

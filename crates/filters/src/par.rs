@@ -9,20 +9,25 @@
 //! through [`Rows`] — a `Copy` view of the flat storage — because the
 //! batch itself (scratch arena included) is deliberately not `Sync`.
 //!
-//! Two sharding axes cover all registered filters:
+//! Three sharding axes cover all registered filters:
 //!
 //! * **Column tiles** ([`for_each_column`], [`weighted_sum_into`]): the
 //!   per-coordinate filters (CWTM, CWMed, sign-majority, mean) and every
 //!   row-accumulation reduce independently per coordinate; columns are
 //!   split into contiguous tile chunks.
-//! * **Slot rows** ([`fill_slots`], [`fill_slots_with_scratch`]): the
-//!   distance-based filters (Krum, multi-Krum, CGE, FABA, geomed) compute
-//!   one scalar per row — a pairwise-distance score, a norm, a Weiszfeld
+//! * **Slot rows** ([`fill_slots`]): CGE, FABA and geomed compute one
+//!   scalar per row — a norm, a distance to the running mean, a Weiszfeld
 //!   weight — into its own slot; rows are split into contiguous chunks.
+//! * **Pair indices** ([`pairwise_dist_sq_into`]): the Krum family
+//!   (Krum, multi-Krum, Bulyan) fills one symmetric squared-distance
+//!   matrix per aggregation call; the linearised upper-triangle pairs are
+//!   split into contiguous chunks, each pair owning its two mirrored
+//!   slots.
 
 use abft_linalg::pool::{SharedSlots, WorkerPool};
-use abft_linalg::{GradientBatch, LinalgError};
+use abft_linalg::{rowops, GradientBatch, LinalgError};
 use abft_telemetry::DispatchProfile;
+use std::ops::Range;
 
 /// Columns transposed per tile pass. At 32 columns × 8 bytes each row
 /// segment spans four cache lines, so the row-major batch streams through
@@ -210,34 +215,82 @@ pub(crate) fn fill_slots(
     }
 }
 
-/// [`fill_slots`] for computations needing a scratch buffer: the caller's
-/// chunk uses `scratch`, pool workers use their persistent per-worker
-/// buffers.
-pub(crate) fn fill_slots_with_scratch(
-    pool: Option<&WorkerPool>,
-    profile: Option<&DispatchProfile>,
-    unit_work: usize,
-    scratch: &mut Vec<f64>,
-    slots: &mut [f64],
-    compute: impl Fn(&mut Vec<f64>, usize) -> f64 + Sync,
-) {
-    match worth_sharding(pool, slots.len().saturating_mul(unit_work)) {
-        Some(pool) if slots.len() > 1 => {
-            let out = SharedSlots::new(slots);
-            timed_dispatch(profile, || {
-                pool.run_with_scratch(out.len(), scratch, &|buf, range| {
-                    for i in range {
-                        // SAFETY: `i` is owned by exactly one chunk.
-                        unsafe { out.write(i, compute(buf, i)) };
-                    }
-                });
+/// Fills `out` with the batch's symmetric `n × n` squared-distance matrix
+/// (row-major, zero diagonal): `out[i·n + j] = dist(row_i, row_j)²`.
+///
+/// Each unordered pair is computed once — four pairs per walk over row
+/// `i` ([`rowops::dist4`]) — and written to both mirrored slots. The unit
+/// of the fixed schedule is the linearised upper-triangle pair index
+/// (`(0,1), (0,2), …, (n−2,n−1)`), so chunks balance even though row `i`
+/// owns `n − 1 − i` pairs. Whatever chunk or four-wide group a pair lands
+/// in, its value is [`rowops::dist`]'s bit for bit, so the matrix is
+/// identical at any thread count.
+pub(crate) fn pairwise_dist_sq_into(batch: &GradientBatch, out: &mut Vec<f64>) {
+    let rows = Rows::of(batch);
+    let n = batch.len();
+    let pairs = n * n.saturating_sub(1) / 2;
+    out.clear();
+    out.resize(n * n, 0.0);
+    let slots = SharedSlots::new(out);
+    match worth_sharding(batch.worker_pool(), pairs.saturating_mul(batch.dim())) {
+        Some(pool) if pairs > 1 => timed_dispatch(batch.dispatch_profile(), || {
+            // SAFETY: `slots` has `n × n` entries and the fixed schedule
+            // hands every pair index below `pairs` to exactly one chunk.
+            pool.run(pairs, &|range| unsafe {
+                fill_pairs(rows, n, range, &slots)
             });
+        }),
+        // SAFETY: `slots` has `n × n` entries and nothing else runs.
+        _ => unsafe { fill_pairs(rows, n, 0..pairs, &slots) },
+    }
+}
+
+/// The pairs of [`pairwise_dist_sq_into`] with linear indices in `range`.
+///
+/// # Safety
+///
+/// `rows` holds `n` rows, `out` has `n × n` slots, `range` lies within
+/// `0..n(n − 1)/2`, and no other thread concurrently handles a pair index
+/// in `range` — pair `(i, j)` is the sole writer of slots `(i, j)` and
+/// `(j, i)`.
+unsafe fn fill_pairs(rows: Rows<'_>, n: usize, range: Range<usize>, out: &SharedSlots<'_>) {
+    let store = |i: usize, j: usize, d: f64| {
+        // SAFETY: the walk below only reaches `i < j < n`, inside the
+        // `n × n` matrix, and this call owns pair `(i, j)` per the
+        // function's contract.
+        unsafe {
+            out.write(i * n + j, d * d);
+            out.write(j * n + i, d * d);
         }
-        _ => {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                *slot = compute(scratch, i);
+    };
+    if range.is_empty() {
+        return;
+    }
+    // Unlinearise the first pair: row `i` owns `n − 1 − i` pairs.
+    let (mut i, mut offset) = (0, range.start);
+    while offset >= n - 1 - i {
+        offset -= n - 1 - i;
+        i += 1;
+    }
+    let mut j = i + 1 + offset;
+    let mut left = range.len();
+    while left > 0 {
+        let end = n.min(j + left);
+        left -= end - j;
+        let a = rows.row(i);
+        while j + 4 <= end {
+            let four = rowops::dist4(a, [j, j + 1, j + 2, j + 3].map(|p| rows.row(p)));
+            for (lane, d) in four.into_iter().enumerate() {
+                store(i, j + lane, d);
             }
+            j += 4;
         }
+        while j < end {
+            store(i, j, rowops::dist(a, rows.row(j)));
+            j += 1;
+        }
+        i += 1;
+        j = i + 1;
     }
 }
 
@@ -291,8 +344,8 @@ pub(crate) fn weighted_sum_into(
             for p in 0..count {
                 let row = rows.row(indices.map_or(p, |idx| idx[p]));
                 match weights {
-                    None => abft_linalg::rowops::add_assign(acc, row),
-                    Some(w) => abft_linalg::rowops::axpy(acc, w[p], row),
+                    None => rowops::add_assign(acc, row),
+                    Some(w) => rowops::axpy(acc, w[p], row),
                 }
             }
         }
@@ -416,6 +469,30 @@ mod tests {
     }
 
     #[test]
+    fn pair_matrix_is_dist_squared_per_entry_at_any_thread_count() {
+        // 1500 columns clear the sharding floor; the sizes put chunk
+        // boundaries mid-row and leave every four-wide remainder.
+        for n in [2usize, 3, 6, 7, 9] {
+            let mut batch = demo_batch(n, 1500);
+            let mut serial = Vec::new();
+            pairwise_dist_sq_into(&batch, &mut serial);
+            for i in 0..n {
+                for j in 0..n {
+                    let d = rowops::dist(batch.row(i), batch.row(j));
+                    let want = if i == j { 0.0 } else { d * d };
+                    assert_eq!(serial[i * n + j].to_bits(), want.to_bits(), "({i}, {j})");
+                }
+            }
+            for threads in [2usize, 3, 4] {
+                batch.set_worker_pool(Some(Arc::new(WorkerPool::new(threads))));
+                let mut parallel = vec![f64::NAN; 3];
+                pairwise_dist_sq_into(&batch, &mut parallel);
+                assert_eq!(serial, parallel, "n {n}, {threads}t");
+            }
+        }
+    }
+
+    #[test]
     fn fill_slots_covers_every_slot_in_parallel() {
         let pool = WorkerPool::new(3);
         let mut serial = vec![0.0; 11];
@@ -425,24 +502,5 @@ mod tests {
             (i as f64).sqrt()
         });
         assert_eq!(serial, parallel);
-
-        let mut scratch = Vec::new();
-        let mut with_scratch = vec![0.0; 11];
-        fill_slots_with_scratch(
-            Some(&pool),
-            None,
-            10_000,
-            &mut scratch,
-            &mut with_scratch,
-            |buf, i| {
-                buf.clear();
-                buf.extend((0..=i).map(|k| k as f64));
-                buf.iter().sum::<f64>().sqrt()
-            },
-        );
-        assert!(with_scratch
-            .iter()
-            .enumerate()
-            .all(|(i, &v)| v == ((i * (i + 1)) as f64 / 2.0).sqrt()));
     }
 }

@@ -54,6 +54,9 @@ pub struct BatchScratch {
     pub vec_b: Vec<f64>,
     /// Arbitrary flat matrix workspace (e.g. bucket means).
     pub flat: Vec<f64>,
+    /// Row-major `n × n` pairwise workspace (the Krum family's symmetric
+    /// squared-distance matrix, filled once per aggregation call).
+    pub dist_sq: Vec<f64>,
 }
 
 /// A contiguous, row-major batch of `n` gradients of dimension `d`.
@@ -294,6 +297,30 @@ pub mod rowops {
             .map(|(x, y)| (x - y) * (x - y))
             .sum::<f64>()
             .sqrt()
+    }
+
+    /// Euclidean distances from `a` to four rows in one walk over `a`:
+    /// lane `l` equals [`dist`]`(a, rows[l])` **bit for bit** — each lane
+    /// sums its `(x − y)²` terms in index order into its own accumulator,
+    /// so the four add chains are independent where a lone [`dist`] call
+    /// is bound by one chain's latency.
+    ///
+    /// # Panics
+    ///
+    /// Panics when lengths differ (debug builds).
+    pub fn dist4(a: &[f64], rows: [&[f64]; 4]) -> [f64; 4] {
+        let [b0, b1, b2, b3] = rows;
+        debug_assert!(rows.iter().all(|b| b.len() == a.len()));
+        // `-0.0` is the identity `Iterator::sum` starts from, so even a
+        // zero-length lane matches `dist`.
+        let (mut s0, mut s1, mut s2, mut s3) = (-0.0f64, -0.0f64, -0.0f64, -0.0f64);
+        for ((((x, y0), y1), y2), y3) in a.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
+            s0 += (x - y0) * (x - y0);
+            s1 += (x - y1) * (x - y1);
+            s2 += (x - y2) * (x - y2);
+            s3 += (x - y3) * (x - y3);
+        }
+        [s0.sqrt(), s1.sqrt(), s2.sqrt(), s3.sqrt()]
     }
 
     /// `acc[i] += row[i]`.

@@ -1,14 +1,46 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use abft_linalg::{
-    cholesky, determinant, inverse, least_squares, solve, solve_spd, sym_eigenvalues, Matrix,
-    Vector,
+    cholesky, determinant, inverse, least_squares, rowops, solve, solve_spd, sym_eigenvalues,
+    Matrix, Vector,
 };
 use proptest::prelude::*;
 
 /// Strategy: a small vector with bounded, well-conditioned entries.
 fn vec_strategy(dim: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-10.0..10.0f64, dim)
+}
+
+/// Strategy: a row entry from the corners of the `f64` range — signed
+/// zeros, subnormals, magnitudes whose squares under- and overflow, and
+/// non-finite values — mixed with ordinary ones.
+fn hostile_entry() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        -10.0..10.0f64,
+        -10.0..10.0f64,
+        Just(0.0),
+        Just(-0.0),
+        Just(5e-324),
+        Just(-2e-310),
+        Just(1e150),
+        Just(-1e150),
+        Just(1e-150),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(f64::NAN),
+    ]
+}
+
+/// Strategy: a row `a` and four rows to measure it against, all of one
+/// length drawn from {0, 1, odd, 10⁴}.
+fn five_hostile_rows() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    prop_oneof![
+        Just(0usize),
+        Just(1usize),
+        (1usize..40).prop_map(|k| 2 * k + 1),
+        Just(10_000usize),
+    ]
+    .prop_flat_map(|len| prop::collection::vec(prop::collection::vec(hostile_entry(), len), 5))
 }
 
 /// Strategy: a diagonally dominant (hence invertible) square matrix.
@@ -176,6 +208,22 @@ proptest! {
         // The median minimizes sum of absolute deviations; probe nearby points.
         for delta in [-1.0, -0.1, 0.1, 1.0] {
             prop_assert!(at_median <= cost(med + delta) + 1e-9);
+        }
+    }
+
+    #[test]
+    fn dist4_equals_dist_bit_for_bit_per_lane(rows in five_hostile_rows()) {
+        let [a, b0, b1, b2, b3] = &rows[..] else { unreachable!("five rows") };
+        let lanes = [b0.as_slice(), b1, b2, b3];
+        let four = rowops::dist4(a, lanes);
+        for (got, b) in four.iter().zip(lanes) {
+            let want = rowops::dist(a, b);
+            // A lane that meets two different NaNs (an input NaN and an
+            // `∞ − ∞`) may keep either payload; any other value is exact.
+            prop_assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "len {}: {got:e} vs {want:e}", a.len()
+            );
         }
     }
 }

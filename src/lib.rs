@@ -32,7 +32,7 @@
 //!
 //! The gradient data path — who produces into and who consumes out of a
 //! `GradientBatch` — is documented in `ROADMAP.md` §“Architecture: the
-//! gradient data path”, together with how the `filters_batch` and
+//! gradient data path”, together with how the `filters` and
 //! `filters_parallel` benches are run.
 //!
 //! Aggregation is serial by default; set
