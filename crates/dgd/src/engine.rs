@@ -1,0 +1,305 @@
+//! The one server step (S1/S2 of Section 4.1) every DGD driver calls.
+//!
+//! `x ← Proj_W(x − η_t · GradFilter(g_1…g_n))` is written here once. The
+//! in-process driver, the event loop, the simulated server, the
+//! asynchronous server and the peer-to-peer leader differ only in how rows
+//! get into the batch they hand to [`RoundEngine::step`]; aggregation,
+//! the divergence check, observation, halting, the update, the phase spans
+//! and the run's counters are this file's, so the drivers agree on them by
+//! construction.
+
+use crate::error::DgdError;
+use crate::simulation::{ObservedRun, RunOptions};
+use abft_core::observe::{
+    observe_round, ControlFlow, MetricSource, Probe, RoundView, RunObserver, RunSummary,
+};
+use abft_core::validate;
+use abft_filters::GradientFilter;
+use abft_linalg::{GradientBatch, Vector};
+use abft_net::NetMetrics;
+use abft_problems::{total_value, SharedCost};
+use abft_telemetry::{Counter, Phase, SpanToken, Telemetry};
+
+/// What one run counted, unified across drivers: plain integers bumped in
+/// the round loop. Fields a driver does not produce stay zero (the
+/// in-process driver passes no messages; the server drivers run no EIG
+/// broadcasts). `abft_scenario::BackendMetrics` is this type.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunCounters {
+    /// Aggregation rounds executed (iterations + the final record round).
+    pub rounds: usize,
+    /// Estimate broadcasts sent by the server, one per addressed agent.
+    pub broadcasts_sent: usize,
+    /// Gradient replies that reached the server.
+    pub replies_received: usize,
+    /// Agents eliminated via the S1 no-reply rule (event-loop runtime).
+    pub agents_eliminated: usize,
+    /// Scheduler dispatch cycles, one per round (event-loop runtime).
+    pub rounds_dispatched: usize,
+    /// `RoundStart` events processed by agent cells — one per active agent
+    /// per round, crashed cells included (event-loop runtime).
+    pub events_processed: usize,
+    /// 1 when the run found its `Fleet` already warm, reusing worker
+    /// threads and batch instead of rebuilding them (event-loop runtime).
+    pub fleet_reuse_hits: usize,
+    /// EIG broadcast instances executed (peer-to-peer topologies).
+    pub eig_broadcasts: usize,
+    /// Point-to-point messages inside EIG broadcasts (peer-to-peer
+    /// topologies).
+    pub eig_messages: usize,
+    /// Rounds × agents whose expected gradient missed the deadline or was
+    /// lost (simulated server); steps × agents the server had no row from
+    /// at all (asynchronous server).
+    pub stragglers: usize,
+    /// Steps × agents whose freshest row was older than the staleness
+    /// bound τ and was excluded (asynchronous server).
+    pub stale_rows: usize,
+    /// Largest spread of send timestamps inside one aggregated batch, in
+    /// virtual nanoseconds (asynchronous server).
+    pub clock_skew_ns: u64,
+    /// Aggregation steps the asynchronous server executed.
+    pub async_steps: usize,
+    /// Network counters — sent / delivered / dropped / late totals, virtual
+    /// time elapsed, and the order-sensitive schedule digest — of the
+    /// `abft_net` bus the run moved its messages over.
+    pub net: NetMetrics,
+}
+
+impl RunCounters {
+    /// The telemetry counter each field reports under (`broadcasts` covers
+    /// both server broadcasts and EIG roots).
+    fn telemetry(&self) -> [(Counter, u64); 11] {
+        [
+            (Counter::Rounds, self.rounds as u64),
+            (
+                Counter::Broadcasts,
+                (self.broadcasts_sent + self.eig_broadcasts) as u64,
+            ),
+            (Counter::Replies, self.replies_received as u64),
+            (Counter::Eliminations, self.agents_eliminated as u64),
+            (Counter::Stragglers, self.stragglers as u64),
+            (Counter::StaleRows, self.stale_rows as u64),
+            (Counter::AsyncSteps, self.async_steps as u64),
+            (Counter::NetSent, self.net.sent),
+            (Counter::NetDelivered, self.net.delivered),
+            (Counter::NetDropped, self.net.dropped),
+            (Counter::NetLate, self.net.late),
+        ]
+    }
+}
+
+/// The result of one run on any runtime: the run itself (`R` is
+/// [`ObservedRun`], or [`RunResult`](crate::RunResult) from the
+/// dense-trace convenience) plus what it counted.
+#[derive(Debug, Clone)]
+pub struct Outcome<R = ObservedRun> {
+    /// Final estimate + always-present summary (the first honest agent's
+    /// perspective on a peer-to-peer topology, the server's otherwise).
+    pub run: R,
+    /// The run's counters.
+    pub counters: RunCounters,
+    /// Largest final pairwise distance between honest agents' estimates:
+    /// exactly `0` wherever there is one shared estimate or a reliable
+    /// network keeps lockstep, and a measure of how far link faults pushed
+    /// the honest agents apart on a simulated peer-to-peer network.
+    pub final_spread: f64,
+}
+
+/// One run's server state and the step that advances it.
+///
+/// A driver builds the engine, then per round fills a batch however its
+/// topology delivers rows and calls [`RoundEngine::step`]; when a step
+/// halts it calls [`RoundEngine::finish`]. The engine owns no loop — the
+/// asynchronous driver steps from inside its event merge.
+pub struct RoundEngine<'a> {
+    state: ServerState<'a>,
+    filter: &'a dyn GradientFilter,
+    options: &'a RunOptions,
+    observer: &'a mut dyn RunObserver,
+    probe: Probe,
+    round_span: SpanToken,
+    summary: Option<RunSummary>,
+    /// The run's instrumentation handle; drivers open their own
+    /// `gradient-fill` / `net-delivery` spans (and feed the virtual clock)
+    /// through it.
+    pub telemetry: Telemetry,
+    /// The run's counters; drivers bump the message-level fields, the
+    /// engine counts `rounds`.
+    pub counters: RunCounters,
+}
+
+impl<'a> RoundEngine<'a> {
+    /// The engine at `x_0` projected onto `W`, with the first round's span
+    /// open. `honest` is the ground-truth honest set the recorded loss is
+    /// summed over; `telemetry` is in the driver's clock domain.
+    ///
+    /// # Errors
+    ///
+    /// [`DgdError::Config`] when the cost count differs from `n`, and
+    /// [`DgdError::Dimension`] when the costs, `x0` or the reference
+    /// disagree on dimension.
+    pub fn new(
+        n: usize,
+        costs: &'a [SharedCost],
+        honest: Vec<usize>,
+        filter: &'a dyn GradientFilter,
+        options: &'a RunOptions,
+        observer: &'a mut dyn RunObserver,
+        telemetry: Telemetry,
+    ) -> Result<Self, DgdError> {
+        let dim = validate::cost_dimension(n, costs.iter().map(|c| c.dim()))?;
+        validate::run_point_dimensions(dim, options.x0.dim(), options.reference.dim())?;
+        Ok(RoundEngine {
+            state: ServerState {
+                costs,
+                honest,
+                reference: &options.reference,
+                x: options.projection.project(&options.x0),
+                aggregated: Vector::zeros(dim),
+            },
+            filter,
+            options,
+            probe: observer.probe(),
+            observer,
+            round_span: telemetry.begin(Phase::Round),
+            summary: None,
+            telemetry,
+            counters: RunCounters::default(),
+        })
+    }
+
+    /// The current estimate `x_t`.
+    pub fn x(&self) -> &Vector {
+        &self.state.x
+    }
+
+    /// Installs this run's pool-dispatch profile on a batch the driver
+    /// aggregates from (a no-op unless wall-clock telemetry is on).
+    pub fn instrument(&self, batch: &mut GradientBatch) {
+        batch.set_dispatch_profile(self.telemetry.dispatch_profile());
+    }
+
+    /// Takes the dispatch profile back off `batch` and folds it into the
+    /// run's report.
+    pub fn absorb(&mut self, batch: &mut GradientBatch) {
+        if let Some(profile) = batch.take_dispatch_profile() {
+            self.telemetry.absorb_dispatch(&profile.snapshot());
+        }
+    }
+
+    /// One server step at iteration `t` over the rows the driver
+    /// collected, with the round's S1 fault budget `f_round`: aggregate
+    /// (an empty batch carries no gradient information and holds the
+    /// estimate), check for divergence, show the round to the observer,
+    /// then either halt — the estimate stays at `x_t` — or update and open
+    /// the next round's span.
+    ///
+    /// # Errors
+    ///
+    /// [`DgdError::Filter`] when the filter rejects the batch, and
+    /// [`DgdError::Diverged`] when the aggregate or the estimate is
+    /// non-finite on a round that would update.
+    #[inline]
+    pub fn step(
+        &mut self,
+        t: usize,
+        batch: &GradientBatch,
+        f_round: usize,
+    ) -> Result<ControlFlow, DgdError> {
+        let advance = t < self.options.iterations;
+        let state = &mut self.state;
+        let span = self.telemetry.begin(Phase::Aggregate);
+        if batch.is_empty() {
+            state.aggregated.as_mut_slice().fill(0.0);
+        } else {
+            self.filter
+                .aggregate_into(batch, f_round, &mut state.aggregated)?;
+        }
+        self.telemetry.end(span);
+        if advance && (state.aggregated.has_non_finite() || state.x.has_non_finite()) {
+            return Err(DgdError::Diverged { iteration: t });
+        }
+
+        let span = self.telemetry.begin(Phase::Observe);
+        let (x, aggregated) = (state.x.as_slice(), state.aggregated.as_slice());
+        let view = RoundView::new(t, x, aggregated, state, self.probe);
+        self.summary = observe_round(self.observer, &view, advance);
+        self.telemetry.end(span);
+        self.counters.rounds += 1;
+
+        let flow = if self.summary.is_some() {
+            ControlFlow::Halt
+        } else {
+            self.options.descend(t, &mut state.x, &state.aggregated);
+            ControlFlow::Continue
+        };
+        self.telemetry.end(self.round_span);
+        if !flow.is_halt() {
+            self.round_span = self.telemetry.begin(Phase::Round);
+        }
+        Ok(flow)
+    }
+
+    /// Ends the run: records `net` (the bus's counters; default for a
+    /// driver without one), copies the counters into the telemetry report,
+    /// and hands back the outcome.
+    ///
+    /// # Errors
+    ///
+    /// [`DgdError::Config`] when no step has halted yet — a driver
+    /// invariant violation, not a reachable state of a correct driver.
+    pub fn finish(mut self, net: NetMetrics) -> Result<Outcome, DgdError> {
+        let summary = self.summary.ok_or_else(|| {
+            DgdError::Config("run ended before a step observed its final round".into())
+        })?;
+        self.counters.net = net;
+        self.telemetry.record(&self.counters.telemetry());
+        Ok(Outcome {
+            run: ObservedRun {
+                final_estimate: self.state.x,
+                summary,
+                telemetry: self.telemetry.finish(),
+            },
+            counters: self.counters,
+            final_spread: 0.0,
+        })
+    }
+}
+
+/// The server's state within one run and, as a [`MetricSource`], what a
+/// round's record derives from: loss is the honest-cost pass
+/// `Σ_{i∈H} Q_i(x_t)`, distance/φ are measured against the options'
+/// reference point, and the gradient norm reads the filtered aggregate.
+/// Field-for-field the historical `IterationRecord` construction,
+/// computed lazily.
+struct ServerState<'a> {
+    costs: &'a [SharedCost],
+    honest: Vec<usize>,
+    reference: &'a Vector,
+    x: Vector,
+    aggregated: Vector,
+}
+
+impl MetricSource for ServerState<'_> {
+    fn loss(&self) -> f64 {
+        total_value(self.costs, &self.honest, &self.x)
+    }
+
+    fn distance(&self) -> f64 {
+        self.x.dist(self.reference)
+    }
+
+    fn grad_norm(&self) -> f64 {
+        self.aggregated.norm()
+    }
+
+    /// `⟨x − reference, g⟩` without materializing the offset.
+    fn phi(&self) -> f64 {
+        self.x
+            .iter()
+            .zip(self.reference.iter())
+            .zip(self.aggregated.iter())
+            .map(|((xi, ri), gi)| (xi - ri) * gi)
+            .sum()
+    }
+}

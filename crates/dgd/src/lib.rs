@@ -11,9 +11,12 @@
 //!   `x_{t+1} = [x_t − η_t·GradFilter(g_1, …, g_n)]_W` (eq. 21), projecting
 //!   onto a compact convex set `W`.
 //!
-//! [`DgdSimulation`] drives the loop and records the paper's plotted series
-//! (loss, distance) plus Theorem 3's `φ_t` for convergence-condition checks
-//! ([`convergence`]).
+//! The step itself — aggregate, check, observe, halt or update — is
+//! [`RoundEngine::step`], written once and called by every driver in the
+//! workspace. [`DgdSimulation`] is the in-process driver: it fills the
+//! round's batch by calling the costs directly, and records the paper's
+//! plotted series (loss, distance) plus Theorem 3's `φ_t` for
+//! convergence-condition checks ([`convergence`]).
 //!
 //! # Example
 //!
@@ -38,18 +41,18 @@
 //! ```
 
 pub mod convergence;
+pub mod engine;
 pub mod error;
 pub mod projection;
 pub mod schedule;
 pub mod simulation;
 
 pub use convergence::{phi_lower_bound_holds, settles_within};
+pub use engine::{Outcome, RoundEngine, RunCounters};
 pub use error::DgdError;
 pub use projection::ProjectionSet;
 pub use schedule::StepSchedule;
-pub use simulation::{
-    DgdSimulation, HonestCostMetrics, ObservedRun, RoundWorkspace, RunOptions, RunResult,
-};
+pub use simulation::{DgdSimulation, ObservedRun, RoundWorkspace, RunOptions, RunResult};
 
 /// Convenience prelude re-exporting the most common items.
 pub mod prelude {

@@ -1,18 +1,18 @@
 //! The synchronous DGD driver (steps S1/S2 of Section 4.1).
 
+use crate::engine::RoundEngine;
 use crate::error::DgdError;
 use crate::projection::ProjectionSet;
 use crate::schedule::StepSchedule;
 use abft_attacks::{AttackContext, ByzantineStrategy};
-use abft_core::observe::{
-    observe_round, MetricSource, RoundView, RunObserver, RunSummary, TraceRecorder,
-};
+use abft_core::observe::{RunObserver, RunSummary, TraceRecorder};
 use abft_core::validate::{self, FaultBudget};
 use abft_core::{SystemConfig, Trace};
 use abft_filters::GradientFilter;
 use abft_linalg::{GradientBatch, Vector, WorkerPool};
-use abft_problems::{total_value, SharedCost};
-use abft_telemetry::{Counter, Phase, Telemetry, TelemetryConfig, TelemetryReport};
+use abft_net::NetMetrics;
+use abft_problems::SharedCost;
+use abft_telemetry::{Phase, Telemetry, TelemetryConfig, TelemetryReport};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -136,6 +136,13 @@ impl RunOptions {
         self.staleness_ns = Some(tau_ns);
         self
     }
+
+    /// The update of step S2 (eq. 21): `x ← Proj_W(x − η_t · g)`.
+    #[inline]
+    pub fn descend(&self, t: usize, x: &mut Vector, g: &Vector) {
+        x.axpy(-self.schedule.eta(t), g);
+        self.projection.project_in_place(x);
+    }
 }
 
 /// The result of one DGD execution with dense recording.
@@ -152,6 +159,15 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// Attaches a dense recorder's trace to the run it observed.
+    pub fn dense(recorder: TraceRecorder, run: ObservedRun) -> Self {
+        RunResult {
+            trace: recorder.into_trace(),
+            final_estimate: run.final_estimate,
+            summary: run.summary,
+        }
+    }
+
     /// Final approximation error `‖x_T − reference‖`.
     ///
     /// Infallible: reads the [`RunSummary`]'s final record, which every
@@ -175,58 +191,6 @@ pub struct ObservedRun {
     /// Phase timings and counters, present when the run options enabled
     /// telemetry.
     pub telemetry: Option<TelemetryReport>,
-}
-
-/// The [`MetricSource`] every server-architecture driver derives its
-/// round records from: loss is the honest-cost pass `Σ_{i∈H} Q_i(x_t)`,
-/// distance/φ are measured against the options' reference point, and the
-/// gradient norm reads the filtered aggregate. Field-for-field the
-/// historical `IterationRecord` construction, computed lazily.
-pub struct HonestCostMetrics<'a> {
-    costs: &'a [SharedCost],
-    honest: &'a [usize],
-    x: &'a Vector,
-    reference: &'a Vector,
-    aggregated: &'a Vector,
-}
-
-impl<'a> HonestCostMetrics<'a> {
-    /// A source over one round's state: the agents' true costs, the
-    /// honest index set, the current estimate, the reference point, and
-    /// the filtered aggregate.
-    pub fn new(
-        costs: &'a [SharedCost],
-        honest: &'a [usize],
-        x: &'a Vector,
-        reference: &'a Vector,
-        aggregated: &'a Vector,
-    ) -> Self {
-        HonestCostMetrics {
-            costs,
-            honest,
-            x,
-            reference,
-            aggregated,
-        }
-    }
-}
-
-impl MetricSource for HonestCostMetrics<'_> {
-    fn loss(&self) -> f64 {
-        total_value(self.costs, self.honest, self.x)
-    }
-
-    fn distance(&self) -> f64 {
-        self.x.dist(self.reference)
-    }
-
-    fn grad_norm(&self) -> f64 {
-        self.aggregated.norm()
-    }
-
-    fn phi(&self) -> f64 {
-        offset_dot(self.x, self.reference, self.aggregated)
-    }
 }
 
 /// A synchronous server-based DGD simulation: `n` agents, of which some are
@@ -303,7 +267,7 @@ impl DgdSimulation {
             .collect()
     }
 
-    /// Runs DGD with the given filter.
+    /// Runs DGD with the given filter and dense in-memory recording.
     ///
     /// The returned trace records, at each visited estimate: the honest
     /// aggregate loss `Σ_{i∈H} Q_i(x_t)`, the distance `‖x_t − reference‖`,
@@ -312,49 +276,25 @@ impl DgdSimulation {
     /// # Errors
     ///
     /// Propagates filter failures ([`DgdError::Filter`]), reports dimension
-    /// mismatches, and returns [`DgdError::Diverged`] if the estimate leaves
-    /// the finite range (possible only with a non-robust filter and huge
-    /// attacks, since `W` is compact).
+    /// mismatches, and returns [`DgdError::Diverged`] if the aggregate or
+    /// the estimate leaves the finite range (possible only with a filter
+    /// that lets a huge forgery through, since `W` is compact).
     pub fn run(
         &mut self,
         filter: &dyn GradientFilter,
         options: &RunOptions,
     ) -> Result<RunResult, DgdError> {
-        let mut workspace = RoundWorkspace::new();
-        self.run_with_workspace(filter, options, &mut workspace)
-    }
-
-    /// [`DgdSimulation::run`] with caller-owned round state.
-    ///
-    /// The workspace (gradient batch, scratch vectors, aggregate) is sized
-    /// on entry and reused across all `T` iterations; callers that drive
-    /// many simulations of the same shape — e.g. a scenario suite worker —
-    /// pass the same workspace to every run so even the per-*run* setup
-    /// allocations disappear after the first execution.
-    ///
-    /// # Errors
-    ///
-    /// See [`DgdSimulation::run`].
-    pub fn run_with_workspace(
-        &mut self,
-        filter: &dyn GradientFilter,
-        options: &RunOptions,
-        workspace: &mut RoundWorkspace,
-    ) -> Result<RunResult, DgdError> {
         let mut recorder = TraceRecorder::dense(filter.name());
-        let run = self.run_observed(filter, options, workspace, &mut recorder)?;
-        Ok(RunResult {
-            trace: recorder.into_trace(),
-            final_estimate: run.final_estimate,
-            summary: run.summary,
-        })
+        let run = self.run_observed(filter, options, &mut RoundWorkspace::new(), &mut recorder)?;
+        Ok(RunResult::dense(recorder, run))
     }
 
-    /// Runs DGD with a caller-supplied [`RunObserver`] instead of dense
-    /// in-memory recording — the streaming entry point the fixed-`T`
-    /// conveniences above are built on.
+    /// Runs DGD with a caller-supplied [`RunObserver`] and caller-owned
+    /// round state — the streaming entry point [`DgdSimulation::run`] is
+    /// built on.
     ///
-    /// Per round the observer receives a lazy [`RoundView`]; metrics it
+    /// Per round the observer receives a lazy
+    /// [`RoundView`](abft_core::observe::RoundView); metrics it
     /// does not read are never computed, so a pure-throughput observer
     /// (e.g. [`abft_core::observe::NullObserver`]) skips the per-round
     /// honest-cost pass entirely. Returning
@@ -362,6 +302,14 @@ impl DgdSimulation {
     /// observed round as its final record — the estimate is not updated
     /// again. The returned [`RunSummary`] is always present and its final
     /// record is computed exactly once, at the last executed round.
+    ///
+    /// The workspace (gradient batch and per-round scratch) is sized on
+    /// entry and reused across all `T` iterations, so the inner loop
+    /// allocates nothing on the serial path; callers that drive many
+    /// simulations of the same shape — a scenario suite worker — pass the
+    /// same workspace to every run. With `aggregation_threads > 1` the
+    /// workspace attaches its (cached or suite-shared) worker pool so the
+    /// filters shard their kernels.
     ///
     /// # Errors
     ///
@@ -373,187 +321,125 @@ impl DgdSimulation {
         workspace: &mut RoundWorkspace,
         observer: &mut dyn RunObserver,
     ) -> Result<ObservedRun, DgdError> {
-        // LINT-ALLOW(panic-reach): the constructor rejects an empty cost
-        // set, so agent 0 always exists
-        let dim = self.costs[0].dim();
-        validate::run_point_dimensions(dim, options.x0.dim(), options.reference.dim())?;
-
         let honest = self.honest_agents();
-        let probe = observer.probe();
-        // Agents eliminated via the S1 no-reply rule. The server-side view
-        // (n, f) shrinks accordingly.
-        let mut eliminated: Vec<bool> = vec![false; self.config.n()];
-        let mut server_f = self.config.f();
-
-        // Round state sized once and reused across all T iterations (and,
-        // via the workspace, across runs): the contiguous gradient batch,
-        // the aggregate, a scratch vector for faulty agents' true
-        // gradients, and the honest-row index list omniscient attacks
-        // read. The inner loop allocates nothing on the serial path; with
-        // `aggregation_threads > 1` the workspace attaches its (cached or
-        // suite-shared) worker pool so the filters shard their kernels.
-        workspace.ensure(self.config.n(), dim);
+        let n = self.config.n();
+        // Telemetry is observational: a disabled handle reads no clock and
+        // allocates nothing, so the loop below is bit-identical either way.
+        let mut engine = RoundEngine::new(
+            n,
+            &self.costs,
+            honest,
+            filter,
+            options,
+            observer,
+            Telemetry::wall(options.telemetry),
+        )?;
+        workspace.ensure(n, engine.x().dim());
         let pool = workspace.pool_for(options.aggregation_threads);
-        workspace.round.batch.set_worker_pool(pool);
-        let RoundWorkspace {
-            round, aggregated, ..
-        } = workspace;
+        let round = &mut workspace.round;
+        round.batch.set_worker_pool(pool);
+        engine.instrument(&mut round.batch);
 
-        // Telemetry is observational: disabled handles are pure no-ops
-        // (no clock reads, no allocation), so the hot loop below is
-        // bit-identical and allocation-free with telemetry off.
-        let mut telemetry = Telemetry::wall(options.telemetry);
-        round
-            .batch
-            .set_dispatch_profile(telemetry.dispatch_profile());
-
-        let mut x = options.projection.project(&options.x0);
-        let mut summary = None;
         for t in 0..=options.iterations {
-            let advance = t < options.iterations;
-            let round_span = telemetry.begin(Phase::Round);
-            let fill_span = telemetry.begin(Phase::GradientFill);
-            self.collect_round(t, &x, &mut eliminated, &mut server_f, round);
-            telemetry.end(fill_span);
-            let agg_span = telemetry.begin(Phase::Aggregate);
-            let aggregate = filter.aggregate_into(&round.batch, server_f, aggregated);
-            telemetry.end(agg_span);
-            if let Err(err) = aggregate {
-                round.batch.set_dispatch_profile(None);
-                return Err(err.into());
-            }
-            if advance && (aggregated.has_non_finite() || x.has_non_finite()) {
-                round.batch.set_dispatch_profile(None);
-                return Err(DgdError::Diverged { iteration: t });
-            }
-            {
-                let observe_span = telemetry.begin(Phase::Observe);
-                let source = HonestCostMetrics::new(
-                    &self.costs,
-                    &honest,
-                    &x,
-                    &options.reference,
-                    aggregated,
-                );
-                let view = RoundView::new(t, x.as_slice(), aggregated.as_slice(), &source, probe);
-                summary = observe_round(observer, &view, advance);
-                telemetry.end(observe_span);
-            }
-            telemetry.add(Counter::Rounds, 1);
-            if summary.is_some() {
-                telemetry.end(round_span);
+            let fill_span = engine.telemetry.begin(Phase::GradientFill);
+            let silent = collect_round(
+                &self.costs,
+                &mut self.strategies,
+                &self.crash_at,
+                t,
+                engine.x(),
+                round,
+            );
+            engine.telemetry.end(fill_span);
+            // The server knows a silent agent is faulty: its (n, f) view
+            // shrinks by the agents eliminated so far.
+            let server_f = self.config.f().saturating_sub(silent);
+            if engine.step(t, &round.batch, server_f)?.is_halt() {
                 break;
             }
-            let eta = options.schedule.eta(t);
-            x.axpy(-eta, aggregated);
-            options.projection.project_in_place(&mut x);
-            telemetry.end(round_span);
         }
+        engine.absorb(&mut round.batch);
+        Ok(engine.finish(NetMetrics::default())?.run)
+    }
+}
 
-        if let Some(profile) = round.batch.take_dispatch_profile() {
-            telemetry.absorb_dispatch(&profile.snapshot());
+/// Step S1: collect one round of gradients into the reused batch, applying
+/// Byzantine strategies and the crash/elimination rule, and return how
+/// many agents are eliminated — an agent sends nothing from its crash
+/// iteration on, so the server drops it for good.
+///
+/// Rows are laid out in agent-id order (matching the wire order of the
+/// threaded runtime). Honest gradients are written first — directly
+/// into their rows — so omniscient strategies can inspect them before
+/// the faulty rows are forged in a second pass.
+// LINT-ALLOW(panic-reach): `i` enumerates `costs`, and the batch is given
+// exactly one row per surviving agent before the fill loops.
+fn collect_round(
+    costs: &[SharedCost],
+    strategies: &mut BTreeMap<usize, Box<dyn ByzantineStrategy>>,
+    crash_at: &BTreeMap<usize, usize>,
+    t: usize,
+    x: &Vector,
+    round: &mut RoundState,
+) -> usize {
+    let gone = |i: usize| crash_at.get(&i).is_some_and(|&crash| t >= crash);
+    let silent = (0..costs.len()).filter(|&i| gone(i)).count();
+
+    // Assign one batch row per active agent, in agent-id order.
+    round.batch.reset_rows(costs.len() - silent);
+    round.honest_rows.clear();
+
+    // Pass 1: honest gradients straight into their rows. Crash-scheduled
+    // agents behave honestly until they crash, but they are *faulty* —
+    // omniscient attacks only ever see the truly honest set (matching
+    // `honest_agents`), so their rows are filled yet not exposed.
+    let mut row = 0usize;
+    for (i, cost) in costs.iter().enumerate() {
+        if gone(i) {
+            continue;
         }
-
-        Ok(ObservedRun {
-            final_estimate: x,
-            // LINT-ALLOW(no-panic-hot-path): the loop always runs at least one round, so a summary exists
-            summary: summary.expect("the loop always observes a final round"),
-            telemetry: telemetry.finish(),
-        })
+        if !strategies.contains_key(&i) {
+            cost.gradient_into(x, round.batch.row_mut(row));
+            if !crash_at.contains_key(&i) {
+                round.honest_rows.push(row);
+            }
+        }
+        row += 1;
     }
 
-    /// Step S1: collect one round of gradients from the non-eliminated
-    /// agents into the reused batch, applying Byzantine strategies and the
-    /// crash/elimination rule.
-    ///
-    /// Rows are laid out in agent-id order (matching the wire order of the
-    /// threaded runtime). Honest gradients are written first — directly
-    /// into their rows — so omniscient strategies can inspect them before
-    /// the faulty rows are forged in a second pass.
-    // LINT-ALLOW(panic-reach): `eliminated` and `costs` carry one entry
-    // per agent (length n) and `i` enumerates them; batch rows are
-    // assigned one per surviving agent just above the fill loops.
-    fn collect_round(
-        &mut self,
-        t: usize,
-        x: &Vector,
-        eliminated: &mut [bool],
-        server_f: &mut usize,
-        round: &mut RoundState,
-    ) {
-        let n = self.config.n();
-        // Crash processing first so the row layout only covers replies.
-        for (i, slot) in eliminated.iter_mut().enumerate() {
-            if *slot {
-                continue;
-            }
-            if let Some(&crash) = self.crash_at.get(&i) {
-                if t >= crash {
-                    // No reply: the server eliminates the agent and updates
-                    // its (n, f) view — it knows a silent agent is faulty.
-                    *slot = true;
-                    *server_f = server_f.saturating_sub(1);
-                }
-            }
+    // Pass 2: Byzantine forgeries into their rows, with the honest rows
+    // visible to omniscient strategies.
+    let mut row = 0usize;
+    for (i, cost) in costs.iter().enumerate() {
+        if gone(i) {
+            continue;
         }
-
-        // Assign one batch row per active agent, in agent-id order.
-        round
-            .batch
-            .reset_rows((0..n).filter(|&i| !eliminated[i]).count());
-        round.honest_rows.clear();
-
-        // Pass 1: honest gradients straight into their rows. Crash-scheduled
-        // agents behave honestly until they crash, but they are *faulty* —
-        // omniscient attacks only ever see the truly honest set (matching
-        // `honest_agents`), so their rows are filled yet not exposed.
-        let mut row = 0usize;
-        for (i, &gone) in eliminated.iter().enumerate() {
-            if gone {
-                continue;
-            }
-            if !self.strategies.contains_key(&i) {
-                self.costs[i].gradient_into(x, round.batch.row_mut(row));
-                if !self.crash_at.contains_key(&i) {
-                    round.honest_rows.push(row);
-                }
-            }
-            row += 1;
+        if let Some(strategy) = strategies.get_mut(&i) {
+            cost.gradient_into(x, round.true_gradient.as_mut_slice());
+            // The forgery is staged in a reused scratch vector because
+            // the context immutably borrows the batch (omniscient
+            // strategies read the honest rows) while the target row
+            // would need a mutable borrow.
+            let ctx = if strategy.is_omniscient() {
+                AttackContext::omniscient_rows(
+                    t,
+                    &round.true_gradient,
+                    x,
+                    &round.batch,
+                    &round.honest_rows,
+                )
+            } else {
+                AttackContext::new(t, &round.true_gradient, x)
+            };
+            strategy.corrupt_into(&ctx, round.forged.as_mut_slice());
+            round
+                .batch
+                .row_mut(row)
+                .copy_from_slice(round.forged.as_slice());
         }
-
-        // Pass 2: Byzantine forgeries into their rows, with the honest rows
-        // visible to omniscient strategies.
-        let mut row = 0usize;
-        for (i, &gone) in eliminated.iter().enumerate() {
-            if gone {
-                continue;
-            }
-            if let Some(strategy) = self.strategies.get_mut(&i) {
-                self.costs[i].gradient_into(x, round.true_gradient.as_mut_slice());
-                // The forgery is staged in a reused scratch vector because
-                // the context immutably borrows the batch (omniscient
-                // strategies read the honest rows) while the target row
-                // would need a mutable borrow.
-                let ctx = if strategy.is_omniscient() {
-                    AttackContext::omniscient_rows(
-                        t,
-                        &round.true_gradient,
-                        x,
-                        &round.batch,
-                        &round.honest_rows,
-                    )
-                } else {
-                    AttackContext::new(t, &round.true_gradient, x)
-                };
-                strategy.corrupt_into(&ctx, round.forged.as_mut_slice());
-                round
-                    .batch
-                    .row_mut(row)
-                    .copy_from_slice(round.forged.as_slice());
-            }
-            row += 1;
-        }
+        row += 1;
     }
+    silent
 }
 
 /// Per-round working state reused across all iterations of a run.
@@ -564,8 +450,8 @@ struct RoundState {
     forged: Vector,
 }
 
-/// Reusable working memory for [`DgdSimulation::run_with_workspace`]: the
-/// gradient batch, the aggregate vector, and the per-round scratch state.
+/// Reusable working memory for [`DgdSimulation::run_observed`]: the
+/// gradient batch and the per-round scratch state.
 ///
 /// A workspace is shape-agnostic at construction and sizes itself to the
 /// simulation on first use; it only reallocates when the `(n, d)` shape
@@ -574,7 +460,6 @@ struct RoundState {
 #[derive(Default)]
 pub struct RoundWorkspace {
     round: RoundState,
-    aggregated: Vector,
     /// The `(n, dim)` shape the buffers were last sized for.
     shape: (usize, usize),
     /// The lazily created worker pool, cached across runs of the same
@@ -604,13 +489,6 @@ impl RoundWorkspace {
         Self::default()
     }
 
-    /// A workspace pre-sized for `n` agents of dimension `dim`.
-    pub fn with_capacity(n: usize, dim: usize) -> Self {
-        let mut ws = Self::new();
-        ws.ensure(n, dim);
-        ws
-    }
-
     /// Sizes the buffers for an `(n, dim)`-shaped run, reallocating only
     /// when the shape actually grew or changed dimension.
     fn ensure(&mut self, n: usize, dim: usize) {
@@ -619,7 +497,6 @@ impl RoundWorkspace {
             self.round.batch = GradientBatch::with_capacity(n, dim);
             self.round.true_gradient = Vector::zeros(dim);
             self.round.forged = Vector::zeros(dim);
-            self.aggregated = Vector::zeros(dim);
             self.round.honest_rows.reserve(n);
             self.shape = (n, dim);
         }
@@ -649,15 +526,6 @@ impl RoundWorkspace {
         }
         self.pool.clone()
     }
-}
-
-/// `⟨x − reference, g⟩` without materializing the offset.
-fn offset_dot(x: &Vector, reference: &Vector, g: &Vector) -> f64 {
-    x.iter()
-        .zip(reference.iter())
-        .zip(g.iter())
-        .map(|((xi, ri), gi)| (xi - ri) * gi)
-        .sum()
 }
 
 #[cfg(test)]

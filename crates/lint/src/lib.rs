@@ -769,6 +769,27 @@ pub(crate) fn truncate(s: &str, max: usize) -> String {
 /// by `(file, line, rule)` so output ordering is stable across runs and
 /// platforms — plus the number of files scanned.
 pub fn lint_workspace(root: &Path) -> io::Result<(Vec<Violation>, usize)> {
+    let (mut violations, parsed, scanned) = scan(root)?;
+    let graph = graph::CallGraph::build(&parsed);
+    violations.extend(reach::check(&graph, &parsed));
+    violations
+        .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
+    Ok((violations, scanned))
+}
+
+/// The named hot-path roots ([`reach::NAMED_ROOTS`]) that match no
+/// function of the workspace at `root`, as `name (file)` strings. Roots
+/// are matched by name and file, so renaming one would silently shrink
+/// the reachability walk; the workspace's own `workspace_clean` test
+/// requires this list to be empty.
+pub fn unresolved_roots(root: &Path) -> io::Result<Vec<String>> {
+    let (_, parsed, _) = scan(root)?;
+    Ok(reach::unresolved_roots(&graph::CallGraph::build(&parsed)))
+}
+
+/// Reads the tree once: the line-level violations, the item-level parse
+/// of the `src/` trees, and the number of files scanned.
+fn scan(root: &Path) -> io::Result<(Vec<Violation>, Vec<parse::ParsedSource>, usize)> {
     let mut files = Vec::new();
     for top in ["crates", "src", "examples", "tests"] {
         collect_rust_files(&root.join(top), &mut files)?;
@@ -793,11 +814,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<(Vec<Violation>, usize)> {
             parsed.push(parse::parse_source(&rel, &source));
         }
     }
-    let graph = graph::CallGraph::build(&parsed);
-    violations.extend(reach::check(&graph, &parsed));
-    violations
-        .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    Ok((violations, files.len()))
+    Ok((violations, parsed, files.len()))
 }
 
 fn collect_rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

@@ -18,9 +18,11 @@
 //!
 //! The hot-path roots are the functions a mid-round server executes:
 //! every `aggregate_into` impl (reached through `GradientFilter`
-//! dispatch), `Fleet::dispatch_round` (the worker fleet's round driver),
-//! `execute_async_server` (the bounded-staleness loop), and the simulated
-//! delivery paths `execute_server`/`execute_p2p`.
+//! dispatch), plus the [`NAMED_ROOTS`] — the one server step every driver
+//! calls (`RoundEngine::step`) and each driver's row-arrival path. Named
+//! roots are matched by function name + file, so a rename would silently
+//! shrink the walk; [`unresolved_roots`] is the guard, and
+//! `tests/workspace_clean.rs` fails when it is non-empty.
 //!
 //! Each violation carries a **witness chain** — the BFS path
 //! `root → f → g → site` that proves reachability — rendered by the CLI
@@ -51,6 +53,35 @@ const TAINT_HOMES: &[&str] = &[
     "crates/runtime/src/fleet.rs",
 ];
 
+/// The hot-path roots named by `(function, workspace-relative file)`: the
+/// server step, then how rows arrive in each driver — the in-process
+/// collect, the event loop and its fleet dispatch, the simulated server,
+/// the simulated peer-to-peer entry (which is all of the EIG loop), and
+/// the asynchronous server.
+pub const NAMED_ROOTS: &[(&str, &str)] = &[
+    ("step", "crates/dgd/src/engine.rs"),
+    ("collect_round", "crates/dgd/src/simulation.rs"),
+    ("execute", "crates/runtime/src/event_loop.rs"),
+    ("dispatch_round", "crates/runtime/src/fleet.rs"),
+    ("execute_server", "crates/runtime/src/simulated.rs"),
+    ("execute_p2p", "crates/runtime/src/simulated.rs"),
+    ("execute_async_server", "crates/runtime/src/async_server.rs"),
+];
+
+/// The [`NAMED_ROOTS`] no function of `graph` matches, as `name (file)`.
+pub fn unresolved_roots(graph: &CallGraph) -> Vec<String> {
+    NAMED_ROOTS
+        .iter()
+        .filter(|(name, file)| {
+            !graph
+                .nodes
+                .iter()
+                .any(|node| node.name == *name && node.file == *file)
+        })
+        .map(|(name, file)| format!("{name} ({file})"))
+        .collect()
+}
+
 /// Whether a node is a hot-path root: an entry point a mid-round server
 /// executes, from which the reachability rules start.
 fn is_root(node: &crate::graph::Node) -> bool {
@@ -70,10 +101,9 @@ fn is_root(node: &crate::graph::Node) -> bool {
                     _ => false,
                 }
         }
-        "dispatch_round" => node.file.ends_with("runtime/src/fleet.rs"),
-        "execute_async_server" => node.file.ends_with("src/async_server.rs"),
-        "execute_server" | "execute_p2p" => node.file.ends_with("src/simulated.rs"),
-        _ => false,
+        name => NAMED_ROOTS
+            .iter()
+            .any(|(root, file)| *root == name && node.file == *file),
     }
 }
 

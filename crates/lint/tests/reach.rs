@@ -92,3 +92,25 @@ fn json_report_carries_the_chain_with_stable_keys() {
         assert!(json.contains(key), "missing {key} in {json}");
     }
 }
+
+#[test]
+fn a_root_missing_from_the_tree_is_reported_not_silently_skipped() {
+    // The fixture workspace has a fleet and a filter but no round engine,
+    // no event loop and no simulated drivers: the one named root it does
+    // define resolves, every other one is listed by name and file.
+    let missing = abft_lint::unresolved_roots(&fixture("panic_ws")).expect("fixture is readable");
+    assert!(
+        !missing.iter().any(|m| m.starts_with("dispatch_round ")),
+        "the fixture fleet defines dispatch_round: {missing:?}"
+    );
+    for root in [
+        "step (crates/dgd/src/engine.rs)",
+        "execute_server (crates/runtime/src/simulated.rs)",
+    ] {
+        assert!(
+            missing.iter().any(|m| m == root),
+            "{root} not in {missing:?}"
+        );
+    }
+    assert_eq!(missing.len(), abft_lint::reach::NAMED_ROOTS.len() - 1);
+}

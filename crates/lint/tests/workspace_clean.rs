@@ -6,7 +6,7 @@
 //! nondeterminism sink becomes *transitively* reachable from a hot-path
 //! root through any chain of calls, in any crate.
 
-use abft_lint::{default_root, lint_workspace};
+use abft_lint::{default_root, lint_workspace, unresolved_roots};
 
 #[test]
 fn the_workspace_has_no_lint_violations() {
@@ -30,5 +30,18 @@ fn the_workspace_has_no_lint_violations() {
             .map(|v| v.to_string())
             .collect::<Vec<_>>()
             .join("\n")
+    );
+}
+
+/// The reachability walk starts from functions named in a table
+/// (`RoundEngine::step` and each driver's row-arrival path). A rename
+/// that left the table behind would shrink the walk without a single
+/// diagnostic — so every named root must exist in the real tree.
+#[test]
+fn every_named_hot_path_root_resolves_to_a_function() {
+    let missing = unresolved_roots(&default_root()).expect("workspace sources are readable");
+    assert!(
+        missing.is_empty(),
+        "hot-path roots named in crates/lint/src/reach.rs match no function: {missing:?}"
     );
 }

@@ -35,20 +35,19 @@
 
 use crate::error::RuntimeError;
 use crate::message::{FromAgent, ServerWire, ToAgent};
-use crate::simulated::{SimulatedOutcome, SimulatedRun};
-use crate::task::DgdTask;
-use abft_attacks::{AttackContext, ByzantineStrategy};
-use abft_core::observe::{observe_round, RoundView, RunObserver};
-use abft_core::validate::{self, FaultBudget};
-use abft_dgd::{HonestCostMetrics, ObservedRun, RunOptions};
+use crate::simulated::{
+    agent_reply, broadcast_estimate, check_reply_dim, round_batch, SimulatedRun,
+};
+use crate::task::{DgdTask, FaultPlan};
+use abft_core::observe::RunObserver;
+use abft_dgd::{Outcome, RoundEngine, RunOptions};
 use abft_filters::GradientFilter;
-use abft_linalg::{GradientBatch, Vector, WorkerPool};
+use abft_linalg::Vector;
 use abft_net::rng::{mix, SplitMix64};
-use abft_net::{MessageBus, NetFault, NetworkModel, SimulatedNetwork};
-use abft_telemetry::{Counter, Phase, Telemetry};
+use abft_net::{MessageBus, NetworkModel, SimulatedNetwork};
+use abft_telemetry::{Phase, Telemetry};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// Timing model of an asynchronous simulated-server run. All fields are
 /// virtual nanoseconds on the simulator's clock (or a seed); the whole
@@ -151,6 +150,31 @@ enum DriverEvent {
     AgentFire { agent: usize },
 }
 
+/// The driver's own deterministic event queue: a min-heap over
+/// `(virtual time, schedule sequence)`, the same total order the
+/// simulator uses for deliveries.
+#[derive(Default)]
+struct EventQueue {
+    heap: BinaryHeap<Reverse<(u64, u64, DriverEvent)>>,
+    seq: u64,
+}
+
+impl EventQueue {
+    fn push(&mut self, at: u64, event: DriverEvent) {
+        self.heap.push(Reverse((at, self.seq, event)));
+        self.seq += 1;
+    }
+
+    /// Virtual time of the earliest queued event.
+    fn next_at(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
+    }
+
+    fn pop(&mut self) -> Option<(u64, DriverEvent)> {
+        self.heap.pop().map(|Reverse((at, _, event))| (at, event))
+    }
+}
+
 /// The freshest gradient row the server has heard from one agent.
 struct LatestRow {
     sent_at: u64,
@@ -184,14 +208,8 @@ pub(crate) fn execute_async_server(
     filter: &dyn GradientFilter,
     options: &RunOptions,
     observer: &mut dyn RunObserver,
-) -> Result<SimulatedOutcome, RuntimeError> {
-    let DgdTask {
-        config: sys,
-        costs,
-        byzantine,
-        crashes,
-    } = task;
-    let n = sys.n();
+) -> Result<Outcome, RuntimeError> {
+    let n = task.config().n();
     let server = SimulatedRun::server_address(n);
     let tau = options.staleness_ns.unwrap_or(config.staleness_ns);
     if config.step_interval_ns == 0 {
@@ -201,54 +219,22 @@ pub(crate) fn execute_async_server(
                 .into(),
         ));
     }
-    let dim = validate::cost_dimension(n, costs.iter().map(|c| c.dim()))?;
-    validate::run_point_dimensions(dim, options.x0.dim(), options.reference.dim())?;
-
-    // Fault assignment mirrors the synchronous simulated server exactly.
-    let mut strategies: Vec<Option<Box<dyn ByzantineStrategy>>> = (0..n).map(|_| None).collect();
-    let mut crash_at: Vec<Option<usize>> = vec![None; n];
-    let mut budget = FaultBudget::new(&sys);
-    for (agent, strategy) in byzantine {
-        budget.assign(agent)?;
-        if strategy.is_omniscient() {
-            return Err(RuntimeError::Config(format!(
-                "strategy '{}' is omniscient; simulated agents cannot observe \
-                 other agents' in-flight gradients",
-                strategy.name()
-            )));
-        }
-        strategies[agent] = Some(strategy);
-    }
-    for (agent, iteration) in crashes {
-        budget.assign(agent)?;
-        crash_at[agent] = Some(iteration);
-    }
-    let net_faults =
-        abft_net::validate_net_faults(&sim.net_faults, n, n + 1).map_err(RuntimeError::Config)?;
-    for &agent in net_faults.keys() {
-        if strategies[agent].is_none() && crash_at[agent].is_none() {
-            budget.assign(agent)?;
-        }
-    }
-    let honest: Vec<usize> = (0..n)
-        .filter(|&i| {
-            strategies[i].is_none() && crash_at[i].is_none() && !net_faults.contains_key(&i)
-        })
-        .collect();
+    // Fault assignment is the synchronous simulated server's, exactly.
+    let FaultPlan {
+        config: sys,
+        costs,
+        mut strategies,
+        crash_at,
+        net_faults,
+        honest,
+    } = task.fault_plan(&sim.net_faults, n + 1, "simulated")?;
 
     let mut net: SimulatedNetwork<ServerWire> = sim.network.build(n + 1);
-    let probe = observer.probe();
-    let mut summary = None;
-    let mut x = options.projection.project(&options.x0);
-    let mut batch = GradientBatch::with_capacity(n, dim);
-    if options.aggregation_threads > 1 {
-        batch.set_worker_pool(Some(Arc::new(WorkerPool::new(options.aggregation_threads))));
-    }
-    let mut aggregated = Vector::zeros(dim);
-    let mut stragglers = 0usize;
-    let mut stale_rows = 0usize;
-    let mut async_steps = 0usize;
-    let mut clock_skew_ns = 0u64;
+    // Async runs profile in virtual time, like every simulated driver.
+    let telemetry = Telemetry::for_bus(options.telemetry, Some(net.now()));
+    let mut engine = RoundEngine::new(n, &costs, honest, filter, options, observer, telemetry)?;
+    let dim = engine.x().dim();
+    let mut batch = round_batch(n, dim, options.aggregation_threads);
 
     // Per-agent clock streams: same derivation discipline as the
     // simulator's per-link streams, one independent stream per agent.
@@ -263,55 +249,23 @@ pub(crate) fn execute_async_server(
         .collect();
     let mut latest: Vec<Option<LatestRow>> = (0..n).map(|_| None).collect();
 
-    // The driver's own deterministic event queue: a min-heap over
-    // `(virtual time, schedule sequence)`, the same total order the
-    // simulator uses for deliveries.
-    let mut queue: BinaryHeap<Reverse<(u64, u64, DriverEvent)>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let schedule = |queue: &mut BinaryHeap<Reverse<(u64, u64, DriverEvent)>>,
-                    seq: &mut u64,
-                    at: u64,
-                    event: DriverEvent| {
-        queue.push(Reverse((at, *seq, event)));
-        *seq += 1;
-    };
-
-    // Async runs profile in virtual time, like every simulated driver.
-    let mut telemetry = Telemetry::virtual_time(options.telemetry);
-    telemetry.set_virtual_ns(net.now());
+    let mut queue = EventQueue::default();
 
     // Kick-off at virtual time 0: broadcast x_0 and arm the first step.
-    net.begin_iteration(0);
-    for agent in 0..n {
-        net.send(
-            server,
-            agent,
-            ServerWire::Command(ToAgent::Estimate {
-                iteration: 0,
-                estimate: x.clone(),
-            }),
-        );
-    }
-    telemetry.add(Counter::Broadcasts, n as u64);
-    schedule(
-        &mut queue,
-        &mut seq,
-        config.step_interval_ns,
-        DriverEvent::ServerStep { step: 0 },
-    );
-    let mut round_span = telemetry.begin(Phase::Round);
+    broadcast_estimate(&mut net, &mut engine, n, 0);
+    queue.push(config.step_interval_ns, DriverEvent::ServerStep { step: 0 });
 
-    'run: while let Some(&Reverse((at, _, _))) = queue.peek() {
+    'run: while let Some(at) = queue.next_at() {
         // Interleave: every delivery due at or before the next driver
         // event is processed first, one event time per hop. Handling a
         // delivery may start a computation, i.e. push a driver event that
         // precedes `at` — re-peeking each iteration keeps the merge exact.
         if let Some(net_at) = net.next_event_at() {
             if net_at <= at {
-                let span = telemetry.begin(Phase::NetDelivery);
+                let span = engine.telemetry.begin(Phase::NetDelivery);
                 let deliveries = net.advance_until(net_at);
-                telemetry.set_virtual_ns(net.now());
-                telemetry.end(span);
+                engine.telemetry.set_virtual_ns(net.now());
+                engine.telemetry.end(span);
                 for delivery in deliveries {
                     match delivery.payload {
                         ServerWire::Command(ToAgent::Estimate {
@@ -335,28 +289,12 @@ pub(crate) fn execute_async_server(
                                 &config,
                                 net_at,
                                 delivery.to,
-                                |fire_at, agent| {
-                                    schedule(
-                                        &mut queue,
-                                        &mut seq,
-                                        fire_at,
-                                        DriverEvent::AgentFire { agent },
-                                    );
-                                },
+                                &mut queue,
                             );
                         }
                         ServerWire::Reply(FromAgent::Gradient { gradient, .. }) => {
-                            if gradient.dim() != dim {
-                                return Err(RuntimeError::Dgd(abft_dgd::DgdError::Dimension {
-                                    expected: format!("gradient of dim {dim}"),
-                                    actual: format!(
-                                        "agent {} sent dim {}",
-                                        delivery.from,
-                                        gradient.dim()
-                                    ),
-                                }));
-                            }
-                            telemetry.add(Counter::Replies, 1);
+                            check_reply_dim(dim, delivery.from, &gradient)?;
+                            engine.counters.replies_received += 1;
                             let slot = &mut latest[delivery.from];
                             let fresher = match slot {
                                 // `>=` so reordered duplicates resolve to
@@ -378,13 +316,13 @@ pub(crate) fn execute_async_server(
             }
         }
 
-        let Some(Reverse((at, _, event))) = queue.pop() else {
+        let Some((at, event)) = queue.pop() else {
             break;
         };
         // Advance the shared clock to the event (no deliveries remain at
         // or before `at` — the merge above pulled them all).
         let _ = net.advance_until(at);
-        telemetry.set_virtual_ns(net.now());
+        engine.telemetry.set_virtual_ns(net.now());
 
         match event {
             DriverEvent::AgentFire { agent } => {
@@ -394,37 +332,20 @@ pub(crate) fn execute_async_server(
                 agents[agent].fired = Some(iteration);
                 // Back-date the span to the compute's start: the fill
                 // phase occupies `[started, at]` on the virtual timeline.
-                telemetry.set_virtual_ns(started);
-                let fill_span = telemetry.begin(Phase::GradientFill);
-                telemetry.set_virtual_ns(at);
-                let true_gradient = costs[agent].gradient(&estimate);
-                let mut report = match strategies[agent].as_mut() {
-                    Some(strategy) => {
-                        let ctx = AttackContext::new(iteration, &true_gradient, &estimate);
-                        strategy.corrupt(&ctx)
-                    }
-                    None => true_gradient,
-                };
-                telemetry.end(fill_span);
-                let mut silenced = false;
-                match net_faults.get(&agent) {
-                    Some(NetFault::SelectiveSend(victims)) if victims.contains(&server) => {
-                        silenced = true;
-                    }
-                    Some(NetFault::EquivocateSplit { boundary }) if server >= *boundary => {
-                        report = report.scale(-1.0);
-                    }
-                    _ => {}
-                }
-                if !silenced {
-                    net.send(
-                        agent,
-                        server,
-                        ServerWire::Reply(FromAgent::Gradient {
-                            iteration,
-                            gradient: report,
-                        }),
-                    );
+                engine.telemetry.set_virtual_ns(started);
+                let fill_span = engine.telemetry.begin(Phase::GradientFill);
+                engine.telemetry.set_virtual_ns(at);
+                let reply = agent_reply(
+                    &costs[agent],
+                    strategies[agent].as_mut(),
+                    net_faults.get(&agent),
+                    server,
+                    iteration,
+                    &estimate,
+                );
+                engine.telemetry.end(fill_span);
+                if let Some(reply) = reply {
+                    net.send(agent, server, reply);
                 }
                 // A newer estimate may have arrived mid-compute.
                 start_compute(
@@ -433,28 +354,18 @@ pub(crate) fn execute_async_server(
                     &config,
                     at,
                     agent,
-                    |fire_at, agent| {
-                        schedule(
-                            &mut queue,
-                            &mut seq,
-                            fire_at,
-                            DriverEvent::AgentFire { agent },
-                        );
-                    },
+                    &mut queue,
                 );
             }
             DriverEvent::ServerStep { step } => {
-                let advance = step < options.iterations;
                 // Bounded staleness: per agent, the freshest row no older
                 // than τ joins the batch (agent-id order — the shared
                 // filter-input order); older rows are stale, absent rows
                 // missing, and both shrink this step's fault budget.
-                let agg_span = telemetry.begin(Phase::Aggregate);
                 batch.clear();
-                let mut step_stale = 0usize;
-                let mut step_missing = 0usize;
                 let mut oldest = u64::MAX;
                 let mut newest = 0u64;
+                let counters = &mut engine.counters;
                 for slot in &latest {
                     match slot {
                         Some(row) if at.saturating_sub(row.sent_at) <= tau => {
@@ -462,79 +373,30 @@ pub(crate) fn execute_async_server(
                             oldest = oldest.min(row.sent_at);
                             newest = newest.max(row.sent_at);
                         }
-                        Some(_) => step_stale += 1,
-                        None => step_missing += 1,
+                        Some(_) => counters.stale_rows += 1,
+                        None => counters.stragglers += 1,
                     }
                 }
-                stale_rows += step_stale;
-                stragglers += step_missing;
-                async_steps += 1;
+                counters.async_steps += 1;
                 if !batch.is_empty() {
                     // Clock skew: how far apart in virtual time the rows
                     // aggregated together were produced (maximum over
                     // steps).
-                    clock_skew_ns = clock_skew_ns.max(newest - oldest);
+                    counters.clock_skew_ns = counters.clock_skew_ns.max(newest - oldest);
                 }
-                telemetry.add(Counter::StaleRows, step_stale as u64);
-                telemetry.add(Counter::Stragglers, step_missing as u64);
-                telemetry.add(Counter::AsyncSteps, 1);
-                telemetry.add(Counter::Rounds, 1);
-                if batch.is_empty() {
-                    // No eligible gradient information: hold the estimate,
-                    // exactly like a fully silent synchronous round.
-                    for slot in aggregated.as_mut_slice() {
-                        *slot = 0.0;
-                    }
-                } else {
-                    let excluded = n - batch.len();
-                    let f_step = sys.f().saturating_sub(excluded);
-                    filter.aggregate_into(&batch, f_step, &mut aggregated)?;
-                }
-                telemetry.end(agg_span);
-
-                {
-                    let observe_span = telemetry.begin(Phase::Observe);
-                    let source = HonestCostMetrics::new(
-                        &costs,
-                        &honest,
-                        &x,
-                        &options.reference,
-                        &aggregated,
-                    );
-                    let view =
-                        RoundView::new(step, x.as_slice(), aggregated.as_slice(), &source, probe);
-                    summary = observe_round(observer, &view, advance);
-                    telemetry.end(observe_span);
-                }
-                if summary.is_some() {
-                    telemetry.end(round_span);
+                // No eligible row at all holds the estimate, exactly like
+                // a fully silent synchronous round (the engine's rule).
+                let f_step = sys.f().saturating_sub(n - batch.len());
+                if engine.step(step, &batch, f_step)?.is_halt() {
                     break 'run;
                 }
-                let eta = options.schedule.eta(step);
-                x.axpy(-eta, &aggregated);
-                options.projection.project_in_place(&mut x);
 
                 // Broadcast the new estimate and arm the next step.
-                net.begin_iteration(step + 1);
-                for agent in 0..n {
-                    net.send(
-                        server,
-                        agent,
-                        ServerWire::Command(ToAgent::Estimate {
-                            iteration: step + 1,
-                            estimate: x.clone(),
-                        }),
-                    );
-                }
-                telemetry.add(Counter::Broadcasts, n as u64);
-                schedule(
-                    &mut queue,
-                    &mut seq,
+                broadcast_estimate(&mut net, &mut engine, n, step + 1);
+                queue.push(
                     at + config.step_interval_ns,
                     DriverEvent::ServerStep { step: step + 1 },
                 );
-                telemetry.end(round_span);
-                round_span = telemetry.begin(Phase::Round);
             }
         }
     }
@@ -542,35 +404,7 @@ pub(crate) fn execute_async_server(
     // Messages abandoned in flight at shutdown stay accounted as late, so
     // the sent/delivered/dropped/late balance holds for async runs too.
     net.drain_in_flight();
-    let net_metrics = net.metrics();
-    telemetry.record_net(
-        net_metrics.sent,
-        net_metrics.delivered,
-        net_metrics.dropped,
-        net_metrics.late,
-    );
-
-    let summary = summary.ok_or_else(|| {
-        RuntimeError::Config(
-            "async run ended without a final observation (empty event queue \
-             before the last server step — a driver invariant violation)"
-                .into(),
-        )
-    })?;
-    Ok(SimulatedOutcome {
-        run: ObservedRun {
-            final_estimate: x,
-            summary,
-            telemetry: telemetry.finish(),
-        },
-        net: net_metrics,
-        broadcasts: 0,
-        stragglers,
-        stale_rows,
-        clock_skew_ns,
-        async_steps,
-        final_spread: 0.0,
-    })
+    Ok(engine.finish(net.metrics())?)
 }
 
 /// Starts the next computation for `agent` at virtual time `now` when it
@@ -584,7 +418,7 @@ fn start_compute(
     config: &AsyncConfig,
     now: u64,
     agent: usize,
-    mut schedule_fire: impl FnMut(u64, usize),
+    queue: &mut EventQueue,
 ) {
     if state.crashed || state.computing.is_some() {
         return;
@@ -606,13 +440,17 @@ fn start_compute(
         0
     };
     state.computing = Some((iteration, estimate, now));
-    schedule_fire(now + config.compute_ns + jitter, agent);
+    queue.push(
+        now + config.compute_ns + jitter,
+        DriverEvent::AgentFire { agent },
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::simulated::SimulatedRun;
+    use crate::Launch;
     use abft_attacks::GradientReverse;
     use abft_filters::{Cge, Cwtm};
     use abft_net::LinkModel;
@@ -636,30 +474,33 @@ mod tests {
             let run_async = SimulatedRun::async_server(NetworkModel::ideal(), AsyncConfig::new());
             let asynchronous = DgdTask::new(*problem.config(), problem.costs())
                 .byzantine(0, Box::new(GradientReverse::new()))
-                .run_simulated(&run_async, &Cge::new(), &options)
+                .run_dense(Launch::Simulated(&run_async), &Cge::new(), &options)
                 .unwrap();
             let run_sync = SimulatedRun::server(NetworkModel::ideal());
             let synchronous = DgdTask::new(*problem.config(), problem.costs())
                 .byzantine(0, Box::new(GradientReverse::new()))
-                .run_simulated(&run_sync, &Cge::new(), &options)
+                .run_dense(Launch::Simulated(&run_sync), &Cge::new(), &options)
                 .unwrap();
             assert_eq!(
-                asynchronous.result.trace.records(),
-                synchronous.result.trace.records(),
+                asynchronous.run.trace.records(),
+                synchronous.run.trace.records(),
                 "threads = {threads}"
             );
             assert!(asynchronous
-                .result
+                .run
                 .final_estimate
-                .approx_eq(&synchronous.result.final_estimate, 0.0));
-            assert_eq!(asynchronous.stale_rows, 0);
+                .approx_eq(&synchronous.run.final_estimate, 0.0));
+            assert_eq!(asynchronous.counters.stale_rows, 0);
             assert_eq!(
-                asynchronous.stragglers, 0,
+                asynchronous.counters.stragglers, 0,
                 "every agent's iteration-0 gradient lands before step 0"
             );
-            assert_eq!(asynchronous.async_steps, 81);
-            assert_eq!(asynchronous.clock_skew_ns, 0, "identical agent clocks");
-            assert!(asynchronous.net.is_balanced());
+            assert_eq!(asynchronous.counters.async_steps, 81);
+            assert_eq!(
+                asynchronous.counters.clock_skew_ns, 0,
+                "identical agent clocks"
+            );
+            assert!(asynchronous.counters.net.is_balanced());
         }
     }
 
@@ -674,19 +515,19 @@ mod tests {
         let run_async = SimulatedRun::async_server(NetworkModel::ideal(), config);
         let asynchronous = DgdTask::new(*problem.config(), problem.costs())
             .crash(3, 10)
-            .run_simulated(&run_async, &Cge::new(), &options)
+            .run_dense(Launch::Simulated(&run_async), &Cge::new(), &options)
             .unwrap();
         let run_sync = SimulatedRun::server(NetworkModel::ideal());
         let synchronous = DgdTask::new(*problem.config(), problem.costs())
             .crash(3, 10)
-            .run_simulated(&run_sync, &Cge::new(), &options)
+            .run_dense(Launch::Simulated(&run_sync), &Cge::new(), &options)
             .unwrap();
         assert_eq!(
-            asynchronous.result.trace.records(),
-            synchronous.result.trace.records()
+            asynchronous.run.trace.records(),
+            synchronous.run.trace.records()
         );
         // Steps 10..=60 each see agent 3's parked iteration-9 row as stale.
-        assert_eq!(asynchronous.stale_rows, 51);
+        assert_eq!(asynchronous.counters.stale_rows, 51);
     }
 
     #[test]
@@ -704,17 +545,26 @@ mod tests {
             );
             DgdTask::new(*problem.config(), problem.costs())
                 .byzantine(0, Box::new(GradientReverse::new()))
-                .run_simulated(&sim, &Cwtm::new(), &options)
+                .run_dense(Launch::Simulated(&sim), &Cwtm::new(), &options)
                 .unwrap()
         };
         let a = run();
         let b = run();
-        assert_eq!(a.result.trace.records(), b.result.trace.records());
-        assert_eq!(a.net, b.net, "full event schedule (and digest) reproduced");
-        assert_eq!(a.stale_rows, b.stale_rows);
-        assert_eq!(a.clock_skew_ns, b.clock_skew_ns);
-        assert!(a.clock_skew_ns > 0, "jittered clocks actually drift");
-        assert!(a.net.is_balanced(), "drained in-flight stays accounted");
+        assert_eq!(a.run.trace.records(), b.run.trace.records());
+        assert_eq!(
+            a.counters.net, b.counters.net,
+            "full event schedule (and digest) reproduced"
+        );
+        assert_eq!(a.counters.stale_rows, b.counters.stale_rows);
+        assert_eq!(a.counters.clock_skew_ns, b.counters.clock_skew_ns);
+        assert!(
+            a.counters.clock_skew_ns > 0,
+            "jittered clocks actually drift"
+        );
+        assert!(
+            a.counters.net.is_balanced(),
+            "drained in-flight stays accounted"
+        );
     }
 
     #[test]
@@ -728,15 +578,15 @@ mod tests {
             .with_staleness_ns(NetworkModel::DEFAULT_ROUND_TIMEOUT_NS);
         let sim = SimulatedRun::async_server(NetworkModel::ideal(), config);
         let outcome = DgdTask::new(*problem.config(), problem.costs())
-            .run_simulated(&sim, &Cge::new(), &options)
+            .run_dense(Launch::Simulated(&sim), &Cge::new(), &options)
             .unwrap();
         assert!(
-            outcome.stale_rows + outcome.stragglers > 0,
+            outcome.counters.stale_rows + outcome.counters.stragglers > 0,
             "slow agents miss steps: stale = {}, missing = {}",
-            outcome.stale_rows,
-            outcome.stragglers
+            outcome.counters.stale_rows,
+            outcome.counters.stragglers
         );
-        assert_eq!(outcome.async_steps, 41);
+        assert_eq!(outcome.counters.async_steps, 41);
     }
 
     #[test]
@@ -748,7 +598,7 @@ mod tests {
             SimulatedRun::peer_to_peer(NetworkModel::ideal()),
         ] {
             let err = DgdTask::new(*problem.config(), problem.costs())
-                .run_simulated(&sim, &Cge::new(), &options)
+                .run_dense(Launch::Simulated(&sim), &Cge::new(), &options)
                 .unwrap_err();
             assert!(
                 err.to_string().contains("round lockstep"),
@@ -764,16 +614,24 @@ mod tests {
         let (problem, options) = paper_options(10);
         let sim = SimulatedRun::async_server(NetworkModel::ideal(), AsyncConfig::new());
         let frozen = DgdTask::new(*problem.config(), problem.costs())
-            .run_simulated(&sim, &Cge::new(), &options.clone().with_staleness_ns(0))
+            .run_dense(
+                Launch::Simulated(&sim),
+                &Cge::new(),
+                &options.clone().with_staleness_ns(0),
+            )
             .unwrap();
         let n = problem.config().n();
-        assert_eq!(frozen.stale_rows, n * 11, "all rows stale at all 11 steps");
+        assert_eq!(
+            frozen.counters.stale_rows,
+            n * 11,
+            "all rows stale at all 11 steps"
+        );
         let x0 = options.projection.project(&options.x0);
-        assert!(frozen.result.final_estimate.approx_eq(&x0, 0.0));
+        assert!(frozen.run.final_estimate.approx_eq(&x0, 0.0));
         let live = DgdTask::new(*problem.config(), problem.costs())
-            .run_simulated(&sim, &Cge::new(), &options)
+            .run_dense(Launch::Simulated(&sim), &Cge::new(), &options)
             .unwrap();
-        assert!(live.result.final_distance() < frozen.result.final_distance());
+        assert!(live.run.final_distance() < frozen.run.final_distance());
     }
 
     #[test]
@@ -784,7 +642,7 @@ mod tests {
             AsyncConfig::new().with_step_interval_ns(0),
         );
         assert!(DgdTask::new(*problem.config(), problem.costs())
-            .run_simulated(&sim, &Cge::new(), &options)
+            .run_dense(Launch::Simulated(&sim), &Cge::new(), &options)
             .is_err());
     }
 }

@@ -1,4 +1,5 @@
-//! The event-driven server runtime behind [`DgdTask::run_threaded`].
+//! The event-driven server runtime behind [`Launch::Threaded`] and
+//! [`Launch::Fleet`](crate::Launch::Fleet).
 //!
 //! This realizes the paper's Figure-1 server architecture as a persistent
 //! event loop instead of the historical thread-per-agent topology: one DGD
@@ -18,77 +19,46 @@
 //! and a k-worker fleet pays one pool dispatch per round. Because the
 //! pool's **fixed schedule** makes agent→worker assignment a pure function
 //! of `(active agents, workers)`, the rows see the same floating-point
-//! operations in the same order at any worker count, and the traces stay
-//! bit-identical to the in-process driver (pinned by the cross-runtime and
-//! cross-backend equivalence suites).
+//! operations in the same order at any worker count, and the server step
+//! is the in-process driver's ([`RoundEngine::step`]), so the traces are
+//! bit-identical to it.
+//!
+//! [`Launch::Threaded`]: crate::Launch::Threaded
 
 use crate::error::RuntimeError;
 use crate::fleet::Fleet;
-use crate::metrics::RuntimeMetrics;
-use crate::task::DgdTask;
-use abft_attacks::ByzantineStrategy;
-use abft_core::observe::{observe_round, RoundView, RunObserver};
-use abft_core::validate::{self, FaultBudget};
-use abft_dgd::{HonestCostMetrics, ObservedRun, RunOptions};
+use crate::task::{DgdTask, FaultPlan};
+use abft_core::observe::RunObserver;
+use abft_dgd::{Outcome, RoundEngine, RunOptions};
 use abft_filters::GradientFilter;
-use abft_linalg::Vector;
-use abft_telemetry::{Counter, Phase, Telemetry};
+use abft_net::NetMetrics;
+use abft_telemetry::{Phase, Telemetry};
 
-/// The event-loop server execution behind [`DgdTask::run_threaded`] and
-/// friends, driving a caller-supplied (and caller-reused) [`Fleet`].
-///
-/// Omniscient strategies are rejected: a server agent cannot observe the
-/// other agents' in-flight gradients (use [`abft_dgd::DgdSimulation`] for
-/// omniscient attack studies).
-///
-/// The observed rounds match [`abft_dgd::DgdSimulation::run`] exactly for
-/// the same inputs — asserted by the cross-runtime equivalence tests — and
-/// an observer halt stops the loop the same way (the halt round's estimate
-/// is final).
-// LINT-ALLOW(panic-reach): every index is an agent id < n — the per-agent
-// tables (strategies, crash_at, eliminated) are allocated with length n,
-// and agent ids come from the validated fault assignments or the fleet's
-// own cell list.
+/// The event-loop server execution, driving a caller-supplied (and
+/// caller-reused) [`Fleet`]: this file is how rows arrive — a fleet
+/// dispatch per round, silent cells eliminated and their rows compacted
+/// away.
 pub(crate) fn execute(
     task: DgdTask,
     fleet: &mut Fleet,
     filter: &dyn GradientFilter,
     options: &RunOptions,
-    metrics: &RuntimeMetrics,
     observer: &mut dyn RunObserver,
-) -> Result<ObservedRun, RuntimeError> {
-    let DgdTask {
+) -> Result<Outcome, RuntimeError> {
+    let n = task.config().n();
+    let FaultPlan {
         config,
         costs,
-        byzantine,
-        crashes,
-    } = task;
-    let n = config.n();
-    let dim = validate::cost_dimension(n, costs.iter().map(|c| c.dim()))?;
-    validate::run_point_dimensions(dim, options.x0.dim(), options.reference.dim())?;
-
-    // Validate and index fault assignments.
-    let mut strategies: Vec<Option<Box<dyn ByzantineStrategy>>> = (0..n).map(|_| None).collect();
-    let mut crash_at: Vec<Option<usize>> = vec![None; n];
-    let mut budget = FaultBudget::new(&config);
-    for (agent, strategy) in byzantine {
-        budget.assign(agent)?;
-        if strategy.is_omniscient() {
-            return Err(RuntimeError::Config(format!(
-                "strategy '{}' is omniscient; threaded agents cannot observe \
-                 other agents' in-flight gradients",
-                strategy.name()
-            )));
-        }
-        strategies[agent] = Some(strategy);
-    }
-    for (agent, iteration) in crashes {
-        budget.assign(agent)?;
-        crash_at[agent] = Some(iteration);
-    }
-    let honest: Vec<usize> = (0..n)
-        .filter(|&i| strategies[i].is_none() && crash_at[i].is_none())
-        .collect();
+        strategies,
+        crash_at,
+        honest,
+        ..
+    } = task.fault_plan(&[], n, "threaded")?;
+    // Observational only: a disabled handle never reads the clock, so the
+    // event loop stays bit-identical and allocation-free with telemetry
+    // off.
+    let telemetry = Telemetry::wall(options.telemetry);
+    let mut engine = RoundEngine::new(n, &costs, honest, filter, options, observer, telemetry)?;
 
     // Program the fleet: agent cells, the round batch, and the aggregation
     // pool are installed (or reused) here. Everything after this line is
@@ -97,105 +67,43 @@ pub(crate) fn execute(
         &costs,
         strategies,
         &crash_at,
-        dim,
+        engine.x().dim(),
         options.aggregation_threads,
     );
-    if warm {
-        metrics.record_fleet_reuse();
-    }
+    engine.counters.fleet_reuse_hits = usize::from(warm);
+    engine.instrument(fleet.batch_mut());
 
-    let mut eliminated = vec![false; n];
-    let mut server_f = config.f();
-    let mut x = options.projection.project(&options.x0);
-    let mut aggregated = Vector::zeros(dim);
-    let mut vacated: Vec<usize> = Vec::with_capacity(n);
-
-    // Observational only: disabled handles never read the clock, so the
-    // event loop stays bit-identical and allocation-free with telemetry
-    // off.
-    let mut telemetry = Telemetry::wall(options.telemetry);
-    fleet
-        .batch_mut()
-        .set_dispatch_profile(telemetry.dispatch_profile());
-
-    let probe = observer.probe();
-    let mut summary = None;
     for t in 0..=options.iterations {
-        let advance = t < options.iterations;
-        let round_span = telemetry.begin(Phase::Round);
-
         // S1 broadcast: one RoundStart event per non-eliminated agent,
         // dispatched across the fleet's workers; every cell streams its
-        // gradient into its loaned row (rows in agent-id order).
-        let fill_span = telemetry.begin(Phase::GradientFill);
-        let events = fleet.begin_round(&eliminated);
-        metrics.record_broadcasts(events);
-        fleet.dispatch_round(t, &x);
-        metrics.record_dispatch(events);
-        telemetry.add(Counter::Broadcasts, events as u64);
-
-        // Collect: a silent cell is the no-reply case of step S1 and
-        // vacates the agent's loaned row.
-        vacated.clear();
-        for (agent, row) in fleet.silent_agents() {
-            eliminated[agent] = true;
-            server_f = server_f.saturating_sub(1);
-            metrics.record_elimination();
-            telemetry.add(Counter::Eliminations, 1);
-            vacated.push(row);
-        }
-        // Compact away unwritten rows (descending order keeps the earlier
-        // indices stable), restoring agent-id row order over survivors.
+        // gradient into its loaned row (rows in agent-id order). Collect:
+        // a silent cell is the no-reply case of step S1 — eliminated, its
+        // row vacated, the server's `(n, f)` view updated.
+        let fill_span = engine.telemetry.begin(Phase::GradientFill);
+        let events = fleet.dispatch_round(t, engine.x());
+        let eliminated = fleet.eliminate_silent();
         let batch = fleet.batch_mut();
-        for &row in vacated.iter().rev() {
-            batch.remove_row(row);
-        }
-        metrics.record_replies(batch.len());
-        metrics.record_round();
-        telemetry.add(Counter::Replies, batch.len() as u64);
-        telemetry.add(Counter::Rounds, 1);
-        telemetry.end(fill_span);
-        let agg_span = telemetry.begin(Phase::Aggregate);
-        let aggregate = filter.aggregate_into(batch, server_f, &mut aggregated);
-        telemetry.end(agg_span);
-        if let Err(err) = aggregate {
-            fleet.batch_mut().set_dispatch_profile(None);
-            return Err(err.into());
-        }
+        let counters = &mut engine.counters;
+        counters.broadcasts_sent += events;
+        counters.events_processed += events;
+        counters.rounds_dispatched += 1;
+        counters.agents_eliminated += eliminated;
+        counters.replies_received += batch.len();
+        let server_f = config.f().saturating_sub(counters.agents_eliminated);
+        engine.telemetry.end(fill_span);
 
-        {
-            let observe_span = telemetry.begin(Phase::Observe);
-            let source =
-                HonestCostMetrics::new(&costs, &honest, &x, &options.reference, &aggregated);
-            let view = RoundView::new(t, x.as_slice(), aggregated.as_slice(), &source, probe);
-            summary = observe_round(observer, &view, advance);
-            telemetry.end(observe_span);
-        }
-        if summary.is_some() {
-            telemetry.end(round_span);
+        if engine.step(t, batch, server_f)?.is_halt() {
             break;
         }
-        let eta = options.schedule.eta(t);
-        x.axpy(-eta, &aggregated);
-        options.projection.project_in_place(&mut x);
-        telemetry.end(round_span);
     }
-
-    if let Some(profile) = fleet.batch_mut().take_dispatch_profile() {
-        telemetry.absorb_dispatch(&profile.snapshot());
-    }
-
-    Ok(ObservedRun {
-        final_estimate: x,
-        // LINT-ALLOW(no-panic-hot-path): the loop always runs at least one round, so a summary exists
-        summary: summary.expect("the loop always observes a final round"),
-        telemetry: telemetry.finish(),
-    })
+    engine.absorb(fleet.batch_mut());
+    Ok(engine.finish(NetMetrics::default())?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Launch;
     use abft_attacks::{GradientReverse, LittleIsEnough, RandomGaussian};
     use abft_dgd::DgdSimulation;
     use abft_filters::{Cge, Cwtm};
@@ -214,7 +122,7 @@ mod tests {
 
         let threaded = DgdTask::new(*problem.config(), problem.costs())
             .byzantine(0, Box::new(GradientReverse::new()))
-            .run_threaded(&Cge::new(), &options)
+            .run_dense(Launch::Threaded, &Cge::new(), &options)
             .unwrap();
 
         let mut sim = DgdSimulation::new(*problem.config(), problem.costs())
@@ -224,9 +132,10 @@ mod tests {
         let in_process = sim.run(&Cge::new(), &options).unwrap();
 
         assert!(threaded
+            .run
             .final_estimate
             .approx_eq(&in_process.final_estimate, 0.0));
-        assert_eq!(threaded.trace.records(), in_process.trace.records());
+        assert_eq!(threaded.run.trace.records(), in_process.trace.records());
     }
 
     #[test]
@@ -241,53 +150,52 @@ mod tests {
             let mut fleet = Fleet::new(workers);
             let threaded = DgdTask::new(*problem.config(), problem.costs())
                 .byzantine(0, Box::new(RandomGaussian::paper(99)))
-                .run_threaded_with_fleet(&mut fleet, &Cwtm::new(), &options, &RuntimeMetrics::new())
+                .run_dense(Launch::Fleet(&mut fleet), &Cwtm::new(), &options)
                 .unwrap();
             assert!(
                 threaded
+                    .run
                     .final_estimate
                     .approx_eq(&in_process.final_estimate, 0.0),
                 "diverged at {workers} workers"
             );
-            assert_eq!(threaded.trace.records(), in_process.trace.records());
+            assert_eq!(threaded.run.trace.records(), in_process.trace.records());
         }
     }
 
     #[test]
     fn crash_is_eliminated_and_run_completes() {
         let (problem, options) = paper_options(120);
-        let metrics = RuntimeMetrics::new();
-        let result = DgdTask::new(*problem.config(), problem.costs())
+        let out = DgdTask::new(*problem.config(), problem.costs())
             .crash(3, 10)
-            .run_threaded_with_metrics(&Cge::new(), &options, &metrics)
+            .run_dense(Launch::Threaded, &Cge::new(), &options)
             .unwrap();
         assert!(
-            result.final_distance() < 0.15,
+            out.run.final_distance() < 0.15,
             "d = {}",
-            result.final_distance()
+            out.run.final_distance()
         );
-        assert_eq!(metrics.snapshot().agents_eliminated, 1);
-        assert_eq!(metrics.snapshot().rounds, 121);
+        assert_eq!(out.counters.agents_eliminated, 1);
+        assert_eq!(out.counters.rounds, 121);
     }
 
     #[test]
     fn a_reused_fleet_reproduces_the_fresh_fleet_run() {
         let (problem, options) = paper_options(50);
-        let run = |fleet: &mut Fleet, metrics: &RuntimeMetrics| {
+        let run = |fleet: &mut Fleet| {
             DgdTask::new(*problem.config(), problem.costs())
                 .byzantine(0, Box::new(RandomGaussian::paper(7)))
-                .run_threaded_with_fleet(fleet, &Cge::new(), &options, metrics)
+                .run_dense(Launch::Fleet(fleet), &Cge::new(), &options)
                 .unwrap()
         };
         let mut reused = Fleet::new(2);
-        let metrics = RuntimeMetrics::new();
-        let first = run(&mut reused, &metrics);
-        assert_eq!(metrics.snapshot().fleet_reuse_hits, 0);
-        let second = run(&mut reused, &metrics);
-        assert_eq!(metrics.snapshot().fleet_reuse_hits, 1);
-        let fresh = run(&mut Fleet::new(2), &RuntimeMetrics::new());
-        assert_eq!(first.trace.records(), second.trace.records());
-        assert_eq!(first.trace.records(), fresh.trace.records());
+        let first = run(&mut reused);
+        assert_eq!(first.counters.fleet_reuse_hits, 0);
+        let second = run(&mut reused);
+        assert_eq!(second.counters.fleet_reuse_hits, 1);
+        let fresh = run(&mut Fleet::new(2));
+        assert_eq!(first.run.trace.records(), second.run.trace.records());
+        assert_eq!(first.run.trace.records(), fresh.run.trace.records());
         assert_eq!(reused.runs_served(), 2);
     }
 
@@ -296,7 +204,7 @@ mod tests {
         let (problem, options) = paper_options(5);
         let err = DgdTask::new(*problem.config(), problem.costs())
             .byzantine(0, Box::new(LittleIsEnough::new(1.0)))
-            .run_threaded(&Cge::new(), &options)
+            .run_dense(Launch::Threaded, &Cge::new(), &options)
             .unwrap_err();
         assert!(matches!(err, RuntimeError::Config(_)));
     }
@@ -307,7 +215,7 @@ mod tests {
         let err = DgdTask::new(*problem.config(), problem.costs())
             .byzantine(0, Box::new(GradientReverse::new()))
             .byzantine(1, Box::new(GradientReverse::new()))
-            .run_threaded(&Cge::new(), &options)
+            .run_dense(Launch::Threaded, &Cge::new(), &options)
             .unwrap_err();
         assert!(matches!(err, RuntimeError::Config(_)));
     }
@@ -315,11 +223,10 @@ mod tests {
     #[test]
     fn metrics_count_events() {
         let (problem, options) = paper_options(10);
-        let metrics = RuntimeMetrics::new();
-        DgdTask::new(*problem.config(), problem.costs())
-            .run_threaded_with_metrics(&Cge::new(), &options, &metrics)
-            .unwrap();
-        let s = metrics.snapshot();
+        let s = DgdTask::new(*problem.config(), problem.costs())
+            .run_dense(Launch::Threaded, &Cge::new(), &options)
+            .unwrap()
+            .counters;
         // 11 rounds (10 iterations + final record) × 6 agents.
         assert_eq!(s.rounds, 11);
         assert_eq!(s.broadcasts_sent, 66);

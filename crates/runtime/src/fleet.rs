@@ -20,7 +20,8 @@
 //! reused by every subsequent run, so a 14×6 scenario grid performs fleet
 //! setup once instead of `14 × 6 × n` thread spawns. The scenario layer
 //! keeps one fleet per suite worker (see `abft_scenario::SuiteWorkspace`);
-//! [`crate::DgdTask::run_threaded`] creates a transient one per call.
+//! [`Launch::Threaded`](crate::Launch::Threaded) creates a transient one per
+//! call.
 
 use abft_attacks::{AttackContext, ByzantineStrategy};
 use abft_linalg::{GradientBatch, Vector, WorkerPool};
@@ -234,7 +235,7 @@ pub struct Fleet {
     pool: Arc<WorkerPool>,
     cells: Vec<AgentCell>,
     batch: GradientBatch,
-    /// Active (non-eliminated) agent ids, row-ordered; rebuilt per round.
+    /// Active (non-eliminated) agent ids, row-ordered; reset per run.
     active: Vec<usize>,
     /// `(n, dim)` the batch was last sized for.
     shape: (usize, usize),
@@ -315,6 +316,8 @@ impl Fleet {
             self.batch = GradientBatch::with_capacity(n, dim);
             self.shape = (n, dim);
         }
+        self.active.clear();
+        self.active.extend(0..n);
         let agg_pool = self.aggregation_pool(aggregation_threads);
         self.batch.set_worker_pool(agg_pool);
         let warm = self.runs_served > 0;
@@ -342,25 +345,14 @@ impl Fleet {
         self.agg_pool.clone()
     }
 
-    /// Rebuilds the round's active-agent list (row order = agent-id order
-    /// over survivors) and returns how many `RoundStart` events the round
-    /// will dispatch.
-    // LINT-ALLOW(panic-reach): `eliminated` is the event loop's per-agent
-    // table of length n = cells.len(), and `i` ranges over the cells.
-    pub(crate) fn begin_round(&mut self, eliminated: &[bool]) -> usize {
-        self.active.clear();
-        self.active
-            .extend((0..self.cells.len()).filter(|&i| !eliminated[i]));
-        self.active.len()
-    }
-
-    /// Dispatches the `RoundStart` event to every active agent: each cell
-    /// writes its gradient into its loaned row (or goes silent). The fixed
-    /// worker schedule shards the active list, so the row contents are
-    /// bit-identical at any worker count.
+    /// Dispatches the `RoundStart` event to every active agent (row order
+    /// = agent-id order over survivors) and returns how many events that
+    /// was: each cell writes its gradient into its loaned row (or goes
+    /// silent). The fixed worker schedule shards the active list, so the
+    /// row contents are bit-identical at any worker count.
     // LINT-ALLOW(panic-reach): the schedule shards `0..units` over the
     // workers, so `i < units = active.len()` in every shard.
-    pub(crate) fn dispatch_round(&mut self, iteration: usize, estimate: &Vector) {
+    pub(crate) fn dispatch_round(&mut self, iteration: usize, estimate: &Vector) -> usize {
         let units = self.active.len();
         let dim = self.shape.1;
         self.batch.reset_rows(units);
@@ -375,19 +367,25 @@ impl Fleet {
                 cell.on_round_start(iteration, estimate, row);
             }
         });
+        units
     }
 
-    /// The agents whose `RoundStart` event found them crashed this round,
-    /// as `(agent id, loaned row)` pairs in row order — the event-loop
-    /// analogue of the missing-`Ready` collect phase.
-    // LINT-ALLOW(panic-reach): `active` holds agent ids < cells.len() by
-    // construction in `begin_round`.
-    pub(crate) fn silent_agents(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.active
-            .iter()
-            .enumerate()
-            .filter(|&(_, &agent)| self.cells[agent].silent)
-            .map(|(row, &agent)| (agent, row))
+    /// The collect phase of step S1: an agent whose `RoundStart` event
+    /// found it crashed is the no-reply case — it leaves the active list for
+    /// good and its unwritten row is compacted away (descending order keeps
+    /// the earlier indices stable), restoring agent-id row order over the
+    /// survivors. Returns how many agents were eliminated.
+    // LINT-ALLOW(panic-reach): `row < active.len()`, and `active` holds
+    // agent ids < cells.len() by construction in `load`.
+    pub(crate) fn eliminate_silent(&mut self) -> usize {
+        let dispatched = self.active.len();
+        for row in (0..dispatched).rev() {
+            if self.cells[self.active[row]].silent {
+                self.batch.remove_row(row);
+                self.active.remove(row);
+            }
+        }
+        dispatched - self.active.len()
     }
 
     /// The round's gradient batch (rows in agent-id order over survivors
@@ -424,11 +422,9 @@ mod tests {
         let costs = problem.costs();
         let n = costs.len();
         let x = Vector::from(vec![0.3, -0.7]);
-        let eliminated = vec![false; n];
         let reference_rows: Vec<Vec<f64>> = {
             let mut fleet = Fleet::new(1);
             fleet.load(&costs, (0..n).map(|_| None).collect(), &vec![None; n], 2, 1);
-            fleet.begin_round(&eliminated);
             fleet.dispatch_round(0, &x);
             (0..n)
                 .map(|i| fleet.batch_mut().row_mut(i).to_vec())
@@ -437,7 +433,6 @@ mod tests {
         for workers in [2usize, 3, 4] {
             let mut fleet = Fleet::new(workers);
             fleet.load(&costs, (0..n).map(|_| None).collect(), &vec![None; n], 2, 1);
-            fleet.begin_round(&eliminated);
             fleet.dispatch_round(0, &x);
             for (i, reference) in reference_rows.iter().enumerate() {
                 let row = fleet.batch_mut().row_mut(i);
@@ -460,14 +455,13 @@ mod tests {
         let mut crash_at = vec![None; n];
         crash_at[2] = Some(5);
         fleet.load(&costs, (0..n).map(|_| None).collect(), &crash_at, 2, 1);
-        let eliminated = vec![false; n];
-        fleet.begin_round(&eliminated);
         fleet.dispatch_round(4, &Vector::zeros(2));
-        assert_eq!(fleet.silent_agents().count(), 0);
-        fleet.begin_round(&eliminated);
+        assert_eq!(fleet.eliminate_silent(), 0);
         fleet.dispatch_round(5, &Vector::zeros(2));
-        let silent: Vec<(usize, usize)> = fleet.silent_agents().collect();
-        assert_eq!(silent, vec![(2, 2)]);
+        assert_eq!(fleet.eliminate_silent(), 1);
+        // Agent 2 — row 2 — is the one that left.
+        assert_eq!(fleet.active, vec![0, 1, 3, 4, 5]);
+        assert_eq!(fleet.batch_mut().len(), 5);
     }
 
     /// The debug race detector must abort when one row is loaned to two

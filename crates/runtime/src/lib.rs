@@ -1,38 +1,40 @@
-//! Distributed-system substrate: a synchronous thread-per-agent runtime for
-//! the server-based architecture, and an exponential-information-gathering
-//! (EIG) Byzantine-broadcast primitive enabling the peer-to-peer
-//! architecture of Figure 1.
+//! Distributed-system substrate: the runtimes one [`DgdTask`] can be
+//! launched on, and the exponential-information-gathering (EIG)
+//! Byzantine-broadcast primitive behind the peer-to-peer architecture of
+//! Figure 1.
 //!
-//! The paper's system model (Section 1.4) is a *synchronous* system in one
-//! of two architectures:
+//! A run is `task.run(launch, filter, options, observer)`: the
+//! [`DgdTask`] is the declarative description of the system, costs, and
+//! fault plan, and the [`Launch`] names where it executes. Every runtime
+//! calls the same server step — [`abft_dgd::RoundEngine::step`], the
+//! paper's S1/S2 — and differs only in how a round's gradient rows reach
+//! the batch that step aggregates:
 //!
-//! * **server-based** — a trustworthy server and `n` agents, up to `f`
-//!   Byzantine. [`DgdTask::run_threaded`] realizes each DGD iteration as a
-//!   synchronous event-loop round over a persistent agent [`Fleet`]:
+//! * [`Launch::Threaded`] / [`Launch::Fleet`] — the **server-based**
+//!   architecture (a trustworthy server and `n` agents, up to `f`
+//!   Byzantine) as an event loop over a persistent agent [`Fleet`]:
 //!   dispatch a `RoundStart` event to every agent cell (broadcast `x_t`),
 //!   collect the rows they streamed into the gradient batch, eliminate
-//!   silent agents (step S1), filter and update (S2). Agents are state
-//!   machines multiplexed over a fixed-schedule worker pool, so traces are
-//!   bit-identical at any worker count — and a fleet survives across runs,
-//!   so scenario grids pay agent construction once.
-//! * **peer-to-peer** — a complete network of `n` agents, `f < n/3` faulty,
-//!   where the server algorithm is simulated with Byzantine broadcast.
-//!   [`eig_broadcast`] implements the classic `f + 1`-round EIG protocol
-//!   (agreement + validity for `3f < n`), and [`DgdTask::run_peer_to_peer`]
-//!   uses one broadcast instance per agent per iteration so every honest
-//!   agent applies the same filter to the same multiset and stays in
-//!   lockstep.
+//!   silent agents (step S1). Agents are state machines multiplexed over
+//!   a fixed-schedule worker pool, so traces are bit-identical at any
+//!   worker count — and a fleet survives across runs, so scenario grids
+//!   pay agent construction once.
+//! * [`Launch::PeerToPeer`] — a complete network of `n` agents,
+//!   `f < n/3` faulty, where the server algorithm is simulated with
+//!   Byzantine broadcast. [`eig_broadcast`] implements the classic
+//!   `f + 1`-round EIG protocol (agreement + validity for `3f < n`); one
+//!   broadcast instance per agent per iteration gives every honest agent
+//!   the same multiset, so the same filter keeps them in lockstep.
+//! * [`Launch::Simulated`] — either architecture, or the asynchronous
+//!   bounded-staleness server ([`async_server`]), over a seeded
+//!   `abft_net::SimulatedNetwork` whose links can delay, drop, reorder,
+//!   and partition messages. All message traffic — real or simulated —
+//!   travels through the same [`abft_net::MessageBus`] abstraction, so the
+//!   protocols are written once.
 //!
-//! A third launch mode relaxes the reliable-network assumption:
-//! [`DgdTask::run_simulated`] executes either architecture over a seeded
-//! `abft_net::SimulatedNetwork`, whose links can delay, drop, reorder, and
-//! partition messages. All broadcast traffic — real or simulated — travels
-//! through the same [`abft_net::MessageBus`] abstraction, so the protocols
-//! are written once.
-//!
-//! All launches consume one [`DgdTask`] — the declarative description of
-//! the system, costs, and fault plan. The `abft-scenario` crate is the
-//! high-level way to build and run these.
+//! Every launch returns one [`Outcome`]: the observed run plus its
+//! [`RunCounters`]. The `abft-scenario` crate is the high-level way to
+//! build and run these.
 //!
 //! # Example
 //!
@@ -40,18 +42,19 @@
 //! use abft_dgd::RunOptions;
 //! use abft_filters::Cge;
 //! use abft_problems::RegressionProblem;
-//! use abft_runtime::DgdTask;
+//! use abft_runtime::{DgdTask, Launch};
 //!
 //! # fn main() -> Result<(), abft_runtime::RuntimeError> {
 //! let problem = RegressionProblem::paper_instance();
 //! let x_h = problem.subset_minimizer(&[1, 2, 3, 4, 5]).expect("full rank");
 //! let mut options = RunOptions::paper_defaults(x_h);
 //! options.iterations = 50;
-//! // All-honest threaded run: six agent cells on the event loop, one
-//! // synchronous round per iteration.
-//! let result = DgdTask::new(*problem.config(), problem.costs())
-//!     .run_threaded(&Cge::new(), &options)?;
-//! assert_eq!(result.trace.len(), 51);
+//! // All-honest run on the event loop: six agent cells, one synchronous
+//! // round per iteration.
+//! let out = DgdTask::new(*problem.config(), problem.costs())
+//!     .run_dense(Launch::Threaded, &Cge::new(), &options)?;
+//! assert_eq!(out.run.trace.len(), 51);
+//! assert_eq!(out.counters.replies_received, 6 * 51);
 //! # Ok(())
 //! # }
 //! ```
@@ -62,20 +65,18 @@ pub mod error;
 pub mod event_loop;
 pub mod fleet;
 pub mod message;
-pub mod metrics;
 pub mod peer_to_peer;
 pub mod simulated;
 pub mod task;
 
+pub use abft_dgd::{Outcome, RunCounters};
 pub use async_server::AsyncConfig;
 pub use eig::{eig_broadcast, eig_broadcast_on, BroadcastOutcome, EigMessage, EquivocationPlan};
 pub use error::RuntimeError;
 pub use fleet::{AgentCell, Fleet};
 pub use message::{FromAgent, ServerWire, ToAgent};
-pub use metrics::RuntimeMetrics;
-pub use peer_to_peer::{PeerToPeerOutcome, PeerToPeerResult};
-pub use simulated::{SimTopology, SimulatedOutcome, SimulatedResult, SimulatedRun};
-pub use task::DgdTask;
+pub use simulated::{SimTopology, SimulatedRun};
+pub use task::{DgdTask, Launch};
 
 /// Convenience prelude re-exporting the most common items.
 pub mod prelude {
@@ -83,7 +84,7 @@ pub mod prelude {
     pub use crate::eig::eig_broadcast;
     pub use crate::error::RuntimeError;
     pub use crate::fleet::Fleet;
-    pub use crate::peer_to_peer::{PeerToPeerOutcome, PeerToPeerResult};
-    pub use crate::simulated::{SimTopology, SimulatedOutcome, SimulatedResult, SimulatedRun};
-    pub use crate::task::DgdTask;
+    pub use crate::simulated::{SimTopology, SimulatedRun};
+    pub use crate::task::{DgdTask, Launch};
+    pub use abft_dgd::{Outcome, RunCounters};
 }

@@ -1,10 +1,9 @@
 //! Serializable server ↔ agent message types.
 //!
 //! These are the wire values the *simulated* server topology moves over
-//! its [`abft_net::MessageBus`]. The real threaded runtime no longer
-//! ships gradients through messages at all — agents stream them straight
-//! into their loaned `GradientBatch` rows (see `crate::threaded`) and the
-//! channels carry only round commands and zero-payload `Ready` tokens.
+//! its [`abft_net::MessageBus`]. The event-loop runtime ships no
+//! messages at all — agent cells stream gradients straight into their
+//! loaned `GradientBatch` rows (see [`crate::fleet`]).
 
 use abft_linalg::Vector;
 
@@ -36,8 +35,7 @@ pub enum FromAgent {
 }
 
 /// Either direction of server ↔ agent traffic, as carried by a single
-/// [`abft_net::MessageBus`] in the simulated server topology (the real
-/// threaded runtime keeps its two dedicated channels per agent).
+/// [`abft_net::MessageBus`] in the simulated server topologies.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServerWire {
     /// Server → agent.

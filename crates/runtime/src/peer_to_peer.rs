@@ -8,8 +8,8 @@
 //! requires `f < n/3`.
 //!
 //! All broadcast traffic travels through an [`abft_net::MessageBus`]. The
-//! real runtime ([`DgdTask::run_peer_to_peer`]) drives a reliable
-//! [`PerfectBus`] and keeps the historical bit-exact behaviour; the
+//! real runtime ([`Launch::PeerToPeer`](crate::Launch::PeerToPeer)) drives a
+//! reliable [`PerfectBus`] and keeps the historical bit-exact behaviour; the
 //! `Simulated` backend drives the same loop over an
 //! `abft_net::SimulatedNetwork`, where lost or late transmissions become
 //! EIG omissions and honest agents may (measurably) fall out of lockstep —
@@ -17,15 +17,14 @@
 
 use crate::eig::{eig_broadcast_on, EigMessage, EquivocationPlan};
 use crate::error::RuntimeError;
-use crate::task::DgdTask;
-use abft_attacks::{AttackContext, ByzantineStrategy};
-use abft_core::observe::{observe_round, RoundView, RunObserver};
-use abft_core::validate::FaultBudget;
-use abft_dgd::{HonestCostMetrics, ObservedRun, RunOptions, RunResult};
+use crate::task::{DgdTask, FaultPlan};
+use abft_attacks::AttackContext;
+use abft_core::observe::RunObserver;
+use abft_dgd::{Outcome, RoundEngine, RunOptions};
 use abft_filters::GradientFilter;
 use abft_linalg::{GradientBatch, Vector, WorkerPool};
-use abft_net::{MessageBus, NetFault, NetMetrics, PerfectBus};
-use abft_telemetry::{Counter, Phase, Telemetry};
+use abft_net::{MessageBus, NetFault, PerfectBus};
+use abft_telemetry::{Phase, Telemetry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -63,40 +62,7 @@ impl BitsVector {
     }
 }
 
-/// The outcome of a peer-to-peer DGD execution with dense recording.
-#[derive(Debug, Clone)]
-pub struct PeerToPeerResult {
-    /// The honest agents' common trajectory — or, on a faulty network, the
-    /// *first honest agent's* trajectory (see [`PeerToPeerResult::final_spread`]).
-    pub result: RunResult,
-    /// Total EIG broadcast instances executed (`n` per iteration).
-    pub broadcasts: usize,
-    /// Network counters reported by the bus the run executed on
-    /// (`net.sent` is the total point-to-point message count across all
-    /// broadcasts).
-    pub net: NetMetrics,
-    /// Largest final pairwise distance between honest agents' estimates:
-    /// exactly `0` on a reliable network (lockstep), and a measure of how
-    /// far link faults pushed the honest agents apart otherwise.
-    pub final_spread: f64,
-}
-
-/// The outcome of an *observed* peer-to-peer DGD execution: the leader's
-/// [`ObservedRun`] plus the broadcast/network counters of
-/// [`PeerToPeerResult`].
-#[derive(Debug, Clone)]
-pub struct PeerToPeerOutcome {
-    /// The leader's (first honest agent's) run: final estimate + summary.
-    pub run: ObservedRun,
-    /// Total EIG broadcast instances executed (`n` per iteration).
-    pub broadcasts: usize,
-    /// Network counters reported by the bus the run executed on.
-    pub net: NetMetrics,
-    /// Largest final pairwise distance between honest agents' estimates.
-    pub final_spread: f64,
-}
-
-/// The EIG-broadcast lockstep loop behind [`DgdTask::run_peer_to_peer`],
+/// The EIG-broadcast lockstep loop behind [`Launch::PeerToPeer`](crate::Launch::PeerToPeer),
 /// on a reliable in-memory bus.
 ///
 /// When `equivocate` is set, each Byzantine agent *splits* its forged
@@ -109,7 +75,7 @@ pub(crate) fn execute(
     filter: &dyn GradientFilter,
     options: &RunOptions,
     observer: &mut dyn RunObserver,
-) -> Result<PeerToPeerOutcome, RuntimeError> {
+) -> Result<Outcome, RuntimeError> {
     let mut bus = PerfectBus::new(task.config().n());
     let link = P2pLink {
         equivocate,
@@ -151,9 +117,9 @@ pub(crate) struct P2pLink<'a> {
 /// gradients before sending its own in a broadcast round), and so are crash
 /// schedules (the peer-to-peer round structure has no S1 elimination rule).
 // LINT-ALLOW(panic-reach): every index below is an agent id or honest slot
-// bounded by n, and every per-agent table (strategies, slot_of, estimates,
+// bounded by n, and every per-agent table (strategies, slot_of, followers,
 // decided_batches, sender_values) is allocated with exactly that length
-// before the loop; ids arrive pre-validated by FaultBudget/validate_net_faults.
+// before the loop; ids arrive pre-validated by `DgdTask::fault_plan`.
 #[allow(clippy::needless_range_loop)]
 pub(crate) fn execute_on<B: MessageBus<EigMessage<BitsVector>>>(
     task: DgdTask,
@@ -162,77 +128,80 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage<BitsVector>>>(
     bus: &mut B,
     link: P2pLink<'_>,
     observer: &mut dyn RunObserver,
-) -> Result<PeerToPeerOutcome, RuntimeError> {
+) -> Result<Outcome, RuntimeError> {
     let P2pLink {
         equivocate,
         net_faults,
         enforce_lockstep,
     } = link;
-    let DgdTask {
-        config,
-        costs,
-        byzantine,
-        crashes,
-    } = task;
+    let config = *task.config();
     let n = config.n();
     if !config.supports_peer_to_peer() {
         return Err(RuntimeError::Config(format!(
             "peer-to-peer DGD requires 3f < n, got {config}"
         )));
     }
-    if let Some((agent, at)) = crashes.first() {
+    // A net-faulty agent is Byzantine; it consumes budget unless its
+    // value-forging strategy already did.
+    let FaultPlan {
+        costs,
+        mut strategies,
+        crash_at,
+        mut net_faults,
+        honest,
+        ..
+    } = task.fault_plan(net_faults, n, "peer-to-peer")?;
+    let first_crash = |(agent, at): (usize, &Option<usize>)| at.map(|at| (agent, at));
+    if let Some((agent, at)) = crash_at.iter().enumerate().find_map(first_crash) {
         return Err(RuntimeError::Config(format!(
             "agent {agent} scheduled to crash at iteration {at}, but the \
              peer-to-peer runtime does not model crash faults"
         )));
     }
-    let dim = abft_core::validate::cost_dimension(n, costs.iter().map(|c| c.dim()))?;
-    abft_core::validate::run_point_dimensions(dim, options.x0.dim(), options.reference.dim())?;
-    let mut strategies: Vec<Option<Box<dyn ByzantineStrategy>>> = (0..n).map(|_| None).collect();
-    let mut budget = FaultBudget::new(&config);
-    for (agent, strategy) in byzantine {
-        budget.assign(agent)?;
-        if strategy.is_omniscient() {
-            return Err(RuntimeError::Config(format!(
-                "strategy '{}' is omniscient; peer-to-peer agents cannot observe \
-                 other agents' gradients before broadcasting",
-                strategy.name()
-            )));
-        }
-        strategies[agent] = Some(strategy);
-    }
-    let net_faults =
-        abft_net::validate_net_faults(net_faults, n, n).map_err(RuntimeError::Config)?;
-    for &agent in net_faults.keys() {
-        // A net-faulty agent is Byzantine; it consumes budget unless its
-        // value-forging strategy already did.
-        if strategies[agent].is_none() {
-            budget.assign(agent)?;
-        }
-    }
-    let honest: Vec<usize> = (0..n)
-        .filter(|&i| strategies[i].is_none() && !net_faults.contains_key(&i))
-        .collect();
     debug_assert!(
         !honest.is_empty(),
         "the fault budget keeps a majority of agents honest"
     );
-    let default = BitsVector::from_vector(&Vector::zeros(dim));
+    // The legacy equivocation mode is a net fault: every forging agent
+    // without one of its own splits its value across the network halves.
+    if equivocate {
+        for agent in (0..n).filter(|&i| strategies[i].is_some()) {
+            let split = NetFault::EquivocateSplit { boundary: n / 2 };
+            net_faults.entry(agent).or_insert(split);
+        }
+    }
 
     // Every honest agent maintains its own estimate, indexed by its slot
-    // in `honest` (slot 0 = the leader). On a reliable bus these stay
-    // bit-identical; on a faulty one they may drift, which is measured.
+    // in `honest`: slot 0 — the leader — is the engine's, the rest are
+    // `followers[slot − 1]`. On a reliable bus these stay bit-identical;
+    // on a faulty one they may drift, which is measured.
     let mut slot_of: Vec<Option<usize>> = vec![None; n];
     for (slot, &agent) in honest.iter().enumerate() {
         slot_of[agent] = Some(slot);
     }
-    let mut estimates: Vec<Vector> = vec![options.projection.project(&options.x0); honest.len()];
-    let probe = observer.probe();
-    let mut summary = None;
-    let mut broadcasts = 0usize;
-    // One decided-gradient batch per honest perspective, plus a shared
-    // aggregate vector — all reused across iterations. Rows are written in
-    // sender order, which is agent-id order, matching the server drivers.
+
+    // Profile in the bus's clock domain: a simulated bus keeps a virtual
+    // clock (deterministic reports, pinned by the determinism tests), the
+    // reliable bus does not, so the real runtime profiles on the wall
+    // clock. Disabled handles are pure no-ops either way.
+    let telemetry = Telemetry::for_bus(options.telemetry, bus.virtual_time());
+    let mut engine = RoundEngine::new(
+        n,
+        &costs,
+        honest.clone(),
+        filter,
+        options,
+        observer,
+        telemetry,
+    )?;
+    let dim = engine.x().dim();
+    let default = BitsVector::from_vector(&Vector::zeros(dim));
+    let mut followers: Vec<Vector> = vec![engine.x().clone(); honest.len().saturating_sub(1)];
+
+    // One decided-gradient batch per honest perspective, plus the
+    // followers' shared aggregate vector — all reused across iterations.
+    // Rows are written in sender order, which is agent-id order, matching
+    // the server drivers.
     let mut decided_batches: Vec<GradientBatch> = honest
         .iter()
         .map(|_| GradientBatch::with_capacity(n, dim))
@@ -241,47 +210,29 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage<BitsVector>>>(
     // perspectives run serially, so sharing threads is free, and a pool's
     // workers spawn lazily (a run whose rounds stay below the kernels'
     // sharding floor never starts a thread).
-    if options.aggregation_threads > 1 {
-        let pool = Arc::new(WorkerPool::new(options.aggregation_threads));
-        for batch in decided_batches.iter_mut() {
-            batch.set_worker_pool(Some(Arc::clone(&pool)));
-        }
+    let pool = (options.aggregation_threads > 1)
+        .then(|| Arc::new(WorkerPool::new(options.aggregation_threads)));
+    for batch in decided_batches.iter_mut() {
+        batch.set_worker_pool(pool.clone());
+        engine.instrument(batch);
     }
     let mut aggregated = Vector::zeros(dim);
-
-    // Profile in the bus's clock domain: a simulated bus keeps a virtual
-    // clock (deterministic reports, pinned by the determinism tests), the
-    // reliable bus does not, so the real runtime profiles on the wall
-    // clock. Disabled handles are pure no-ops either way.
-    let mut telemetry = match bus.virtual_time() {
-        Some(now) => {
-            let mut telemetry = Telemetry::virtual_time(options.telemetry);
-            telemetry.set_virtual_ns(now);
-            telemetry
-        }
-        None => Telemetry::wall(options.telemetry),
-    };
-    for batch in decided_batches.iter_mut() {
-        batch.set_dispatch_profile(telemetry.dispatch_profile());
-    }
 
     for t in 0..=options.iterations {
         let advance = t < options.iterations;
         bus.begin_iteration(t);
-        let round_span = telemetry.begin(Phase::Round);
 
         // Each honest agent broadcasts the gradient at its own estimate;
         // a faulty agent forges from the leader's estimate (the historical
         // behaviour) and its per-recipient plan layers any net fault over
         // the forged value.
-        let fill_span = telemetry.begin(Phase::GradientFill);
-        let leader_x = estimates[0].clone();
+        let fill_span = engine.telemetry.begin(Phase::GradientFill);
         let mut plans: BTreeMap<usize, EquivocationPlan<BitsVector>> = BTreeMap::new();
         let mut sender_values: Vec<BitsVector> = Vec::with_capacity(n);
         for i in 0..n {
             let at = match slot_of[i] {
-                Some(slot) => &estimates[slot],
-                None => &leader_x,
+                Some(slot) if slot > 0 => &followers[slot - 1],
+                _ => engine.x(),
             };
             let true_gradient = costs[i].gradient(at);
             let base = match strategies[i].as_mut() {
@@ -311,28 +262,18 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage<BitsVector>>>(
                         },
                     );
                 }
-                None => {
-                    if strategies[i].is_some() {
-                        let plan = if equivocate {
-                            EquivocationPlan::Split {
-                                low: bits.clone(),
-                                high: bits.negated(),
-                                boundary: n / 2,
-                            }
-                        } else {
-                            EquivocationPlan::Consistent(bits.clone())
-                        };
-                        plans.insert(i, plan);
-                    }
+                None if strategies[i].is_some() => {
+                    plans.insert(i, EquivocationPlan::Consistent(bits.clone()));
                 }
+                None => {}
             }
             sender_values.push(bits);
         }
-        telemetry.end(fill_span);
+        engine.telemetry.end(fill_span);
 
         // One broadcast instance per agent; every process records the
         // decided gradient multiset — straight into its reused batch.
-        let net_span = telemetry.begin(Phase::NetDelivery);
+        let net_span = engine.telemetry.begin(Phase::NetDelivery);
         for batch in decided_batches.iter_mut() {
             batch.reset_rows(n);
         }
@@ -345,106 +286,64 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage<BitsVector>>>(
                 &plans,
                 bus,
             )?;
-            broadcasts += 1;
+            engine.counters.eig_broadcasts += 1;
             for (slot, &p) in honest.iter().enumerate() {
                 outcome.decisions[p].write_into(decided_batches[slot].row_mut(sender));
             }
         }
-        telemetry.add(Counter::Broadcasts, n as u64);
         if let Some(now) = bus.virtual_time() {
-            telemetry.set_virtual_ns(now);
+            engine.telemetry.set_virtual_ns(now);
         }
-        telemetry.end(net_span);
+        engine.telemetry.end(net_span);
 
-        // The leader's (slot 0's) aggregate is computed first so the
-        // observer sees the round *before* any estimate moves — a halt
-        // therefore leaves every honest agent at `x_t`, matching the
-        // server drivers' halt semantics exactly.
-        let x = leader_x;
-        let agg_span = telemetry.begin(Phase::Aggregate);
-        filter.aggregate_into(&decided_batches[0], config.f(), &mut aggregated)?;
-        telemetry.end(agg_span);
-        telemetry.add(Counter::Rounds, 1);
-        {
-            let observe_span = telemetry.begin(Phase::Observe);
-            let source =
-                HonestCostMetrics::new(&costs, &honest, &x, &options.reference, &aggregated);
-            let view = RoundView::new(t, x.as_slice(), aggregated.as_slice(), &source, probe);
-            summary = observe_round(observer, &view, advance);
-            telemetry.end(observe_span);
-        }
-        if summary.is_some() {
-            // On the natural final round the non-leader perspectives still
-            // aggregate (no update follows) so a filter failure in any
-            // honest agent's decided multiset surfaces — only an observer
-            // *halt* skips the remaining slots, since the protocol stops
-            // mid-round there by design.
-            if !advance {
-                for decided in decided_batches.iter().skip(1) {
-                    filter.aggregate_into(decided, config.f(), &mut aggregated)?;
-                }
-            }
-            telemetry.end(round_span);
+        // The leader's step comes first so the observer sees the round
+        // *before* any estimate moves — a halt therefore leaves every
+        // honest agent at `x_t`, matching the server drivers' halt
+        // semantics exactly. Only an observer *halt* skips the followers
+        // (the protocol stops mid-round there by design); on the natural
+        // final round they still aggregate — no update follows — so a
+        // filter failure in any honest agent's decided multiset surfaces.
+        let halted = engine.step(t, &decided_batches[0], config.f())?.is_halt();
+        if halted && advance {
             break;
         }
-
-        // Every honest agent filters and updates locally (the leader's
-        // aggregate is already in hand).
-        let eta = options.schedule.eta(t);
-        estimates[0].axpy(-eta, &aggregated);
-        options.projection.project_in_place(&mut estimates[0]);
-        for (slot, decided) in decided_batches.iter().enumerate().skip(1) {
+        // Every other honest agent filters and updates locally.
+        for (estimate, decided) in followers.iter_mut().zip(&decided_batches[1..]) {
             filter.aggregate_into(decided, config.f(), &mut aggregated)?;
-            estimates[slot].axpy(-eta, &aggregated);
-            options.projection.project_in_place(&mut estimates[slot]);
+            if advance {
+                options.descend(t, estimate, &aggregated);
+            }
+        }
+        if halted {
+            break;
         }
         // Lockstep check: on a reliable network every honest agent's
         // estimate must match the leader's bit-for-bit.
-        if enforce_lockstep {
-            for est in estimates.iter().skip(1) {
-                if !est.approx_eq(&estimates[0], 0.0) {
-                    return Err(RuntimeError::LockstepViolation { iteration: t });
-                }
-            }
+        if enforce_lockstep && followers.iter().any(|est| !est.approx_eq(engine.x(), 0.0)) {
+            return Err(RuntimeError::LockstepViolation { iteration: t });
         }
-        telemetry.end(round_span);
     }
 
-    let final_spread = estimates
-        .iter()
+    let estimates = || std::iter::once(engine.x()).chain(&followers);
+    let final_spread = estimates()
         .enumerate()
-        .flat_map(|(p, a)| estimates[p + 1..].iter().map(move |b| a.dist(b)))
+        .flat_map(|(p, a)| estimates().skip(p + 1).map(move |b| a.dist(b)))
         .fold(0.0f64, f64::max);
 
     for batch in decided_batches.iter_mut() {
-        if let Some(profile) = batch.take_dispatch_profile() {
-            telemetry.absorb_dispatch(&profile.snapshot());
-        }
+        engine.absorb(batch);
     }
-    let net_metrics = bus.metrics();
-    telemetry.record_net(
-        net_metrics.sent,
-        net_metrics.delivered,
-        net_metrics.dropped,
-        net_metrics.late,
-    );
-
-    Ok(PeerToPeerOutcome {
-        run: ObservedRun {
-            final_estimate: estimates[0].clone(),
-            // LINT-ALLOW(no-panic-hot-path): the loop always runs at least one round, so a summary exists
-            summary: summary.expect("the loop always observes a final round"),
-            telemetry: telemetry.finish(),
-        },
-        broadcasts,
-        net: net_metrics,
-        final_spread,
-    })
+    let net = bus.metrics();
+    engine.counters.eig_messages = net.sent as usize;
+    let mut outcome = engine.finish(net)?;
+    outcome.final_spread = final_spread;
+    Ok(outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Launch;
     use abft_attacks::{GradientReverse, LittleIsEnough};
     use abft_core::SystemConfig;
     use abft_dgd::DgdSimulation;
@@ -473,20 +372,24 @@ mod tests {
     fn fault_free_p2p_matches_server_based() {
         let (problem, options) = paper_options(60);
         let p2p = DgdTask::new(*problem.config(), problem.costs())
-            .run_peer_to_peer(false, &Cge::new(), &options)
+            .run_dense(
+                Launch::PeerToPeer { equivocate: false },
+                &Cge::new(),
+                &options,
+            )
             .unwrap();
         let mut sim = DgdSimulation::new(*problem.config(), problem.costs()).unwrap();
         let server = sim.run(&Cge::new(), &options).unwrap();
         assert!(p2p
-            .result
+            .run
             .final_estimate
             .approx_eq(&server.final_estimate, 0.0));
-        assert_eq!(p2p.result.trace.records(), server.trace.records());
+        assert_eq!(p2p.run.trace.records(), server.trace.records());
         // n broadcasts per round, 61 rounds.
-        assert_eq!(p2p.broadcasts, 6 * 61);
+        assert_eq!(p2p.counters.eig_broadcasts, 6 * 61);
         // On the reliable bus every transmission is delivered, and the
         // honest agents end in perfect lockstep.
-        assert_eq!(p2p.net.delivered, p2p.net.sent);
+        assert_eq!(p2p.counters.net.delivered, p2p.counters.net.sent);
         assert_eq!(p2p.final_spread, 0.0);
     }
 
@@ -497,7 +400,11 @@ mod tests {
         let (problem, options) = paper_options(60);
         let p2p = DgdTask::new(*problem.config(), problem.costs())
             .byzantine(0, Box::new(GradientReverse::new()))
-            .run_peer_to_peer(false, &Cge::new(), &options)
+            .run_dense(
+                Launch::PeerToPeer { equivocate: false },
+                &Cge::new(),
+                &options,
+            )
             .unwrap();
         let mut sim = DgdSimulation::new(*problem.config(), problem.costs())
             .unwrap()
@@ -505,7 +412,7 @@ mod tests {
             .unwrap();
         let server = sim.run(&Cge::new(), &options).unwrap();
         assert!(p2p
-            .result
+            .run
             .final_estimate
             .approx_eq(&server.final_estimate, 0.0));
     }
@@ -516,13 +423,17 @@ mod tests {
         let p2p = DgdTask::new(*problem.config(), problem.costs())
             .byzantine(0, Box::new(GradientReverse::new()))
             // split v / −v between network halves
-            .run_peer_to_peer(true, &Cwtm::new(), &options)
+            .run_dense(
+                Launch::PeerToPeer { equivocate: true },
+                &Cwtm::new(),
+                &options,
+            )
             .unwrap();
         // Lockstep held (no LockstepViolation) and convergence survived.
         assert!(
-            p2p.result.final_distance() < 0.2,
+            p2p.run.final_distance() < 0.2,
             "distance = {}",
-            p2p.result.final_distance()
+            p2p.run.final_distance()
         );
         assert_eq!(p2p.final_spread, 0.0);
     }
@@ -537,19 +448,20 @@ mod tests {
             let options = options.clone().with_aggregation_threads(threads);
             DgdTask::new(*problem.config(), problem.costs())
                 .byzantine(0, Box::new(GradientReverse::new()))
-                .run_peer_to_peer(false, &Cge::new(), &options)
+                .run_dense(
+                    Launch::PeerToPeer { equivocate: false },
+                    &Cge::new(),
+                    &options,
+                )
                 .unwrap()
         };
         let serial = run(1);
         let sharded = run(4);
-        assert_eq!(
-            serial.result.trace.records(),
-            sharded.result.trace.records()
-        );
+        assert_eq!(serial.run.trace.records(), sharded.run.trace.records());
         assert!(serial
-            .result
+            .run
             .final_estimate
-            .approx_eq(&sharded.result.final_estimate, 0.0));
+            .approx_eq(&sharded.run.final_estimate, 0.0));
     }
 
     #[test]
@@ -558,17 +470,29 @@ mod tests {
         // n = 6, f = 2 violates 3f < n.
         let bad = SystemConfig::new(6, 2).unwrap();
         assert!(DgdTask::new(bad, problem.costs())
-            .run_peer_to_peer(false, &Cge::new(), &options)
+            .run_dense(
+                Launch::PeerToPeer { equivocate: false },
+                &Cge::new(),
+                &options
+            )
             .is_err());
         // Omniscient strategy.
         assert!(DgdTask::new(*problem.config(), problem.costs())
             .byzantine(0, Box::new(LittleIsEnough::new(1.0)))
-            .run_peer_to_peer(false, &Cge::new(), &options)
+            .run_dense(
+                Launch::PeerToPeer { equivocate: false },
+                &Cge::new(),
+                &options
+            )
             .is_err());
         // Crash schedules are a server-architecture concept.
         assert!(DgdTask::new(*problem.config(), problem.costs())
             .crash(2, 10)
-            .run_peer_to_peer(false, &Cge::new(), &options)
+            .run_dense(
+                Launch::PeerToPeer { equivocate: false },
+                &Cge::new(),
+                &options
+            )
             .is_err());
     }
 

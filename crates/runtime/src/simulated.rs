@@ -1,6 +1,6 @@
 //! DGD over a simulated network: the same protocols, faulty links.
 //!
-//! [`DgdTask::run_simulated`] executes a task on an
+//! [`Launch::Simulated`](crate::Launch::Simulated) executes a task on an
 //! [`abft_net::SimulatedNetwork`] — a seeded discrete-event simulator whose
 //! links can delay, drop, reorder, and partition messages — in either of
 //! the paper's two architectures:
@@ -17,9 +17,8 @@
 //!   [`crate::peer_to_peer`] over simulated links. Lost or late
 //!   transmissions become EIG omissions; with enough of them, honest
 //!   agents fall out of lockstep — reported, not asserted, via
-//!   [`PeerToPeerResult::final_spread`](crate::PeerToPeerResult::final_spread).
-//!   Over ideal links this is bit-identical to
-//!   [`DgdTask::run_peer_to_peer`].
+//!   [`Outcome::final_spread`]. Over ideal links this is bit-identical to
+//!   [`Launch::PeerToPeer`](crate::Launch::PeerToPeer).
 //!
 //! Network-level Byzantine behaviours ([`NetFault`]: selective sending,
 //! per-link equivocation) layer on top of the value-forging attack
@@ -30,15 +29,15 @@ use crate::async_server::AsyncConfig;
 use crate::error::RuntimeError;
 use crate::message::{FromAgent, ServerWire, ToAgent};
 use crate::peer_to_peer::{self, P2pLink};
-use crate::task::DgdTask;
+use crate::task::{DgdTask, FaultPlan};
 use abft_attacks::{AttackContext, ByzantineStrategy};
-use abft_core::observe::{observe_round, RoundView, RunObserver};
-use abft_core::validate::{self, FaultBudget};
-use abft_dgd::{HonestCostMetrics, ObservedRun, RunOptions, RunResult};
+use abft_core::observe::RunObserver;
+use abft_dgd::{Outcome, RoundEngine, RunOptions};
 use abft_filters::GradientFilter;
 use abft_linalg::{GradientBatch, Vector, WorkerPool};
-use abft_net::{MessageBus, NetFault, NetMetrics, NetworkModel, SimulatedNetwork};
-use abft_telemetry::{Counter, Phase, Telemetry};
+use abft_net::{MessageBus, NetFault, NetworkModel, SimulatedNetwork};
+use abft_problems::SharedCost;
+use abft_telemetry::{Phase, Telemetry};
 use std::sync::Arc;
 
 /// Which architecture the simulated network carries.
@@ -115,84 +114,6 @@ impl SimulatedRun {
     }
 }
 
-/// The outcome of an *observed* simulated execution: the recorded
-/// trajectory lives with the caller's observers; the run itself yields
-/// the [`ObservedRun`] plus the simulator's counters.
-#[derive(Debug, Clone)]
-pub struct SimulatedOutcome {
-    /// Final estimate + always-present summary (the first honest agent's
-    /// perspective in the peer-to-peer topology, the server's otherwise).
-    pub run: ObservedRun,
-    /// Network counters (see [`SimulatedResult::net`]).
-    pub net: NetMetrics,
-    /// EIG broadcast instances (see [`SimulatedResult::broadcasts`]).
-    pub broadcasts: usize,
-    /// Missed-deadline gradient count (see [`SimulatedResult::stragglers`]).
-    pub stragglers: usize,
-    /// Stale gradient rows excluded (see [`SimulatedResult::stale_rows`]).
-    pub stale_rows: usize,
-    /// Peak aggregation clock skew (see [`SimulatedResult::clock_skew_ns`]).
-    pub clock_skew_ns: u64,
-    /// Asynchronous aggregation steps (see [`SimulatedResult::async_steps`]).
-    pub async_steps: usize,
-    /// Honest-estimate spread (see [`SimulatedResult::final_spread`]).
-    pub final_spread: f64,
-}
-
-/// The outcome of a simulated execution with dense recording.
-#[derive(Debug, Clone)]
-pub struct SimulatedResult {
-    /// The recorded trajectory (the first honest agent's, in the
-    /// peer-to-peer topology; the server's, in the server topology).
-    pub result: RunResult,
-    /// Network counters: sent / delivered / dropped / late, virtual time,
-    /// and the order-sensitive schedule digest.
-    pub net: NetMetrics,
-    /// EIG broadcast instances executed (peer-to-peer topology; zero for
-    /// the server topology).
-    pub broadcasts: usize,
-    /// Rounds × agents in which an expected gradient missed the deadline
-    /// or was lost (server topology; zero for peer-to-peer, whose
-    /// omissions are per-transmission and counted in
-    /// [`SimulatedResult::net`]). In the asynchronous topology: steps ×
-    /// agents the server had *no* row from at all.
-    pub stragglers: usize,
-    /// Steps × agents whose freshest row was present but older than the
-    /// staleness bound τ at aggregation time, so it was excluded and the
-    /// step's fault budget shrank (asynchronous topology; zero otherwise).
-    pub stale_rows: usize,
-    /// The largest spread, over aggregation steps, between the `sent_at`
-    /// stamps of the rows aggregated together — how far out of lockstep
-    /// the agent clocks drifted (asynchronous topology; zero otherwise).
-    pub clock_skew_ns: u64,
-    /// Server aggregation steps executed (asynchronous topology; zero
-    /// otherwise — synchronous rounds are counted by the run summary).
-    pub async_steps: usize,
-    /// Largest final pairwise distance between honest agents' estimates
-    /// (peer-to-peer topology; zero for the server topology, which has one
-    /// shared estimate by construction).
-    pub final_spread: f64,
-}
-
-/// Entry point behind [`DgdTask::run_simulated`].
-pub(crate) fn execute(
-    task: DgdTask,
-    sim: &SimulatedRun,
-    filter: &dyn GradientFilter,
-    options: &RunOptions,
-    observer: &mut dyn RunObserver,
-) -> Result<SimulatedOutcome, RuntimeError> {
-    match sim.topology {
-        SimTopology::PeerToPeer { equivocate } => {
-            execute_p2p(task, sim, equivocate, filter, options, observer)
-        }
-        SimTopology::Server => execute_server(task, sim, filter, options, observer),
-        SimTopology::AsyncServer(config) => {
-            crate::async_server::execute_async_server(task, sim, config, filter, options, observer)
-        }
-    }
-}
-
 /// Round-lockstep drivers have no notion of row age, so a staleness
 /// override on the options is a configuration error rather than a silent
 /// no-op.
@@ -209,14 +130,14 @@ fn reject_staleness(options: &RunOptions, topology: &str) -> Result<(), RuntimeE
 /// Peer-to-peer over the simulator: the shared loop of
 /// [`crate::peer_to_peer`] on a faulty bus, lockstep measured instead of
 /// asserted.
-fn execute_p2p(
+pub(crate) fn execute_p2p(
     task: DgdTask,
     sim: &SimulatedRun,
     equivocate: bool,
     filter: &dyn GradientFilter,
     options: &RunOptions,
     observer: &mut dyn RunObserver,
-) -> Result<SimulatedOutcome, RuntimeError> {
+) -> Result<Outcome, RuntimeError> {
     reject_staleness(options, "peer-to-peer")?;
     let n = task.config().n();
     let mut net: SimulatedNetwork<_> = sim.network.build(n);
@@ -225,17 +146,7 @@ fn execute_p2p(
         net_faults: &sim.net_faults,
         enforce_lockstep: false,
     };
-    let outcome = peer_to_peer::execute_on(task, filter, options, &mut net, link, observer)?;
-    Ok(SimulatedOutcome {
-        run: outcome.run,
-        net: outcome.net,
-        broadcasts: outcome.broadcasts,
-        stragglers: 0,
-        stale_rows: 0,
-        clock_skew_ns: 0,
-        async_steps: 0,
-        final_spread: outcome.final_spread,
-    })
+    peer_to_peer::execute_on(task, filter, options, &mut net, link, observer)
 }
 
 /// The server architecture over the simulator: one iteration is two bus
@@ -244,95 +155,40 @@ fn execute_p2p(
 // LINT-ALLOW(panic-reach): every index is an agent address < n — the
 // per-agent tables (strategies, crash_at, heard, costs) are allocated with
 // length n, and the simulator only delivers to registered endpoints.
-fn execute_server(
+pub(crate) fn execute_server(
     task: DgdTask,
     sim: &SimulatedRun,
     filter: &dyn GradientFilter,
     options: &RunOptions,
     observer: &mut dyn RunObserver,
-) -> Result<SimulatedOutcome, RuntimeError> {
+) -> Result<Outcome, RuntimeError> {
     reject_staleness(options, "server")?;
-    let DgdTask {
-        config,
-        costs,
-        byzantine,
-        crashes,
-    } = task;
-    let n = config.n();
+    let n = task.config().n();
     let server = SimulatedRun::server_address(n);
-    let dim = validate::cost_dimension(n, costs.iter().map(|c| c.dim()))?;
-    validate::run_point_dimensions(dim, options.x0.dim(), options.reference.dim())?;
-
-    // Validate and index fault assignments (mirrors the threaded runtime,
-    // plus the net-fault layer).
-    let mut strategies: Vec<Option<Box<dyn ByzantineStrategy>>> = (0..n).map(|_| None).collect();
-    let mut crash_at: Vec<Option<usize>> = vec![None; n];
-    let mut budget = FaultBudget::new(&config);
-    for (agent, strategy) in byzantine {
-        budget.assign(agent)?;
-        if strategy.is_omniscient() {
-            return Err(RuntimeError::Config(format!(
-                "strategy '{}' is omniscient; simulated agents cannot observe \
-                 other agents' in-flight gradients",
-                strategy.name()
-            )));
-        }
-        strategies[agent] = Some(strategy);
-    }
-    for (agent, iteration) in crashes {
-        budget.assign(agent)?;
-        crash_at[agent] = Some(iteration);
-    }
     // The server's address participates in the bus, so victim lists and
     // equivocation boundaries may reference it.
-    let net_faults =
-        abft_net::validate_net_faults(&sim.net_faults, n, n + 1).map_err(RuntimeError::Config)?;
-    for &agent in net_faults.keys() {
-        if strategies[agent].is_none() && crash_at[agent].is_none() {
-            budget.assign(agent)?;
-        }
-    }
-    let honest: Vec<usize> = (0..n)
-        .filter(|&i| {
-            strategies[i].is_none() && crash_at[i].is_none() && !net_faults.contains_key(&i)
-        })
-        .collect();
+    let FaultPlan {
+        config,
+        costs,
+        mut strategies,
+        crash_at,
+        net_faults,
+        honest,
+    } = task.fault_plan(&sim.net_faults, n + 1, "simulated")?;
 
     let mut net: SimulatedNetwork<ServerWire> = sim.network.build(n + 1);
-    let probe = observer.probe();
-    let mut summary = None;
-    let mut x = options.projection.project(&options.x0);
-    let mut batch = GradientBatch::with_capacity(n, dim);
-    if options.aggregation_threads > 1 {
-        batch.set_worker_pool(Some(Arc::new(WorkerPool::new(options.aggregation_threads))));
-    }
-    let mut aggregated = Vector::zeros(dim);
-    let mut stragglers = 0usize;
-
     // Simulated runs profile in *virtual* time: spans advance only when
     // the network's schedule-driven clock does, so two identical seeded
     // runs produce identical reports (pinned by the determinism tests).
-    let mut telemetry = Telemetry::virtual_time(options.telemetry);
-    telemetry.set_virtual_ns(net.now());
+    let telemetry = Telemetry::for_bus(options.telemetry, Some(net.now()));
+    let mut engine = RoundEngine::new(n, &costs, honest, filter, options, observer, telemetry)?;
+    let dim = engine.x().dim();
+    let mut batch = round_batch(n, dim, options.aggregation_threads);
 
     for t in 0..=options.iterations {
-        let advance = t < options.iterations;
-        net.begin_iteration(t);
-        let round_span = telemetry.begin(Phase::Round);
-
         // Phase 1 — S1 broadcast: the server sends x_t to every agent.
-        let down_span = telemetry.begin(Phase::NetDelivery);
-        for agent in 0..n {
-            net.send(
-                server,
-                agent,
-                ServerWire::Command(ToAgent::Estimate {
-                    iteration: t,
-                    estimate: x.clone(),
-                }),
-            );
-        }
-        telemetry.add(Counter::Broadcasts, n as u64);
+        let down_span = engine.telemetry.begin(Phase::NetDelivery);
+        broadcast_estimate(&mut net, &mut engine, n, t);
         // Agents that heard the estimate this round compute a reply.
         let mut heard = vec![false; n];
         for delivery in net.end_round() {
@@ -341,11 +197,12 @@ fn execute_server(
                 heard[delivery.to] = true;
             }
         }
-        telemetry.set_virtual_ns(net.now());
-        telemetry.end(down_span);
+        engine.telemetry.set_virtual_ns(net.now());
+        engine.telemetry.end(down_span);
 
         // Phase 2 — replies: honest gradient, forged gradient, or silence.
-        let fill_span = telemetry.begin(Phase::GradientFill);
+        let fill_span = engine.telemetry.begin(Phase::GradientFill);
+        let x = engine.x();
         let mut expected = 0usize;
         for agent in 0..n {
             if !heard[agent] {
@@ -354,48 +211,32 @@ fn execute_server(
             if crash_at[agent].is_some_and(|crash| t >= crash) {
                 continue; // crashed: permanently silent, no reply expected
             }
-            let true_gradient = costs[agent].gradient(&x);
-            let mut report = match strategies[agent].as_mut() {
-                Some(strategy) => {
-                    let ctx = AttackContext::new(t, &true_gradient, &x);
-                    strategy.corrupt(&ctx)
-                }
-                None => true_gradient,
-            };
-            match net_faults.get(&agent) {
-                Some(NetFault::SelectiveSend(victims)) if victims.contains(&server) => {
-                    continue; // silences the agent's only outgoing link
-                }
-                Some(NetFault::EquivocateSplit { boundary }) if server >= *boundary => {
-                    // The server sits on the negated side of the split.
-                    report = report.scale(-1.0);
-                }
-                _ => {}
-            }
-            expected += 1;
-            net.send(
-                agent,
+            let reply = agent_reply(
+                &costs[agent],
+                strategies[agent].as_mut(),
+                net_faults.get(&agent),
                 server,
-                ServerWire::Reply(FromAgent::Gradient {
-                    iteration: t,
-                    gradient: report,
-                }),
+                t,
+                x,
             );
+            if let Some(reply) = reply {
+                expected += 1;
+                net.send(agent, server, reply);
+            }
         }
-        telemetry.end(fill_span);
+        engine.telemetry.end(fill_span);
 
         // Collect what made the deadline and stream it straight into the
         // batch: deliveries re-ordered by sender (stable, deterministic —
         // at most one reply per agent per round) so rows land in agent-id
         // order, the filter-input order every backend shares, without the
         // per-agent staging slots replies used to be parked in.
-        let up_span = telemetry.begin(Phase::NetDelivery);
+        let up_span = engine.telemetry.begin(Phase::NetDelivery);
         let mut deliveries = net.end_round();
-        telemetry.set_virtual_ns(net.now());
-        telemetry.end(up_span);
+        engine.telemetry.set_virtual_ns(net.now());
+        engine.telemetry.end(up_span);
         deliveries.sort_by_key(|delivery| delivery.from);
         batch.clear();
-        let mut received = 0usize;
         for delivery in deliveries {
             if let ServerWire::Reply(FromAgent::Gradient {
                 iteration,
@@ -403,86 +244,108 @@ fn execute_server(
             }) = delivery.payload
             {
                 debug_assert_eq!(iteration, t, "rounds drain fully");
-                if gradient.dim() != dim {
-                    return Err(RuntimeError::Dgd(abft_dgd::DgdError::Dimension {
-                        expected: format!("gradient of dim {dim}"),
-                        actual: format!("agent {} sent dim {}", delivery.from, gradient.dim()),
-                    }));
-                }
+                check_reply_dim(dim, delivery.from, &gradient)?;
                 batch.push_row(gradient.as_slice());
-                received += 1;
             }
         }
-        stragglers += expected - received;
-        telemetry.add(Counter::Replies, received as u64);
-        telemetry.add(Counter::Stragglers, (expected - received) as u64);
-        telemetry.add(Counter::Rounds, 1);
+        engine.counters.replies_received += batch.len();
+        engine.counters.stragglers += expected - batch.len();
 
         // Per-round S1: an agent whose gradient never arrived is treated
         // exactly like a crashed agent for this round — its row is absent
         // and it counts against the fault budget the filter is run with.
-        let agg_span = telemetry.begin(Phase::Aggregate);
-        if batch.is_empty() {
-            // A fully silent round (every reply lost or late) carries no
-            // gradient information: the server holds its estimate instead
-            // of failing the run — the timeout-driven analogue of "no
-            // update this round".
-            for slot in aggregated.as_mut_slice() {
-                *slot = 0.0;
-            }
-        } else {
-            let silent = n - batch.len();
-            let f_round = config.f().saturating_sub(silent);
-            filter.aggregate_into(&batch, f_round, &mut aggregated)?;
-        }
-        telemetry.end(agg_span);
-
-        {
-            let observe_span = telemetry.begin(Phase::Observe);
-            let source =
-                HonestCostMetrics::new(&costs, &honest, &x, &options.reference, &aggregated);
-            let view = RoundView::new(t, x.as_slice(), aggregated.as_slice(), &source, probe);
-            summary = observe_round(observer, &view, advance);
-            telemetry.end(observe_span);
-        }
-        if summary.is_some() {
-            telemetry.end(round_span);
+        // (A fully silent round holds the estimate: the engine's
+        // empty-batch rule, the timeout-driven "no update this round".)
+        let f_round = config.f().saturating_sub(n - batch.len());
+        if engine.step(t, &batch, f_round)?.is_halt() {
             break;
         }
-        let eta = options.schedule.eta(t);
-        x.axpy(-eta, &aggregated);
-        options.projection.project_in_place(&mut x);
-        telemetry.end(round_span);
     }
+    Ok(engine.finish(net.metrics())?)
+}
 
-    let net_metrics = net.metrics();
-    telemetry.record_net(
-        net_metrics.sent,
-        net_metrics.delivered,
-        net_metrics.dropped,
-        net_metrics.late,
-    );
+/// The server's reused `n × dim` round batch, with a worker pool attached
+/// when the run asks for sharded aggregation.
+pub(crate) fn round_batch(n: usize, dim: usize, aggregation_threads: usize) -> GradientBatch {
+    let mut batch = GradientBatch::with_capacity(n, dim);
+    if aggregation_threads > 1 {
+        batch.set_worker_pool(Some(Arc::new(WorkerPool::new(aggregation_threads))));
+    }
+    batch
+}
 
-    Ok(SimulatedOutcome {
-        run: ObservedRun {
-            final_estimate: x,
-            // LINT-ALLOW(no-panic-hot-path): the loop always runs at least one round, so a summary exists
-            summary: summary.expect("the loop always observes a final round"),
-            telemetry: telemetry.finish(),
-        },
-        net: net_metrics,
-        broadcasts: 0,
-        stragglers,
-        stale_rows: 0,
-        clock_skew_ns: 0,
-        async_steps: 0,
-        final_spread: 0.0,
-    })
+/// Announces `iteration` to the bus and sends the server's estimate
+/// entering it to every agent.
+pub(crate) fn broadcast_estimate(
+    net: &mut SimulatedNetwork<ServerWire>,
+    engine: &mut RoundEngine<'_>,
+    n: usize,
+    iteration: usize,
+) {
+    net.begin_iteration(iteration);
+    for agent in 0..n {
+        net.send(
+            SimulatedRun::server_address(n),
+            agent,
+            ServerWire::Command(ToAgent::Estimate {
+                iteration,
+                estimate: engine.x().clone(),
+            }),
+        );
+    }
+    engine.counters.broadcasts_sent += n;
+}
+
+/// What one agent puts on its link to the server for `iteration`, having
+/// heard the estimate `x`: its honest gradient, or its strategy's forgery
+/// of it, as seen from the server's side of any net fault — negated when
+/// the server sits past an equivocation boundary, and nothing at all when
+/// a selective sender lists the server among its victims.
+pub(crate) fn agent_reply(
+    cost: &SharedCost,
+    strategy: Option<&mut Box<dyn ByzantineStrategy>>,
+    net_fault: Option<&NetFault>,
+    server: usize,
+    iteration: usize,
+    x: &Vector,
+) -> Option<ServerWire> {
+    let true_gradient = cost.gradient(x);
+    let mut gradient = match strategy {
+        Some(strategy) => strategy.corrupt(&AttackContext::new(iteration, &true_gradient, x)),
+        None => true_gradient,
+    };
+    match net_fault {
+        Some(NetFault::SelectiveSend(victims)) if victims.contains(&server) => return None,
+        Some(NetFault::EquivocateSplit { boundary }) if server >= *boundary => {
+            gradient = gradient.scale(-1.0);
+        }
+        _ => {}
+    }
+    Some(ServerWire::Reply(FromAgent::Gradient {
+        iteration,
+        gradient,
+    }))
+}
+
+/// A reply must carry a gradient of the run's dimension.
+pub(crate) fn check_reply_dim(
+    dim: usize,
+    from: usize,
+    gradient: &Vector,
+) -> Result<(), RuntimeError> {
+    if gradient.dim() == dim {
+        return Ok(());
+    }
+    Err(RuntimeError::Dgd(abft_dgd::DgdError::Dimension {
+        expected: format!("gradient of dim {dim}"),
+        actual: format!("agent {from} sent dim {}", gradient.dim()),
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Launch;
     use abft_attacks::GradientReverse;
     use abft_dgd::DgdSimulation;
     use abft_filters::{Cge, Cwtm};
@@ -502,20 +365,20 @@ mod tests {
         let sim = SimulatedRun::server(NetworkModel::ideal());
         let simulated = DgdTask::new(*problem.config(), problem.costs())
             .byzantine(0, Box::new(GradientReverse::new()))
-            .run_simulated(&sim, &Cge::new(), &options)
+            .run_dense(Launch::Simulated(&sim), &Cge::new(), &options)
             .unwrap();
         let mut reference = DgdSimulation::new(*problem.config(), problem.costs())
             .unwrap()
             .with_byzantine(0, Box::new(GradientReverse::new()))
             .unwrap();
         let in_process = reference.run(&Cge::new(), &options).unwrap();
-        assert_eq!(simulated.result.trace.records(), in_process.trace.records());
+        assert_eq!(simulated.run.trace.records(), in_process.trace.records());
         assert!(simulated
-            .result
+            .run
             .final_estimate
             .approx_eq(&in_process.final_estimate, 0.0));
-        assert_eq!(simulated.stragglers, 0);
-        assert!(simulated.net.is_balanced());
+        assert_eq!(simulated.counters.stragglers, 0);
+        assert!(simulated.counters.net.is_balanced());
     }
 
     #[test]
@@ -526,13 +389,13 @@ mod tests {
         let sim = SimulatedRun::server(NetworkModel::ideal());
         let simulated = DgdTask::new(*problem.config(), problem.costs())
             .crash(3, 10)
-            .run_simulated(&sim, &Cge::new(), &options)
+            .run_dense(Launch::Simulated(&sim), &Cge::new(), &options)
             .unwrap();
         let threaded = DgdTask::new(*problem.config(), problem.costs())
             .crash(3, 10)
-            .run_threaded(&Cge::new(), &options)
+            .run_dense(Launch::Threaded, &Cge::new(), &options)
             .unwrap();
-        assert_eq!(simulated.result.trace.records(), threaded.trace.records());
+        assert_eq!(simulated.run.trace.records(), threaded.run.trace.records());
     }
 
     #[test]
@@ -541,19 +404,23 @@ mod tests {
         let sim = SimulatedRun::peer_to_peer(NetworkModel::ideal());
         let simulated = DgdTask::new(*problem.config(), problem.costs())
             .byzantine(0, Box::new(GradientReverse::new()))
-            .run_simulated(&sim, &Cge::new(), &options)
+            .run_dense(Launch::Simulated(&sim), &Cge::new(), &options)
             .unwrap();
         let real = DgdTask::new(*problem.config(), problem.costs())
             .byzantine(0, Box::new(GradientReverse::new()))
-            .run_peer_to_peer(false, &Cge::new(), &options)
+            .run_dense(
+                Launch::PeerToPeer { equivocate: false },
+                &Cge::new(),
+                &options,
+            )
             .unwrap();
+        assert_eq!(simulated.run.trace.records(), real.run.trace.records());
         assert_eq!(
-            simulated.result.trace.records(),
-            real.result.trace.records()
+            simulated.counters.eig_broadcasts,
+            real.counters.eig_broadcasts
         );
-        assert_eq!(simulated.broadcasts, real.broadcasts);
         // Same protocol, same message count; only the wire differs.
-        assert_eq!(simulated.net.sent, real.net.sent);
+        assert_eq!(simulated.counters.net.sent, real.counters.net.sent);
         assert_eq!(simulated.final_spread, 0.0);
     }
 
@@ -565,18 +432,18 @@ mod tests {
                 .with_default_link(LinkModel::ideal().with_drop(0.1).with_reorder_ns(2_000)),
         );
         let outcome = DgdTask::new(*problem.config(), problem.costs())
-            .run_simulated(&sim, &Cge::new(), &options)
+            .run_dense(Launch::Simulated(&sim), &Cge::new(), &options)
             .unwrap();
         assert!(
-            outcome.net.dropped > 0,
+            outcome.counters.net.dropped > 0,
             "losses occurred: {:?}",
-            outcome.net
+            outcome.counters.net
         );
-        assert!(outcome.stragglers > 0);
+        assert!(outcome.counters.stragglers > 0);
         assert!(
-            outcome.result.final_distance() < 0.3,
+            outcome.run.final_distance() < 0.3,
             "d = {}",
-            outcome.result.final_distance()
+            outcome.run.final_distance()
         );
     }
 
@@ -590,13 +457,16 @@ mod tests {
             );
             DgdTask::new(*problem.config(), problem.costs())
                 .byzantine(0, Box::new(GradientReverse::new()))
-                .run_simulated(&sim, &Cwtm::new(), &options)
+                .run_dense(Launch::Simulated(&sim), &Cwtm::new(), &options)
                 .unwrap()
         };
         let a = run();
         let b = run();
-        assert_eq!(a.result.trace.records(), b.result.trace.records());
-        assert_eq!(a.net, b.net, "full event schedule reproduced");
+        assert_eq!(a.run.trace.records(), b.run.trace.records());
+        assert_eq!(
+            a.counters.net, b.counters.net,
+            "full event schedule reproduced"
+        );
         assert_eq!(a.final_spread, b.final_spread);
     }
 
@@ -607,12 +477,12 @@ mod tests {
         let sim = SimulatedRun::server(NetworkModel::ideal())
             .with_net_fault(0, NetFault::SelectiveSend(vec![server]));
         let outcome = DgdTask::new(*problem.config(), problem.costs())
-            .run_simulated(&sim, &Cge::new(), &options)
+            .run_dense(Launch::Simulated(&sim), &Cge::new(), &options)
             .unwrap();
         // The agent computes a reply but never sends it: not a straggler,
         // simply fewer sends on the bus.
-        assert_eq!(outcome.stragglers, 0);
-        assert!(outcome.result.final_distance() < 0.2);
+        assert_eq!(outcome.counters.stragglers, 0);
+        assert!(outcome.run.final_distance() < 0.2);
     }
 
     #[test]
@@ -622,7 +492,7 @@ mod tests {
             .with_net_fault(0, NetFault::EquivocateSplit { boundary: 1 })
             .with_net_fault(0, NetFault::SelectiveSend(vec![1]));
         assert!(DgdTask::new(*problem.config(), problem.costs())
-            .run_simulated(&sim, &Cge::new(), &options)
+            .run_dense(Launch::Simulated(&sim), &Cge::new(), &options)
             .is_err());
     }
 
@@ -633,8 +503,8 @@ mod tests {
         let sim = SimulatedRun::server(
             NetworkModel::seeded(3).with_default_link(LinkModel::ideal().with_drop(0.9)),
         );
-        let _ = DgdTask::new(*problem.config(), problem.costs()).run_simulated(
-            &sim,
+        let _ = DgdTask::new(*problem.config(), problem.costs()).run_dense(
+            Launch::Simulated(&sim),
             &Cge::new(),
             &options,
         );
@@ -652,12 +522,12 @@ mod tests {
                 .with_round_timeout_ns(1_000),
         );
         let outcome = DgdTask::new(*problem.config(), problem.costs())
-            .run_simulated(&sim, &Cge::new(), &options)
+            .run_dense(Launch::Simulated(&sim), &Cge::new(), &options)
             .unwrap();
-        assert_eq!(outcome.net.delivered, 0);
-        assert_eq!(outcome.net.late, outcome.net.sent);
-        assert_eq!(outcome.result.trace.len(), 9);
+        assert_eq!(outcome.counters.net.delivered, 0);
+        assert_eq!(outcome.counters.net.late, outcome.counters.net.sent);
+        assert_eq!(outcome.run.trace.len(), 9);
         let x0 = options.projection.project(&options.x0);
-        assert!(outcome.result.final_estimate.approx_eq(&x0, 0.0));
+        assert!(outcome.run.final_estimate.approx_eq(&x0, 0.0));
     }
 }

@@ -1,12 +1,12 @@
 //! A declarative description of one distributed DGD execution.
 //!
-//! [`DgdTask`] collapses the historical six-positional-argument entry
-//! points of this crate into a single buildable value: which `(n, f)`
-//! system, which costs, which agents misbehave and how. The same task
-//! value can be launched on the thread-per-agent server runtime
-//! ([`DgdTask::run_threaded`]) or on the EIG peer-to-peer runtime
-//! ([`DgdTask::run_peer_to_peer`]); the `abft-scenario` crate builds these
-//! tasks from declarative `Scenario` specs.
+//! [`DgdTask`] is the single buildable launch value of this crate: which
+//! `(n, f)` system, which costs, which agents misbehave and how. The same
+//! task value runs on any runtime — [`DgdTask::run`] takes a [`Launch`]
+//! naming the event-loop server (on a transient or a caller-kept
+//! [`Fleet`]), the EIG peer-to-peer network, or a [`SimulatedRun`] over
+//! faulty links; the `abft-scenario` crate builds these tasks from
+//! declarative `Scenario` specs.
 //!
 //! # Example
 //!
@@ -15,57 +15,87 @@
 //! use abft_dgd::RunOptions;
 //! use abft_filters::Cge;
 //! use abft_problems::RegressionProblem;
-//! use abft_runtime::DgdTask;
+//! use abft_runtime::{DgdTask, Launch};
 //!
 //! # fn main() -> Result<(), abft_runtime::RuntimeError> {
 //! let problem = RegressionProblem::paper_instance();
 //! let x_h = problem.subset_minimizer(&[1, 2, 3, 4, 5]).expect("full rank");
 //! let mut options = RunOptions::paper_defaults(x_h);
 //! options.iterations = 30;
-//! let result = DgdTask::new(*problem.config(), problem.costs())
+//! let out = DgdTask::new(*problem.config(), problem.costs())
 //!     .byzantine(0, Box::new(GradientReverse::new()))
-//!     .run_threaded(&Cge::new(), &options)?;
-//! assert_eq!(result.trace.len(), 31);
+//!     .run_dense(Launch::Threaded, &Cge::new(), &options)?;
+//! assert_eq!(out.run.trace.len(), 31);
+//! assert_eq!(out.counters.rounds, 31);
 //! # Ok(())
 //! # }
 //! ```
 
 use crate::error::RuntimeError;
 use crate::fleet::Fleet;
-use crate::metrics::RuntimeMetrics;
-use crate::peer_to_peer::{PeerToPeerOutcome, PeerToPeerResult};
-use crate::simulated::{SimulatedOutcome, SimulatedResult, SimulatedRun};
+use crate::simulated::{SimTopology, SimulatedRun};
 use abft_attacks::ByzantineStrategy;
 use abft_core::observe::{RunObserver, TraceRecorder};
+use abft_core::validate::FaultBudget;
 use abft_core::SystemConfig;
-use abft_dgd::{ObservedRun, RunOptions, RunResult};
+use abft_dgd::{Outcome, RunOptions, RunResult};
 use abft_filters::GradientFilter;
+use abft_net::NetFault;
 use abft_problems::SharedCost;
-
-/// Attaches a dense recorder's trace to an observed run — how the
-/// fixed-horizon conveniences rebuild the historical [`RunResult`] on top
-/// of the streaming entry points.
-fn dense_result(recorder: TraceRecorder, run: ObservedRun) -> RunResult {
-    RunResult {
-        trace: recorder.into_trace(),
-        final_estimate: run.final_estimate,
-        summary: run.summary,
-    }
-}
+use std::collections::BTreeMap;
 
 /// One distributed DGD execution: the `(n, f)` system, the agents' costs,
 /// and the fault plan (Byzantine strategies and crash schedules).
 ///
 /// Construction is infallible; all structural validation (cost counts and
 /// dimensions, agent ranges, the fault budget, omniscient-strategy
-/// restrictions) happens when the task is launched on a runtime, so a
-/// malformed task reports exactly the same [`RuntimeError`]s the historical
-/// free functions did.
+/// restrictions) happens when the task is launched on a runtime.
 pub struct DgdTask {
+    config: SystemConfig,
+    costs: Vec<SharedCost>,
+    byzantine: Vec<(usize, Box<dyn ByzantineStrategy>)>,
+    crashes: Vec<(usize, usize)>,
+}
+
+/// Where a [`DgdTask`] runs.
+pub enum Launch<'a> {
+    /// The event-loop server runtime on a transient [`Fleet`] of
+    /// [`RunOptions::fleet_workers`] workers.
+    Threaded,
+    /// The event-loop server runtime on a caller-owned persistent
+    /// [`Fleet`]: its worker pool, gradient batch and agent cells survive
+    /// the run and are reused by the next one, so a grid of tasks pays
+    /// fleet setup once (each reuse is counted in
+    /// [`RunCounters::fleet_reuse_hits`](abft_dgd::RunCounters)).
+    Fleet(&'a mut Fleet),
+    /// The peer-to-peer runtime on a reliable bus: one EIG broadcast per
+    /// agent per iteration, every honest agent filtering locally
+    /// (requires `3f < n`; crash schedules are rejected). With
+    /// `equivocate`, each Byzantine agent sends its forged gradient `v` to
+    /// half the network and `−v` to the other half; EIG agreement still
+    /// forces a consistent view.
+    PeerToPeer {
+        /// Whether Byzantine agents split their forgeries.
+        equivocate: bool,
+    },
+    /// Either architecture (or the asynchronous server) over a seeded
+    /// network simulator whose links delay, drop, reorder and partition
+    /// messages, with the plan's network-level Byzantine faults layered on
+    /// the task's attacks. Over a fault-free [`abft_net::NetworkModel`]
+    /// this is bit-identical to the corresponding real runtime.
+    Simulated(&'a SimulatedRun),
+}
+
+/// A task's fault plan indexed by agent id — what every message-passing
+/// driver needs before its first round.
+pub(crate) struct FaultPlan {
     pub(crate) config: SystemConfig,
     pub(crate) costs: Vec<SharedCost>,
-    pub(crate) byzantine: Vec<(usize, Box<dyn ByzantineStrategy>)>,
-    pub(crate) crashes: Vec<(usize, usize)>,
+    pub(crate) strategies: Vec<Option<Box<dyn ByzantineStrategy>>>,
+    pub(crate) crash_at: Vec<Option<usize>>,
+    pub(crate) net_faults: BTreeMap<usize, NetFault>,
+    /// Agents with no strategy, no crash schedule and no net fault.
+    pub(crate) honest: Vec<usize>,
 }
 
 impl DgdTask {
@@ -99,206 +129,127 @@ impl DgdTask {
         &self.config
     }
 
-    /// Runs the task on the event-loop server runtime with a transient
-    /// [`Fleet`] of [`RunOptions::fleet_workers`] workers. Callers running
-    /// many tasks (suites, sweeps) should keep a fleet and launch through
-    /// [`DgdTask::run_threaded_with_fleet`] so agent construction and the
-    /// worker threads are paid for once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Config`] for invalid fault assignments or
-    /// omniscient strategies (a server agent cannot observe other agents'
-    /// in-flight gradients) and [`RuntimeError::Dgd`] for filter/dimension
-    /// failures.
-    pub fn run_threaded(
+    /// Validates the fault assignments against the budget and indexes
+    /// them by agent: the strategy table, the crash table, the net faults
+    /// (validated against a bus of `addresses` endpoints; a net-faulty
+    /// agent consumes budget unless a strategy or crash already did), and
+    /// the honest set. Omniscient strategies are rejected — a `who` agent
+    /// cannot observe the other agents' in-flight gradients (use
+    /// [`abft_dgd::DgdSimulation`] for omniscient attack studies).
+    // LINT-ALLOW(panic-reach): both tables are allocated with length n and
+    // every index has passed `FaultBudget::assign`'s `agent < n` check.
+    pub(crate) fn fault_plan(
         self,
-        filter: &dyn GradientFilter,
-        options: &RunOptions,
-    ) -> Result<RunResult, RuntimeError> {
-        self.run_threaded_with_metrics(filter, options, &RuntimeMetrics::new())
-    }
-
-    /// [`DgdTask::run_threaded`] with an external metrics collector.
-    ///
-    /// # Errors
-    ///
-    /// See [`DgdTask::run_threaded`].
-    pub fn run_threaded_with_metrics(
-        self,
-        filter: &dyn GradientFilter,
-        options: &RunOptions,
-        metrics: &RuntimeMetrics,
-    ) -> Result<RunResult, RuntimeError> {
-        let mut fleet = Fleet::new(options.fleet_workers);
-        self.run_threaded_with_fleet(&mut fleet, filter, options, metrics)
-    }
-
-    /// [`DgdTask::run_threaded`] on a caller-owned persistent [`Fleet`] —
-    /// the fleet-reuse entry point. The fleet's worker pool, gradient
-    /// batch, and agent cells survive this run and are reused by the next
-    /// one, so a grid of tasks pays fleet setup once (each reuse is
-    /// counted in [`MetricsSnapshot::fleet_reuse_hits`]).
-    ///
-    /// [`MetricsSnapshot::fleet_reuse_hits`]:
-    /// crate::metrics::MetricsSnapshot::fleet_reuse_hits
-    ///
-    /// # Errors
-    ///
-    /// See [`DgdTask::run_threaded`].
-    pub fn run_threaded_with_fleet(
-        self,
-        fleet: &mut Fleet,
-        filter: &dyn GradientFilter,
-        options: &RunOptions,
-        metrics: &RuntimeMetrics,
-    ) -> Result<RunResult, RuntimeError> {
-        let mut recorder = TraceRecorder::dense(filter.name());
-        let run = crate::event_loop::execute(self, fleet, filter, options, metrics, &mut recorder)?;
-        Ok(dense_result(recorder, run))
-    }
-
-    /// [`DgdTask::run_threaded`] with a caller-supplied
-    /// [`RunObserver`] instead of dense recording — the streaming entry
-    /// point. The observer sees one lazy round view per synchronous round
-    /// and can stop the server early by returning
-    /// [`abft_core::observe::ControlFlow::Halt`]; the run then stops
-    /// dispatching round events and reports the halt round in its
-    /// [`abft_core::observe::RunSummary`].
-    ///
-    /// # Errors
-    ///
-    /// See [`DgdTask::run_threaded`].
-    pub fn run_threaded_observed(
-        self,
-        filter: &dyn GradientFilter,
-        options: &RunOptions,
-        metrics: &RuntimeMetrics,
-        observer: &mut dyn RunObserver,
-    ) -> Result<ObservedRun, RuntimeError> {
-        let mut fleet = Fleet::new(options.fleet_workers);
-        self.run_threaded_observed_with_fleet(&mut fleet, filter, options, metrics, observer)
-    }
-
-    /// [`DgdTask::run_threaded_observed`] on a caller-owned persistent
-    /// [`Fleet`] — streaming observation plus fleet reuse, the combination
-    /// the scenario suite workers drive.
-    ///
-    /// # Errors
-    ///
-    /// See [`DgdTask::run_threaded`].
-    pub fn run_threaded_observed_with_fleet(
-        self,
-        fleet: &mut Fleet,
-        filter: &dyn GradientFilter,
-        options: &RunOptions,
-        metrics: &RuntimeMetrics,
-        observer: &mut dyn RunObserver,
-    ) -> Result<ObservedRun, RuntimeError> {
-        crate::event_loop::execute(self, fleet, filter, options, metrics, observer)
-    }
-
-    /// Runs the task on the peer-to-peer runtime: one EIG broadcast per
-    /// agent per iteration, every honest agent filtering locally.
-    ///
-    /// When `equivocate` is set, each Byzantine agent splits its forged
-    /// gradient (sending `v` to half the network and `−v` to the other
-    /// half); EIG agreement still forces a consistent view.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Config`] for invalid assignments, `3f ≥ n`,
-    /// crash schedules (the peer-to-peer runtime does not model crashes),
-    /// or omniscient strategies; [`RuntimeError::Dgd`] for filter
-    /// failures; and [`RuntimeError::LockstepViolation`] if honest agents
-    /// diverge (an internal consistency check).
-    pub fn run_peer_to_peer(
-        self,
-        equivocate: bool,
-        filter: &dyn GradientFilter,
-        options: &RunOptions,
-    ) -> Result<PeerToPeerResult, RuntimeError> {
-        let mut recorder = TraceRecorder::dense(filter.name());
-        let outcome =
-            crate::peer_to_peer::execute(self, equivocate, filter, options, &mut recorder)?;
-        Ok(PeerToPeerResult {
-            result: dense_result(recorder, outcome.run),
-            broadcasts: outcome.broadcasts,
-            net: outcome.net,
-            final_spread: outcome.final_spread,
+        net_faults: &[(usize, NetFault)],
+        addresses: usize,
+        who: &str,
+    ) -> Result<FaultPlan, RuntimeError> {
+        let n = self.config.n();
+        let mut strategies: Vec<Option<Box<dyn ByzantineStrategy>>> =
+            (0..n).map(|_| None).collect();
+        let mut crash_at: Vec<Option<usize>> = vec![None; n];
+        let mut budget = FaultBudget::new(&self.config);
+        for (agent, strategy) in self.byzantine {
+            budget.assign(agent)?;
+            if strategy.is_omniscient() {
+                return Err(RuntimeError::Config(format!(
+                    "strategy '{}' is omniscient; {who} agents cannot observe \
+                     other agents' in-flight gradients",
+                    strategy.name()
+                )));
+            }
+            strategies[agent] = Some(strategy);
+        }
+        for (agent, iteration) in self.crashes {
+            budget.assign(agent)?;
+            crash_at[agent] = Some(iteration);
+        }
+        let net_faults = abft_net::validate_net_faults(net_faults, n, addresses)
+            .map_err(RuntimeError::Config)?;
+        for &agent in net_faults.keys() {
+            if strategies[agent].is_none() && crash_at[agent].is_none() {
+                budget.assign(agent)?;
+            }
+        }
+        let honest = (0..n).filter(|&i| !budget.is_faulty(i)).collect();
+        Ok(FaultPlan {
+            config: self.config,
+            costs: self.costs,
+            strategies,
+            crash_at,
+            net_faults,
+            honest,
         })
     }
 
-    /// [`DgdTask::run_peer_to_peer`] with a caller-supplied
-    /// [`RunObserver`] instead of dense recording. The observer follows
-    /// the leader's (first honest agent's) perspective; a halt stops the
-    /// protocol *before* any estimate of that round moves, so every
-    /// honest agent ends at the halt round's estimate.
+    /// Runs the task on the runtime `launch` names, reporting each round
+    /// to `observer`. The observer sees one lazy round view per
+    /// aggregation round (the leader's — first honest agent's —
+    /// perspective on a peer-to-peer topology) and can stop the run by
+    /// returning [`abft_core::observe::ControlFlow::Halt`]: no estimate of
+    /// that round moves, and the halt round is bit-identical on every
+    /// runtime over ideal links.
     ///
     /// # Errors
     ///
-    /// See [`DgdTask::run_peer_to_peer`].
-    pub fn run_peer_to_peer_observed(
+    /// [`RuntimeError::Config`] for invalid fault or net-fault assignments,
+    /// omniscient strategies, `3f ≥ n` or crash schedules on a
+    /// peer-to-peer topology, and a staleness bound on a round-lockstep
+    /// one; [`RuntimeError::Dgd`] for dimension mismatches, filter
+    /// failures (heavy message loss can leave a round with fewer
+    /// gradients than the filter needs) and a diverged estimate; and
+    /// [`RuntimeError::LockstepViolation`] if honest peer-to-peer agents
+    /// disagree on a reliable bus (an internal consistency check).
+    pub fn run(
         self,
-        equivocate: bool,
+        launch: Launch<'_>,
         filter: &dyn GradientFilter,
         options: &RunOptions,
         observer: &mut dyn RunObserver,
-    ) -> Result<PeerToPeerOutcome, RuntimeError> {
-        crate::peer_to_peer::execute(self, equivocate, filter, options, observer)
+    ) -> Result<Outcome, RuntimeError> {
+        match launch {
+            Launch::Threaded => {
+                let mut fleet = Fleet::new(options.fleet_workers);
+                crate::event_loop::execute(self, &mut fleet, filter, options, observer)
+            }
+            Launch::Fleet(fleet) => {
+                crate::event_loop::execute(self, fleet, filter, options, observer)
+            }
+            Launch::PeerToPeer { equivocate } => {
+                crate::peer_to_peer::execute(self, equivocate, filter, options, observer)
+            }
+            Launch::Simulated(sim) => match sim.topology {
+                SimTopology::PeerToPeer { equivocate } => {
+                    crate::simulated::execute_p2p(self, sim, equivocate, filter, options, observer)
+                }
+                SimTopology::Server => {
+                    crate::simulated::execute_server(self, sim, filter, options, observer)
+                }
+                SimTopology::AsyncServer(config) => crate::async_server::execute_async_server(
+                    self, sim, config, filter, options, observer,
+                ),
+            },
+        }
     }
 
-    /// Runs the task over a seeded network simulator, in either
-    /// architecture: links may delay, drop, reorder, and partition the
-    /// protocol's messages, and [`SimulatedRun::net_faults`] layer
-    /// network-level Byzantine behaviours on the task's attacks.
-    ///
-    /// Over a fault-free [`abft_net::NetworkModel`] this is bit-identical
-    /// to the corresponding real runtime ([`DgdTask::run_peer_to_peer`],
-    /// or the in-process/threaded drivers for the server topology).
+    /// [`DgdTask::run`] with dense in-memory recording: the outcome's run
+    /// carries the full trace (`iterations + 1` records).
     ///
     /// # Errors
     ///
-    /// The corresponding real runtime's errors, plus
-    /// [`RuntimeError::Config`] for invalid net-fault assignments; heavy
-    /// message loss can also surface as [`RuntimeError::Dgd`] when a
-    /// round delivers fewer gradients than the filter needs.
-    pub fn run_simulated(
+    /// See [`DgdTask::run`].
+    pub fn run_dense(
         self,
-        sim: &SimulatedRun,
+        launch: Launch<'_>,
         filter: &dyn GradientFilter,
         options: &RunOptions,
-    ) -> Result<SimulatedResult, RuntimeError> {
+    ) -> Result<Outcome<RunResult>, RuntimeError> {
         let mut recorder = TraceRecorder::dense(filter.name());
-        let outcome = crate::simulated::execute(self, sim, filter, options, &mut recorder)?;
-        Ok(SimulatedResult {
-            result: dense_result(recorder, outcome.run),
-            net: outcome.net,
-            broadcasts: outcome.broadcasts,
-            stragglers: outcome.stragglers,
-            stale_rows: outcome.stale_rows,
-            clock_skew_ns: outcome.clock_skew_ns,
-            async_steps: outcome.async_steps,
-            final_spread: outcome.final_spread,
+        let out = self.run(launch, filter, options, &mut recorder)?;
+        Ok(Outcome {
+            run: RunResult::dense(recorder, out.run),
+            counters: out.counters,
+            final_spread: out.final_spread,
         })
-    }
-
-    /// [`DgdTask::run_simulated`] with a caller-supplied [`RunObserver`]
-    /// instead of dense recording, in either topology. A halt stops the
-    /// protocol with the halt round's estimate as final, exactly like the
-    /// other runtimes — over ideal links the halt round is bit-identical
-    /// to theirs.
-    ///
-    /// # Errors
-    ///
-    /// See [`DgdTask::run_simulated`].
-    pub fn run_simulated_observed(
-        self,
-        sim: &SimulatedRun,
-        filter: &dyn GradientFilter,
-        options: &RunOptions,
-        observer: &mut dyn RunObserver,
-    ) -> Result<SimulatedOutcome, RuntimeError> {
-        crate::simulated::execute(self, sim, filter, options, observer)
     }
 }

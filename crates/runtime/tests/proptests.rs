@@ -140,7 +140,7 @@ proptest! {
         use abft_filters::{Cge, Cwtm, GradientFilter};
         use abft_net::NetworkModel;
         use abft_problems::RegressionProblem;
-        use abft_runtime::{AsyncConfig, DgdTask, SimulatedRun};
+        use abft_runtime::{AsyncConfig, DgdTask, Launch, SimulatedRun};
 
         let problem = RegressionProblem::paper_instance();
         let x_h = problem.subset_minimizer(&[1, 2, 3, 4, 5]).expect("honest subset");
@@ -165,24 +165,27 @@ proptest! {
             }
         };
         let asynchronous = task()
-            .run_simulated(
-                &SimulatedRun::async_server(NetworkModel::ideal(), AsyncConfig::new()),
+            .run_dense(
+                Launch::Simulated(&SimulatedRun::async_server(
+                    NetworkModel::ideal(),
+                    AsyncConfig::new(),
+                )),
                 filter.as_ref(),
                 &options,
             )
             .expect("async run succeeds");
         let synchronous = task()
-            .run_simulated(
-                &SimulatedRun::server(NetworkModel::ideal()),
+            .run_dense(
+                Launch::Simulated(&SimulatedRun::server(NetworkModel::ideal())),
                 filter.as_ref(),
                 &options,
             )
             .expect("sync run succeeds");
         prop_assert_eq!(
-            asynchronous.result.trace.records(),
-            synchronous.result.trace.records()
+            asynchronous.run.trace.records(),
+            synchronous.run.trace.records()
         );
-        prop_assert_eq!(asynchronous.stale_rows, 0);
-        prop_assert_eq!(asynchronous.stragglers, 0);
+        prop_assert_eq!(asynchronous.counters.stale_rows, 0);
+        prop_assert_eq!(asynchronous.counters.stragglers, 0);
     }
 }

@@ -8,7 +8,7 @@ use abft_dgd::{DgdSimulation, RunOptions};
 use abft_filters::Cge;
 use abft_net::{LinkModel, NetworkModel};
 use abft_problems::RegressionProblem;
-use abft_runtime::{DgdTask, RuntimeMetrics, SimulatedRun};
+use abft_runtime::{AsyncConfig, DgdTask, Launch, RunCounters, SimulatedRun};
 use abft_telemetry::TelemetryConfig;
 
 fn paper_options(iterations: usize, telemetry: TelemetryConfig) -> (RegressionProblem, RunOptions) {
@@ -43,23 +43,27 @@ fn telemetry_on_is_bit_identical_to_off_on_every_backend() {
     let run_threaded = |options: &RunOptions| {
         DgdTask::new(*problem.config(), problem.costs())
             .byzantine(0, Box::new(GradientReverse::new()))
-            .run_threaded(&Cge::new(), options)
+            .run_dense(Launch::Threaded, &Cge::new(), options)
             .unwrap()
     };
     let a = run_threaded(&off);
     let b = run_threaded(&on);
-    assert_eq!(a.trace.records(), b.trace.records());
+    assert_eq!(a.run.trace.records(), b.run.trace.records());
 
     // Peer-to-peer runtime.
     let run_p2p = |options: &RunOptions| {
         DgdTask::new(*problem.config(), problem.costs())
             .byzantine(0, Box::new(GradientReverse::new()))
-            .run_peer_to_peer(false, &Cge::new(), options)
+            .run_dense(
+                Launch::PeerToPeer { equivocate: false },
+                &Cge::new(),
+                options,
+            )
             .unwrap()
     };
     let a = run_p2p(&off);
     let b = run_p2p(&on);
-    assert_eq!(a.result.trace.records(), b.result.trace.records());
+    assert_eq!(a.run.trace.records(), b.run.trace.records());
 
     // Simulated server and simulated peer-to-peer, over a *lossy* seeded
     // network (the regime where a telemetry-induced perturbation of the
@@ -77,13 +81,16 @@ fn telemetry_on_is_bit_identical_to_off_on_every_backend() {
         let run_sim = |options: &RunOptions| {
             DgdTask::new(*problem.config(), problem.costs())
                 .byzantine(0, Box::new(GradientReverse::new()))
-                .run_simulated(&sim, &Cge::new(), options)
+                .run_dense(Launch::Simulated(&sim), &Cge::new(), options)
                 .unwrap()
         };
         let a = run_sim(&off);
         let b = run_sim(&on);
-        assert_eq!(a.result.trace.records(), b.result.trace.records());
-        assert_eq!(a.net, b.net, "telemetry must not perturb the schedule");
+        assert_eq!(a.run.trace.records(), b.run.trace.records());
+        assert_eq!(
+            a.counters.net, b.counters.net,
+            "telemetry must not perturb the schedule"
+        );
     }
 }
 
@@ -96,13 +103,9 @@ fn reports_are_present_exactly_when_enabled() {
 
     let run = |options: &RunOptions| {
         DgdTask::new(*problem.config(), problem.costs())
-            .run_threaded_observed(
-                &Cge::new(),
-                options,
-                &RuntimeMetrics::new(),
-                &mut NullObserver,
-            )
+            .run(Launch::Threaded, &Cge::new(), options, &mut NullObserver)
             .unwrap()
+            .run
     };
     assert!(run(&off).telemetry.is_none());
     let report = run(&on).telemetry.expect("enabled runs carry a report");
@@ -131,7 +134,7 @@ fn seeded_simulated_runs_reproduce_identical_virtual_reports() {
     ] {
         let run = || {
             DgdTask::new(*problem.config(), problem.costs())
-                .run_simulated_observed(&sim, &Cge::new(), &on, &mut NullObserver)
+                .run(Launch::Simulated(&sim), &Cge::new(), &on, &mut NullObserver)
                 .unwrap()
         };
         let a = run().run.telemetry.expect("enabled");
@@ -152,7 +155,6 @@ fn seeded_simulated_runs_reproduce_identical_virtual_reports() {
 /// vocabulary.
 #[test]
 fn seeded_async_runs_reproduce_identical_virtual_reports() {
-    use abft_runtime::AsyncConfig;
     let (problem, on) = paper_options(30, TelemetryConfig::On);
     let sim = SimulatedRun::async_server(
         NetworkModel::seeded(42)
@@ -164,7 +166,7 @@ fn seeded_async_runs_reproduce_identical_virtual_reports() {
     );
     let run = || {
         DgdTask::new(*problem.config(), problem.costs())
-            .run_simulated_observed(&sim, &Cge::new(), &on, &mut NullObserver)
+            .run(Launch::Simulated(&sim), &Cge::new(), &on, &mut NullObserver)
             .unwrap()
     };
     let a = run();
@@ -176,11 +178,108 @@ fn seeded_async_runs_reproduce_identical_virtual_reports() {
     assert_eq!(report_a.counter("async-steps"), 31, "one per step");
     assert_eq!(
         report_a.counter("stale-rows-dropped") as usize,
-        a.stale_rows,
+        a.counters.stale_rows,
         "the report and the outcome agree on staleness"
     );
     assert!(
         report_a.phase_total_ns("gradient-fill") > 0,
         "fill spans cover the agents' virtual compute time"
     );
+}
+
+/// One source of counters: with telemetry on, every [`RunCounters`] field
+/// that has a telemetry counter equals it, on each of the five DGD
+/// backends — the report's counter map is a copy of the struct the driver
+/// counted into, made once at run end.
+#[test]
+fn run_counters_and_the_telemetry_report_agree_on_every_backend() {
+    let (problem, on) = paper_options(30, TelemetryConfig::On);
+    let lossy = || {
+        NetworkModel::seeded(11)
+            .with_default_link(LinkModel::ideal().with_drop(0.1).with_reorder_ns(2_000))
+    };
+    let tau = 2 * NetworkModel::DEFAULT_ROUND_TIMEOUT_NS;
+    let sim_server = SimulatedRun::server(lossy());
+    let sim_p2p = SimulatedRun::peer_to_peer(lossy());
+    let sim_async = SimulatedRun::async_server(
+        lossy(),
+        AsyncConfig::new()
+            .with_staleness_ns(tau)
+            .with_compute_jitter_ns(300_000)
+            .with_clock_seed(5),
+    );
+    let task = |crash: bool| {
+        let task = DgdTask::new(*problem.config(), problem.costs());
+        if crash {
+            task.crash(3, 10)
+        } else {
+            task.byzantine(0, Box::new(GradientReverse::new()))
+        }
+    };
+
+    // In-process first: its only counter is `rounds`.
+    let mut sim = DgdSimulation::new(*problem.config(), problem.costs()).unwrap();
+    let in_process = sim
+        .run_observed(
+            &Cge::new(),
+            &on,
+            &mut abft_dgd::RoundWorkspace::new(),
+            &mut NullObserver,
+        )
+        .unwrap();
+    let report = in_process.telemetry.expect("enabled");
+    assert_eq!(report.counter("rounds"), in_process.summary.rounds as u64);
+    assert_eq!(report.counter("replies") + report.counter("broadcasts"), 0);
+
+    // `(backend, crash schedule?, launch, a counter that must be live)`.
+    type Live = fn(&RunCounters) -> usize;
+    let cases: [(&str, bool, Launch<'_>, Live); 5] = [
+        ("threaded", true, Launch::Threaded, |c| c.agents_eliminated),
+        (
+            "peer-to-peer",
+            false,
+            Launch::PeerToPeer { equivocate: false },
+            |c| c.eig_broadcasts,
+        ),
+        (
+            "simulated-server",
+            false,
+            Launch::Simulated(&sim_server),
+            |c| c.stragglers,
+        ),
+        ("simulated-p2p", false, Launch::Simulated(&sim_p2p), |c| {
+            c.net.dropped as usize
+        }),
+        (
+            "simulated-async",
+            false,
+            Launch::Simulated(&sim_async),
+            |c| c.stale_rows,
+        ),
+    ];
+    for (backend, crash, launch, live) in cases {
+        let out = task(crash)
+            .run(launch, &Cge::new(), &on, &mut NullObserver)
+            .unwrap_or_else(|e| panic!("{backend}: {e}"));
+        let c = out.counters;
+        let report = out.run.telemetry.expect("enabled");
+        assert!(live(&c) > 0, "{backend}: the case exercises nothing: {c:?}");
+        let expected = [
+            ("rounds", c.rounds as u64),
+            ("broadcasts", (c.broadcasts_sent + c.eig_broadcasts) as u64),
+            ("replies", c.replies_received as u64),
+            ("eliminations", c.agents_eliminated as u64),
+            ("stragglers", c.stragglers as u64),
+            ("stale-rows-dropped", c.stale_rows as u64),
+            ("async-steps", c.async_steps as u64),
+            ("net-sent", c.net.sent),
+            ("net-delivered", c.net.delivered),
+            ("net-dropped", c.net.dropped),
+            ("net-late", c.net.late),
+        ];
+        for (name, value) in expected {
+            assert_eq!(report.counter(name), value, "{backend}: counter {name}");
+        }
+        assert_eq!(c.rounds, out.run.summary.rounds, "{backend}: rounds");
+    }
 }

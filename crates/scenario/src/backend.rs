@@ -8,64 +8,21 @@ use abft_core::observe::{
     ControlFlow, ConvergenceHalt, Probe, RoundView, RunObserver, RunSummary, TraceRecorder,
 };
 use abft_core::{CoreError, Trace};
-use abft_dgd::DgdSimulation;
+use abft_dgd::{DgdSimulation, ObservedRun};
 use abft_linalg::Vector;
-use abft_net::{NetMetrics, NetworkModel};
-use abft_runtime::{AsyncConfig, DgdTask, RuntimeMetrics, SimTopology, SimulatedRun};
+use abft_net::NetworkModel;
+use abft_runtime::{AsyncConfig, DgdTask, Launch, SimTopology, SimulatedRun};
 use abft_telemetry::clock::Stopwatch;
 use abft_telemetry::TelemetryReport;
 use std::path::Path;
 use std::time::Duration;
 
-/// Backend-level counters, unified across runtimes. Fields that a backend
-/// does not produce stay zero (e.g. the in-process driver passes no
-/// messages; the server runtimes run no EIG broadcasts).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BackendMetrics {
-    /// Synchronous rounds executed (iterations + the final record round).
-    pub rounds: usize,
-    /// Estimate broadcasts sent by the server (threaded backend).
-    pub broadcasts_sent: usize,
-    /// Gradient replies received by the server (threaded backend).
-    pub replies_received: usize,
-    /// Agents eliminated via the S1 no-reply rule (threaded backend).
-    pub agents_eliminated: usize,
-    /// Scheduler dispatch cycles executed by the event-loop runtime, one
-    /// per synchronous round (threaded backend).
-    pub rounds_dispatched: usize,
-    /// `RoundStart` events processed by agent cells — one per active agent
-    /// per round, crashed cells included (threaded backend).
-    pub events_processed: usize,
-    /// Runs that found their agent [`Fleet`](abft_runtime::Fleet) already
-    /// warm, reusing its worker threads and batch instead of rebuilding
-    /// them (threaded backend under a reused [`SuiteWorkspace`]).
-    pub fleet_reuse_hits: usize,
-    /// EIG broadcast instances executed (peer-to-peer and simulated
-    /// peer-to-peer backends).
-    pub eig_broadcasts: usize,
-    /// Point-to-point messages inside EIG broadcasts (peer-to-peer and
-    /// simulated peer-to-peer backends).
-    pub eig_messages: usize,
-    /// Gradient replies that missed a round deadline or were lost
-    /// (simulated server backend).
-    pub stragglers: usize,
-    /// Gradient rows excluded from an aggregation step because they were
-    /// older than the staleness bound τ (asynchronous simulated-server
-    /// backend).
-    pub stale_rows: usize,
-    /// Largest spread of send timestamps inside one aggregated batch, in
-    /// virtual nanoseconds — how far apart the agents' clocks drifted over
-    /// the run (asynchronous simulated-server backend).
-    pub clock_skew_ns: u64,
-    /// Aggregation steps the asynchronous server executed (its analogue of
-    /// `rounds`; asynchronous simulated-server backend).
-    pub async_steps: usize,
-    /// Network counters — sent / delivered / dropped / late message
-    /// totals, virtual time elapsed, and the order-sensitive schedule
-    /// digest — reported by every backend that moves messages over an
-    /// `abft_net` bus (peer-to-peer and both simulated topologies).
-    pub net: NetMetrics,
-}
+/// Backend-level counters, unified across runtimes: the very struct the
+/// drivers count into while they run (see [`abft_dgd::RunCounters`] for
+/// the fields). Fields that a backend does not produce stay zero (e.g. the
+/// in-process driver passes no messages; the server runtimes run no EIG
+/// broadcasts).
+pub use abft_dgd::RunCounters as BackendMetrics;
 
 /// The unified result of running one [`Scenario`] on one [`Backend`]: the
 /// recorded trace (if the scenario's [`Recording`] mode kept one), the
@@ -207,35 +164,31 @@ pub trait Backend: Send + Sync {
     }
 }
 
-/// Rejects scenarios carrying network-level faults on a backend without a
-/// simulated network to execute them.
-fn reject_net_faults(backend: &'static str, scenario: &Scenario) -> Result<(), ScenarioError> {
-    if scenario.net_faults().is_empty() {
-        Ok(())
-    } else {
-        Err(ScenarioError::Unsupported(format!(
+/// Rejects what only a simulated network executes: network-level faults
+/// need links to choose, and a staleness bound only means something to the
+/// asynchronous simulated server, whose agents run on their own clocks.
+/// (The simulated sync topologies reject staleness at the runtime layer
+/// with the same contract.)
+fn require_lockstep_scenario(
+    backend: &'static str,
+    scenario: &Scenario,
+) -> Result<(), ScenarioError> {
+    if !scenario.net_faults().is_empty() {
+        return Err(ScenarioError::Unsupported(format!(
             "scenario '{}' carries network-level faults, which only the \
              simulated backend executes (backend: {backend})",
             scenario.label()
-        )))
+        )));
     }
-}
-
-/// Rejects scenarios carrying a staleness bound on a round-lockstep
-/// backend: bounded staleness only means something to the asynchronous
-/// simulated server, whose agents run on their own clocks. (The simulated
-/// sync topologies reject at the runtime layer with the same contract.)
-fn reject_staleness(backend: &'static str, scenario: &Scenario) -> Result<(), ScenarioError> {
-    if scenario.options().staleness_ns.is_none() {
-        Ok(())
-    } else {
-        Err(ScenarioError::Unsupported(format!(
+    if scenario.options().staleness_ns.is_some() {
+        return Err(ScenarioError::Unsupported(format!(
             "scenario '{}' carries a staleness bound, which only the \
              asynchronous simulated-server backend executes — the {backend} \
              backend runs in round lockstep",
             scenario.label()
-        )))
+        )));
     }
+    Ok(())
 }
 
 /// The observer a scenario's [`Recording`] mode and [`HaltRule`] compose
@@ -288,6 +241,54 @@ impl RunObserver for ScenarioObserver {
     }
 }
 
+impl RunReport {
+    /// The report of `scenario`'s run on `backend`: the run and what it
+    /// counted, the trace its observer kept, and the wall-clock it took.
+    fn assemble(
+        scenario: &Scenario,
+        backend: &'static str,
+        observer: ScenarioObserver,
+        run: ObservedRun,
+        metrics: BackendMetrics,
+        elapsed: Duration,
+    ) -> Self {
+        RunReport {
+            scenario: scenario.label().to_string(),
+            backend,
+            filter: scenario.filter().name().to_string(),
+            trace: observer.into_trace(),
+            summary: run.summary,
+            final_estimate: run.final_estimate,
+            elapsed,
+            metrics,
+            telemetry: run.telemetry,
+        }
+    }
+}
+
+/// Runs `scenario`'s task on the runtime `target` names, under the
+/// scenario's observer and a stopwatch — the body every message-passing
+/// backend shares.
+fn launch(
+    scenario: &Scenario,
+    backend: &'static str,
+    target: Launch<'_>,
+) -> Result<RunReport, ScenarioError> {
+    let mut observer = ScenarioObserver::for_scenario(scenario);
+    let started = Stopwatch::start();
+    let out =
+        task_for(scenario).run(target, scenario.filter(), scenario.options(), &mut observer)?;
+    let elapsed = started.elapsed();
+    Ok(RunReport::assemble(
+        scenario,
+        backend,
+        observer,
+        out.run,
+        out.counters,
+        elapsed,
+    ))
+}
+
 /// Materializes a scenario's fault plan onto a [`DgdTask`] — the single
 /// mapping every message-passing backend launches from, so they cannot
 /// diverge on assignment order (which the bit-exactness contract relies
@@ -319,8 +320,7 @@ impl Backend for InProcess {
         scenario: &Scenario,
         workspace: &mut SuiteWorkspace,
     ) -> Result<RunReport, ScenarioError> {
-        reject_net_faults(self.name(), scenario)?;
-        reject_staleness(self.name(), scenario)?;
+        require_lockstep_scenario(self.name(), scenario)?;
         let mut sim = DgdSimulation::new(*scenario.config(), scenario.costs().to_vec())?;
         for (agent, strategy) in scenario.byzantine_assignments() {
             sim = sim.with_byzantine(agent, strategy)?;
@@ -337,20 +337,18 @@ impl Backend for InProcess {
             &mut observer,
         )?;
         let elapsed = started.elapsed();
-        Ok(RunReport {
-            scenario: scenario.label().to_string(),
-            backend: self.name(),
-            filter: scenario.filter().name().to_string(),
-            metrics: BackendMetrics {
-                rounds: run.summary.rounds,
-                ..BackendMetrics::default()
-            },
-            final_estimate: run.final_estimate,
-            trace: observer.into_trace(),
-            summary: run.summary,
+        let metrics = BackendMetrics {
+            rounds: run.summary.rounds,
+            ..BackendMetrics::default()
+        };
+        Ok(RunReport::assemble(
+            scenario,
+            self.name(),
+            observer,
+            run,
+            metrics,
             elapsed,
-            telemetry: run.telemetry,
-        })
+        ))
     }
 }
 
@@ -375,42 +373,9 @@ impl Backend for Threaded {
         scenario: &Scenario,
         workspace: &mut SuiteWorkspace,
     ) -> Result<RunReport, ScenarioError> {
-        reject_net_faults(self.name(), scenario)?;
-        reject_staleness(self.name(), scenario)?;
-        let task = task_for(scenario);
-        let metrics = RuntimeMetrics::new();
-        let mut observer = ScenarioObserver::for_scenario(scenario);
+        require_lockstep_scenario(self.name(), scenario)?;
         let fleet = workspace.fleet_mut(scenario.options().fleet_workers);
-        let started = Stopwatch::start();
-        let run = task.run_threaded_observed_with_fleet(
-            fleet,
-            scenario.filter(),
-            scenario.options(),
-            &metrics,
-            &mut observer,
-        )?;
-        let elapsed = started.elapsed();
-        let snapshot = metrics.snapshot();
-        Ok(RunReport {
-            scenario: scenario.label().to_string(),
-            backend: self.name(),
-            filter: scenario.filter().name().to_string(),
-            metrics: BackendMetrics {
-                rounds: snapshot.rounds,
-                broadcasts_sent: snapshot.broadcasts_sent,
-                replies_received: snapshot.replies_received,
-                agents_eliminated: snapshot.agents_eliminated,
-                rounds_dispatched: snapshot.rounds_dispatched,
-                events_processed: snapshot.events_processed,
-                fleet_reuse_hits: snapshot.fleet_reuse_hits,
-                ..BackendMetrics::default()
-            },
-            final_estimate: run.final_estimate,
-            trace: observer.into_trace(),
-            summary: run.summary,
-            elapsed,
-            telemetry: run.telemetry,
-        })
+        launch(scenario, self.name(), Launch::Fleet(fleet))
     }
 }
 
@@ -434,35 +399,9 @@ impl Backend for PeerToPeer {
         scenario: &Scenario,
         _workspace: &mut SuiteWorkspace,
     ) -> Result<RunReport, ScenarioError> {
-        reject_net_faults(self.name(), scenario)?;
-        reject_staleness(self.name(), scenario)?;
-        let task = task_for(scenario);
-        let mut observer = ScenarioObserver::for_scenario(scenario);
-        let started = Stopwatch::start();
-        let outcome = task.run_peer_to_peer_observed(
-            self.equivocate,
-            scenario.filter(),
-            scenario.options(),
-            &mut observer,
-        )?;
-        let elapsed = started.elapsed();
-        Ok(RunReport {
-            scenario: scenario.label().to_string(),
-            backend: self.name(),
-            filter: scenario.filter().name().to_string(),
-            metrics: BackendMetrics {
-                rounds: outcome.run.summary.rounds,
-                eig_broadcasts: outcome.broadcasts,
-                eig_messages: outcome.net.sent as usize,
-                net: outcome.net,
-                ..BackendMetrics::default()
-            },
-            final_estimate: outcome.run.final_estimate,
-            trace: observer.into_trace(),
-            summary: outcome.run.summary,
-            elapsed,
-            telemetry: outcome.run.telemetry,
-        })
+        require_lockstep_scenario(self.name(), scenario)?;
+        let equivocate = self.equivocate;
+        launch(scenario, self.name(), Launch::PeerToPeer { equivocate })
     }
 }
 
@@ -537,45 +476,9 @@ impl Backend for Simulated {
         scenario: &Scenario,
         _workspace: &mut SuiteWorkspace,
     ) -> Result<RunReport, ScenarioError> {
-        let task = task_for(scenario);
         let mut sim = self.plan.clone();
         sim.net_faults.extend(scenario.net_faults().iter().cloned());
-        let mut observer = ScenarioObserver::for_scenario(scenario);
-        let started = Stopwatch::start();
-        let outcome = task.run_simulated_observed(
-            &sim,
-            scenario.filter(),
-            scenario.options(),
-            &mut observer,
-        )?;
-        let elapsed = started.elapsed();
-        // EIG counters only exist in the peer-to-peer topology; the server
-        // topology's wire traffic lives solely in the `net` counters.
-        let eig_messages = match self.plan.topology {
-            SimTopology::PeerToPeer { .. } => outcome.net.sent as usize,
-            SimTopology::Server | SimTopology::AsyncServer(_) => 0,
-        };
-        Ok(RunReport {
-            scenario: scenario.label().to_string(),
-            backend: self.name(),
-            filter: scenario.filter().name().to_string(),
-            metrics: BackendMetrics {
-                rounds: outcome.run.summary.rounds,
-                eig_broadcasts: outcome.broadcasts,
-                eig_messages,
-                stragglers: outcome.stragglers,
-                stale_rows: outcome.stale_rows,
-                clock_skew_ns: outcome.clock_skew_ns,
-                async_steps: outcome.async_steps,
-                net: outcome.net,
-                ..BackendMetrics::default()
-            },
-            final_estimate: outcome.run.final_estimate,
-            trace: observer.into_trace(),
-            summary: outcome.run.summary,
-            elapsed,
-            telemetry: outcome.run.telemetry,
-        })
+        launch(scenario, self.name(), Launch::Simulated(&sim))
     }
 }
 

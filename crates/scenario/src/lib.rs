@@ -11,7 +11,7 @@
 //!   [`abft_attacks::attack_by_name`]), so specs are plain data: names,
 //!   seeds, and run options.
 //! * [`Backend`] — where the spec runs. [`InProcess`] drives
-//!   [`abft_dgd::DgdSimulation`], [`Threaded`] the thread-per-agent server
+//!   [`abft_dgd::DgdSimulation`], [`Threaded`] the event-loop server
 //!   runtime, [`PeerToPeer`] the EIG-broadcast runtime, and [`Simulated`]
 //!   a seeded discrete-event network simulator (either architecture over
 //!   links that can delay, drop, reorder, and partition messages — see

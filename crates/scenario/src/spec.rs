@@ -83,7 +83,7 @@ pub(crate) struct FaultSpec {
 /// step schedule, projection set, reference point).
 ///
 /// A `Scenario` is runtime-agnostic: hand the same value to any
-/// [`Backend`](crate::Backend) — in-process, thread-per-agent, or
+/// [`Backend`](crate::Backend) — in-process, event-loop server, or
 /// peer-to-peer — and it produces one [`RunReport`](crate::RunReport) with
 /// the identical trace (asserted by the cross-backend equivalence tests).
 /// Scenarios are cheap to clone (costs and filters are shared behind

@@ -7,9 +7,13 @@
 //! panic it.
 
 use abft_attacks::{AttackContext, ByzantineStrategy};
-use abft_dgd::RunOptions;
+use abft_dgd::{DgdError, RunOptions};
 use abft_problems::RegressionProblem;
-use abft_scenario::{Backend, InProcess, NetworkModel, PeerToPeer, Scenario, Simulated, Threaded};
+use abft_runtime::RuntimeError;
+use abft_scenario::{
+    AsyncConfig, Backend, InProcess, NetworkModel, PeerToPeer, Scenario, ScenarioError, Simulated,
+    Threaded,
+};
 
 /// Forges `NaN` in every coordinate (with one `∞` for variety) from a
 /// chosen iteration on, behaving honestly before it — so the run is past
@@ -135,5 +139,74 @@ fn every_registered_filter_rejects_the_nan_round_cleanly() {
             err.to_string().contains("NaN or infinite"),
             "{filter}: unexpected error {err}"
         );
+    }
+}
+
+/// Forges the hostile-but-*finite* row `(1e200, −1e200, …)`: it passes the
+/// filters' non-finite entry guard, and `geomed`/`gmom` answer it with
+/// `Ok([NaN, NaN])` (squared norms overflow inside Weiszfeld — ROADMAP
+/// Open item 3, not fixed here).
+struct HugeFiniteForge;
+
+impl ByzantineStrategy for HugeFiniteForge {
+    fn corrupt_into(&mut self, _ctx: &AttackContext<'_>, out: &mut [f64]) {
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = if i % 2 == 0 { 1e200 } else { -1e200 };
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "huge-finite-forge"
+    }
+}
+
+#[test]
+fn a_poisoned_aggregate_is_the_same_divergence_on_every_backend() {
+    // One server step, one answer: the non-finite aggregate is caught
+    // where it is produced — iteration 0, before it reaches the estimate —
+    // and every backend reports it as `Diverged { iteration: 0 }`, wrapped
+    // in its own error type. A driver that skipped the check would blame
+    // an honest agent's NaN gradient one round late (`NonFinite`), or call
+    // `NaN ≠ NaN` a peer-to-peer lockstep violation.
+    let problem = RegressionProblem::paper_instance();
+    let x_h = problem
+        .subset_minimizer(&[1, 2, 3, 4, 5])
+        .expect("full rank");
+    let mut all = backends();
+    all.push((
+        "simulated-async",
+        Box::new(Simulated::async_server(
+            NetworkModel::ideal(),
+            AsyncConfig::new(),
+        )),
+    ));
+    for filter in ["geomed", "gmom"] {
+        for threads in [1usize, 4] {
+            let scenario = Scenario::builder()
+                .problem(&problem)
+                .faults(1)
+                .attack_with(0, "huge-finite-forge", || Box::new(HugeFiniteForge))
+                .filter(filter)
+                .options(
+                    RunOptions::paper_defaults_with_iterations(x_h.clone(), 20)
+                        .with_aggregation_threads(threads),
+                )
+                .build()
+                .expect("builds");
+            for (name, backend) in &all {
+                let err = backend
+                    .run(&scenario)
+                    .expect_err("a NaN aggregate must fail the run");
+                let inner = match &err {
+                    ScenarioError::Dgd(e) | ScenarioError::Runtime(RuntimeError::Dgd(e)) => e,
+                    other => panic!("{name}/{filter}@{threads}t: not a DGD failure: {other}"),
+                };
+                assert_eq!(
+                    inner,
+                    &DgdError::Diverged { iteration: 0 },
+                    "{name}/{filter}@{threads}t"
+                );
+            }
+        }
     }
 }

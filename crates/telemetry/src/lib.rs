@@ -324,6 +324,21 @@ impl Telemetry {
         }
     }
 
+    /// A handle in a message bus's clock domain: virtual, starting at
+    /// `now`, when the bus keeps a schedule-driven clock (`Some(now)` — a
+    /// simulated network, whose profiles are then pure functions of the
+    /// seed), wall-clock when it does not. Empty when `config` is off.
+    pub fn for_bus(config: TelemetryConfig, virtual_now: Option<u64>) -> Self {
+        match virtual_now {
+            Some(now) => {
+                let mut telemetry = Telemetry::virtual_time(config);
+                telemetry.set_virtual_ns(now);
+                telemetry
+            }
+            None => Telemetry::wall(config),
+        }
+    }
+
     /// Whether this handle is recording.
     pub fn enabled(&self) -> bool {
         self.recorder.is_some()
@@ -419,15 +434,15 @@ impl Telemetry {
         }
     }
 
-    /// Records the network-level counters a bus accumulated (drivers call
-    /// this once, at run end, from the bus's `NetMetrics`).
-    // LINT-ALLOW(panic-reach): fixed arrays indexed by enum discriminants.
-    pub fn record_net(&mut self, sent: u64, delivered: u64, dropped: u64, late: u64) {
+    /// Adds a run's final counter values in one go — drivers count in
+    /// plain integers while they run and copy them in here once, at run
+    /// end.
+    // LINT-ALLOW(panic-reach): fixed array indexed by enum discriminants.
+    pub fn record(&mut self, values: &[(Counter, u64)]) {
         if let Some(recorder) = self.recorder.as_deref_mut() {
-            recorder.counters[Counter::NetSent as usize] += sent;
-            recorder.counters[Counter::NetDelivered as usize] += delivered;
-            recorder.counters[Counter::NetDropped as usize] += dropped;
-            recorder.counters[Counter::NetLate as usize] += late;
+            for &(counter, amount) in values {
+                recorder.counters[counter as usize] += amount;
+            }
         }
     }
 
@@ -487,7 +502,7 @@ mod tests {
         let token = t.begin(Phase::Round);
         t.end(token);
         t.add(Counter::Rounds, 1);
-        t.record_net(1, 1, 0, 0);
+        t.record(&[(Counter::NetSent, 1), (Counter::NetDelivered, 1)]);
         assert!(t.dispatch_profile().is_none());
         assert!(t.finish().is_none());
     }

@@ -25,7 +25,7 @@ use approx_bft::core::observe::CsvStreamer;
 use approx_bft::dgd::RunOptions;
 use approx_bft::filters::Cge;
 use approx_bft::problems::RegressionProblem;
-use approx_bft::runtime::{DgdTask, SimulatedRun};
+use approx_bft::runtime::{DgdTask, Launch, SimulatedRun};
 use approx_bft::scenario::{
     AsyncConfig, Backend, LinkModel, NetworkModel, Scenario, Simulated, Threaded,
 };
@@ -124,8 +124,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut streamer = CsvStreamer::create(&csv_path)?.subsample(10);
     let outcome = DgdTask::new(*problem.config(), problem.costs())
         .byzantine(0, Box::new(approx_bft::attacks::GradientReverse::new()))
-        .run_simulated_observed(
-            &sim,
+        .run(
+            Launch::Simulated(&sim),
             &Cge::new(),
             &RunOptions::paper_defaults_with_iterations(x_h, ITERATIONS),
             &mut streamer,
@@ -134,8 +134,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nstreamed every-10th step to {} ({} steps, {} stale rows, dist = {:.5})",
         csv_path.display(),
-        outcome.async_steps,
-        outcome.stale_rows,
+        outcome.counters.async_steps,
+        outcome.counters.stale_rows,
         outcome.run.summary.final_distance(),
     );
     Ok(())

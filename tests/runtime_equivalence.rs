@@ -1,4 +1,4 @@
-//! Cross-runtime equivalence: the in-process driver, the thread-per-agent
+//! Cross-runtime equivalence: the in-process driver, the event-loop
 //! server runtime, and the EIG-based peer-to-peer runtime must agree.
 
 use approx_bft::attacks::{GradientReverse, RandomGaussian};
@@ -7,7 +7,7 @@ use approx_bft::dgd::{DgdSimulation, RunOptions};
 use approx_bft::filters::{Cge, Cwtm};
 use approx_bft::problems::RegressionProblem;
 use approx_bft::runtime::eig::EquivocationPlan;
-use approx_bft::runtime::{eig_broadcast, DgdTask};
+use approx_bft::runtime::{eig_broadcast, DgdTask, Launch};
 use std::collections::BTreeMap;
 
 fn setup(iterations: usize) -> (RegressionProblem, RunOptions) {
@@ -31,22 +31,26 @@ fn three_runtimes_agree_bit_for_bit() {
 
     let threaded = DgdTask::new(*problem.config(), problem.costs())
         .byzantine(0, Box::new(GradientReverse::new()))
-        .run_threaded(&Cge::new(), &options)
+        .run_dense(Launch::Threaded, &Cge::new(), &options)
         .expect("threaded runs");
 
     let p2p = DgdTask::new(*problem.config(), problem.costs())
         .byzantine(0, Box::new(GradientReverse::new()))
-        .run_peer_to_peer(false, &Cge::new(), &options)
+        .run_dense(
+            Launch::PeerToPeer { equivocate: false },
+            &Cge::new(),
+            &options,
+        )
         .expect("p2p runs");
 
-    assert_eq!(reference.trace.records(), threaded.trace.records());
-    assert_eq!(reference.trace.records(), p2p.result.trace.records());
+    assert_eq!(reference.trace.records(), threaded.run.trace.records());
+    assert_eq!(reference.trace.records(), p2p.run.trace.records());
     assert!(reference
         .final_estimate
-        .approx_eq(&threaded.final_estimate, 0.0));
+        .approx_eq(&threaded.run.final_estimate, 0.0));
     assert!(reference
         .final_estimate
-        .approx_eq(&p2p.result.final_estimate, 0.0));
+        .approx_eq(&p2p.run.final_estimate, 0.0));
 }
 
 #[test]
@@ -59,9 +63,9 @@ fn seeded_random_attack_is_identical_across_runtimes() {
     let reference = in_process.run(&Cwtm::new(), &options).expect("runs");
     let threaded = DgdTask::new(*problem.config(), problem.costs())
         .byzantine(0, Box::new(RandomGaussian::paper(5)))
-        .run_threaded(&Cwtm::new(), &options)
+        .run_dense(Launch::Threaded, &Cwtm::new(), &options)
         .expect("threaded runs");
-    assert_eq!(reference.trace.records(), threaded.trace.records());
+    assert_eq!(reference.trace.records(), threaded.run.trace.records());
 }
 
 #[test]
@@ -74,12 +78,12 @@ fn crash_elimination_matches_across_runtimes() {
     let reference = in_process.run(&Cge::new(), &options).expect("runs");
     let threaded = DgdTask::new(*problem.config(), problem.costs())
         .crash(2, 10)
-        .run_threaded(&Cge::new(), &options)
+        .run_dense(Launch::Threaded, &Cge::new(), &options)
         .expect("threaded runs");
     assert!(reference
         .final_estimate
-        .approx_eq(&threaded.final_estimate, 0.0));
-    assert_eq!(reference.trace.records(), threaded.trace.records());
+        .approx_eq(&threaded.run.final_estimate, 0.0));
+    assert_eq!(reference.trace.records(), threaded.run.trace.records());
 }
 
 #[test]
@@ -88,12 +92,16 @@ fn equivocating_p2p_still_converges_and_stays_in_lockstep() {
     let p2p = DgdTask::new(*problem.config(), problem.costs())
         .byzantine(0, Box::new(GradientReverse::new()))
         // equivocate: v to one half, −v to the other
-        .run_peer_to_peer(true, &Cge::new(), &options)
+        .run_dense(
+            Launch::PeerToPeer { equivocate: true },
+            &Cge::new(),
+            &options,
+        )
         .expect("no lockstep violation");
     assert!(
-        p2p.result.final_distance() < 0.089,
+        p2p.run.final_distance() < 0.089,
         "equivocation pushed d to {}",
-        p2p.result.final_distance()
+        p2p.run.final_distance()
     );
 }
 
