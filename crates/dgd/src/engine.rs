@@ -1,14 +1,16 @@
-//! The one server step (S1/S2 of Section 4.1) every DGD driver calls.
+//! The one server step (S2 of Section 4.1) every DGD driver calls.
 //!
 //! `x ← Proj_W(x − η_t · GradFilter(g_1…g_n))` is written here once. The
-//! in-process driver, the event loop, the simulated server, the
-//! asynchronous server and the peer-to-peer leader differ only in how rows
-//! get into the batch they hand to [`RoundEngine::step`]; aggregation,
+//! in-process driver and the event loop (one loop, see [`crate::fleet`]),
+//! the simulated server, the asynchronous server and the peer-to-peer
+//! leader differ only in how the agents' rows travel into the batch they
+//! hand to [`RoundEngine::step`]; aggregation,
 //! the divergence check, observation, halting, the update, the phase spans
 //! and the run's counters are this file's, so the drivers agree on them by
 //! construction.
 
 use crate::error::DgdError;
+use crate::fleet::AgentCell;
 use crate::simulation::{ObservedRun, RunOptions};
 use abft_core::observe::{
     observe_round, ControlFlow, MetricSource, Probe, RoundView, RunObserver, RunSummary,
@@ -17,7 +19,7 @@ use abft_core::validate;
 use abft_filters::GradientFilter;
 use abft_linalg::{GradientBatch, Vector};
 use abft_net::NetMetrics;
-use abft_problems::{total_value, SharedCost};
+use abft_problems::SharedCost;
 use abft_telemetry::{Counter, Phase, SpanToken, Telemetry};
 
 /// What one run counted, unified across drivers: plain integers bumped in
@@ -36,11 +38,14 @@ pub struct RunCounters {
     pub agents_eliminated: usize,
     /// Scheduler dispatch cycles, one per round (event-loop runtime).
     pub rounds_dispatched: usize,
-    /// `RoundStart` events processed by agent cells — one per active agent
-    /// per round, crashed cells included (event-loop runtime).
+    /// Round events processed by agent cells — one per active agent per
+    /// round, the cells that crash that round included (event-loop
+    /// runtime).
     pub events_processed: usize,
-    /// 1 when the run found its `Fleet` already warm, reusing worker
-    /// threads and batch instead of rebuilding them (event-loop runtime).
+    /// 1 when the run found its workspace already warm at its fleet-worker
+    /// count — the latest run on it filled with as many workers — reusing
+    /// worker threads and batch instead of building them (event-loop
+    /// runtime).
     pub fleet_reuse_hits: usize,
     /// EIG broadcast instances executed (peer-to-peer topologies).
     pub eig_broadcasts: usize,
@@ -130,29 +135,30 @@ pub struct RoundEngine<'a> {
 
 impl<'a> RoundEngine<'a> {
     /// The engine at `x_0` projected onto `W`, with the first round's span
-    /// open. `honest` is the ground-truth honest set the recorded loss is
-    /// summed over; `telemetry` is in the driver's clock domain.
+    /// open. `honest` indexes the ground-truth honest agents among `cells`,
+    /// whose costs the recorded loss is summed over; `telemetry` is in the
+    /// driver's clock domain.
     ///
     /// # Errors
     ///
-    /// [`DgdError::Config`] when the cost count differs from `n`, and
+    /// [`DgdError::Config`] when there are no agents, and
     /// [`DgdError::Dimension`] when the costs, `x0` or the reference
     /// disagree on dimension.
     pub fn new(
-        n: usize,
-        costs: &'a [SharedCost],
-        honest: Vec<usize>,
+        cells: &[AgentCell],
+        honest: &[usize],
         filter: &'a dyn GradientFilter,
         options: &'a RunOptions,
         observer: &'a mut dyn RunObserver,
         telemetry: Telemetry,
     ) -> Result<Self, DgdError> {
-        let dim = validate::cost_dimension(n, costs.iter().map(|c| c.dim()))?;
+        let dims = cells.iter().map(|cell| cell.cost().dim());
+        let dim = validate::cost_dimension(cells.len(), dims)?;
         validate::run_point_dimensions(dim, options.x0.dim(), options.reference.dim())?;
+        let honest_costs = honest.iter().filter_map(|&agent| cells.get(agent));
         Ok(RoundEngine {
             state: ServerState {
-                costs,
-                honest,
+                honest_costs: honest_costs.map(|cell| cell.cost().clone()).collect(),
                 reference: &options.reference,
                 x: options.projection.project(&options.x0),
                 aggregated: Vector::zeros(dim),
@@ -171,6 +177,11 @@ impl<'a> RoundEngine<'a> {
     /// The current estimate `x_t`.
     pub fn x(&self) -> &Vector {
         &self.state.x
+    }
+
+    /// The options the run was started with.
+    pub fn options(&self) -> &'a RunOptions {
+        self.options
     }
 
     /// Installs this run's pool-dispatch profile on a batch the driver
@@ -273,8 +284,8 @@ impl<'a> RoundEngine<'a> {
 /// Field-for-field the historical `IterationRecord` construction,
 /// computed lazily.
 struct ServerState<'a> {
-    costs: &'a [SharedCost],
-    honest: Vec<usize>,
+    /// The honest agents' costs, in agent-id order.
+    honest_costs: Vec<SharedCost>,
     reference: &'a Vector,
     x: Vector,
     aggregated: Vector,
@@ -282,7 +293,7 @@ struct ServerState<'a> {
 
 impl MetricSource for ServerState<'_> {
     fn loss(&self) -> f64 {
-        total_value(self.costs, &self.honest, &self.x)
+        self.honest_costs.iter().map(|c| c.value(&self.x)).sum()
     }
 
     fn distance(&self) -> f64 {

@@ -11,12 +11,16 @@
 //!   `x_{t+1} = [x_t − η_t·GradFilter(g_1, …, g_n)]_W` (eq. 21), projecting
 //!   onto a compact convex set `W`.
 //!
-//! The step itself — aggregate, check, observe, halt or update — is
-//! [`RoundEngine::step`], written once and called by every driver in the
-//! workspace. [`DgdSimulation`] is the in-process driver: it fills the
-//! round's batch by calling the costs directly, and records the paper's
-//! plotted series (loss, distance) plus Theorem 3's `φ_t` for
-//! convergence-condition checks ([`convergence`]).
+//! Both steps are written once. S1 is [`AgentCell::reply_into`] — what one
+//! agent reports, the only code that calls a cost's gradient or a
+//! strategy's forgery on a driver path — collected a round at a time by a
+//! [`RoundWorkspace`] (one persistent batch, one pool cache); S2 —
+//! aggregate, check, observe, halt or update — is [`RoundEngine::step`].
+//! [`RoundWorkspace::run_rounds`] is the `for t { S1; S2 }` loop the
+//! in-process driver and the event-loop runtime share: [`DgdSimulation`]
+//! is that loop filling on the caller's thread, with omniscient attacks
+//! allowed, recording the paper's plotted series (loss, distance) plus
+//! Theorem 3's `φ_t` for convergence-condition checks ([`convergence`]).
 //!
 //! # Example
 //!
@@ -43,6 +47,7 @@
 pub mod convergence;
 pub mod engine;
 pub mod error;
+pub mod fleet;
 pub mod projection;
 pub mod schedule;
 pub mod simulation;
@@ -50,16 +55,16 @@ pub mod simulation;
 pub use convergence::{phi_lower_bound_holds, settles_within};
 pub use engine::{Outcome, RoundEngine, RunCounters};
 pub use error::DgdError;
+pub use fleet::{AgentCell, RoundWorkspace};
 pub use projection::ProjectionSet;
 pub use schedule::StepSchedule;
-pub use simulation::{DgdSimulation, ObservedRun, RoundWorkspace, RunOptions, RunResult};
+pub use simulation::{DgdSimulation, ObservedRun, RunOptions, RunResult};
 
 /// Convenience prelude re-exporting the most common items.
 pub mod prelude {
     pub use crate::error::DgdError;
+    pub use crate::fleet::RoundWorkspace;
     pub use crate::projection::ProjectionSet;
     pub use crate::schedule::StepSchedule;
-    pub use crate::simulation::{
-        DgdSimulation, ObservedRun, RoundWorkspace, RunOptions, RunResult,
-    };
+    pub use crate::simulation::{DgdSimulation, ObservedRun, RunOptions, RunResult};
 }

@@ -2,19 +2,18 @@
 
 use crate::engine::RoundEngine;
 use crate::error::DgdError;
+use crate::fleet::{AgentCell, RoundWorkspace};
 use crate::projection::ProjectionSet;
 use crate::schedule::StepSchedule;
-use abft_attacks::{AttackContext, ByzantineStrategy};
+use abft_attacks::ByzantineStrategy;
 use abft_core::observe::{RunObserver, RunSummary, TraceRecorder};
 use abft_core::validate::{self, FaultBudget};
 use abft_core::{SystemConfig, Trace};
 use abft_filters::GradientFilter;
-use abft_linalg::{GradientBatch, Vector, WorkerPool};
+use abft_linalg::Vector;
 use abft_net::NetMetrics;
 use abft_problems::SharedCost;
-use abft_telemetry::{Phase, Telemetry, TelemetryConfig, TelemetryReport};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use abft_telemetry::{Telemetry, TelemetryConfig, TelemetryReport};
 
 /// Options for one DGD execution.
 #[derive(Debug, Clone)]
@@ -199,11 +198,11 @@ pub struct ObservedRun {
 /// Agents hold their *true* costs; Byzantine agents additionally carry a
 /// [`ByzantineStrategy`] that forges what they report. Agents can also be
 /// configured to crash (stop replying), exercising the S1 elimination rule.
+/// The agents are [`AgentCell`]s that live as long as the simulation, so a
+/// stateful strategy continues its stream from one run into the next.
 pub struct DgdSimulation {
     config: SystemConfig,
-    costs: Vec<SharedCost>,
-    strategies: BTreeMap<usize, Box<dyn ByzantineStrategy>>,
-    crash_at: BTreeMap<usize, usize>,
+    cells: Vec<AgentCell>,
     budget: FaultBudget,
 }
 
@@ -218,9 +217,7 @@ impl DgdSimulation {
         validate::cost_dimension(config.n(), costs.iter().map(|c| c.dim()))?;
         Ok(DgdSimulation {
             config,
-            costs,
-            strategies: BTreeMap::new(),
-            crash_at: BTreeMap::new(),
+            cells: costs.into_iter().map(AgentCell::new).collect(),
             budget: FaultBudget::new(&config),
         })
     }
@@ -236,8 +233,7 @@ impl DgdSimulation {
         agent: usize,
         strategy: Box<dyn ByzantineStrategy>,
     ) -> Result<Self, DgdError> {
-        self.budget.assign(agent)?;
-        self.strategies.insert(agent, strategy);
+        self.cell_to_fault(agent)?.forge(strategy);
         Ok(self)
     }
 
@@ -250,9 +246,16 @@ impl DgdSimulation {
     /// Returns [`DgdError::Config`] under the same conditions as
     /// [`DgdSimulation::with_byzantine`].
     pub fn with_crash(mut self, agent: usize, at_iteration: usize) -> Result<Self, DgdError> {
-        self.budget.assign(agent)?;
-        self.crash_at.insert(agent, at_iteration);
+        self.cell_to_fault(agent)?.crash_at(at_iteration);
         Ok(self)
+    }
+
+    /// Charges `agent` to the fault budget and hands back its cell.
+    // LINT-ALLOW(panic-reach): `FaultBudget::assign` bounds `agent` by `n`,
+    // and `new` made exactly `n` cells.
+    fn cell_to_fault(&mut self, agent: usize) -> Result<&mut AgentCell, DgdError> {
+        self.budget.assign(agent)?;
+        Ok(&mut self.cells[agent])
     }
 
     /// The system configuration.
@@ -263,7 +266,7 @@ impl DgdSimulation {
     /// Indices of the honest agents (ground truth, unknown to the server).
     pub fn honest_agents(&self) -> Vec<usize> {
         (0..self.config.n())
-            .filter(|i| !self.strategies.contains_key(i) && !self.crash_at.contains_key(i))
+            .filter(|&agent| !self.budget.is_faulty(agent))
             .collect()
     }
 
@@ -309,7 +312,8 @@ impl DgdSimulation {
     /// simulations of the same shape — a scenario suite worker — pass the
     /// same workspace to every run. With `aggregation_threads > 1` the
     /// workspace attaches its (cached or suite-shared) worker pool so the
-    /// filters shard their kernels.
+    /// filters shard their kernels. The round loop itself is
+    /// [`RoundWorkspace::run_rounds`], the one the event-loop runtime runs.
     ///
     /// # Errors
     ///
@@ -321,210 +325,15 @@ impl DgdSimulation {
         workspace: &mut RoundWorkspace,
         observer: &mut dyn RunObserver,
     ) -> Result<ObservedRun, DgdError> {
-        let honest = self.honest_agents();
-        let n = self.config.n();
         // Telemetry is observational: a disabled handle reads no clock and
         // allocates nothing, so the loop below is bit-identical either way.
-        let mut engine = RoundEngine::new(
-            n,
-            &self.costs,
-            honest,
-            filter,
-            options,
-            observer,
-            Telemetry::wall(options.telemetry),
-        )?;
-        workspace.ensure(n, engine.x().dim());
-        let pool = workspace.pool_for(options.aggregation_threads);
-        let round = &mut workspace.round;
-        round.batch.set_worker_pool(pool);
-        engine.instrument(&mut round.batch);
-
-        for t in 0..=options.iterations {
-            let fill_span = engine.telemetry.begin(Phase::GradientFill);
-            let silent = collect_round(
-                &self.costs,
-                &mut self.strategies,
-                &self.crash_at,
-                t,
-                engine.x(),
-                round,
-            );
-            engine.telemetry.end(fill_span);
-            // The server knows a silent agent is faulty: its (n, f) view
-            // shrinks by the agents eliminated so far.
-            let server_f = self.config.f().saturating_sub(silent);
-            if engine.step(t, &round.batch, server_f)?.is_halt() {
-                break;
-            }
-        }
-        engine.absorb(&mut round.batch);
+        let telemetry = Telemetry::wall(options.telemetry);
+        let honest = self.honest_agents();
+        let mut engine =
+            RoundEngine::new(&self.cells, &honest, filter, options, observer, telemetry)?;
+        // Fill on this thread; no messages pass, so only `rounds` is kept.
+        workspace.run_rounds(&mut self.cells, 1, self.config.f(), &mut engine)?;
         Ok(engine.finish(NetMetrics::default())?.run)
-    }
-}
-
-/// Step S1: collect one round of gradients into the reused batch, applying
-/// Byzantine strategies and the crash/elimination rule, and return how
-/// many agents are eliminated — an agent sends nothing from its crash
-/// iteration on, so the server drops it for good.
-///
-/// Rows are laid out in agent-id order (matching the wire order of the
-/// threaded runtime). Honest gradients are written first — directly
-/// into their rows — so omniscient strategies can inspect them before
-/// the faulty rows are forged in a second pass.
-// LINT-ALLOW(panic-reach): `i` enumerates `costs`, and the batch is given
-// exactly one row per surviving agent before the fill loops.
-fn collect_round(
-    costs: &[SharedCost],
-    strategies: &mut BTreeMap<usize, Box<dyn ByzantineStrategy>>,
-    crash_at: &BTreeMap<usize, usize>,
-    t: usize,
-    x: &Vector,
-    round: &mut RoundState,
-) -> usize {
-    let gone = |i: usize| crash_at.get(&i).is_some_and(|&crash| t >= crash);
-    let silent = (0..costs.len()).filter(|&i| gone(i)).count();
-
-    // Assign one batch row per active agent, in agent-id order.
-    round.batch.reset_rows(costs.len() - silent);
-    round.honest_rows.clear();
-
-    // Pass 1: honest gradients straight into their rows. Crash-scheduled
-    // agents behave honestly until they crash, but they are *faulty* —
-    // omniscient attacks only ever see the truly honest set (matching
-    // `honest_agents`), so their rows are filled yet not exposed.
-    let mut row = 0usize;
-    for (i, cost) in costs.iter().enumerate() {
-        if gone(i) {
-            continue;
-        }
-        if !strategies.contains_key(&i) {
-            cost.gradient_into(x, round.batch.row_mut(row));
-            if !crash_at.contains_key(&i) {
-                round.honest_rows.push(row);
-            }
-        }
-        row += 1;
-    }
-
-    // Pass 2: Byzantine forgeries into their rows, with the honest rows
-    // visible to omniscient strategies.
-    let mut row = 0usize;
-    for (i, cost) in costs.iter().enumerate() {
-        if gone(i) {
-            continue;
-        }
-        if let Some(strategy) = strategies.get_mut(&i) {
-            cost.gradient_into(x, round.true_gradient.as_mut_slice());
-            // The forgery is staged in a reused scratch vector because
-            // the context immutably borrows the batch (omniscient
-            // strategies read the honest rows) while the target row
-            // would need a mutable borrow.
-            let ctx = if strategy.is_omniscient() {
-                AttackContext::omniscient_rows(
-                    t,
-                    &round.true_gradient,
-                    x,
-                    &round.batch,
-                    &round.honest_rows,
-                )
-            } else {
-                AttackContext::new(t, &round.true_gradient, x)
-            };
-            strategy.corrupt_into(&ctx, round.forged.as_mut_slice());
-            round
-                .batch
-                .row_mut(row)
-                .copy_from_slice(round.forged.as_slice());
-        }
-        row += 1;
-    }
-    silent
-}
-
-/// Per-round working state reused across all iterations of a run.
-struct RoundState {
-    batch: GradientBatch,
-    honest_rows: Vec<usize>,
-    true_gradient: Vector,
-    forged: Vector,
-}
-
-/// Reusable working memory for [`DgdSimulation::run_observed`]: the
-/// gradient batch and the per-round scratch state.
-///
-/// A workspace is shape-agnostic at construction and sizes itself to the
-/// simulation on first use; it only reallocates when the `(n, d)` shape
-/// changes between runs. Suite drivers keep one per worker thread so a
-/// whole grid of same-shape scenarios shares a single gradient buffer.
-#[derive(Default)]
-pub struct RoundWorkspace {
-    round: RoundState,
-    /// The `(n, dim)` shape the buffers were last sized for.
-    shape: (usize, usize),
-    /// The lazily created worker pool, cached across runs of the same
-    /// thread count.
-    pool: Option<Arc<WorkerPool>>,
-    /// A pool installed from outside (one per suite, shared by all its
-    /// workers) that takes precedence when its thread count matches.
-    shared_pool: Option<Arc<WorkerPool>>,
-}
-
-impl Default for RoundState {
-    fn default() -> Self {
-        RoundState {
-            // 1-dimensional placeholder (batches reject dim 0); `ensure`
-            // replaces it with a correctly shaped batch before first use.
-            batch: GradientBatch::new(1),
-            honest_rows: Vec::new(),
-            true_gradient: Vector::zeros(0),
-            forged: Vector::zeros(0),
-        }
-    }
-}
-
-impl RoundWorkspace {
-    /// An empty workspace; buffers are sized lazily by the first run.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sizes the buffers for an `(n, dim)`-shaped run, reallocating only
-    /// when the shape actually grew or changed dimension.
-    fn ensure(&mut self, n: usize, dim: usize) {
-        let (rows, width) = self.shape;
-        if width != dim || rows < n {
-            self.round.batch = GradientBatch::with_capacity(n, dim);
-            self.round.true_gradient = Vector::zeros(dim);
-            self.round.forged = Vector::zeros(dim);
-            self.round.honest_rows.reserve(n);
-            self.shape = (n, dim);
-        }
-    }
-
-    /// Installs a pool shared from outside — suites create one
-    /// [`WorkerPool`] and hand it to every worker's workspace so a whole
-    /// grid shares one set of aggregation threads.
-    pub fn set_shared_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.shared_pool = Some(pool);
-    }
-
-    /// The pool for a run requesting `threads` aggregation workers:
-    /// `None` for the serial default, the suite-shared pool when its
-    /// thread count matches, otherwise a pool cached across runs.
-    fn pool_for(&mut self, threads: usize) -> Option<Arc<WorkerPool>> {
-        if threads <= 1 {
-            return None;
-        }
-        if let Some(shared) = &self.shared_pool {
-            if shared.threads() == threads {
-                return Some(shared.clone());
-            }
-        }
-        if self.pool.as_ref().is_none_or(|p| p.threads() != threads) {
-            self.pool = Some(Arc::new(WorkerPool::new(threads)));
-        }
-        self.pool.clone()
     }
 }
 
@@ -669,7 +478,7 @@ mod tests {
 
     #[test]
     fn omniscient_view_excludes_crash_scheduled_agents() {
-        use abft_attacks::HonestGradients;
+        use abft_attacks::{AttackContext, HonestGradients};
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
 

@@ -6,7 +6,7 @@
 //! least `n` gradient vectors plus filter temporaries.
 
 use abft_attacks::{GradientReverse, LittleIsEnough};
-use abft_dgd::{DgdSimulation, RunOptions};
+use abft_dgd::{AgentCell, DgdSimulation, RoundEngine, RoundWorkspace, RunOptions};
 use abft_filters::{batch_of, by_name};
 use abft_linalg::Vector;
 use abft_problems::RegressionProblem;
@@ -153,6 +153,55 @@ fn summary_only_observation_memory_does_not_grow_with_t() {
     assert_eq!(
         long, short,
         "a summary-only run's allocations must not scale with T \
+         ({short} at T = 10 vs {long} at T = 410)"
+    );
+}
+
+#[test]
+fn sharded_fill_allocates_nothing_per_iteration_after_warm_up() {
+    // The same pin with the fill sharded over two workers — the threaded
+    // backend's configuration of the loop. The first run on a workspace
+    // spawns the pool's thread and sizes its queues; after that a round's
+    // dispatch must cost the dispatching thread no allocation at all (the
+    // debug-build loan tables are reused too), so the count cannot depend
+    // on the horizon.
+    let problem = RegressionProblem::paper_instance();
+    let x_h = problem
+        .subset_minimizer(&[1, 2, 3, 4, 5])
+        .expect("full rank");
+    let filter = by_name("cge").expect("registered");
+    let mut workspace = RoundWorkspace::new();
+    let mut run = |iterations: usize| {
+        let mut cells: Vec<AgentCell> = problem.costs().into_iter().map(AgentCell::new).collect();
+        cells[0].forge(Box::new(GradientReverse::new()));
+        let options = RunOptions::paper_defaults_with_iterations(x_h.clone(), iterations)
+            .with_aggregation_threads(1) // serial contract; see above
+            .with_telemetry(TelemetryConfig::Off);
+        let before = allocations();
+        let mut observer = abft_core::observe::NullObserver;
+        let telemetry = Telemetry::wall(options.telemetry);
+        let honest = [1, 2, 3, 4, 5];
+        let mut engine = RoundEngine::new(
+            &cells,
+            &honest,
+            filter.as_ref(),
+            &options,
+            &mut observer,
+            telemetry,
+        )
+        .expect("engine builds");
+        let passed = workspace
+            .run_rounds(&mut cells, 2, 1, &mut engine)
+            .expect("runs");
+        assert_eq!(passed.rounds_dispatched, iterations + 1, "sanity");
+        allocations() - before
+    };
+    let _ = run(5);
+    let short = run(10);
+    let long = run(410);
+    assert_eq!(
+        long, short,
+        "a sharded fill's allocations must not scale with T \
          ({short} at T = 10 vs {long} at T = 410)"
     );
 }

@@ -209,9 +209,9 @@ impl GradientBatch {
         &mut self.data[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// Removes row `i`, shifting the rows after it down by one (used by
-    /// the threaded server when an agent is eliminated mid-round and its
-    /// pre-assigned row must be vacated).
+    /// Removes row `i`, shifting the rows after it down by one (for a
+    /// driver that assigns row slots up front and must vacate one; no
+    /// driver in the workspace does any more).
     ///
     /// # Panics
     ///

@@ -3,7 +3,7 @@
 //! The aggregation hot path runs `n × T` times per experiment; past a few
 //! thousand coordinates one core saturates long before the memory bus does.
 //! [`WorkerPool`] shards that work across persistent OS threads fed through
-//! the vendored `crossbeam` channels, under one strict contract:
+//! bounded `std::sync::mpsc` channels, under one strict contract:
 //!
 //! * **Fixed schedule.** Work is a half-open range of *units* (column
 //!   tiles, pairwise-distance rows, …) split into contiguous chunks by a
@@ -23,12 +23,17 @@
 //! the allocation-free default. Each spawned worker owns a reusable scratch
 //! `Vec<f64>` that lives as long as the pool (the scratch-per-worker arena
 //! the tiled kernels carve their gather buffers from), so steady-state
-//! parallel rounds do not allocate in the workers either.
+//! parallel rounds do not allocate in the workers either. Nor does the
+//! dispatch itself: job queues are preallocated rings and a dispatch
+//! collects its completions over a channel the pool keeps between
+//! dispatches, so after its first dispatch a pool costs its caller no
+//! allocation per run (pinned by `crates/dgd/tests/alloc_free.rs`).
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// A task executed over a unit range with a per-worker scratch buffer.
@@ -44,8 +49,17 @@ type Completion = Result<(), Box<dyn std::any::Any + Send>>;
 struct Job {
     task: *const Task<'static>,
     range: Range<usize>,
-    done: Sender<Completion>,
+    done: SyncSender<Completion>,
 }
+
+/// Both ends of one dispatch's completion channel.
+type DoneChannel = (SyncSender<Completion>, Receiver<Completion>);
+
+/// Jobs a worker's queue holds before a dispatching thread waits for room:
+/// one per dispatch in flight, so only more than this many threads sharing
+/// one pool ever wait — and a worker never waits on a caller, so they
+/// cannot wait for ever.
+const JOB_QUEUE: usize = 16;
 
 // SAFETY: the task pointer is only dereferenced while `run_with_scratch`
 // blocks on the completion channel, so the borrow it was created from is
@@ -54,8 +68,8 @@ unsafe impl Send for Job {}
 
 /// One spawned worker: its job queue and join handle.
 struct Worker {
-    jobs: Sender<Job>,
-    thread: Option<JoinHandle<()>>,
+    jobs: SyncSender<Job>,
+    thread: JoinHandle<()>,
 }
 
 /// A deterministic pool of `threads` aggregation workers (the caller
@@ -72,6 +86,10 @@ struct Worker {
 pub struct WorkerPool {
     threads: usize,
     workers: std::sync::OnceLock<Vec<Worker>>,
+    /// Drained completion channels of finished dispatches. A dispatch takes
+    /// one (making it when none is idle — threads sharing the pool, or a
+    /// task that dispatches again, each hold their own) and puts it back.
+    idle_done: Mutex<Vec<DoneChannel>>,
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -91,6 +109,7 @@ impl WorkerPool {
         WorkerPool {
             threads: threads.max(1),
             workers: std::sync::OnceLock::new(),
+            idle_done: Mutex::new(Vec::new()),
         }
     }
 
@@ -104,7 +123,7 @@ impl WorkerPool {
         self.workers.get_or_init(|| {
             (1..self.threads)
                 .map(|w| {
-                    let (tx, rx) = unbounded::<Job>();
+                    let (tx, rx) = sync_channel::<Job>(JOB_QUEUE);
                     let thread = std::thread::Builder::new()
                         .name(format!("abft-agg-{w}"))
                         .spawn(move || worker_loop(rx))
@@ -112,10 +131,7 @@ impl WorkerPool {
                         // resource exhaustion at pool creation, before any
                         // aggregation runs — not a hot-path data panic.
                         .expect("worker thread spawn");
-                    Worker {
-                        jobs: tx,
-                        thread: Some(thread),
-                    }
+                    Worker { jobs: tx, thread }
                 })
                 .collect()
         })
@@ -152,7 +168,15 @@ impl WorkerPool {
         let task_ptr: *const Task<'static> =
             unsafe { std::mem::transmute::<*const Task<'_>, *const Task<'static>>(task) };
         let workers = self.workers();
-        let (done_tx, done_rx) = unbounded::<Completion>();
+        // The list is whole at every step (a push or a pop), so a lock
+        // poisoned by a panicking holder is still good to use.
+        let idle = self
+            .idle_done
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        // Room for every chunk's completion: no worker ever waits to report.
+        let (done_tx, done_rx) = idle.unwrap_or_else(|| sync_channel(self.threads));
         for w in 1..chunks {
             // LINT-ALLOW(panic-reach): `chunks <= threads() == workers.len() + 1`,
             // so `w - 1` indexes in range.
@@ -178,6 +202,11 @@ impl WorkerPool {
                 worker_panic.get_or_insert(payload);
             }
         }
+        // Every chunk has reported, so the channel goes back drained.
+        self.idle_done
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push((done_tx, done_rx));
         // Every loan is resolved at this point, so the borrow discipline
         // holds even on the unwind paths. The caller chunk's panic wins
         // (it is the one a serial run would have raised); otherwise the
@@ -204,19 +233,13 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        let Some(workers) = self.workers.get_mut() else {
-            return; // never dispatched: nothing was spawned
-        };
-        for worker in workers.iter_mut() {
+        // Never dispatched: nothing was spawned.
+        let workers = self.workers.take().unwrap_or_default();
+        for Worker { jobs, thread } in workers {
             // Dropping the sender disconnects the queue; the worker's recv
             // fails and its loop exits.
-            let (tx, _) = unbounded();
-            drop(std::mem::replace(&mut worker.jobs, tx));
-        }
-        for worker in workers {
-            if let Some(thread) = worker.thread.take() {
-                let _ = thread.join();
-            }
+            drop(jobs);
+            let _ = thread.join();
         }
     }
 }

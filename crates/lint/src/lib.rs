@@ -26,7 +26,7 @@
 //! | `no-panic-hot-path` | no `unwrap`/`expect`/`panic!`/`assert!`/`unreachable!`/`todo!`/`unimplemented!` in non-test code of the aggregation-path crates (`filters`, `linalg`, `runtime`, `dgd`); `debug_assert!` is exempt |
 //! | `unsafe-needs-safety` | every `unsafe` occurrence carries a `// SAFETY:` comment (or a `# Safety` doc section) on the line or directly above it |
 //! | `deterministic-collections` | no `HashMap`/`HashSet` in crate sources: iteration order must not depend on hashing, use `BTreeMap`/`BTreeSet`/`Vec` |
-//! | `fixed-schedule` | no `thread::spawn`/`.spawn(` outside `linalg/src/pool.rs` and `runtime/src/fleet.rs`, and no `Instant::now` outside the bench crate and `telemetry/src/clock.rs` (the sanctioned clock home) — work schedules are pure functions of the input, never of timing |
+//! | `fixed-schedule` | no `thread::spawn`/`.spawn(` outside `linalg/src/pool.rs` (the one thread home), and no `Instant::now` outside the bench crate and `telemetry/src/clock.rs` (the sanctioned clock home) — work schedules are pure functions of the input, never of timing |
 //!
 //! The library half ([`lint_source`], [`lint_workspace`]) exists so the
 //! fixture tests and the `workspace_clean` gate run in-process under
@@ -60,8 +60,8 @@ pub const RULES: &[&str] = &[
 /// aggregation hot path and everything a mid-round server executes.
 const NO_PANIC_CRATES: &[&str] = &["filters", "linalg", "runtime", "dgd"];
 
-/// Files allowed to spawn threads: the two fixed-schedule pools.
-const SPAWN_ALLOWED: &[&str] = &["crates/linalg/src/pool.rs", "crates/runtime/src/fleet.rs"];
+/// Files allowed to spawn threads: the one fixed-schedule pool.
+const SPAWN_ALLOWED: &[&str] = &["crates/linalg/src/pool.rs"];
 
 /// Files allowed to read the wall clock (besides the bench crate): the
 /// telemetry crate's sanctioned clock home, which every metrics-only
@@ -644,7 +644,7 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Violation> {
                 push(
                     idx,
                     "fixed-schedule",
-                    "thread spawning outside `linalg/src/pool.rs`/`runtime/src/fleet.rs` — \
+                    "thread spawning outside `linalg/src/pool.rs` — \
                      all parallelism must ride the fixed-schedule pools"
                         .to_string(),
                 );

@@ -13,8 +13,8 @@
 //! - **determinism-taint**: clock reads, thread spawning,
 //!   `HashMap`/`HashSet`, and entropy-seeded RNG reachable from a root —
 //!   except at sites inside the sanctioned homes (`telemetry::clock`,
-//!   `linalg::pool`, `runtime::fleet`), whose whole purpose is to contain
-//!   exactly those constructs behind a deterministic interface.
+//!   `linalg::pool`), whose whole purpose is to contain exactly those
+//!   constructs behind a deterministic interface.
 //!
 //! The hot-path roots are the functions a mid-round server executes:
 //! every `aggregate_into` impl (reached through `GradientFilter`
@@ -45,24 +45,19 @@ use crate::{annotated, pragmas_in, truncate, Hop, Violation};
 use std::collections::BTreeMap;
 
 /// Files whose determinism sinks are sanctioned: the clock home, and the
-/// two fixed-schedule pools. `panic-reach` deliberately has no such list —
-/// nothing is allowed to panic mid-round.
-const TAINT_HOMES: &[&str] = &[
-    "crates/telemetry/src/clock.rs",
-    "crates/linalg/src/pool.rs",
-    "crates/runtime/src/fleet.rs",
-];
+/// fixed-schedule pool (the one thread home). `panic-reach` deliberately
+/// has no such list — nothing is allowed to panic mid-round.
+const TAINT_HOMES: &[&str] = &["crates/telemetry/src/clock.rs", "crates/linalg/src/pool.rs"];
 
 /// The hot-path roots named by `(function, workspace-relative file)`: the
-/// server step, then how rows arrive in each driver — the in-process
-/// collect, the event loop and its fleet dispatch, the simulated server,
-/// the simulated peer-to-peer entry (which is all of the EIG loop), and
-/// the asynchronous server.
+/// server step, then how rows arrive in each driver — the S1 collector
+/// the in-process driver and the event loop share, the event loop's
+/// entry, the simulated server, the simulated peer-to-peer entry (which
+/// is all of the EIG loop), and the asynchronous server.
 pub const NAMED_ROOTS: &[(&str, &str)] = &[
     ("step", "crates/dgd/src/engine.rs"),
-    ("collect_round", "crates/dgd/src/simulation.rs"),
+    ("collect_round", "crates/dgd/src/fleet.rs"),
     ("execute", "crates/runtime/src/event_loop.rs"),
-    ("dispatch_round", "crates/runtime/src/fleet.rs"),
     ("execute_server", "crates/runtime/src/simulated.rs"),
     ("execute_p2p", "crates/runtime/src/simulated.rs"),
     ("execute_async_server", "crates/runtime/src/async_server.rs"),
@@ -245,7 +240,7 @@ pub fn check(graph: &CallGraph, files: &[ParsedSource]) -> Vec<Violation> {
                     format!(
                         "`{}` is reachable from hot-path root `{}` — nondeterminism \
                          must stay inside the sanctioned homes (`telemetry::clock`, \
-                         `linalg::pool`, `runtime::fleet`)",
+                         `linalg::pool`)",
                         sink.what, root_name
                     )
                 };
@@ -359,8 +354,8 @@ mod tests {
     fn determinism_sinks_in_sanctioned_homes_are_exempt() {
         let v = run(&[
             (
-                "crates/runtime/src/fleet.rs",
-                "pub struct Fleet;\nimpl Fleet {\n    fn dispatch_round(&mut self) {\n        std::thread::spawn(|| {});\n        tick();\n    }\n}\n",
+                "crates/linalg/src/pool.rs",
+                "pub struct Pool;\nimpl GradientFilter for Pool {\n    fn aggregate_into(&self) {\n        std::thread::spawn(|| {});\n        tick();\n    }\n}\n",
             ),
             (
                 "crates/telemetry/src/clock.rs",

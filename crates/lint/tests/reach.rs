@@ -58,7 +58,7 @@ fn trait_dispatch_carries_the_chain_across_crates() {
         .find(|l| l.trim_start().starts_with("chain:"))
         .expect("witness chain line");
     // The root sits in the filters crate (reached through `GradientFilter`
-    // dynamic dispatch from the fixture fleet) and the sink in the util
+    // dynamic dispatch from the fixture collector) and the sink in the util
     // crate: a cross-crate edge the line-level rules can never see.
     let filters = chain.find("crates/filters/src/mean.rs").expect("root hop");
     let util = chain.find("crates/util/src/lib.rs").expect("sink hop");
@@ -95,13 +95,13 @@ fn json_report_carries_the_chain_with_stable_keys() {
 
 #[test]
 fn a_root_missing_from_the_tree_is_reported_not_silently_skipped() {
-    // The fixture workspace has a fleet and a filter but no round engine,
+    // The fixture workspace has a collector and a filter but no round engine,
     // no event loop and no simulated drivers: the one named root it does
     // define resolves, every other one is listed by name and file.
     let missing = abft_lint::unresolved_roots(&fixture("panic_ws")).expect("fixture is readable");
     assert!(
-        !missing.iter().any(|m| m.starts_with("dispatch_round ")),
-        "the fixture fleet defines dispatch_round: {missing:?}"
+        !missing.iter().any(|m| m.starts_with("collect_round ")),
+        "the fixture collector defines collect_round: {missing:?}"
     );
     for root in [
         "step (crates/dgd/src/engine.rs)",

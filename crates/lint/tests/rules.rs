@@ -187,7 +187,12 @@ fn thread_spawn_is_flagged_outside_the_pools() {
 fn thread_spawn_is_sanctioned_in_the_pool_homes() {
     let src = "pub fn f() {\n    std::thread::spawn(|| {});\n}\n";
     assert!(rules("crates/linalg/src/pool.rs", src).is_empty());
-    assert!(rules("crates/runtime/src/fleet.rs", src).is_empty());
+    // The S1 collector dispatches over the pool; it spawns nothing itself
+    // and so earns no exemption.
+    assert_eq!(
+        rules("crates/dgd/src/fleet.rs", src),
+        vec!["fixed-schedule"]
+    );
 }
 
 #[test]

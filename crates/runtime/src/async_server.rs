@@ -36,11 +36,11 @@
 use crate::error::RuntimeError;
 use crate::message::{FromAgent, ServerWire, ToAgent};
 use crate::simulated::{
-    agent_reply, broadcast_estimate, check_reply_dim, round_batch, SimulatedRun,
+    broadcast_estimate, check_reply_dim, round_batch, wire_reply, SimulatedRun,
 };
 use crate::task::{DgdTask, FaultPlan};
 use abft_core::observe::RunObserver;
-use abft_dgd::{Outcome, RoundEngine, RunOptions};
+use abft_dgd::{AgentCell, Outcome, RoundEngine, RunOptions};
 use abft_filters::GradientFilter;
 use abft_linalg::Vector;
 use abft_net::rng::{mix, SplitMix64};
@@ -198,9 +198,9 @@ struct AgentState {
 /// Entry point behind [`SimTopology::AsyncServer`](crate::SimTopology):
 /// the bounded-staleness server loop over the simulated network.
 // LINT-ALLOW(panic-reach): every index is an agent address < n — the
-// per-agent tables (strategies, crash_at, agents, latest, costs) are all
-// allocated with length n up front, and delivery addresses come from the
-// simulator, which only routes to registered endpoints.
+// per-agent tables (cells, agents, latest) are all allocated with length n
+// up front, and delivery addresses come from the simulator, which only
+// routes to registered endpoints.
 pub(crate) fn execute_async_server(
     task: DgdTask,
     sim: &SimulatedRun,
@@ -222,9 +222,7 @@ pub(crate) fn execute_async_server(
     // Fault assignment is the synchronous simulated server's, exactly.
     let FaultPlan {
         config: sys,
-        costs,
-        mut strategies,
-        crash_at,
+        mut cells,
         net_faults,
         honest,
     } = task.fault_plan(&sim.net_faults, n + 1, "simulated")?;
@@ -232,9 +230,10 @@ pub(crate) fn execute_async_server(
     let mut net: SimulatedNetwork<ServerWire> = sim.network.build(n + 1);
     // Async runs profile in virtual time, like every simulated driver.
     let telemetry = Telemetry::for_bus(options.telemetry, Some(net.now()));
-    let mut engine = RoundEngine::new(n, &costs, honest, filter, options, observer, telemetry)?;
+    let mut engine = RoundEngine::new(&cells, &honest, filter, options, observer, telemetry)?;
     let dim = engine.x().dim();
     let mut batch = round_batch(n, dim, options.aggregation_threads);
+    let mut staging = Vector::zeros(dim);
 
     // Per-agent clock streams: same derivation discipline as the
     // simulator's per-link streams, one independent stream per agent.
@@ -285,7 +284,7 @@ pub(crate) fn execute_async_server(
                             }
                             start_compute(
                                 &mut agents[delivery.to],
-                                crash_at[delivery.to],
+                                &cells[delivery.to],
                                 &config,
                                 net_at,
                                 delivery.to,
@@ -335,13 +334,13 @@ pub(crate) fn execute_async_server(
                 engine.telemetry.set_virtual_ns(started);
                 let fill_span = engine.telemetry.begin(Phase::GradientFill);
                 engine.telemetry.set_virtual_ns(at);
-                let reply = agent_reply(
-                    &costs[agent],
-                    strategies[agent].as_mut(),
+                let reply = wire_reply(
+                    &mut cells[agent],
                     net_faults.get(&agent),
                     server,
                     iteration,
                     &estimate,
+                    &mut staging,
                 );
                 engine.telemetry.end(fill_span);
                 if let Some(reply) = reply {
@@ -350,7 +349,7 @@ pub(crate) fn execute_async_server(
                 // A newer estimate may have arrived mid-compute.
                 start_compute(
                     &mut agents[agent],
-                    crash_at[agent],
+                    &cells[agent],
                     &config,
                     at,
                     agent,
@@ -414,7 +413,7 @@ pub(crate) fn execute_async_server(
 /// reply from iteration `c` on" semantics).
 fn start_compute(
     state: &mut AgentState,
-    crash_at: Option<usize>,
+    cell: &AgentCell,
     config: &AsyncConfig,
     now: u64,
     agent: usize,
@@ -430,7 +429,7 @@ fn start_compute(
     if state.fired.is_some_and(|done| iteration <= done) {
         return;
     }
-    if crash_at.is_some_and(|crash| iteration >= crash) {
+    if cell.silent_at(iteration) {
         state.crashed = true;
         return;
     }

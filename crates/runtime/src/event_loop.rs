@@ -4,43 +4,37 @@
 //! This realizes the paper's Figure-1 server architecture as a persistent
 //! event loop instead of the historical thread-per-agent topology: one DGD
 //! iteration is still one synchronous round — broadcast, collect, filter,
-//! update — but the "broadcast" is a `RoundStart` event dispatched to
-//! [`AgentCell`](crate::fleet::AgentCell) state machines multiplexed over
-//! the fleet's worker pool, and the "reply" is the cell writing its
-//! gradient straight into its loaned batch row. A cell whose crash
-//! schedule fires goes silent, which the server treats as the "no gradient
-//! received" case of step S1 and eliminates the agent (updating its
-//! `(n, f)` view) — exactly as the thread-per-agent runtime treated a
-//! disconnected channel.
+//! update — but the "broadcast" is a round event dispatched to
+//! [`AgentCell`](abft_dgd::AgentCell) state machines multiplexed over a
+//! worker pool, and the "reply" is the cell writing its gradient straight
+//! into its loaned batch row. A cell whose crash point has come sends
+//! nothing — the "no gradient received" case of step S1 — and the server
+//! eliminates the agent, updating its `(n, f)` view.
 //!
-//! The OS-thread round-trip per agent per round — the scheduling cost that
-//! made the threaded backend ~15× slower than the in-process driver — is
-//! gone: a 1-worker fleet runs every agent inline with no threads at all,
-//! and a k-worker fleet pays one pool dispatch per round. Because the
-//! pool's **fixed schedule** makes agent→worker assignment a pure function
-//! of `(active agents, workers)`, the rows see the same floating-point
-//! operations in the same order at any worker count, and the server step
-//! is the in-process driver's ([`RoundEngine::step`]), so the traces are
-//! bit-identical to it.
+//! The round loop is [`RoundWorkspace::run_rounds`], the very loop the
+//! in-process driver runs over the same cells, so the two agree by
+//! construction. What makes a run *threaded* is configuration: the fill is
+//! sharded over [`RunOptions::fleet_workers`] (one worker runs every agent
+//! inline with no threads at all; the pool's **fixed schedule** keeps the
+//! rows bit-identical at any count), omniscient strategies are rejected
+//! (an agent cannot see other agents' in-flight gradients), and the
+//! messages the loop passed are reported.
 //!
 //! [`Launch::Threaded`]: crate::Launch::Threaded
 
 use crate::error::RuntimeError;
-use crate::fleet::Fleet;
 use crate::task::{DgdTask, FaultPlan};
 use abft_core::observe::RunObserver;
-use abft_dgd::{Outcome, RoundEngine, RunOptions};
+use abft_dgd::{Outcome, RoundEngine, RoundWorkspace, RunCounters, RunOptions};
 use abft_filters::GradientFilter;
 use abft_net::NetMetrics;
-use abft_telemetry::{Phase, Telemetry};
+use abft_telemetry::Telemetry;
 
-/// The event-loop server execution, driving a caller-supplied (and
-/// caller-reused) [`Fleet`]: this file is how rows arrive — a fleet
-/// dispatch per round, silent cells eliminated and their rows compacted
-/// away.
+/// The event-loop server execution on a caller-supplied (and
+/// caller-reused) [`RoundWorkspace`].
 pub(crate) fn execute(
     task: DgdTask,
-    fleet: &mut Fleet,
+    workspace: &mut RoundWorkspace,
     filter: &dyn GradientFilter,
     options: &RunOptions,
     observer: &mut dyn RunObserver,
@@ -48,9 +42,7 @@ pub(crate) fn execute(
     let n = task.config().n();
     let FaultPlan {
         config,
-        costs,
-        strategies,
-        crash_at,
+        mut cells,
         honest,
         ..
     } = task.fault_plan(&[], n, "threaded")?;
@@ -58,45 +50,13 @@ pub(crate) fn execute(
     // event loop stays bit-identical and allocation-free with telemetry
     // off.
     let telemetry = Telemetry::wall(options.telemetry);
-    let mut engine = RoundEngine::new(n, &costs, honest, filter, options, observer, telemetry)?;
-
-    // Program the fleet: agent cells, the round batch, and the aggregation
-    // pool are installed (or reused) here. Everything after this line is
-    // the per-round hot path.
-    let warm = fleet.load(
-        &costs,
-        strategies,
-        &crash_at,
-        engine.x().dim(),
-        options.aggregation_threads,
-    );
-    engine.counters.fleet_reuse_hits = usize::from(warm);
-    engine.instrument(fleet.batch_mut());
-
-    for t in 0..=options.iterations {
-        // S1 broadcast: one RoundStart event per non-eliminated agent,
-        // dispatched across the fleet's workers; every cell streams its
-        // gradient into its loaned row (rows in agent-id order). Collect:
-        // a silent cell is the no-reply case of step S1 — eliminated, its
-        // row vacated, the server's `(n, f)` view updated.
-        let fill_span = engine.telemetry.begin(Phase::GradientFill);
-        let events = fleet.dispatch_round(t, engine.x());
-        let eliminated = fleet.eliminate_silent();
-        let batch = fleet.batch_mut();
-        let counters = &mut engine.counters;
-        counters.broadcasts_sent += events;
-        counters.events_processed += events;
-        counters.rounds_dispatched += 1;
-        counters.agents_eliminated += eliminated;
-        counters.replies_received += batch.len();
-        let server_f = config.f().saturating_sub(counters.agents_eliminated);
-        engine.telemetry.end(fill_span);
-
-        if engine.step(t, batch, server_f)?.is_halt() {
-            break;
-        }
-    }
-    engine.absorb(fleet.batch_mut());
+    let mut engine = RoundEngine::new(&cells, &honest, filter, options, observer, telemetry)?;
+    let passed =
+        workspace.run_rounds(&mut cells, options.fleet_workers, config.f(), &mut engine)?;
+    engine.counters = RunCounters {
+        rounds: engine.counters.rounds,
+        ..passed
+    };
     Ok(engine.finish(NetMetrics::default())?)
 }
 
@@ -147,7 +107,8 @@ mod tests {
             .unwrap();
         let in_process = sim.run(&Cwtm::new(), &options).unwrap();
         for workers in [1usize, 2, 4] {
-            let mut fleet = Fleet::new(workers);
+            let mut fleet = RoundWorkspace::new();
+            let options = options.clone().with_fleet_workers(workers);
             let threaded = DgdTask::new(*problem.config(), problem.costs())
                 .byzantine(0, Box::new(RandomGaussian::paper(99)))
                 .run_dense(Launch::Fleet(&mut fleet), &Cwtm::new(), &options)
@@ -182,18 +143,19 @@ mod tests {
     #[test]
     fn a_reused_fleet_reproduces_the_fresh_fleet_run() {
         let (problem, options) = paper_options(50);
-        let run = |fleet: &mut Fleet| {
+        let options = options.with_fleet_workers(2);
+        let run = |fleet: &mut RoundWorkspace| {
             DgdTask::new(*problem.config(), problem.costs())
                 .byzantine(0, Box::new(RandomGaussian::paper(7)))
                 .run_dense(Launch::Fleet(fleet), &Cge::new(), &options)
                 .unwrap()
         };
-        let mut reused = Fleet::new(2);
+        let mut reused = RoundWorkspace::new();
         let first = run(&mut reused);
         assert_eq!(first.counters.fleet_reuse_hits, 0);
         let second = run(&mut reused);
         assert_eq!(second.counters.fleet_reuse_hits, 1);
-        let fresh = run(&mut Fleet::new(2));
+        let fresh = run(&mut RoundWorkspace::new());
         assert_eq!(first.run.trace.records(), second.run.trace.records());
         assert_eq!(first.run.trace.records(), fresh.run.trace.records());
         assert_eq!(reused.runs_served(), 2);

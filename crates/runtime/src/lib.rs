@@ -6,19 +6,20 @@
 //! A run is `task.run(launch, filter, options, observer)`: the
 //! [`DgdTask`] is the declarative description of the system, costs, and
 //! fault plan, and the [`Launch`] names where it executes. Every runtime
-//! calls the same server step — [`abft_dgd::RoundEngine::step`], the
-//! paper's S1/S2 — and differs only in how a round's gradient rows reach
-//! the batch that step aggregates:
+//! asks the same [`AgentCell`] what an agent reports (step S1) and calls
+//! the same server step ([`abft_dgd::RoundEngine::step`], step S2); they
+//! differ only in how a round's rows travel from the cells to the batch
+//! that step aggregates:
 //!
 //! * [`Launch::Threaded`] / [`Launch::Fleet`] — the **server-based**
 //!   architecture (a trustworthy server and `n` agents, up to `f`
-//!   Byzantine) as an event loop over a persistent agent [`Fleet`]:
-//!   dispatch a `RoundStart` event to every agent cell (broadcast `x_t`),
-//!   collect the rows they streamed into the gradient batch, eliminate
-//!   silent agents (step S1). Agents are state machines multiplexed over
-//!   a fixed-schedule worker pool, so traces are bit-identical at any
-//!   worker count — and a fleet survives across runs, so scenario grids
-//!   pay agent construction once.
+//!   Byzantine) as an event loop: dispatch a round event to every agent
+//!   cell (broadcast `x_t`), collect the rows they streamed into the
+//!   gradient batch, eliminate silent agents. The loop is the in-process
+//!   driver's ([`RoundWorkspace::run_rounds`]) with the fill sharded over
+//!   `fleet_workers` of a fixed-schedule worker pool, so traces are
+//!   bit-identical at any worker count — and a [`RoundWorkspace`]
+//!   survives across runs, so scenario grids pay fleet setup once.
 //! * [`Launch::PeerToPeer`] — a complete network of `n` agents,
 //!   `f < n/3` faulty, where the server algorithm is simulated with
 //!   Byzantine broadcast. [`eig_broadcast`] implements the classic
@@ -63,17 +64,15 @@ pub mod async_server;
 pub mod eig;
 pub mod error;
 pub mod event_loop;
-pub mod fleet;
 pub mod message;
 pub mod peer_to_peer;
 pub mod simulated;
 pub mod task;
 
-pub use abft_dgd::{Outcome, RunCounters};
+pub use abft_dgd::{AgentCell, Outcome, RoundWorkspace, RunCounters};
 pub use async_server::AsyncConfig;
 pub use eig::{eig_broadcast, eig_broadcast_on, BroadcastOutcome, EigMessage, EquivocationPlan};
 pub use error::RuntimeError;
-pub use fleet::{AgentCell, Fleet};
 pub use message::{FromAgent, ServerWire, ToAgent};
 pub use simulated::{SimTopology, SimulatedRun};
 pub use task::{DgdTask, Launch};
@@ -83,8 +82,7 @@ pub mod prelude {
     pub use crate::async_server::AsyncConfig;
     pub use crate::eig::eig_broadcast;
     pub use crate::error::RuntimeError;
-    pub use crate::fleet::Fleet;
     pub use crate::simulated::{SimTopology, SimulatedRun};
     pub use crate::task::{DgdTask, Launch};
-    pub use abft_dgd::{Outcome, RunCounters};
+    pub use abft_dgd::{Outcome, RoundWorkspace, RunCounters};
 }

@@ -3,7 +3,7 @@
 //! These are the wire values the *simulated* server topology moves over
 //! its [`abft_net::MessageBus`]. The event-loop runtime ships no
 //! messages at all — agent cells stream gradients straight into their
-//! loaned `GradientBatch` rows (see [`crate::fleet`]).
+//! loaned `GradientBatch` rows (see [`abft_dgd::fleet`]).
 
 use abft_linalg::Vector;
 

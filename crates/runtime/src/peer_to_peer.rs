@@ -18,9 +18,9 @@
 use crate::eig::{eig_broadcast_on, EigMessage, EquivocationPlan};
 use crate::error::RuntimeError;
 use crate::task::{DgdTask, FaultPlan};
-use abft_attacks::AttackContext;
+use abft_attacks::HonestGradients;
 use abft_core::observe::RunObserver;
-use abft_dgd::{Outcome, RoundEngine, RunOptions};
+use abft_dgd::{AgentCell, Outcome, RoundEngine, RunOptions};
 use abft_filters::GradientFilter;
 use abft_linalg::{GradientBatch, Vector, WorkerPool};
 use abft_net::{MessageBus, NetFault, PerfectBus};
@@ -117,7 +117,7 @@ pub(crate) struct P2pLink<'a> {
 /// gradients before sending its own in a broadcast round), and so are crash
 /// schedules (the peer-to-peer round structure has no S1 elimination rule).
 // LINT-ALLOW(panic-reach): every index below is an agent id or honest slot
-// bounded by n, and every per-agent table (strategies, slot_of, followers,
+// bounded by n, and every per-agent table (cells, slot_of, followers,
 // decided_batches, sender_values) is allocated with exactly that length
 // before the loop; ids arrive pre-validated by `DgdTask::fault_plan`.
 #[allow(clippy::needless_range_loop)]
@@ -144,15 +144,13 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage<BitsVector>>>(
     // A net-faulty agent is Byzantine; it consumes budget unless its
     // value-forging strategy already did.
     let FaultPlan {
-        costs,
-        mut strategies,
-        crash_at,
+        mut cells,
         mut net_faults,
         honest,
         ..
     } = task.fault_plan(net_faults, n, "peer-to-peer")?;
-    let first_crash = |(agent, at): (usize, &Option<usize>)| at.map(|at| (agent, at));
-    if let Some((agent, at)) = crash_at.iter().enumerate().find_map(first_crash) {
+    let crash = |(agent, cell): (usize, &AgentCell)| cell.crash_point().map(|at| (agent, at));
+    if let Some((agent, at)) = cells.iter().enumerate().find_map(crash) {
         return Err(RuntimeError::Config(format!(
             "agent {agent} scheduled to crash at iteration {at}, but the \
              peer-to-peer runtime does not model crash faults"
@@ -165,7 +163,7 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage<BitsVector>>>(
     // The legacy equivocation mode is a net fault: every forging agent
     // without one of its own splits its value across the network halves.
     if equivocate {
-        for agent in (0..n).filter(|&i| strategies[i].is_some()) {
+        for agent in (0..n).filter(|&i| cells[i].is_forging()) {
             let split = NetFault::EquivocateSplit { boundary: n / 2 };
             net_faults.entry(agent).or_insert(split);
         }
@@ -185,16 +183,9 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage<BitsVector>>>(
     // reliable bus does not, so the real runtime profiles on the wall
     // clock. Disabled handles are pure no-ops either way.
     let telemetry = Telemetry::for_bus(options.telemetry, bus.virtual_time());
-    let mut engine = RoundEngine::new(
-        n,
-        &costs,
-        honest.clone(),
-        filter,
-        options,
-        observer,
-        telemetry,
-    )?;
+    let mut engine = RoundEngine::new(&cells, &honest, filter, options, observer, telemetry)?;
     let dim = engine.x().dim();
+    let mut staging = Vector::zeros(dim);
     let default = BitsVector::from_vector(&Vector::zeros(dim));
     let mut followers: Vec<Vector> = vec![engine.x().clone(); honest.len().saturating_sub(1)];
 
@@ -234,39 +225,21 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage<BitsVector>>>(
                 Some(slot) if slot > 0 => &followers[slot - 1],
                 _ => engine.x(),
             };
-            let true_gradient = costs[i].gradient(at);
-            let base = match strategies[i].as_mut() {
-                Some(strategy) => {
-                    let ctx = AttackContext::new(t, &true_gradient, at);
-                    strategy.corrupt(&ctx)
-                }
-                None => true_gradient,
+            cells[i].reply_into(t, at, HonestGradients::Hidden, staging.as_mut_slice());
+            let bits = BitsVector::from_vector(&staging);
+            let plan = match net_faults.get(&i) {
+                Some(NetFault::SelectiveSend(victims)) => Some(EquivocationPlan::Selective {
+                    victims: victims.clone(),
+                }),
+                Some(NetFault::EquivocateSplit { boundary }) => Some(EquivocationPlan::Split {
+                    low: bits.clone(),
+                    high: bits.negated(),
+                    boundary: *boundary,
+                }),
+                None if cells[i].is_forging() => Some(EquivocationPlan::Consistent(bits.clone())),
+                None => None,
             };
-            let bits = BitsVector::from_vector(&base);
-            match net_faults.get(&i) {
-                Some(NetFault::SelectiveSend(victims)) => {
-                    plans.insert(
-                        i,
-                        EquivocationPlan::Selective {
-                            victims: victims.clone(),
-                        },
-                    );
-                }
-                Some(NetFault::EquivocateSplit { boundary }) => {
-                    plans.insert(
-                        i,
-                        EquivocationPlan::Split {
-                            low: bits.clone(),
-                            high: bits.negated(),
-                            boundary: *boundary,
-                        },
-                    );
-                }
-                None if strategies[i].is_some() => {
-                    plans.insert(i, EquivocationPlan::Consistent(bits.clone()));
-                }
-                None => {}
-            }
+            plans.extend(plan.map(|plan| (i, plan)));
             sender_values.push(bits);
         }
         engine.telemetry.end(fill_span);

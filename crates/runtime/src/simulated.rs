@@ -30,13 +30,12 @@ use crate::error::RuntimeError;
 use crate::message::{FromAgent, ServerWire, ToAgent};
 use crate::peer_to_peer::{self, P2pLink};
 use crate::task::{DgdTask, FaultPlan};
-use abft_attacks::{AttackContext, ByzantineStrategy};
+use abft_attacks::HonestGradients;
 use abft_core::observe::RunObserver;
-use abft_dgd::{Outcome, RoundEngine, RunOptions};
+use abft_dgd::{AgentCell, Outcome, RoundEngine, RunOptions};
 use abft_filters::GradientFilter;
 use abft_linalg::{GradientBatch, Vector, WorkerPool};
 use abft_net::{MessageBus, NetFault, NetworkModel, SimulatedNetwork};
-use abft_problems::SharedCost;
 use abft_telemetry::{Phase, Telemetry};
 use std::sync::Arc;
 
@@ -153,8 +152,8 @@ pub(crate) fn execute_p2p(
 /// rounds (estimate broadcast down, gradient replies up), with the
 /// per-round S1 rule for replies that never make it.
 // LINT-ALLOW(panic-reach): every index is an agent address < n — the
-// per-agent tables (strategies, crash_at, heard, costs) are allocated with
-// length n, and the simulator only delivers to registered endpoints.
+// per-agent tables (cells, heard) are allocated with length n, and the
+// simulator only delivers to registered endpoints.
 pub(crate) fn execute_server(
     task: DgdTask,
     sim: &SimulatedRun,
@@ -169,9 +168,7 @@ pub(crate) fn execute_server(
     // equivocation boundaries may reference it.
     let FaultPlan {
         config,
-        costs,
-        mut strategies,
-        crash_at,
+        mut cells,
         net_faults,
         honest,
     } = task.fault_plan(&sim.net_faults, n + 1, "simulated")?;
@@ -181,9 +178,10 @@ pub(crate) fn execute_server(
     // the network's schedule-driven clock does, so two identical seeded
     // runs produce identical reports (pinned by the determinism tests).
     let telemetry = Telemetry::for_bus(options.telemetry, Some(net.now()));
-    let mut engine = RoundEngine::new(n, &costs, honest, filter, options, observer, telemetry)?;
+    let mut engine = RoundEngine::new(&cells, &honest, filter, options, observer, telemetry)?;
     let dim = engine.x().dim();
     let mut batch = round_batch(n, dim, options.aggregation_threads);
+    let mut staging = Vector::zeros(dim);
 
     for t in 0..=options.iterations {
         // Phase 1 — S1 broadcast: the server sends x_t to every agent.
@@ -208,17 +206,11 @@ pub(crate) fn execute_server(
             if !heard[agent] {
                 continue;
             }
-            if crash_at[agent].is_some_and(|crash| t >= crash) {
+            if cells[agent].silent_at(t) {
                 continue; // crashed: permanently silent, no reply expected
             }
-            let reply = agent_reply(
-                &costs[agent],
-                strategies[agent].as_mut(),
-                net_faults.get(&agent),
-                server,
-                t,
-                x,
-            );
+            let fault = net_faults.get(&agent);
+            let reply = wire_reply(&mut cells[agent], fault, server, t, x, &mut staging);
             if let Some(reply) = reply {
                 expected += 1;
                 net.send(agent, server, reply);
@@ -297,33 +289,35 @@ pub(crate) fn broadcast_estimate(
 }
 
 /// What one agent puts on its link to the server for `iteration`, having
-/// heard the estimate `x`: its honest gradient, or its strategy's forgery
-/// of it, as seen from the server's side of any net fault — negated when
-/// the server sits past an equivocation boundary, and nothing at all when
-/// a selective sender lists the server among its victims.
-pub(crate) fn agent_reply(
-    cost: &SharedCost,
-    strategy: Option<&mut Box<dyn ByzantineStrategy>>,
+/// heard the estimate `x`: what its cell reports, as seen from the server's
+/// side of any net fault — negated when the server sits past an
+/// equivocation boundary, and nothing at all when a selective sender lists
+/// the server among its victims. The report is built in `staging`; only
+/// the payload that goes on the wire is allocated.
+pub(crate) fn wire_reply(
+    cell: &mut AgentCell,
     net_fault: Option<&NetFault>,
     server: usize,
     iteration: usize,
     x: &Vector,
+    staging: &mut Vector,
 ) -> Option<ServerWire> {
-    let true_gradient = cost.gradient(x);
-    let mut gradient = match strategy {
-        Some(strategy) => strategy.corrupt(&AttackContext::new(iteration, &true_gradient, x)),
-        None => true_gradient,
-    };
+    cell.reply_into(
+        iteration,
+        x,
+        HonestGradients::Hidden,
+        staging.as_mut_slice(),
+    );
     match net_fault {
         Some(NetFault::SelectiveSend(victims)) if victims.contains(&server) => return None,
         Some(NetFault::EquivocateSplit { boundary }) if server >= *boundary => {
-            gradient = gradient.scale(-1.0);
+            staging.scale_mut(-1.0);
         }
         _ => {}
     }
     Some(ServerWire::Reply(FromAgent::Gradient {
         iteration,
-        gradient,
+        gradient: staging.clone(),
     }))
 }
 

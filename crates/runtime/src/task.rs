@@ -4,8 +4,8 @@
 //! `(n, f)` system, which costs, which agents misbehave and how. The same
 //! task value runs on any runtime — [`DgdTask::run`] takes a [`Launch`]
 //! naming the event-loop server (on a transient or a caller-kept
-//! [`Fleet`]), the EIG peer-to-peer network, or a [`SimulatedRun`] over
-//! faulty links; the `abft-scenario` crate builds these tasks from
+//! [`RoundWorkspace`]), the EIG peer-to-peer network, or a [`SimulatedRun`]
+//! over faulty links; the `abft-scenario` crate builds these tasks from
 //! declarative `Scenario` specs.
 //!
 //! # Example
@@ -32,13 +32,12 @@
 //! ```
 
 use crate::error::RuntimeError;
-use crate::fleet::Fleet;
 use crate::simulated::{SimTopology, SimulatedRun};
 use abft_attacks::ByzantineStrategy;
 use abft_core::observe::{RunObserver, TraceRecorder};
-use abft_core::validate::FaultBudget;
+use abft_core::validate::{self, FaultBudget};
 use abft_core::SystemConfig;
-use abft_dgd::{Outcome, RunOptions, RunResult};
+use abft_dgd::{AgentCell, DgdError, Outcome, RoundWorkspace, RunOptions, RunResult};
 use abft_filters::GradientFilter;
 use abft_net::NetFault;
 use abft_problems::SharedCost;
@@ -59,15 +58,16 @@ pub struct DgdTask {
 
 /// Where a [`DgdTask`] runs.
 pub enum Launch<'a> {
-    /// The event-loop server runtime on a transient [`Fleet`] of
-    /// [`RunOptions::fleet_workers`] workers.
+    /// The event-loop server runtime — the agent fleet multiplexed over
+    /// [`RunOptions::fleet_workers`] workers — on a transient
+    /// [`RoundWorkspace`].
     Threaded,
     /// The event-loop server runtime on a caller-owned persistent
-    /// [`Fleet`]: its worker pool, gradient batch and agent cells survive
-    /// the run and are reused by the next one, so a grid of tasks pays
-    /// fleet setup once (each reuse is counted in
+    /// [`RoundWorkspace`]: its worker pools and gradient batch survive the
+    /// run and are reused by the next one, so a grid of tasks pays fleet
+    /// setup once (each reuse is counted in
     /// [`RunCounters::fleet_reuse_hits`](abft_dgd::RunCounters)).
-    Fleet(&'a mut Fleet),
+    Fleet(&'a mut RoundWorkspace),
     /// The peer-to-peer runtime on a reliable bus: one EIG broadcast per
     /// agent per iteration, every honest agent filtering locally
     /// (requires `3f < n`; crash schedules are rejected). With
@@ -90,9 +90,8 @@ pub enum Launch<'a> {
 /// driver needs before its first round.
 pub(crate) struct FaultPlan {
     pub(crate) config: SystemConfig,
-    pub(crate) costs: Vec<SharedCost>,
-    pub(crate) strategies: Vec<Option<Box<dyn ByzantineStrategy>>>,
-    pub(crate) crash_at: Vec<Option<usize>>,
+    /// One cell per agent: its cost, its strategy, its crash point.
+    pub(crate) cells: Vec<AgentCell>,
     pub(crate) net_faults: BTreeMap<usize, NetFault>,
     /// Agents with no strategy, no crash schedule and no net fault.
     pub(crate) honest: Vec<usize>,
@@ -130,14 +129,14 @@ impl DgdTask {
     }
 
     /// Validates the fault assignments against the budget and indexes
-    /// them by agent: the strategy table, the crash table, the net faults
+    /// them by agent: the agent cells, the net faults
     /// (validated against a bus of `addresses` endpoints; a net-faulty
     /// agent consumes budget unless a strategy or crash already did), and
     /// the honest set. Omniscient strategies are rejected — a `who` agent
     /// cannot observe the other agents' in-flight gradients (use
     /// [`abft_dgd::DgdSimulation`] for omniscient attack studies).
-    // LINT-ALLOW(panic-reach): both tables are allocated with length n and
-    // every index has passed `FaultBudget::assign`'s `agent < n` check.
+    // LINT-ALLOW(panic-reach): there are n cells (checked first) and every
+    // index has passed `FaultBudget::assign`'s `agent < n` check.
     pub(crate) fn fault_plan(
         self,
         net_faults: &[(usize, NetFault)],
@@ -145,9 +144,8 @@ impl DgdTask {
         who: &str,
     ) -> Result<FaultPlan, RuntimeError> {
         let n = self.config.n();
-        let mut strategies: Vec<Option<Box<dyn ByzantineStrategy>>> =
-            (0..n).map(|_| None).collect();
-        let mut crash_at: Vec<Option<usize>> = vec![None; n];
+        validate::cost_dimension(n, self.costs.iter().map(|c| c.dim())).map_err(DgdError::from)?;
+        let mut cells: Vec<AgentCell> = self.costs.into_iter().map(AgentCell::new).collect();
         let mut budget = FaultBudget::new(&self.config);
         for (agent, strategy) in self.byzantine {
             budget.assign(agent)?;
@@ -158,25 +156,23 @@ impl DgdTask {
                     strategy.name()
                 )));
             }
-            strategies[agent] = Some(strategy);
+            cells[agent].forge(strategy);
         }
         for (agent, iteration) in self.crashes {
             budget.assign(agent)?;
-            crash_at[agent] = Some(iteration);
+            cells[agent].crash_at(iteration);
         }
         let net_faults = abft_net::validate_net_faults(net_faults, n, addresses)
             .map_err(RuntimeError::Config)?;
         for &agent in net_faults.keys() {
-            if strategies[agent].is_none() && crash_at[agent].is_none() {
+            if !budget.is_faulty(agent) {
                 budget.assign(agent)?;
             }
         }
         let honest = (0..n).filter(|&i| !budget.is_faulty(i)).collect();
         Ok(FaultPlan {
             config: self.config,
-            costs: self.costs,
-            strategies,
-            crash_at,
+            cells,
             net_faults,
             honest,
         })
@@ -209,11 +205,11 @@ impl DgdTask {
     ) -> Result<Outcome, RuntimeError> {
         match launch {
             Launch::Threaded => {
-                let mut fleet = Fleet::new(options.fleet_workers);
-                crate::event_loop::execute(self, &mut fleet, filter, options, observer)
+                let mut workspace = RoundWorkspace::new();
+                crate::event_loop::execute(self, &mut workspace, filter, options, observer)
             }
-            Launch::Fleet(fleet) => {
-                crate::event_loop::execute(self, fleet, filter, options, observer)
+            Launch::Fleet(workspace) => {
+                crate::event_loop::execute(self, workspace, filter, options, observer)
             }
             Launch::PeerToPeer { equivocate } => {
                 crate::peer_to_peer::execute(self, equivocate, filter, options, observer)

@@ -139,10 +139,10 @@ pub trait Backend: Send + Sync {
 
     /// Runs the scenario with caller-owned working memory.
     ///
-    /// The in-process backend reuses `workspace`'s gradient batch across
-    /// runs; the threaded backend reuses its persistent agent
-    /// [`Fleet`](abft_runtime::Fleet) (one workspace per suite worker).
-    /// Message-passing backends own their round state and ignore it.
+    /// The in-process and threaded backends reuse `workspace`'s gradient
+    /// batch and worker pools across runs (one workspace per suite
+    /// worker). Message-passing backends own their round state and ignore
+    /// it.
     ///
     /// # Errors
     ///
@@ -241,52 +241,43 @@ impl RunObserver for ScenarioObserver {
     }
 }
 
-impl RunReport {
-    /// The report of `scenario`'s run on `backend`: the run and what it
-    /// counted, the trace its observer kept, and the wall-clock it took.
-    fn assemble(
-        scenario: &Scenario,
-        backend: &'static str,
-        observer: ScenarioObserver,
-        run: ObservedRun,
-        metrics: BackendMetrics,
-        elapsed: Duration,
-    ) -> Self {
-        RunReport {
-            scenario: scenario.label().to_string(),
-            backend,
-            filter: scenario.filter().name().to_string(),
-            trace: observer.into_trace(),
-            summary: run.summary,
-            final_estimate: run.final_estimate,
-            elapsed,
-            metrics,
-            telemetry: run.telemetry,
-        }
-    }
+/// Runs `scenario` on `backend` under the scenario's observer and a
+/// stopwatch, and assembles the report — the body every backend shares.
+/// `run` drives the observer and returns the run with what it counted.
+fn observed(
+    scenario: &Scenario,
+    backend: &'static str,
+    run: impl FnOnce(&mut ScenarioObserver) -> Result<(ObservedRun, BackendMetrics), ScenarioError>,
+) -> Result<RunReport, ScenarioError> {
+    let mut observer = ScenarioObserver::for_scenario(scenario);
+    let started = Stopwatch::start();
+    let (run, metrics) = run(&mut observer)?;
+    let elapsed = started.elapsed();
+    Ok(RunReport {
+        scenario: scenario.label().to_string(),
+        backend,
+        filter: scenario.filter().name().to_string(),
+        trace: observer.into_trace(),
+        summary: run.summary,
+        final_estimate: run.final_estimate,
+        elapsed,
+        metrics,
+        telemetry: run.telemetry,
+    })
 }
 
-/// Runs `scenario`'s task on the runtime `target` names, under the
-/// scenario's observer and a stopwatch — the body every message-passing
-/// backend shares.
+/// Runs `scenario`'s task on the runtime `target` names — the body every
+/// message-passing backend shares.
 fn launch(
     scenario: &Scenario,
     backend: &'static str,
     target: Launch<'_>,
 ) -> Result<RunReport, ScenarioError> {
-    let mut observer = ScenarioObserver::for_scenario(scenario);
-    let started = Stopwatch::start();
-    let out =
-        task_for(scenario).run(target, scenario.filter(), scenario.options(), &mut observer)?;
-    let elapsed = started.elapsed();
-    Ok(RunReport::assemble(
-        scenario,
-        backend,
-        observer,
-        out.run,
-        out.counters,
-        elapsed,
-    ))
+    observed(scenario, backend, |observer| {
+        let (filter, options) = (scenario.filter(), scenario.options());
+        let out = task_for(scenario).run(target, filter, options, observer)?;
+        Ok((out.run, out.counters))
+    })
 }
 
 /// Materializes a scenario's fault plan onto a [`DgdTask`] — the single
@@ -328,36 +319,25 @@ impl Backend for InProcess {
         for (agent, at_iteration) in scenario.crash_assignments() {
             sim = sim.with_crash(agent, at_iteration)?;
         }
-        let mut observer = ScenarioObserver::for_scenario(scenario);
-        let started = Stopwatch::start();
-        let run = sim.run_observed(
-            scenario.filter(),
-            scenario.options(),
-            workspace.round_mut(),
-            &mut observer,
-        )?;
-        let elapsed = started.elapsed();
-        let metrics = BackendMetrics {
-            rounds: run.summary.rounds,
-            ..BackendMetrics::default()
-        };
-        Ok(RunReport::assemble(
-            scenario,
-            self.name(),
-            observer,
-            run,
-            metrics,
-            elapsed,
-        ))
+        observed(scenario, self.name(), |observer| {
+            let (filter, options) = (scenario.filter(), scenario.options());
+            let run = sim.run_observed(filter, options, workspace.round_mut(), observer)?;
+            // No messages pass in process: the rounds are all there is to count.
+            let metrics = BackendMetrics {
+                rounds: run.summary.rounds,
+                ..BackendMetrics::default()
+            };
+            Ok((run, metrics))
+        })
     }
 }
 
 /// The event-loop server runtime: agent state machines multiplexed over a
-/// persistent [`Fleet`](abft_runtime::Fleet) worker pool, with S1 crash
-/// elimination. The fleet lives in the [`SuiteWorkspace`], so consecutive
-/// runs on one workspace reuse agents, batch, and worker threads
-/// (reported as [`BackendMetrics::fleet_reuse_hits`]); the per-run worker
-/// count comes from [`RunOptions::fleet_workers`].
+/// persistent worker pool, with S1 crash elimination — the in-process
+/// round loop with the fill sharded over [`RunOptions::fleet_workers`]
+/// and the messages it passes reported. Batch and pools live in the
+/// [`SuiteWorkspace`], so consecutive runs on one workspace reuse them
+/// (reported as [`BackendMetrics::fleet_reuse_hits`]).
 ///
 /// [`RunOptions::fleet_workers`]: abft_dgd::RunOptions::fleet_workers
 #[derive(Debug, Clone, Copy, Default)]
@@ -374,8 +354,7 @@ impl Backend for Threaded {
         workspace: &mut SuiteWorkspace,
     ) -> Result<RunReport, ScenarioError> {
         require_lockstep_scenario(self.name(), scenario)?;
-        let fleet = workspace.fleet_mut(scenario.options().fleet_workers);
-        launch(scenario, self.name(), Launch::Fleet(fleet))
+        launch(scenario, self.name(), Launch::Fleet(workspace.round_mut()))
     }
 }
 

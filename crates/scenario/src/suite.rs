@@ -21,11 +21,10 @@ use std::time::Duration;
 /// order regardless of thread scheduling (each scenario materializes its
 /// own seeded strategies, so execution order cannot leak into results —
 /// asserted by the suite determinism test). Each worker thread owns one
-/// [`SuiteWorkspace`]: in-process grids reuse a single gradient batch per
-/// worker across all their runs (preserving the zero-per-iteration-
-/// allocation property of the batch pipeline), and threaded grids reuse
-/// one persistent agent fleet per worker instead of rebuilding agents
-/// per cell.
+/// [`SuiteWorkspace`]: in-process and threaded grids alike reuse a single
+/// gradient batch and one set of worker pools per worker across all their
+/// runs (preserving the zero-per-iteration-allocation property of the
+/// batch pipeline) instead of rebuilding them per cell.
 ///
 /// # Example
 ///
@@ -152,8 +151,9 @@ impl ScenarioSuite {
     /// The one aggregation pool a suite run shares: sized to the largest
     /// `aggregation_threads` any scenario requests, `None` when every
     /// scenario is serial. Suite workers install it in their workspaces,
-    /// so in-process grids share one set of aggregation threads instead
-    /// of spawning a pool per worker. (The message-passing backends own
+    /// so in-process and threaded grids share one set of threads — for
+    /// aggregation, and for a fleet of as many workers — instead of
+    /// spawning a pool per worker. (The message-passing backends own
     /// their round state and build their own per-run pool — lazily, so a
     /// pool whose rounds stay below the kernels' sharding floor costs
     /// nothing.)
@@ -177,7 +177,7 @@ impl ScenarioSuite {
         let started = Stopwatch::start();
         let mut workspace = SuiteWorkspace::new();
         if let Some(pool) = self.shared_aggregation_pool() {
-            workspace.set_shared_pool(pool);
+            workspace.round_mut().set_shared_pool(pool);
         }
         let mut reports = Vec::with_capacity(self.scenarios.len());
         for scenario in &self.scenarios {
@@ -234,7 +234,7 @@ impl ScenarioSuite {
         if workers <= 1 {
             let mut workspace = SuiteWorkspace::new();
             if let Some(pool) = shared_pool {
-                workspace.set_shared_pool(pool);
+                workspace.round_mut().set_shared_pool(pool);
             }
             let outcomes = self
                 .scenarios
@@ -259,7 +259,7 @@ impl ScenarioSuite {
                 scope.spawn(move || {
                     let mut workspace = SuiteWorkspace::new();
                     if let Some(pool) = shared_pool {
-                        workspace.set_shared_pool(pool);
+                        workspace.round_mut().set_shared_pool(pool);
                     }
                     loop {
                         let index = next.fetch_add(1, Ordering::Relaxed);

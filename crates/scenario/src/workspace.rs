@@ -1,92 +1,33 @@
 //! Per-worker working memory a suite threads through every backend run.
 
 use abft_dgd::RoundWorkspace;
-use abft_linalg::WorkerPool;
-use abft_runtime::Fleet;
-use std::sync::Arc;
 
-/// The reusable state one suite worker owns across all its runs: the
-/// in-process driver's [`RoundWorkspace`] (gradient batch + scratch) and
-/// the event-loop runtime's persistent [`Fleet`] (agent cells, worker
-/// pool, batch).
+/// The reusable state one suite worker owns across all its runs: one
+/// [`RoundWorkspace`] — the round batch and the worker pools — shared by
+/// the in-process and threaded backends, which run the same round loop
+/// over it.
 ///
 /// Threading this through [`Backend::run_with_workspace`] is what lets a
-/// 14×6 grid on the threaded backend pay fleet setup once instead of
-/// rebuilding agents per cell — every run after the first is a
-/// [fleet-reuse hit](crate::BackendMetrics::fleet_reuse_hits). Backends
-/// touch only the half they need; message-passing backends ignore it
-/// entirely.
+/// 14×6 grid pay batch and thread setup once instead of per cell — on the
+/// threaded backend every run after the first is a
+/// [fleet-reuse hit](crate::BackendMetrics::fleet_reuse_hits).
+/// Message-passing backends ignore it entirely.
 ///
 /// [`Backend::run_with_workspace`]: crate::Backend::run_with_workspace
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct SuiteWorkspace {
     round: RoundWorkspace,
-    fleet: Option<Fleet>,
-}
-
-impl std::fmt::Debug for SuiteWorkspace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SuiteWorkspace")
-            .field("fleet", &self.fleet)
-            .finish_non_exhaustive()
-    }
 }
 
 impl SuiteWorkspace {
-    /// An empty workspace; buffers and fleets materialize on first use.
+    /// An empty workspace; buffers and pools materialize on first use.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The in-process driver's round workspace.
+    /// The round workspace the in-process and threaded backends run on
+    /// (and a suite installs its shared worker pool in).
     pub fn round_mut(&mut self) -> &mut RoundWorkspace {
         &mut self.round
-    }
-
-    /// Installs the suite's shared aggregation pool on the in-process
-    /// workspace (see [`RoundWorkspace::set_shared_pool`]).
-    pub fn set_shared_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.round.set_shared_pool(pool);
-    }
-
-    /// The persistent agent fleet, sized to `workers` event-loop workers.
-    /// The fleet survives across calls — and across scenarios — as long as
-    /// the worker count is stable; asking for a different count rebuilds
-    /// it (worker count is a structural property of the pool's fixed
-    /// schedule, so resizing in place is not meaningful).
-    pub fn fleet_mut(&mut self, workers: usize) -> &mut Fleet {
-        let workers = workers.max(1);
-        if self
-            .fleet
-            .as_ref()
-            .is_none_or(|fleet| fleet.workers() != workers)
-        {
-            self.fleet = Some(Fleet::new(workers));
-        }
-        // LINT-ALLOW(panic-reach): the branch above installs a fleet
-        // whenever one is missing, so the option is always `Some` here.
-        self.fleet.as_mut().expect("fleet installed above")
-    }
-
-    /// The fleet, if one has been materialized — without resizing.
-    pub fn fleet(&self) -> Option<&Fleet> {
-        self.fleet.as_ref()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fleet_persists_for_a_stable_worker_count() {
-        let mut ws = SuiteWorkspace::new();
-        assert!(ws.fleet().is_none());
-        ws.fleet_mut(2);
-        let first = ws.fleet_mut(2) as *const Fleet;
-        assert_eq!(ws.fleet_mut(2) as *const Fleet, first);
-        assert_eq!(ws.fleet().unwrap().workers(), 2);
-        // A different worker count rebuilds the fleet.
-        assert_eq!(ws.fleet_mut(3).workers(), 3);
     }
 }

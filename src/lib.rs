@@ -25,7 +25,7 @@
 //! | [`redundancy`] | ε measurement, Theorem-2 exact algorithm, bounds, necessity witness |
 //! | [`dgd`] | the Section-4 DGD step — [`dgd::RoundEngine`], the one server step every driver calls — with projection and schedules, and the in-process driver: one batch + scratch reused across all `T` iterations (zero per-iteration gradient allocations) |
 //! | [`net`] | deterministic discrete-event network simulator: the `MessageBus` abstraction, seeded per-link delay/drop/reorder models, scheduled partitions, network-level Byzantine faults |
-//! | [`runtime`] | event-loop server runtime (agent state machines on a persistent [`runtime::Fleet`] worker pool) + EIG Byzantine broadcast over the shared `MessageBus`, aggregating off the wire into reused batches; `DgdTask::run(Launch::…)` launches one task on any of them, `Launch::Simulated` on faulty links |
+//! | [`runtime`] | event-loop server runtime (the in-process round loop, [`dgd::RoundWorkspace::run_rounds`], with the agent cells' fill sharded over a persistent worker pool) + EIG Byzantine broadcast over the shared `MessageBus`, aggregating off the wire into reused batches; `DgdTask::run(Launch::…)` launches one task on any of them, `Launch::Simulated` on faulty links |
 //! | [`ml`] | MLP/SVM substrate + synthetic datasets + robust D-SGD on the same batch path |
 //! | [`scenario`] | **the public entry point**: declarative [`scenario::Scenario`] specs that run unmodified on the in-process, threaded, peer-to-peer, and simulated-network backends — with per-scenario [`scenario::Recording`] / [`scenario::HaltRule`] observation plans — plus [`scenario::ScenarioSuite`] grids fanned across worker threads |
 //! | [`telemetry`] | low-overhead phase spans, counters, and log₂ latency histograms behind a [`telemetry::Telemetry`] handle that no-ops when disabled (`ABFT_TELEMETRY=on` to enable); every backend reports a [`telemetry::TelemetryReport`] with JSON and Chrome-trace exporters, in deterministic virtual time on the simulated backends |
