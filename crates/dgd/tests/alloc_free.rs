@@ -6,13 +6,18 @@
 //! least `n` gradient vectors plus filter temporaries.
 
 use abft_attacks::{GradientReverse, LittleIsEnough};
+use abft_core::SystemConfig;
 use abft_dgd::{AgentCell, DgdSimulation, RoundEngine, RoundWorkspace, RunOptions};
 use abft_filters::{batch_of, by_name};
-use abft_linalg::Vector;
-use abft_problems::RegressionProblem;
+use abft_linalg::{Matrix, Vector};
+use abft_problems::absval::AbsoluteCost;
+use abft_problems::huber::HuberCost;
+use abft_problems::logistic::LogisticCost;
+use abft_problems::{QuadraticCost, RegressionProblem, SharedCost};
 use abft_telemetry::{Counter, Phase, Telemetry, TelemetryConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 struct CountingAllocator;
 
@@ -155,6 +160,65 @@ fn summary_only_observation_memory_does_not_grow_with_t() {
         "a summary-only run's allocations must not scale with T \
          ({short} at T = 10 vs {long} at T = 410)"
     );
+}
+
+#[test]
+fn every_cost_family_fills_its_row_in_place() {
+    // The pins above only ever run the paper's regression cost. The
+    // contract is the trait's: `gradient_into` is the required method, so
+    // a summary-only run allocates the same at any horizon whichever
+    // family produces the rows (a family that answered through a fresh
+    // `Vector` would add one allocation per agent per round).
+    let row = |a: f64, b: f64| Vector::from(vec![a, b]);
+    let p = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]).expect("rectangular");
+    let features = Matrix::from_rows(&[&[1.0, 0.2], &[-0.9, 0.1]]).expect("rectangular");
+    let families: [(&str, SharedCost); 4] = [
+        (
+            "quadratic",
+            Arc::new(QuadraticCost::new(p, row(-1.0, 0.5), 0.0).expect("symmetric")),
+        ),
+        (
+            "huber",
+            Arc::new(HuberCost::new(row(0.8, -0.5), 1.2, 0.7).expect("delta > 0")),
+        ),
+        ("absolute", Arc::new(AbsoluteCost::new(0.3))),
+        (
+            "logistic",
+            Arc::new(LogisticCost::new(features, vec![1.0, -1.0], 0.1).expect("valid")),
+        ),
+    ];
+    let counts = families.map(|(family, cost)| {
+        let dim = cost.dim();
+        let config = SystemConfig::new(4, 1).expect("valid (n, f)");
+        let mut sim = DgdSimulation::new(config, vec![cost; 4]).expect("valid");
+        let filter = by_name("cge").expect("registered");
+        let mut run = |iterations: usize| {
+            let mut options =
+                RunOptions::paper_defaults_with_iterations(Vector::zeros(dim), iterations)
+                    .with_aggregation_threads(1) // serial contract; see above
+                    .with_telemetry(TelemetryConfig::Off);
+            options.x0 = Vector::from(vec![0.5; dim]);
+            let mut workspace = RoundWorkspace::new();
+            let before = allocations();
+            sim.run_observed(
+                filter.as_ref(),
+                &options,
+                &mut workspace,
+                &mut abft_core::observe::NullObserver,
+            )
+            .expect("runs");
+            allocations() - before
+        };
+        let _ = run(5);
+        (family, run(10), run(410))
+    });
+    // (family, allocations at T = 10, at T = 410): exact equality, and
+    // every offending family named at once.
+    let scaling: Vec<_> = counts
+        .iter()
+        .filter(|(_, short, long)| long != short)
+        .collect();
+    assert!(scaling.is_empty(), "allocations scale with T: {scaling:?}");
 }
 
 #[test]

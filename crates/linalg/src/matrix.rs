@@ -193,6 +193,11 @@ impl Matrix {
         &self.data
     }
 
+    /// Mutably borrow the row-major backing storage (the shape is fixed).
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// The transpose `Aᵀ`.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self.get(j, i))

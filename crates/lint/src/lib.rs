@@ -26,7 +26,7 @@
 //! | `no-panic-hot-path` | no `unwrap`/`expect`/`panic!`/`assert!`/`unreachable!`/`todo!`/`unimplemented!` in non-test code of the aggregation-path crates (`filters`, `linalg`, `runtime`, `dgd`); `debug_assert!` is exempt |
 //! | `unsafe-needs-safety` | every `unsafe` occurrence carries a `// SAFETY:` comment (or a `# Safety` doc section) on the line or directly above it |
 //! | `deterministic-collections` | no `HashMap`/`HashSet` in crate sources: iteration order must not depend on hashing, use `BTreeMap`/`BTreeSet`/`Vec` |
-//! | `fixed-schedule` | no `thread::spawn`/`.spawn(` outside `linalg/src/pool.rs` (the one thread home), and no `Instant::now` outside the bench crate and `telemetry/src/clock.rs` (the sanctioned clock home) — work schedules are pure functions of the input, never of timing |
+//! | `fixed-schedule` | no `thread::spawn`/`.spawn(` outside `linalg/src/pool.rs` (the one thread home), and no `Instant::now` outside `telemetry/src/clock.rs` (the one clock home) — work schedules are pure functions of the input, never of timing |
 //!
 //! The library half ([`lint_source`], [`lint_workspace`]) exists so the
 //! fixture tests and the `workspace_clean` gate run in-process under
@@ -63,9 +63,9 @@ const NO_PANIC_CRATES: &[&str] = &["filters", "linalg", "runtime", "dgd"];
 /// Files allowed to spawn threads: the one fixed-schedule pool.
 const SPAWN_ALLOWED: &[&str] = &["crates/linalg/src/pool.rs"];
 
-/// Files allowed to read the wall clock (besides the bench crate): the
-/// telemetry crate's sanctioned clock home, which every metrics-only
-/// wall-clock read in the stack funnels through.
+/// Files allowed to read the wall clock: the telemetry crate's clock
+/// home, which every metrics-only wall-clock read in the stack funnels
+/// through.
 const CLOCK_ALLOWED: &[&str] = &["crates/telemetry/src/clock.rs"];
 
 /// One hop of a reachability witness chain: a function on the path from
@@ -505,21 +505,25 @@ impl<'a> FileScope<'a> {
                 .crate_name
                 .is_some_and(|c| NO_PANIC_CRATES.contains(&c))
     }
-
-    fn fixed_schedule_applies(&self) -> bool {
-        self.in_src && self.crate_name != Some("bench")
-    }
 }
 
 /// Lints one file's source text. `rel` is the workspace-relative path
 /// (with `/` separators) and selects which rules apply — see the module
 /// docs for the scoping table.
 pub fn lint_source(rel: &str, source: &str) -> Vec<Violation> {
+    lint_file(rel, source).0
+}
+
+/// [`lint_source`], plus the number of well-formed `LINT-ALLOW` pragmas
+/// (known rule, non-empty reason) in the file — the exceptions the
+/// linter honours.
+fn lint_file(rel: &str, source: &str) -> (Vec<Violation>, usize) {
     let scope = FileScope::of(rel);
     let masked = mask(source);
     let in_test = test_regions(&masked);
     let orig: Vec<&str> = source.lines().collect();
     let mut out = Vec::new();
+    let mut pragmas = 0;
 
     let mut push = |line_idx: usize, rule: &'static str, message: String| {
         out.push(Violation {
@@ -565,6 +569,8 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Violation> {
                         pragma.rule
                     ),
                 );
+            } else {
+                pragmas += 1;
             }
         }
 
@@ -637,7 +643,7 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Violation> {
         }
 
         // fixed-schedule: spawning and timing outside the sanctioned homes.
-        if scope.fixed_schedule_applies() {
+        if scope.in_src {
             let spawns = (code.contains("thread::spawn") || code.contains(".spawn("))
                 && !SPAWN_ALLOWED.contains(&scope.rel);
             if spawns && !allowed(idx, "fixed-schedule") {
@@ -656,7 +662,7 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Violation> {
                 push(
                     idx,
                     "fixed-schedule",
-                    "`Instant::now` outside the bench crate and `telemetry::clock` — \
+                    "`Instant::now` outside `telemetry::clock` — \
                      timing must never feed control flow; route wall-clock metrics \
                      through `abft_telemetry::clock`"
                         .to_string(),
@@ -664,7 +670,7 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Violation> {
             }
         }
     }
-    out
+    (out, pragmas)
 }
 
 /// Whether the `unsafe` on line `idx` carries a safety comment: `SAFETY:`
@@ -757,6 +763,20 @@ pub(crate) fn truncate(s: &str, max: usize) -> String {
 // Workspace walking
 // ---------------------------------------------------------------------------
 
+/// What one pass over a workspace found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Report {
+    /// The violations, sorted by `(file, line, rule)` so output ordering
+    /// is stable across runs and platforms.
+    pub violations: Vec<Violation>,
+    /// Number of files scanned.
+    pub scanned: usize,
+    /// Number of well-formed `LINT-ALLOW` pragmas honoured — every
+    /// exception in force. The `workspace_clean` gate holds it to a
+    /// committed ceiling, so a new exception is a visible diff.
+    pub pragmas: usize,
+}
+
 /// Lints every Rust source file of the workspace rooted at `root`:
 /// `crates/`, `src/`, `examples/`, and `tests/`, skipping `vendor/`
 /// (external code), `target/`, and `fixtures/` directories (lint-test
@@ -765,16 +785,15 @@ pub(crate) fn truncate(s: &str, max: usize) -> String {
 /// Two stages run over the tree: the line-level rules ([`lint_source`])
 /// per file, then the call-graph reachability rules (`panic-reach`,
 /// `determinism-taint` — see [`reach`]) over an item-level parse of the
-/// `src/` trees ([`parse`], [`graph`]). Returns the violations — sorted
-/// by `(file, line, rule)` so output ordering is stable across runs and
-/// platforms — plus the number of files scanned.
-pub fn lint_workspace(root: &Path) -> io::Result<(Vec<Violation>, usize)> {
-    let (mut violations, parsed, scanned) = scan(root)?;
+/// `src/` trees ([`parse`], [`graph`]).
+pub fn lint_workspace(root: &Path) -> io::Result<Report> {
+    let (mut report, parsed) = scan(root)?;
     let graph = graph::CallGraph::build(&parsed);
-    violations.extend(reach::check(&graph, &parsed));
-    violations
+    report.violations.extend(reach::check(&graph, &parsed));
+    report
+        .violations
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    Ok((violations, scanned))
+    Ok(report)
 }
 
 /// The named hot-path roots ([`reach::NAMED_ROOTS`]) that match no
@@ -783,19 +802,23 @@ pub fn lint_workspace(root: &Path) -> io::Result<(Vec<Violation>, usize)> {
 /// the reachability walk; the workspace's own `workspace_clean` test
 /// requires this list to be empty.
 pub fn unresolved_roots(root: &Path) -> io::Result<Vec<String>> {
-    let (_, parsed, _) = scan(root)?;
+    let (_, parsed) = scan(root)?;
     Ok(reach::unresolved_roots(&graph::CallGraph::build(&parsed)))
 }
 
-/// Reads the tree once: the line-level violations, the item-level parse
-/// of the `src/` trees, and the number of files scanned.
-fn scan(root: &Path) -> io::Result<(Vec<Violation>, Vec<parse::ParsedSource>, usize)> {
+/// Reads the tree once: the line-level report and the item-level parse
+/// of the `src/` trees.
+fn scan(root: &Path) -> io::Result<(Report, Vec<parse::ParsedSource>)> {
     let mut files = Vec::new();
     for top in ["crates", "src", "examples", "tests"] {
         collect_rust_files(&root.join(top), &mut files)?;
     }
     files.sort();
-    let mut violations = Vec::new();
+    let mut report = Report {
+        violations: Vec::new(),
+        scanned: files.len(),
+        pragmas: 0,
+    };
     let mut parsed = Vec::new();
     for path in &files {
         let source = std::fs::read_to_string(path)?;
@@ -804,7 +827,9 @@ fn scan(root: &Path) -> io::Result<(Vec<Violation>, Vec<parse::ParsedSource>, us
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
-        violations.extend(lint_source(&rel, &source));
+        let (violations, pragmas) = lint_file(&rel, &source);
+        report.violations.extend(violations);
+        report.pragmas += pragmas;
         // The reachability stage audits the library/binary source trees:
         // that is where hot-path roots and everything they can call live.
         // The lint crate itself is tool code — it is never linked into a
@@ -814,7 +839,7 @@ fn scan(root: &Path) -> io::Result<(Vec<Violation>, Vec<parse::ParsedSource>, us
             parsed.push(parse::parse_source(&rel, &source));
         }
     }
-    Ok((violations, parsed, files.len()))
+    Ok((report, parsed))
 }
 
 fn collect_rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

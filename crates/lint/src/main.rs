@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run -p abft-lint              # human-readable diagnostics
-//! cargo run -p abft-lint -- --json    # machine-readable JSON array
+//! cargo run -p abft-lint -- --json    # {"pragmas": N, "violations": [...]}
 //! cargo run -p abft-lint -- PATH      # lint a different workspace root
 //! ```
 
@@ -32,26 +32,38 @@ fn main() -> ExitCode {
     }
     let root = root.unwrap_or_else(abft_lint::default_root);
 
-    let (violations, scanned) = match abft_lint::lint_workspace(&root) {
-        Ok(result) => result,
+    let report = match abft_lint::lint_workspace(&root) {
+        Ok(report) => report,
         Err(err) => {
             eprintln!("abft-lint: failed to scan {}: {err}", root.display());
             return ExitCode::from(2);
         }
     };
+    let abft_lint::Report {
+        violations,
+        scanned,
+        pragmas,
+    } = report;
 
     if json {
         let objects: Vec<String> = violations.iter().map(|v| v.to_json()).collect();
-        println!("[{}]", objects.join(","));
+        println!(
+            r#"{{"pragmas":{pragmas},"violations":[{}]}}"#,
+            objects.join(",")
+        );
     } else {
         for violation in &violations {
             println!("{violation}");
         }
         if violations.is_empty() {
-            println!("abft-lint: workspace clean ({scanned} files scanned)");
+            println!(
+                "abft-lint: workspace clean ({scanned} files scanned, \
+                 {pragmas} LINT-ALLOW pragmas honoured)"
+            );
         } else {
             println!(
-                "abft-lint: {} violation(s) in {scanned} scanned files",
+                "abft-lint: {} violation(s) in {scanned} scanned files \
+                 ({pragmas} LINT-ALLOW pragmas honoured)",
                 violations.len()
             );
         }

@@ -81,7 +81,10 @@ fn json_report_carries_the_chain_with_stable_keys() {
     let (code, stdout) = lint("panic_ws", true);
     assert_eq!(code, 1);
     let json = stdout.trim();
-    assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
+    assert!(
+        json.starts_with(r#"{"pragmas":0,"violations":["#) && json.ends_with("]}"),
+        "{json}"
+    );
     for key in [
         "\"rule\":\"panic-reach\"",
         "\"file\":\"crates/util/src/lib.rs\"",

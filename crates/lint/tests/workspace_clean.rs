@@ -8,6 +8,9 @@
 
 use abft_lint::{default_root, lint_workspace, unresolved_roots};
 
+/// The most reason-carrying `LINT-ALLOW` pragmas the tree may hold.
+const PRAGMA_CEILING: usize = 91;
+
 #[test]
 fn the_workspace_has_no_lint_violations() {
     let root = default_root();
@@ -16,20 +19,30 @@ fn the_workspace_has_no_lint_violations() {
         "workspace root not found at {}",
         root.display()
     );
-    let (violations, scanned) = lint_workspace(&root).expect("workspace sources are readable");
+    let report = lint_workspace(&root).expect("workspace sources are readable");
     assert!(
-        scanned > 100,
-        "suspiciously few files scanned ({scanned}) — did the tree move?"
+        report.scanned > 100,
+        "suspiciously few files scanned ({}) — did the tree move?",
+        report.scanned
     );
     assert!(
-        violations.is_empty(),
+        report.violations.is_empty(),
         "abft-lint found {} violation(s):\n{}",
-        violations.len(),
-        violations
+        report.violations.len(),
+        report
+            .violations
             .iter()
             .map(|v| v.to_string())
             .collect::<Vec<_>>()
             .join("\n")
+    );
+    // A ratchet, not a target: a new exception has to raise this number
+    // in the same diff, where a reviewer sees it. Lower it when pragmas go.
+    assert!(
+        report.pragmas <= PRAGMA_CEILING,
+        "{} LINT-ALLOW pragmas in the tree, ceiling is {PRAGMA_CEILING}: remove the new \
+         exception, or raise the ceiling in this file and say why in the PR",
+        report.pragmas
     );
 }
 

@@ -35,26 +35,27 @@ pub trait Model {
     /// [`Model::param_dim`].
     fn set_params(&mut self, params: &Vector);
 
-    /// Mean loss and flat gradient over the given sample indices of `data`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic on an empty batch.
-    fn loss_and_gradient(&self, data: &Dataset, batch: &[usize]) -> (f64, Vector);
-
-    /// Writes the flat gradient into `out` (a `GradientBatch` row on the
-    /// D-SGD hot path) and returns the mean loss. The default delegates to
-    /// [`Model::loss_and_gradient`]; models with flat parameter storage can
-    /// override it to skip the copy.
+    /// Writes the flat gradient over the given sample indices of `data`
+    /// into `out`, overwriting every slot, and returns the mean loss — the
+    /// **required** method: the D-SGD loop fills `GradientBatch` rows
+    /// through it.
     ///
     /// # Panics
     ///
     /// Implementations may panic on an empty batch or when
     /// `out.len() != self.param_dim()`.
-    fn loss_and_gradient_into(&self, data: &Dataset, batch: &[usize], out: &mut [f64]) -> f64 {
-        let (loss, grad) = self.loss_and_gradient(data, batch);
-        out.copy_from_slice(grad.as_slice());
-        loss
+    fn loss_and_gradient_into(&self, data: &Dataset, batch: &[usize], out: &mut [f64]) -> f64;
+
+    /// Mean loss and flat gradient as a fresh [`Vector`]: provided, as
+    /// [`Model::loss_and_gradient_into`] over a zeroed buffer.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic on an empty batch.
+    fn loss_and_gradient(&self, data: &Dataset, batch: &[usize]) -> (f64, Vector) {
+        let mut grad = Vector::zeros(self.param_dim());
+        let loss = self.loss_and_gradient_into(data, batch, grad.as_mut_slice());
+        (loss, grad)
     }
 
     /// Classification accuracy on a dataset.
@@ -208,7 +209,9 @@ pub struct DsgdRecord {
 /// # Errors
 ///
 /// Returns [`MlError::Shape`] / [`MlError::InvalidConfig`] for structural
-/// problems and [`MlError::Filter`] when the filter rejects a round.
+/// problems, [`MlError::Filter`] when the filter rejects a round, and
+/// [`MlError::Diverged`] when the filtered direction or the parameters are
+/// non-finite on a round that would update.
 pub fn train_distributed<M: Model>(
     model: &mut M,
     shards: &[Dataset],
@@ -376,6 +379,9 @@ pub fn train_distributed_observed<M: Model>(
             return Err(err.into());
         }
         let mut params = model.params();
+        if advance && (direction.has_non_finite() || params.has_non_finite()) {
+            return Err(MlError::Diverged { iteration: t });
+        }
         {
             let observe_span = telemetry.begin(Phase::Observe);
             let source = DsgdMetrics {
@@ -409,9 +415,12 @@ pub fn train_distributed_observed<M: Model>(
         telemetry.absorb_dispatch(&profile.snapshot());
     }
 
+    let summary = summary.ok_or_else(|| MlError::InvalidConfig {
+        reason: "training ended before a round observed its final record".into(),
+    })?;
     Ok(DsgdOutcome {
         records,
-        summary: summary.expect("the loop always observes a final round"),
+        summary,
         telemetry: telemetry.finish(),
     })
 }
@@ -477,6 +486,42 @@ mod tests {
             &quick_config()
         )
         .is_err());
+    }
+
+    #[test]
+    fn a_non_finite_direction_is_an_error_not_a_nan_model() {
+        /// Lets a forgery through: every coordinate of the aggregate is NaN.
+        struct NanFilter;
+        impl GradientFilter for NanFilter {
+            fn aggregate_into(
+                &self,
+                batch: &GradientBatch,
+                _f: usize,
+                out: &mut Vector,
+            ) -> Result<(), abft_filters::FilterError> {
+                *out = Vector::from(vec![f64::NAN; batch.dim()]);
+                Ok(())
+            }
+            fn name(&self) -> &'static str {
+                "nan"
+            }
+        }
+
+        let (shards, test) = setup();
+        let mut model = Mlp::new(&[16, 8, 10], 1).unwrap();
+        let before = model.params();
+        let result = train_distributed(
+            &mut model,
+            &shards,
+            &[],
+            MlFault::None,
+            &NanFilter,
+            &test,
+            &quick_config(),
+        );
+        assert_eq!(result, Err(MlError::Diverged { iteration: 0 }));
+        // The poisoned update was never applied.
+        assert!(model.params().approx_eq(&before, 0.0));
     }
 
     #[test]

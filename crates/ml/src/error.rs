@@ -20,6 +20,13 @@ pub enum MlError {
     },
     /// A gradient filter rejected the per-agent gradients.
     Filter(abft_filters::FilterError),
+    /// The filtered direction or the parameters became non-finite on a
+    /// round that would update — a non-robust filter let a huge or NaN
+    /// report through.
+    Diverged {
+        /// Iteration at which non-finite values appeared.
+        iteration: usize,
+    },
 }
 
 impl fmt::Display for MlError {
@@ -30,6 +37,9 @@ impl fmt::Display for MlError {
             }
             MlError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             MlError::Filter(e) => write!(f, "gradient filter failure: {e}"),
+            MlError::Diverged { iteration } => {
+                write!(f, "training became non-finite at iteration {iteration}")
+            }
         }
     }
 }
@@ -62,5 +72,6 @@ mod tests {
             reason: "batch size 0".into(),
         };
         assert!(e.to_string().contains("batch size 0"));
+        assert!(MlError::Diverged { iteration: 7 }.to_string().contains('7'));
     }
 }

@@ -152,39 +152,22 @@ impl Model for Mlp {
 
     fn set_params(&mut self, params: &Vector) {
         assert_eq!(params.dim(), self.param_dim(), "parameter vector length");
-        let mut cursor = 0usize;
+        let mut rest = params.as_slice();
         for layer in &mut self.layers {
-            let w_len = layer.weights.rows() * layer.weights.cols();
-            let rows = layer.weights.rows();
-            let cols = layer.weights.cols();
-            layer.weights = Matrix::new(
-                rows,
-                cols,
-                params.as_slice()[cursor..cursor + w_len].to_vec(),
-            )
-            .expect("length computed from shape");
-            cursor += w_len;
-            let b_len = layer.biases.dim();
-            layer.biases = Vector::from(&params.as_slice()[cursor..cursor + b_len]);
-            cursor += b_len;
+            let (weights, tail) = rest.split_at(layer.weights.as_slice().len());
+            let (biases, tail) = tail.split_at(layer.biases.dim());
+            layer.weights.as_mut_slice().copy_from_slice(weights);
+            layer.biases.as_mut_slice().copy_from_slice(biases);
+            rest = tail;
         }
     }
 
-    fn loss_and_gradient(&self, data: &Dataset, batch: &[usize]) -> (f64, Vector) {
+    fn loss_and_gradient_into(&self, data: &Dataset, batch: &[usize], out: &mut [f64]) -> f64 {
         assert!(!batch.is_empty(), "empty mini-batch");
+        assert_eq!(out.len(), self.param_dim(), "gradient buffer length");
         let scale = 1.0 / batch.len() as f64;
         let mut total_loss = 0.0;
-        // Accumulate gradients layer by layer (same layout as params()).
-        let mut grad_w: Vec<Matrix> = self
-            .layers
-            .iter()
-            .map(|l| Matrix::zeros(l.weights.rows(), l.weights.cols()))
-            .collect();
-        let mut grad_b: Vec<Vector> = self
-            .layers
-            .iter()
-            .map(|l| Vector::zeros(l.biases.dim()))
-            .collect();
+        out.fill(0.0);
 
         for &idx in batch {
             let x = data.feature(idx);
@@ -198,19 +181,26 @@ impl Model for Mlp {
             let mut delta = probs;
             delta[y] -= 1.0;
 
-            // Backwards through the layers.
+            // Backwards through the layers, and so backwards through
+            // `out`: layer l's block is `[weights, row-major | biases]`,
+            // the params() layout.
+            let mut block_end = out.len();
             for l in (0..self.layers.len()).rev() {
                 let input = &activations[l];
-                // dW = δ ⊗ input, db = δ.
-                for r in 0..delta.dim() {
-                    let d = delta[r] * scale;
+                let block_start = block_end - self.layers[l].param_count();
+                let (grad_w, grad_b) =
+                    out[block_start..block_end].split_at_mut(delta.dim() * input.dim());
+                block_end = block_start;
+                // dW += δ ⊗ input, db += δ.
+                let rows = grad_w.chunks_exact_mut(input.dim());
+                for ((row, bias), &delta_r) in rows.zip(grad_b.iter_mut()).zip(delta.iter()) {
+                    let d = delta_r * scale;
                     if d != 0.0 {
-                        for c in 0..input.dim() {
-                            let cur = grad_w[l].get(r, c);
-                            grad_w[l].set(r, c, cur + d * input[c]);
+                        for (g, a) in row.iter_mut().zip(input.iter()) {
+                            *g += d * a;
                         }
                     }
-                    grad_b[l][r] += delta[r] * scale;
+                    *bias += d;
                 }
                 if l > 0 {
                     // Propagate: δ_prev = Wᵀ δ, gated by ReLU (input > 0).
@@ -227,14 +217,7 @@ impl Model for Mlp {
                 }
             }
         }
-
-        // Flatten into the params() layout.
-        let mut flat = Vec::with_capacity(self.param_dim());
-        for (w, b) in grad_w.iter().zip(grad_b.iter()) {
-            flat.extend_from_slice(w.as_slice());
-            flat.extend_from_slice(b.as_slice());
-        }
-        (total_loss * scale, Vector::from(flat))
+        total_loss * scale
     }
 
     fn accuracy(&self, data: &Dataset) -> f64 {

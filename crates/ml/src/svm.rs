@@ -8,7 +8,7 @@
 use crate::dataset::Dataset;
 use crate::dsgd::Model;
 use crate::error::MlError;
-use abft_linalg::{Matrix, Vector};
+use abft_linalg::{rowops, Matrix, Vector};
 
 /// A linear classifier with per-class weight rows, trained with the
 /// multiclass hinge loss
@@ -74,21 +74,19 @@ impl Model for LinearSvm {
 
     fn set_params(&mut self, params: &Vector) {
         assert_eq!(params.dim(), self.param_dim(), "parameter vector length");
-        self.weights = Matrix::new(
-            self.weights.rows(),
-            self.weights.cols(),
-            params.as_slice().to_vec(),
-        )
-        .expect("length matches shape");
+        self.weights
+            .as_mut_slice()
+            .copy_from_slice(params.as_slice());
     }
 
-    fn loss_and_gradient(&self, data: &Dataset, batch: &[usize]) -> (f64, Vector) {
+    fn loss_and_gradient_into(&self, data: &Dataset, batch: &[usize], out: &mut [f64]) -> f64 {
         assert!(!batch.is_empty(), "empty mini-batch");
+        assert_eq!(out.len(), self.param_dim(), "gradient buffer length");
         let classes = self.classes();
         let dim = self.input_dim();
         let scale = 1.0 / batch.len() as f64;
         let mut loss = 0.0;
-        let mut grad = Matrix::zeros(classes, dim);
+        out.fill(0.0);
 
         for &idx in batch {
             let x = data.feature(idx);
@@ -102,21 +100,23 @@ impl Model for LinearSvm {
                 if margin > 0.0 {
                     loss += margin * scale;
                     // ∂/∂w_j += x, ∂/∂w_y −= x.
-                    for c in 0..dim {
-                        let gj = grad.get(j, c);
-                        grad.set(j, c, gj + scale * x[c]);
-                        let gy = grad.get(y, c);
-                        grad.set(y, c, gy - scale * x[c]);
+                    for (g, xc) in out[j * dim..(j + 1) * dim].iter_mut().zip(x.iter()) {
+                        *g += scale * xc;
+                    }
+                    for (g, xc) in out[y * dim..(y + 1) * dim].iter_mut().zip(x.iter()) {
+                        *g -= scale * xc;
                     }
                 }
             }
         }
 
         // Regularization.
-        loss += 0.5 * self.reg * self.params().norm_sq();
-        let flat =
-            &Vector::from(grad.as_slice()) + &Vector::from(self.weights.as_slice()).scale(self.reg);
-        (loss, flat)
+        let weights = self.weights.as_slice();
+        loss += 0.5 * self.reg * rowops::norm_sq(weights);
+        for (g, w) in out.iter_mut().zip(weights) {
+            *g += w * self.reg;
+        }
+        loss
     }
 
     fn accuracy(&self, data: &Dataset) -> f64 {

@@ -42,16 +42,15 @@ impl CostFunction for AbsoluteCost {
     /// A subgradient: `sign(x − c)`, with `0` chosen at the kink.
     // LINT-ALLOW(panic-reach): `dim() == 1`, and the harness evaluates
     // costs at the run's validated dimension.
-    fn gradient(&self, x: &Vector) -> Vector {
+    fn gradient_into(&self, x: &Vector, out: &mut [f64]) {
         let diff = x[0] - self.center;
-        let sub = if diff > 0.0 {
+        out[0] = if diff > 0.0 {
             1.0
         } else if diff < 0.0 {
             -1.0
         } else {
             0.0
         };
-        Vector::from(vec![sub])
     }
 }
 

@@ -5,9 +5,12 @@ use std::sync::Arc;
 
 /// A local cost function `Q_i : ℝᵈ → ℝ` held by one agent.
 ///
-/// For non-differentiable costs (e.g. [`crate::absval::AbsoluteCost`]),
-/// [`CostFunction::gradient`] returns a subgradient; the DGD machinery of
-/// Section 4 is only applied to differentiable families, matching the paper.
+/// Implementors provide [`CostFunction::gradient_into`], the in-place
+/// form the DGD drivers call once per agent per round;
+/// [`CostFunction::gradient`] is a provided convenience over it. For
+/// non-differentiable costs (e.g. [`crate::absval::AbsoluteCost`]) both
+/// produce a subgradient; the DGD machinery of Section 4 is only applied
+/// to differentiable families, matching the paper.
 ///
 /// Implementors must be `Send + Sync` so the threaded runtime can share costs
 /// across agent threads.
@@ -22,23 +25,26 @@ pub trait CostFunction: Send + Sync {
     /// Implementations may panic when `x.dim() != self.dim()`.
     fn value(&self, x: &Vector) -> f64;
 
-    /// Gradient `∇Q_i(x)` (a subgradient for non-smooth costs).
+    /// Writes `∇Q_i(x)` (a subgradient for non-smooth costs) into `out`,
+    /// overwriting every slot — the **required** method: the DGD drivers
+    /// fill `GradientBatch` rows through it, so it should not allocate.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic when `x.dim() != self.dim()` or
+    /// `out.len() != self.dim()`.
+    fn gradient_into(&self, x: &Vector, out: &mut [f64]);
+
+    /// `∇Q_i(x)` as a fresh [`Vector`]: provided, as
+    /// [`CostFunction::gradient_into`] over a zeroed buffer.
     ///
     /// # Panics
     ///
     /// Implementations may panic when `x.dim() != self.dim()`.
-    fn gradient(&self, x: &Vector) -> Vector;
-
-    /// Writes `∇Q_i(x)` into `out` — the zero-copy producer entry point
-    /// used by the batch-reusing DGD drivers to fill `GradientBatch` rows
-    /// in place. The default delegates to [`CostFunction::gradient`];
-    /// hot-path cost families override it to skip the allocation.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic when `out.len() != self.dim()`.
-    fn gradient_into(&self, x: &Vector, out: &mut [f64]) {
-        out.copy_from_slice(self.gradient(x).as_slice());
+    fn gradient(&self, x: &Vector) -> Vector {
+        let mut out = Vector::zeros(self.dim());
+        self.gradient_into(x, out.as_mut_slice());
+        out
     }
 }
 
@@ -61,15 +67,27 @@ pub fn total_value(costs: &[SharedCost], subset: &[usize], x: &Vector) -> f64 {
 /// # Panics
 ///
 /// Panics when `subset` is empty or an index is out of range.
-// LINT-ALLOW(panic-reach): documented panic contract — subsets come from
-// scenario builders that validate agent ids against `n`.
 pub fn total_gradient(costs: &[SharedCost], subset: &[usize], x: &Vector) -> Vector {
     assert!(!subset.is_empty(), "total_gradient over empty subset");
     let mut acc = Vector::zeros(x.dim());
-    for &i in subset {
-        acc += &costs[i].gradient(x);
-    }
+    total_gradient_into(costs, subset, x, acc.as_mut_slice());
     acc
+}
+
+/// `out ← Σ_{i∈subset} ∇Q_i(x)`, members added in `subset` order. Member
+/// gradients overwrite their output, so the sum goes through one scratch
+/// row per call.
+// LINT-ALLOW(panic-reach): documented panic contract — subsets come from
+// scenario builders that validate agent ids against `n`.
+fn total_gradient_into(costs: &[SharedCost], subset: &[usize], x: &Vector, out: &mut [f64]) {
+    out.fill(0.0);
+    let mut member = vec![0.0; out.len()];
+    for &i in subset {
+        costs[i].gradient_into(x, &mut member);
+        for (acc, g) in out.iter_mut().zip(&member) {
+            *acc += g;
+        }
+    }
 }
 
 /// The aggregate cost `Σ_{i∈indices} Q_i(x)` packaged as a [`CostFunction`].
@@ -117,8 +135,8 @@ impl CostFunction for AggregateCost {
         total_value(&self.costs, &self.indices, x)
     }
 
-    fn gradient(&self, x: &Vector) -> Vector {
-        total_gradient(&self.costs, &self.indices, x)
+    fn gradient_into(&self, x: &Vector, out: &mut [f64]) {
+        total_gradient_into(&self.costs, &self.indices, x, out);
     }
 }
 
@@ -150,8 +168,10 @@ mod tests {
         fn value(&self, x: &Vector) -> f64 {
             (x - &self.center).norm_sq()
         }
-        fn gradient(&self, x: &Vector) -> Vector {
-            (x - &self.center).scale(2.0)
+        fn gradient_into(&self, x: &Vector, out: &mut [f64]) {
+            for ((slot, xi), ci) in out.iter_mut().zip(x.iter()).zip(self.center.iter()) {
+                *slot = (xi - ci) * 2.0;
+            }
         }
     }
 

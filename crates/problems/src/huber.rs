@@ -64,10 +64,13 @@ impl CostFunction for HuberCost {
         self.rho(self.observation - self.row.dot(x))
     }
 
-    fn gradient(&self, x: &Vector) -> Vector {
+    fn gradient_into(&self, x: &Vector, out: &mut [f64]) {
         let r = self.observation - self.row.dot(x);
         // d/dx ρ(B − A·x) = −ρ'(r)·A.
-        self.row.scale(-self.rho_prime(r))
+        let factor = -self.rho_prime(r);
+        for (slot, a) in out.iter_mut().zip(self.row.iter()) {
+            *slot = a * factor;
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 
 use crate::cost::CostFunction;
 use crate::error::ProblemError;
-use abft_linalg::{Matrix, Vector};
+use abft_linalg::{rowops, Matrix, Vector};
 
 /// Binary logistic regression with L2 regularization:
 ///
@@ -111,20 +111,21 @@ impl CostFunction for LogisticCost {
         total / m + 0.5 * self.reg * x.norm_sq()
     }
 
-    // LINT-ALLOW(panic-reach): `k` enumerates `0..samples()`, and labels
-    // and feature rows share that length by construction.
-    fn gradient(&self, x: &Vector) -> Vector {
+    fn gradient_into(&self, x: &Vector, out: &mut [f64]) {
         let m = self.samples() as f64;
-        let mut grad = x.scale(self.reg);
-        for k in 0..self.samples() {
-            let z = self.features.row_vector(k);
-            let y = self.labels[k];
-            let margin = y * z.dot(x);
+        for (slot, xi) in out.iter_mut().zip(x.iter()) {
+            *slot = xi * self.reg;
+        }
+        // One feature row per label, by construction.
+        for (k, &y) in self.labels.iter().enumerate() {
+            let z = self.features.row(k);
+            let margin = y * rowops::dot(z, x.as_slice());
             // d/dx log(1+exp(−y⟨z,x⟩)) = −y σ(−y⟨z,x⟩) z.
             let weight = -y * Self::sigmoid(-margin) / m;
-            grad.axpy(weight, &z);
+            for (slot, zj) in out.iter_mut().zip(z) {
+                *slot += weight * zj;
+            }
         }
-        grad
     }
 }
 

@@ -8,7 +8,7 @@
 
 use crate::cost::CostFunction;
 use crate::error::ProblemError;
-use abft_linalg::{solve_spd, Matrix, Vector};
+use abft_linalg::{rowops, solve_spd, Matrix, Vector};
 
 /// An agent's regression cost `Q_i(x) = (B_i − A_i x)²` (Appendix J).
 ///
@@ -72,13 +72,8 @@ impl CostFunction for ScalarRegressionCost {
         r * r
     }
 
-    fn gradient(&self, x: &Vector) -> Vector {
-        // ∇(B − A·x)² = −2(B − A·x)·A = 2(A·x − B)·A.
-        self.row.scale(-2.0 * self.residual(x))
-    }
-
     fn gradient_into(&self, x: &Vector, out: &mut [f64]) {
-        // Allocation-free twin of `gradient` — this is the gradient the
+        // ∇(B − A·x)² = −2(B − A·x)·A = 2(A·x − B)·A — the gradient the
         // paper's regression experiments compute n times per DGD round.
         let factor = -2.0 * self.residual(x);
         for (slot, a) in out.iter_mut().zip(self.row.iter()) {
@@ -157,10 +152,12 @@ impl CostFunction for QuadraticCost {
             + self.c
     }
 
-    // LINT-ALLOW(panic-reach): `matvec` only errs on a dimension mismatch,
-    // which the constructor rules out.
-    fn gradient(&self, x: &Vector) -> Vector {
-        &self.p.matvec(x).expect("dimension checked at construction") + &self.q
+    fn gradient_into(&self, x: &Vector, out: &mut [f64]) {
+        // P·x + q, one row of `P` at a time (`Matrix::matvec`'s order);
+        // the constructor checked that `P` has `q.dim()` rows.
+        for (i, (slot, qi)) in out.iter_mut().zip(self.q.iter()).enumerate() {
+            *slot = rowops::dot(self.p.row(i), x.as_slice()) + qi;
+        }
     }
 }
 
@@ -214,7 +211,6 @@ mod tests {
         let mut out = [0.0; 2];
         cost.gradient_into(&x, &mut out);
         assert_eq!(out, cost.gradient(&x).as_slice());
-        // The default (allocating) implementation agrees too.
         let q = QuadraticCost::squared_distance(&Vector::from(vec![1.0, 2.0]));
         let mut out = [0.0; 2];
         q.gradient_into(&x, &mut out);

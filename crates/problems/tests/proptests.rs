@@ -2,12 +2,17 @@
 
 use abft_core::subsets::KSubsets;
 use abft_core::SystemConfig;
-use abft_linalg::Vector;
+use abft_linalg::{Matrix, Vector};
+use abft_problems::absval::AbsoluteCost;
 use abft_problems::analysis::convexity_constants;
+use abft_problems::huber::HuberCost;
+use abft_problems::logistic::LogisticCost;
 use abft_problems::{
-    finite_difference_gradient, total_gradient, total_value, CostFunction, RegressionProblem,
+    finite_difference_gradient, total_gradient, total_value, AggregateCost, CostFunction,
+    QuadraticCost, RegressionProblem, ScalarRegressionCost, SharedCost,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -47,6 +52,46 @@ proptest! {
             let fd = finite_difference_gradient(&cost, &probe, 1e-6);
             prop_assert!(fd.approx_eq(&cost.gradient(&probe), 1e-5));
         }
+    }
+
+    /// `gradient_into` — the required method, the one the drivers call —
+    /// matches finite differences for every cost family at random probe
+    /// points, and overwrites whatever the row held.
+    #[test]
+    fn every_family_gradient_into_matches_finite_differences(
+        a in -2.0..2.0f64,
+        b in -2.0..2.0f64,
+        c in 0.1..2.0f64,
+        px in -3.0..3.0f64,
+        py in -3.0..3.0f64,
+    ) {
+        let row = Vector::from(vec![a, b]);
+        // c·I + rowᵀrow: symmetric positive definite.
+        let p = Matrix::from_rows(&[&[c + a * a, a * b], &[a * b, c + b * b]]).expect("2x2");
+        let features = Matrix::from_rows(&[&[a, b], &[b, -a], &[c, a]]).expect("3x2");
+        let mut costs: Vec<SharedCost> = vec![
+            Arc::new(ScalarRegressionCost::new(row.clone(), c)),
+            Arc::new(QuadraticCost::new(p, row.clone(), c).expect("symmetric")),
+            Arc::new(HuberCost::new(row, b, c).expect("delta > 0")),
+            Arc::new(LogisticCost::new(features, vec![1.0, -1.0, 1.0], c).expect("valid")),
+        ];
+        costs.push(Arc::new(AggregateCost::new(costs.clone(), vec![3, 0, 2, 1])));
+        let probe = Vector::from(vec![px, py]);
+        for cost in &costs {
+            let mut out = [f64::NAN; 2];
+            cost.gradient_into(&probe, &mut out);
+            let fd = finite_difference_gradient(cost.as_ref(), &probe, 1e-6);
+            prop_assert!(fd.approx_eq(&Vector::from(&out[..]), 1e-5), "{fd} vs {out:?}");
+        }
+
+        // The scalar family, away from its kink.
+        prop_assume!((px - a).abs() > 1e-3);
+        let absolute = AbsoluteCost::new(a);
+        let probe = Vector::from(vec![px]);
+        let mut out = [f64::NAN];
+        absolute.gradient_into(&probe, &mut out);
+        let fd = finite_difference_gradient(&absolute, &probe, 1e-6);
+        prop_assert!(fd.approx_eq(&Vector::from(&out[..]), 1e-5), "{fd} vs {out:?}");
     }
 
     /// Aggregate helpers are linear: value/gradient over a subset equal the

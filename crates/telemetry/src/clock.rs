@@ -1,9 +1,9 @@
 //! The workspace's single sanctioned wall-clock home.
 //!
 //! `abft-lint`'s `fixed-schedule` rule bans `Instant::now` everywhere
-//! outside the bench crate and this file: timing must never feed control
-//! flow, so every wall-clock read in the stack funnels through here, where
-//! it is visibly metrics-only. Simulated runs do not use this module at
+//! outside this file: timing must never feed control flow, so every
+//! wall-clock read in the stack funnels through here, where it is visibly
+//! metrics-only. Simulated runs do not use this module at
 //! all — they stamp telemetry from the [`SimulatedNetwork`] virtual clock
 //! instead, which is what keeps their profiles bit-reproducible.
 //!

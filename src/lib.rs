@@ -32,8 +32,8 @@
 //!
 //! The gradient data path — who produces into and who consumes out of a
 //! `GradientBatch` — is documented in `ROADMAP.md` §“Architecture: the
-//! gradient data path”, together with how the `filters` and
-//! `filters_parallel` benches are run.
+//! gradient data path”; how fast each layer of it runs is measured by
+//! `perfbench/` (see `BENCHMARK.json`).
 //!
 //! Aggregation is serial by default; set
 //! [`dgd::RunOptions::aggregation_threads`] (or
