@@ -35,7 +35,7 @@ pub mod simple;
 
 pub use context::{AttackContext, HonestGradients};
 pub use omniscient::{InnerProductManipulation, LittleIsEnough};
-pub use registry::{all_attacks, attack_by_name, attack_names, UnknownAttack, ATTACK_NAMES};
+pub use registry::{attack_by_name, attack_names, UnknownAttack, ATTACK_NAMES};
 pub use simple::{ConstantVector, GradientReverse, RandomGaussian, ScaledReverse, ZeroGradient};
 
 use abft_linalg::Vector;

@@ -1,6 +1,5 @@
 //! System configuration `(n, f)` and its admissibility rules.
 
-use crate::agent::AgentId;
 use crate::error::CoreError;
 
 /// The `(n, f)` parameters of a Byzantine fault-tolerant optimization system.
@@ -137,11 +136,6 @@ impl SystemConfig {
         self.f as f64 / self.n as f64
     }
 
-    /// Iterator over all agent identifiers `0..n`.
-    pub fn agent_ids(&self) -> impl Iterator<Item = AgentId> + 'static {
-        (0..self.n).map(AgentId::new)
-    }
-
     /// Number of `(n − f)`-subsets of the `n` agents, i.e. `C(n, f)`.
     ///
     /// This is the number of candidate sets `T` enumerated by the exact
@@ -222,13 +216,6 @@ mod tests {
     fn fault_fraction_matches() {
         let cfg = SystemConfig::new(10, 3).unwrap();
         assert!((cfg.fault_fraction() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn agent_ids_enumerate_all_agents() {
-        let cfg = SystemConfig::new(4, 1).unwrap();
-        let ids: Vec<usize> = cfg.agent_ids().map(|a| a.index()).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Shared vocabulary types for the `approx-bft` workspace.
 //!
 //! This crate holds the types that every other crate in the workspace speaks:
-//! agent identities ([`AgentId`]), the `(n, f)` system configuration of the
-//! paper ([`SystemConfig`]), error types ([`CoreError`]), per-iteration
-//! convergence records ([`trace::Trace`]), and a tiny CSV writer used by the
-//! experiment harness ([`csv`]).
+//! the `(n, f)` system configuration of the paper ([`SystemConfig`]), error
+//! types ([`CoreError`]), per-iteration convergence records
+//! ([`trace::Trace`]), the run-observation contract ([`observe`]), and a tiny
+//! CSV writer used by the experiment harness ([`csv`]).
 //!
 //! The paper considers a synchronous system of `n` agents of which up to `f`
 //! may be Byzantine faulty. [`SystemConfig`] encodes the two admissibility
@@ -30,7 +30,6 @@
 //! # }
 //! ```
 
-pub mod agent;
 pub mod config;
 pub mod csv;
 pub mod error;
@@ -39,7 +38,6 @@ pub mod subsets;
 pub mod trace;
 pub mod validate;
 
-pub use agent::{AgentId, AgentRole};
 pub use config::SystemConfig;
 pub use error::CoreError;
 pub use observe::{
@@ -51,7 +49,6 @@ pub use validate::ValidationError;
 
 /// Convenience prelude re-exporting the most common items.
 pub mod prelude {
-    pub use crate::agent::{AgentId, AgentRole};
     pub use crate::config::SystemConfig;
     pub use crate::error::CoreError;
     pub use crate::observe::{

@@ -169,13 +169,6 @@ pub enum HaltReason {
     },
 }
 
-impl HaltReason {
-    /// `true` when an observer stopped the run before its horizon.
-    pub fn is_early(self) -> bool {
-        matches!(self, HaltReason::Observer { .. })
-    }
-}
-
 /// The always-present result of an observed run: what every consumer can
 /// rely on even when no trace was recorded.
 ///
@@ -838,7 +831,5 @@ mod tests {
             halt: HaltReason::Observer { at_iteration: 9 },
         };
         assert_eq!(summary.final_distance(), 0.5);
-        assert!(summary.halt.is_early());
-        assert!(!HaltReason::Completed.is_early());
     }
 }

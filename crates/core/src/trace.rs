@@ -94,20 +94,9 @@ impl Trace {
         self.final_record().map(|r| r.distance)
     }
 
-    /// The loss series in iteration order, borrowed — no allocation.
-    pub fn iter_losses(&self) -> impl Iterator<Item = f64> + '_ {
-        self.records.iter().map(|r| r.loss)
-    }
-
     /// The distance series in iteration order, borrowed — no allocation.
     pub fn iter_distances(&self) -> impl Iterator<Item = f64> + '_ {
         self.records.iter().map(|r| r.distance)
-    }
-
-    /// The loss series, in iteration order (allocating; prefer
-    /// [`Trace::iter_losses`] when a borrow suffices).
-    pub fn losses(&self) -> Vec<f64> {
-        self.iter_losses().collect()
     }
 
     /// The distance series, in iteration order (allocating; prefer
@@ -185,7 +174,6 @@ mod tests {
         t.push(record(1, 2.0));
         assert_eq!(t.len(), 2);
         assert_eq!(t.final_distance(), Some(2.0));
-        assert_eq!(t.losses(), vec![6.0, 4.0]);
         assert_eq!(t.distances(), vec![3.0, 2.0]);
     }
 

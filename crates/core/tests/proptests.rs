@@ -58,7 +58,6 @@ proptest! {
                 prop_assert_eq!(cfg.redundancy_quorum(), n - 2 * f);
                 prop_assert!(cfg.honest_quorum() > cfg.f());
                 prop_assert_eq!(cfg.supports_peer_to_peer(), 3 * f < n);
-                prop_assert_eq!(cfg.agent_ids().count(), n);
             }
             Err(_) => prop_assert!(n == 0 || 2 * f >= n),
         }

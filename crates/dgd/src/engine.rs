@@ -1,13 +1,16 @@
-//! The one server step (S2 of Section 4.1) every DGD driver calls.
+//! The one server step (S2 of Section 4.1) every driver calls.
 //!
 //! `x ← Proj_W(x − η_t · GradFilter(g_1…g_n))` is written here once. The
 //! in-process driver and the event loop (one loop, see [`crate::fleet`]),
-//! the simulated server, the asynchronous server and the peer-to-peer
-//! leader differ only in how the agents' rows travel into the batch they
-//! hand to [`RoundEngine::step`]; aggregation,
-//! the divergence check, observation, halting, the update, the phase spans
-//! and the run's counters are this file's, so the drivers agree on them by
-//! construction.
+//! the simulated server, the asynchronous server, every honest agent of
+//! the peer-to-peer simulation (leader and followers alike) and robust
+//! D-SGD (`abft_ml::train_distributed`) differ only in how the agents'
+//! rows travel into the batch they hand to [`RoundEngine::step`];
+//! aggregation, the divergence check, observation, halting, the update,
+//! the phase spans and the run's counters are this file's, so the drivers
+//! agree on them by construction. The engine knows nothing about agents:
+//! what a run's records *measure* is the [`RoundMetrics`] it is built with,
+//! and the batch a driver fills comes from [`RoundEngine::round_batch`].
 
 use crate::error::DgdError;
 use crate::fleet::AgentCell;
@@ -17,10 +20,11 @@ use abft_core::observe::{
 };
 use abft_core::validate;
 use abft_filters::GradientFilter;
-use abft_linalg::{GradientBatch, Vector};
+use abft_linalg::{GradientBatch, Vector, WorkerPool};
 use abft_net::NetMetrics;
 use abft_problems::SharedCost;
 use abft_telemetry::{Counter, Phase, SpanToken, Telemetry};
+use std::sync::Arc;
 
 /// What one run counted, unified across drivers: plain integers bumped in
 /// the round loop. Fields a driver does not produce stay zero (the
@@ -110,6 +114,21 @@ pub struct Outcome<R = ObservedRun> {
     pub final_spread: f64,
 }
 
+/// What a run's records measure: the driver-specific half of a round's
+/// [`IterationRecord`](abft_core::IterationRecord), evaluated lazily at the
+/// engine's estimate `x` and filtered gradient `g` (the gradient norm is
+/// always `‖g‖`). DGD measures the honest costs against a reference point;
+/// D-SGD, which has no reference, the round's mini-batch loss and `‖g‖`.
+pub trait RoundMetrics {
+    /// The recorded loss at `x` — the expensive pass, never evaluated for
+    /// an observer that does not read it until the run's final record.
+    fn loss(&self, x: &Vector) -> f64;
+    /// The recorded approximation error.
+    fn distance(&self, x: &Vector, g: &Vector) -> f64;
+    /// The recorded `φ_t` of Theorem 3.
+    fn phi(&self, x: &Vector, g: &Vector) -> f64;
+}
+
 /// One run's server state and the step that advances it.
 ///
 /// A driver builds the engine, then per round fills a batch however its
@@ -117,13 +136,18 @@ pub struct Outcome<R = ObservedRun> {
 /// halts it calls [`RoundEngine::finish`]. The engine owns no loop — the
 /// asynchronous driver steps from inside its event merge.
 pub struct RoundEngine<'a> {
-    state: ServerState<'a>,
+    x: Vector,
+    aggregated: Vector,
+    metrics: Box<dyn RoundMetrics + 'a>,
     filter: &'a dyn GradientFilter,
     options: &'a RunOptions,
     observer: &'a mut dyn RunObserver,
     probe: Probe,
     round_span: SpanToken,
     summary: Option<RunSummary>,
+    /// The run's aggregation pool, created by the first
+    /// [`RoundEngine::round_batch`] of a run that shards aggregation.
+    pool: Option<Arc<WorkerPool>>,
     /// The run's instrumentation handle; drivers open their own
     /// `gradient-fill` / `net-delivery` spans (and feed the virtual clock)
     /// through it.
@@ -134,10 +158,10 @@ pub struct RoundEngine<'a> {
 }
 
 impl<'a> RoundEngine<'a> {
-    /// The engine at `x_0` projected onto `W`, with the first round's span
-    /// open. `honest` indexes the ground-truth honest agents among `cells`,
-    /// whose costs the recorded loss is summed over; `telemetry` is in the
-    /// driver's clock domain.
+    /// The DGD engine over agent cells: [`RoundEngine::with_metrics`] with
+    /// records that measure the loss summed over the costs of `honest` —
+    /// the ground-truth honest agents among `cells` — and distance/φ
+    /// against `options.reference`.
     ///
     /// # Errors
     ///
@@ -156,32 +180,67 @@ impl<'a> RoundEngine<'a> {
         let dim = validate::cost_dimension(cells.len(), dims)?;
         validate::run_point_dimensions(dim, options.x0.dim(), options.reference.dim())?;
         let honest_costs = honest.iter().filter_map(|&agent| cells.get(agent));
-        Ok(RoundEngine {
-            state: ServerState {
-                honest_costs: honest_costs.map(|cell| cell.cost().clone()).collect(),
-                reference: &options.reference,
-                x: options.projection.project(&options.x0),
-                aggregated: Vector::zeros(dim),
-            },
+        let metrics = HonestCosts {
+            costs: honest_costs.map(|cell| cell.cost().clone()).collect(),
+            reference: &options.reference,
+        };
+        let engine = Self::with_metrics(metrics, filter, options, observer, telemetry);
+        Ok(engine)
+    }
+
+    /// The engine at `x_0` projected onto `W` — whose dimension is the
+    /// run's — with the first round's span open; `metrics` is what the
+    /// run's records measure and `telemetry` is in the driver's clock
+    /// domain.
+    pub fn with_metrics(
+        metrics: impl RoundMetrics + 'a,
+        filter: &'a dyn GradientFilter,
+        options: &'a RunOptions,
+        observer: &'a mut dyn RunObserver,
+        telemetry: Telemetry,
+    ) -> Self {
+        RoundEngine {
+            x: options.projection.project(&options.x0),
+            aggregated: Vector::zeros(options.x0.dim()),
+            metrics: Box::new(metrics),
             filter,
             options,
             probe: observer.probe(),
             observer,
             round_span: telemetry.begin(Phase::Round),
             summary: None,
+            pool: None,
             telemetry,
             counters: RunCounters::default(),
-        })
+        }
     }
 
     /// The current estimate `x_t`.
     pub fn x(&self) -> &Vector {
-        &self.state.x
+        &self.x
     }
 
     /// The options the run was started with.
     pub fn options(&self) -> &'a RunOptions {
         self.options
+    }
+
+    /// A batch for a driver to fill and [`step`](RoundEngine::step) over:
+    /// capacity for `rows` rows of the run's dimension, the run's
+    /// aggregation pool attached when `options.aggregation_threads > 1` —
+    /// one pool per run, shared by every batch handed out, its workers
+    /// spawning lazily — and the pool-dispatch profile installed.
+    pub fn round_batch(&mut self, rows: usize) -> GradientBatch {
+        let mut batch = GradientBatch::with_capacity(rows, self.x.dim());
+        let threads = self.options.aggregation_threads;
+        if threads > 1 {
+            let pool = self
+                .pool
+                .get_or_insert_with(|| Arc::new(WorkerPool::new(threads)));
+            batch.set_worker_pool(Some(pool.clone()));
+        }
+        self.instrument(&mut batch);
+        batch
     }
 
     /// Installs this run's pool-dispatch profile on a batch the driver
@@ -218,22 +277,26 @@ impl<'a> RoundEngine<'a> {
         f_round: usize,
     ) -> Result<ControlFlow, DgdError> {
         let advance = t < self.options.iterations;
-        let state = &mut self.state;
         let span = self.telemetry.begin(Phase::Aggregate);
         if batch.is_empty() {
-            state.aggregated.as_mut_slice().fill(0.0);
+            self.aggregated.as_mut_slice().fill(0.0);
         } else {
             self.filter
-                .aggregate_into(batch, f_round, &mut state.aggregated)?;
+                .aggregate_into(batch, f_round, &mut self.aggregated)?;
         }
         self.telemetry.end(span);
-        if advance && (state.aggregated.has_non_finite() || state.x.has_non_finite()) {
+        if advance && (self.aggregated.has_non_finite() || self.x.has_non_finite()) {
             return Err(DgdError::Diverged { iteration: t });
         }
 
         let span = self.telemetry.begin(Phase::Observe);
-        let (x, aggregated) = (state.x.as_slice(), state.aggregated.as_slice());
-        let view = RoundView::new(t, x, aggregated, state, self.probe);
+        let source = StepMetrics {
+            metrics: self.metrics.as_ref(),
+            x: &self.x,
+            aggregated: &self.aggregated,
+        };
+        let (x, aggregated) = (self.x.as_slice(), self.aggregated.as_slice());
+        let view = RoundView::new(t, x, aggregated, &source, self.probe);
         self.summary = observe_round(self.observer, &view, advance);
         self.telemetry.end(span);
         self.counters.rounds += 1;
@@ -241,7 +304,7 @@ impl<'a> RoundEngine<'a> {
         let flow = if self.summary.is_some() {
             ControlFlow::Halt
         } else {
-            self.options.descend(t, &mut state.x, &state.aggregated);
+            self.options.descend(t, &mut self.x, &self.aggregated);
             ControlFlow::Continue
         };
         self.telemetry.end(self.round_span);
@@ -267,7 +330,7 @@ impl<'a> RoundEngine<'a> {
         self.telemetry.record(&self.counters.telemetry());
         Ok(Outcome {
             run: ObservedRun {
-                final_estimate: self.state.x,
+                final_estimate: self.x,
                 summary,
                 telemetry: self.telemetry.finish(),
             },
@@ -277,40 +340,131 @@ impl<'a> RoundEngine<'a> {
     }
 }
 
-/// The server's state within one run and, as a [`MetricSource`], what a
-/// round's record derives from: loss is the honest-cost pass
+/// What a DGD run's records measure: loss is the honest-cost pass
 /// `Σ_{i∈H} Q_i(x_t)`, distance/φ are measured against the options'
-/// reference point, and the gradient norm reads the filtered aggregate.
-/// Field-for-field the historical `IterationRecord` construction,
-/// computed lazily.
-struct ServerState<'a> {
+/// reference point. Field-for-field the historical `IterationRecord`
+/// construction, computed lazily.
+struct HonestCosts<'a> {
     /// The honest agents' costs, in agent-id order.
-    honest_costs: Vec<SharedCost>,
+    costs: Vec<SharedCost>,
     reference: &'a Vector,
-    x: Vector,
-    aggregated: Vector,
 }
 
-impl MetricSource for ServerState<'_> {
+impl RoundMetrics for HonestCosts<'_> {
+    fn loss(&self, x: &Vector) -> f64 {
+        self.costs.iter().map(|c| c.value(x)).sum()
+    }
+
+    fn distance(&self, x: &Vector, _g: &Vector) -> f64 {
+        x.dist(self.reference)
+    }
+
+    /// `⟨x − reference, g⟩` without materializing the offset.
+    fn phi(&self, x: &Vector, g: &Vector) -> f64 {
+        x.iter()
+            .zip(self.reference.iter())
+            .zip(g.iter())
+            .map(|((xi, ri), gi)| (xi - ri) * gi)
+            .sum()
+    }
+}
+
+/// One step's [`MetricSource`]: the run's [`RoundMetrics`] at this step's
+/// estimate and filtered gradient — a stack value, built per step.
+struct StepMetrics<'s> {
+    metrics: &'s dyn RoundMetrics,
+    x: &'s Vector,
+    aggregated: &'s Vector,
+}
+
+impl MetricSource for StepMetrics<'_> {
     fn loss(&self) -> f64 {
-        self.honest_costs.iter().map(|c| c.value(&self.x)).sum()
+        self.metrics.loss(self.x)
     }
 
     fn distance(&self) -> f64 {
-        self.x.dist(self.reference)
+        self.metrics.distance(self.x, self.aggregated)
     }
 
     fn grad_norm(&self) -> f64 {
         self.aggregated.norm()
     }
 
-    /// `⟨x − reference, g⟩` without materializing the offset.
     fn phi(&self) -> f64 {
-        self.x
-            .iter()
-            .zip(self.reference.iter())
-            .zip(self.aggregated.iter())
-            .map(|((xi, ri), gi)| (xi - ri) * gi)
-            .sum()
+        self.metrics.phi(self.x, self.aggregated)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ProjectionSet, StepSchedule};
+    use abft_core::observe::NullObserver;
+    use abft_filters::Mean;
+    use abft_telemetry::TelemetryConfig;
+    use std::cell::Cell;
+
+    /// Counts its loss evaluations; distance is `‖x‖`.
+    struct CountingLoss<'a>(&'a Cell<usize>);
+
+    impl RoundMetrics for CountingLoss<'_> {
+        fn loss(&self, _x: &Vector) -> f64 {
+            self.0.set(self.0.get() + 1);
+            7.0
+        }
+
+        fn distance(&self, x: &Vector, _g: &Vector) -> f64 {
+            x.norm()
+        }
+
+        fn phi(&self, _x: &Vector, _g: &Vector) -> f64 {
+            0.0
+        }
+    }
+
+    fn options(x0: Vector) -> RunOptions {
+        RunOptions {
+            x0,
+            iterations: 2,
+            schedule: StepSchedule::Constant(0.5),
+            projection: ProjectionSet::paper(),
+            reference: Vector::zeros(0),
+            aggregation_threads: 1,
+            fleet_workers: 1,
+            telemetry: TelemetryConfig::Off,
+            staleness_ns: None,
+        }
+    }
+
+    #[test]
+    fn a_cell_free_engine_evaluates_loss_only_for_the_final_record() {
+        let options = options(Vector::from(vec![1.0, -1.0]));
+        let evaluations = Cell::new(0);
+        let filter = Mean::new();
+        let mut observer = NullObserver;
+        let mut engine = RoundEngine::with_metrics(
+            CountingLoss(&evaluations),
+            &filter,
+            &options,
+            &mut observer,
+            Telemetry::disabled(),
+        );
+        let mut batch = engine.round_batch(2);
+        for t in 0..=2 {
+            batch.clear();
+            batch.push_row(&[2.0, 0.0]);
+            batch.push_row(&[0.0, 2.0]);
+            let flow = engine.step(t, &batch, 0).unwrap();
+            assert_eq!(flow.is_halt(), t == 2);
+            assert_eq!(evaluations.get(), usize::from(t == 2));
+        }
+        // Two updates of −0.5 · mean = −(0.5, 0.5) from (1, −1).
+        let outcome = engine.finish(NetMetrics::default()).unwrap();
+        assert_eq!(outcome.run.final_estimate.as_slice(), &[0.0, -2.0]);
+        assert_eq!(outcome.counters.rounds, 3);
+        let record = outcome.run.summary.final_record;
+        assert_eq!((record.iteration, record.loss), (2, 7.0));
+        assert_eq!((record.distance, record.phi), (2.0, 0.0));
+        assert_eq!(record.grad_norm, 2.0f64.sqrt());
     }
 }

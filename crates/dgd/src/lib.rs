@@ -15,7 +15,10 @@
 //! agent reports, the only code that calls a cost's gradient or a
 //! strategy's forgery on a driver path — collected a round at a time by a
 //! [`RoundWorkspace`] (one persistent batch, one pool cache); S2 —
-//! aggregate, check, observe, halt or update — is [`RoundEngine::step`].
+//! aggregate, check, observe, halt or update — is [`RoundEngine::step`],
+//! which knows nothing of agents: what a run's records measure is a
+//! [`RoundMetrics`], and it is also the step of every honest agent of the
+//! peer-to-peer runtime and of robust D-SGD (`abft-ml`).
 //! [`RoundWorkspace::run_rounds`] is the `for t { S1; S2 }` loop the
 //! in-process driver and the event-loop runtime share: [`DgdSimulation`]
 //! is that loop filling on the caller's thread, with omniscient attacks
@@ -53,7 +56,7 @@ pub mod schedule;
 pub mod simulation;
 
 pub use convergence::{phi_lower_bound_holds, settles_within};
-pub use engine::{Outcome, RoundEngine, RunCounters};
+pub use engine::{Outcome, RoundEngine, RoundMetrics, RunCounters};
 pub use error::DgdError;
 pub use fleet::{AgentCell, RoundWorkspace};
 pub use projection::ProjectionSet;

@@ -41,12 +41,6 @@ impl StepSchedule {
             StepSchedule::InverseSqrt { numerator } => numerator / (t as f64 + 1.0).sqrt(),
         }
     }
-
-    /// `true` for schedules satisfying Theorem 3's conditions
-    /// (`Σ η_t = ∞`, `Σ η_t² < ∞`).
-    pub fn is_theorem_3_admissible(&self) -> bool {
-        matches!(self, StepSchedule::Harmonic { .. })
-    }
 }
 
 #[cfg(test)]
@@ -58,7 +52,6 @@ mod tests {
         let s = StepSchedule::paper();
         assert_eq!(s.eta(0), 1.5);
         assert_eq!(s.eta(2), 0.5);
-        assert!(s.is_theorem_3_admissible());
     }
 
     #[test]
@@ -66,7 +59,6 @@ mod tests {
         let s = StepSchedule::Constant(0.1);
         assert_eq!(s.eta(0), 0.1);
         assert_eq!(s.eta(1000), 0.1);
-        assert!(!s.is_theorem_3_admissible());
     }
 
     #[test]
@@ -74,7 +66,6 @@ mod tests {
         let h = StepSchedule::Harmonic { numerator: 1.0 };
         let r = StepSchedule::InverseSqrt { numerator: 1.0 };
         assert!(r.eta(99) > h.eta(99));
-        assert!(!r.is_theorem_3_admissible());
     }
 
     #[test]

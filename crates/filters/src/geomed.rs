@@ -13,113 +13,78 @@ use abft_telemetry::DispatchProfile;
 /// (cited by the paper via Chen–Su–Xu's GMoM \[14\]); it tolerates strictly
 /// fewer than half corrupted points.
 ///
-/// Weiszfeld iterations are smoothed with a small `epsilon` in the
-/// denominators so the iteration is well-defined when the iterate lands on
-/// an input point.
-#[derive(Debug, Clone, Copy)]
-pub struct GeometricMedian {
-    max_iters: usize,
-    tol: f64,
-    epsilon: f64,
-}
+/// Weiszfeld iterations run for at most 200 rounds or until the iterate
+/// moves by no more than `1e-10`, and are smoothed with a small `1e-12` in
+/// the denominators so the iteration is well-defined when the iterate
+/// lands on an input point.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GeometricMedian;
 
-impl Default for GeometricMedian {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Weiszfeld's iteration budget.
+const MAX_ITERS: usize = 200;
+/// Weiszfeld's convergence tolerance on the step `‖z′ − z‖`.
+const TOL: f64 = 1e-10;
+/// Weiszfeld's denominator smoothing.
+const EPSILON: f64 = 1e-12;
 
 impl GeometricMedian {
-    /// Creates the filter with default iteration budget (`200`) and
-    /// tolerance (`1e-10`).
+    /// Creates the filter.
     pub fn new() -> Self {
-        GeometricMedian {
-            max_iters: 200,
-            tol: 1e-10,
-            epsilon: 1e-12,
-        }
+        GeometricMedian
     }
+}
 
-    /// Overrides the iteration budget and tolerance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FilterError::InvalidParameter`] for a zero iteration budget
-    /// or non-positive tolerance.
-    pub fn with_tolerance(max_iters: usize, tol: f64) -> Result<Self, FilterError> {
-        if max_iters == 0 {
-            return Err(FilterError::InvalidParameter {
-                filter: "geomed",
-                reason: "max_iters must be positive".into(),
+/// Smoothed Weiszfeld over the `count` contiguous rows of `rows`,
+/// writing the geometric median into `out`. `weights`, `z`, and
+/// `numerator` are caller-owned scratch (reused across calls); nothing
+/// is allocated here beyond their first-use growth.
+///
+/// With a `pool`, each iteration shards its two O(count · dim) phases:
+/// the per-row weights `w_p = 1/(‖z − g_p‖ + ε)` across row slots, and
+/// the weighted accumulation across column tiles — both bit-identical
+/// to the serial pass (the per-coordinate addition order is the row
+/// order either way, and the denominator sums the weights buffer in
+/// row order exactly as the fused serial loop did).
+#[allow(clippy::too_many_arguments)] // internal kernel: scratch plumbing
+fn weiszfeld_into(
+    rows: Rows<'_>,
+    count: usize,
+    dim: usize,
+    pool: Option<&WorkerPool>,
+    profile: Option<&DispatchProfile>,
+    weights: &mut Vec<f64>,
+    z: &mut Vec<f64>,
+    numerator: &mut Vec<f64>,
+    out: &mut [f64],
+) {
+    // Start from the coordinate-wise mean.
+    z.clear();
+    z.resize(dim, 0.0);
+    weighted_sum_into(pool, profile, rows, None, None, count, z);
+    rowops::scale(z, 1.0 / count as f64);
+
+    numerator.clear();
+    numerator.resize(dim, 0.0);
+    weights.clear();
+    weights.resize(count, 0.0);
+    for _ in 0..MAX_ITERS {
+        {
+            let z = &*z;
+            fill_slots(pool, profile, dim, weights, |p| {
+                1.0 / (rowops::dist(z, rows.row(p)) + EPSILON)
             });
         }
-        if tol <= 0.0 {
-            return Err(FilterError::InvalidParameter {
-                filter: "geomed",
-                reason: format!("tol must be positive, got {tol}"),
-            });
+        let denominator: f64 = weights.iter().sum();
+        rowops::fill_zero(numerator);
+        weighted_sum_into(pool, profile, rows, None, Some(weights), count, numerator);
+        rowops::scale(numerator, 1.0 / denominator);
+        let step = rowops::dist(numerator, z);
+        z.copy_from_slice(numerator);
+        if step <= TOL {
+            break;
         }
-        Ok(GeometricMedian {
-            max_iters,
-            tol,
-            epsilon: 1e-12,
-        })
     }
-
-    /// Smoothed Weiszfeld over the `count` contiguous rows of `rows`,
-    /// writing the geometric median into `out`. `weights`, `z`, and
-    /// `numerator` are caller-owned scratch (reused across calls); nothing
-    /// is allocated here beyond their first-use growth.
-    ///
-    /// With a `pool`, each iteration shards its two O(count · dim) phases:
-    /// the per-row weights `w_p = 1/(‖z − g_p‖ + ε)` across row slots, and
-    /// the weighted accumulation across column tiles — both bit-identical
-    /// to the serial pass (the per-coordinate addition order is the row
-    /// order either way, and the denominator sums the weights buffer in
-    /// row order exactly as the fused serial loop did).
-    #[allow(clippy::too_many_arguments)] // internal kernel: scratch plumbing
-    pub(crate) fn weiszfeld_into(
-        &self,
-        rows: Rows<'_>,
-        count: usize,
-        dim: usize,
-        pool: Option<&WorkerPool>,
-        profile: Option<&DispatchProfile>,
-        weights: &mut Vec<f64>,
-        z: &mut Vec<f64>,
-        numerator: &mut Vec<f64>,
-        out: &mut [f64],
-    ) {
-        // Start from the coordinate-wise mean.
-        z.clear();
-        z.resize(dim, 0.0);
-        weighted_sum_into(pool, profile, rows, None, None, count, z);
-        rowops::scale(z, 1.0 / count as f64);
-
-        numerator.clear();
-        numerator.resize(dim, 0.0);
-        weights.clear();
-        weights.resize(count, 0.0);
-        for _ in 0..self.max_iters {
-            let epsilon = self.epsilon;
-            {
-                let z = &*z;
-                fill_slots(pool, profile, dim, weights, |p| {
-                    1.0 / (rowops::dist(z, rows.row(p)) + epsilon)
-                });
-            }
-            let denominator: f64 = weights.iter().sum();
-            rowops::fill_zero(numerator);
-            weighted_sum_into(pool, profile, rows, None, Some(weights), count, numerator);
-            rowops::scale(numerator, 1.0 / denominator);
-            let step = rowops::dist(numerator, z);
-            z.copy_from_slice(numerator);
-            if step <= self.tol {
-                break;
-            }
-        }
-        out.copy_from_slice(z);
-    }
+    out.copy_from_slice(z);
 }
 
 impl GradientFilter for GeometricMedian {
@@ -133,7 +98,7 @@ impl GradientFilter for GeometricMedian {
         let mut scratch = batch.scratch();
         let s = &mut *scratch;
         let slots = zeroed_out(out, dim);
-        self.weiszfeld_into(
+        weiszfeld_into(
             Rows::of(batch),
             batch.len(),
             dim,
@@ -161,7 +126,6 @@ impl GradientFilter for GeometricMedian {
 #[derive(Debug, Clone, Copy)]
 pub struct GeometricMedianOfMeans {
     groups: usize,
-    inner: GeometricMedian,
 }
 
 impl GeometricMedianOfMeans {
@@ -177,10 +141,7 @@ impl GeometricMedianOfMeans {
                 reason: "group count must be positive".into(),
             });
         }
-        Ok(GeometricMedianOfMeans {
-            groups,
-            inner: GeometricMedian::new(),
-        })
+        Ok(GeometricMedianOfMeans { groups })
     }
 
     /// The configured bucket count.
@@ -247,7 +208,7 @@ impl GradientFilter for GeometricMedianOfMeans {
         }
 
         let slots = zeroed_out(out, dim);
-        self.inner.weiszfeld_into(
+        weiszfeld_into(
             Rows::new(&s.flat[..self.groups * dim], dim),
             self.groups,
             dim,
@@ -310,9 +271,6 @@ mod tests {
 
     #[test]
     fn configuration_validation() {
-        assert!(GeometricMedian::with_tolerance(0, 1e-8).is_err());
-        assert!(GeometricMedian::with_tolerance(10, 0.0).is_err());
-        assert!(GeometricMedian::with_tolerance(10, 1e-8).is_ok());
         assert!(GeometricMedianOfMeans::new(0).is_err());
         assert_eq!(GeometricMedianOfMeans::new(3).unwrap().groups(), 3);
     }

@@ -3,7 +3,7 @@
 
 use crate::error::FilterError;
 use crate::par::{pairwise_dist_sq_into, weighted_sum_into, Rows};
-use crate::traits::{batch_of, validate_batch, zeroed_out, GradientFilter};
+use crate::traits::{validate_batch, zeroed_out, GradientFilter};
 use abft_linalg::{rowops, BatchScratch, GradientBatch, Vector};
 
 /// Computes each pool member's Krum score — the sum of squared distances
@@ -100,15 +100,6 @@ impl Krum {
             .map(|(i, _)| i)
             .ok_or(FilterError::Empty)
     }
-
-    /// The index Krum selects (ties broken by lowest index).
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`GradientFilter::aggregate`].
-    pub fn selected_index(gradients: &[Vector], f: usize) -> Result<usize, FilterError> {
-        Self::selected_row(&batch_of(gradients)?, f)
-    }
 }
 
 impl GradientFilter for Krum {
@@ -204,6 +195,7 @@ impl GradientFilter for MultiKrum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::batch_of;
 
     /// 5 clustered honest gradients + 1 far outlier (n = 6, f = 1).
     fn clustered_with_outlier() -> Vec<Vector> {
@@ -220,7 +212,7 @@ mod tests {
     #[test]
     fn krum_picks_a_clustered_gradient() {
         let gs = clustered_with_outlier();
-        let idx = Krum::selected_index(&gs, 1).unwrap();
+        let idx = Krum::selected_row(&batch_of(&gs).unwrap(), 1).unwrap();
         assert!(idx < 5, "krum selected the outlier");
         let out = Krum::new().aggregate(&gs, 1).unwrap();
         assert!(out.dist(&Vector::from(vec![1.0, 1.0])) < 0.5);

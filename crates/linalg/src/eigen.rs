@@ -34,11 +34,6 @@ impl SymEigen {
         // LINT-ALLOW(no-panic-hot-path): the spectrum is non-empty (0×0 input is rejected)
         *self.values.last().expect("non-empty spectrum")
     }
-
-    /// Condition number `λ_max / λ_min` (for positive-definite matrices).
-    pub fn condition_number(&self) -> f64 {
-        self.max() / self.min()
-    }
 }
 
 /// Symmetric eigendecomposition via the cyclic Jacobi method.
@@ -218,7 +213,6 @@ mod tests {
         let eig = sym_eigenvalues(&a).unwrap();
         assert!((eig.values[0] - 1.0).abs() < 1e-10);
         assert!((eig.values[1] - 3.0).abs() < 1e-10);
-        assert!((eig.condition_number() - 3.0).abs() < 1e-9);
     }
 
     #[test]

@@ -31,15 +31,6 @@ pub fn variance(values: &[f64]) -> Result<f64, LinalgError> {
     Ok(values.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (values.len() - 1) as f64)
 }
 
-/// Sample standard deviation.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::Empty`] for an empty slice.
-pub fn std_dev(values: &[f64]) -> Result<f64, LinalgError> {
-    variance(values).map(f64::sqrt)
-}
-
 /// Median (average of the two middle order statistics for even length).
 ///
 /// # Errors
@@ -206,7 +197,6 @@ mod tests {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs).unwrap(), 5.0);
         assert!((variance(&xs).unwrap() - 32.0 / 7.0).abs() < 1e-12);
-        assert!((std_dev(&xs).unwrap() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
         assert!(mean(&[]).is_err());
         assert_eq!(variance(&[3.0]).unwrap(), 0.0);
     }

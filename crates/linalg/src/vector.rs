@@ -86,11 +86,6 @@ impl Vector {
         &mut self.data
     }
 
-    /// Consumes the vector, returning its backing storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Iterator over entries.
     pub fn iter(&self) -> std::slice::Iter<'_, f64> {
         self.data.iter()
@@ -100,8 +95,7 @@ impl Vector {
     ///
     /// # Panics
     ///
-    /// Panics if dimensions differ; use [`Vector::checked_dot`] for a
-    /// fallible variant.
+    /// Panics if dimensions differ.
     pub fn dot(&self, other: &Vector) -> f64 {
         // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
         assert_eq!(
@@ -116,21 +110,6 @@ impl Vector {
             .sum()
     }
 
-    /// Inner product with dimension checking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Dimension`] when dimensions differ.
-    pub fn checked_dot(&self, other: &Vector) -> Result<f64, LinalgError> {
-        if self.dim() != other.dim() {
-            return Err(LinalgError::Dimension {
-                expected: format!("dim {}", self.dim()),
-                actual: format!("dim {}", other.dim()),
-            });
-        }
-        Ok(self.dot(other))
-    }
-
     /// Squared Euclidean norm `‖self‖²`.
     pub fn norm_sq(&self) -> f64 {
         self.data.iter().map(|a| a * a).sum()
@@ -139,11 +118,6 @@ impl Vector {
     /// Euclidean norm `‖self‖` — the norm used throughout the paper.
     pub fn norm(&self) -> f64 {
         self.norm_sq().sqrt()
-    }
-
-    /// Infinity norm `max_i |self[i]|`.
-    pub fn norm_inf(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, a| m.max(a.abs()))
     }
 
     /// Euclidean distance `‖self − other‖`.
@@ -215,23 +189,9 @@ impl Vector {
         }
     }
 
-    /// Element-wise clamp of every entry into `[lo, hi]` — the projection
-    /// onto the axis-aligned box `[lo, hi]^d` used as the compact set `W` in
-    /// the paper's update rule (21).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn clamp_box(&self, lo: f64, hi: f64) -> Vector {
-        // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
-        assert!(lo <= hi, "clamp_box requires lo <= hi");
-        Vector {
-            data: self.data.iter().map(|a| a.clamp(lo, hi)).collect(),
-        }
-    }
-
-    /// In-place variant of [`Vector::clamp_box`] for allocation-free
-    /// projection in the DGD hot loop.
+    /// Clamps every entry into `[lo, hi]` in place — the projection onto
+    /// the axis-aligned box `[lo, hi]^d` used as the compact set `W` in the
+    /// paper's update rule (21), allocation-free for the DGD hot loop.
     ///
     /// # Panics
     ///
@@ -491,7 +451,6 @@ mod tests {
         let v = Vector::from(vec![3.0, -4.0]);
         assert_eq!(v.norm(), 5.0);
         assert_eq!(v.norm_sq(), 25.0);
-        assert_eq!(v.norm_inf(), 4.0);
     }
 
     #[test]
@@ -532,7 +491,6 @@ mod tests {
         let x = Vector::from(vec![1.0, 2.0, 3.0]);
         let y = Vector::from(vec![4.0, 5.0, 6.0]);
         assert_eq!(x.dot(&y), 32.0);
-        assert!(x.checked_dot(&Vector::zeros(2)).is_err());
     }
 
     #[test]
@@ -558,14 +516,9 @@ mod tests {
 
     #[test]
     fn clamp_box_projects() {
-        let x = Vector::from(vec![-2000.0, 0.5, 1500.0]);
-        assert_eq!(
-            x.clamp_box(-1000.0, 1000.0).as_slice(),
-            &[-1000.0, 0.5, 1000.0]
-        );
-        let mut y = x.clone();
-        y.clamp_box_mut(-1000.0, 1000.0);
-        assert_eq!(y, x.clamp_box(-1000.0, 1000.0));
+        let mut x = Vector::from(vec![-2000.0, 0.5, 1500.0]);
+        x.clamp_box_mut(-1000.0, 1000.0);
+        assert_eq!(x.as_slice(), &[-1000.0, 0.5, 1000.0]);
     }
 
     #[test]
@@ -618,7 +571,6 @@ mod tests {
         v[0] = 9.0;
         assert_eq!(v[0], 9.0);
         assert_eq!(v.iter().copied().collect::<Vec<_>>(), vec![9.0, 2.0]);
-        assert_eq!(v.clone().into_vec(), vec![9.0, 2.0]);
     }
 
     #[test]

@@ -6,16 +6,22 @@
 //! gradient-reverse negates the report); the server aggregates with a
 //! gradient filter and takes a fixed-step update (`b = 128`, `η = 0.01` in
 //! the paper).
+//!
+//! That server step is the DGD one fed stochastic gradients, so it is
+//! [`abft_dgd::RoundEngine::step`] (constant schedule, `W = ℝ^d`); this
+//! file is D-SGD's step S1 — how the agents' rows are sampled and filled
+//! — and the evaluation series.
 
 use crate::dataset::Dataset;
 use crate::error::MlError;
-use abft_core::observe::{
-    observe_round, MetricSource, NullObserver, RoundView, RunObserver, RunSummary,
-};
+use abft_core::observe::{NullObserver, RunObserver, RunSummary};
+use abft_dgd::{ProjectionSet, RoundEngine, RoundMetrics, RunOptions, StepSchedule};
 use abft_filters::GradientFilter;
 use abft_linalg::rng::seeded_rng;
 use abft_linalg::{GradientBatch, Vector};
-use abft_telemetry::{Counter, Phase, Telemetry, TelemetryConfig, TelemetryReport};
+use abft_telemetry::{Phase, Telemetry, TelemetryConfig, TelemetryReport};
+use std::borrow::Cow;
+use std::cell::Cell;
 
 /// A trainable model exposing flat parameter/gradient vectors, so gradient
 /// filters can treat learning exactly like the paper's DGD: aggregation of
@@ -160,32 +166,26 @@ pub struct DsgdOutcome {
     pub telemetry: Option<TelemetryReport>,
 }
 
-/// The [`MetricSource`] of a D-SGD round. Training has no reference point
+/// What a D-SGD run's records measure. Training has no reference point
 /// `x_H`, so the DGD metric vocabulary maps as: `loss` is the honest
-/// agents' mean mini-batch loss (a by-product of the gradient pass —
-/// cheap), `grad_norm` **and** `distance` are the filtered update
-/// direction's norm (so [`abft_core::observe::ConvergenceHalt`] performs
-/// gradient-norm early stopping), and `φ`, defined only relative to a
-/// reference, is reported as `0`.
-struct DsgdMetrics<'a> {
-    honest_loss: f64,
-    direction: &'a Vector,
-}
+/// agents' mean mini-batch loss (a by-product of the gradient pass, which
+/// the driver sets after each fill), `distance` — like `grad_norm` — is
+/// the filtered update direction's norm (so
+/// [`abft_core::observe::ConvergenceHalt`] performs gradient-norm early
+/// stopping), and `φ`, defined only relative to a reference, is reported
+/// as `0`.
+struct DsgdMetrics<'a>(&'a Cell<f64>);
 
-impl MetricSource for DsgdMetrics<'_> {
-    fn loss(&self) -> f64 {
-        self.honest_loss
+impl RoundMetrics for DsgdMetrics<'_> {
+    fn loss(&self, _x: &Vector) -> f64 {
+        self.0.get()
     }
 
-    fn distance(&self) -> f64 {
-        self.direction.norm()
+    fn distance(&self, _x: &Vector, g: &Vector) -> f64 {
+        g.norm()
     }
 
-    fn grad_norm(&self) -> f64 {
-        self.direction.norm()
-    }
-
-    fn phi(&self) -> f64 {
+    fn phi(&self, _x: &Vector, _g: &Vector) -> f64 {
         0.0
     }
 }
@@ -294,42 +294,53 @@ pub fn train_distributed_observed<M: Model>(
         mask
     };
 
-    // Label-flip poisons the shard data once, up front.
-    let effective_shards: Vec<Dataset> = shards
+    // Label-flip poisons the faulty shards' data once, up front; every
+    // other shard is the caller's, borrowed.
+    let effective_shards: Vec<Cow<'_, Dataset>> = shards
         .iter()
         .enumerate()
         .map(|(i, shard)| {
             if is_faulty[i] && fault == MlFault::LabelFlip {
-                shard.with_flipped_labels()
+                Cow::Owned(shard.with_flipped_labels())
             } else {
-                shard.clone()
+                Cow::Borrowed(shard)
             }
         })
         .collect();
 
-    let mut rng = seeded_rng(config.seed);
-    let lr = config.learning_rate();
-    let mut records = Vec::new();
-    let probe = observer.probe();
-    let mut summary = None;
-
-    // Round state reused across all iterations: the contiguous gradient
-    // batch (one row per agent, refilled in place) and the filtered
-    // direction — the same zero-copy aggregation path as the DGD drivers.
-    // With `aggregation_threads > 1` the batch carries a worker pool and
-    // the filter shards its kernels (bit-identical to serial).
-    let mut round = GradientBatch::with_capacity(n, model.param_dim());
-    if config.aggregation_threads > 1 {
-        round.set_worker_pool(Some(std::sync::Arc::new(abft_linalg::WorkerPool::new(
-            config.aggregation_threads,
-        ))));
-    }
-    let mut direction = Vector::zeros(model.param_dim());
-
+    // D-SGD as a configuration of the DGD server step: start at the
+    // model's parameters, a constant rate, and `W = ℝ^d` — a clamp that is
+    // the identity on every value. Training has no reference point.
+    let options = RunOptions {
+        x0: model.params(),
+        iterations: config.iterations,
+        schedule: StepSchedule::Constant(config.learning_rate()),
+        projection: ProjectionSet::Box {
+            lo: f64::NEG_INFINITY,
+            hi: f64::INFINITY,
+        },
+        reference: Vector::zeros(0),
+        aggregation_threads: config.aggregation_threads,
+        fleet_workers: 1,
+        telemetry: config.telemetry,
+        staleness_ns: None,
+    };
+    let honest_loss = Cell::new(0.0);
+    let metrics = DsgdMetrics(&honest_loss);
     // Observational only: disabled handles never touch the clock, so the
     // training loop is bit-identical with telemetry off.
-    let mut telemetry = Telemetry::wall(config.telemetry);
-    round.set_dispatch_profile(telemetry.dispatch_profile());
+    let telemetry = Telemetry::wall(config.telemetry);
+    let mut engine = RoundEngine::with_metrics(metrics, filter, &options, observer, telemetry);
+    // One row per agent, refilled in place every iteration.
+    let mut round: GradientBatch = engine.round_batch(n);
+
+    let mut rng = seeded_rng(config.seed);
+    let mut records = Vec::new();
+    let evaluate = |model: &M, iteration: usize, loss: f64| DsgdRecord {
+        iteration,
+        loss,
+        accuracy: model.accuracy(test),
+    };
 
     // Like the DGD drivers, the loop runs a *final record round* at
     // `t = iterations`: one more gradient pass + aggregation at the final
@@ -337,11 +348,10 @@ pub fn train_distributed_observed<M: Model>(
     // `iterations + 1` rounds and the summary's final record describes
     // the parameters training actually ends with.
     for t in 0..=config.iterations {
-        let advance = t < config.iterations;
-        let round_span = telemetry.begin(Phase::Round);
+        model.set_params(engine.x());
         // Per-agent stochastic gradients of the current global model,
         // written straight into the batch rows.
-        let fill_span = telemetry.begin(Phase::GradientFill);
+        let fill_span = engine.telemetry.begin(Phase::GradientFill);
         round.reset_rows(n);
         let mut honest_loss_sum = 0.0;
         let mut honest_count = 0usize;
@@ -359,69 +369,30 @@ pub fn train_distributed_observed<M: Model>(
             }
         }
         let mean_loss = honest_loss_sum / honest_count as f64;
-        telemetry.end(fill_span);
-        telemetry.add(Counter::Replies, n as u64);
-        telemetry.add(Counter::Rounds, 1);
+        honest_loss.set(mean_loss);
+        engine.telemetry.end(fill_span);
+        engine.counters.replies_received += n;
 
-        if advance && t.is_multiple_of(config.eval_every) {
-            records.push(DsgdRecord {
-                iteration: t,
-                loss: mean_loss,
-                accuracy: model.accuracy(test),
-            });
+        if t < config.iterations && t.is_multiple_of(config.eval_every) {
+            records.push(evaluate(model, t, mean_loss));
         }
-
-        let agg_span = telemetry.begin(Phase::Aggregate);
-        let aggregate = filter.aggregate_into(&round, f, &mut direction);
-        telemetry.end(agg_span);
-        if let Err(err) = aggregate {
-            round.set_dispatch_profile(None);
-            return Err(err.into());
-        }
-        let mut params = model.params();
-        if advance && (direction.has_non_finite() || params.has_non_finite()) {
-            return Err(MlError::Diverged { iteration: t });
-        }
-        {
-            let observe_span = telemetry.begin(Phase::Observe);
-            let source = DsgdMetrics {
-                honest_loss: mean_loss,
-                direction: &direction,
-            };
-            let view = RoundView::new(t, params.as_slice(), direction.as_slice(), &source, probe);
-            summary = observe_round(observer, &view, advance);
-            telemetry.end(observe_span);
-        }
-        if summary.is_some() {
+        if engine.step(t, &round, f)?.is_halt() {
             // Final evaluation record at the (never again updated)
             // parameters — unless the eval schedule already recorded this
             // exact iteration a few lines up.
             if records.last().is_none_or(|r| r.iteration != t) {
-                records.push(DsgdRecord {
-                    iteration: t,
-                    loss: mean_loss,
-                    accuracy: model.accuracy(test),
-                });
+                records.push(evaluate(model, t, mean_loss));
             }
-            telemetry.end(round_span);
             break;
         }
-        params.axpy(-lr, &direction);
-        model.set_params(&params);
-        telemetry.end(round_span);
     }
 
-    if let Some(profile) = round.take_dispatch_profile() {
-        telemetry.absorb_dispatch(&profile.snapshot());
-    }
-
-    let summary = summary.ok_or_else(|| MlError::InvalidConfig {
-        reason: "training ended before a round observed its final record".into(),
-    })?;
+    engine.absorb(&mut round);
+    let run = engine.finish(Default::default())?.run;
     Ok(DsgdOutcome {
         records,
-        summary,
-        telemetry: telemetry.finish(),
+        summary: run.summary,
+        telemetry: run.telemetry,
     })
 }
 
@@ -521,6 +492,25 @@ mod tests {
         );
         assert_eq!(result, Err(MlError::Diverged { iteration: 0 }));
         // The poisoned update was never applied.
+        assert!(model.params().approx_eq(&before, 0.0));
+    }
+
+    #[test]
+    fn a_filter_rejection_is_a_filter_error_and_leaves_the_model_alone() {
+        // CWTM needs n > 2f; three faulty agents of five break it.
+        let (shards, test) = setup();
+        let mut model = Mlp::new(&[16, 8, 10], 1).unwrap();
+        let before = model.params();
+        let result = train_distributed(
+            &mut model,
+            &shards,
+            &[0, 1, 2],
+            MlFault::GradientReverse,
+            &Cwtm::new(),
+            &test,
+            &quick_config(),
+        );
+        assert!(matches!(result, Err(MlError::Filter(_))), "{result:?}");
         assert!(model.params().approx_eq(&before, 0.0));
     }
 

@@ -59,6 +59,22 @@ impl From<abft_filters::FilterError> for MlError {
     }
 }
 
+/// The server step's errors, as the variants D-SGD's callers match on.
+impl From<abft_dgd::DgdError> for MlError {
+    fn from(e: abft_dgd::DgdError) -> Self {
+        use abft_dgd::DgdError;
+        match e {
+            DgdError::Filter(e) => MlError::Filter(e),
+            DgdError::Diverged { iteration } => MlError::Diverged { iteration },
+            DgdError::Dimension { expected, actual } => MlError::Shape { expected, actual },
+            DgdError::Config(reason) => MlError::InvalidConfig { reason },
+            DgdError::Core(e) => MlError::InvalidConfig {
+                reason: e.to_string(),
+            },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,5 +89,20 @@ mod tests {
         };
         assert!(e.to_string().contains("batch size 0"));
         assert!(MlError::Diverged { iteration: 7 }.to_string().contains('7'));
+    }
+
+    #[test]
+    fn server_step_errors_keep_their_meaning() {
+        use abft_dgd::DgdError;
+        assert_eq!(
+            MlError::from(DgdError::Filter(abft_filters::FilterError::Empty)),
+            MlError::Filter(abft_filters::FilterError::Empty)
+        );
+        assert_eq!(
+            MlError::from(DgdError::Diverged { iteration: 3 }),
+            MlError::Diverged { iteration: 3 }
+        );
+        let config = MlError::from(DgdError::Config("no final round".into()));
+        assert!(matches!(config, MlError::InvalidConfig { reason } if reason == "no final round"));
     }
 }

@@ -64,15 +64,6 @@ impl NetMetrics {
     pub fn is_balanced(&self) -> bool {
         self.sent == self.delivered + self.dropped + self.late
     }
-
-    /// Fraction of sent messages that were delivered (1.0 on an empty bus).
-    pub fn delivery_rate(&self) -> f64 {
-        if self.sent == 0 {
-            1.0
-        } else {
-            self.delivered as f64 / self.sent as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -83,7 +74,6 @@ mod tests {
     fn counters_balance_and_rate() {
         let mut m = NetMetrics::default();
         assert!(m.is_balanced());
-        assert_eq!(m.delivery_rate(), 1.0);
         m.record_send();
         m.record_send();
         m.record_send();
@@ -91,7 +81,6 @@ mod tests {
         m.record_drop();
         m.record_late();
         assert!(m.is_balanced());
-        assert!((m.delivery_rate() - 1.0 / 3.0).abs() < 1e-15);
     }
 
     #[test]

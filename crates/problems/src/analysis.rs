@@ -28,13 +28,6 @@ pub struct ConvexityConstants {
     pub gamma: f64,
 }
 
-impl ConvexityConstants {
-    /// The ratio `µ/γ ≥ 1` (Appendix C proves `γ ≤ µ`).
-    pub fn condition_ratio(&self) -> f64 {
-        self.mu / self.gamma
-    }
-}
-
 /// Smoothness constant `µ = max_i 2·λ_max(A_iᵀA_i) = max_i 2‖A_i‖²`.
 ///
 /// For the paper's unit-norm leading rows this evaluates to `2`, matching
@@ -150,7 +143,6 @@ mod tests {
         let p = RegressionProblem::paper_instance();
         let c = convexity_constants(&p).unwrap();
         assert!(c.gamma <= c.mu);
-        assert!(c.condition_ratio() >= 1.0);
     }
 
     #[test]

@@ -124,11 +124,6 @@ impl QuadraticCost {
         }
     }
 
-    /// The Hessian `P`.
-    pub fn hessian(&self) -> &Matrix {
-        &self.p
-    }
-
     /// The unique minimizer `−P⁻¹q`, when `P` is positive definite.
     ///
     /// # Errors

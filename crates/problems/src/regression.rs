@@ -73,17 +73,6 @@ impl RegressionProblem {
         RegressionProblem { config, a, b }
     }
 
-    /// The paper's fixed noise vector `N` (eq. 132), satisfying
-    /// `B = A·x* + N`.
-    pub fn paper_noise() -> Vector {
-        Vector::from(vec![-0.0892, 0.0349, 0.0376, 0.0033, -0.0858, -0.0615])
-    }
-
-    /// The paper's ground-truth parameter `x* = (1, 1)ᵀ`.
-    pub fn paper_ground_truth() -> Vector {
-        Vector::from(vec![1.0, 1.0])
-    }
-
     /// Generates a random instance with redundancy by construction:
     /// unit-norm rows `A_i`, `B = A·x* + N(0, noise_std²)` noise, retrying
     /// until every `(n − 2f)`-subset stack has full column rank (which holds
@@ -294,12 +283,10 @@ mod tests {
 
     #[test]
     fn paper_observations_decompose_as_ax_plus_noise() {
+        // Eq. 132: B = A·x* + N with x* = (1, 1)ᵀ and the paper's fixed N.
         let p = RegressionProblem::paper_instance();
-        let reconstructed = &p
-            .matrix()
-            .matvec(&RegressionProblem::paper_ground_truth())
-            .unwrap()
-            + &RegressionProblem::paper_noise();
+        let noise = Vector::from(vec![-0.0892, 0.0349, 0.0376, 0.0033, -0.0858, -0.0615]);
+        let reconstructed = &p.matrix().matvec(&Vector::ones(2)).unwrap() + &noise;
         assert!(reconstructed.approx_eq(p.observations(), 1e-12));
     }
 
@@ -402,7 +389,7 @@ mod tests {
         // Noiseless fan recovers x* = (1, 1) from every quorum.
         for subset in KSubsets::new(6, 4) {
             let x = fan.subset_minimizer(&subset).unwrap();
-            assert!(x.approx_eq(&RegressionProblem::paper_ground_truth(), 1e-9));
+            assert!(x.approx_eq(&Vector::ones(2), 1e-9));
         }
     }
 

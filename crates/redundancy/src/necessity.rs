@@ -20,10 +20,12 @@ use abft_linalg::Vector;
 /// [`NecessityScenario::centers`]. The same submission is consistent with
 /// two possible worlds:
 ///
-/// * scenario (i): the honest set is `S = Ŝ ∪ left_group`, whose aggregate
-///   minimizes at [`NecessityScenario::x_s`];
-/// * scenario (ii): the honest set is `B ∪ Ŝ = Ŝ ∪ right_group`, whose
-///   aggregate minimizes at [`NecessityScenario::x_bs`].
+/// * scenario (i): the honest set is `S = Ŝ ∪ left` — the core and the
+///   next `f` agents — whose aggregate minimizes at
+///   [`NecessityScenario::x_s`];
+/// * scenario (ii): the honest set is `B ∪ Ŝ = Ŝ ∪ right` — the core and
+///   the last `f` agents — whose aggregate minimizes at
+///   [`NecessityScenario::x_bs`].
 ///
 /// The construction places `|x_s − x_bs| = 2(ε + δ)`, so any single output
 /// is at distance `> ε` from at least one of them.
@@ -32,8 +34,6 @@ pub struct NecessityScenario {
     config: SystemConfig,
     centers: Vec<f64>,
     core: Vec<usize>,
-    left_group: Vec<usize>,
-    right_group: Vec<usize>,
     x_s: f64,
     x_bs: f64,
     epsilon: f64,
@@ -78,21 +78,13 @@ impl NecessityScenario {
 
         let mut centers = vec![0.0; n];
         let core: Vec<usize> = (0..core_size).collect();
-        let left_group: Vec<usize> = (core_size..core_size + f).collect();
-        let right_group: Vec<usize> = (core_size + f..n).collect();
-        for &i in &left_group {
-            centers[i] = -pull;
-        }
-        for &i in &right_group {
-            centers[i] = pull;
-        }
+        centers[core_size..core_size + f].fill(-pull);
+        centers[core_size + f..].fill(pull);
 
         Ok(NecessityScenario {
             config,
             centers,
             core,
-            left_group,
-            right_group,
             x_s: -gap,
             x_bs: gap,
             epsilon,
@@ -108,20 +100,6 @@ impl NecessityScenario {
     /// The shared core `Ŝ` (size `n − 2f`).
     pub fn core(&self) -> &[usize] {
         &self.core
-    }
-
-    /// Scenario (i)'s honest set `S = Ŝ ∪ left_group` (size `n − f`).
-    pub fn scenario_one_honest(&self) -> Vec<usize> {
-        let mut s = self.core.clone();
-        s.extend_from_slice(&self.left_group);
-        s
-    }
-
-    /// Scenario (ii)'s honest set `B ∪ Ŝ = Ŝ ∪ right_group` (size `n − f`).
-    pub fn scenario_two_honest(&self) -> Vec<usize> {
-        let mut s = self.core.clone();
-        s.extend_from_slice(&self.right_group);
-        s
     }
 
     /// The honest minimizer of scenario (i).
@@ -193,10 +171,11 @@ mod tests {
         let s = scenario();
         assert_eq!(s.x_s(), -0.6);
         assert_eq!(s.x_bs(), 0.6);
-        // Verify through the oracle: mean of scenario-one centers.
-        let m1 = s.argmin(&s.scenario_one_honest()).unwrap().representative();
+        // Verify through the oracle: the mean of each scenario's honest
+        // centers — core {0, 1, 2} plus the left agent 3, or the right 4.
+        let m1 = s.argmin(&[0, 1, 2, 3]).unwrap().representative();
         assert!((m1[0] - s.x_s()).abs() < 1e-12);
-        let m2 = s.argmin(&s.scenario_two_honest()).unwrap().representative();
+        let m2 = s.argmin(&[0, 1, 2, 4]).unwrap().representative();
         assert!((m2[0] - s.x_bs()).abs() < 1e-12);
     }
 
@@ -247,10 +226,9 @@ mod tests {
     fn larger_f_scales_the_pull() {
         let config = SystemConfig::new(7, 2).unwrap();
         let s = NecessityScenario::build(config, 1.0, 0.5).unwrap();
-        // pull = gap(n−f)/f = 1.5·5/2 = 3.75.
-        assert!((s.centers()[s.scenario_one_honest()[3]] + 3.75).abs() < 1e-12);
+        // pull = gap(n−f)/f = 1.5·5/2 = 3.75: the left pair at −, the
+        // right pair at +.
+        assert_eq!(s.centers()[3..], [-3.75, -3.75, 3.75, 3.75]);
         assert_eq!(s.core().len(), 3);
-        assert_eq!(s.scenario_one_honest().len(), 5);
-        assert_eq!(s.scenario_two_honest().len(), 5);
     }
 }

@@ -34,10 +34,8 @@
 //! reproduces the synchronous `f − #silent` elimination exactly.)
 
 use crate::error::RuntimeError;
-use crate::message::{FromAgent, ServerWire, ToAgent};
-use crate::simulated::{
-    broadcast_estimate, check_reply_dim, round_batch, wire_reply, SimulatedRun,
-};
+use crate::message::ServerWire;
+use crate::simulated::{broadcast_estimate, check_reply_dim, wire_reply, SimulatedRun};
 use crate::task::{DgdTask, FaultPlan};
 use abft_core::observe::RunObserver;
 use abft_dgd::{AgentCell, Outcome, RoundEngine, RunOptions};
@@ -232,7 +230,7 @@ pub(crate) fn execute_async_server(
     let telemetry = Telemetry::for_bus(options.telemetry, Some(net.now()));
     let mut engine = RoundEngine::new(&cells, &honest, filter, options, observer, telemetry)?;
     let dim = engine.x().dim();
-    let mut batch = round_batch(n, dim, options.aggregation_threads);
+    let mut batch = engine.round_batch(n);
     let mut staging = Vector::zeros(dim);
 
     // Per-agent clock streams: same derivation discipline as the
@@ -267,10 +265,10 @@ pub(crate) fn execute_async_server(
                 engine.telemetry.end(span);
                 for delivery in deliveries {
                     match delivery.payload {
-                        ServerWire::Command(ToAgent::Estimate {
+                        ServerWire::Estimate {
                             iteration,
                             estimate,
-                        }) => {
+                        } => {
                             let state = &mut agents[delivery.to];
                             if state.crashed {
                                 continue;
@@ -291,7 +289,7 @@ pub(crate) fn execute_async_server(
                                 &mut queue,
                             );
                         }
-                        ServerWire::Reply(FromAgent::Gradient { gradient, .. }) => {
+                        ServerWire::Gradient { gradient, .. } => {
                             check_reply_dim(dim, delivery.from, &gradient)?;
                             engine.counters.replies_received += 1;
                             let slot = &mut latest[delivery.from];
@@ -308,7 +306,6 @@ pub(crate) fn execute_async_server(
                                 });
                             }
                         }
-                        ServerWire::Command(ToAgent::Shutdown) => {}
                     }
                 }
                 continue 'run;

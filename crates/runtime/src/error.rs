@@ -48,12 +48,6 @@ impl From<DgdError> for RuntimeError {
     }
 }
 
-impl From<abft_filters::FilterError> for RuntimeError {
-    fn from(e: abft_filters::FilterError) -> Self {
-        RuntimeError::Dgd(DgdError::Filter(e))
-    }
-}
-
 impl From<ValidationError> for RuntimeError {
     fn from(e: ValidationError) -> Self {
         match e {

@@ -25,7 +25,9 @@
 //!   Byzantine broadcast. [`eig_broadcast`] implements the classic
 //!   `f + 1`-round EIG protocol (agreement + validity for `3f < n`); one
 //!   broadcast instance per agent per iteration gives every honest agent
-//!   the same multiset, so the same filter keeps them in lockstep.
+//!   the same multiset, and every honest agent steps its own
+//!   [`abft_dgd::RoundEngine`] over it, so the same server step keeps
+//!   them in lockstep.
 //! * [`Launch::Simulated`] — either architecture, or the asynchronous
 //!   bounded-staleness server ([`async_server`]), over a seeded
 //!   `abft_net::SimulatedNetwork` whose links can delay, drop, reorder,
@@ -73,7 +75,7 @@ pub use abft_dgd::{AgentCell, Outcome, RoundWorkspace, RunCounters};
 pub use async_server::AsyncConfig;
 pub use eig::{eig_broadcast, eig_broadcast_on, BroadcastOutcome, EigMessage, EquivocationPlan};
 pub use error::RuntimeError;
-pub use message::{FromAgent, ServerWire, ToAgent};
+pub use message::ServerWire;
 pub use simulated::{SimTopology, SimulatedRun};
 pub use task::{DgdTask, Launch};
 

@@ -1,30 +1,27 @@
-//! Serializable server ↔ agent message types.
+//! The server ↔ agent wire value.
 //!
-//! These are the wire values the *simulated* server topology moves over
-//! its [`abft_net::MessageBus`]. The event-loop runtime ships no
-//! messages at all — agent cells stream gradients straight into their
-//! loaned `GradientBatch` rows (see [`abft_dgd::fleet`]).
+//! [`ServerWire`] is what the *simulated* server topologies move over
+//! their [`abft_net::MessageBus`]: the estimate going down, the gradient
+//! coming back — the two messages of steps S1/S2, and nothing else. The
+//! event-loop runtime ships no messages at all — agent cells stream
+//! gradients straight into their loaned `GradientBatch` rows (see
+//! [`abft_dgd::fleet`]).
 
 use abft_linalg::Vector;
 
-/// Messages from the server to an agent.
+/// Either direction of server ↔ agent traffic, as carried by a single
+/// [`abft_net::MessageBus`] in the simulated server topologies.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ToAgent {
-    /// Step S1 broadcast: "here is `x_t`, send me your gradient".
+pub enum ServerWire {
+    /// Server → agent, the step S1 broadcast: "here is `x_t`, send me your
+    /// gradient".
     Estimate {
         /// Iteration index `t`.
         iteration: usize,
         /// The current estimate `x_t`.
         estimate: Vector,
     },
-    /// Graceful shutdown at the end of a run.
-    Shutdown,
-}
-
-/// Messages from an agent back to the server.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FromAgent {
-    /// The (claimed) gradient for the requested iteration.
+    /// Agent → server: the (claimed) gradient for the requested iteration.
     Gradient {
         /// Iteration the reply answers.
         iteration: usize,
@@ -34,43 +31,42 @@ pub enum FromAgent {
     },
 }
 
-/// Either direction of server ↔ agent traffic, as carried by a single
-/// [`abft_net::MessageBus`] in the simulated server topologies.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServerWire {
-    /// Server → agent.
-    Command(ToAgent),
-    /// Agent → server.
-    Reply(FromAgent),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn server_wire_wraps_both_directions() {
-        let cmd = ServerWire::Command(ToAgent::Shutdown);
-        let reply = ServerWire::Reply(FromAgent::Gradient {
+        let down = ServerWire::Estimate {
+            iteration: 0,
+            estimate: Vector::zeros(2),
+        };
+        let up = ServerWire::Gradient {
             iteration: 0,
             gradient: Vector::zeros(2),
-        });
-        assert_eq!(cmd.clone(), cmd);
-        assert_ne!(cmd, reply);
+        };
+        assert_eq!(down.clone(), down);
+        assert_ne!(down, up);
     }
 
     #[test]
     fn messages_round_trip_clone_eq() {
-        let m = ToAgent::Estimate {
+        let m = ServerWire::Estimate {
             iteration: 3,
             estimate: Vector::ones(2),
         };
         assert_eq!(m.clone(), m);
-        assert_ne!(m, ToAgent::Shutdown);
-        let r = FromAgent::Gradient {
+        let r = ServerWire::Gradient {
             iteration: 3,
             gradient: Vector::zeros(2),
         };
         assert_eq!(r.clone(), r);
+        assert_ne!(
+            r,
+            ServerWire::Gradient {
+                iteration: 4,
+                gradient: Vector::zeros(2),
+            }
+        );
     }
 }

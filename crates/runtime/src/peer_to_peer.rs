@@ -2,9 +2,10 @@
 //!
 //! In the peer-to-peer architecture there is no trusted server: every agent
 //! broadcasts its gradient with [`eig_broadcast_on`], so all honest agents
-//! observe the *same* multiset of `n` reported gradients (agreement), apply
-//! the same deterministic gradient filter, and therefore maintain identical
-//! estimates in lockstep — the simulation argument of Section 1.4, which
+//! observe the *same* multiset of `n` reported gradients (agreement), run
+//! the same deterministic server step over it — an
+//! [`abft_dgd::RoundEngine`] each — and therefore maintain identical
+//! estimates in lockstep: the simulation argument of Section 1.4, which
 //! requires `f < n/3`.
 //!
 //! All broadcast traffic travels through an [`abft_net::MessageBus`]. The
@@ -19,14 +20,13 @@ use crate::eig::{eig_broadcast_on, EigMessage, EquivocationPlan};
 use crate::error::RuntimeError;
 use crate::task::{DgdTask, FaultPlan};
 use abft_attacks::HonestGradients;
-use abft_core::observe::RunObserver;
+use abft_core::observe::{NullObserver, RunObserver};
 use abft_dgd::{AgentCell, Outcome, RoundEngine, RunOptions};
 use abft_filters::GradientFilter;
-use abft_linalg::{GradientBatch, Vector, WorkerPool};
+use abft_linalg::{GradientBatch, Vector};
 use abft_net::{MessageBus, NetFault, PerfectBus};
 use abft_telemetry::{Phase, Telemetry};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// A vector with bit-exact equality, usable as an EIG broadcast value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,10 +99,12 @@ pub(crate) struct P2pLink<'a> {
 /// the real runtime (reliable bus, lockstep asserted) and the network
 /// simulator (faulty bus, lockstep *measured*).
 ///
-/// Every honest agent maintains its own protocol state: it evaluates its
-/// gradient at its *own* estimate, broadcasts, filters its *own* decided
-/// multiset, and steps. Byzantine agents forge from the leader's (first
-/// honest agent's) estimate — exactly the historical common-estimate
+/// Every honest agent maintains its own protocol state — a
+/// [`RoundEngine`] each: it evaluates its gradient at its *own* estimate,
+/// broadcasts, and steps over its *own* decided multiset. The first
+/// honest agent — the leader — carries the caller's observer and the
+/// run's telemetry; the others run unobserved. Byzantine agents forge
+/// from the leader's estimate — exactly the historical common-estimate
 /// behaviour, so a reliable bus reproduces the pre-bus loop bit for bit
 /// in every regime. On a faulty bus honest trajectories may drift apart;
 /// the recorded trace follows the leader and the final spread is
@@ -170,8 +172,8 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage<BitsVector>>>(
     }
 
     // Every honest agent maintains its own estimate, indexed by its slot
-    // in `honest`: slot 0 — the leader — is the engine's, the rest are
-    // `followers[slot − 1]`. On a reliable bus these stay bit-identical;
+    // in `honest`: slot 0 — the leader — is `engine`'s, the rest are
+    // `followers[slot − 1]`'s. On a reliable bus these stay bit-identical;
     // on a faulty one they may drift, which is measured.
     let mut slot_of: Vec<Option<usize>> = vec![None; n];
     for (slot, &agent) in honest.iter().enumerate() {
@@ -183,31 +185,27 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage<BitsVector>>>(
     // reliable bus does not, so the real runtime profiles on the wall
     // clock. Disabled handles are pure no-ops either way.
     let telemetry = Telemetry::for_bus(options.telemetry, bus.virtual_time());
+    let mut unobserved = vec![NullObserver; honest.len().saturating_sub(1)];
     let mut engine = RoundEngine::new(&cells, &honest, filter, options, observer, telemetry)?;
+    let mut followers = unobserved
+        .iter_mut()
+        .map(|observer| {
+            let telemetry = Telemetry::disabled();
+            RoundEngine::new(&cells, &honest, filter, options, observer, telemetry)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let dim = engine.x().dim();
     let mut staging = Vector::zeros(dim);
     let default = BitsVector::from_vector(&Vector::zeros(dim));
-    let mut followers: Vec<Vector> = vec![engine.x().clone(); honest.len().saturating_sub(1)];
 
-    // One decided-gradient batch per honest perspective, plus the
-    // followers' shared aggregate vector — all reused across iterations.
+    // One decided-gradient batch per honest perspective, reused across
+    // iterations, all handed out by the leader's engine: one pool serves
+    // every perspective's aggregation — the perspectives run serially, so
+    // sharing threads is free — and the run's report profiles them all.
     // Rows are written in sender order, which is agent-id order, matching
     // the server drivers.
-    let mut decided_batches: Vec<GradientBatch> = honest
-        .iter()
-        .map(|_| GradientBatch::with_capacity(n, dim))
-        .collect();
-    // One pool serves every honest perspective's aggregation — the
-    // perspectives run serially, so sharing threads is free, and a pool's
-    // workers spawn lazily (a run whose rounds stay below the kernels'
-    // sharding floor never starts a thread).
-    let pool = (options.aggregation_threads > 1)
-        .then(|| Arc::new(WorkerPool::new(options.aggregation_threads)));
-    for batch in decided_batches.iter_mut() {
-        batch.set_worker_pool(pool.clone());
-        engine.instrument(batch);
-    }
-    let mut aggregated = Vector::zeros(dim);
+    let mut decided_batches: Vec<GradientBatch> =
+        honest.iter().map(|_| engine.round_batch(n)).collect();
 
     for t in 0..=options.iterations {
         let advance = t < options.iterations;
@@ -222,7 +220,7 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage<BitsVector>>>(
         let mut sender_values: Vec<BitsVector> = Vec::with_capacity(n);
         for i in 0..n {
             let at = match slot_of[i] {
-                Some(slot) if slot > 0 => &followers[slot - 1],
+                Some(slot) if slot > 0 => followers[slot - 1].x(),
                 _ => engine.x(),
             };
             cells[i].reply_into(t, at, HonestGradients::Hidden, staging.as_mut_slice());
@@ -280,24 +278,28 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage<BitsVector>>>(
         if halted && advance {
             break;
         }
-        // Every other honest agent filters and updates locally.
-        for (estimate, decided) in followers.iter_mut().zip(&decided_batches[1..]) {
-            filter.aggregate_into(decided, config.f(), &mut aggregated)?;
-            if advance {
-                options.descend(t, estimate, &aggregated);
-            }
+        // Every other honest agent filters and updates locally; unobserved,
+        // it halts on the final round only — with the leader.
+        for (follower, decided) in followers.iter_mut().zip(&decided_batches[1..]) {
+            let flow = follower.step(t, decided, config.f())?;
+            debug_assert_eq!(flow.is_halt(), halted, "followers halt with the leader");
         }
         if halted {
             break;
         }
         // Lockstep check: on a reliable network every honest agent's
         // estimate must match the leader's bit-for-bit.
-        if enforce_lockstep && followers.iter().any(|est| !est.approx_eq(engine.x(), 0.0)) {
+        let leader = engine.x();
+        if enforce_lockstep && followers.iter().any(|f| !f.x().approx_eq(leader, 0.0)) {
             return Err(RuntimeError::LockstepViolation { iteration: t });
         }
     }
 
-    let estimates = || std::iter::once(engine.x()).chain(&followers);
+    let estimates = || {
+        std::iter::once(&engine)
+            .chain(&followers)
+            .map(RoundEngine::x)
+    };
     let final_spread = estimates()
         .enumerate()
         .flat_map(|(p, a)| estimates().skip(p + 1).map(move |b| a.dist(b)))

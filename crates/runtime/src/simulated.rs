@@ -27,17 +27,16 @@
 
 use crate::async_server::AsyncConfig;
 use crate::error::RuntimeError;
-use crate::message::{FromAgent, ServerWire, ToAgent};
+use crate::message::ServerWire;
 use crate::peer_to_peer::{self, P2pLink};
 use crate::task::{DgdTask, FaultPlan};
 use abft_attacks::HonestGradients;
 use abft_core::observe::RunObserver;
 use abft_dgd::{AgentCell, Outcome, RoundEngine, RunOptions};
 use abft_filters::GradientFilter;
-use abft_linalg::{GradientBatch, Vector, WorkerPool};
+use abft_linalg::Vector;
 use abft_net::{MessageBus, NetFault, NetworkModel, SimulatedNetwork};
 use abft_telemetry::{Phase, Telemetry};
-use std::sync::Arc;
 
 /// Which architecture the simulated network carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,7 +179,7 @@ pub(crate) fn execute_server(
     let telemetry = Telemetry::for_bus(options.telemetry, Some(net.now()));
     let mut engine = RoundEngine::new(&cells, &honest, filter, options, observer, telemetry)?;
     let dim = engine.x().dim();
-    let mut batch = round_batch(n, dim, options.aggregation_threads);
+    let mut batch = engine.round_batch(n);
     let mut staging = Vector::zeros(dim);
 
     for t in 0..=options.iterations {
@@ -190,7 +189,7 @@ pub(crate) fn execute_server(
         // Agents that heard the estimate this round compute a reply.
         let mut heard = vec![false; n];
         for delivery in net.end_round() {
-            if let ServerWire::Command(ToAgent::Estimate { iteration, .. }) = delivery.payload {
+            if let ServerWire::Estimate { iteration, .. } = delivery.payload {
                 debug_assert_eq!(iteration, t, "rounds drain fully");
                 heard[delivery.to] = true;
             }
@@ -230,10 +229,10 @@ pub(crate) fn execute_server(
         deliveries.sort_by_key(|delivery| delivery.from);
         batch.clear();
         for delivery in deliveries {
-            if let ServerWire::Reply(FromAgent::Gradient {
+            if let ServerWire::Gradient {
                 iteration,
                 gradient,
-            }) = delivery.payload
+            } = delivery.payload
             {
                 debug_assert_eq!(iteration, t, "rounds drain fully");
                 check_reply_dim(dim, delivery.from, &gradient)?;
@@ -256,16 +255,6 @@ pub(crate) fn execute_server(
     Ok(engine.finish(net.metrics())?)
 }
 
-/// The server's reused `n × dim` round batch, with a worker pool attached
-/// when the run asks for sharded aggregation.
-pub(crate) fn round_batch(n: usize, dim: usize, aggregation_threads: usize) -> GradientBatch {
-    let mut batch = GradientBatch::with_capacity(n, dim);
-    if aggregation_threads > 1 {
-        batch.set_worker_pool(Some(Arc::new(WorkerPool::new(aggregation_threads))));
-    }
-    batch
-}
-
 /// Announces `iteration` to the bus and sends the server's estimate
 /// entering it to every agent.
 pub(crate) fn broadcast_estimate(
@@ -279,10 +268,10 @@ pub(crate) fn broadcast_estimate(
         net.send(
             SimulatedRun::server_address(n),
             agent,
-            ServerWire::Command(ToAgent::Estimate {
+            ServerWire::Estimate {
                 iteration,
                 estimate: engine.x().clone(),
-            }),
+            },
         );
     }
     engine.counters.broadcasts_sent += n;
@@ -315,10 +304,10 @@ pub(crate) fn wire_reply(
         }
         _ => {}
     }
-    Some(ServerWire::Reply(FromAgent::Gradient {
+    Some(ServerWire::Gradient {
         iteration,
         gradient: staging.clone(),
-    }))
+    })
 }
 
 /// A reply must carry a gradient of the run's dimension.

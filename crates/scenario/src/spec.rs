@@ -280,13 +280,6 @@ enum PendingFault {
     },
 }
 
-/// A pending (not yet resolved) filter choice.
-#[derive(Clone)]
-enum PendingFilter {
-    Named(String),
-    Instance(Arc<dyn GradientFilter>),
-}
-
 /// Builder for [`Scenario`]; finalize with [`ScenarioBuilder::build`].
 ///
 /// The builder is `Clone`, which is how grids are expressed: clone a
@@ -303,7 +296,7 @@ pub struct ScenarioBuilder {
     f: usize,
     faults: Vec<(usize, PendingFault)>,
     net_faults: Vec<(usize, NetFault)>,
-    filter: Option<PendingFilter>,
+    filter: Option<String>,
     options: Option<RunOptions>,
     staleness_ns: Option<u64>,
     recording: Recording,
@@ -390,15 +383,7 @@ impl ScenarioBuilder {
     /// [`abft_filters::by_name`]).
     #[must_use]
     pub fn filter(mut self, name: impl Into<String>) -> Self {
-        self.filter = Some(PendingFilter::Named(name.into()));
-        self
-    }
-
-    /// Selects a concrete filter instance (for tuned parameters the
-    /// registry defaults don't cover).
-    #[must_use]
-    pub fn filter_instance(mut self, filter: impl GradientFilter + 'static) -> Self {
-        self.filter = Some(PendingFilter::Instance(Arc::new(filter)));
+        self.filter = Some(name.into());
         self
     }
 
@@ -500,11 +485,8 @@ impl ScenarioBuilder {
             }
         }
 
-        let filter: Arc<dyn GradientFilter> = match self.filter {
-            Some(PendingFilter::Named(name)) => Arc::from(by_name(&name)?),
-            Some(PendingFilter::Instance(filter)) => filter,
-            None => return Err(ScenarioError::MissingFilter),
-        };
+        let name = self.filter.ok_or(ScenarioError::MissingFilter)?;
+        let filter: Arc<dyn GradientFilter> = Arc::from(by_name(&name)?);
 
         let mut budget = FaultBudget::new(&config);
         let mut fault_agents = std::collections::BTreeSet::new();

@@ -7,7 +7,6 @@ use crate::workspace::SuiteWorkspace;
 use abft_core::csv::CsvTable;
 use abft_linalg::WorkerPool;
 use abft_telemetry::clock::Stopwatch;
-use abft_telemetry::TelemetryReport;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -317,24 +316,6 @@ impl SuiteReport {
     /// The per-scenario reports, in scenario order.
     pub fn reports(&self) -> &[RunReport] {
         &self.reports
-    }
-
-    /// The suite's telemetry, merged across every report that carries one:
-    /// phase histograms and counters sum; per-span timelines are dropped
-    /// (per-run time bases do not concatenate meaningfully). Returns
-    /// `None` when no report was instrumented — i.e. telemetry was off.
-    pub fn merged_telemetry(&self) -> Option<TelemetryReport> {
-        let mut merged: Option<TelemetryReport> = None;
-        for report in &self.reports {
-            let Some(telemetry) = &report.telemetry else {
-                continue;
-            };
-            match &mut merged {
-                Some(acc) => acc.merge(telemetry),
-                None => merged = Some(telemetry.clone()),
-            }
-        }
-        merged
     }
 
     /// A summary table with one row per scenario (scenario, backend,

@@ -344,17 +344,6 @@ impl Telemetry {
         self.recorder.is_some()
     }
 
-    /// Whether this handle stamps virtual (simulated) time.
-    pub fn is_virtual(&self) -> bool {
-        matches!(
-            self.recorder.as_deref(),
-            Some(Recorder {
-                time: TimeBase::Virtual { .. },
-                ..
-            })
-        )
-    }
-
     /// Advances the virtual clock (no-op on wall handles and when off).
     /// Drivers call this after every simulated-network round closes.
     pub fn set_virtual_ns(&mut self, ns: u64) {
@@ -539,7 +528,7 @@ mod tests {
     #[test]
     fn wall_handle_measures_nonzero_round_time() {
         let mut t = Telemetry::wall(TelemetryConfig::On);
-        assert!(t.enabled() && !t.is_virtual());
+        assert!(t.enabled());
         let token = t.begin(Phase::Round);
         // Burn a little real time so the span is visibly nonzero.
         let mut acc = 0u64;
