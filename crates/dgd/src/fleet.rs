@@ -4,11 +4,11 @@
 //! [`AgentCell::reply_into`] is the only code in the workspace that turns
 //! *(cost, strategy, t, x)* into what an agent reports. The simulated
 //! servers and the peer-to-peer loop call it with a reused buffer; the
-//! in-process driver and the event-loop runtime hand their cells to a
-//! [`RoundWorkspace`], whose [`run_rounds`](RoundWorkspace::run_rounds) is
-//! their one shared `for t { collect; step }` loop. The two differ in
-//! configuration only: in process the rows are filled on the caller's
-//! thread, the event loop shards the fill over `fleet_workers` of an
+//! lockstep server hands its cells to a [`RoundWorkspace`], whose
+//! [`run_rounds`](RoundWorkspace::run_rounds) is its one
+//! `for t { collect; step }` loop. Its in-process and event-loop launches
+//! differ in configuration only: in process the rows are filled on the
+//! caller's thread, the event loop shards the fill over `fleet_workers` of an
 //! [`abft_linalg::WorkerPool`], whose **fixed schedule** makes the
 //! agent→worker assignment a pure function of `(active agents, workers)`
 //! — never of timing — so the rows are bit-identical at any worker count.
@@ -28,9 +28,8 @@ use std::sync::Arc;
 /// with (if Byzantine), the iteration it goes silent at (if it crashes),
 /// and the buffer its honest gradient is staged in while it forges.
 ///
-/// Strategies are stateful, seeded values: a cell that outlives a run (a
-/// [`DgdSimulation`](crate::DgdSimulation)'s do) carries its strategy's
-/// stream into the next one.
+/// Strategies are stateful, seeded values: a cell that outlives a run
+/// carries its strategy's stream into the next one.
 pub struct AgentCell {
     cost: SharedCost,
     strategy: Option<Box<dyn ByzantineStrategy>>,
@@ -398,8 +397,8 @@ impl RoundWorkspace {
         sent
     }
 
-    /// The synchronous server loop over `cells`, shared by the in-process
-    /// driver and the event-loop runtime: per iteration, step S1 (the
+    /// The synchronous server loop over `cells`, in process or as an event
+    /// loop: per iteration, step S1 (the
     /// collect, sharded over `fill_workers`; 1 fills on the caller's
     /// thread) and step S2 ([`RoundEngine::step`], with the fault budget
     /// `f` less the agents eliminated so far — the server knows a silent
@@ -407,7 +406,7 @@ impl RoundWorkspace {
     /// halts; the caller finishes the engine.
     ///
     /// Returns the run's message-level counters (`rounds` is the engine's
-    /// to count): the event loop reports them, the in-process driver —
+    /// to count): the event loop reports them, the in-process launch —
     /// which passes no messages — drops them.
     ///
     /// # Errors

@@ -19,30 +19,49 @@
 //! which knows nothing of agents: what a run's records measure is a
 //! [`RoundMetrics`], and it is also the step of every honest agent of the
 //! peer-to-peer runtime and of robust D-SGD (`abft-ml`).
-//! [`RoundWorkspace::run_rounds`] is the `for t { S1; S2 }` loop the
-//! in-process driver and the event-loop runtime share: [`DgdSimulation`]
-//! is that loop filling on the caller's thread, with omniscient attacks
-//! allowed, recording the paper's plotted series (loss, distance) plus
-//! Theorem 3's `φ_t` for convergence-condition checks ([`convergence`]).
+//! [`RoundWorkspace::run_rounds`] is the one `for t { S1; S2 }` loop of the
+//! synchronous server, recording the paper's plotted series (loss,
+//! distance) plus Theorem 3's `φ_t` for convergence-condition checks
+//! ([`convergence`]).
+//!
+//! This crate holds the steps, not a way to launch them: the launch value
+//! is `abft_runtime::DgdTask`, whose `Launch::InProcess` is the loop below
+//! behind validated fault assignment (the fault budget, agent ranges, the
+//! honest set) — and `Launch::Threaded` is the same loop with the fill
+//! sharded over worker threads.
 //!
 //! # Example
 //!
+//! The primitives, wired by hand: one cell per agent, one engine, one loop.
+//!
 //! ```
 //! use abft_attacks::GradientReverse;
-//! use abft_dgd::{DgdSimulation, ProjectionSet, RunOptions, StepSchedule};
+//! use abft_core::observe::NullObserver;
+//! use abft_dgd::{AgentCell, RoundEngine, RoundWorkspace, RunOptions};
 //! use abft_filters::Cge;
+//! use abft_net::NetMetrics;
 //! use abft_problems::RegressionProblem;
+//! use abft_telemetry::Telemetry;
 //!
 //! # fn main() -> Result<(), abft_dgd::DgdError> {
 //! let problem = RegressionProblem::paper_instance();
-//! let x_h = problem.subset_minimizer(&[1, 2, 3, 4, 5]).expect("full rank");
+//! let honest = [1, 2, 3, 4, 5];
+//! let x_h = problem.subset_minimizer(&honest).expect("full rank");
 //!
-//! let mut sim = DgdSimulation::new(*problem.config(), problem.costs())?
-//!     .with_byzantine(0, Box::new(GradientReverse::new()))?;
+//! // S1: what each agent reports — agent 0 reverses its gradient.
+//! let mut cells: Vec<AgentCell> = problem.costs().into_iter().map(AgentCell::new).collect();
+//! cells[0].forge(Box::new(GradientReverse::new()));
+//!
+//! // S2: the engine owns the estimate and steps it through the filter.
 //! let options = RunOptions::paper_defaults(x_h.clone());
-//! let result = sim.run(&Cge::new(), &options)?;
+//! let (filter, mut observer) = (Cge::new(), NullObserver);
+//! let telemetry = Telemetry::wall(options.telemetry);
+//! let mut engine = RoundEngine::new(&cells, &honest, &filter, &options, &mut observer, telemetry)?;
+//! let f = problem.config().f();
+//! RoundWorkspace::new().run_rounds(&mut cells, 1, f, &mut engine)?;
+//! let run = engine.finish(NetMetrics::default())?.run;
 //! // DGD + CGE converges to within the measured redundancy eps = 0.0890.
-//! assert!(result.final_estimate.dist(&x_h) < 0.0890);
+//! assert!(run.final_estimate.dist(&x_h) < 0.0890);
 //! # Ok(())
 //! # }
 //! ```
@@ -61,7 +80,7 @@ pub use error::DgdError;
 pub use fleet::{AgentCell, RoundWorkspace};
 pub use projection::ProjectionSet;
 pub use schedule::StepSchedule;
-pub use simulation::{DgdSimulation, ObservedRun, RunOptions, RunResult};
+pub use simulation::{ObservedRun, RunOptions, RunResult};
 
 /// Convenience prelude re-exporting the most common items.
 pub mod prelude {
@@ -69,5 +88,5 @@ pub mod prelude {
     pub use crate::fleet::RoundWorkspace;
     pub use crate::projection::ProjectionSet;
     pub use crate::schedule::StepSchedule;
-    pub use crate::simulation::{DgdSimulation, ObservedRun, RunOptions, RunResult};
+    pub use crate::simulation::{ObservedRun, RunOptions, RunResult};
 }

@@ -7,13 +7,14 @@
 
 use abft_attacks::{GradientReverse, LittleIsEnough};
 use abft_core::SystemConfig;
-use abft_dgd::{AgentCell, DgdSimulation, RoundEngine, RoundWorkspace, RunOptions};
+use abft_dgd::{AgentCell, RoundEngine, RoundWorkspace, RunOptions};
 use abft_filters::{batch_of, by_name};
 use abft_linalg::{Matrix, Vector};
 use abft_problems::absval::AbsoluteCost;
 use abft_problems::huber::HuberCost;
 use abft_problems::logistic::LogisticCost;
 use abft_problems::{QuadraticCost, RegressionProblem, SharedCost};
+use abft_runtime::{DgdTask, Launch};
 use abft_telemetry::{Counter, Phase, Telemetry, TelemetryConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -74,11 +75,9 @@ fn allocations_for_run(filter_name: &str, byzantine: bool, iterations: usize) ->
     let x_h = problem
         .subset_minimizer(&[1, 2, 3, 4, 5])
         .expect("full rank");
-    let mut sim = DgdSimulation::new(*problem.config(), problem.costs()).expect("valid");
+    let mut sim = DgdTask::new(*problem.config(), problem.costs());
     if byzantine {
-        sim = sim
-            .with_byzantine(0, Box::new(GradientReverse::new()))
-            .expect("f = 1 budget");
+        sim = sim.byzantine(0, Box::new(GradientReverse::new()));
     }
     // The zero-per-iteration-allocation property is a contract of the
     // *serial* default; the parallel path trades a handful of dispatch
@@ -91,7 +90,11 @@ fn allocations_for_run(filter_name: &str, byzantine: bool, iterations: usize) ->
     let filter = by_name(filter_name).expect("registered");
 
     let before = allocations();
-    let result = sim.run(filter.as_ref(), &options).expect("runs");
+    let mut workspace = RoundWorkspace::new();
+    let result = sim
+        .run_dense(Launch::InProcess(&mut workspace), filter.as_ref(), &options)
+        .expect("runs")
+        .run;
     let after = allocations();
     assert_eq!(result.trace.len(), iterations + 1, "sanity");
     after - before
@@ -133,20 +136,18 @@ fn summary_only_observation_memory_does_not_grow_with_t() {
         let x_h = problem
             .subset_minimizer(&[1, 2, 3, 4, 5])
             .expect("full rank");
-        let mut sim = DgdSimulation::new(*problem.config(), problem.costs())
-            .expect("valid")
-            .with_byzantine(0, Box::new(GradientReverse::new()))
-            .expect("f = 1 budget");
+        let sim = DgdTask::new(*problem.config(), problem.costs())
+            .byzantine(0, Box::new(GradientReverse::new()));
         let options = RunOptions::paper_defaults_with_iterations(x_h, iterations)
             .with_aggregation_threads(1) // serial contract; see above
             .with_telemetry(TelemetryConfig::Off);
         let filter = by_name("cge").expect("registered");
         let mut workspace = abft_dgd::RoundWorkspace::new();
         let before = allocations();
-        sim.run_observed(
+        sim.run(
+            Launch::InProcess(&mut workspace),
             filter.as_ref(),
             &options,
-            &mut workspace,
             &mut abft_core::observe::NullObserver,
         )
         .expect("runs");
@@ -190,9 +191,9 @@ fn every_cost_family_fills_its_row_in_place() {
     let counts = families.map(|(family, cost)| {
         let dim = cost.dim();
         let config = SystemConfig::new(4, 1).expect("valid (n, f)");
-        let mut sim = DgdSimulation::new(config, vec![cost; 4]).expect("valid");
         let filter = by_name("cge").expect("registered");
-        let mut run = |iterations: usize| {
+        let run = |iterations: usize| {
+            let sim = DgdTask::new(config, vec![cost.clone(); 4]);
             let mut options =
                 RunOptions::paper_defaults_with_iterations(Vector::zeros(dim), iterations)
                     .with_aggregation_threads(1) // serial contract; see above
@@ -200,10 +201,10 @@ fn every_cost_family_fills_its_row_in_place() {
             options.x0 = Vector::from(vec![0.5; dim]);
             let mut workspace = RoundWorkspace::new();
             let before = allocations();
-            sim.run_observed(
+            sim.run(
+                Launch::InProcess(&mut workspace),
                 filter.as_ref(),
                 &options,
-                &mut workspace,
                 &mut abft_core::observe::NullObserver,
             )
             .expect("runs");
@@ -314,16 +315,16 @@ fn omniscient_attacks_stay_on_the_zero_copy_path() {
         let x_h = problem
             .subset_minimizer(&[1, 2, 3, 4, 5])
             .expect("full rank");
-        let mut sim = DgdSimulation::new(*problem.config(), problem.costs())
-            .expect("valid")
-            .with_byzantine(0, Box::new(LittleIsEnough::new(1.0)))
-            .expect("f = 1 budget");
+        let sim = DgdTask::new(*problem.config(), problem.costs())
+            .byzantine(0, Box::new(LittleIsEnough::new(1.0)));
         let options = RunOptions::paper_defaults_with_iterations(x_h, iterations)
             .with_aggregation_threads(1) // serial contract; see above
             .with_telemetry(TelemetryConfig::Off);
         let filter = by_name("cwtm").expect("registered");
         let before = allocations();
-        sim.run(filter.as_ref(), &options).expect("runs");
+        let mut workspace = RoundWorkspace::new();
+        sim.run_dense(Launch::InProcess(&mut workspace), filter.as_ref(), &options)
+            .expect("runs");
         allocations() - before
     };
     let _ = run(5);

@@ -7,9 +7,9 @@
 use abft_attacks::{
     attack_by_name, attack_names, AttackContext, ByzantineStrategy, HonestGradients, RandomGaussian,
 };
-use abft_core::observe::TraceRecorder;
+use abft_core::observe::{NullObserver, TraceRecorder};
 use abft_core::{IterationRecord, SystemConfig};
-use abft_dgd::{AgentCell, DgdSimulation, RoundEngine, RoundWorkspace, RunOptions};
+use abft_dgd::{AgentCell, RoundEngine, RoundWorkspace, RunOptions};
 use abft_filters::{Cwtm, GradientFilter, Mean};
 use abft_linalg::Vector;
 use abft_net::NetMetrics;
@@ -203,12 +203,26 @@ fn a_seeded_strategy_continues_its_stream_across_runs_of_one_simulation() {
     // depends on every draw.
     let filter = Mean::new();
 
-    let mut sim = DgdSimulation::new(*problem.config(), problem.costs())
-        .expect("valid")
-        .with_byzantine(0, Box::new(RandomGaussian::paper(7)))
-        .expect("f = 1");
-    let first = sim.run(&filter, &options).expect("runs").final_estimate;
-    let second = sim.run(&filter, &options).expect("runs").final_estimate;
+    // One set of cells driven through the round loop twice: the strategy
+    // lives in agent 0's cell, which outlives both runs.
+    let mut cells: Vec<AgentCell> = problem.costs().into_iter().map(AgentCell::new).collect();
+    cells[0].forge(Box::new(RandomGaussian::paper(7)));
+    let mut workspace = RoundWorkspace::new();
+    let mut run = || {
+        let mut observer = NullObserver;
+        let telemetry = Telemetry::wall(options.telemetry);
+        let honest = [1, 2, 3, 4, 5];
+        let mut engine =
+            RoundEngine::new(&cells, &honest, &filter, &options, &mut observer, telemetry)
+                .expect("engine builds");
+        workspace
+            .run_rounds(&mut cells, 1, problem.config().f(), &mut engine)
+            .expect("runs");
+        let outcome = engine.finish(NetMetrics::default()).expect("finished");
+        outcome.run.final_estimate
+    };
+    let first = run();
+    let second = run();
 
     // One strategy value driving two hand-written runs back to back: the
     // second run starts where the first one's draws stopped.

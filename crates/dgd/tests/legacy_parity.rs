@@ -5,10 +5,11 @@
 //! step) and compares final estimates and whole traces exactly.
 
 use abft_attacks::{AttackContext, ByzantineStrategy, GradientReverse, RandomGaussian};
-use abft_dgd::{DgdSimulation, RunOptions};
+use abft_dgd::{RoundWorkspace, RunOptions};
 use abft_filters::Cge;
 use abft_linalg::Vector;
 use abft_problems::RegressionProblem;
+use abft_runtime::{DgdTask, Launch};
 
 /// The seed's CGE: full index sort by norm, `Vector` accumulation.
 fn legacy_cge(gradients: &[Vector], f: usize) -> Vector {
@@ -73,11 +74,15 @@ fn batch_driver_reproduces_legacy_trajectory_bit_for_bit() {
         let options = RunOptions::paper_defaults_with_iterations(x_h.clone(), 200);
         let legacy = legacy_run(&problem, make_strategy(), &options);
 
-        let mut sim = DgdSimulation::new(*problem.config(), problem.costs())
-            .expect("valid")
-            .with_byzantine(0, make_strategy())
-            .expect("f = 1");
-        let batch = sim.run(&Cge::new(), &options).expect("runs");
+        let sim = DgdTask::new(*problem.config(), problem.costs()).byzantine(0, make_strategy());
+        let batch = sim
+            .run_dense(
+                Launch::InProcess(&mut RoundWorkspace::new()),
+                &Cge::new(),
+                &options,
+            )
+            .expect("runs")
+            .run;
 
         assert!(
             batch.final_estimate.approx_eq(&legacy, 0.0),

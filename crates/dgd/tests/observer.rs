@@ -7,10 +7,11 @@ use abft_core::observe::{
     ControlFlow, ConvergenceHalt, HaltReason, NullObserver, Probe, RoundView, RunObserver,
     TraceRecorder,
 };
-use abft_dgd::{DgdSimulation, RoundWorkspace, RunOptions};
+use abft_dgd::{RoundWorkspace, RunOptions};
 use abft_filters::Cge;
 use abft_linalg::Vector;
 use abft_problems::{CostFunction, RegressionProblem, SharedCost};
+use abft_runtime::{DgdTask, Launch};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -40,7 +41,7 @@ impl CostFunction for CountingCost {
     }
 }
 
-fn counting_setup() -> (DgdSimulation, Vector, Arc<AtomicUsize>) {
+fn counting_setup() -> (impl Fn() -> DgdTask, Vector, Arc<AtomicUsize>) {
     let problem = RegressionProblem::paper_instance();
     let x_h = problem
         .subset_minimizer(&[0, 1, 2, 3, 4, 5])
@@ -56,35 +57,44 @@ fn counting_setup() -> (DgdSimulation, Vector, Arc<AtomicUsize>) {
             }) as SharedCost
         })
         .collect();
-    let sim = DgdSimulation::new(*problem.config(), costs).expect("valid");
+    let sim = move || DgdTask::new(*problem.config(), costs.clone());
     (sim, x_h, value_calls)
 }
 
-fn paper_setup() -> (DgdSimulation, Vector) {
+fn paper_setup() -> (DgdTask, Vector) {
     let problem = RegressionProblem::paper_instance();
     let x_h = problem
         .subset_minimizer(&[1, 2, 3, 4, 5])
         .expect("full rank");
-    let sim = DgdSimulation::new(*problem.config(), problem.costs()).expect("valid");
+    let sim = DgdTask::new(*problem.config(), problem.costs());
     (sim, x_h)
+}
+
+/// One dense in-process CGE run on a fresh workspace.
+fn dense_run(sim: DgdTask, options: &RunOptions) -> abft_dgd::RunResult {
+    let mut workspace = RoundWorkspace::new();
+    sim.run_dense(Launch::InProcess(&mut workspace), &Cge::new(), options)
+        .expect("runs")
+        .run
 }
 
 #[test]
 fn dense_recorder_reproduces_run_bit_for_bit() {
-    let (mut sim, x_h) = paper_setup();
+    let (sim, x_h) = paper_setup();
     let options = RunOptions::paper_defaults_with_iterations(x_h.clone(), 60);
-    let reference = sim.run(&Cge::new(), &options).expect("runs");
+    let reference = dense_run(sim, &options);
 
-    let (mut sim2, _) = paper_setup();
+    let (sim2, _) = paper_setup();
     let mut recorder = TraceRecorder::dense("cge");
     let run = sim2
-        .run_observed(
+        .run(
+            Launch::InProcess(&mut RoundWorkspace::new()),
             &Cge::new(),
             &options,
-            &mut RoundWorkspace::new(),
             &mut recorder,
         )
-        .expect("runs");
+        .expect("runs")
+        .run;
     assert_eq!(reference.trace.records(), recorder.trace().records());
     assert!(reference.final_estimate.approx_eq(&run.final_estimate, 0.0));
     assert_eq!(reference.summary, run.summary);
@@ -98,26 +108,27 @@ fn dense_recorder_reproduces_run_bit_for_bit() {
 
 #[test]
 fn summary_only_run_evaluates_costs_once_not_per_round() {
-    let (mut sim, x_h, value_calls) = counting_setup();
+    let (sim, x_h, value_calls) = counting_setup();
     let options = RunOptions::paper_defaults_with_iterations(x_h.clone(), 200);
 
     // Dense recording pays the honest-cost pass every round: 6 honest
     // agents × 201 rounds.
     value_calls.store(0, Ordering::Relaxed);
-    let dense = sim.run(&Cge::new(), &options).expect("runs");
+    let dense = dense_run(sim(), &options);
     assert_eq!(value_calls.load(Ordering::Relaxed), 6 * 201);
 
     // A pure-throughput observer pays it exactly once — for the final
     // summary record — no matter how long the run.
     value_calls.store(0, Ordering::Relaxed);
-    let summary_only = sim
-        .run_observed(
+    let summary_only = sim()
+        .run(
+            Launch::InProcess(&mut RoundWorkspace::new()),
             &Cge::new(),
             &options,
-            &mut RoundWorkspace::new(),
             &mut NullObserver,
         )
-        .expect("runs");
+        .expect("runs")
+        .run;
     assert_eq!(
         value_calls.load(Ordering::Relaxed),
         6,
@@ -132,23 +143,24 @@ fn summary_only_run_evaluates_costs_once_not_per_round() {
 
 #[test]
 fn convergence_halt_freezes_the_estimate_at_the_halt_round() {
-    let (mut sim, x_h) = paper_setup();
+    let (sim, x_h) = paper_setup();
     let options = RunOptions::paper_defaults_with_iterations(x_h.clone(), 500);
-    let dense = sim.run(&Cge::new(), &options).expect("runs");
+    let dense = dense_run(sim, &options);
 
-    let (mut sim2, _) = paper_setup();
+    let (sim2, _) = paper_setup();
     let mut observer = (
         TraceRecorder::dense("cge"),
         ConvergenceHalt::new(0.05, 0.0, 10),
     );
     let run = sim2
-        .run_observed(
+        .run(
+            Launch::InProcess(&mut RoundWorkspace::new()),
             &Cge::new(),
             &options,
-            &mut RoundWorkspace::new(),
             &mut observer,
         )
-        .expect("runs");
+        .expect("runs")
+        .run;
     let halt_at = match run.summary.halt {
         HaltReason::Observer { at_iteration } => at_iteration,
         HaltReason::Completed => panic!("a converging run must halt early"),
@@ -191,18 +203,19 @@ fn probe_none_observer_can_still_halt_on_iteration_alone() {
         }
     }
 
-    let (mut sim, x_h) = paper_setup();
+    let (sim, x_h) = paper_setup();
     let options = RunOptions::paper_defaults_with_iterations(x_h.clone(), 100);
-    let dense = sim.run(&Cge::new(), &options).expect("runs");
-    let (mut sim2, _) = paper_setup();
+    let dense = dense_run(sim, &options);
+    let (sim2, _) = paper_setup();
     let run = sim2
-        .run_observed(
+        .run(
+            Launch::InProcess(&mut RoundWorkspace::new()),
             &Cge::new(),
             &options,
-            &mut RoundWorkspace::new(),
             &mut HaltAt(17),
         )
-        .expect("runs");
+        .expect("runs")
+        .run;
     assert_eq!(run.summary.halt, HaltReason::Observer { at_iteration: 17 });
     // The final record equals the dense run's record at the halt round —
     // the estimate was never updated past x_17.

@@ -3,10 +3,11 @@
 
 use abft_attacks::{GradientReverse, ScaledReverse, ZeroGradient};
 use abft_core::SystemConfig;
-use abft_dgd::{DgdSimulation, ProjectionSet, RunOptions, StepSchedule};
+use abft_dgd::{ProjectionSet, RoundWorkspace, RunOptions, StepSchedule};
 use abft_filters::{Cge, Mean};
 use abft_linalg::Vector;
 use abft_problems::RegressionProblem;
+use abft_runtime::{DgdTask, Launch};
 use proptest::prelude::*;
 
 fn options(x_h: Vector, iterations: usize) -> RunOptions {
@@ -35,8 +36,8 @@ proptest! {
         let x_all = problem
             .subset_minimizer(&[0, 1, 2, 3, 4, 5])
             .expect("full rank");
-        let mut sim = DgdSimulation::new(config, problem.costs()).expect("costs match");
-        let run = sim.run(&Mean::new(), &options(x_all, 400)).expect("runs");
+        let sim = DgdTask::new(config, problem.costs());
+        let run = sim.run_dense(Launch::InProcess(&mut RoundWorkspace::new()), &Mean::new(), &options(x_all, 400)).expect("runs").run;
         prop_assert!(
             run.final_distance() < 1e-2,
             "fault-free run ended at {}",
@@ -68,11 +69,9 @@ proptest! {
             .expect("measurable")
             .epsilon;
 
-        let mut sim = DgdSimulation::new(config, problem.costs())
-            .expect("costs match")
-            .with_byzantine(0, Box::new(GradientReverse::new()))
-            .expect("valid");
-        let run = sim.run(&Cge::new(), &options(x_h, 800)).expect("runs");
+        let sim = DgdTask::new(config, problem.costs())
+            .byzantine(0, Box::new(GradientReverse::new()));
+        let run = sim.run_dense(Launch::InProcess(&mut RoundWorkspace::new()), &Cge::new(), &options(x_h, 800)).expect("runs").run;
         prop_assert!(
             run.final_distance() <= d5 * eps + 0.02,
             "CGE ended at {} > certificate {} (eps = {eps}, D5 = {d5})",
@@ -88,10 +87,8 @@ proptest! {
         let problem = RegressionProblem::fan(config, 150.0, 0.05, seed).expect("generable");
         let x_h = problem.subset_minimizer(&[1, 2, 3, 4, 5]).expect("full rank");
         let w = ProjectionSet::centered_box(-3.0, 3.0);
-        let mut sim = DgdSimulation::new(config, problem.costs())
-            .expect("costs match")
-            .with_byzantine(0, Box::new(ScaledReverse::new(factor)))
-            .expect("valid");
+        let sim = DgdTask::new(config, problem.costs())
+            .byzantine(0, Box::new(ScaledReverse::new(factor)));
         let opts = RunOptions {
             x0: Vector::from(vec![2.9, -2.9]),
             iterations: 60,
@@ -103,7 +100,7 @@ proptest! {
             telemetry: abft_telemetry::TelemetryConfig::Off,
             staleness_ns: None,
         };
-        let run = sim.run(&Mean::new(), &opts).expect("runs");
+        let run = sim.run_dense(Launch::InProcess(&mut RoundWorkspace::new()), &Mean::new(), &opts).expect("runs").run;
         prop_assert!(w.contains(&run.final_estimate));
     }
 
@@ -115,11 +112,9 @@ proptest! {
         let config = SystemConfig::new(6, 1).expect("valid");
         let problem = RegressionProblem::fan(config, 150.0, 0.05, seed).expect("generable");
         let x_h = problem.subset_minimizer(&[1, 2, 3, 4, 5]).expect("full rank");
-        let mut sim = DgdSimulation::new(config, problem.costs())
-            .expect("costs match")
-            .with_byzantine(0, Box::new(ZeroGradient::new()))
-            .expect("valid");
-        let run = sim.run(&Cge::new(), &options(x_h, iterations)).expect("runs");
+        let sim = DgdTask::new(config, problem.costs())
+            .byzantine(0, Box::new(ZeroGradient::new()));
+        let run = sim.run_dense(Launch::InProcess(&mut RoundWorkspace::new()), &Cge::new(), &options(x_h, iterations)).expect("runs").run;
         prop_assert_eq!(run.trace.len(), iterations + 1);
         for (k, r) in run.trace.records().iter().enumerate() {
             prop_assert_eq!(r.iteration, k);
@@ -140,11 +135,9 @@ proptest! {
         let config = SystemConfig::new(6, 1).expect("valid");
         let problem = RegressionProblem::fan(config, 150.0, 0.02, seed).expect("generable");
         let x_h = problem.subset_minimizer(&[1, 2, 3, 4, 5]).expect("full rank");
-        let mut sim = DgdSimulation::new(config, problem.costs())
-            .expect("costs match")
-            .with_byzantine(0, Box::new(GradientReverse::new()))
-            .expect("valid");
-        let run = sim.run(&Cge::new(), &options(x_h, 600)).expect("runs");
+        let sim = DgdTask::new(config, problem.costs())
+            .byzantine(0, Box::new(GradientReverse::new()));
+        let run = sim.run_dense(Launch::InProcess(&mut RoundWorkspace::new()), &Cge::new(), &options(x_h, 600)).expect("runs").run;
         // Find the smallest radius such that phi > 0 outside it (over the
         // recorded trajectory), then check the tail settles within ~that.
         let radius = run

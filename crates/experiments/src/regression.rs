@@ -1,7 +1,7 @@
 //! Table 1 and Figures 2–3: the distributed linear regression experiments.
 //!
 //! Every execution here is one [`Scenario`] on the in-process backend; the
-//! historical hand-wired `DgdSimulation` setup lives inside the builder.
+//! historical hand-wired driver setup lives inside the builder.
 
 use abft_core::csv::CsvTable;
 use abft_dgd::RunOptions;

@@ -139,6 +139,17 @@ pub struct ParsedSource {
     pub items: FileItems,
 }
 
+impl ParsedSource {
+    /// The code of every line outside `#[cfg(test)]` regions, comments
+    /// and literal contents masked out — what a textual count of call
+    /// sites should look at.
+    pub fn live_code(&self) -> impl Iterator<Item = &str> {
+        let in_test = test_regions(&self.masked);
+        let live = self.masked.iter().zip(in_test).filter(|(_, test)| !test);
+        live.map(|(line, _)| line.code.as_str())
+    }
+}
+
 /// Masks, tokenizes, and item-parses one source file.
 pub fn parse_source(rel: &str, source: &str) -> ParsedSource {
     let masked = mask(source);

@@ -36,7 +36,7 @@
 use crate::error::RuntimeError;
 use crate::message::ServerWire;
 use crate::simulated::{broadcast_estimate, check_reply_dim, wire_reply, SimulatedRun};
-use crate::task::{DgdTask, FaultPlan};
+use crate::task::{DgdTask, FaultPlan, Launch};
 use abft_core::observe::RunObserver;
 use abft_dgd::{AgentCell, Outcome, RoundEngine, RunOptions};
 use abft_filters::GradientFilter;
@@ -223,7 +223,7 @@ pub(crate) fn execute_async_server(
         mut cells,
         net_faults,
         honest,
-    } = task.fault_plan(&sim.net_faults, n + 1, "simulated")?;
+    } = task.fault_plan(&sim.net_faults, n + 1, &Launch::Simulated(sim))?;
 
     let mut net: SimulatedNetwork<ServerWire> = sim.network.build(n + 1);
     // Async runs profile in virtual time, like every simulated driver.

@@ -1,5 +1,5 @@
-//! The event-driven server runtime behind [`Launch::Threaded`] and
-//! [`Launch::Fleet`](crate::Launch::Fleet).
+//! The lockstep server execution behind [`Launch::InProcess`],
+//! [`Launch::Threaded`] and [`Launch::Fleet`].
 //!
 //! This realizes the paper's Figure-1 server architecture as a persistent
 //! event loop instead of the historical thread-per-agent topology: one DGD
@@ -11,30 +11,28 @@
 //! nothing — the "no gradient received" case of step S1 — and the server
 //! eliminates the agent, updating its `(n, f)` view.
 //!
-//! The round loop is [`RoundWorkspace::run_rounds`], the very loop the
-//! in-process driver runs over the same cells, so the two agree by
-//! construction. What makes a run *threaded* is configuration: the fill is
-//! sharded over [`RunOptions::fleet_workers`] (one worker runs every agent
-//! inline with no threads at all; the pool's **fixed schedule** keeps the
-//! rows bit-identical at any count), omniscient strategies are rejected
-//! (an agent cannot see other agents' in-flight gradients), and the
-//! messages the loop passed are reported.
-//!
-//! [`Launch::Threaded`]: crate::Launch::Threaded
+//! The three launches are one function over one round loop
+//! ([`RoundWorkspace::run_rounds`]), so they agree by construction. What
+//! makes a run *threaded* rather than *in process* is configuration: the
+//! fill is sharded over [`RunOptions::fleet_workers`] (one worker runs
+//! every agent inline with no threads at all; the pool's **fixed
+//! schedule** keeps the rows bit-identical at any count), omniscient
+//! strategies are rejected (an agent cannot see other agents' in-flight
+//! gradients), and the messages the loop passed are reported.
 
 use crate::error::RuntimeError;
-use crate::task::{DgdTask, FaultPlan};
+use crate::task::{DgdTask, FaultPlan, Launch};
 use abft_core::observe::RunObserver;
 use abft_dgd::{Outcome, RoundEngine, RoundWorkspace, RunCounters, RunOptions};
 use abft_filters::GradientFilter;
 use abft_net::NetMetrics;
 use abft_telemetry::Telemetry;
 
-/// The event-loop server execution on a caller-supplied (and
-/// caller-reused) [`RoundWorkspace`].
+/// The lockstep server execution of `launch`: in process on the caller's
+/// workspace, or as an event loop on the caller's or a transient one.
 pub(crate) fn execute(
     task: DgdTask,
-    workspace: &mut RoundWorkspace,
+    launch: Launch<'_>,
     filter: &dyn GradientFilter,
     options: &RunOptions,
     observer: &mut dyn RunObserver,
@@ -45,27 +43,34 @@ pub(crate) fn execute(
         mut cells,
         honest,
         ..
-    } = task.fault_plan(&[], n, "threaded")?;
+    } = task.fault_plan(&[], n, &launch)?;
+    let mut transient = None;
+    let (workspace, in_process) = match launch {
+        Launch::InProcess(kept) => (kept, true),
+        Launch::Fleet(kept) => (kept, false),
+        // `Threaded`: an event loop on a workspace of the run's own.
+        _ => (transient.insert(RoundWorkspace::new()), false),
+    };
     // Observational only: a disabled handle never reads the clock, so the
-    // event loop stays bit-identical and allocation-free with telemetry
-    // off.
+    // loop stays bit-identical and allocation-free with telemetry off.
     let telemetry = Telemetry::wall(options.telemetry);
     let mut engine = RoundEngine::new(&cells, &honest, filter, options, observer, telemetry)?;
-    let passed =
-        workspace.run_rounds(&mut cells, options.fleet_workers, config.f(), &mut engine)?;
-    engine.counters = RunCounters {
-        rounds: engine.counters.rounds,
-        ..passed
-    };
+    let fill_workers = if in_process { 1 } else { options.fleet_workers };
+    let passed = workspace.run_rounds(&mut cells, fill_workers, config.f(), &mut engine)?;
+    // No messages pass in process: the rounds are all there is to count.
+    if !in_process {
+        engine.counters = RunCounters {
+            rounds: engine.counters.rounds,
+            ..passed
+        };
+    }
     Ok(engine.finish(NetMetrics::default())?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Launch;
     use abft_attacks::{GradientReverse, LittleIsEnough, RandomGaussian};
-    use abft_dgd::DgdSimulation;
     use abft_filters::{Cge, Cwtm};
     use abft_problems::RegressionProblem;
 
@@ -85,11 +90,12 @@ mod tests {
             .run_dense(Launch::Threaded, &Cge::new(), &options)
             .unwrap();
 
-        let mut sim = DgdSimulation::new(*problem.config(), problem.costs())
+        let mut workspace = RoundWorkspace::new();
+        let in_process = DgdTask::new(*problem.config(), problem.costs())
+            .byzantine(0, Box::new(GradientReverse::new()))
+            .run_dense(Launch::InProcess(&mut workspace), &Cge::new(), &options)
             .unwrap()
-            .with_byzantine(0, Box::new(GradientReverse::new()))
-            .unwrap();
-        let in_process = sim.run(&Cge::new(), &options).unwrap();
+            .run;
 
         assert!(threaded
             .run
@@ -101,11 +107,12 @@ mod tests {
     #[test]
     fn event_loop_matches_with_seeded_random_attack_at_every_worker_count() {
         let (problem, options) = paper_options(60);
-        let mut sim = DgdSimulation::new(*problem.config(), problem.costs())
+        let mut workspace = RoundWorkspace::new();
+        let in_process = DgdTask::new(*problem.config(), problem.costs())
+            .byzantine(0, Box::new(RandomGaussian::paper(99)))
+            .run_dense(Launch::InProcess(&mut workspace), &Cwtm::new(), &options)
             .unwrap()
-            .with_byzantine(0, Box::new(RandomGaussian::paper(99)))
-            .unwrap();
-        let in_process = sim.run(&Cwtm::new(), &options).unwrap();
+            .run;
         for workers in [1usize, 2, 4] {
             let mut fleet = RoundWorkspace::new();
             let options = options.clone().with_fleet_workers(workers);

@@ -11,15 +11,18 @@
 //! differ only in how a round's rows travel from the cells to the batch
 //! that step aggregates:
 //!
-//! * [`Launch::Threaded`] / [`Launch::Fleet`] — the **server-based**
-//!   architecture (a trustworthy server and `n` agents, up to `f`
-//!   Byzantine) as an event loop: dispatch a round event to every agent
-//!   cell (broadcast `x_t`), collect the rows they streamed into the
-//!   gradient batch, eliminate silent agents. The loop is the in-process
-//!   driver's ([`RoundWorkspace::run_rounds`]) with the fill sharded over
-//!   `fleet_workers` of a fixed-schedule worker pool, so traces are
-//!   bit-identical at any worker count — and a [`RoundWorkspace`]
-//!   survives across runs, so scenario grids pay fleet setup once.
+//! * [`Launch::InProcess`] / [`Launch::Threaded`] / [`Launch::Fleet`] —
+//!   the **server-based** architecture (a trustworthy server and `n`
+//!   agents, up to `f` Byzantine) in lockstep: dispatch a round event to
+//!   every agent cell (broadcast `x_t`), collect the rows they streamed
+//!   into the gradient batch, eliminate silent agents. One execution
+//!   ([`event_loop`]) over one loop ([`RoundWorkspace::run_rounds`]) in
+//!   two configurations. In process the cells fill on the caller's
+//!   thread, omniscient strategies are served and only rounds are
+//!   counted; as an event loop the fill is sharded over `fleet_workers`
+//!   of a fixed-schedule worker pool — traces bit-identical at any worker
+//!   count — and the messages passed are reported. A [`RoundWorkspace`]
+//!   survives across runs, so scenario grids pay setup once.
 //! * [`Launch::PeerToPeer`] — a complete network of `n` agents,
 //!   `f < n/3` faulty, where the server algorithm is simulated with
 //!   Byzantine broadcast. [`eig_broadcast`] implements the classic
@@ -69,6 +72,7 @@ pub mod event_loop;
 pub mod message;
 pub mod peer_to_peer;
 pub mod simulated;
+mod simulation;
 pub mod task;
 
 pub use abft_dgd::{AgentCell, Outcome, RoundWorkspace, RunCounters};

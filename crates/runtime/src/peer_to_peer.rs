@@ -9,7 +9,7 @@
 //! requires `f < n/3`.
 //!
 //! All broadcast traffic travels through an [`abft_net::MessageBus`]. The
-//! real runtime ([`Launch::PeerToPeer`](crate::Launch::PeerToPeer)) drives a
+//! real runtime ([`Launch::PeerToPeer`]) drives a
 //! reliable [`PerfectBus`] and keeps the historical bit-exact behaviour; the
 //! `Simulated` backend drives the same loop over an
 //! `abft_net::SimulatedNetwork`, where lost or late transmissions become
@@ -18,7 +18,7 @@
 
 use crate::eig::{eig_broadcast_on, EigMessage, EquivocationPlan};
 use crate::error::RuntimeError;
-use crate::task::{DgdTask, FaultPlan};
+use crate::task::{DgdTask, FaultPlan, Launch};
 use abft_attacks::HonestGradients;
 use abft_core::observe::{NullObserver, RunObserver};
 use abft_dgd::{AgentCell, Outcome, RoundEngine, RunOptions};
@@ -62,7 +62,7 @@ impl BitsVector {
     }
 }
 
-/// The EIG-broadcast lockstep loop behind [`Launch::PeerToPeer`](crate::Launch::PeerToPeer),
+/// The EIG-broadcast lockstep loop behind [`Launch::PeerToPeer`],
 /// on a reliable in-memory bus.
 ///
 /// When `equivocate` is set, each Byzantine agent *splits* its forged
@@ -150,7 +150,7 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage<BitsVector>>>(
         mut net_faults,
         honest,
         ..
-    } = task.fault_plan(net_faults, n, "peer-to-peer")?;
+    } = task.fault_plan(net_faults, n, &Launch::PeerToPeer { equivocate })?;
     let crash = |(agent, cell): (usize, &AgentCell)| cell.crash_point().map(|at| (agent, at));
     if let Some((agent, at)) = cells.iter().enumerate().find_map(crash) {
         return Err(RuntimeError::Config(format!(
@@ -321,7 +321,7 @@ mod tests {
     use crate::Launch;
     use abft_attacks::{GradientReverse, LittleIsEnough};
     use abft_core::SystemConfig;
-    use abft_dgd::DgdSimulation;
+    use abft_dgd::RoundWorkspace;
     use abft_filters::{Cge, Cwtm};
     use abft_problems::RegressionProblem;
 
@@ -353,8 +353,11 @@ mod tests {
                 &options,
             )
             .unwrap();
-        let mut sim = DgdSimulation::new(*problem.config(), problem.costs()).unwrap();
-        let server = sim.run(&Cge::new(), &options).unwrap();
+        let mut workspace = RoundWorkspace::new();
+        let server = DgdTask::new(*problem.config(), problem.costs())
+            .run_dense(Launch::InProcess(&mut workspace), &Cge::new(), &options)
+            .unwrap()
+            .run;
         assert!(p2p
             .run
             .final_estimate
@@ -381,11 +384,12 @@ mod tests {
                 &options,
             )
             .unwrap();
-        let mut sim = DgdSimulation::new(*problem.config(), problem.costs())
+        let mut workspace = RoundWorkspace::new();
+        let server = DgdTask::new(*problem.config(), problem.costs())
+            .byzantine(0, Box::new(GradientReverse::new()))
+            .run_dense(Launch::InProcess(&mut workspace), &Cge::new(), &options)
             .unwrap()
-            .with_byzantine(0, Box::new(GradientReverse::new()))
-            .unwrap();
-        let server = sim.run(&Cge::new(), &options).unwrap();
+            .run;
         assert!(p2p
             .run
             .final_estimate

@@ -1,6 +1,6 @@
 //! DGD over a simulated network: the same protocols, faulty links.
 //!
-//! [`Launch::Simulated`](crate::Launch::Simulated) executes a task on an
+//! [`Launch::Simulated`] executes a task on an
 //! [`abft_net::SimulatedNetwork`] — a seeded discrete-event simulator whose
 //! links can delay, drop, reorder, and partition messages — in either of
 //! the paper's two architectures:
@@ -18,7 +18,7 @@
 //!   transmissions become EIG omissions; with enough of them, honest
 //!   agents fall out of lockstep — reported, not asserted, via
 //!   [`Outcome::final_spread`]. Over ideal links this is bit-identical to
-//!   [`Launch::PeerToPeer`](crate::Launch::PeerToPeer).
+//!   [`Launch::PeerToPeer`].
 //!
 //! Network-level Byzantine behaviours ([`NetFault`]: selective sending,
 //! per-link equivocation) layer on top of the value-forging attack
@@ -29,7 +29,7 @@ use crate::async_server::AsyncConfig;
 use crate::error::RuntimeError;
 use crate::message::ServerWire;
 use crate::peer_to_peer::{self, P2pLink};
-use crate::task::{DgdTask, FaultPlan};
+use crate::task::{DgdTask, FaultPlan, Launch};
 use abft_attacks::HonestGradients;
 use abft_core::observe::RunObserver;
 use abft_dgd::{AgentCell, Outcome, RoundEngine, RunOptions};
@@ -112,19 +112,6 @@ impl SimulatedRun {
     }
 }
 
-/// Round-lockstep drivers have no notion of row age, so a staleness
-/// override on the options is a configuration error rather than a silent
-/// no-op.
-fn reject_staleness(options: &RunOptions, topology: &str) -> Result<(), RuntimeError> {
-    if options.staleness_ns.is_some() {
-        return Err(RuntimeError::Config(format!(
-            "staleness_ns is an asynchronous-driver knob; the synchronous {topology} \
-             topology runs in round lockstep (use SimTopology::AsyncServer)"
-        )));
-    }
-    Ok(())
-}
-
 /// Peer-to-peer over the simulator: the shared loop of
 /// [`crate::peer_to_peer`] on a faulty bus, lockstep measured instead of
 /// asserted.
@@ -136,7 +123,6 @@ pub(crate) fn execute_p2p(
     options: &RunOptions,
     observer: &mut dyn RunObserver,
 ) -> Result<Outcome, RuntimeError> {
-    reject_staleness(options, "peer-to-peer")?;
     let n = task.config().n();
     let mut net: SimulatedNetwork<_> = sim.network.build(n);
     let link = P2pLink {
@@ -160,7 +146,6 @@ pub(crate) fn execute_server(
     options: &RunOptions,
     observer: &mut dyn RunObserver,
 ) -> Result<Outcome, RuntimeError> {
-    reject_staleness(options, "server")?;
     let n = task.config().n();
     let server = SimulatedRun::server_address(n);
     // The server's address participates in the bus, so victim lists and
@@ -170,7 +155,7 @@ pub(crate) fn execute_server(
         mut cells,
         net_faults,
         honest,
-    } = task.fault_plan(&sim.net_faults, n + 1, "simulated")?;
+    } = task.fault_plan(&sim.net_faults, n + 1, &Launch::Simulated(sim))?;
 
     let mut net: SimulatedNetwork<ServerWire> = sim.network.build(n + 1);
     // Simulated runs profile in *virtual* time: spans advance only when
@@ -330,7 +315,7 @@ mod tests {
     use super::*;
     use crate::Launch;
     use abft_attacks::GradientReverse;
-    use abft_dgd::DgdSimulation;
+    use abft_dgd::RoundWorkspace;
     use abft_filters::{Cge, Cwtm};
     use abft_net::LinkModel;
     use abft_problems::RegressionProblem;
@@ -350,11 +335,12 @@ mod tests {
             .byzantine(0, Box::new(GradientReverse::new()))
             .run_dense(Launch::Simulated(&sim), &Cge::new(), &options)
             .unwrap();
-        let mut reference = DgdSimulation::new(*problem.config(), problem.costs())
+        let mut workspace = RoundWorkspace::new();
+        let in_process = DgdTask::new(*problem.config(), problem.costs())
+            .byzantine(0, Box::new(GradientReverse::new()))
+            .run_dense(Launch::InProcess(&mut workspace), &Cge::new(), &options)
             .unwrap()
-            .with_byzantine(0, Box::new(GradientReverse::new()))
-            .unwrap();
-        let in_process = reference.run(&Cge::new(), &options).unwrap();
+            .run;
         assert_eq!(simulated.run.trace.records(), in_process.trace.records());
         assert!(simulated
             .run

@@ -3,10 +3,10 @@
 //! [`DgdTask`] is the single buildable launch value of this crate: which
 //! `(n, f)` system, which costs, which agents misbehave and how. The same
 //! task value runs on any runtime — [`DgdTask::run`] takes a [`Launch`]
-//! naming the event-loop server (on a transient or a caller-kept
-//! [`RoundWorkspace`]), the EIG peer-to-peer network, or a [`SimulatedRun`]
-//! over faulty links; the `abft-scenario` crate builds these tasks from
-//! declarative `Scenario` specs.
+//! naming the lockstep server (in process, or as an event loop on a
+//! transient or a caller-kept [`RoundWorkspace`]), the EIG peer-to-peer
+//! network, or a [`SimulatedRun`] over faulty links; the `abft-scenario`
+//! crate builds these tasks from declarative `Scenario` specs.
 //!
 //! # Example
 //!
@@ -58,6 +58,13 @@ pub struct DgdTask {
 
 /// Where a [`DgdTask`] runs.
 pub enum Launch<'a> {
+    /// The synchronous server loop in process, on a caller-owned
+    /// [`RoundWorkspace`]: every agent fills its row on the caller's
+    /// thread and no message passes, so only
+    /// [`RunCounters::rounds`](abft_dgd::RunCounters) is counted. The one
+    /// launch that serves *omniscient* strategies — they forge in a second
+    /// pass with the truly honest agents' rows in view.
+    InProcess(&'a mut RoundWorkspace),
     /// The event-loop server runtime — the agent fleet multiplexed over
     /// [`RunOptions::fleet_workers`] workers — on a transient
     /// [`RoundWorkspace`].
@@ -86,8 +93,20 @@ pub enum Launch<'a> {
     Simulated(&'a SimulatedRun),
 }
 
-/// A task's fault plan indexed by agent id — what every message-passing
-/// driver needs before its first round.
+impl Launch<'_> {
+    /// What error messages call the runtime's agents.
+    fn agents(&self) -> &'static str {
+        match self {
+            Launch::InProcess(_) => "in-process",
+            Launch::Threaded | Launch::Fleet(_) => "threaded",
+            Launch::PeerToPeer { .. } => "peer-to-peer",
+            Launch::Simulated(_) => "simulated",
+        }
+    }
+}
+
+/// A task's fault plan indexed by agent id — what every driver needs
+/// before its first round.
 pub(crate) struct FaultPlan {
     pub(crate) config: SystemConfig,
     /// One cell per agent: its cost, its strategy, its crash point.
@@ -132,16 +151,16 @@ impl DgdTask {
     /// them by agent: the agent cells, the net faults
     /// (validated against a bus of `addresses` endpoints; a net-faulty
     /// agent consumes budget unless a strategy or crash already did), and
-    /// the honest set. Omniscient strategies are rejected — a `who` agent
-    /// cannot observe the other agents' in-flight gradients (use
-    /// [`abft_dgd::DgdSimulation`] for omniscient attack studies).
+    /// the honest set. Only [`Launch::InProcess`] serves omniscient
+    /// strategies; for every other `launch` they are rejected — its agents
+    /// cannot observe the other agents' in-flight gradients.
     // LINT-ALLOW(panic-reach): there are n cells (checked first) and every
     // index has passed `FaultBudget::assign`'s `agent < n` check.
     pub(crate) fn fault_plan(
         self,
         net_faults: &[(usize, NetFault)],
         addresses: usize,
-        who: &str,
+        launch: &Launch<'_>,
     ) -> Result<FaultPlan, RuntimeError> {
         let n = self.config.n();
         validate::cost_dimension(n, self.costs.iter().map(|c| c.dim())).map_err(DgdError::from)?;
@@ -149,11 +168,12 @@ impl DgdTask {
         let mut budget = FaultBudget::new(&self.config);
         for (agent, strategy) in self.byzantine {
             budget.assign(agent)?;
-            if strategy.is_omniscient() {
+            if strategy.is_omniscient() && !matches!(launch, Launch::InProcess(_)) {
                 return Err(RuntimeError::Config(format!(
-                    "strategy '{}' is omniscient; {who} agents cannot observe \
+                    "strategy '{}' is omniscient; {} agents cannot observe \
                      other agents' in-flight gradients",
-                    strategy.name()
+                    strategy.name(),
+                    launch.agents()
                 )));
             }
             cells[agent].forge(strategy);
@@ -203,13 +223,26 @@ impl DgdTask {
         options: &RunOptions,
         observer: &mut dyn RunObserver,
     ) -> Result<Outcome, RuntimeError> {
+        // Only the asynchronous server's rows have ages: on every lockstep
+        // launch a staleness bound is a configuration error, not a silent
+        // no-op.
+        let aged = matches!(
+            launch,
+            Launch::Simulated(SimulatedRun {
+                topology: SimTopology::AsyncServer(_),
+                ..
+            })
+        );
+        if options.staleness_ns.is_some() && !aged {
+            return Err(RuntimeError::Config(format!(
+                "staleness_ns is an asynchronous-driver knob; the {} launch runs in \
+                 round lockstep (use SimTopology::AsyncServer)",
+                launch.agents()
+            )));
+        }
         match launch {
-            Launch::Threaded => {
-                let mut workspace = RoundWorkspace::new();
-                crate::event_loop::execute(self, &mut workspace, filter, options, observer)
-            }
-            Launch::Fleet(workspace) => {
-                crate::event_loop::execute(self, workspace, filter, options, observer)
+            Launch::InProcess(_) | Launch::Threaded | Launch::Fleet(_) => {
+                crate::event_loop::execute(self, launch, filter, options, observer)
             }
             Launch::PeerToPeer { equivocate } => {
                 crate::peer_to_peer::execute(self, equivocate, filter, options, observer)

@@ -1,0 +1,167 @@
+//! `Launch::InProcess` against the other lockstep launches: it is the
+//! event loop's execution in another configuration, so the two agree bit
+//! for bit wherever both run, and differ exactly where the configuration
+//! says — omniscient strategies, message counters — and in nothing else.
+
+use abft_attacks::{attack_by_name, attack_names};
+use abft_core::SystemConfig;
+use abft_dgd::RunOptions;
+use abft_filters::Cwtm;
+use abft_net::NetworkModel;
+use abft_problems::RegressionProblem;
+use abft_runtime::{
+    AsyncConfig, DgdTask, Launch, RoundWorkspace, RunCounters, RuntimeError, SimulatedRun,
+};
+
+const ITERATIONS: usize = 12;
+const CRASH_AT: usize = 5;
+
+/// `n = 6, f = 2` on a fan instance: agent 0 forges with the registry
+/// attack `attack`, agent 1 replies honestly until it crashes at
+/// `CRASH_AT`, agents 2–5 are honest.
+fn task(attack: &str) -> (DgdTask, RunOptions) {
+    let config = SystemConfig::new(6, 2).expect("valid");
+    let problem = RegressionProblem::fan(config, 150.0, 0.02, 3).expect("fan");
+    let x_h = problem.subset_minimizer(&[2, 3, 4, 5]).expect("full rank");
+    let options = RunOptions::paper_defaults_with_iterations(x_h, ITERATIONS);
+    let task = DgdTask::new(config, problem.costs())
+        .byzantine(0, attack_by_name(attack, 11).expect("registered"))
+        .crash(1, CRASH_AT);
+    (task, options)
+}
+
+/// Registry attacks split by whether they read the honest rows.
+fn registry_attacks(omniscient: bool) -> Vec<&'static str> {
+    let reads_rows = |name: &&str| attack_by_name(name, 0).expect("registered").is_omniscient();
+    let attacks: Vec<_> = attack_names()
+        .iter()
+        .copied()
+        .filter(|name| reads_rows(name) == omniscient)
+        .collect();
+    assert!(!attacks.is_empty(), "the registry has both kinds");
+    attacks
+}
+
+#[test]
+fn in_process_matches_the_fleet_at_every_worker_count() {
+    for attack in registry_attacks(false) {
+        let (in_process, options) = task(attack);
+        let reference = in_process
+            .run_dense(
+                Launch::InProcess(&mut RoundWorkspace::new()),
+                &Cwtm::new(),
+                &options,
+            )
+            .expect("in-process runs");
+        assert_eq!(reference.run.trace.len(), ITERATIONS + 1);
+        for workers in [1usize, 2, 4] {
+            let (fleet, options) = task(attack);
+            let options = options.with_fleet_workers(workers);
+            let threaded = fleet
+                .run_dense(
+                    Launch::Fleet(&mut RoundWorkspace::new()),
+                    &Cwtm::new(),
+                    &options,
+                )
+                .expect("fleet runs");
+            assert_eq!(
+                threaded.run.trace.records(),
+                reference.run.trace.records(),
+                "{attack} at {workers} workers"
+            );
+            assert!(
+                threaded
+                    .run
+                    .final_estimate
+                    .approx_eq(&reference.run.final_estimate, 0.0),
+                "{attack} at {workers} workers"
+            );
+            assert_eq!(threaded.counters.agents_eliminated, 1);
+        }
+    }
+}
+
+#[test]
+fn in_process_serves_omniscient_attacks_and_threaded_rejects_them() {
+    for attack in registry_attacks(true) {
+        let (served, options) = task(attack);
+        let out = served
+            .run_dense(
+                Launch::InProcess(&mut RoundWorkspace::new()),
+                &Cwtm::new(),
+                &options,
+            )
+            .unwrap_or_else(|e| panic!("{attack} in process: {e}"));
+        assert_eq!(out.run.trace.len(), ITERATIONS + 1, "{attack}");
+
+        let (rejected, options) = task(attack);
+        let err = rejected
+            .run_dense(Launch::Threaded, &Cwtm::new(), &options)
+            .expect_err("threaded agents cannot see in-flight gradients");
+        assert!(
+            matches!(err, RuntimeError::Config(_)),
+            "{attack} threaded: {err}"
+        );
+    }
+}
+
+#[test]
+fn in_process_counts_rounds_and_no_messages() {
+    let (in_process, options) = task("gradient-reverse");
+    let mut workspace = RoundWorkspace::new();
+    let out = in_process
+        .run_dense(Launch::InProcess(&mut workspace), &Cwtm::new(), &options)
+        .expect("runs");
+    let rounds_only = RunCounters {
+        rounds: ITERATIONS + 1,
+        ..RunCounters::default()
+    };
+    assert_eq!(out.counters, rounds_only);
+
+    // The same task on the same workspace as an event loop: the same
+    // rounds, and the messages they passed.
+    let (fleet, options) = task("gradient-reverse");
+    let out = fleet
+        .run_dense(Launch::Fleet(&mut workspace), &Cwtm::new(), &options)
+        .expect("runs");
+    assert_eq!(out.counters.rounds, ITERATIONS + 1);
+    assert_eq!(out.counters.rounds_dispatched, ITERATIONS + 1);
+    assert_eq!(
+        out.counters.broadcasts_sent,
+        6 * (CRASH_AT + 1) + 5 * (ITERATIONS - CRASH_AT)
+    );
+    assert_eq!(workspace.runs_served(), 2);
+}
+
+#[test]
+fn every_lockstep_launch_rejects_a_staleness_bound() {
+    let server = SimulatedRun::server(NetworkModel::ideal());
+    let p2p = SimulatedRun::peer_to_peer(NetworkModel::ideal());
+    let (mut kept, mut fleet) = (RoundWorkspace::new(), RoundWorkspace::new());
+    let lockstep: [(&str, Launch<'_>); 6] = [
+        ("in-process", Launch::InProcess(&mut kept)),
+        ("threaded", Launch::Threaded),
+        ("fleet", Launch::Fleet(&mut fleet)),
+        ("peer-to-peer", Launch::PeerToPeer { equivocate: false }),
+        ("simulated server", Launch::Simulated(&server)),
+        ("simulated peer-to-peer", Launch::Simulated(&p2p)),
+    ];
+    let problem = RegressionProblem::paper_instance();
+    let x_h = problem
+        .subset_minimizer(&[1, 2, 3, 4, 5])
+        .expect("full rank");
+    let options = RunOptions::paper_defaults_with_iterations(x_h, 3)
+        .with_staleness_ns(AsyncConfig::UNBOUNDED);
+    for (name, launch) in lockstep {
+        let err = DgdTask::new(*problem.config(), problem.costs())
+            .run_dense(launch, &Cwtm::new(), &options)
+            .expect_err("lockstep rounds have no row age");
+        assert!(matches!(err, RuntimeError::Config(_)), "{name}: {err}");
+    }
+
+    // The one launch the knob belongs to takes it.
+    let asynchronous = SimulatedRun::async_server(NetworkModel::ideal(), AsyncConfig::new());
+    DgdTask::new(*problem.config(), problem.costs())
+        .run_dense(Launch::Simulated(&asynchronous), &Cwtm::new(), &options)
+        .expect("the asynchronous server reads the bound");
+}

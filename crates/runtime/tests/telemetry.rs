@@ -4,7 +4,7 @@
 
 use abft_attacks::GradientReverse;
 use abft_core::observe::NullObserver;
-use abft_dgd::{DgdSimulation, RunOptions};
+use abft_dgd::{RoundWorkspace, RunOptions};
 use abft_filters::Cge;
 use abft_net::{LinkModel, NetworkModel};
 use abft_problems::RegressionProblem;
@@ -28,11 +28,12 @@ fn telemetry_on_is_bit_identical_to_off_on_every_backend() {
 
     // In-process driver.
     let run_in_process = |options: &RunOptions| {
-        let mut sim = DgdSimulation::new(*problem.config(), problem.costs())
+        let mut workspace = RoundWorkspace::new();
+        DgdTask::new(*problem.config(), problem.costs())
+            .byzantine(0, Box::new(GradientReverse::new()))
+            .run_dense(Launch::InProcess(&mut workspace), &Cge::new(), options)
             .unwrap()
-            .with_byzantine(0, Box::new(GradientReverse::new()))
-            .unwrap();
-        sim.run(&Cge::new(), options).unwrap()
+            .run
     };
     let a = run_in_process(&off);
     let b = run_in_process(&on);
@@ -218,15 +219,15 @@ fn run_counters_and_the_telemetry_report_agree_on_every_backend() {
     };
 
     // In-process first: its only counter is `rounds`.
-    let mut sim = DgdSimulation::new(*problem.config(), problem.costs()).unwrap();
-    let in_process = sim
-        .run_observed(
+    let in_process = DgdTask::new(*problem.config(), problem.costs())
+        .run(
+            Launch::InProcess(&mut RoundWorkspace::new()),
             &Cge::new(),
             &on,
-            &mut abft_dgd::RoundWorkspace::new(),
             &mut NullObserver,
         )
-        .unwrap();
+        .unwrap()
+        .run;
     let report = in_process.telemetry.expect("enabled");
     assert_eq!(report.counter("rounds"), in_process.summary.rounds as u64);
     assert_eq!(report.counter("replies") + report.counter("broadcasts"), 0);

@@ -2,13 +2,11 @@
 
 use crate::error::ScenarioError;
 use crate::spec::{HaltRule, Recording, Scenario};
-use crate::workspace::SuiteWorkspace;
 use abft_core::csv::CsvTable;
 use abft_core::observe::{
     ControlFlow, ConvergenceHalt, Probe, RoundView, RunObserver, RunSummary, TraceRecorder,
 };
 use abft_core::{CoreError, Trace};
-use abft_dgd::{DgdSimulation, ObservedRun};
 use abft_linalg::Vector;
 use abft_net::NetworkModel;
 use abft_runtime::{AsyncConfig, DgdTask, Launch, SimTopology, SimulatedRun};
@@ -23,6 +21,18 @@ use std::time::Duration;
 /// in-process driver passes no messages; the server runtimes run no EIG
 /// broadcasts).
 pub use abft_dgd::RunCounters as BackendMetrics;
+
+/// The reusable state one suite worker owns across all its runs: the
+/// [`abft_dgd::RoundWorkspace`] — the round batch and the worker pools —
+/// shared by the in-process and threaded backends, which run the same
+/// round loop over it.
+///
+/// Threading this through [`Backend::run_with_workspace`] is what lets a
+/// 14×6 grid pay batch and thread setup once instead of per cell — on the
+/// threaded backend every run after the first is a
+/// [fleet-reuse hit](BackendMetrics::fleet_reuse_hits). Message-passing
+/// backends ignore it entirely.
+pub type SuiteWorkspace = abft_dgd::RoundWorkspace;
 
 /// The unified result of running one [`Scenario`] on one [`Backend`]: the
 /// recorded trace (if the scenario's [`Recording`] mode kept one), the
@@ -167,8 +177,8 @@ pub trait Backend: Send + Sync {
 /// Rejects what only a simulated network executes: network-level faults
 /// need links to choose, and a staleness bound only means something to the
 /// asynchronous simulated server, whose agents run on their own clocks.
-/// (The simulated sync topologies reject staleness at the runtime layer
-/// with the same contract.)
+/// ([`DgdTask::run`] rejects a staleness bound on every lockstep launch
+/// with the same contract; the check here names the scenario.)
 fn require_lockstep_scenario(
     backend: &'static str,
     scenario: &Scenario,
@@ -241,49 +251,35 @@ impl RunObserver for ScenarioObserver {
     }
 }
 
-/// Runs `scenario` on `backend` under the scenario's observer and a
-/// stopwatch, and assembles the report — the body every backend shares.
-/// `run` drives the observer and returns the run with what it counted.
-fn observed(
-    scenario: &Scenario,
-    backend: &'static str,
-    run: impl FnOnce(&mut ScenarioObserver) -> Result<(ObservedRun, BackendMetrics), ScenarioError>,
-) -> Result<RunReport, ScenarioError> {
-    let mut observer = ScenarioObserver::for_scenario(scenario);
-    let started = Stopwatch::start();
-    let (run, metrics) = run(&mut observer)?;
-    let elapsed = started.elapsed();
-    Ok(RunReport {
-        scenario: scenario.label().to_string(),
-        backend,
-        filter: scenario.filter().name().to_string(),
-        trace: observer.into_trace(),
-        summary: run.summary,
-        final_estimate: run.final_estimate,
-        elapsed,
-        metrics,
-        telemetry: run.telemetry,
-    })
-}
-
-/// Runs `scenario`'s task on the runtime `target` names — the body every
-/// message-passing backend shares.
+/// Runs `scenario`'s task on the runtime `target` names, under the
+/// scenario's observer and a stopwatch, and assembles the report — the
+/// body every backend shares.
 fn launch(
     scenario: &Scenario,
     backend: &'static str,
     target: Launch<'_>,
 ) -> Result<RunReport, ScenarioError> {
-    observed(scenario, backend, |observer| {
-        let (filter, options) = (scenario.filter(), scenario.options());
-        let out = task_for(scenario).run(target, filter, options, observer)?;
-        Ok((out.run, out.counters))
+    let mut observer = ScenarioObserver::for_scenario(scenario);
+    let (filter, options) = (scenario.filter(), scenario.options());
+    let started = Stopwatch::start();
+    let out = task_for(scenario).run(target, filter, options, &mut observer)?;
+    let elapsed = started.elapsed();
+    Ok(RunReport {
+        scenario: scenario.label().to_string(),
+        backend,
+        filter: filter.name().to_string(),
+        trace: observer.into_trace(),
+        summary: out.run.summary,
+        final_estimate: out.run.final_estimate,
+        elapsed,
+        metrics: out.counters,
+        telemetry: out.run.telemetry,
     })
 }
 
 /// Materializes a scenario's fault plan onto a [`DgdTask`] — the single
-/// mapping every message-passing backend launches from, so they cannot
-/// diverge on assignment order (which the bit-exactness contract relies
-/// on).
+/// mapping every backend launches from, so they cannot diverge on
+/// assignment order (which the bit-exactness contract relies on).
 fn task_for(scenario: &Scenario) -> DgdTask {
     let mut task = DgdTask::new(*scenario.config(), scenario.costs().to_vec());
     for (agent, strategy) in scenario.byzantine_assignments() {
@@ -295,9 +291,9 @@ fn task_for(scenario: &Scenario) -> DgdTask {
     task
 }
 
-/// The in-process synchronous driver ([`DgdSimulation`]) — fastest, and the
-/// only backend that supports *omniscient* attacks (which need visibility
-/// of honest gradients within a round).
+/// The synchronous server loop in process ([`Launch::InProcess`]) —
+/// fastest, and the only backend that supports *omniscient* attacks (which
+/// need visibility of honest gradients within a round).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InProcess;
 
@@ -312,23 +308,7 @@ impl Backend for InProcess {
         workspace: &mut SuiteWorkspace,
     ) -> Result<RunReport, ScenarioError> {
         require_lockstep_scenario(self.name(), scenario)?;
-        let mut sim = DgdSimulation::new(*scenario.config(), scenario.costs().to_vec())?;
-        for (agent, strategy) in scenario.byzantine_assignments() {
-            sim = sim.with_byzantine(agent, strategy)?;
-        }
-        for (agent, at_iteration) in scenario.crash_assignments() {
-            sim = sim.with_crash(agent, at_iteration)?;
-        }
-        observed(scenario, self.name(), |observer| {
-            let (filter, options) = (scenario.filter(), scenario.options());
-            let run = sim.run_observed(filter, options, workspace.round_mut(), observer)?;
-            // No messages pass in process: the rounds are all there is to count.
-            let metrics = BackendMetrics {
-                rounds: run.summary.rounds,
-                ..BackendMetrics::default()
-            };
-            Ok((run, metrics))
-        })
+        launch(scenario, self.name(), Launch::InProcess(workspace))
     }
 }
 
@@ -354,7 +334,7 @@ impl Backend for Threaded {
         workspace: &mut SuiteWorkspace,
     ) -> Result<RunReport, ScenarioError> {
         require_lockstep_scenario(self.name(), scenario)?;
-        launch(scenario, self.name(), Launch::Fleet(workspace.round_mut()))
+        launch(scenario, self.name(), Launch::Fleet(workspace))
     }
 }
 

@@ -24,9 +24,12 @@ pub enum ScenarioError {
     Filter(FilterError),
     /// The attack name did not resolve.
     Attack(UnknownAttack),
-    /// The in-process driver failed.
+    /// A DGD step failed outside a runtime launch. Every backend launches
+    /// through `abft_runtime::DgdTask`, so a run's DGD failures (a filter
+    /// error, a diverged estimate) arrive as
+    /// `Runtime(RuntimeError::Dgd(_))`.
     Dgd(DgdError),
-    /// The threaded, peer-to-peer, or simulated runtime failed.
+    /// The in-process, threaded, peer-to-peer, or simulated runtime failed.
     Runtime(RuntimeError),
     /// The scenario asks for something its backend (or the spec itself)
     /// cannot express — e.g. network-level faults on a backend without a

@@ -10,9 +10,11 @@
 //!   workspace registries ([`abft_filters::by_name`],
 //!   [`abft_attacks::attack_by_name`]), so specs are plain data: names,
 //!   seeds, and run options.
-//! * [`Backend`] — where the spec runs. [`InProcess`] drives
-//!   [`abft_dgd::DgdSimulation`], [`Threaded`] the event-loop server
-//!   runtime, [`PeerToPeer`] the EIG-broadcast runtime, and [`Simulated`]
+//! * [`Backend`] — where the spec runs, each one a
+//!   [`Launch`](abft_runtime::Launch) of the same [`abft_runtime::DgdTask`]:
+//!   [`InProcess`] the synchronous server loop on the caller's thread,
+//!   [`Threaded`] the same loop as an event-loop server runtime,
+//!   [`PeerToPeer`] the EIG-broadcast runtime, and [`Simulated`]
 //!   a seeded discrete-event network simulator (either architecture over
 //!   links that can delay, drop, reorder, and partition messages — see
 //!   [`NetworkModel`]). The same scenario value produces the identical
@@ -69,13 +71,13 @@ pub mod backend;
 pub mod error;
 pub mod spec;
 pub mod suite;
-pub mod workspace;
 
-pub use backend::{Backend, BackendMetrics, InProcess, PeerToPeer, RunReport, Simulated, Threaded};
+pub use backend::{
+    Backend, BackendMetrics, InProcess, PeerToPeer, RunReport, Simulated, SuiteWorkspace, Threaded,
+};
 pub use error::ScenarioError;
 pub use spec::{HaltRule, IntoCosts, Recording, Scenario, ScenarioBuilder};
 pub use suite::{ScenarioSuite, SuiteOutcomes, SuiteReport};
-pub use workspace::SuiteWorkspace;
 
 // The observation vocabulary reports are described with, re-exported so
 // scenario consumers need no direct `abft-core` dependency.

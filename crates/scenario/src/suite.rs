@@ -1,9 +1,8 @@
 //! Fan a grid of scenarios out across worker threads.
 
-use crate::backend::{Backend, RunReport};
+use crate::backend::{Backend, RunReport, SuiteWorkspace};
 use crate::error::ScenarioError;
 use crate::spec::{Scenario, ScenarioBuilder};
-use crate::workspace::SuiteWorkspace;
 use abft_core::csv::CsvTable;
 use abft_linalg::WorkerPool;
 use abft_telemetry::clock::Stopwatch;
@@ -176,7 +175,7 @@ impl ScenarioSuite {
         let started = Stopwatch::start();
         let mut workspace = SuiteWorkspace::new();
         if let Some(pool) = self.shared_aggregation_pool() {
-            workspace.round_mut().set_shared_pool(pool);
+            workspace.set_shared_pool(pool);
         }
         let mut reports = Vec::with_capacity(self.scenarios.len());
         for scenario in &self.scenarios {
@@ -233,7 +232,7 @@ impl ScenarioSuite {
         if workers <= 1 {
             let mut workspace = SuiteWorkspace::new();
             if let Some(pool) = shared_pool {
-                workspace.round_mut().set_shared_pool(pool);
+                workspace.set_shared_pool(pool);
             }
             let outcomes = self
                 .scenarios
@@ -258,7 +257,7 @@ impl ScenarioSuite {
                 scope.spawn(move || {
                     let mut workspace = SuiteWorkspace::new();
                     if let Some(pool) = shared_pool {
-                        workspace.round_mut().set_shared_pool(pool);
+                        workspace.set_shared_pool(pool);
                     }
                     loop {
                         let index = next.fetch_add(1, Ordering::Relaxed);

@@ -99,8 +99,8 @@ fn one_workspace_serves_both_backends_across_thread_count_changes() {
         assert_eq!(fresh.metrics.fleet_reuse_hits, 0, "{context}");
 
         // Sized by the first run, never reallocated after it.
-        let batch = workspace.round_mut().batch().as_flat().as_ptr();
+        let batch = workspace.batch().as_flat().as_ptr();
         assert_eq!(*storage.get_or_insert(batch), batch, "{context}");
     }
-    assert_eq!(workspace.round_mut().runs_served(), sequence.len());
+    assert_eq!(workspace.runs_served(), sequence.len());
 }

@@ -20,9 +20,10 @@
 //! Run with: `cargo run --release --example early_stopping`
 
 use approx_bft::core::observe::{ConvergenceHalt, CsvStreamer, HaltReason};
-use approx_bft::dgd::{DgdSimulation, RoundWorkspace, RunOptions};
+use approx_bft::dgd::{RoundWorkspace, RunOptions};
 use approx_bft::filters::Cge;
 use approx_bft::problems::RegressionProblem;
+use approx_bft::runtime::{DgdTask, Launch};
 use approx_bft::scenario::{
     Backend, HaltRule, InProcess, NetworkModel, PeerToPeer, Recording, Scenario, Simulated,
     Threaded,
@@ -105,19 +106,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join("abft_early_stopping");
     std::fs::create_dir_all(&dir)?;
     let csv_path = dir.join("cge_gradient_reverse.csv");
-    let mut sim = DgdSimulation::new(*problem.config(), problem.costs())?
-        .with_byzantine(0, Box::new(approx_bft::attacks::GradientReverse::new()))?;
+    let sim = DgdTask::new(*problem.config(), problem.costs())
+        .byzantine(0, Box::new(approx_bft::attacks::GradientReverse::new()));
     let options = RunOptions::paper_defaults_with_iterations(x_h, HORIZON);
     let mut observer = (
         CsvStreamer::create(&csv_path)?.subsample(10),
         ConvergenceHalt::new(0.05, 0.0, 25),
     );
-    let run = sim.run_observed(
-        &Cge::new(),
-        &options,
-        &mut RoundWorkspace::new(),
-        &mut observer,
-    )?;
+    let run = sim
+        .run(
+            Launch::InProcess(&mut RoundWorkspace::new()),
+            &Cge::new(),
+            &options,
+            &mut observer,
+        )?
+        .run;
     let (streamer, halt) = observer;
     streamer.finish()?;
     println!(

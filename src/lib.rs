@@ -23,9 +23,9 @@
 //! | [`filters`] | CGE, CWTM + nine baseline robust aggregators, each implementing the zero-copy `aggregate_into` batch path (the `&[Vector]` signature remains as a thin adapter) |
 //! | [`attacks`] | gradient-reverse, random (σ=200), ALIE, … — forging directly into batch rows via `corrupt_into` |
 //! | [`redundancy`] | ε measurement, Theorem-2 exact algorithm, bounds, necessity witness |
-//! | [`dgd`] | the Section-4 DGD step — [`dgd::RoundEngine`], the one server step every driver calls (the five DGD drivers, every honest agent of the peer-to-peer simulation, and robust D-SGD; what a run's records measure is its [`dgd::RoundMetrics`]) — with projection and schedules, and the in-process driver: one batch + scratch reused across all `T` iterations (zero per-iteration gradient allocations) |
+//! | [`dgd`] | the Section-4 DGD step — [`dgd::RoundEngine`], the one server step every driver calls (the five DGD drivers, every honest agent of the peer-to-peer simulation, and robust D-SGD; what a run's records measure is its [`dgd::RoundMetrics`]) — with [`dgd::AgentCell`] (what one agent reports), projection and schedules, and [`dgd::RoundWorkspace`], the synchronous server's round loop: one batch + scratch reused across all `T` iterations (zero per-iteration gradient allocations). It holds the steps, not a launcher — see [`runtime`] |
 //! | [`net`] | deterministic discrete-event network simulator: the `MessageBus` abstraction, seeded per-link delay/drop/reorder models, scheduled partitions, network-level Byzantine faults |
-//! | [`runtime`] | event-loop server runtime (the in-process round loop, [`dgd::RoundWorkspace::run_rounds`], with the agent cells' fill sharded over a persistent worker pool) + EIG Byzantine broadcast over the shared `MessageBus`, aggregating off the wire into reused batches, one [`dgd::RoundEngine`] per honest agent; `DgdTask::run(Launch::…)` launches one task on any of them, `Launch::Simulated` on faulty links |
+//! | [`runtime`] | the one launch value, `DgdTask`: the lockstep server in process (`Launch::InProcess`) or as an event-loop runtime (the same round loop, [`dgd::RoundWorkspace::run_rounds`], with the agent cells' fill sharded over a persistent worker pool) + EIG Byzantine broadcast over the shared `MessageBus`, aggregating off the wire into reused batches, one [`dgd::RoundEngine`] per honest agent; `DgdTask::run(Launch::…)` launches one task on any of them, `Launch::Simulated` on faulty links |
 //! | [`ml`] | MLP/SVM substrate + synthetic datasets + robust D-SGD: its own mini-batch fill, stepped by [`dgd::RoundEngine`] under a constant rate on `W = ℝ^d` |
 //! | [`scenario`] | **the public entry point**: declarative [`scenario::Scenario`] specs that run unmodified on the in-process, threaded, peer-to-peer, and simulated-network backends — with per-scenario [`scenario::Recording`] / [`scenario::HaltRule`] observation plans — plus [`scenario::ScenarioSuite`] grids fanned across worker threads |
 //! | [`telemetry`] | low-overhead phase spans, counters, and log₂ latency histograms behind a [`telemetry::Telemetry`] handle that no-ops when disabled (`ABFT_TELEMETRY=on` to enable); every backend reports a [`telemetry::TelemetryReport`] with JSON and Chrome-trace exporters, in deterministic virtual time on the simulated backends |

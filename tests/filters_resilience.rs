@@ -3,11 +3,12 @@
 
 use approx_bft::attacks::{attack_by_name, ScaledReverse, ATTACK_NAMES};
 use approx_bft::core::SystemConfig;
-use approx_bft::dgd::{DgdSimulation, RunOptions};
+use approx_bft::dgd::{RoundWorkspace, RunOptions};
 use approx_bft::filters::by_name;
 use approx_bft::linalg::Vector;
 use approx_bft::problems::RegressionProblem;
 use approx_bft::redundancy::{measure_redundancy, RegressionOracle};
+use approx_bft::runtime::{DgdTask, Launch};
 
 /// Builds the shared test instance: n = 9 agents (so even Bulyan's
 /// n ≥ 4f + 3 holds at f = 1), fan geometry, small noise.
@@ -25,16 +26,18 @@ fn instance() -> (RegressionProblem, Vector, f64) {
 fn run_cell(problem: &RegressionProblem, x_h: &Vector, filter: &str, attack: &str) -> f64 {
     let filter = by_name(filter).expect("registered filter");
     let attack = attack_by_name(attack, 7).expect("registered attack");
-    let mut sim = DgdSimulation::new(*problem.config(), problem.costs())
-        .expect("costs match")
-        .with_byzantine(0, attack)
-        .expect("agent 0, f = 1");
+    let sim = DgdTask::new(*problem.config(), problem.costs()).byzantine(0, attack);
     let mut options = RunOptions::paper_defaults(x_h.clone());
     options.x0 = Vector::zeros(2);
     options.iterations = 1000;
-    sim.run(filter.as_ref(), &options)
-        .expect("cell runs")
-        .final_distance()
+    sim.run_dense(
+        Launch::InProcess(&mut RoundWorkspace::new()),
+        filter.as_ref(),
+        &options,
+    )
+    .expect("cell runs")
+    .run
+    .final_distance()
 }
 
 /// Filters with a hull/selection guarantee: their error should stay within a
@@ -108,18 +111,21 @@ fn multiple_scaled_reverse_attackers_within_the_alpha_margin() {
         .epsilon;
     for filter_name in ["cge", "cwtm"] {
         let filter = by_name(filter_name).expect("registered");
-        let mut sim = DgdSimulation::new(config, problem.costs()).expect("costs match");
+        let mut sim = DgdTask::new(config, problem.costs());
         for agent in 0..2 {
-            sim = sim
-                .with_byzantine(agent, Box::new(ScaledReverse::new(0.5)))
-                .expect("within budget");
+            sim = sim.byzantine(agent, Box::new(ScaledReverse::new(0.5)));
         }
         let mut options = RunOptions::paper_defaults(x_h.clone());
         options.x0 = Vector::zeros(2);
         options.iterations = 1000;
         let d = sim
-            .run(filter.as_ref(), &options)
+            .run_dense(
+                Launch::InProcess(&mut RoundWorkspace::new()),
+                filter.as_ref(),
+                &options,
+            )
             .expect("runs")
+            .run
             .final_distance();
         assert!(
             d <= 20.0 * eps + 0.05,
@@ -143,18 +149,21 @@ fn cge_loses_its_guarantee_past_the_alpha_threshold() {
     let alpha = approx_bft::redundancy::cge_alpha(12, 3, constants.mu, constants.gamma);
     assert!(alpha < 0.0, "this instance should violate the alpha margin");
 
-    let mut sim = DgdSimulation::new(config, problem.costs()).expect("costs match");
+    let mut sim = DgdTask::new(config, problem.costs());
     for agent in 0..3 {
-        sim = sim
-            .with_byzantine(agent, Box::new(ScaledReverse::new(0.5)))
-            .expect("within budget");
+        sim = sim.byzantine(agent, Box::new(ScaledReverse::new(0.5)));
     }
     let mut options = RunOptions::paper_defaults(x_h);
     options.x0 = Vector::zeros(2);
     options.iterations = 1000;
     let d = sim
-        .run(&approx_bft::filters::Cge::new(), &options)
+        .run_dense(
+            Launch::InProcess(&mut RoundWorkspace::new()),
+            &approx_bft::filters::Cge::new(),
+            &options,
+        )
         .expect("runs")
+        .run
         .final_distance();
     assert!(
         d > 1.0,
@@ -167,14 +176,18 @@ fn crash_faults_are_tolerated_by_every_robust_filter() {
     let (problem, x_h, _) = instance();
     for filter_name in TIGHT_FILTERS {
         let filter = by_name(filter_name).expect("registered");
-        let mut sim = DgdSimulation::new(*problem.config(), problem.costs())
-            .expect("costs match")
-            .with_crash(4, 25)
-            .expect("within budget");
+        let sim = DgdTask::new(*problem.config(), problem.costs()).crash(4, 25);
         let mut options = RunOptions::paper_defaults(x_h.clone());
         options.x0 = Vector::zeros(2);
         options.iterations = 600;
-        let result = sim.run(filter.as_ref(), &options).expect("runs");
+        let result = sim
+            .run_dense(
+                Launch::InProcess(&mut RoundWorkspace::new()),
+                filter.as_ref(),
+                &options,
+            )
+            .expect("runs")
+            .run;
         // After elimination the system is fault-free; remaining agents still
         // have (2f)-redundant data, so convergence lands near x_H. The
         // reference x_H excludes agent 0 but includes the crashed agent 4 —

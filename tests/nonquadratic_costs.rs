@@ -4,13 +4,14 @@
 
 use approx_bft::attacks::GradientReverse;
 use approx_bft::core::SystemConfig;
-use approx_bft::dgd::{DgdSimulation, ProjectionSet, RunOptions, StepSchedule};
+use approx_bft::dgd::{ProjectionSet, RoundWorkspace, RunOptions, StepSchedule};
 use approx_bft::filters::{Cge, Cwtm, GradientFilter, Mean};
 use approx_bft::linalg::rng::{gaussian_vector, seeded_rng};
 use approx_bft::linalg::{Matrix, Vector};
 use approx_bft::problems::huber::HuberCost;
 use approx_bft::problems::logistic::LogisticCost;
 use approx_bft::problems::SharedCost;
+use approx_bft::runtime::{DgdTask, Launch};
 use std::sync::Arc;
 
 /// Builds n logistic agents over a common separable concept `w* = (2, −1)`,
@@ -36,11 +37,9 @@ fn logistic_costs(n: usize, samples_per_agent: usize, seed: u64) -> Vec<SharedCo
 fn run_logistic(filter: &dyn GradientFilter, byzantine: bool) -> Vector {
     let config = SystemConfig::new(7, 1).expect("valid");
     let costs = logistic_costs(7, 40, 11);
-    let mut sim = DgdSimulation::new(config, costs).expect("costs match");
+    let mut sim = DgdTask::new(config, costs);
     if byzantine {
-        sim = sim
-            .with_byzantine(0, Box::new(GradientReverse::new()))
-            .expect("valid");
+        sim = sim.byzantine(0, Box::new(GradientReverse::new()));
     }
     let options = RunOptions {
         x0: Vector::zeros(2),
@@ -53,7 +52,14 @@ fn run_logistic(filter: &dyn GradientFilter, byzantine: bool) -> Vector {
         telemetry: Default::default(),
         staleness_ns: None,
     };
-    sim.run(filter, &options).expect("runs").final_estimate
+    sim.run_dense(
+        Launch::InProcess(&mut RoundWorkspace::new()),
+        filter,
+        &options,
+    )
+    .expect("runs")
+    .run
+    .final_estimate
 }
 
 #[test]
@@ -99,10 +105,7 @@ fn huber_regression_with_a_byzantine_agent() {
     // Ground truth for the distance series: the quadratic x_H (Huber with
     // small residuals behaves quadratically near it).
     let x_h = paper.subset_minimizer(&[1, 2, 3, 4, 5]).expect("full rank");
-    let mut sim = DgdSimulation::new(config, costs)
-        .expect("costs match")
-        .with_byzantine(0, Box::new(GradientReverse::new()))
-        .expect("valid");
+    let sim = DgdTask::new(config, costs).byzantine(0, Box::new(GradientReverse::new()));
     let options = RunOptions {
         x0: Vector::zeros(2),
         iterations: 1500,
@@ -114,7 +117,14 @@ fn huber_regression_with_a_byzantine_agent() {
         telemetry: Default::default(),
         staleness_ns: None,
     };
-    let run = sim.run(&Cge::new(), &options).expect("runs");
+    let run = sim
+        .run_dense(
+            Launch::InProcess(&mut RoundWorkspace::new()),
+            &Cge::new(),
+            &options,
+        )
+        .expect("runs")
+        .run;
     assert!(
         run.final_distance() < 0.15,
         "Huber + CGE ended at {}",

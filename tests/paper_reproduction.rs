@@ -3,12 +3,13 @@
 
 use approx_bft::attacks::{GradientReverse, RandomGaussian};
 use approx_bft::core::SystemConfig;
-use approx_bft::dgd::{DgdSimulation, RunOptions};
+use approx_bft::dgd::{RoundWorkspace, RunOptions};
 use approx_bft::filters::{Cge, Cwtm, GradientFilter, Mean};
 use approx_bft::linalg::Vector;
 use approx_bft::problems::analysis::convexity_constants;
 use approx_bft::problems::RegressionProblem;
 use approx_bft::redundancy::{measure_redundancy, RegressionOracle};
+use approx_bft::runtime::{DgdTask, Launch};
 
 const HONEST: [usize; 5] = [1, 2, 3, 4, 5];
 
@@ -46,13 +47,15 @@ fn table1_cell(filter: &dyn GradientFilter, random_attack: bool) -> f64 {
     } else {
         Box::new(GradientReverse::new())
     };
-    let mut sim = DgdSimulation::new(*problem.config(), problem.costs())
-        .expect("costs match")
-        .with_byzantine(0, attack)
-        .expect("agent 0, f = 1");
-    sim.run(filter, &RunOptions::paper_defaults(x_h))
-        .expect("cell runs")
-        .final_distance()
+    let sim = DgdTask::new(*problem.config(), problem.costs()).byzantine(0, attack);
+    sim.run_dense(
+        Launch::InProcess(&mut RoundWorkspace::new()),
+        filter,
+        &RunOptions::paper_defaults(x_h),
+    )
+    .expect("cell runs")
+    .run
+    .final_distance()
 }
 
 #[test]
@@ -93,11 +96,16 @@ fn figure_2_shapes_hold() {
 
     // CGE curve: distance shrinks by orders of magnitude and the loss
     // approaches the honest optimum.
-    let mut sim = DgdSimulation::new(*problem.config(), problem.costs())
-        .expect("costs match")
-        .with_byzantine(0, Box::new(GradientReverse::new()))
-        .expect("valid");
-    let run = sim.run(&Cge::new(), &options).expect("runs");
+    let sim = DgdTask::new(*problem.config(), problem.costs())
+        .byzantine(0, Box::new(GradientReverse::new()));
+    let run = sim
+        .run_dense(
+            Launch::InProcess(&mut RoundWorkspace::new()),
+            &Cge::new(),
+            &options,
+        )
+        .expect("runs")
+        .run;
     let first = run.trace.records().first().expect("non-empty");
     let last = run.trace.final_record().expect("non-empty");
     assert!(last.distance < 1e-3 * first.distance.max(1e-9) + 1e-6);
@@ -106,11 +114,16 @@ fn figure_2_shapes_hold() {
     assert!(last.loss <= loss_floor * 1.01 + 1e-9);
 
     // Plain-GD curve under the same fault settles strictly farther away.
-    let mut naive = DgdSimulation::new(*problem.config(), problem.costs())
-        .expect("costs match")
-        .with_byzantine(0, Box::new(GradientReverse::new()))
-        .expect("valid");
-    let naive_run = naive.run(&Mean::new(), &options).expect("runs");
+    let naive = DgdTask::new(*problem.config(), problem.costs())
+        .byzantine(0, Box::new(GradientReverse::new()));
+    let naive_run = naive
+        .run_dense(
+            Launch::InProcess(&mut RoundWorkspace::new()),
+            &Mean::new(),
+            &options,
+        )
+        .expect("runs")
+        .run;
     assert!(naive_run.final_distance() > 10.0 * run.final_distance().max(1e-4));
 }
 
@@ -118,26 +131,26 @@ fn figure_2_shapes_hold() {
 fn figure_3_zoom_is_a_prefix_of_figure_2() {
     let problem = RegressionProblem::paper_instance();
     let x_h = problem.subset_minimizer(&HONEST).expect("full rank");
-    let mut sim = DgdSimulation::new(*problem.config(), problem.costs())
-        .expect("costs match")
-        .with_byzantine(0, Box::new(GradientReverse::new()))
-        .expect("valid");
+    let sim = DgdTask::new(*problem.config(), problem.costs())
+        .byzantine(0, Box::new(GradientReverse::new()));
     let long = sim
-        .run(
+        .run_dense(
+            Launch::InProcess(&mut RoundWorkspace::new()),
             &Cwtm::new(),
             &RunOptions::paper_defaults_with_iterations(x_h.clone(), 1500),
         )
-        .expect("runs");
-    let mut sim2 = DgdSimulation::new(*problem.config(), problem.costs())
-        .expect("costs match")
-        .with_byzantine(0, Box::new(GradientReverse::new()))
-        .expect("valid");
+        .expect("runs")
+        .run;
+    let sim2 = DgdTask::new(*problem.config(), problem.costs())
+        .byzantine(0, Box::new(GradientReverse::new()));
     let short = sim2
-        .run(
+        .run_dense(
+            Launch::InProcess(&mut RoundWorkspace::new()),
             &Cwtm::new(),
             &RunOptions::paper_defaults_with_iterations(x_h, 80),
         )
-        .expect("runs");
+        .expect("runs")
+        .run;
     // Determinism: the 80-iteration run is exactly the long run's prefix.
     for (a, b) in short.trace.records()[..80]
         .iter()
@@ -159,9 +172,14 @@ fn fault_free_dgd_reaches_the_global_minimizer() {
     let x_h = problem
         .subset_minimizer(&[0, 1, 2, 3, 4])
         .expect("full rank");
-    let mut sim = DgdSimulation::new(config, problem.costs()).expect("costs match");
+    let sim = DgdTask::new(config, problem.costs());
     let run = sim
-        .run(&Mean::new(), &RunOptions::paper_defaults(x_h))
-        .expect("runs");
+        .run_dense(
+            Launch::InProcess(&mut RoundWorkspace::new()),
+            &Mean::new(),
+            &RunOptions::paper_defaults(x_h),
+        )
+        .expect("runs")
+        .run;
     assert!(run.final_distance() < 1e-2, "d = {}", run.final_distance());
 }

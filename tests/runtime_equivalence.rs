@@ -3,7 +3,7 @@
 
 use approx_bft::attacks::{GradientReverse, RandomGaussian};
 use approx_bft::core::SystemConfig;
-use approx_bft::dgd::{DgdSimulation, RunOptions};
+use approx_bft::dgd::{RoundWorkspace, RunOptions};
 use approx_bft::filters::{Cge, Cwtm};
 use approx_bft::problems::RegressionProblem;
 use approx_bft::runtime::eig::EquivocationPlan;
@@ -23,11 +23,16 @@ fn setup(iterations: usize) -> (RegressionProblem, RunOptions) {
 fn three_runtimes_agree_bit_for_bit() {
     let (problem, options) = setup(80);
 
-    let mut in_process = DgdSimulation::new(*problem.config(), problem.costs())
-        .expect("costs match")
-        .with_byzantine(0, Box::new(GradientReverse::new()))
-        .expect("valid");
-    let reference = in_process.run(&Cge::new(), &options).expect("runs");
+    let in_process = DgdTask::new(*problem.config(), problem.costs())
+        .byzantine(0, Box::new(GradientReverse::new()));
+    let reference = in_process
+        .run_dense(
+            Launch::InProcess(&mut RoundWorkspace::new()),
+            &Cge::new(),
+            &options,
+        )
+        .expect("runs")
+        .run;
 
     let threaded = DgdTask::new(*problem.config(), problem.costs())
         .byzantine(0, Box::new(GradientReverse::new()))
@@ -56,11 +61,16 @@ fn three_runtimes_agree_bit_for_bit() {
 #[test]
 fn seeded_random_attack_is_identical_across_runtimes() {
     let (problem, options) = setup(40);
-    let mut in_process = DgdSimulation::new(*problem.config(), problem.costs())
-        .expect("costs match")
-        .with_byzantine(0, Box::new(RandomGaussian::paper(5)))
-        .expect("valid");
-    let reference = in_process.run(&Cwtm::new(), &options).expect("runs");
+    let in_process = DgdTask::new(*problem.config(), problem.costs())
+        .byzantine(0, Box::new(RandomGaussian::paper(5)));
+    let reference = in_process
+        .run_dense(
+            Launch::InProcess(&mut RoundWorkspace::new()),
+            &Cwtm::new(),
+            &options,
+        )
+        .expect("runs")
+        .run;
     let threaded = DgdTask::new(*problem.config(), problem.costs())
         .byzantine(0, Box::new(RandomGaussian::paper(5)))
         .run_dense(Launch::Threaded, &Cwtm::new(), &options)
@@ -71,11 +81,15 @@ fn seeded_random_attack_is_identical_across_runtimes() {
 #[test]
 fn crash_elimination_matches_across_runtimes() {
     let (problem, options) = setup(60);
-    let mut in_process = DgdSimulation::new(*problem.config(), problem.costs())
-        .expect("costs match")
-        .with_crash(2, 10)
-        .expect("valid");
-    let reference = in_process.run(&Cge::new(), &options).expect("runs");
+    let in_process = DgdTask::new(*problem.config(), problem.costs()).crash(2, 10);
+    let reference = in_process
+        .run_dense(
+            Launch::InProcess(&mut RoundWorkspace::new()),
+            &Cge::new(),
+            &options,
+        )
+        .expect("runs")
+        .run;
     let threaded = DgdTask::new(*problem.config(), problem.costs())
         .crash(2, 10)
         .run_dense(Launch::Threaded, &Cge::new(), &options)

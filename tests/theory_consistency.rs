@@ -74,8 +74,9 @@ fn theorem_1_no_output_survives_both_scenarios() {
 #[test]
 fn theorem_5_certifies_the_observed_cge_error() {
     use approx_bft::attacks::GradientReverse;
-    use approx_bft::dgd::{DgdSimulation, RunOptions};
+    use approx_bft::dgd::{RoundWorkspace, RunOptions};
     use approx_bft::filters::Cge;
+    use approx_bft::runtime::{DgdTask, Launch};
 
     let problem = RegressionProblem::paper_instance();
     let config = *problem.config();
@@ -93,13 +94,15 @@ fn theorem_5_certifies_the_observed_cge_error() {
     let x_h = problem
         .subset_minimizer(&[1, 2, 3, 4, 5])
         .expect("full rank");
-    let mut sim = DgdSimulation::new(config, problem.costs())
-        .expect("costs match")
-        .with_byzantine(0, Box::new(GradientReverse::new()))
-        .expect("valid");
+    let sim = DgdTask::new(config, problem.costs()).byzantine(0, Box::new(GradientReverse::new()));
     let run = sim
-        .run(&Cge::new(), &RunOptions::paper_defaults(x_h))
-        .expect("runs");
+        .run_dense(
+            Launch::InProcess(&mut RoundWorkspace::new()),
+            &Cge::new(),
+            &RunOptions::paper_defaults(x_h),
+        )
+        .expect("runs")
+        .run;
     assert!(
         run.final_distance() <= certified_radius,
         "observed error {} exceeds the Theorem-5 certified radius {certified_radius}",
