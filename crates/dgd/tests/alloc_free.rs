@@ -9,7 +9,7 @@ use abft_attacks::{GradientReverse, LittleIsEnough};
 use abft_core::SystemConfig;
 use abft_dgd::{AgentCell, RoundEngine, RoundWorkspace, RunOptions};
 use abft_filters::{batch_of, by_name};
-use abft_linalg::{Matrix, Vector};
+use abft_linalg::{Matrix, Vector, WorkerPool};
 use abft_problems::absval::AbsoluteCost;
 use abft_problems::huber::HuberCost;
 use abft_problems::logistic::LogisticCost;
@@ -357,5 +357,51 @@ fn krum_family_aggregation_allocates_nothing_after_warm_up() {
                 .expect("aggregates");
         }
         assert_eq!(allocations() - before, 0, "{name} allocated after warm-up");
+    }
+}
+
+#[test]
+fn coordinate_wise_aggregation_allocates_nothing_after_warm_up() {
+    // The column-tile filters work out of the scratch arena too: the
+    // first call at a shape builds the sorting schedule and sizes the
+    // row-major tile, every later one reuses both. Serial first, then
+    // sharded over two workers, where warming up also spawns the pool's
+    // thread and after it a dispatch costs the caller nothing (1100
+    // columns clear the sharding floor and leave a partial tile).
+    let rows: Vec<Vector> = (0..11)
+        .map(|i| {
+            Vector::from_fn(1100, |k| {
+                ((i * 7 + k * 3) % 11) as f64 - 5.0 + 0.1 * i as f64
+            })
+        })
+        .collect();
+    let mut batch = batch_of(&rows).expect("batch builds");
+    let mut out = Vector::zeros(1100);
+    for threads in [1usize, 2] {
+        batch.set_worker_pool(Some(Arc::new(WorkerPool::new(threads))));
+        for name in ["cwtm", "cwmed", "sign-majority", "bulyan"] {
+            let filter = by_name(name).expect("registered");
+            let mut calls = |count: usize| {
+                let before = allocations();
+                for _ in 0..count {
+                    filter
+                        .aggregate_into(&batch, 2, &mut out)
+                        .expect("aggregates");
+                }
+                allocations() - before
+            };
+            calls(1);
+            // Three windows, one of which must be clean: `std`'s channels
+            // allocate (a parking context per thread, a waiter slot per
+            // channel) the first time a dispatch's caller has to *wait*
+            // for its worker, and which dispatch that is, is timing. Those
+            // can dirty two windows at most; an allocation per call
+            // dirties all three.
+            let windows = [calls(10), calls(10), calls(10)];
+            assert!(
+                windows.contains(&0),
+                "{name}, {threads} thread(s): {windows:?} allocations per 10 calls"
+            );
+        }
     }
 }

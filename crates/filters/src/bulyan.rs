@@ -3,9 +3,8 @@
 
 use crate::error::FilterError;
 use crate::krum::krum_scores_into;
-use crate::par::{for_each_column, pairwise_dist_sq_into};
+use crate::par::{pairwise_dist_sq_into, trimmed_mean_columns};
 use crate::traits::{validate_batch, zeroed_out, GradientFilter};
-use abft_linalg::stats::trimmed_mean_in_place;
 use abft_linalg::{rowops, GradientBatch, Vector};
 
 /// The Bulyan gradient filter.
@@ -24,7 +23,15 @@ use abft_linalg::{rowops, GradientBatch, Vector};
 /// Cost per call: `n(n−1)/2` full-`d` distance passes — the batch's
 /// squared-distance matrix, computed once and shared by all `θ` selection
 /// rounds — plus `O(θ · n² log n)` scalar work re-scoring the shrinking
-/// pool out of it, plus the trimmed mean's `O(d · θ log θ)`.
+/// pool out of it, plus the trimmed mean's `O(d · θ log² θ)` sorting-
+/// network pass.
+///
+/// **Order contract.** Stage 2 is [`Cwtm`](crate::Cwtm)'s kernel on the
+/// selected rows: coordinate `k` is bit-equal to
+/// [`abft_linalg::stats::trimmed_mean`] of the selection's column `k`
+/// with `trim = f` (middle order statistics under [`f64::total_cmp`],
+/// summed ascending), whatever order the selection rounds picked the rows
+/// in — pinned by `tests/krum_reference.rs` and the tier-1 golden digests.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Bulyan;
 
@@ -99,9 +106,8 @@ impl GradientFilter for Bulyan {
         // trim f (keeps θ − 2f ≥ 3 values; n ≥ 4f+3 guarantees positivity).
         // Column tiles shard across the batch's worker pool like CWTM.
         let slots = zeroed_out(out, dim);
-        for_each_column(batch, Some(&s.selection), &mut s.flat, slots, |column| {
-            trimmed_mean_in_place(column, f)
-        });
+        let selection = Some(s.selection.as_slice());
+        trimmed_mean_columns(batch, selection, f, &mut s.network, &mut s.flat, slots);
         Ok(())
     }
 

@@ -1,9 +1,8 @@
 //! Coordinate-wise trimmed mean (CWTM, eq. 24) and coordinate-wise median.
 
 use crate::error::FilterError;
-use crate::par::for_each_column;
+use crate::par::trimmed_mean_columns;
 use crate::traits::{validate_batch, zeroed_out, GradientFilter};
-use abft_linalg::stats::{median_in_place, trimmed_mean_in_place};
 use abft_linalg::{GradientBatch, Vector};
 
 /// The CWTM gradient filter (Su–Shahrampour; Yin et al.).
@@ -14,6 +13,16 @@ use abft_linalg::{GradientBatch, Vector};
 /// Assumptions 2–5 and `λ < γ/(µ√d)`, Theorem 6 shows DGD with CWTM is
 /// asymptotically `(f, D′ε)`-resilient with
 /// `D′ = 2√d·nµλ/(γ − √d·µλ)`.
+///
+/// **Order contract.** Coordinate `k` of the output is bit-equal to
+/// [`abft_linalg::stats::trimmed_mean`] of column `k` with `trim = f`: the
+/// kept values are the middle `n − 2f` order statistics under
+/// [`f64::total_cmp`], summed in ascending order, divided once. The
+/// output therefore depends on each column's multiset only — permutation-
+/// invariant in the agents, as eq. 24 is, and independent of the thread
+/// count and of the algorithm that finds the order statistics (one
+/// sorting-network pass per 32-column tile). This is what the tier-1
+/// golden digests (`tests/golden_digests.rs`) pin.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Cwtm;
 
@@ -33,10 +42,9 @@ impl GradientFilter for Cwtm {
     ) -> Result<(), FilterError> {
         let dim = validate_batch("cwtm", batch, f)?;
         let mut scratch = batch.scratch();
+        let s = &mut *scratch;
         let slots = zeroed_out(out, dim);
-        for_each_column(batch, None, &mut scratch.flat, slots, |column| {
-            trimmed_mean_in_place(column, f)
-        });
+        trimmed_mean_columns(batch, None, f, &mut s.network, &mut s.flat, slots);
         Ok(())
     }
 
@@ -49,6 +57,12 @@ impl GradientFilter for Cwtm {
 ///
 /// Not analyzed in the paper but standard in the robust-aggregation
 /// literature (Yin et al. 2018); included as a baseline for the filter grid.
+///
+/// **Order contract.** Coordinate `k` of the output is bit-equal to
+/// [`abft_linalg::stats::median`] of column `k` — the middle order
+/// statistic under [`f64::total_cmp`], or half the sum of the middle two
+/// — computed as [`Cwtm`]'s trimmed mean with `trim = (n − 1) / 2` (same
+/// kernel, same pins).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CoordinateWiseMedian;
 
@@ -68,8 +82,12 @@ impl GradientFilter for CoordinateWiseMedian {
     ) -> Result<(), FilterError> {
         let dim = validate_batch("cwmed", batch, f)?;
         let mut scratch = batch.scratch();
+        let s = &mut *scratch;
         let slots = zeroed_out(out, dim);
-        for_each_column(batch, None, &mut scratch.flat, slots, median_in_place);
+        // The median is the trimmed mean that keeps only the middle one
+        // (odd `n`) or two (even `n`) order statistics.
+        let trim = (batch.len() - 1) / 2;
+        trimmed_mean_columns(batch, None, trim, &mut s.network, &mut s.flat, slots);
         Ok(())
     }
 

@@ -11,10 +11,13 @@
 //!
 //! Three sharding axes cover all registered filters:
 //!
-//! * **Column tiles** ([`for_each_column`], [`weighted_sum_into`]): the
-//!   per-coordinate filters (CWTM, CWMed, sign-majority, mean) and every
-//!   row-accumulation reduce independently per coordinate; columns are
-//!   split into contiguous tile chunks.
+//! * **Columns** ([`trimmed_mean_columns`], [`weighted_sum_into`],
+//!   [`for_each_column_range`]): the per-coordinate filters and every
+//!   row-accumulation reduce independently per coordinate. The order-statistics filters (CWTM,
+//!   CWMed, Bulyan's trim stage) split the columns into 32-column tiles,
+//!   each copied row-major and sorted whole by one sorting-network pass;
+//!   the accumulations (mean, the weighted sums, sign-majority's vote)
+//!   walk the batch row-major over contiguous column ranges.
 //! * **Slot rows** ([`fill_slots`]): CGE, FABA and geomed compute one
 //!   scalar per row — a norm, a distance to the running mean, a Weiszfeld
 //!   weight — into its own slot; rows are split into contiguous chunks.
@@ -25,17 +28,22 @@
 //!   slots.
 
 use abft_linalg::pool::{SharedSlots, WorkerPool};
-use abft_linalg::{rowops, GradientBatch, LinalgError};
+use abft_linalg::{rowops, GradientBatch, SortingNetwork};
 use abft_telemetry::DispatchProfile;
+use std::hint::select_unpredictable;
 use std::ops::Range;
 
-/// Columns transposed per tile pass. At 32 columns × 8 bytes each row
+/// Columns sorted per tile pass. At 32 columns × 8 bytes each row
 /// segment spans four cache lines, so the row-major batch streams through
-/// the cache once per tile instead of missing once per (row, column) pair
-/// — the difference between memory-bound and compute-bound behaviour for
-/// the coordinate-wise filters at `d ≫ n`. Tiles are also the unit of the
-/// parallel schedule: a worker owns a contiguous run of whole tiles.
+/// the cache once per tile instead of missing once per (row, column) pair,
+/// a 40-row tile (10 KiB) stays in L1 through all of its exchanges, and
+/// every exchange runs over 32 independent lanes. Tiles are also the unit
+/// of the parallel schedule: a worker owns a contiguous run of whole tiles.
 const TILE_COLUMNS: usize = 32;
+
+// `reduce_tile` sorts a tile's lanes in groups of 32, 16, … 1: a wider
+// tile needs a wider first group (this fails to compile until it has one).
+const _: [(); 32] = [(); TILE_COLUMNS];
 
 /// Minimum estimated scalar operations before a kernel dispatches to the
 /// pool. Cross-thread dispatch costs a few microseconds per round; below
@@ -86,6 +94,11 @@ impl<'a> Rows<'a> {
         Rows::new(batch.as_flat(), batch.dim())
     }
 
+    /// Every row, in order.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = &'a [f64]> {
+        self.data.chunks_exact(self.dim)
+    }
+
     /// Row `i`.
     // LINT-ALLOW(panic-reach): `data.len()` is a multiple of `dim`
     // (checked in `new`) and callers pass row indices below that bound —
@@ -95,30 +108,44 @@ impl<'a> Rows<'a> {
     }
 }
 
-/// Applies `reduce` to every column of the batch (restricted to `rows`
-/// when given, in that order), writing results into `slots`. Columns are
-/// gathered tile-by-tile into a reused column-major buffer which `reduce`
-/// may reorder; with a pool attached to the batch, tile chunks run on the
-/// workers (each gathering into its own persistent buffer), bit-identical
-/// to the serial pass.
+/// Per-column trimmed mean of the batch's rows (restricted to `rows` when
+/// given): `slots[k]` becomes the mean of the middle `count − 2·trim`
+/// order statistics of column `k` under [`f64::total_cmp`], **summed in
+/// ascending order** from [`Iterator::sum`]'s identity — bit-equal to
+/// [`abft_linalg::stats::trimmed_mean`] of the gathered column, so the
+/// result depends on the column's multiset only: not on the agents' order,
+/// and not on which algorithm finds the order statistics. With
+/// `trim = (count − 1) / 2` that is [`abft_linalg::stats::median`], bit for
+/// bit (one kept value divides by 1, two halve their sum). Callers
+/// guarantee `count > 2·trim`.
 ///
-/// # Panics
-///
-/// Panics if `reduce` fails — callers validate the batch shape first, and
-/// every per-column reduce in this crate is total on validated shapes.
-// LINT-ALLOW(panic-reach): tile arithmetic keeps `k0 + width <= dim =
-// slots.len()` by construction (`width = TILE_COLUMNS.min(dim - k0)`).
-pub(crate) fn for_each_column(
+/// Each tile of [`TILE_COLUMNS`] columns is copied row-major into `tile`
+/// and sorted by one pass of `network`'s schedule over its rows, every
+/// compare-exchange applied element-wise across the tile's columns. With
+/// a pool attached to the batch, tile chunks run on the workers (each
+/// with its own persistent tile buffer, all reading one schedule),
+/// bit-identical to the serial pass.
+pub(crate) fn trimmed_mean_columns(
     batch: &GradientBatch,
     rows: Option<&[usize]>,
+    trim: usize,
+    network: &mut SortingNetwork,
     tile: &mut Vec<f64>,
     slots: &mut [f64],
-    reduce: impl Fn(&mut [f64]) -> Result<f64, LinalgError> + Sync,
 ) {
     let view = Rows::of(batch);
     let count = rows.map_or(batch.len(), <[usize]>::len);
+    debug_assert!(count > 2 * trim);
+    let schedule = network.for_rows(count);
     let dim = slots.len();
     let tiles = dim.div_ceil(TILE_COLUMNS);
+    let reduce = |t: usize, tile_slots: &mut [f64], buf: &mut Vec<f64>| match rows {
+        None => reduce_tile(view.iter(), t, trim, schedule, buf, tile_slots),
+        Some(rows) => {
+            let listed = rows.iter().map(|&i| view.row(i));
+            reduce_tile(listed, t, trim, schedule, buf, tile_slots);
+        }
+    };
     match worth_sharding(batch.worker_pool(), count * dim) {
         Some(pool) if tiles > 1 => {
             let out = SharedSlots::new(slots);
@@ -129,57 +156,127 @@ pub(crate) fn for_each_column(
                         let width = TILE_COLUMNS.min(dim - k0);
                         // SAFETY: tile `t` owns columns `k0..k0 + width`, and
                         // the fixed schedule hands every tile to one chunk.
-                        let tile_slots = unsafe { out.slice(k0..k0 + width) };
-                        reduce_tile(view, rows, count, k0, tile_slots, buf, &reduce);
+                        reduce(t, unsafe { out.slice(k0..k0 + width) }, buf);
                     }
                 });
             });
         }
         _ => {
-            for t in 0..tiles {
-                let k0 = t * TILE_COLUMNS;
-                let width = TILE_COLUMNS.min(dim - k0);
-                reduce_tile(
-                    view,
-                    rows,
-                    count,
-                    k0,
-                    &mut slots[k0..k0 + width],
-                    tile,
-                    &reduce,
-                );
+            for (t, tile_slots) in slots.chunks_mut(TILE_COLUMNS).enumerate() {
+                reduce(t, tile_slots, tile);
             }
         }
     }
 }
 
-/// One tile of [`for_each_column`]: gather columns `k0..k0 + slots.len()`
-/// into `tile` (column-major) and reduce each into its slot.
-// LINT-ALLOW(panic-reach): `tile` is resized to `TILE_COLUMNS * count`
-// above the loops, `width <= TILE_COLUMNS`, rows come from the caller's
-// validated index list, and `k0 + width <= dim` per `for_each_column`.
-fn reduce_tile(
-    view: Rows<'_>,
-    rows: Option<&[usize]>,
-    count: usize,
-    k0: usize,
-    slots: &mut [f64],
+/// Tile `t` of [`trimmed_mean_columns`]: copy the rows' segments of its
+/// `slots.len()` columns into `tile`, sort the columns, and average rows
+/// `trim..count − trim` into the slots.
+fn reduce_tile<'a>(
+    rows: impl ExactSizeIterator<Item = &'a [f64]>,
+    t: usize,
+    trim: usize,
+    schedule: &[(usize, usize)],
     tile: &mut Vec<f64>,
-    reduce: &(impl Fn(&mut [f64]) -> Result<f64, LinalgError> + Sync),
+    slots: &mut [f64],
 ) {
-    let width = slots.len();
-    tile.clear();
-    tile.resize(TILE_COLUMNS * count, 0.0);
-    for i in 0..count {
-        let row = view.row(rows.map_or(i, |r| r[i]));
-        for (c, &v) in row[k0..k0 + width].iter().enumerate() {
-            tile[c * count + i] = v;
+    let (count, width) = (rows.len(), slots.len());
+    tile.resize(count * width, 0.0);
+    let mut negative_zero = false;
+    for (dst, row) in tile.chunks_exact_mut(width).zip(rows) {
+        let segment = row.chunks(TILE_COLUMNS).nth(t).unwrap_or_default();
+        for (d, &v) in dst.iter_mut().zip(segment) {
+            *d = v;
+            negative_zero |= v.to_bits() == NEGATIVE_ZERO;
         }
     }
-    for (c, slot) in slots.iter_mut().enumerate() {
-        let column = &mut tile[c * count..(c + 1) * count];
-        // LINT-ALLOW(no-panic-hot-path): tile columns are sized from the validated batch shape
-        *slot = reduce(column).expect("column shape validated by caller");
+    // Lanes are sorted in groups of a power of two, largest first: a full
+    // tile is one group of 32, a partial last tile is the groups of its
+    // real width (the paper's `d = 2` is one group of 2, never 32 padded
+    // lanes), and every group size is its own copy of the loop with the
+    // lane count known — which is what makes each exchange straight-line
+    // vector code.
+    let done = sort_lanes::<32>(tile, width, 0, schedule);
+    let done = sort_lanes::<16>(tile, width, done, schedule);
+    let done = sort_lanes::<8>(tile, width, done, schedule);
+    let done = sort_lanes::<4>(tile, width, done, schedule);
+    let done = sort_lanes::<2>(tile, width, done, schedule);
+    sort_lanes::<1>(tile, width, done, schedule);
+    // The exchanges compare as `f64`, under which `-0.0 == 0.0`; only a
+    // tile that holds a negative zero can disagree with `total_cmp`.
+    if negative_zero {
+        order_zeros(tile, width);
+    }
+    // `-0.0` is the identity `Iterator::sum` starts from.
+    slots.fill(-0.0);
+    let kept = count - 2 * trim;
+    for row in tile.chunks_exact(width).skip(trim).take(kept) {
+        for (slot, &v) in slots.iter_mut().zip(row) {
+            *slot += v;
+        }
+    }
+    let kept = kept as f64;
+    for slot in slots {
+        *slot /= kept;
+    }
+}
+
+/// The bits of `-0.0`.
+const NEGATIVE_ZERO: u64 = 1 << 63;
+
+/// Sorts columns `first..first + LANES` of the row-major `tile` (rows of
+/// `width` values) ascending under `f64` comparison by applying
+/// `schedule` between rows, and returns `first + LANES` — or does nothing
+/// and returns `first` when fewer than `LANES` columns are left.
+///
+/// The exchange is two selects on one comparison, so the pair comes out
+/// either as it went in or swapped, whole bit patterns either way: the
+/// column's multiset survives any input (`f64::min`/`max` would merge
+/// `-0.0` with `0.0` and drop a NaN's partner). `select_unpredictable`
+/// keeps it branch-free — an `if` compiles to a data-dependent jump per
+/// lane — and the two selects lower to one vector `min` and one `max`.
+#[inline(always)]
+fn sort_lanes<const LANES: usize>(
+    tile: &mut [f64],
+    width: usize,
+    first: usize,
+    schedule: &[(usize, usize)],
+) -> usize {
+    if width - first < LANES {
+        return first;
+    }
+    for &(lo, hi) in schedule {
+        let Some((head, tail)) = tile.split_at_mut_checked(hi * width + first) else {
+            continue;
+        };
+        let lo_lanes = head.get_mut(lo * width + first..);
+        let lo_lanes = lo_lanes.and_then(<[f64]>::first_chunk_mut::<LANES>);
+        let (Some(lo_lanes), Some(hi_lanes)) = (lo_lanes, tail.first_chunk_mut::<LANES>()) else {
+            continue;
+        };
+        for (a, b) in lo_lanes.iter_mut().zip(hi_lanes) {
+            let (x, y) = (*a, *b);
+            let swap = y < x;
+            *a = select_unpredictable(swap, y, x);
+            *b = select_unpredictable(swap, x, y);
+        }
+    }
+    first + LANES
+}
+
+/// Restores `total_cmp`'s `-0.0 < +0.0` in every column of a tile sorted
+/// by [`sort_lanes`]: a column's zeros sit in consecutive rows, so
+/// rewriting them in row order, negatives first, is the sorted order.
+fn order_zeros(tile: &mut [f64], width: usize) {
+    for c in 0..width {
+        let column = || tile.iter().skip(c).step_by(width);
+        let mut negatives = column().filter(|v| v.to_bits() == NEGATIVE_ZERO).count();
+        for v in tile.iter_mut().skip(c).step_by(width) {
+            if *v == 0.0 {
+                *v = if negatives > 0 { -0.0 } else { 0.0 };
+                negatives = negatives.saturating_sub(1);
+            }
+        }
     }
 }
 
@@ -294,6 +391,32 @@ unsafe fn fill_pairs(rows: Rows<'_>, n: usize, range: Range<usize>, out: &Shared
     }
 }
 
+/// `task(columns, &mut out[columns])` over contiguous column ranges that
+/// cover `out`: one range on the caller when serial, one per chunk of the
+/// pool's fixed schedule when `work` estimated scalar operations clear the
+/// sharding floor. A task that computes each column from that column of
+/// the input alone is bit-identical at any thread count.
+pub(crate) fn for_each_column_range(
+    pool: Option<&WorkerPool>,
+    profile: Option<&DispatchProfile>,
+    work: usize,
+    out: &mut [f64],
+    task: impl Fn(Range<usize>, &mut [f64]) + Sync,
+) {
+    match worth_sharding(pool, work) {
+        Some(pool) if out.len() > 1 => {
+            let slots = SharedSlots::new(out);
+            timed_dispatch(profile, || {
+                pool.run(slots.len(), &|range| {
+                    // SAFETY: this chunk owns exactly the columns in `range`.
+                    task(range.clone(), unsafe { slots.slice(range) });
+                });
+            });
+        }
+        _ => task(0..out.len(), out),
+    }
+}
+
 /// `acc[k] += Σ_p w_p · row_p[k]` over the listed rows, **in list order
 /// per coordinate** — the exact addition sequence of the serial
 /// row-major loop, so splitting columns across the pool changes nothing
@@ -355,7 +478,7 @@ pub(crate) fn weighted_sum_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abft_linalg::{stats, Vector, WorkerPool};
+    use abft_linalg::{stats, WorkerPool};
     use std::sync::Arc;
 
     fn demo_batch(n: usize, dim: usize) -> GradientBatch {
@@ -369,36 +492,31 @@ mod tests {
         batch
     }
 
+    /// The column medians of `batch` (or of its listed rows).
+    fn medians(batch: &GradientBatch, rows: Option<&[usize]>) -> Vec<f64> {
+        let mut scratch = batch.scratch();
+        let s = &mut *scratch;
+        let mut slots = vec![0.0; batch.dim()];
+        let trim = (rows.map_or(batch.len(), <[usize]>::len) - 1) / 2;
+        trimmed_mean_columns(batch, rows, trim, &mut s.network, &mut s.flat, &mut slots);
+        slots
+    }
+
     #[test]
-    fn for_each_column_parallel_is_bit_identical_to_serial() {
+    fn trimmed_mean_columns_parallel_is_bit_identical_to_serial() {
         // 1024 and 2000 clear the sharding floor at n = 9 (so the pool
         // actually engages); the small dims pin the serial-fallback path.
         for dim in [1usize, 31, 32, 33, 100, 1024, 2000] {
-            let mut serial_batch = demo_batch(9, dim);
-            let mut serial = Vector::zeros(dim);
-            let mut tile = Vec::new();
-            for_each_column(
-                &serial_batch,
-                None,
-                &mut tile,
-                serial.as_mut_slice(),
-                stats::median_in_place,
-            );
+            let mut batch = demo_batch(9, dim);
+            let serial = medians(&batch, None);
+            for (k, got) in serial.iter().enumerate() {
+                let column: Vec<f64> = batch.rows_iter().map(|row| row[k]).collect();
+                let want = stats::median(&column).unwrap();
+                assert_eq!(got.to_bits(), want.to_bits(), "dim {dim}, column {k}");
+            }
             for threads in [2usize, 4] {
-                serial_batch.set_worker_pool(Some(Arc::new(WorkerPool::new(threads))));
-                let mut parallel = Vector::zeros(dim);
-                for_each_column(
-                    &serial_batch,
-                    None,
-                    &mut tile,
-                    parallel.as_mut_slice(),
-                    stats::median_in_place,
-                );
-                assert_eq!(
-                    serial.as_slice(),
-                    parallel.as_slice(),
-                    "dim {dim}, {threads}t"
-                );
+                batch.set_worker_pool(Some(Arc::new(WorkerPool::new(threads))));
+                assert_eq!(serial, medians(&batch, None), "dim {dim}, {threads}t");
             }
         }
     }
@@ -406,14 +524,8 @@ mod tests {
     #[test]
     fn row_subsets_restrict_the_reduction() {
         let batch = demo_batch(5, 3);
-        let mut tile = Vec::new();
-        let mut all = vec![0.0; 3];
-        let subset = [1usize, 3];
-        let mut sub = vec![0.0; 3];
-        for_each_column(&batch, None, &mut tile, &mut all, |col| stats::mean(col));
-        for_each_column(&batch, Some(&subset), &mut tile, &mut sub, |col| {
-            stats::mean(col)
-        });
+        let all = medians(&batch, None);
+        let sub = medians(&batch, Some(&[3, 1]));
         for k in 0..3 {
             let expected = 0.5 * (batch.row(1)[k] + batch.row(3)[k]);
             assert_eq!(sub[k], expected);
@@ -449,12 +561,10 @@ mod tests {
     #[test]
     fn installed_dispatch_profile_counts_pool_dispatches_only() {
         let mut batch = demo_batch(9, 2000);
-        let mut tile = Vec::new();
-        let mut slots = vec![0.0; 2000];
 
         batch.set_worker_pool(Some(Arc::new(WorkerPool::new(2))));
         batch.set_dispatch_profile(Some(DispatchProfile::new()));
-        for_each_column(&batch, None, &mut tile, &mut slots, stats::median_in_place);
+        medians(&batch, None);
         let profile = batch.take_dispatch_profile().expect("installed above");
         let snap = profile.snapshot();
         assert!(snap.dispatches >= 1, "the pool path times its dispatch");
@@ -463,7 +573,7 @@ mod tests {
         // The serial path never touches the profile (or any clock).
         batch.set_worker_pool(None);
         batch.set_dispatch_profile(Some(DispatchProfile::new()));
-        for_each_column(&batch, None, &mut tile, &mut slots, stats::median_in_place);
+        medians(&batch, None);
         let profile = batch.take_dispatch_profile().expect("installed above");
         assert_eq!(profile.snapshot().dispatches, 0);
     }

@@ -2,7 +2,7 @@
 //! reference \[3\], Bernstein et al.).
 
 use crate::error::FilterError;
-use crate::par::for_each_column;
+use crate::par::{for_each_column_range, Rows};
 use crate::traits::{validate_batch, zeroed_out, GradientFilter};
 use abft_linalg::{GradientBatch, Vector};
 
@@ -53,12 +53,29 @@ impl GradientFilter for SignMajority {
                 0.0
             }
         }
-        let mut scratch = batch.scratch();
-        let slots = zeroed_out(out, dim);
-        for_each_column(batch, None, &mut scratch.flat, slots, |column| {
-            let vote: f64 = column.iter().map(|&v| sign(v)).sum();
-            Ok(self.scale * sign(vote))
-        });
+        // Votes are small integers, so the row-major sum is exact in any
+        // order: no transposition, and each column range is independent.
+        let rows = Rows::of(batch);
+        let pool = batch.worker_pool();
+        let work = batch.len() * dim;
+        let votes = zeroed_out(out, dim);
+        for_each_column_range(
+            pool,
+            batch.dispatch_profile(),
+            work,
+            votes,
+            |columns, votes| {
+                for row in rows.iter() {
+                    let segment = row.get(columns.clone()).unwrap_or_default();
+                    for (vote, &v) in votes.iter_mut().zip(segment) {
+                        *vote += sign(v);
+                    }
+                }
+                for vote in votes {
+                    *vote = self.scale * sign(*vote);
+                }
+            },
+        );
         Ok(())
     }
 

@@ -9,8 +9,10 @@
 //! `f`, tie-heavy batches, and thread counts with `d` on both sides of
 //! the sharding floor.
 
+mod common;
+
 use abft_filters::{batch_of, Bulyan, GradientFilter, Krum, MultiKrum};
-use abft_linalg::stats::trimmed_mean_in_place;
+use abft_linalg::stats::trimmed_mean;
 use abft_linalg::{rowops, Vector, WorkerPool};
 use abft_telemetry::DispatchProfile;
 use std::sync::Arc;
@@ -104,8 +106,8 @@ fn reference_bulyan(rows: &[Vector], f: usize) -> Vector {
     }
     (0..rows[0].dim())
         .map(|k| {
-            let mut column: Vec<f64> = selection.iter().map(|&i| rows[i][k]).collect();
-            trimmed_mean_in_place(&mut column, f).expect("n >= 4f + 3 keeps values")
+            let column: Vec<f64> = selection.iter().map(|&i| rows[i][k]).collect();
+            trimmed_mean(&column, f).expect("n >= 4f + 3 keeps values")
         })
         .collect::<Vec<_>>()
         .into()
@@ -220,4 +222,23 @@ fn krum_family_matches_the_reference_at_n41() {
 #[test]
 fn krum_family_matches_the_reference_at_n43() {
     check_sizes(&[43]);
+}
+
+#[test]
+fn bulyan_trim_stage_matches_the_sorted_reference_on_hostile_columns() {
+    // The trim stage is the order-statistics kernel of `order_contract.rs`
+    // on a row *subset*: the selected rows, in selection order. Columns of
+    // signed zeros, subnormals, duplicates and 600 orders of magnitude,
+    // on both sides of the 32-column tile boundary, at every legal `f`.
+    let pools = [1usize, 2, 4].map(|threads| Arc::new(WorkerPool::new(threads)));
+    for n in [7usize, 11, 23] {
+        for dim in [1usize, 2, 31, 32, 33, 100, 1210] {
+            let rows = common::hostile_rows(n, dim, (n * 131 + dim) as u64);
+            for f in 0..=(n - 3) / 4 {
+                let expected = reference_bulyan(&rows, f);
+                let label = format!("hostile bulyan n={n} d={dim} f={f}");
+                assert_matches_reference(&pools, &Bulyan::new(), &rows, f, &expected, &label);
+            }
+        }
+    }
 }

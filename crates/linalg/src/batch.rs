@@ -26,6 +26,7 @@
 //! ```
 
 use crate::pool::WorkerPool;
+use crate::sortnet::SortingNetwork;
 use abft_telemetry::DispatchProfile;
 use std::cell::{RefCell, RefMut};
 use std::sync::Arc;
@@ -33,9 +34,10 @@ use std::sync::Arc;
 /// Reusable working buffers for batch consumers (filters, drivers).
 ///
 /// Buffers keep their capacity across uses, so a filter that runs every
-/// iteration allocates only on its first call per size regime. Fields are
-/// plain `Vec`s — callers `clear`/`resize` them to whatever shape they
-/// need; nothing about their content survives a call by contract.
+/// iteration allocates only on its first call per size regime. The
+/// buffers are plain `Vec`s — callers `clear`/`resize` them to whatever
+/// shape they need; nothing about their content survives a call by
+/// contract.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     /// Per-row scalar workspace (norms, scores).
@@ -52,8 +54,12 @@ pub struct BatchScratch {
     pub vec_a: Vec<f64>,
     /// Dimension-sized vector workspace.
     pub vec_b: Vec<f64>,
-    /// Arbitrary flat matrix workspace (e.g. bucket means).
+    /// Arbitrary flat matrix workspace (e.g. bucket means, the
+    /// coordinate-wise filters' row-major column tile).
     pub flat: Vec<f64>,
+    /// The coordinate-wise filters' sorting schedule, kept between calls
+    /// so a steady row count builds it once.
+    pub network: SortingNetwork,
     /// Row-major `n × n` pairwise workspace (the Krum family's symmetric
     /// squared-distance matrix, filled once per aggregation call).
     pub dist_sq: Vec<f64>,

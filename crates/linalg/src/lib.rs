@@ -33,6 +33,7 @@ pub mod matrix;
 pub mod pool;
 pub mod rng;
 pub mod solve;
+pub mod sortnet;
 pub mod stats;
 pub mod vector;
 
@@ -42,6 +43,7 @@ pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use pool::{SharedSlots, WorkerPool};
 pub use solve::{cholesky, determinant, inverse, least_squares, solve, solve_spd};
+pub use sortnet::SortingNetwork;
 pub use vector::Vector;
 
 /// Returns `true` when `a` and `b` differ by at most `tol` in absolute value.

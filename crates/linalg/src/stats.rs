@@ -57,6 +57,16 @@ pub fn median(values: &[f64]) -> Result<f64, LinalgError> {
 /// the CWTM aggregation rule of the paper's eq. (24): average of the middle
 /// `n − 2f` order statistics.
 ///
+/// **Order contract.** The kept values are the middle order statistics
+/// under [`f64::total_cmp`] (so `-0.0` sorts before `+0.0`, and a NaN that
+/// reaches this far sorts to an extreme instead of aborting), and they are
+/// summed **in ascending order** from [`Iterator::sum`]'s identity before
+/// the one division. The result is therefore a function of the multiset
+/// alone — permutation-invariant in the agents, as eq. (24) is — and this
+/// function is the reference the batch filters (`cwtm`, `cwmed` with
+/// `trim = (n − 1) / 2`, Bulyan's trim stage) are held to bit for bit: it
+/// is what the tier-1 golden digests pin, whichever algorithm computes it.
+///
 /// # Errors
 ///
 /// Returns [`LinalgError::Empty`] when `values.len() <= 2 * trim` (nothing
@@ -69,71 +79,6 @@ pub fn trimmed_mean(values: &[f64], trim: usize) -> Result<f64, LinalgError> {
     sorted.sort_by(f64::total_cmp);
     let kept = &sorted[trim..sorted.len() - trim];
     mean(kept)
-}
-
-/// Allocation-free trimmed mean over a scratch buffer the caller owns:
-/// drops the `trim` smallest and `trim` largest values via partial
-/// selection (`O(n)` instead of a full sort) and averages the remainder.
-/// The buffer is reordered arbitrarily.
-///
-/// This is the hot-path variant of [`trimmed_mean`] used by the CWTM
-/// filter once per coordinate. The two keep exactly the same multiset of
-/// values (the middle `n − 2·trim` order statistics), but the sum runs in
-/// partition order rather than sorted order, so results may differ from
-/// [`trimmed_mean`] by floating-point rounding on ill-conditioned inputs
-/// (catastrophic-cancellation magnitudes). Within the batch pipeline this
-/// is irrelevant — both the slice adapter and the batch path call this
-/// function, so they stay bit-identical to each other.
-///
-/// Order statistics use [`f64::total_cmp`], so a NaN that reaches this
-/// far sorts deterministically (to the extremes) instead of aborting —
-/// aggregation callers still validate finiteness at the boundary, where a
-/// clean `FilterError` is produced.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::Empty`] when `values.len() <= 2 * trim`.
-pub fn trimmed_mean_in_place(values: &mut [f64], trim: usize) -> Result<f64, LinalgError> {
-    let n = values.len();
-    if n <= 2 * trim {
-        return Err(LinalgError::Empty);
-    }
-    let kept: &mut [f64] = if trim == 0 {
-        values
-    } else {
-        // Partition the `trim` smallest off the front…
-        let (_, _, upper) = values.select_nth_unstable_by(trim - 1, f64::total_cmp);
-        // …then the `trim` largest off the back of what remains.
-        let cut = upper.len() - trim;
-        let (kept, _, _) = upper.select_nth_unstable_by(cut, f64::total_cmp);
-        kept
-    };
-    Ok(kept.iter().sum::<f64>() / kept.len() as f64)
-}
-
-/// Allocation-free median over a scratch buffer the caller owns (partial
-/// selection; the buffer is reordered arbitrarily). Agrees exactly with
-/// [`median`].
-///
-/// Order statistics use [`f64::total_cmp`] (see [`trimmed_mean_in_place`]
-/// for the NaN behaviour).
-///
-/// # Errors
-///
-/// Returns [`LinalgError::Empty`] for an empty slice.
-pub fn median_in_place(values: &mut [f64]) -> Result<f64, LinalgError> {
-    let n = values.len();
-    if n == 0 {
-        return Err(LinalgError::Empty);
-    }
-    let (lower, mid, _) = values.select_nth_unstable_by(n / 2, f64::total_cmp);
-    let mid = *mid;
-    if n % 2 == 1 {
-        Ok(mid)
-    } else {
-        let below = lower.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Ok(0.5 * (below + mid))
-    }
 }
 
 /// `q`-quantile (linear interpolation between order statistics), `q ∈ [0,1]`.
@@ -229,33 +174,49 @@ mod tests {
     }
 
     #[test]
-    fn in_place_variants_agree_with_sorting_versions() {
-        let xs = [6.0, 1.0, 3.0, 4.0, 2.0, 5.0, -9.0, 100.0];
-        for trim in 0..=3 {
-            let mut buf = xs.to_vec();
-            // Same kept multiset; summation order may differ, so compare
-            // up to floating-point rounding rather than bitwise.
-            let in_place = trimmed_mean_in_place(&mut buf, trim).unwrap();
-            let sorted = trimmed_mean(&xs, trim).unwrap();
-            assert!(
-                (in_place - sorted).abs() <= 1e-12 * sorted.abs().max(1.0),
-                "trim = {trim}: {in_place} vs {sorted}"
-            );
-        }
-        let mut buf = xs.to_vec();
-        assert_eq!(median_in_place(&mut buf).unwrap(), median(&xs).unwrap());
-        let odd = [3.0, 1.0, 2.0];
-        let mut buf = odd.to_vec();
-        assert_eq!(median_in_place(&mut buf).unwrap(), 2.0);
-        let mut single = vec![5.0];
-        assert_eq!(median_in_place(&mut single).unwrap(), 5.0);
+    fn trimmed_mean_sums_the_kept_values_in_ascending_order() {
+        // Ill-conditioned on purpose: the kept values cancel, so every
+        // summation order rounds differently and only the ascending one
+        // matches. Input order must not matter.
+        let xs = [1e16, 3.0, -1e16, 1.0, 2.0, 9e300, -9e300];
+        let ascending: f64 = (((-1e16 + 1.0) + 2.0) + 3.0) + 1e16;
+        let want = ascending / 5.0;
+        assert_eq!(trimmed_mean(&xs, 1).unwrap().to_bits(), want.to_bits());
+        let mut reversed = xs;
+        reversed.reverse();
+        assert_eq!(
+            trimmed_mean(&reversed, 1).unwrap().to_bits(),
+            want.to_bits()
+        );
+        assert_ne!(want, ((1e16 + 3.0) + -1e16 + 1.0 + 2.0) / 5.0);
+        // `-0.0` orders below `+0.0`: trimming one of each side of
+        // [-0.0, -0.0, 0.0, 0.0] keeps one of each, which sum to `+0.0`…
+        let zeros = [0.0, -0.0, 0.0, -0.0];
+        assert_eq!(trimmed_mean(&zeros, 1).unwrap().to_bits(), 0.0f64.to_bits());
+        // …and trimming [-0.0, -0.0, 0.0] keeps the negative one.
+        let kept_negative = trimmed_mean(&[0.0, -0.0, -0.0], 1).unwrap();
+        assert_eq!(kept_negative.to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
-    fn in_place_variants_reject_degenerate_input() {
-        assert!(trimmed_mean_in_place(&mut [1.0, 2.0], 1).is_err());
-        assert!(trimmed_mean_in_place(&mut [], 0).is_err());
-        assert!(median_in_place(&mut []).is_err());
+    fn median_is_the_trimmed_mean_of_the_middle_bit_for_bit() {
+        // The identity the batch filters' median rests on: one kept value
+        // divides by 1, two kept values halve their sum.
+        let columns: [&[f64]; 6] = [
+            &[5.0],
+            &[3.0, 1.0, 2.0],
+            &[4.0, 1.0, 2.0, 3.0],
+            &[0.0, -0.0],
+            &[5e-324, 1e-310, -2e-310, 5e-324],
+            &[1.7e308, 1.7e308, -1.0, 1.7e308],
+        ];
+        for xs in columns {
+            let trimmed = trimmed_mean(xs, (xs.len() - 1) / 2).unwrap();
+            assert_eq!(median(xs).unwrap().to_bits(), trimmed.to_bits(), "{xs:?}");
+        }
+        assert!(trimmed_mean(&[1.0, 2.0], 1).is_err());
+        assert!(trimmed_mean(&[], 0).is_err());
+        assert!(median(&[]).is_err());
     }
 
     #[test]
@@ -292,8 +253,6 @@ mod tests {
         // never to a process abort.
         let _ = median(&[f64::NAN, 1.0, 2.0]).unwrap();
         let _ = trimmed_mean(&[f64::NAN, 1.0, 2.0], 1).unwrap();
-        let _ = trimmed_mean_in_place(&mut [f64::NAN, 1.0, 2.0], 1).unwrap();
-        let _ = median_in_place(&mut [f64::NAN, 1.0, 2.0]).unwrap();
         let _ = quantile(&[f64::NAN, 1.0], 0.5).unwrap();
     }
 
