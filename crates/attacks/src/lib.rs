@@ -24,8 +24,10 @@
 //! let honest = Vector::from(vec![1.0, -2.0]);
 //! let estimate = Vector::zeros(2);
 //! let ctx = AttackContext::new(0, &honest, &estimate);
-//! let sent = attack.corrupt(&ctx);
-//! assert_eq!(sent.as_slice(), &[-1.0, 2.0]);
+//! // The forgery lands in the slot the agent's row would occupy.
+//! let mut sent = [0.0; 2];
+//! attack.corrupt_into(&ctx, &mut sent);
+//! assert_eq!(sent, [-1.0, 2.0]);
 //! ```
 
 pub mod context;
@@ -38,8 +40,6 @@ pub use omniscient::{InnerProductManipulation, LittleIsEnough};
 pub use registry::{attack_by_name, attack_names, UnknownAttack, ATTACK_NAMES};
 pub use simple::{ConstantVector, GradientReverse, RandomGaussian, ScaledReverse, ZeroGradient};
 
-use abft_linalg::Vector;
-
 /// A Byzantine fault behaviour: given what the agent knows at this
 /// iteration, produce the (arbitrary) vector it sends to the server.
 ///
@@ -47,10 +47,11 @@ use abft_linalg::Vector;
 /// advance an internal RNG; they must be `Send` so the threaded runtime can
 /// move them into agent threads.
 ///
-/// The primary entry point is [`ByzantineStrategy::corrupt_into`], which
+/// A strategy has one way to forge: [`ByzantineStrategy::corrupt_into`]
 /// writes the forgery directly into a caller-supplied slot — a
-/// `GradientBatch` row on the zero-copy driver path. The allocating
-/// [`ByzantineStrategy::corrupt`] is a provided adapter over it.
+/// `GradientBatch` row on the zero-copy driver path. There is no
+/// allocating twin; a caller that wants a fresh vector zeroes one and
+/// passes its slice.
 pub trait ByzantineStrategy: Send {
     /// Writes the vector this faulty agent reports — instead of its true
     /// gradient — into `out` (a batch row on the hot path).
@@ -59,13 +60,6 @@ pub trait ByzantineStrategy: Send {
     ///
     /// Implementations may panic when `out.len() != ctx.dim()`.
     fn corrupt_into(&mut self, ctx: &AttackContext<'_>, out: &mut [f64]);
-
-    /// Allocating adapter over [`ByzantineStrategy::corrupt_into`].
-    fn corrupt(&mut self, ctx: &AttackContext<'_>) -> Vector {
-        let mut out = Vector::zeros(ctx.dim());
-        self.corrupt_into(ctx, out.as_mut_slice());
-        out
-    }
 
     /// A stable, lowercase identifier (used by the registry and reports).
     fn name(&self) -> &'static str;
@@ -76,4 +70,16 @@ pub trait ByzantineStrategy: Send {
     fn is_omniscient(&self) -> bool {
         false
     }
+}
+
+/// `strategy`'s forgery for `ctx` as a fresh vector — the unit tests'
+/// shorthand for one [`ByzantineStrategy::corrupt_into`] call.
+#[cfg(test)]
+pub(crate) fn forged(
+    strategy: &mut dyn ByzantineStrategy,
+    ctx: &AttackContext<'_>,
+) -> abft_linalg::Vector {
+    let mut out = abft_linalg::Vector::zeros(ctx.dim());
+    strategy.corrupt_into(ctx, out.as_mut_slice());
+    out
 }

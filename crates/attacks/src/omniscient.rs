@@ -127,6 +127,7 @@ impl ByzantineStrategy for InnerProductManipulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forged;
     use abft_linalg::Vector;
 
     #[test]
@@ -139,7 +140,7 @@ mod tests {
         let own = Vector::from(vec![2.0, 11.0]);
         let x = Vector::zeros(2);
         let ctx = AttackContext::omniscient(0, &own, &x, &honest);
-        let sent = LittleIsEnough::new(1.0).corrupt(&ctx);
+        let sent = forged(&mut LittleIsEnough::new(1.0), &ctx);
         // mean = (2, 11), population std = (√(2/3), √(2/3)).
         let s = (2.0f64 / 3.0).sqrt();
         assert!(sent.approx_eq(&Vector::from(vec![2.0 - s, 11.0 - s]), 1e-9));
@@ -152,7 +153,7 @@ mod tests {
         let own = Vector::from(vec![4.0]);
         let x = Vector::zeros(1);
         let ctx = AttackContext::new(0, &own, &x);
-        let sent = LittleIsEnough::new(1.5).corrupt(&ctx);
+        let sent = forged(&mut LittleIsEnough::new(1.5), &ctx);
         assert_eq!(sent[0], -4.0);
     }
 
@@ -162,7 +163,7 @@ mod tests {
         let own = Vector::from(vec![2.0, 0.0]);
         let x = Vector::zeros(2);
         let ctx = AttackContext::omniscient(0, &own, &x, &honest);
-        let sent = InnerProductManipulation::new(2.0).corrupt(&ctx);
+        let sent = forged(&mut InnerProductManipulation::new(2.0), &ctx);
         assert!(sent.approx_eq(&Vector::from(vec![-4.0, 0.0]), 1e-12));
         // Negative inner product with the honest mean.
         assert!(sent.dot(&Vector::from(vec![2.0, 0.0])) < 0.0);

@@ -144,7 +144,7 @@ mod tests {
         for name in ATTACK_NAMES {
             let mut attack = attack_by_name(name, 11).unwrap();
             let ctx = AttackContext::omniscient(0, &g, &x, &honest);
-            let sent = attack.corrupt(&ctx);
+            let sent = crate::forged(attack.as_mut(), &ctx);
             assert_eq!(sent.dim(), 3, "{} output dim", attack.name());
             assert!(!sent.has_non_finite(), "{} produced NaN", attack.name());
         }

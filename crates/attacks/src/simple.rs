@@ -160,6 +160,7 @@ impl ByzantineStrategy for ConstantVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forged;
 
     fn ctx<'a>(g: &'a Vector, x: &'a Vector) -> AttackContext<'a> {
         AttackContext::new(3, g, x)
@@ -169,7 +170,7 @@ mod tests {
     fn gradient_reverse_negates() {
         let g = Vector::from(vec![2.0, -3.0]);
         let x = Vector::zeros(2);
-        let sent = GradientReverse::new().corrupt(&ctx(&g, &x));
+        let sent = forged(&mut GradientReverse::new(), &ctx(&g, &x));
         assert_eq!(sent.as_slice(), &[-2.0, 3.0]);
     }
 
@@ -179,13 +180,13 @@ mod tests {
         let x = Vector::zeros(1000);
         let mut a = RandomGaussian::paper(5);
         let mut b = RandomGaussian::paper(5);
-        let va = a.corrupt(&ctx(&g, &x));
-        let vb = b.corrupt(&ctx(&g, &x));
+        let va = forged(&mut a, &ctx(&g, &x));
+        let vb = forged(&mut b, &ctx(&g, &x));
         assert!(va.approx_eq(&vb, 0.0), "same seed must give same vector");
         // Magnitude sanity: ‖N(0, 200²·I₁₀₀₀)‖ ≈ 200·√1000 ≈ 6325.
         assert!(va.norm() > 3000.0 && va.norm() < 10_000.0);
         // Successive draws differ.
-        let va2 = a.corrupt(&ctx(&g, &x));
+        let va2 = forged(&mut a, &ctx(&g, &x));
         assert!(!va.approx_eq(&va2, 1e-9));
     }
 
@@ -199,7 +200,7 @@ mod tests {
     fn scaled_reverse_amplifies() {
         let g = Vector::from(vec![1.0]);
         let x = Vector::zeros(1);
-        let sent = ScaledReverse::new(10.0).corrupt(&ctx(&g, &x));
+        let sent = forged(&mut ScaledReverse::new(10.0), &ctx(&g, &x));
         assert_eq!(sent[0], -10.0);
     }
 
@@ -208,11 +209,11 @@ mod tests {
         let g = Vector::from(vec![5.0, 5.0]);
         let x = Vector::zeros(2);
         assert_eq!(
-            ZeroGradient::new().corrupt(&ctx(&g, &x)).as_slice(),
+            forged(&mut ZeroGradient::new(), &ctx(&g, &x)).as_slice(),
             &[0.0, 0.0]
         );
         let c = Vector::from(vec![7.0, -7.0]);
-        let sent = ConstantVector::new(c.clone()).corrupt(&ctx(&g, &x));
+        let sent = forged(&mut ConstantVector::new(c.clone()), &ctx(&g, &x));
         assert!(sent.approx_eq(&c, 0.0));
     }
 

@@ -544,8 +544,9 @@ impl RunObserver for ConvergenceHalt {
 /// through a [`BufWriter`] — constant memory no matter how long the run.
 ///
 /// The emitted bytes are identical to
-/// [`Trace::write_csv`](crate::Trace::write_csv) over the same records
-/// (pinned by test). Like a trace recorder it can subsample with
+/// [`Trace::write_csv`](crate::Trace::write_csv) over the same records:
+/// both writers take the header and each row from `IterationRecord`'s one
+/// CSV formatter. Like a trace recorder it can subsample with
 /// [`CsvStreamer::subsample`].
 ///
 /// I/O errors do not perturb the run: the first failure is latched, further
@@ -595,14 +596,10 @@ impl<W: Write> CsvStreamer<W> {
             return Ok(());
         };
         if !self.header_written {
-            writeln!(sink, "iteration,loss,distance,grad_norm,phi")?;
+            writeln!(sink, "{}", IterationRecord::CSV_HEADER)?;
             self.header_written = true;
         }
-        writeln!(
-            sink,
-            "{},{:.10e},{:.10e},{:.10e},{:.10e}",
-            record.iteration, record.loss, record.distance, record.grad_norm, record.phi
-        )
+        writeln!(sink, "{}", record.csv_row())
     }
 
     /// Flushes the stream and returns the first I/O error, if any

@@ -9,6 +9,7 @@
 
 use crate::csv::CsvTable;
 use crate::error::CoreError;
+use std::fmt;
 use std::path::Path;
 
 /// A single iteration's measurements from a DGD-style run.
@@ -24,6 +25,28 @@ pub struct IterationRecord {
     pub grad_norm: f64,
     /// Theorem 3's inner product `φ_t = ⟨x_t − x_H, GradFilter(…)⟩`.
     pub phi: f64,
+}
+
+impl IterationRecord {
+    /// Header of the workspace's standard trace CSV: the fields in
+    /// declaration order.
+    pub(crate) const CSV_HEADER: &'static str = "iteration,loss,distance,grad_norm,phi";
+
+    /// This record as one row of that CSV, without the line break: the
+    /// iteration, then every metric in `{:.10e}`. Formats without
+    /// allocating. Both trace writers — [`Trace::to_csv_table`] and
+    /// [`CsvStreamer`](crate::observe::CsvStreamer) — write through it and
+    /// [`IterationRecord::CSV_HEADER`], so their bytes agree by
+    /// construction.
+    pub(crate) fn csv_row(&self) -> impl fmt::Display + '_ {
+        fmt::from_fn(move |f| {
+            write!(
+                f,
+                "{},{:.10e},{:.10e},{:.10e},{:.10e}",
+                self.iteration, self.loss, self.distance, self.grad_norm, self.phi
+            )
+        })
+    }
 }
 
 /// A named series of [`IterationRecord`]s for one execution.
@@ -121,22 +144,13 @@ impl Trace {
 
     /// Converts the trace to a [`CsvTable`] with one row per iteration.
     pub fn to_csv_table(&self) -> CsvTable {
-        let mut table = CsvTable::new(vec![
-            "iteration".into(),
-            "loss".into(),
-            "distance".into(),
-            "grad_norm".into(),
-            "phi".into(),
-        ]);
+        // No header name or formatted number contains a comma, so a row's
+        // cells are its comma-separated pieces.
+        let cells = |line: &str| line.split(',').map(String::from).collect();
+        let mut table = CsvTable::new(cells(IterationRecord::CSV_HEADER));
         for r in &self.records {
             table
-                .push_row(vec![
-                    r.iteration.to_string(),
-                    format!("{:.10e}", r.loss),
-                    format!("{:.10e}", r.distance),
-                    format!("{:.10e}", r.grad_norm),
-                    format!("{:.10e}", r.phi),
-                ])
+                .push_row(cells(&r.csv_row().to_string()))
                 .expect("trace rows always have 5 columns");
         }
         table

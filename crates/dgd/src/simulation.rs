@@ -39,11 +39,11 @@ pub struct RunOptions {
     /// constructors). Telemetry is observational only: enabling it never
     /// changes traces, estimates, or the per-round schedule.
     pub telemetry: TelemetryConfig,
-    /// Bounded-staleness override τ for the asynchronous simulated-server
-    /// driver, in virtual nanoseconds: a gradient row older than τ at an
-    /// aggregation step is excluded and counted stale (`u64::MAX` means
-    /// unbounded — every known row stays eligible). `None` (the default)
-    /// keeps the driver's configured bound. Only the asynchronous backend
+    /// The staleness bound τ of the asynchronous simulated-server driver,
+    /// in virtual nanoseconds — the one place τ is set: a gradient row
+    /// older than τ at an aggregation step is excluded and counted stale.
+    /// `None` (the default) and `Some(u64::MAX)` both mean unbounded —
+    /// every known row stays eligible. Only the asynchronous backend
     /// consults it; every round-lockstep launch rejects runs that set it,
     /// since lockstep execution has no notion of row age.
     pub staleness_ns: Option<u64>,
@@ -121,7 +121,7 @@ impl RunOptions {
         self
     }
 
-    /// Sets the bounded-staleness override τ (virtual nanoseconds) for the
+    /// Sets the staleness bound τ (virtual nanoseconds) of the
     /// asynchronous simulated-server driver. `u64::MAX` means unbounded.
     #[must_use]
     pub fn with_staleness_ns(mut self, tau_ns: u64) -> Self {

@@ -10,7 +10,7 @@ use abft_attacks::{
 use abft_core::observe::{NullObserver, TraceRecorder};
 use abft_core::{IterationRecord, SystemConfig};
 use abft_dgd::{AgentCell, RoundEngine, RoundWorkspace, RunOptions};
-use abft_filters::{Cwtm, GradientFilter, Mean};
+use abft_filters::{batch_of, Cwtm, GradientFilter, Mean};
 use abft_linalg::Vector;
 use abft_net::NetMetrics;
 use abft_problems::{RegressionProblem, SharedCost};
@@ -178,13 +178,20 @@ fn hand_run(
             .map(|(i, cost)| {
                 let true_gradient = cost.gradient(&x);
                 if i == 0 {
-                    strategy.corrupt(&AttackContext::new(t, &true_gradient, &x))
+                    let mut forged = Vector::zeros(x.dim());
+                    let ctx = AttackContext::new(t, &true_gradient, &x);
+                    strategy.corrupt_into(&ctx, forged.as_mut_slice());
+                    forged
                 } else {
                     true_gradient
                 }
             })
             .collect();
-        let aggregated = filter.aggregate(&round, f).expect("aggregates");
+        let batch = batch_of(&round).expect("well-formed round");
+        let mut aggregated = Vector::zeros(x.dim());
+        filter
+            .aggregate_into(&batch, f, &mut aggregated)
+            .expect("aggregates");
         if t < options.iterations {
             options.descend(t, &mut x, &aggregated);
         }

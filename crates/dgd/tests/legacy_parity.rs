@@ -42,10 +42,13 @@ fn legacy_run(
     for t in 0..options.iterations {
         let mut round = Vec::with_capacity(costs.len());
         for (i, cost) in costs.iter().enumerate() {
-            let true_gradient = cost.gradient(&x);
+            let mut true_gradient = Vector::zeros(x.dim());
+            cost.gradient_into(&x, true_gradient.as_mut_slice());
             if i == 0 {
                 let ctx = AttackContext::new(t, &true_gradient, &x);
-                round.push(strategy.corrupt(&ctx));
+                let mut forged = Vector::zeros(x.dim());
+                strategy.corrupt_into(&ctx, forged.as_mut_slice());
+                round.push(forged);
             } else {
                 round.push(true_gradient);
             }

@@ -119,6 +119,7 @@ impl GradientFilter for Bulyan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::aggregate_rows;
 
     /// n = 7, f = 1 satisfies n ≥ 4f + 3.
     fn cluster_with_outlier() -> Vec<Vector> {
@@ -135,7 +136,7 @@ mod tests {
 
     #[test]
     fn resists_gross_outlier() {
-        let out = Bulyan::new().aggregate(&cluster_with_outlier(), 1).unwrap();
+        let out = aggregate_rows(&Bulyan::new(), &cluster_with_outlier(), 1).unwrap();
         assert!(out.dist(&Vector::from(vec![1.0, 1.0])) < 0.2);
     }
 
@@ -143,17 +144,17 @@ mod tests {
     fn requires_4f_plus_3() {
         let gs = vec![Vector::zeros(1); 6];
         assert!(matches!(
-            Bulyan::new().aggregate(&gs, 1),
+            aggregate_rows(&Bulyan::new(), &gs, 1),
             Err(FilterError::TooFewGradients { .. })
         ));
         let gs = vec![Vector::zeros(1); 7];
-        assert!(Bulyan::new().aggregate(&gs, 1).is_ok());
+        assert!(aggregate_rows(&Bulyan::new(), &gs, 1).is_ok());
     }
 
     #[test]
     fn identical_inputs_pass_through() {
         let gs = vec![Vector::from(vec![3.0, -1.0]); 7];
-        let out = Bulyan::new().aggregate(&gs, 1).unwrap();
+        let out = aggregate_rows(&Bulyan::new(), &gs, 1).unwrap();
         assert!(out.approx_eq(&Vector::from(vec![3.0, -1.0]), 1e-12));
     }
 
@@ -169,14 +170,14 @@ mod tests {
             Vector::from(vec![-0.5, -0.5]),
             Vector::from(vec![0.0, 0.0]),
         ];
-        let out = Bulyan::new().aggregate(&gs, 0).unwrap();
+        let out = aggregate_rows(&Bulyan::new(), &gs, 0).unwrap();
         assert!(out.norm() < 0.3);
     }
 
     #[test]
     fn output_is_within_selection_hull_per_coordinate() {
         let gs = cluster_with_outlier();
-        let out = Bulyan::new().aggregate(&gs, 1).unwrap();
+        let out = aggregate_rows(&Bulyan::new(), &gs, 1).unwrap();
         // Honest cluster spans [0.9, 1.1] per coordinate; the trimmed mean of
         // any selection (which contains ≥ honest values only after trimming)
         // must stay within the full input hull at minimum.

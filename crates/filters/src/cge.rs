@@ -117,6 +117,7 @@ impl GradientFilter for Cge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::aggregate_rows;
 
     #[test]
     fn sums_smallest_norm_gradients() {
@@ -126,14 +127,14 @@ mod tests {
             Vector::from(vec![-3.0, 0.0]),  // norm 3
             Vector::from(vec![0.0, -10.0]), // norm 10 — eliminated at f = 1
         ];
-        let out = Cge::new().aggregate(&gs, 1).unwrap();
+        let out = aggregate_rows(&Cge::new(), &gs, 1).unwrap();
         assert!(out.approx_eq(&Vector::from(vec![-2.0, 2.0]), 1e-12));
     }
 
     #[test]
     fn f_zero_keeps_everything() {
         let gs = vec![Vector::from(vec![1.0]), Vector::from(vec![5.0])];
-        let out = Cge::new().aggregate(&gs, 0).unwrap();
+        let out = aggregate_rows(&Cge::new(), &gs, 0).unwrap();
         assert_eq!(out[0], 6.0);
     }
 
@@ -144,8 +145,8 @@ mod tests {
             Vector::from(vec![2.0]),
             Vector::from(vec![100.0]),
         ];
-        let sum = Cge::new().aggregate(&gs, 1).unwrap();
-        let avg = Cge::averaged().aggregate(&gs, 1).unwrap();
+        let sum = aggregate_rows(&Cge::new(), &gs, 1).unwrap();
+        let avg = aggregate_rows(&Cge::averaged(), &gs, 1).unwrap();
         assert_eq!(sum[0], 3.0);
         assert_eq!(avg[0], 1.5);
         assert_eq!(Cge::new().name(), "cge");
@@ -186,7 +187,7 @@ mod tests {
             Vector::from(vec![2.0]),
         ];
         assert!(matches!(
-            Cge::new().aggregate(&gs, 1),
+            aggregate_rows(&Cge::new(), &gs, 1),
             Err(FilterError::NonFinite { index: 1 })
         ));
     }
@@ -194,7 +195,7 @@ mod tests {
     #[test]
     fn rejects_too_many_faults() {
         let gs = vec![Vector::zeros(1), Vector::zeros(1)];
-        assert!(Cge::new().aggregate(&gs, 1).is_err());
+        assert!(aggregate_rows(&Cge::new(), &gs, 1).is_err());
     }
 
     #[test]
@@ -208,7 +209,7 @@ mod tests {
             Vector::from(vec![1.0, 1.0]),
             Vector::from(vec![1e12, -1e12]),
         ];
-        let out = Cge::new().aggregate(&gs, 1).unwrap();
+        let out = aggregate_rows(&Cge::new(), &gs, 1).unwrap();
         assert!(out.norm() <= 3.0 * honest_max);
     }
 }

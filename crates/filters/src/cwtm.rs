@@ -99,6 +99,7 @@ impl GradientFilter for CoordinateWiseMedian {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::aggregate_rows;
 
     #[test]
     fn trims_extremes_per_coordinate() {
@@ -109,14 +110,14 @@ mod tests {
             Vector::from(vec![100.0, 3.0]),
         ];
         // f = 1: coordinate 0 keeps {2, 3}; coordinate 1 keeps {1, 2}.
-        let out = Cwtm::new().aggregate(&gs, 1).unwrap();
+        let out = aggregate_rows(&Cwtm::new(), &gs, 1).unwrap();
         assert!(out.approx_eq(&Vector::from(vec![2.5, 1.5]), 1e-12));
     }
 
     #[test]
     fn f_zero_equals_mean() {
         let gs = vec![Vector::from(vec![1.0, 4.0]), Vector::from(vec![3.0, 0.0])];
-        let out = Cwtm::new().aggregate(&gs, 0).unwrap();
+        let out = aggregate_rows(&Cwtm::new(), &gs, 0).unwrap();
         assert!(out.approx_eq(&Vector::from(vec![2.0, 2.0]), 1e-12));
     }
 
@@ -132,7 +133,7 @@ mod tests {
             Vector::from(vec![3.0, 8.0]),
             Vector::from(vec![4.0, 9.0]),
         ];
-        let out = Cwtm::new().aggregate(&gs, 2).unwrap();
+        let out = aggregate_rows(&Cwtm::new(), &gs, 2).unwrap();
         assert!(out[0] >= 0.0 && out[0] <= 4.0);
         assert!(out[1] >= 5.0 && out[1] <= 9.0);
     }
@@ -140,8 +141,8 @@ mod tests {
     #[test]
     fn requires_n_greater_than_2f() {
         let gs = vec![Vector::zeros(1); 4];
-        assert!(Cwtm::new().aggregate(&gs, 2).is_err());
-        assert!(Cwtm::new().aggregate(&gs, 1).is_ok());
+        assert!(aggregate_rows(&Cwtm::new(), &gs, 2).is_err());
+        assert!(aggregate_rows(&Cwtm::new(), &gs, 1).is_ok());
     }
 
     #[test]
@@ -151,7 +152,7 @@ mod tests {
             Vector::from(vec![1.0]),
             Vector::from(vec![3.0]),
         ];
-        let out = CoordinateWiseMedian::new().aggregate(&gs, 1).unwrap();
+        let out = aggregate_rows(&CoordinateWiseMedian::new(), &gs, 1).unwrap();
         assert_eq!(out[0], 3.0);
     }
 
@@ -164,7 +165,7 @@ mod tests {
             Vector::from(vec![1e9]),
             Vector::from(vec![-1e9]),
         ];
-        let out = CoordinateWiseMedian::new().aggregate(&gs, 2).unwrap();
+        let out = aggregate_rows(&CoordinateWiseMedian::new(), &gs, 2).unwrap();
         assert!((out[0] - 1.0).abs() < 0.2);
     }
 
@@ -176,16 +177,16 @@ mod tests {
 
     #[test]
     fn rejects_malformed_inputs() {
-        assert!(Cwtm::new().aggregate(&[], 0).is_err());
+        assert!(aggregate_rows(&Cwtm::new(), &[], 0).is_err());
         let ragged = vec![Vector::zeros(1), Vector::zeros(2), Vector::zeros(1)];
-        assert!(Cwtm::new().aggregate(&ragged, 1).is_err());
+        assert!(aggregate_rows(&Cwtm::new(), &ragged, 1).is_err());
         let nan = vec![
             Vector::from(vec![f64::INFINITY]),
             Vector::zeros(1),
             Vector::zeros(1),
         ];
         assert!(matches!(
-            CoordinateWiseMedian::new().aggregate(&nan, 1),
+            aggregate_rows(&CoordinateWiseMedian::new(), &nan, 1),
             Err(FilterError::NonFinite { index: 0 })
         ));
     }

@@ -98,6 +98,7 @@ impl GradientFilter for Faba {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::aggregate_rows;
 
     #[test]
     fn peels_the_gross_outlier() {
@@ -107,7 +108,7 @@ mod tests {
             Vector::from(vec![0.9, 1.1]),
             Vector::from(vec![1e6, -1e6]),
         ];
-        let out = Faba::new().aggregate(&gs, 1).unwrap();
+        let out = aggregate_rows(&Faba::new(), &gs, 1).unwrap();
         assert!(out.dist(&Vector::from(vec![1.0, 1.0])) < 0.2);
     }
 
@@ -122,28 +123,28 @@ mod tests {
             Vector::from(vec![0.98, -0.199]),
             Vector::from(vec![-1.0, 0.0]), // same norm, reversed
         ];
-        let out = Faba::new().aggregate(&gs, 1).unwrap();
+        let out = aggregate_rows(&Faba::new(), &gs, 1).unwrap();
         assert!(out[0] > 0.9, "reversed gradient not peeled: {out}");
     }
 
     #[test]
     fn f_zero_is_the_mean() {
         let gs = vec![Vector::from(vec![1.0]), Vector::from(vec![3.0])];
-        let out = Faba::new().aggregate(&gs, 0).unwrap();
+        let out = aggregate_rows(&Faba::new(), &gs, 0).unwrap();
         assert_eq!(out[0], 2.0);
     }
 
     #[test]
     fn respects_n_greater_than_2f() {
         let gs = vec![Vector::zeros(1); 4];
-        assert!(Faba::new().aggregate(&gs, 2).is_err());
-        assert!(Faba::new().aggregate(&gs, 1).is_ok());
+        assert!(aggregate_rows(&Faba::new(), &gs, 2).is_err());
+        assert!(aggregate_rows(&Faba::new(), &gs, 1).is_ok());
     }
 
     #[test]
     fn identical_inputs_pass_through() {
         let gs = vec![Vector::from(vec![2.5, -1.5]); 5];
-        let out = Faba::new().aggregate(&gs, 2).unwrap();
+        let out = aggregate_rows(&Faba::new(), &gs, 2).unwrap();
         assert!(out.approx_eq(&gs[0], 1e-12));
     }
 

@@ -230,7 +230,7 @@ impl GradientFilter for GeometricMedianOfMeans {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::GradientFilter;
+    use crate::traits::{aggregate_rows, GradientFilter};
 
     #[test]
     fn median_of_collinear_points() {
@@ -240,7 +240,7 @@ mod tests {
             Vector::from(vec![1.0, 0.0]),
             Vector::from(vec![10.0, 0.0]),
         ];
-        let out = GeometricMedian::new().aggregate(&gs, 1).unwrap();
+        let out = aggregate_rows(&GeometricMedian::new(), &gs, 1).unwrap();
         assert!((out[0] - 1.0).abs() < 1e-5);
         assert!(out[1].abs() < 1e-9);
     }
@@ -253,7 +253,7 @@ mod tests {
             Vector::from(vec![0.9, 1.1]),
             Vector::from(vec![1e9, -1e9]),
         ];
-        let out = GeometricMedian::new().aggregate(&gs, 1).unwrap();
+        let out = aggregate_rows(&GeometricMedian::new(), &gs, 1).unwrap();
         assert!(out.dist(&Vector::from(vec![1.0, 1.0])) < 0.5);
     }
 
@@ -265,7 +265,7 @@ mod tests {
             Vector::from(vec![0.0, 1.0]),
             Vector::from(vec![0.0, -1.0]),
         ];
-        let out = GeometricMedian::new().aggregate(&gs, 1).unwrap();
+        let out = aggregate_rows(&GeometricMedian::new(), &gs, 1).unwrap();
         assert!(out.norm() < 1e-6);
     }
 
@@ -279,20 +279,11 @@ mod tests {
     fn gmom_requires_enough_groups_and_inputs() {
         let gs = vec![Vector::zeros(2); 5];
         // groups > n
-        assert!(GeometricMedianOfMeans::new(6)
-            .unwrap()
-            .aggregate(&gs, 1)
-            .is_err());
+        assert!(aggregate_rows(&GeometricMedianOfMeans::new(6).unwrap(), &gs, 1).is_err());
         // groups <= 2f
-        assert!(GeometricMedianOfMeans::new(2)
-            .unwrap()
-            .aggregate(&gs, 1)
-            .is_err());
+        assert!(aggregate_rows(&GeometricMedianOfMeans::new(2).unwrap(), &gs, 1).is_err());
         // valid
-        assert!(GeometricMedianOfMeans::new(3)
-            .unwrap()
-            .aggregate(&gs, 1)
-            .is_ok());
+        assert!(aggregate_rows(&GeometricMedianOfMeans::new(3).unwrap(), &gs, 1).is_ok());
     }
 
     #[test]
@@ -301,17 +292,14 @@ mod tests {
         // bucket, and the geometric median of bucket means ignores it.
         let mut gs = vec![Vector::from(vec![1.0]); 9];
         gs[0] = Vector::from(vec![1e9]);
-        let out = GeometricMedianOfMeans::new(3)
-            .unwrap()
-            .aggregate(&gs, 1)
-            .unwrap();
+        let out = aggregate_rows(&GeometricMedianOfMeans::new(3).unwrap(), &gs, 1).unwrap();
         assert!((out[0] - 1.0).abs() < 1e-3);
     }
 
     #[test]
     fn identical_inputs_are_a_fixed_point() {
         let gs = vec![Vector::from(vec![2.0, -3.0]); 4];
-        let out = GeometricMedian::new().aggregate(&gs, 1).unwrap();
+        let out = aggregate_rows(&GeometricMedian::new(), &gs, 1).unwrap();
         assert!(out.approx_eq(&gs[0], 1e-9));
     }
 

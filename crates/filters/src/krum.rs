@@ -195,7 +195,7 @@ impl GradientFilter for MultiKrum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::batch_of;
+    use crate::traits::{aggregate_rows, batch_of};
 
     /// 5 clustered honest gradients + 1 far outlier (n = 6, f = 1).
     fn clustered_with_outlier() -> Vec<Vector> {
@@ -214,14 +214,14 @@ mod tests {
         let gs = clustered_with_outlier();
         let idx = Krum::selected_row(&batch_of(&gs).unwrap(), 1).unwrap();
         assert!(idx < 5, "krum selected the outlier");
-        let out = Krum::new().aggregate(&gs, 1).unwrap();
+        let out = aggregate_rows(&Krum::new(), &gs, 1).unwrap();
         assert!(out.dist(&Vector::from(vec![1.0, 1.0])) < 0.5);
     }
 
     #[test]
     fn krum_output_is_one_of_the_inputs() {
         let gs = clustered_with_outlier();
-        let out = Krum::new().aggregate(&gs, 1).unwrap();
+        let out = aggregate_rows(&Krum::new(), &gs, 1).unwrap();
         assert!(gs.iter().any(|g| g.approx_eq(&out, 0.0)));
     }
 
@@ -229,25 +229,25 @@ mod tests {
     fn krum_requires_2f_plus_3() {
         let gs = vec![Vector::zeros(1); 4];
         assert!(matches!(
-            Krum::new().aggregate(&gs, 1),
+            aggregate_rows(&Krum::new(), &gs, 1),
             Err(FilterError::TooFewGradients { .. })
         ));
         let gs = vec![Vector::zeros(1); 5];
-        assert!(Krum::new().aggregate(&gs, 1).is_ok());
+        assert!(aggregate_rows(&Krum::new(), &gs, 1).is_ok());
     }
 
     #[test]
     fn multi_krum_averages_best_m() {
         let gs = clustered_with_outlier();
-        let out = MultiKrum::new(3).unwrap().aggregate(&gs, 1).unwrap();
+        let out = aggregate_rows(&MultiKrum::new(3).unwrap(), &gs, 1).unwrap();
         assert!(out.dist(&Vector::from(vec![1.0, 1.0])) < 0.2);
     }
 
     #[test]
     fn multi_krum_m1_equals_krum() {
         let gs = clustered_with_outlier();
-        let krum = Krum::new().aggregate(&gs, 1).unwrap();
-        let mk = MultiKrum::new(1).unwrap().aggregate(&gs, 1).unwrap();
+        let krum = aggregate_rows(&Krum::new(), &gs, 1).unwrap();
+        let mk = aggregate_rows(&MultiKrum::new(1).unwrap(), &gs, 1).unwrap();
         assert!(krum.approx_eq(&mk, 0.0));
     }
 
@@ -256,7 +256,7 @@ mod tests {
         assert!(MultiKrum::new(0).is_err());
         let gs = clustered_with_outlier();
         // m > n − f = 5.
-        assert!(MultiKrum::new(6).unwrap().aggregate(&gs, 1).is_err());
+        assert!(aggregate_rows(&MultiKrum::new(6).unwrap(), &gs, 1).is_err());
     }
 
     #[test]

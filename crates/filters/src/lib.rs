@@ -28,7 +28,7 @@
 //! # Example
 //!
 //! ```
-//! use abft_filters::{Cge, GradientFilter};
+//! use abft_filters::{batch_of, Cge, GradientFilter};
 //! use abft_linalg::Vector;
 //!
 //! # fn main() -> Result<(), abft_filters::FilterError> {
@@ -40,7 +40,10 @@
 //! let mut received = honest.clone();
 //! received.push(Vector::from(vec![-100.0, 100.0])); // Byzantine
 //!
-//! let out = Cge::new().aggregate(&received, 1)?;
+//! // One row per agent; the filter writes into a reusable output vector.
+//! let batch = batch_of(&received)?;
+//! let mut out = Vector::zeros(batch.dim());
+//! Cge::new().aggregate_into(&batch, 1, &mut out)?;
 //! // The huge faulty gradient is eliminated: CGE sums the 3 smallest norms.
 //! assert!((out[0] - 3.0).abs() < 1e-12);
 //! # Ok(())

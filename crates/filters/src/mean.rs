@@ -54,11 +54,12 @@ impl GradientFilter for Mean {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::aggregate_rows;
 
     #[test]
     fn averages_inputs() {
         let gs = vec![Vector::from(vec![1.0, 2.0]), Vector::from(vec![3.0, 4.0])];
-        let out = Mean::new().aggregate(&gs, 0).unwrap();
+        let out = aggregate_rows(&Mean::new(), &gs, 0).unwrap();
         assert!(out.approx_eq(&Vector::from(vec![2.0, 3.0]), 1e-12));
     }
 
@@ -68,15 +69,15 @@ mod tests {
         // shifts the mean by outlier/n.
         let mut gs = vec![Vector::zeros(1); 5];
         gs.push(Vector::from(vec![6000.0]));
-        let out = Mean::new().aggregate(&gs, 1).unwrap();
+        let out = aggregate_rows(&Mean::new(), &gs, 1).unwrap();
         assert!((out[0] - 1000.0).abs() < 1e-9);
     }
 
     #[test]
     fn rejects_empty_and_ragged() {
-        assert!(Mean::new().aggregate(&[], 0).is_err());
+        assert!(aggregate_rows(&Mean::new(), &[], 0).is_err());
         let gs = vec![Vector::zeros(1), Vector::zeros(2)];
-        assert!(Mean::new().aggregate(&gs, 0).is_err());
+        assert!(aggregate_rows(&Mean::new(), &gs, 0).is_err());
     }
 
     #[test]

@@ -122,6 +122,7 @@ pub const ALL_NAMES: [&str; 14] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::aggregate_rows;
 
     #[test]
     fn every_registered_name_resolves() {
@@ -176,8 +177,7 @@ mod tests {
             .map(|i| Vector::from(vec![1.0 + 0.01 * i as f64, -1.0]))
             .collect();
         for filter in all_filters() {
-            let out = filter
-                .aggregate(&gs, 1)
+            let out = aggregate_rows(filter.as_ref(), &gs, 1)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", filter.name()));
             assert_eq!(out.dim(), 2, "{} output dimension", filter.name());
             assert!(!out.has_non_finite(), "{} produced NaN", filter.name());

@@ -87,6 +87,7 @@ impl GradientFilter for SignMajority {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::aggregate_rows;
 
     #[test]
     fn majority_sign_wins() {
@@ -95,7 +96,7 @@ mod tests {
             Vector::from(vec![0.2, -0.1]),
             Vector::from(vec![-9.0, -2.0]), // dissenter in coordinate 0
         ];
-        let out = SignMajority::new(0.5).unwrap().aggregate(&gs, 1).unwrap();
+        let out = aggregate_rows(&SignMajority::new(0.5).unwrap(), &gs, 1).unwrap();
         assert_eq!(out.as_slice(), &[0.5, -0.5]);
     }
 
@@ -106,7 +107,7 @@ mod tests {
             Vector::from(vec![1e-9]),
             Vector::from(vec![-1e12]),
         ];
-        let out = SignMajority::new(1.0).unwrap().aggregate(&gs, 1).unwrap();
+        let out = aggregate_rows(&SignMajority::new(1.0).unwrap(), &gs, 1).unwrap();
         assert_eq!(out[0], 1.0);
     }
 
@@ -117,7 +118,7 @@ mod tests {
             Vector::from(vec![-1.0]),
             Vector::from(vec![0.0]),
         ];
-        let out = SignMajority::new(1.0).unwrap().aggregate(&gs, 1).unwrap();
+        let out = aggregate_rows(&SignMajority::new(1.0).unwrap(), &gs, 1).unwrap();
         assert_eq!(out[0], 0.0);
     }
 

@@ -1,4 +1,9 @@
 //! The [`GradientFilter`] trait and shared input validation.
+//!
+//! A filter has exactly one way to produce its value: `aggregate_into`
+//! over a [`GradientBatch`]. Callers that hold gradients as `&[Vector]`
+//! copy them in with [`batch_of`] first; there is no second, allocating
+//! form of the map to keep equal to the first.
 
 use crate::error::FilterError;
 use abft_linalg::{GradientBatch, Vector};
@@ -11,13 +16,12 @@ use abft_linalg::{GradientBatch, Vector};
 /// rows as unordered data from `n` agents of which up to `f` may be
 /// Byzantine.
 ///
-/// The primary entry point is [`GradientFilter::aggregate_into`]: it
-/// reads a contiguous [`GradientBatch`], works out of the batch's scratch
-/// arena, and writes the result into a caller-owned [`Vector`] — zero
-/// heap allocation per call once the scratch has warmed up. The
-/// historical `&[Vector]` signature, [`GradientFilter::aggregate`],
-/// remains as a thin adapter that copies the slice into a temporary
-/// batch, so both paths compute bit-identical outputs by construction.
+/// The one entry point is [`GradientFilter::aggregate_into`]: it reads a
+/// contiguous [`GradientBatch`], works out of the batch's scratch arena,
+/// and writes the result into a caller-owned [`Vector`] — zero heap
+/// allocation per call once the scratch has warmed up. There is no
+/// allocating `&[Vector]` twin: a caller holding a slice builds the batch
+/// with [`batch_of`] and calls `aggregate_into` like every driver does.
 pub trait GradientFilter: Send + Sync {
     /// Aggregates the batch rows, tolerating up to `f` faults, writing
     /// the `d`-dimensional result into `out` (resized as needed).
@@ -34,22 +38,6 @@ pub trait GradientFilter: Send + Sync {
         out: &mut Vector,
     ) -> Result<(), FilterError>;
 
-    /// Adapter for callers holding `&[Vector]`: copies the gradients into
-    /// a temporary [`GradientBatch`] and delegates to
-    /// [`GradientFilter::aggregate_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`FilterError`] when the input is empty, dimensionally
-    /// inconsistent, contains non-finite entries, or is too small for the
-    /// filter's `(n, f)` requirement.
-    fn aggregate(&self, gradients: &[Vector], f: usize) -> Result<Vector, FilterError> {
-        let batch = batch_of(gradients)?;
-        let mut out = Vector::zeros(batch.dim());
-        self.aggregate_into(&batch, f, &mut out)?;
-        Ok(out)
-    }
-
     /// A stable, lowercase identifier (used by the registry and reports).
     fn name(&self) -> &'static str;
 }
@@ -62,7 +50,7 @@ pub fn batch_of(gradients: &[Vector]) -> Result<GradientBatch, FilterError> {
     if dim == 0 {
         // Zero-dimension gradients carry nothing to aggregate; rejecting
         // them here (instead of panicking in `GradientBatch` construction)
-        // keeps the adapter total on arbitrary caller input.
+        // keeps the copy total on arbitrary caller input.
         return Err(FilterError::Empty);
     }
     let mut batch = GradientBatch::with_capacity(gradients.len(), dim);
@@ -115,6 +103,21 @@ pub(crate) fn zeroed_out(out: &mut Vector, dim: usize) -> &mut [f64] {
         out.as_mut_slice().fill(0.0);
     }
     out.as_mut_slice()
+}
+
+/// `filter` applied to `rows` through [`batch_of`] and
+/// [`GradientFilter::aggregate_into`] — the unit tests' shorthand for a
+/// one-off aggregation of literal gradients.
+#[cfg(test)]
+pub(crate) fn aggregate_rows(
+    filter: &dyn GradientFilter,
+    rows: &[Vector],
+    f: usize,
+) -> Result<Vector, FilterError> {
+    let batch = batch_of(rows)?;
+    let mut out = Vector::zeros(batch.dim());
+    filter.aggregate_into(&batch, f, &mut out)?;
+    Ok(out)
 }
 
 #[cfg(test)]

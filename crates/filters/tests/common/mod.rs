@@ -1,6 +1,23 @@
-//! Inputs shared by the integration tests.
+//! Inputs and shorthand shared by the integration tests. Each test target
+//! uses a subset of them.
+#![allow(dead_code)]
 
+use abft_filters::{batch_of, FilterError, GradientFilter};
 use abft_linalg::Vector;
+
+/// `filter` applied to `rows` through [`batch_of`] and
+/// [`GradientFilter::aggregate_into`]: one-off aggregation of literal
+/// gradients, the way a caller holding `&[Vector]` does it.
+pub(crate) fn aggregate_rows(
+    filter: &dyn GradientFilter,
+    rows: &[Vector],
+    f: usize,
+) -> Result<Vector, FilterError> {
+    let batch = batch_of(rows)?;
+    let mut out = Vector::zeros(batch.dim());
+    filter.aggregate_into(&batch, f, &mut out)?;
+    Ok(out)
+}
 
 /// `n` finite rows of dimension `dim` whose **columns** are built to break
 /// an order-statistics kernel, each column in one of six ways chosen from

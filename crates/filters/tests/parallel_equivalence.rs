@@ -8,8 +8,11 @@
 //! magnitudes, and tie-heavy inputs that exercise the deterministic
 //! tie-breaking comparators.
 
+mod common;
+
 use abft_filters::{all_filters, batch_of};
 use abft_linalg::{Vector, WorkerPool};
+use common::aggregate_rows;
 use std::sync::Arc;
 
 /// A deterministic, irregular batch: values spread over signs and
@@ -162,7 +165,7 @@ fn zero_dimension_gradients_are_rejected_not_panicked() {
     let gradients = vec![Vector::from(Vec::new()); 3];
     for filter in all_filters() {
         assert!(
-            filter.aggregate(&gradients, 0).is_err(),
+            aggregate_rows(filter.as_ref(), &gradients, 0).is_err(),
             "{} must reject dim-0 input",
             filter.name()
         );

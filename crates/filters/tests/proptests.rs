@@ -1,7 +1,10 @@
 //! Property-based tests for gradient filters.
 
-use abft_filters::{all_filters, Cge, Cwtm, GradientFilter, Mean};
+mod common;
+
+use abft_filters::{all_filters, Cge, Cwtm, Mean};
 use abft_linalg::Vector;
+use common::aggregate_rows;
 use proptest::prelude::*;
 
 /// Strategy: `count` gradient vectors of dimension `dim` with bounded entries.
@@ -34,8 +37,8 @@ proptest! {
         }
         let shuffled = permute(&gs, &perm);
         for filter in all_filters() {
-            let a = filter.aggregate(&gs, 1);
-            let b = filter.aggregate(&shuffled, 1);
+            let a = aggregate_rows(filter.as_ref(), &gs, 1);
+            let b = aggregate_rows(filter.as_ref(), &shuffled, 1);
             match (a, b) {
                 (Ok(x), Ok(y)) => prop_assert!(
                     x.approx_eq(&y, 1e-9),
@@ -53,11 +56,11 @@ proptest! {
     fn fault_free_reductions(gs in gradients(5, 2)) {
         let total = Vector::sum_of(&gs).expect("non-empty");
         let mean = total.scale(1.0 / gs.len() as f64);
-        let cge = Cge::new().aggregate(&gs, 0).expect("valid");
+        let cge = aggregate_rows(&Cge::new(), &gs, 0).expect("valid");
         prop_assert!(cge.approx_eq(&total, 1e-9));
-        let cwtm = Cwtm::new().aggregate(&gs, 0).expect("valid");
+        let cwtm = aggregate_rows(&Cwtm::new(), &gs, 0).expect("valid");
         prop_assert!(cwtm.approx_eq(&mean, 1e-9));
-        let avg = Mean::new().aggregate(&gs, 0).expect("valid");
+        let avg = aggregate_rows(&Mean::new(), &gs, 0).expect("valid");
         prop_assert!(avg.approx_eq(&mean, 1e-9));
     }
 
@@ -81,7 +84,7 @@ proptest! {
     /// coordinate's values (hence within the full hull).
     #[test]
     fn cwtm_within_coordinate_hull(gs in gradients(7, 3), f in 0usize..3) {
-        let out = Cwtm::new().aggregate(&gs, f).expect("n > 2f holds");
+        let out = aggregate_rows(&Cwtm::new(), &gs, f).expect("n > 2f holds");
         for k in 0..3 {
             let mut column: Vec<f64> = gs.iter().map(|g| g[k]).collect();
             column.sort_by(|a, b| a.total_cmp(b));
@@ -103,7 +106,7 @@ proptest! {
         let honest_bound = honest.iter().map(|g| g.norm()).fold(0.0f64, f64::max);
         for name in ["cge", "cwtm", "cwmed", "geomed", "krum", "multi-krum", "bulyan"] {
             let filter = abft_filters::by_name(name).expect("registered");
-            let out = filter.aggregate(&gs, 1).expect("7 gradients, f = 1");
+            let out = aggregate_rows(filter.as_ref(), &gs, 1).expect("7 gradients, f = 1");
             // Generous bound: n times the max honest norm (CGE sums n − f
             // gradients; the others stay inside hulls).
             prop_assert!(
@@ -117,34 +120,12 @@ proptest! {
     #[test]
     fn filters_are_deterministic(gs in gradients(7, 2)) {
         for filter in all_filters() {
-            let a = filter.aggregate(&gs, 1);
-            let b = filter.aggregate(&gs, 1);
+            let a = aggregate_rows(filter.as_ref(), &gs, 1);
+            let b = aggregate_rows(filter.as_ref(), &gs, 1);
             match (a, b) {
                 (Ok(x), Ok(y)) => prop_assert!(x.approx_eq(&y, 0.0), "{}", filter.name()),
                 (Err(x), Err(y)) => prop_assert_eq!(x, y),
                 _ => prop_assert!(false, "{} nondeterministic error", filter.name()),
-            }
-        }
-    }
-
-    /// Registry-wide: the `&[Vector]` adapter and the `GradientBatch` path
-    /// agree bit-for-bit on random inputs, for every registered filter and
-    /// every admissible f.
-    #[test]
-    fn adapter_and_batch_paths_agree(gs in gradients(9, 3), f in 0usize..3) {
-        let batch = abft_filters::batch_of(&gs).expect("well-formed");
-        for filter in all_filters() {
-            let via_slice = filter.aggregate(&gs, f);
-            let mut out = Vector::zeros(batch.dim());
-            let via_batch = filter.aggregate_into(&batch, f, &mut out).map(|()| out);
-            match (via_slice, via_batch) {
-                (Ok(a), Ok(b)) => prop_assert!(
-                    a.approx_eq(&b, 0.0),
-                    "{}: slice path {a} != batch path {b}",
-                    filter.name()
-                ),
-                (Err(a), Err(b)) => prop_assert_eq!(a, b, "{} errors differ", filter.name()),
-                (a, b) => prop_assert!(false, "{}: inconsistent {a:?} vs {b:?}", filter.name()),
             }
         }
     }
@@ -157,8 +138,8 @@ proptest! {
         let shifted: Vec<Vector> = gs.iter().map(|g| g + &t).collect();
         for name in ["mean", "cwtm", "cwmed", "geomed"] {
             let filter = abft_filters::by_name(name).expect("registered");
-            let base = filter.aggregate(&gs, 1).expect("valid");
-            let moved = filter.aggregate(&shifted, 1).expect("valid");
+            let base = aggregate_rows(filter.as_ref(), &gs, 1).expect("valid");
+            let moved = aggregate_rows(filter.as_ref(), &shifted, 1).expect("valid");
             let tol = if name == "geomed" { 1e-4 } else { 1e-9 };
             prop_assert!(
                 moved.approx_eq(&(&base + &t), tol),

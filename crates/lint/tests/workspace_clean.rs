@@ -149,3 +149,58 @@ fn the_lockstep_server_is_built_and_run_in_one_place() {
         );
     }
 }
+
+/// Each data-path trait produces its value one way: the in-place method
+/// that writes into a caller's slot (a batch row, or the aggregate), next
+/// to what describes the implementor. An allocating twin beside it — the
+/// deleted `GradientFilter::aggregate`, `ByzantineStrategy::corrupt` and
+/// `Model::loss_and_gradient` — is a second path to keep equal to the
+/// first, so one coming back fails here, required or provided.
+#[test]
+fn each_data_path_trait_has_one_in_place_entry_point() {
+    const SURFACES: [(&str, &str, &[&str]); 4] = [
+        ("filters", "GradientFilter", &["aggregate_into", "name"]),
+        (
+            "attacks",
+            "ByzantineStrategy",
+            &["corrupt_into", "is_omniscient", "name"],
+        ),
+        (
+            "ml",
+            "Model",
+            &[
+                "accuracy",
+                "loss_and_gradient_into",
+                "param_dim",
+                "params",
+                "set_params",
+            ],
+        ),
+        // The one twin left: `perfbench`'s `IsotropicCost` overrides
+        // `CostFunction::gradient`, and `perfbench/` is the measuring
+        // stick, changed only on its own — the method goes with that
+        // override.
+        (
+            "problems",
+            "CostFunction",
+            &["dim", "gradient", "gradient_into", "value"],
+        ),
+    ];
+    let sources = parsed_sources(&SURFACES.map(|(krate, _, _)| krate));
+    for (_, name, expected) in SURFACES {
+        let declared: Vec<&Vec<String>> = sources
+            .iter()
+            .flat_map(|(_, parsed)| &parsed.items.traits)
+            .filter(|(trait_name, _)| trait_name == name)
+            .map(|(_, methods)| methods)
+            .collect();
+        assert_eq!(
+            declared.len(),
+            1,
+            "`trait {name}` declarations: {declared:?}"
+        );
+        let mut methods = declared[0].clone();
+        methods.sort();
+        assert_eq!(methods, expected, "the methods of `{name}`");
+    }
+}

@@ -26,6 +26,11 @@ use std::cell::Cell;
 /// A trainable model exposing flat parameter/gradient vectors, so gradient
 /// filters can treat learning exactly like the paper's DGD: aggregation of
 /// `d`-dimensional vectors.
+///
+/// A gradient has one entry point, [`Model::loss_and_gradient_into`], which
+/// writes into a caller-owned slot (a batch row in training). There is no
+/// allocating twin; a caller that wants a fresh vector zeroes one of
+/// [`Model::param_dim`] and passes its slice.
 pub trait Model {
     /// Total number of parameters `d`.
     fn param_dim(&self) -> usize;
@@ -43,26 +48,14 @@ pub trait Model {
 
     /// Writes the flat gradient over the given sample indices of `data`
     /// into `out`, overwriting every slot, and returns the mean loss — the
-    /// **required** method: the D-SGD loop fills `GradientBatch` rows
-    /// through it.
+    /// only way a model produces a gradient: the D-SGD loop fills
+    /// `GradientBatch` rows through it.
     ///
     /// # Panics
     ///
     /// Implementations may panic on an empty batch or when
     /// `out.len() != self.param_dim()`.
     fn loss_and_gradient_into(&self, data: &Dataset, batch: &[usize], out: &mut [f64]) -> f64;
-
-    /// Mean loss and flat gradient as a fresh [`Vector`]: provided, as
-    /// [`Model::loss_and_gradient_into`] over a zeroed buffer.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic on an empty batch.
-    fn loss_and_gradient(&self, data: &Dataset, batch: &[usize]) -> (f64, Vector) {
-        let mut grad = Vector::zeros(self.param_dim());
-        let loss = self.loss_and_gradient_into(data, batch, grad.as_mut_slice());
-        (loss, grad)
-    }
 
     /// Classification accuracy on a dataset.
     fn accuracy(&self, data: &Dataset) -> f64;
@@ -394,6 +387,20 @@ pub fn train_distributed_observed<M: Model>(
         summary: run.summary,
         telemetry: run.telemetry,
     })
+}
+
+/// Mean loss and flat gradient of `model` over `batch`, the gradient in a
+/// fresh vector — the unit tests' shorthand for one
+/// [`Model::loss_and_gradient_into`] call.
+#[cfg(test)]
+pub(crate) fn loss_and_gradient_of(
+    model: &dyn Model,
+    data: &Dataset,
+    batch: &[usize],
+) -> (f64, Vector) {
+    let mut grad = Vector::zeros(model.param_dim());
+    let loss = model.loss_and_gradient_into(data, batch, grad.as_mut_slice());
+    (loss, grad)
 }
 
 #[cfg(test)]

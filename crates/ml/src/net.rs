@@ -235,6 +235,7 @@ impl Model for Mlp {
 mod tests {
     use super::*;
     use crate::dataset::DatasetSpec;
+    use crate::dsgd::loss_and_gradient_of;
 
     #[test]
     fn construction_validates() {
@@ -280,7 +281,7 @@ mod tests {
         let (train, _) = DatasetSpec::tiny().generate(3);
         let net = Mlp::new(&[16, 6, 10], 5).unwrap();
         let batch: Vec<usize> = (0..4).collect();
-        let (loss0, grad) = net.loss_and_gradient(&train, &batch);
+        let (loss0, grad) = loss_and_gradient_of(&net, &train, &batch);
         assert!(loss0 > 0.0);
 
         // Probe a scattering of coordinates with central differences.
@@ -295,8 +296,8 @@ mod tests {
             let mut pm = p0.clone();
             pm[k] -= h;
             minus.set_params(&pm);
-            let (lp, _) = plus.loss_and_gradient(&train, &batch);
-            let (lm, _) = minus.loss_and_gradient(&train, &batch);
+            let (lp, _) = loss_and_gradient_of(&plus, &train, &batch);
+            let (lm, _) = loss_and_gradient_of(&minus, &train, &batch);
             let fd = (lp - lm) / (2.0 * h);
             assert!(
                 (fd - grad[k]).abs() < 1e-5 * (1.0 + fd.abs()),
@@ -314,7 +315,7 @@ mod tests {
         let before = net.accuracy(&test);
         for _ in 0..450 {
             let batch = train.sample_batch(&mut rng, 32);
-            let (_, grad) = net.loss_and_gradient(&train, &batch);
+            let (_, grad) = loss_and_gradient_of(&net, &train, &batch);
             let params = &net.params() - &grad.scale(0.5);
             net.set_params(&params);
         }

@@ -134,6 +134,7 @@ impl Model for LinearSvm {
 mod tests {
     use super::*;
     use crate::dataset::DatasetSpec;
+    use crate::dsgd::loss_and_gradient_of;
 
     #[test]
     fn construction_validates() {
@@ -162,7 +163,7 @@ mod tests {
         let p0 = Vector::from_fn(svm.param_dim(), |k| ((k % 7) as f64 - 3.0) * 0.05);
         svm.set_params(&p0);
         let batch: Vec<usize> = (0..6).collect();
-        let (_, grad) = svm.loss_and_gradient(&train, &batch);
+        let (_, grad) = loss_and_gradient_of(&svm, &train, &batch);
         let h = 1e-6;
         for &k in &[0usize, 31, 64, 120, 159] {
             let mut pp = p0.clone();
@@ -173,8 +174,8 @@ mod tests {
             pm[k] -= h;
             let mut minus = svm.clone();
             minus.set_params(&pm);
-            let (lp, _) = plus.loss_and_gradient(&train, &batch);
-            let (lm, _) = minus.loss_and_gradient(&train, &batch);
+            let (lp, _) = loss_and_gradient_of(&plus, &train, &batch);
+            let (lm, _) = loss_and_gradient_of(&minus, &train, &batch);
             let fd = (lp - lm) / (2.0 * h);
             assert!(
                 (fd - grad[k]).abs() < 1e-4 * (1.0 + fd.abs()),
@@ -189,7 +190,7 @@ mod tests {
         let (train, _) = DatasetSpec::tiny().generate(2);
         let svm = LinearSvm::new(16, 10, 0.0).unwrap();
         let batch: Vec<usize> = (0..10).collect();
-        let (loss, _) = svm.loss_and_gradient(&train, &batch);
+        let (loss, _) = loss_and_gradient_of(&svm, &train, &batch);
         // All scores zero ⇒ every one of the 9 wrong classes contributes 1.
         assert!((loss - 9.0).abs() < 1e-12);
     }
@@ -201,7 +202,7 @@ mod tests {
         let mut rng = abft_linalg::rng::seeded_rng(3);
         for _ in 0..400 {
             let batch = train.sample_batch(&mut rng, 32);
-            let (_, grad) = svm.loss_and_gradient(&train, &batch);
+            let (_, grad) = loss_and_gradient_of(&svm, &train, &batch);
             let params = &svm.params() - &grad.scale(0.1);
             svm.set_params(&params);
         }

@@ -77,11 +77,13 @@ proptest! {
         let svm = LinearSvm::new(8, 10, 0.0).expect("valid");
         let batch: Vec<usize> = (0..8).collect();
         for model in [&net as &dyn Model, &svm] {
-            let (batch_loss, batch_grad) = model.loss_and_gradient(&data, &batch);
+            let mut batch_grad = Vector::zeros(model.param_dim());
+            let batch_loss = model.loss_and_gradient_into(&data, &batch, batch_grad.as_mut_slice());
             let mut mean_loss = 0.0;
             let mut mean_grad = Vector::zeros(model.param_dim());
+            let mut g = Vector::zeros(model.param_dim());
             for &i in &batch {
-                let (l, g) = model.loss_and_gradient(&data, &[i]);
+                let l = model.loss_and_gradient_into(&data, &[i], g.as_mut_slice());
                 mean_loss += l / batch.len() as f64;
                 mean_grad.axpy(1.0 / batch.len() as f64, &g);
             }

@@ -7,7 +7,8 @@ use std::sync::Arc;
 ///
 /// Implementors provide [`CostFunction::gradient_into`], the in-place
 /// form the DGD drivers call once per agent per round;
-/// [`CostFunction::gradient`] is a provided convenience over it. For
+/// [`CostFunction::gradient`] is a provided convenience over it (its docs
+/// say why it remains). For
 /// non-differentiable costs (e.g. [`crate::absval::AbsoluteCost`]) both
 /// produce a subgradient; the DGD machinery of Section 4 is only applied
 /// to differentiable families, matching the paper.
@@ -37,6 +38,11 @@ pub trait CostFunction: Send + Sync {
 
     /// `∇Q_i(x)` as a fresh [`Vector`]: provided, as
     /// [`CostFunction::gradient_into`] over a zeroed buffer.
+    ///
+    /// The one allocating twin left on a data-path trait. It stays because
+    /// the benchmark package (`perfbench/`) overrides it in an
+    /// `impl CostFunction`, and that package changes only on its own. No
+    /// round loop calls it.
     ///
     /// # Panics
     ///

@@ -22,6 +22,9 @@
 //! [`AsyncConfig`], so two identically seeded runs produce bit-identical
 //! traces, schedules, and telemetry reports (pinned by tests).
 //!
+//! The staleness bound τ is the run's [`RunOptions::staleness_ns`]; `None`
+//! means unbounded ([`AsyncConfig::UNBOUNDED`]).
+//!
 //! Synchronous anchor: with τ unbounded, ideal links, and zero compute
 //! jitter, every agent's round-`t` gradient lands well before server step
 //! `t`, each step aggregates exactly the synchronous round-`t` batch in
@@ -51,14 +54,13 @@ use std::collections::BinaryHeap;
 /// virtual nanoseconds on the simulator's clock (or a seed); the whole
 /// struct is plain data so [`SimTopology`](crate::SimTopology) stays
 /// `Copy + Eq`.
+///
+/// The staleness bound τ is not part of it: τ is a property of the run,
+/// set once as [`RunOptions::staleness_ns`] (`None` = unbounded). At an
+/// aggregation step, a gradient row whose age (`step time − sent_at`)
+/// exceeds τ is excluded and counted stale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AsyncConfig {
-    /// Staleness bound τ: at an aggregation step, a gradient row whose age
-    /// (`step time − sent_at`) exceeds τ is excluded and counted stale.
-    /// [`AsyncConfig::UNBOUNDED`] (the default) keeps every known row
-    /// eligible forever. [`RunOptions::staleness_ns`] overrides this
-    /// per run.
-    pub staleness_ns: u64,
     /// Cadence of server aggregation steps: step `t` runs at virtual time
     /// `(t + 1) · step_interval_ns`. Must be positive.
     pub step_interval_ns: u64,
@@ -78,28 +80,21 @@ pub struct AsyncConfig {
 
 impl AsyncConfig {
     /// The τ value meaning "no staleness bound": every known row stays
-    /// eligible, however old.
+    /// eligible, however old. A run whose [`RunOptions::staleness_ns`] is
+    /// `None` uses it.
     pub const UNBOUNDED: u64 = u64::MAX;
 
-    /// Defaults anchored to the synchronous drivers: unbounded τ, one
-    /// aggregation step per default round timeout, a 10 µs gradient
-    /// compute, zero jitter, seed 0. Over ideal links this configuration
+    /// Defaults anchored to the synchronous drivers: one aggregation step
+    /// per default round timeout, a 10 µs gradient compute, zero jitter,
+    /// seed 0. Over ideal links and at unbounded τ this configuration
     /// reproduces the synchronous simulated server bit-for-bit.
     pub fn new() -> Self {
         AsyncConfig {
-            staleness_ns: Self::UNBOUNDED,
             step_interval_ns: NetworkModel::DEFAULT_ROUND_TIMEOUT_NS,
             compute_ns: 10_000,
             compute_jitter_ns: 0,
             clock_seed: 0,
         }
-    }
-
-    /// Sets the staleness bound τ in virtual nanoseconds.
-    #[must_use]
-    pub fn with_staleness_ns(mut self, tau_ns: u64) -> Self {
-        self.staleness_ns = tau_ns;
-        self
     }
 
     /// Sets the aggregation-step cadence in virtual nanoseconds.
@@ -209,7 +204,7 @@ pub(crate) fn execute_async_server(
 ) -> Result<Outcome, RuntimeError> {
     let n = task.config().n();
     let server = SimulatedRun::server_address(n);
-    let tau = options.staleness_ns.unwrap_or(config.staleness_ns);
+    let tau = options.staleness_ns.unwrap_or(AsyncConfig::UNBOUNDED);
     if config.step_interval_ns == 0 {
         return Err(RuntimeError::Config(
             "async step_interval_ns must be positive: a zero cadence never advances \
@@ -507,11 +502,12 @@ mod tests {
         // exactly the synchronous elimination round, reproducing the
         // lockstep `f − #silent` trace bit-for-bit.
         let (problem, options) = paper_options(60);
-        let config = AsyncConfig::new().with_staleness_ns(AsyncConfig::new().step_interval_ns);
+        let config = AsyncConfig::new();
+        let bounded = options.clone().with_staleness_ns(config.step_interval_ns);
         let run_async = SimulatedRun::async_server(NetworkModel::ideal(), config);
         let asynchronous = DgdTask::new(*problem.config(), problem.costs())
             .crash(3, 10)
-            .run_dense(Launch::Simulated(&run_async), &Cge::new(), &options)
+            .run_dense(Launch::Simulated(&run_async), &Cge::new(), &bounded)
             .unwrap();
         let run_sync = SimulatedRun::server(NetworkModel::ideal());
         let synchronous = DgdTask::new(*problem.config(), problem.costs())
@@ -529,9 +525,9 @@ mod tests {
     #[test]
     fn identically_seeded_lossy_jittered_runs_are_bit_identical() {
         let (problem, options) = paper_options(50);
+        let options = options.with_staleness_ns(3 * NetworkModel::DEFAULT_ROUND_TIMEOUT_NS);
         let run = || {
             let config = AsyncConfig::new()
-                .with_staleness_ns(3 * NetworkModel::DEFAULT_ROUND_TIMEOUT_NS)
                 .with_compute_jitter_ns(400_000)
                 .with_clock_seed(7);
             let sim = SimulatedRun::async_server(
@@ -569,9 +565,9 @@ mod tests {
         // steps; bounded τ excludes their old rows instead of aggregating
         // them, and the run still completes.
         let (problem, options) = paper_options(40);
-        let config = AsyncConfig::new()
-            .with_compute_ns(3 * NetworkModel::DEFAULT_ROUND_TIMEOUT_NS / 2)
-            .with_staleness_ns(NetworkModel::DEFAULT_ROUND_TIMEOUT_NS);
+        let options = options.with_staleness_ns(NetworkModel::DEFAULT_ROUND_TIMEOUT_NS);
+        let config =
+            AsyncConfig::new().with_compute_ns(3 * NetworkModel::DEFAULT_ROUND_TIMEOUT_NS / 2);
         let sim = SimulatedRun::async_server(NetworkModel::ideal(), config);
         let outcome = DgdTask::new(*problem.config(), problem.costs())
             .run_dense(Launch::Simulated(&sim), &Cge::new(), &options)
@@ -605,8 +601,8 @@ mod tests {
 
     #[test]
     fn staleness_override_reaches_the_async_driver() {
-        // The same plan, overridden per run to a τ so tight every row has
-        // aged out by its aggregation step: the estimate never moves.
+        // The same plan, run once with a τ so tight every row has aged out
+        // by its aggregation step: the estimate never moves.
         let (problem, options) = paper_options(10);
         let sim = SimulatedRun::async_server(NetworkModel::ideal(), AsyncConfig::new());
         let frozen = DgdTask::new(*problem.config(), problem.costs())

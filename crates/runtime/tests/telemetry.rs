@@ -157,11 +157,11 @@ fn seeded_simulated_runs_reproduce_identical_virtual_reports() {
 #[test]
 fn seeded_async_runs_reproduce_identical_virtual_reports() {
     let (problem, on) = paper_options(30, TelemetryConfig::On);
+    let on = on.with_staleness_ns(2 * NetworkModel::DEFAULT_ROUND_TIMEOUT_NS);
     let sim = SimulatedRun::async_server(
         NetworkModel::seeded(42)
             .with_default_link(LinkModel::ideal().with_drop(0.1).with_reorder_ns(2_000)),
         AsyncConfig::new()
-            .with_staleness_ns(2 * NetworkModel::DEFAULT_ROUND_TIMEOUT_NS)
             .with_compute_jitter_ns(300_000)
             .with_clock_seed(9),
     );
@@ -199,13 +199,15 @@ fn run_counters_and_the_telemetry_report_agree_on_every_backend() {
         NetworkModel::seeded(11)
             .with_default_link(LinkModel::ideal().with_drop(0.1).with_reorder_ns(2_000))
     };
-    let tau = 2 * NetworkModel::DEFAULT_ROUND_TIMEOUT_NS;
+    // τ is a run option, and only the asynchronous server takes one.
+    let bounded = on
+        .clone()
+        .with_staleness_ns(2 * NetworkModel::DEFAULT_ROUND_TIMEOUT_NS);
     let sim_server = SimulatedRun::server(lossy());
     let sim_p2p = SimulatedRun::peer_to_peer(lossy());
     let sim_async = SimulatedRun::async_server(
         lossy(),
         AsyncConfig::new()
-            .with_staleness_ns(tau)
             .with_compute_jitter_ns(300_000)
             .with_clock_seed(5),
     );
@@ -259,8 +261,13 @@ fn run_counters_and_the_telemetry_report_agree_on_every_backend() {
         ),
     ];
     for (backend, crash, launch, live) in cases {
+        let options = if backend == "simulated-async" {
+            &bounded
+        } else {
+            &on
+        };
         let out = task(crash)
-            .run(launch, &Cge::new(), &on, &mut NullObserver)
+            .run(launch, &Cge::new(), options, &mut NullObserver)
             .unwrap_or_else(|e| panic!("{backend}: {e}"));
         let c = out.counters;
         let report = out.run.telemetry.expect("enabled");

@@ -403,10 +403,11 @@ impl Simulated {
     /// gradient computations on their own (seeded) clocks and the server
     /// aggregates on a fixed step cadence, keeping only rows fresher than
     /// the staleness bound τ. The only backend that executes scenarios
-    /// built with [`ScenarioBuilder::staleness`](crate::ScenarioBuilder);
-    /// reports as `"simulated-async"`. At unbounded τ over ideal links
-    /// with zero clock jitter it reproduces the synchronous server
-    /// backends bit-for-bit (pinned by the equivalence tests).
+    /// built with [`ScenarioBuilder::staleness`](crate::ScenarioBuilder),
+    /// the one place τ is set (a scenario without a bound runs at
+    /// unbounded τ); reports as `"simulated-async"`. At unbounded τ over
+    /// ideal links with zero clock jitter it reproduces the synchronous
+    /// server backends bit-for-bit (pinned by the equivalence tests).
     pub fn async_server(network: NetworkModel, config: AsyncConfig) -> Self {
         Simulated {
             plan: SimulatedRun::async_server(network, config),

@@ -117,7 +117,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sim = SimulatedRun::async_server(
         NetworkModel::seeded(7).with_default_link(LinkModel::ideal().with_drop(0.1)),
         AsyncConfig::new()
-            .with_staleness_ns(2 * STEP)
             .with_compute_jitter_ns(300_000)
             .with_clock_seed(7),
     );
@@ -127,7 +126,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .run(
             Launch::Simulated(&sim),
             &Cge::new(),
-            &RunOptions::paper_defaults_with_iterations(x_h, ITERATIONS),
+            &RunOptions::paper_defaults_with_iterations(x_h, ITERATIONS)
+                .with_staleness_ns(2 * STEP),
             &mut streamer,
         )?;
     streamer.finish()?;
