@@ -1,11 +1,12 @@
 //! The seeded discrete-event simulator behind the `Simulated` backend.
 
 use crate::bus::{Delivery, MessageBus};
+use crate::link::LinkModel;
 use crate::metrics::NetMetrics;
 use crate::model::NetworkModel;
 use crate::rng::{mix, SplitMix64};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// One message in flight, ordered by `(delivered_at, seq)`. `seq` is the
 /// global send sequence number, which is unique — so the order is total
@@ -58,7 +59,6 @@ impl<P> Ord for InFlight<P> {
 /// delivers, in send order — the bridge the cross-backend equivalence
 /// tests pin.
 ///
-/// [`LinkModel`]: crate::LinkModel
 /// [`Partition`]: crate::Partition
 pub struct SimulatedNetwork<P> {
     model: NetworkModel,
@@ -67,14 +67,31 @@ pub struct SimulatedNetwork<P> {
     iteration: usize,
     seq: u64,
     in_flight: BinaryHeap<InFlight<P>>,
-    streams: BTreeMap<(usize, usize), SplitMix64>,
+    /// Every directed link's model and randomness stream, `from ·
+    /// processes + to`, resolved once at construction.
+    links: Vec<Link>,
     metrics: NetMetrics,
+}
+
+/// One directed link's state: its [`LinkModel`] and its own stream.
+struct Link {
+    model: LinkModel,
+    stream: SplitMix64,
 }
 
 impl<P> SimulatedNetwork<P> {
     /// A fresh simulator over `processes` peers (normally via
     /// [`NetworkModel::build`]).
     pub fn new(model: NetworkModel, processes: usize) -> Self {
+        let links = (0..processes * processes)
+            .map(|link| {
+                let (from, to) = (link / processes, link % processes);
+                Link {
+                    model: *model.link(from, to),
+                    stream: SplitMix64::new(mix(model.seed, mix(from as u64, to as u64))),
+                }
+            })
+            .collect();
         SimulatedNetwork {
             model,
             processes,
@@ -82,7 +99,7 @@ impl<P> SimulatedNetwork<P> {
             iteration: 0,
             seq: 0,
             in_flight: BinaryHeap::new(),
-            streams: BTreeMap::new(),
+            links,
             metrics: NetMetrics::default(),
         }
     }
@@ -106,14 +123,6 @@ impl<P> SimulatedNetwork<P> {
         while self.in_flight.pop().is_some() {
             self.metrics.record_late();
         }
-    }
-
-    /// The randomness stream of the directed link `from → to`.
-    fn stream(&mut self, from: usize, to: usize) -> &mut SplitMix64 {
-        let seed = self.model.seed;
-        self.streams
-            .entry((from, to))
-            .or_insert_with(|| SplitMix64::new(mix(seed, mix(from as u64, to as u64))))
     }
 }
 
@@ -149,23 +158,23 @@ impl<P> MessageBus<P> for SimulatedNetwork<P> {
             self.metrics.record_drop();
             return;
         }
-        let link = *self.model.link(from, to);
+        // In range: both endpoints were checked above.
+        let Link { model, stream } = &mut self.links[from * self.processes + to];
         // One loss draw per message keeps each link's stream aligned with
         // its own traffic regardless of the configured probability.
-        let loss_draw = self.stream(from, to).next_unit();
-        if loss_draw < link.drop_probability {
+        if stream.next_unit() < model.drop_probability {
             self.metrics.record_drop();
             return;
         }
-        let jitter = if link.reorder_ns > 0 {
-            self.stream(from, to).next_below_inclusive(link.reorder_ns)
+        let jitter = if model.reorder_ns > 0 {
+            stream.next_below_inclusive(model.reorder_ns)
         } else {
             0
         };
         let seq = self.seq;
         self.seq += 1;
         self.in_flight.push(InFlight {
-            delivered_at: self.now + link.base_delay_ns + jitter,
+            delivered_at: self.now + model.base_delay_ns + jitter,
             seq,
             sent_at: self.now,
             from,
@@ -449,6 +458,36 @@ mod tests {
 
         assert_eq!(all, pulled);
         assert_eq!(one_shot.metrics(), piecewise.metrics());
+    }
+
+    #[test]
+    fn each_link_draws_from_the_stream_its_endpoints_seed() {
+        // Link 2 → 1's schedule is the SplitMix64 stream seeded with
+        // `mix(seed, mix(2, 1))`: one loss draw per message, then one
+        // jitter draw per survivor.
+        let (seed, drop, reorder) = (13, 0.3, 700);
+        let link = LinkModel::ideal().with_drop(drop).with_reorder_ns(reorder);
+        let mut net = NetworkModel::seeded(seed)
+            .with_default_link(link)
+            .build::<u32>(3);
+        for k in 0..40 {
+            net.send(2, 1, k);
+        }
+        let delivered: Vec<(u64, u32)> = net
+            .end_round()
+            .into_iter()
+            .map(|d| (d.delivered_at, d.payload))
+            .collect();
+        let mut stream = SplitMix64::new(mix(seed, mix(2, 1)));
+        let mut expected: Vec<(u64, u32)> = (0..40)
+            .filter_map(|k| {
+                let lost = stream.next_unit() < drop;
+                let jitter = (!lost).then(|| stream.next_below_inclusive(reorder));
+                jitter.map(|jitter| (link.base_delay_ns + jitter, k))
+            })
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(delivered, expected);
     }
 
     #[test]

@@ -23,11 +23,31 @@
 //! drop, delay, or reorder the protocol's messages. A message lost or late
 //! on the wire is simply absent from the recipient's EIG tree, which the
 //! resolution step already treats as an omission.
+//!
+//! # Nodes and handles
+//!
+//! A broadcast moves no heap data per message. Each call numbers the EIG
+//! tree once, in level order: node 0 is the root path `[sender]`, and the
+//! children of every interior node — one per process not yet on its path,
+//! ascending — are contiguous and follow the children of the node before
+//! it. The relay paths sit in one arena with a fixed stride of `f + 1`
+//! slots, and the numbering is the order the relays are sent in, so the
+//! `(from, to)` send sequence is the one the path-keyed implementation
+//! produced. Values travel as handles into a small per-broadcast table —
+//! the sender's value, the default, and every plan's values — interned by
+//! `Eq`, so two handles are equal exactly when their values are. An
+//! [`EigMessage`] is therefore a `Copy` pair of numbers; each process's
+//! tree is one row of a flat `n × nodes` table of heard handles, and
+//! resolution votes on handles bottom-up over the child ranges. The bus
+//! never reads a payload — it schedules, drops and stamps messages by
+//! `(from, to)` alone — so the change of payload leaves every delivery,
+//! drop and `schedule_digest` as it was.
 
 use crate::error::RuntimeError;
 use abft_core::SystemConfig;
 use abft_net::{MessageBus, PerfectBus};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// How a faulty process misbehaves when (re)transmitting a value.
 #[derive(Debug, Clone)]
@@ -60,45 +80,17 @@ pub enum EquivocationPlan<V> {
     Honest,
 }
 
-impl<V: Clone> EquivocationPlan<V> {
-    /// The value this faulty process sends to `recipient`, given the value
-    /// an honest process would have sent.
-    fn transmit(&self, recipient: usize, honest_value: Option<&V>) -> Option<V> {
-        match self {
-            EquivocationPlan::Consistent(v) => Some(v.clone()),
-            EquivocationPlan::Split {
-                low,
-                high,
-                boundary,
-            } => {
-                if recipient < *boundary {
-                    Some(low.clone())
-                } else {
-                    Some(high.clone())
-                }
-            }
-            EquivocationPlan::Silent => None,
-            EquivocationPlan::Selective { victims } => {
-                if victims.contains(&recipient) {
-                    None
-                } else {
-                    honest_value.cloned()
-                }
-            }
-            EquivocationPlan::Honest => honest_value.cloned(),
-        }
-    }
-}
-
-/// One EIG transmission as carried by a [`MessageBus`]: the relay path the
-/// value was heard along (first element = the broadcast's sender) and the
-/// value itself (`None` encodes "I heard nothing for this path").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EigMessage<V> {
-    /// The relay path, `round`-many distinct process ids.
-    pub path: Vec<usize>,
-    /// The relayed value, if any.
-    pub value: Option<V>,
+/// One EIG transmission as carried by a [`MessageBus`]: the EIG-tree node
+/// the value was heard along and a handle to the value itself. Both are
+/// numbers of the one broadcast that sent the message (see the module
+/// docs); neither means anything outside it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EigMessage {
+    /// The relay path's number in the broadcast's level-order node table.
+    pub node: u32,
+    /// The relayed value's handle in the broadcast's value table; `None`
+    /// encodes "I heard nothing for this path".
+    pub value: Option<u32>,
 }
 
 /// The per-process decisions of one broadcast instance.
@@ -165,13 +157,9 @@ pub fn eig_broadcast<V: Clone + Eq>(
 /// # Errors
 ///
 /// See [`eig_broadcast`]; additionally rejects a bus with fewer than `n`
-/// processes.
-// Process ids index the per-process tree table; ranging over the id is the
-// protocol's natural phrasing.
-// LINT-ALLOW(panic-reach): `trees` is allocated with one tree per process
-// and every index below ranges over `0..n`.
-#[allow(clippy::needless_range_loop)]
-pub fn eig_broadcast_on<V: Clone + Eq, B: MessageBus<EigMessage<V>>>(
+/// processes, and an `(n, f)` whose EIG tree has more nodes than a `u32`
+/// numbers.
+pub fn eig_broadcast_on<V: Clone + Eq, B: MessageBus<EigMessage>>(
     config: SystemConfig,
     sender: usize,
     sender_value: V,
@@ -208,73 +196,92 @@ pub fn eig_broadcast_on<V: Clone + Eq, B: MessageBus<EigMessage<V>>>(
             faulty.len()
         )));
     }
+    let tree = EigTree::new(n, f, sender).ok_or_else(|| {
+        RuntimeError::Config(format!(
+            "the EIG tree for n = {n}, f = {f} has more nodes than u32 numbers"
+        ))
+    })?;
+    let nodes = tree.nodes();
 
-    // trees[p] maps a relay path (first element = sender) to the value p
-    // heard for it. `None` records an omission; a path with *no* entry is
-    // a transmission the bus never delivered, which resolves identically.
-    let mut trees: Vec<BTreeMap<Vec<usize>, Option<V>>> = vec![BTreeMap::new(); n];
+    // The value table: handle 0 is the sender's value, and every value a
+    // plan can put on the wire is interned next to the default.
+    let mut values: Vec<&V> = Vec::with_capacity(2 + 2 * faulty.len());
+    values.push(&sender_value);
+    let default_handle = intern(&mut values, &default);
+    let mut relays = vec![Relay::Faithful; n];
+    for (&process, plan) in faulty {
+        let relay = match plan {
+            EquivocationPlan::Consistent(v) => Relay::Fixed(intern(&mut values, v)),
+            EquivocationPlan::Split {
+                low,
+                high,
+                boundary,
+            } => Relay::Split {
+                low: intern(&mut values, low),
+                high: intern(&mut values, high),
+                boundary: *boundary,
+            },
+            EquivocationPlan::Silent => Relay::Silent,
+            EquivocationPlan::Selective { victims } => Relay::Selective(victims),
+            EquivocationPlan::Honest => Relay::Faithful,
+        };
+        if let Some(slot) = relays.get_mut(process) {
+            *slot = relay;
+        }
+    }
+    let relay_of = |process: usize| relays.get(process).copied().unwrap_or(Relay::Faithful);
+
+    // heard[p · nodes + v] is the handle p heard along node v. `None`
+    // records an omission — or a transmission the bus never delivered,
+    // which resolves identically.
+    let mut heard: Vec<Option<u32>> = vec![None; n * nodes];
     let mut messages = 0usize;
 
     // Round 1: the sender transmits to everyone.
-    let root = vec![sender];
+    let sender_relay = relay_of(sender);
     for p in 0..n {
-        let value = match faulty.get(&sender) {
-            Some(plan) => plan.transmit(p, Some(&sender_value)),
-            None => Some(sender_value.clone()),
-        };
-        bus.send(
-            sender,
-            p,
-            EigMessage {
-                path: root.clone(),
-                value,
-            },
-        );
+        let value = sender_relay.transmit(p, Some(SENDER_VALUE));
+        bus.send(sender, p, EigMessage { node: 0, value });
         messages += 1;
     }
-    collect_round(bus, &mut trees);
+    collect_round(bus, &mut heard, nodes);
 
-    // Rounds 2..=f+1: relay every path of the previous level. Paths are
-    // enumerated structurally (not from any one process's tree), so a
-    // process that missed a transmission still relays — it relays the
-    // omission. The bus's round barrier provides the synchronous lockstep
-    // the in-memory version got from its collect-then-apply split.
-    let mut level_paths = vec![root.clone()];
-    for _round in 2..=(f + 1) {
-        let mut next_level: Vec<Vec<usize>> = Vec::new();
-        for path in &level_paths {
-            for relayer in 0..n {
-                if path.contains(&relayer) {
-                    continue;
-                }
-                let heard = trees[relayer].get(path).cloned().flatten();
-                let mut extended = path.clone();
-                extended.push(relayer);
-                for p in 0..n {
-                    let value = match faulty.get(&relayer) {
-                        Some(plan) => plan.transmit(p, heard.as_ref()),
-                        None => heard.clone(),
-                    };
-                    bus.send(
-                        relayer,
-                        p,
-                        EigMessage {
-                            path: extended.clone(),
-                            value,
-                        },
-                    );
-                    messages += 1;
-                }
-                next_level.push(extended);
+    // Rounds 2..=f+1: relay every node of the previous level, in node
+    // order. Nodes are enumerated structurally (not from any one process's
+    // tree), so a process that missed a transmission still relays — it
+    // relays the omission. The bus's round barrier provides the synchronous
+    // lockstep the in-memory version got from its collect-then-apply split.
+    for (depth, parents, children) in interior_levels(&tree.levels) {
+        let family = n - depth;
+        let paths = tree.paths.chunks_exact(tree.stride).skip(children.start);
+        for (child, path) in children.clone().zip(paths) {
+            let parent = parents.start + (child - children.start) / family;
+            // A depth-`depth` node's last relayer sits in slot `depth`.
+            let Some(&relayer) = path.get(depth) else {
+                continue;
+            };
+            let relayed = heard.get(relayer * nodes + parent).copied().flatten();
+            let relay = relay_of(relayer);
+            // `EigTree::new` keeps every node number within `u32`.
+            let node = child as u32;
+            for p in 0..n {
+                let value = relay.transmit(p, relayed);
+                bus.send(relayer, p, EigMessage { node, value });
+                messages += 1;
             }
         }
-        collect_round(bus, &mut trees);
-        level_paths = next_level;
+        collect_round(bus, &mut heard, nodes);
     }
 
     // Resolution: recursive strict majority from the leaves up.
-    let decisions: Vec<V> = (0..n)
-        .map(|p| resolve(&trees[p], &root, n, f + 1, &default))
+    let mut resolved = vec![default_handle; nodes];
+    let decisions = heard
+        .chunks_exact(nodes)
+        .map(|row| {
+            let handle = tree.resolve(row, default_handle, &mut resolved);
+            let value = values.get(handle as usize).copied().unwrap_or(&default);
+            value.clone()
+        })
         .collect();
     Ok(BroadcastOutcome {
         decisions,
@@ -282,56 +289,194 @@ pub fn eig_broadcast_on<V: Clone + Eq, B: MessageBus<EigMessage<V>>>(
     })
 }
 
-/// Ends the bus round and files every delivered transmission into its
-/// recipient's EIG tree. Each `(recipient, path)` pair is transmitted at
-/// most once per round, so delivery order cannot influence the trees.
-fn collect_round<V, B: MessageBus<EigMessage<V>>>(
-    bus: &mut B,
-    trees: &mut [BTreeMap<Vec<usize>, Option<V>>],
-) {
-    for delivery in bus.end_round() {
-        if let Some(tree) = trees.get_mut(delivery.to) {
-            tree.insert(delivery.payload.path, delivery.payload.value);
+/// The sender's value is always handle 0 of a broadcast's value table.
+const SENDER_VALUE: u32 = 0;
+
+/// The handle of `value` in `values`, appending it if no equal value is
+/// there yet — so equal handles mean equal values.
+fn intern<'a, V: Eq>(values: &mut Vec<&'a V>, value: &'a V) -> u32 {
+    let handle = values.iter().position(|&v| v == value).unwrap_or_else(|| {
+        values.push(value);
+        values.len() - 1
+    });
+    // The table holds at most 2 + 2f values.
+    handle as u32
+}
+
+/// One process's relay behaviour in a broadcast, over value handles: its
+/// [`EquivocationPlan`] with the values replaced by their handles.
+#[derive(Debug, Clone, Copy)]
+enum Relay<'a> {
+    /// Relays what it heard (honest processes and [`EquivocationPlan::Honest`]).
+    Faithful,
+    /// [`EquivocationPlan::Consistent`].
+    Fixed(u32),
+    /// [`EquivocationPlan::Split`].
+    Split {
+        low: u32,
+        high: u32,
+        boundary: usize,
+    },
+    /// [`EquivocationPlan::Silent`].
+    Silent,
+    /// [`EquivocationPlan::Selective`], by victim list.
+    Selective(&'a [usize]),
+}
+
+impl Relay<'_> {
+    /// The handle this process sends to `recipient`, given the handle an
+    /// honest process would have sent.
+    fn transmit(self, recipient: usize, heard: Option<u32>) -> Option<u32> {
+        match self {
+            Relay::Faithful => heard,
+            Relay::Fixed(v) => Some(v),
+            Relay::Split {
+                low,
+                high,
+                boundary,
+            } => Some(if recipient < boundary { low } else { high }),
+            Relay::Silent => None,
+            Relay::Selective(victims) => heard.filter(|_| !victims.contains(&recipient)),
         }
     }
 }
 
-/// Resolves one EIG-tree node for a process: leaves report their stored
-/// value; interior nodes take the strict majority of their children.
-fn resolve<V: Clone + Eq>(
-    tree: &BTreeMap<Vec<usize>, Option<V>>,
-    path: &[usize],
-    n: usize,
-    max_depth: usize,
-    default: &V,
-) -> V {
-    let stored = tree
-        .get(path)
-        .cloned()
-        .flatten()
-        .unwrap_or_else(|| default.clone());
-    if path.len() == max_depth {
-        return stored;
-    }
-    let children: Vec<V> = (0..n)
-        .filter(|q| !path.contains(q))
-        .map(|q| {
-            let mut child = path.to_vec();
-            child.push(q);
-            resolve(tree, &child, n, max_depth, default)
+/// The EIG tree of one broadcast, numbered in level order (see the module
+/// docs): the children of every depth-`r` node form a contiguous run of
+/// `n − r` nodes, and those runs follow their parents' order, so
+/// `chunks_exact(n − r)` over level `r + 1` walks level `r`'s child ranges.
+struct EigTree {
+    /// Relay paths, `stride` slots per node; a depth-`r` node fills the
+    /// first `r` and pads the rest with [`EigTree::PAD`].
+    paths: Vec<usize>,
+    /// `stride = f + 1`, the depth of a leaf.
+    stride: usize,
+    /// The node range of each depth `1..=f + 1`.
+    levels: Vec<Range<usize>>,
+    /// Processes taking part, `n`.
+    processes: usize,
+}
+
+impl EigTree {
+    /// Pads a path past its depth; never a process id.
+    const PAD: usize = usize::MAX;
+
+    /// Numbers the tree rooted at `[sender]`, or `None` when it has more
+    /// nodes than a `u32` numbers. The caller guarantees `f < n`.
+    fn new(n: usize, f: usize, sender: usize) -> Option<Self> {
+        let stride = f + 1;
+        let mut levels = Vec::with_capacity(stride);
+        levels.push(0..1);
+        let (mut end, mut width) = (1usize, 1usize);
+        for depth in 1..=f {
+            width = width.checked_mul(n - depth)?;
+            let start = end;
+            end = end.checked_add(width)?;
+            levels.push(start..end);
+        }
+        u32::try_from(end).ok()?;
+        let mut paths = vec![Self::PAD; end.checked_mul(stride)?];
+        if let Some(root) = paths.first_mut() {
+            *root = sender;
+        }
+        for (depth, parents, children) in interior_levels(&levels) {
+            let (done, todo) = paths.split_at_mut(children.start * stride);
+            // Each parent path, once per process not on it, ascending.
+            let extensions = done
+                .chunks_exact(stride)
+                .skip(parents.start)
+                .flat_map(|parent| {
+                    let relayers = (0..n).filter(|q| !parent.contains(q));
+                    relayers.map(move |relayer| (parent, relayer))
+                });
+            for (child, (parent, relayer)) in todo.chunks_exact_mut(stride).zip(extensions) {
+                child.copy_from_slice(parent);
+                if let Some(slot) = child.get_mut(depth) {
+                    *slot = relayer;
+                }
+            }
+        }
+        Some(EigTree {
+            paths,
+            stride,
+            levels,
+            processes: n,
         })
-        .collect();
-    if children.is_empty() {
-        return stored;
     }
-    // Strict majority vote over the resolved children.
-    for candidate in &children {
-        let count = children.iter().filter(|c| *c == candidate).count();
-        if 2 * count > children.len() {
-            return candidate.clone();
+
+    /// Total node count.
+    fn nodes(&self) -> usize {
+        self.levels.last().map_or(0, |leaves| leaves.end)
+    }
+
+    /// One process's decision handle: leaves report the handle heard
+    /// (`default` for an omission), interior nodes the strict majority of
+    /// their children (`default` when there is none), deepest level first.
+    /// `heard` is the process's row, `resolved` a `nodes()`-long scratch.
+    fn resolve(&self, heard: &[Option<u32>], default: u32, resolved: &mut [u32]) -> u32 {
+        if let Some(leaves) = self.levels.last() {
+            let slots = resolved.iter_mut().zip(heard).skip(leaves.start);
+            for (slot, value) in slots {
+                *slot = value.unwrap_or(default);
+            }
+        }
+        for (depth, parents, children) in interior_levels(&self.levels).rev() {
+            let (upper, lower) = resolved.split_at_mut(children.start);
+            let families = lower.chunks_exact(self.processes - depth);
+            for (slot, family) in upper.iter_mut().skip(parents.start).zip(families) {
+                *slot = majority(family).unwrap_or(default);
+            }
+        }
+        resolved.first().copied().unwrap_or(default)
+    }
+}
+
+/// `(depth, level depth, level depth + 1)` for every interior depth
+/// `1..=f` of a tree's `levels`, shallowest first.
+fn interior_levels(
+    levels: &[Range<usize>],
+) -> impl DoubleEndedIterator<Item = (usize, Range<usize>, Range<usize>)> + '_ {
+    let pairs = levels.windows(2).enumerate();
+    pairs.filter_map(|(index, pair)| match pair {
+        [parents, children] => Some((index + 1, parents.clone(), children.clone())),
+        _ => None,
+    })
+}
+
+/// The strict-majority handle of `votes`, if there is one. A strict
+/// majority is unique, so Boyer–Moore's pairing pass finds the only
+/// candidate and one count confirms it.
+fn majority(votes: &[u32]) -> Option<u32> {
+    let mut candidate = *votes.first()?;
+    let mut lead = 0usize;
+    for &vote in votes {
+        if lead == 0 {
+            candidate = vote;
+        }
+        if vote == candidate {
+            lead += 1;
+        } else {
+            lead -= 1;
         }
     }
-    default.clone()
+    let count = votes.iter().filter(|&&vote| vote == candidate).count();
+    (2 * count > votes.len()).then_some(candidate)
+}
+
+/// Ends the bus round and files every delivered transmission into its
+/// recipient's row of `heard`. Each `(recipient, node)` pair is transmitted
+/// at most once per round, so delivery order cannot influence the rows.
+fn collect_round<B: MessageBus<EigMessage>>(bus: &mut B, heard: &mut [Option<u32>], nodes: usize) {
+    for delivery in bus.end_round() {
+        let EigMessage { node, value } = delivery.payload;
+        let slot = heard
+            .chunks_exact_mut(nodes)
+            .nth(delivery.to)
+            .and_then(|row| row.get_mut(node as usize));
+        if let Some(slot) = slot {
+            *slot = value;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -123,7 +123,7 @@ pub(crate) struct P2pLink<'a> {
 // decided_batches, sender_values) is allocated with exactly that length
 // before the loop; ids arrive pre-validated by `DgdTask::fault_plan`.
 #[allow(clippy::needless_range_loop)]
-pub(crate) fn execute_on<B: MessageBus<EigMessage<BitsVector>>>(
+pub(crate) fn execute_on<B: MessageBus<EigMessage>>(
     task: DgdTask,
     filter: &dyn GradientFilter,
     options: &RunOptions,

@@ -54,11 +54,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         equivocating.metrics.eig_broadcasts,
         equivocating.metrics.eig_messages
     );
-    println!(
-        "\nconsistent-lie p2p matches the server run exactly: {}",
-        consistent
-            .final_estimate
-            .approx_eq(&server.final_estimate, 0.0)
-    );
+    let matches = consistent
+        .final_estimate
+        .approx_eq(&server.final_estimate, 0.0);
+    println!("\nconsistent-lie p2p matches the server run exactly: {matches}");
+    if !matches {
+        return Err("a consistently lying agent must leave p2p bit-identical to the server".into());
+    }
     Ok(())
 }
