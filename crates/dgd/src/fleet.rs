@@ -122,7 +122,7 @@ impl AgentCell {
 /// Debug-build loan tracker: one flag per loanable slot, cleared when a
 /// dispatch begins and set on first loan.
 ///
-/// This is the dynamic half of the `abft-lint` fixed-schedule contract:
+/// This is the dynamic half of the pool's fixed-schedule contract:
 /// the raw-pointer view below is sound *because* the pool's fixed
 /// schedule hands every slot to exactly one worker per dispatch. The
 /// tracker turns that safety argument into a checked property — a
@@ -207,7 +207,10 @@ impl<'a> SharedRound<'a> {
     /// worker for the duration of the dispatch (guaranteed by the pool's
     /// fixed schedule), which is exactly why the `&self -> &mut` shape is
     /// sound here. Debug builds abort on an overlapping loan.
-    #[allow(clippy::mut_from_ref)]
+    #[expect(
+        clippy::mut_from_ref,
+        reason = "each loan is exclusive under the fixed schedule (see Safety)"
+    )]
     unsafe fn unit(&self, row: usize, agent: usize) -> (&mut AgentCell, &mut [f64]) {
         self.cell_loans.claim(agent, "cell");
         self.row_loans.claim(row, "row");

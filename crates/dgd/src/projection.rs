@@ -36,9 +36,7 @@ impl ProjectionSet {
     ///
     /// Panics when `lo > hi` or either bound is non-finite.
     pub fn centered_box(lo: f64, hi: f64) -> Self {
-        // LINT-ALLOW(no-panic-hot-path): construction-time validation; rejects bad configs before any round runs
         assert!(lo <= hi, "box requires lo <= hi");
-        // LINT-ALLOW(no-panic-hot-path): construction-time validation; rejects bad configs before any round runs
         assert!(lo.is_finite() && hi.is_finite(), "box must be compact");
         ProjectionSet::Box { lo, hi }
     }
@@ -49,7 +47,6 @@ impl ProjectionSet {
     ///
     /// Panics when `radius` is not positive and finite.
     pub fn ball(center: Vector, radius: f64) -> Self {
-        // LINT-ALLOW(no-panic-hot-path): construction-time validation; rejects bad configs before any round runs
         assert!(
             radius > 0.0 && radius.is_finite(),
             "ball radius must be positive and finite"

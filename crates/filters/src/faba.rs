@@ -69,6 +69,7 @@ impl GradientFilter for Faba {
             // gradient's lexicographic value for permutation invariance
             // (`total_cmp` keeps the comparison total on any input).
             let dists = &s.keys;
+            #[expect(clippy::expect_used, reason = "peeling keeps the member set non-empty")]
             let (slot, _) = members
                 .iter()
                 .enumerate()
@@ -79,7 +80,6 @@ impl GradientFilter for Faba {
                         .total_cmp(&dists[*q])
                         .then_with(|| rowops::lex_cmp(rows.row(i), rows.row(j)))
                 })
-                // LINT-ALLOW(no-panic-hot-path): peeling keeps the member set non-empty
                 .expect("remaining is non-empty while peeling");
             s.pool.remove(slot);
         }

@@ -45,7 +45,10 @@ impl GeometricMedian {
 /// to the serial pass (the per-coordinate addition order is the row
 /// order either way, and the denominator sums the weights buffer in
 /// row order exactly as the fused serial loop did).
-#[allow(clippy::too_many_arguments)] // internal kernel: scratch plumbing
+#[expect(
+    clippy::too_many_arguments,
+    reason = "internal kernel: scratch plumbing"
+)]
 fn weiszfeld_into(
     rows: Rows<'_>,
     count: usize,

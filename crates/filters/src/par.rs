@@ -422,10 +422,9 @@ pub(crate) fn for_each_column_range(
 /// row-major loop, so splitting columns across the pool changes nothing
 /// bitwise. `indices = None` means rows `0..count` in order; `weights =
 /// None` means all ones (plain accumulation).
-#[allow(clippy::too_many_arguments)] // internal kernel: shard + profile plumbing
-                                     // LINT-ALLOW(panic-reach): `indices` and `weights` carry exactly `count`
-                                     // entries (debug-asserted below), `p` ranges over `0..count`, and column
-                                     // ranges come from the pool's schedule over `acc.len()`.
+// LINT-ALLOW(panic-reach): `indices` and `weights` carry exactly `count`
+// entries (debug-asserted below), `p` ranges over `0..count`, and column
+// ranges come from the pool's schedule over `acc.len()`.
 pub(crate) fn weighted_sum_into(
     pool: Option<&WorkerPool>,
     profile: Option<&DispatchProfile>,

@@ -50,25 +50,40 @@ pub fn by_name(name: &str) -> Result<Box<dyn GradientFilter>, FilterError> {
         "cwtm" => Ok(Box::new(Cwtm::new())),
         "cwmed" => Ok(Box::new(CoordinateWiseMedian::new())),
         "geomed" => Ok(Box::new(GeometricMedian::new())),
+        #[expect(
+            clippy::expect_used,
+            reason = "registry constant, valid by construction"
+        )]
         "gmom" => Ok(Box::new(
-            // LINT-ALLOW(no-panic-hot-path): registry constant, valid by construction
             GeometricMedianOfMeans::new(3).expect("3 groups is valid"),
         )),
         "krum" => Ok(Box::new(Krum::new())),
-        // LINT-ALLOW(no-panic-hot-path): registry constant, valid by construction
+        #[expect(
+            clippy::expect_used,
+            reason = "registry constant, valid by construction"
+        )]
         "multi-krum" => Ok(Box::new(MultiKrum::new(3).expect("m = 3 is valid"))),
         "bulyan" => Ok(Box::new(Bulyan::new())),
         "faba" => Ok(Box::new(Faba::new())),
+        #[expect(
+            clippy::expect_used,
+            reason = "registry constant, valid by construction"
+        )]
         "centered-clipping" => Ok(Box::new(
             CenteredClipping::new(DEFAULT_CLIP_RADIUS, DEFAULT_CLIP_ITERS)
-                // LINT-ALLOW(no-panic-hot-path): registry constant, valid by construction
                 .expect("default radius is valid"),
         )),
+        #[expect(
+            clippy::expect_used,
+            reason = "registry constant, valid by construction"
+        )]
         "norm-clipping" => Ok(Box::new(
-            // LINT-ALLOW(no-panic-hot-path): registry constant, valid by construction
             NormClipping::new(DEFAULT_CLIP_RADIUS).expect("default radius is valid"),
         )),
-        // LINT-ALLOW(no-panic-hot-path): registry constant, valid by construction
+        #[expect(
+            clippy::expect_used,
+            reason = "registry constant, valid by construction"
+        )]
         "sign-majority" => Ok(Box::new(SignMajority::new(1.0).expect("scale 1 is valid"))),
         _ => Err(FilterError::Unknown {
             name: name.to_string(),
@@ -79,10 +94,13 @@ pub fn by_name(name: &str) -> Result<Box<dyn GradientFilter>, FilterError> {
 
 /// All registered filters, in a stable order. The grid experiments iterate
 /// this list.
+#[expect(
+    clippy::expect_used,
+    reason = "ALL_NAMES mirrors by_name; pinned by the registry tests"
+)]
 pub fn all_filters() -> Vec<Box<dyn GradientFilter>> {
     ALL_NAMES
         .iter()
-        // LINT-ALLOW(no-panic-hot-path): ALL_NAMES mirrors by_name; pinned by the registry tests
         .map(|name| by_name(name).expect("registry names are self-consistent"))
         .collect()
 }

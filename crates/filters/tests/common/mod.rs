@@ -1,6 +1,9 @@
 //! Inputs and shorthand shared by the integration tests. Each test target
 //! uses a subset of them.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each test target uses a subset; an `expect` would go unfulfilled in a target that uses them all"
+)]
 
 use abft_filters::{batch_of, FilterError, GradientFilter};
 use abft_linalg::Vector;

@@ -100,7 +100,7 @@ impl GradientBatch {
     ///
     /// Panics when `dim == 0` (see [`GradientBatch::new`]).
     pub fn with_capacity(rows: usize, dim: usize) -> Self {
-        // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
+        // LINT-ALLOW(panic-reach): documented panic contract for caller bugs, not a data-dependent failure
         assert!(dim > 0, "GradientBatch requires dim > 0");
         GradientBatch {
             data: Vec::with_capacity(rows * dim),
@@ -182,7 +182,7 @@ impl GradientBatch {
     ///
     /// Panics when `src.len() != self.dim()`.
     pub fn push_row(&mut self, src: &[f64]) -> usize {
-        // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
+        // LINT-ALLOW(panic-reach): documented panic contract for caller bugs, not a data-dependent failure
         assert_eq!(src.len(), self.dim, "row length must equal batch dim");
         self.data.extend_from_slice(src);
         self.rows += 1;
@@ -197,7 +197,6 @@ impl GradientBatch {
     // LINT-ALLOW(panic-reach): the assert bounds `i`, so the slice
     // arithmetic below it stays inside `data`.
     pub fn row(&self, i: usize) -> &[f64] {
-        // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
         assert!(i < self.rows, "row {i} out of range for {} rows", self.rows);
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
@@ -210,7 +209,6 @@ impl GradientBatch {
     // LINT-ALLOW(panic-reach): the assert bounds `i`, so the slice
     // arithmetic below it stays inside `data`.
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
         assert!(i < self.rows, "row {i} out of range for {} rows", self.rows);
         &mut self.data[i * self.dim..(i + 1) * self.dim]
     }
@@ -223,7 +221,6 @@ impl GradientBatch {
     ///
     /// Panics when `i` is out of range.
     pub fn remove_row(&mut self, i: usize) {
-        // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
         assert!(i < self.rows, "row {i} out of range for {} rows", self.rows);
         let start = i * self.dim;
         self.data.copy_within((i + 1) * self.dim.., start);

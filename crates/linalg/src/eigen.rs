@@ -30,8 +30,11 @@ impl SymEigen {
     }
 
     /// Largest eigenvalue.
+    #[expect(
+        clippy::expect_used,
+        reason = "the spectrum is non-empty (0×0 input is rejected)"
+    )]
     pub fn max(&self) -> f64 {
-        // LINT-ALLOW(no-panic-hot-path): the spectrum is non-empty (0×0 input is rejected)
         *self.values.last().expect("non-empty spectrum")
     }
 }
@@ -164,13 +167,16 @@ pub fn power_iteration(
     if n == 0 {
         return Err(LinalgError::Empty);
     }
+    #[expect(clippy::expect_used, reason = "the all-ones vector has positive norm")]
     let mut x = Vector::ones(n)
         .normalized()
-        // LINT-ALLOW(no-panic-hot-path): the all-ones vector has positive norm
         .expect("ones vector is non-zero");
     let mut lambda = 0.0;
     for _ in 0..max_iters {
-        // LINT-ALLOW(no-panic-hot-path): square matvec with a matching vector cannot fail
+        #[expect(
+            clippy::expect_used,
+            reason = "square matvec with a matching vector cannot fail"
+        )]
         let y = a.matvec(&x).expect("square matvec");
         let norm = y.norm();
         if norm < 1e-300 {
@@ -178,7 +184,10 @@ pub fn power_iteration(
             return Ok((0.0, x));
         }
         let next = y.scale(1.0 / norm);
-        // LINT-ALLOW(no-panic-hot-path): square matvec with a matching vector cannot fail
+        #[expect(
+            clippy::expect_used,
+            reason = "square matvec with a matching vector cannot fail"
+        )]
         let next_lambda = next.dot(&a.matvec(&next).expect("square matvec"));
         if (next_lambda - lambda).abs() <= tol * next_lambda.abs().max(1.0) {
             return Ok((next_lambda, next));

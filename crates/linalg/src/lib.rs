@@ -26,6 +26,21 @@
 //! # }
 //! ```
 
+// The aggregation path must not panic on adversarial input: clippy rejects
+// every panicking call outside tests, and `abft-lint`'s `panic-reach` adds
+// the asserts and indexing a hot-path root reaches in any crate.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod batch;
 pub mod eigen;
 pub mod error;

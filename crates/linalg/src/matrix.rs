@@ -141,7 +141,6 @@ impl Matrix {
     // LINT-ALLOW(panic-reach): the assert bounds both indices, so the flat
     // index below it stays inside `data`.
     pub fn get(&self, i: usize, j: usize) -> f64 {
-        // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
         assert!(i < self.rows && j < self.cols, "matrix index out of bounds");
         self.data[i * self.cols + j]
     }
@@ -154,7 +153,6 @@ impl Matrix {
     // LINT-ALLOW(panic-reach): the assert bounds both indices, so the flat
     // index below it stays inside `data`.
     pub fn set(&mut self, i: usize, j: usize, value: f64) {
-        // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
         assert!(i < self.rows && j < self.cols, "matrix index out of bounds");
         self.data[i * self.cols + j] = value;
     }
@@ -167,7 +165,6 @@ impl Matrix {
     // LINT-ALLOW(panic-reach): the assert bounds `i`, so the slice
     // arithmetic below it stays inside `data`.
     pub fn row(&self, i: usize) -> &[f64] {
-        // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
         assert!(i < self.rows, "row index out of bounds");
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
@@ -183,7 +180,6 @@ impl Matrix {
     ///
     /// Panics when `j` is out of bounds.
     pub fn col_vector(&self, j: usize) -> Vector {
-        // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
         assert!(j < self.cols, "column index out of bounds");
         Vector::from_fn(self.rows, |i| self.get(i, j))
     }

@@ -124,12 +124,17 @@ impl WorkerPool {
             (1..self.threads)
                 .map(|w| {
                     let (tx, rx) = sync_channel::<Job>(JOB_QUEUE);
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the pool is the one thread home: its tile schedule is a pure function of the shape"
+                    )]
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "spawn failure is resource exhaustion at pool creation, before any aggregation runs"
+                    )]
                     let thread = std::thread::Builder::new()
                         .name(format!("abft-agg-{w}"))
                         .spawn(move || worker_loop(rx))
-                        // LINT-ALLOW(no-panic-hot-path): spawn failure is
-                        // resource exhaustion at pool creation, before any
-                        // aggregation runs — not a hot-path data panic.
                         .expect("worker thread spawn");
                     Worker { jobs: tx, thread }
                 })
@@ -185,9 +190,9 @@ impl WorkerPool {
                 range: chunk(units, chunks, w),
                 done: done_tx.clone(),
             });
-            // LINT-ALLOW(no-panic-hot-path): a send can only fail if a
-            // worker thread died, which itself requires a panic already in
-            // flight; this assert turns that corruption into a clean stop.
+            // LINT-ALLOW(panic-reach): a send can only fail if a worker
+            // thread died, which itself requires a panic already in flight;
+            // this assert turns that corruption into a clean stop.
             assert!(sent.is_ok(), "pool workers outlive the pool");
         }
         let caller_outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -195,9 +200,11 @@ impl WorkerPool {
         }));
         let mut worker_panic = None;
         for _ in 1..chunks {
-            // LINT-ALLOW(no-panic-hot-path): every dispatched job sends a
-            // completion even when the task panics (catch_unwind in the
-            // worker loop), so recv can only fail on pool teardown bugs.
+            #[expect(
+                clippy::expect_used,
+                reason = "every dispatched job sends a completion even when the task panics \
+                          (catch_unwind in the worker loop), so recv only fails on teardown bugs"
+            )]
             if let Err(payload) = done_rx.recv().expect("worker completes its chunk") {
                 worker_panic.get_or_insert(payload);
             }
@@ -334,7 +341,10 @@ impl<'a> SharedSlots<'a> {
     ///
     /// `range` is in bounds and disjoint from every range other threads
     /// access concurrently.
-    #[allow(clippy::mut_from_ref)]
+    #[expect(
+        clippy::mut_from_ref,
+        reason = "callers promise disjoint ranges (see Safety)"
+    )]
     pub unsafe fn slice(&self, range: Range<usize>) -> &mut [f64] {
         debug_assert!(range.start <= range.end && range.end <= self.len);
         // SAFETY: `range` is in bounds per the contract above, and the

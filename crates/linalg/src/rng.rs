@@ -57,14 +57,12 @@ pub fn fill_gaussian(rng: &mut impl Rng, out: &mut [f64], mean: f64, std: f64) {
 ///
 /// Panics if `lo >= hi`.
 pub fn uniform_vector(rng: &mut impl Rng, dim: usize, lo: f64, hi: f64) -> Vector {
-    // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
     assert!(lo < hi, "uniform_vector requires lo < hi");
     Vector::from_fn(dim, |_| rng.gen_range(lo..hi))
 }
 
 /// Samples a uniformly random unit vector (Gaussian direction, normalized).
 pub fn random_unit_vector(rng: &mut impl Rng, dim: usize) -> Vector {
-    // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
     assert!(dim > 0, "random_unit_vector requires dim > 0");
     loop {
         let v = gaussian_vector(rng, dim, 0.0, 1.0);

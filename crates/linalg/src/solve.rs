@@ -256,9 +256,10 @@ pub fn solve_spd(a: &Matrix, b: &Vector) -> Result<Vector, LinalgError> {
 /// # Errors
 ///
 /// Returns [`LinalgError::Dimension`] when `m < n`.
-// Index-driven by design: the Householder vector v and the factors R/Q are
-// traversed over the same semantic row range k..m.
-#[allow(clippy::needless_range_loop)]
+#[expect(
+    clippy::needless_range_loop,
+    reason = "the Householder vector v and the factors R/Q are traversed over the same row range k..m"
+)]
 pub fn householder_qr(a: &Matrix) -> Result<(Matrix, Matrix), LinalgError> {
     let m = a.rows();
     let n = a.cols();

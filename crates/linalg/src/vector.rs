@@ -59,7 +59,6 @@ impl Vector {
     ///
     /// Panics if `i >= dim`.
     pub fn basis(dim: usize, i: usize) -> Self {
-        // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
         assert!(i < dim, "basis index {i} out of range for dimension {dim}");
         let mut v = Self::zeros(dim);
         v.data[i] = 1.0;
@@ -97,7 +96,7 @@ impl Vector {
     ///
     /// Panics if dimensions differ.
     pub fn dot(&self, other: &Vector) -> f64 {
-        // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
+        // LINT-ALLOW(panic-reach): documented panic contract for caller bugs, not a data-dependent failure
         assert_eq!(
             self.dim(),
             other.dim(),
@@ -126,7 +125,7 @@ impl Vector {
     ///
     /// Panics if dimensions differ.
     pub fn dist(&self, other: &Vector) -> f64 {
-        // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
+        // LINT-ALLOW(panic-reach): documented panic contract for caller bugs, not a data-dependent failure
         assert_eq!(
             self.dim(),
             other.dim(),
@@ -160,7 +159,7 @@ impl Vector {
     ///
     /// Panics if dimensions differ.
     pub fn axpy(&mut self, factor: f64, other: &Vector) {
-        // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
+        // LINT-ALLOW(panic-reach): documented panic contract for caller bugs, not a data-dependent failure
         assert_eq!(self.dim(), other.dim(), "axpy requires equal dimensions");
         for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += factor * b;
@@ -173,7 +172,6 @@ impl Vector {
     ///
     /// Panics if dimensions differ.
     pub fn hadamard(&self, other: &Vector) -> Vector {
-        // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
         assert_eq!(
             self.dim(),
             other.dim(),
@@ -197,7 +195,7 @@ impl Vector {
     ///
     /// Panics if `lo > hi`.
     pub fn clamp_box_mut(&mut self, lo: f64, hi: f64) {
-        // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
+        // LINT-ALLOW(panic-reach): documented panic contract for caller bugs, not a data-dependent failure
         assert!(lo <= hi, "clamp_box requires lo <= hi");
         for a in &mut self.data {
             *a = a.clamp(lo, hi);
@@ -228,7 +226,6 @@ impl Vector {
     ///
     /// Panics on the empty vector.
     pub fn mean(&self) -> f64 {
-        // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
         assert!(!self.is_empty(), "mean of empty vector");
         self.sum() / self.dim() as f64
     }
@@ -335,7 +332,6 @@ macro_rules! impl_binary_op {
         impl $trait<&Vector> for &Vector {
             type Output = Vector;
             fn $method(self, rhs: &Vector) -> Vector {
-                // LINT-ALLOW(no-panic-hot-path): documented panic contract for caller bugs, not a data-dependent failure
                 assert_eq!(
                     self.dim(),
                     rhs.dim(),

@@ -1,34 +1,34 @@
-//! `abft-lint`: a std-only static-analysis pass enforcing the repo's two
-//! load-bearing guarantees — bit-identical traces at any thread/worker
-//! count, and a never-panic aggregation path — as mechanical, named rules
-//! instead of conventions.
+//! `abft-lint`: the one workspace invariant clippy cannot check — no panic
+//! that a hot-path root reaches through any chain of calls, in any crate —
+//! reported with the call chain that proves it.
 //!
-//! The scanner is deliberately line-level (no `syn`: the container is
-//! vendored-only): a small lexer blanks comments, string literals, and
-//! char literals out of every line, tracks `#[cfg(test)]` regions by brace
-//! matching, and then applies token-level rules to the surviving code.
-//! That is coarse, but every invariant below is phrased so a token match
-//! is the right signal — and the escape hatch is explicit and audited:
+//! The token-level invariants are clippy's: `clippy.toml` bans partial
+//! float order, wall-clock reads, thread spawns and hashed collections,
+//! `[workspace.lints.clippy]` requires `SAFETY` comments and reasoned
+//! `#[expect]`s instead of `#[allow]`s, and the `lib.rs` of `filters`,
+//! `linalg`, `runtime` and `dgd` denies `unwrap`, `expect`, `panic!` and
+//! their kin outside tests. A clippy exception is `#[expect(lint, reason =
+//! "…")]`, and the build fails once it goes stale.
+//!
+//! What clippy sees is one crate at a time, and it has no lint for
+//! `assert!` or for indexing. This crate reads every `src/` tree of the
+//! workspace with a std-only lexer and item parser (no `syn`: the build is
+//! offline; see [`parse`]), resolves call sites into a workspace-wide call
+//! graph ([`graph`]), and walks it from the hot-path roots ([`reach`]). A
+//! reachable panic is justified with a pragma:
 //!
 //! ```text
-//! // LINT-ALLOW(float-total-order): reason the exception is sound
+//! // LINT-ALLOW(panic-reach): reason the panic cannot fire
 //! ```
 //!
-//! on the flagged line (trailing comment) or the comment lines directly
-//! above it. A pragma without a reason, or naming an unknown rule, is
-//! itself a violation — every exception stays a reviewed, justified line.
+//! on the line, or in the comment run directly above the statement it
+//! belongs to; see [`reach`] for call-site and `fn`-line pragmas. A pragma
+//! without a reason, or naming an unknown rule, is itself a violation
+//! (`pragma`). Where clippy already denies the panic, the clippy
+//! `#[expect]` over the site justifies it here too, so no site carries two
+//! annotations.
 //!
-//! # Rules
-//!
-//! | rule | invariant it guards |
-//! |------|---------------------|
-//! | `float-total-order` | no `partial_cmp` anywhere: float comparators must be `f64::total_cmp`, so a NaN orders deterministically instead of panicking or collapsing the sort |
-//! | `no-panic-hot-path` | no `unwrap`/`expect`/`panic!`/`assert!`/`unreachable!`/`todo!`/`unimplemented!` in non-test code of the aggregation-path crates (`filters`, `linalg`, `runtime`, `dgd`); `debug_assert!` is exempt |
-//! | `unsafe-needs-safety` | every `unsafe` occurrence carries a `// SAFETY:` comment (or a `# Safety` doc section) on the line or directly above it |
-//! | `deterministic-collections` | no `HashMap`/`HashSet` in crate sources: iteration order must not depend on hashing, use `BTreeMap`/`BTreeSet`/`Vec` |
-//! | `fixed-schedule` | no `thread::spawn`/`.spawn(` outside `linalg/src/pool.rs` (the one thread home), and no `Instant::now` outside `telemetry/src/clock.rs` (the one clock home) — work schedules are pure functions of the input, never of timing |
-//!
-//! The library half ([`lint_source`], [`lint_workspace`]) exists so the
+//! The library half ([`lint_sources`], [`lint_workspace`]) exists so the
 //! fixture tests and the `workspace_clean` gate run in-process under
 //! `cargo test -p abft-lint`; the binary half wraps it for CI and local
 //! use (`cargo run -p abft-lint`, add `--json` for machine output).
@@ -41,32 +41,10 @@ pub mod graph;
 pub mod parse;
 pub mod reach;
 
-/// The registered rule names, in diagnostic order. The first five are
-/// line-level (stage 1); `panic-reach` and `determinism-taint` are the
-/// call-graph reachability rules (stage 2, see [`reach`]); `pragma`
-/// covers malformed `LINT-ALLOW` annotations themselves.
-pub const RULES: &[&str] = &[
-    "float-total-order",
-    "no-panic-hot-path",
-    "unsafe-needs-safety",
-    "deterministic-collections",
-    "fixed-schedule",
-    "panic-reach",
-    "determinism-taint",
-    "pragma",
-];
-
-/// Crates whose `src/` trees must stay panic-free outside tests: the
-/// aggregation hot path and everything a mid-round server executes.
-const NO_PANIC_CRATES: &[&str] = &["filters", "linalg", "runtime", "dgd"];
-
-/// Files allowed to spawn threads: the one fixed-schedule pool.
-const SPAWN_ALLOWED: &[&str] = &["crates/linalg/src/pool.rs"];
-
-/// Files allowed to read the wall clock: the telemetry crate's clock
-/// home, which every metrics-only wall-clock read in the stack funnels
-/// through.
-const CLOCK_ALLOWED: &[&str] = &["crates/telemetry/src/clock.rs"];
+/// The registered rule names: `panic-reach`, the call-graph reachability
+/// rule (see [`reach`]), and `pragma`, which covers malformed `LINT-ALLOW`
+/// annotations themselves.
+pub const RULES: &[&str] = &["panic-reach", "pragma"];
 
 /// One hop of a reachability witness chain: a function on the path from
 /// a hot-path root to the offending site, located at its definition.
@@ -94,9 +72,8 @@ pub struct Violation {
     pub message: String,
     /// The offending source line, trimmed.
     pub excerpt: String,
-    /// For the reachability rules: the witness call chain from a hot-path
-    /// root to the function containing the site, root first. Empty for
-    /// the line-level rules.
+    /// For `panic-reach`: the witness call chain from a hot-path root to
+    /// the function containing the site, root first. Empty for `pragma`.
     pub chain: Vec<Hop>,
 }
 
@@ -123,7 +100,7 @@ impl fmt::Display for Violation {
 impl Violation {
     /// The violation as one JSON object (std-only serialization). The
     /// schema is stable: `file`, `line`, `rule`, `message`, `excerpt`,
-    /// and `chain` (always present; `[]` for line-level rules), with
+    /// and `chain` (always present; `[]` for `pragma`), with
     /// every chain hop carrying `func`, `file`, `line`.
     pub fn to_json(&self) -> String {
         let chain: Vec<String> = self
@@ -170,7 +147,7 @@ fn escape_json(s: &str) -> String {
 // ---------------------------------------------------------------------------
 
 /// One source line after masking: `code` with comments/strings blanked,
-/// `comment` holding the line's comment text (for SAFETY / pragma checks).
+/// `comment` holding the line's comment text (for pragma lookups).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct MaskedLine {
     pub(crate) code: String,
@@ -181,7 +158,7 @@ pub(crate) struct MaskedLine {
 /// literal *contents* are dropped from the code stream (the delimiters
 /// stay), so tokens inside literals never match a rule; comment text —
 /// line, block, and doc comments alike — lands in the comment stream, so
-/// `SAFETY:` and `LINT-ALLOW` annotations stay visible.
+/// `LINT-ALLOW` annotations stay visible.
 pub(crate) fn mask(source: &str) -> Vec<MaskedLine> {
     #[derive(PartialEq)]
     enum State {
@@ -411,34 +388,6 @@ pub(crate) fn test_regions(lines: &[MaskedLine]) -> Vec<bool> {
 }
 
 // ---------------------------------------------------------------------------
-// Token matching
-// ---------------------------------------------------------------------------
-
-/// Whether `line` contains `token` with identifier boundaries on both
-/// sides (so `assert!` does not match inside `debug_assert!`).
-pub(crate) fn has_word(line: &str, token: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = line[start..].find(token) {
-        let at = start + pos;
-        let before_ok = at == 0
-            || !line[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after = at + token.len();
-        let after_ok = !line[after..]
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return true;
-        }
-        start = at + token.len();
-    }
-    false
-}
-
-// ---------------------------------------------------------------------------
 // Pragmas
 // ---------------------------------------------------------------------------
 
@@ -472,223 +421,13 @@ pub(crate) fn pragmas_in(comment: &str) -> Vec<Pragma> {
     found
 }
 
-// ---------------------------------------------------------------------------
-// The per-file pass
-// ---------------------------------------------------------------------------
-
-/// What part of the workspace a file belongs to, derived from its
-/// workspace-relative path. Decides which rules apply.
-struct FileScope<'a> {
-    rel: &'a str,
-    /// `crates/<name>/…` → `<name>`.
-    crate_name: Option<&'a str>,
-    /// Library/binary source (a `src/` tree) as opposed to `tests/`,
-    /// `benches/`, or `examples/` targets.
-    in_src: bool,
-}
-
-impl<'a> FileScope<'a> {
-    fn of(rel: &'a str) -> Self {
-        let crate_name = rel
-            .strip_prefix("crates/")
-            .and_then(|rest| rest.split('/').next());
-        FileScope {
-            rel,
-            crate_name,
-            in_src: rel.contains("/src/") || rel.starts_with("src/"),
-        }
-    }
-
-    fn no_panic_applies(&self) -> bool {
-        self.in_src
-            && self
-                .crate_name
-                .is_some_and(|c| NO_PANIC_CRATES.contains(&c))
-    }
-}
-
-/// Lints one file's source text. `rel` is the workspace-relative path
-/// (with `/` separators) and selects which rules apply — see the module
-/// docs for the scoping table.
-pub fn lint_source(rel: &str, source: &str) -> Vec<Violation> {
-    lint_file(rel, source).0
-}
-
-/// [`lint_source`], plus the number of well-formed `LINT-ALLOW` pragmas
-/// (known rule, non-empty reason) in the file — the exceptions the
-/// linter honours.
-fn lint_file(rel: &str, source: &str) -> (Vec<Violation>, usize) {
-    let scope = FileScope::of(rel);
-    let masked = mask(source);
-    let in_test = test_regions(&masked);
-    let orig: Vec<&str> = source.lines().collect();
-    let mut out = Vec::new();
-    let mut pragmas = 0;
-
-    let mut push = |line_idx: usize, rule: &'static str, message: String| {
-        out.push(Violation {
-            file: rel.to_string(),
-            line: line_idx + 1,
-            rule,
-            message,
-            excerpt: orig
-                .get(line_idx)
-                .map_or(String::new(), |l| truncate(l.trim(), 160)),
-            chain: Vec::new(),
-        });
-    };
-
-    // Is a violation of `rule` on line `idx` covered by a pragma on the
-    // same line or in the comment block directly above?
-    let allowed = |idx: usize, rule: &str| {
-        annotated(&masked, idx, &|line| {
-            pragmas_in(&line.comment)
-                .iter()
-                .any(|p| p.rule == rule && p.has_reason)
-        })
-    };
-
-    for (idx, line) in masked.iter().enumerate() {
-        let code = line.code.as_str();
-
-        // Malformed pragmas are violations wherever they appear, and are
-        // never suppressible.
-        for pragma in pragmas_in(&line.comment) {
-            if !RULES.contains(&pragma.rule.as_str()) {
-                push(
-                    idx,
-                    "pragma",
-                    format!("LINT-ALLOW names unknown rule `{}`", pragma.rule),
-                );
-            } else if !pragma.has_reason {
-                push(
-                    idx,
-                    "pragma",
-                    format!(
-                        "LINT-ALLOW({}) lacks a reason — every exception must be justified",
-                        pragma.rule
-                    ),
-                );
-            } else {
-                pragmas += 1;
-            }
-        }
-
-        // float-total-order: everywhere, tests and benches included — a
-        // partial comparator is wrong wherever it sorts floats.
-        if has_word(code, "partial_cmp") && !allowed(idx, "float-total-order") {
-            push(
-                idx,
-                "float-total-order",
-                "`partial_cmp` breaks the total-order contract — use `f64::total_cmp` \
-                 so NaN orders deterministically instead of panicking"
-                    .to_string(),
-            );
-        }
-
-        // unsafe-needs-safety: everywhere, tests included.
-        if has_word(code, "unsafe") && !safety_documented(&masked, idx) {
-            push(
-                idx,
-                "unsafe-needs-safety",
-                "`unsafe` without a `// SAFETY:` comment (or `# Safety` doc section) \
-                 on the line or directly above it"
-                    .to_string(),
-            );
-        }
-
-        if in_test[idx] {
-            continue;
-        }
-
-        // no-panic-hot-path: non-test src of the aggregation-path crates.
-        if scope.no_panic_applies() {
-            const PANICS: &[&str] = &[
-                ".unwrap()",
-                ".expect(",
-                "panic!",
-                "unreachable!",
-                "todo!",
-                "unimplemented!",
-            ];
-            let hit = PANICS.iter().any(|p| code.contains(p))
-                || ["assert!", "assert_eq!", "assert_ne!"]
-                    .iter()
-                    .any(|p| has_word(code, &p[..p.len() - 1]) && code.contains(p));
-            if hit && !allowed(idx, "no-panic-hot-path") {
-                push(
-                    idx,
-                    "no-panic-hot-path",
-                    format!(
-                        "panicking construct in non-test code of the `{}` crate — \
-                         return an error, or justify with a pragma",
-                        scope.crate_name.unwrap_or("?")
-                    ),
-                );
-            }
-        }
-
-        // deterministic-collections: all crate sources.
-        if scope.in_src
-            && (has_word(code, "HashMap") || has_word(code, "HashSet"))
-            && !allowed(idx, "deterministic-collections")
-        {
-            push(
-                idx,
-                "deterministic-collections",
-                "hashed collections iterate in nondeterministic order — \
-                 use `BTreeMap`/`BTreeSet`/`Vec` on determinism-critical paths"
-                    .to_string(),
-            );
-        }
-
-        // fixed-schedule: spawning and timing outside the sanctioned homes.
-        if scope.in_src {
-            let spawns = (code.contains("thread::spawn") || code.contains(".spawn("))
-                && !SPAWN_ALLOWED.contains(&scope.rel);
-            if spawns && !allowed(idx, "fixed-schedule") {
-                push(
-                    idx,
-                    "fixed-schedule",
-                    "thread spawning outside `linalg/src/pool.rs` — \
-                     all parallelism must ride the fixed-schedule pools"
-                        .to_string(),
-                );
-            }
-            if code.contains("Instant::now")
-                && !CLOCK_ALLOWED.contains(&scope.rel)
-                && !allowed(idx, "fixed-schedule")
-            {
-                push(
-                    idx,
-                    "fixed-schedule",
-                    "`Instant::now` outside `telemetry::clock` — \
-                     timing must never feed control flow; route wall-clock metrics \
-                     through `abft_telemetry::clock`"
-                        .to_string(),
-                );
-            }
-        }
-    }
-    (out, pragmas)
-}
-
-/// Whether the `unsafe` on line `idx` carries a safety comment: `SAFETY:`
-/// in the same line's comment, or `SAFETY:`/`# Safety` anywhere in the
-/// annotation run directly above (see [`annotated`]).
-fn safety_documented(masked: &[MaskedLine], idx: usize) -> bool {
-    annotated(masked, idx, &|line| {
-        line.comment.contains("SAFETY:") || line.comment.contains("# Safety")
-    })
-}
-
 /// Whether `matches` holds for line `idx`'s own comment or any comment in
 /// the run directly above it. The upward walk skips blank lines,
-/// attribute lines, and code lines that belong to the same multi-line
-/// statement — recognized from **either side** of the line break: the
-/// upper line visibly continuing (ending in `=`, `(`, `,`, or an
-/// operator), or the lower line visibly being a continuation (starting
-/// with `.`, `?`, a closing delimiter, or an operator). An annotation
+/// attributes (a multi-line one whole), and code lines that belong to the
+/// same multi-line statement — recognized from **either side** of the
+/// line break: the upper line visibly continuing (ending in `=`, `(`, `,`,
+/// or an operator), or the lower line visibly being a continuation
+/// (starting with `.`, `?`, a closing delimiter, or an operator). An annotation
 /// above (or on the first line of) a multi-line statement therefore
 /// covers the whole statement, including its continuation lines.
 pub(crate) fn annotated(
@@ -711,6 +450,7 @@ pub(crate) fn annotated(
         let transparent = code.is_empty()
             || code.starts_with("#[")
             || code.starts_with("#![")
+            || code == ")]"
             || ends_continued(code)
             || starts_continuation(&below);
         if !transparent {
@@ -750,15 +490,6 @@ fn starts_continuation(code: &str) -> bool {
         || code.starts_with('+')
 }
 
-pub(crate) fn truncate(s: &str, max: usize) -> String {
-    if s.chars().count() <= max {
-        s.to_string()
-    } else {
-        let cut: String = s.chars().take(max).collect();
-        format!("{cut}…")
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Workspace walking
 // ---------------------------------------------------------------------------
@@ -771,29 +502,86 @@ pub struct Report {
     pub violations: Vec<Violation>,
     /// Number of files scanned.
     pub scanned: usize,
-    /// Number of well-formed `LINT-ALLOW` pragmas honoured — every
-    /// exception in force. The `workspace_clean` gate holds it to a
-    /// committed ceiling, so a new exception is a visible diff.
+    /// Number of well-formed `LINT-ALLOW` pragmas honoured. The
+    /// `workspace_clean` gate adds the guarded clippy `#[expect]`s and
+    /// holds the sum to a committed ceiling, so a new exception is a
+    /// visible diff.
     pub pragmas: usize,
 }
 
-/// Lints every Rust source file of the workspace rooted at `root`:
-/// `crates/`, `src/`, `examples/`, and `tests/`, skipping `vendor/`
-/// (external code), `target/`, and `fixtures/` directories (lint-test
-/// inputs that violate rules on purpose).
-///
-/// Two stages run over the tree: the line-level rules ([`lint_source`])
-/// per file, then the call-graph reachability rules (`panic-reach`,
-/// `determinism-taint` — see [`reach`]) over an item-level parse of the
-/// `src/` trees ([`parse`], [`graph`]).
+/// Lints the `src/` trees of the workspace rooted at `root` — `src/` and
+/// every `crates/*/src/` — which is where the hot-path roots and
+/// everything they can call live.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
-    let (mut report, parsed) = scan(root)?;
+    let sources = read_src_trees(root)?;
+    let files: Vec<(&str, &str)> = sources
+        .iter()
+        .map(|(rel, source)| (rel.as_str(), source.as_str()))
+        .collect();
+    Ok(lint_sources(&files))
+}
+
+/// Lints in-memory sources, each a `(workspace-relative path, text)` pair
+/// in path order: every file's `LINT-ALLOW` pragmas are checked, then
+/// `panic-reach` walks the call graph of all of them.
+pub fn lint_sources(files: &[(&str, &str)]) -> Report {
+    let mut violations = Vec::new();
+    let mut pragmas = 0;
+    let mut parsed = Vec::new();
+    for &(rel, source) in files {
+        let file = parse::parse_source(rel, source);
+        pragmas += check_pragmas(&file, &mut violations);
+        // The lint crate itself is tool code — it is never linked into a
+        // runtime binary, and name-based resolution would otherwise alias
+        // its helpers (`build`, `check`, …) into the runtime graph.
+        if !rel.starts_with("crates/lint/") {
+            parsed.push(file);
+        }
+    }
     let graph = graph::CallGraph::build(&parsed);
-    report.violations.extend(reach::check(&graph, &parsed));
-    report
-        .violations
+    violations.extend(reach::check(&graph, &parsed));
+    violations
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    Ok(report)
+    Report {
+        violations,
+        scanned: files.len(),
+        pragmas,
+    }
+}
+
+/// Flags every malformed `LINT-ALLOW` pragma of `file` — one naming an
+/// unknown rule, or carrying no reason — and returns how many are well
+/// formed.
+fn check_pragmas(file: &parse::ParsedSource, out: &mut Vec<Violation>) -> usize {
+    let mut honoured = 0;
+    for (idx, line) in file.masked.iter().enumerate() {
+        for pragma in pragmas_in(&line.comment) {
+            let message = if !RULES.contains(&pragma.rule.as_str()) {
+                format!(
+                    "LINT-ALLOW names unknown rule `{}` — the rule is `panic-reach`; \
+                     clippy's exceptions are `#[expect(lint, reason = \"…\")]`",
+                    pragma.rule
+                )
+            } else if !pragma.has_reason {
+                format!(
+                    "LINT-ALLOW({}) lacks a reason — every exception must be justified",
+                    pragma.rule
+                )
+            } else {
+                honoured += 1;
+                continue;
+            };
+            out.push(Violation {
+                file: file.rel.clone(),
+                line: idx + 1,
+                rule: "pragma",
+                message,
+                excerpt: file.excerpt(idx),
+                chain: Vec::new(),
+            });
+        }
+    }
+    honoured
 }
 
 /// The named hot-path roots ([`reach::NAMED_ROOTS`]) that match no
@@ -802,44 +590,36 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
 /// the reachability walk; the workspace's own `workspace_clean` test
 /// requires this list to be empty.
 pub fn unresolved_roots(root: &Path) -> io::Result<Vec<String>> {
-    let (_, parsed) = scan(root)?;
+    let parsed: Vec<_> = read_src_trees(root)?
+        .iter()
+        .map(|(rel, source)| parse::parse_source(rel, source))
+        .collect();
     Ok(reach::unresolved_roots(&graph::CallGraph::build(&parsed)))
 }
 
-/// Reads the tree once: the line-level report and the item-level parse
-/// of the `src/` trees.
-fn scan(root: &Path) -> io::Result<(Report, Vec<parse::ParsedSource>)> {
-    let mut files = Vec::new();
-    for top in ["crates", "src", "examples", "tests"] {
-        collect_rust_files(&root.join(top), &mut files)?;
-    }
-    files.sort();
-    let mut report = Report {
-        violations: Vec::new(),
-        scanned: files.len(),
-        pragmas: 0,
-    };
-    let mut parsed = Vec::new();
-    for path in &files {
-        let source = std::fs::read_to_string(path)?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let (violations, pragmas) = lint_file(&rel, &source);
-        report.violations.extend(violations);
-        report.pragmas += pragmas;
-        // The reachability stage audits the library/binary source trees:
-        // that is where hot-path roots and everything they can call live.
-        // The lint crate itself is tool code — it is never linked into a
-        // runtime binary, and name-based resolution would otherwise alias
-        // its helpers (`build`, `check`, …) into the runtime graph.
-        if FileScope::of(&rel).in_src && !rel.starts_with("crates/lint/") {
-            parsed.push(parse::parse_source(&rel, &source));
+/// Every `.rs` file under `root/src/` and `root/crates/*/src/`, as
+/// `(workspace-relative path, text)` pairs sorted by path — which makes
+/// call-graph node ids, and so every ordering downstream, deterministic.
+fn read_src_trees(root: &Path) -> io::Result<Vec<(String, String)>> {
+    let mut trees = vec![root.join("src")];
+    if let Ok(crates) = std::fs::read_dir(root.join("crates")) {
+        for entry in crates {
+            trees.push(entry?.path().join("src"));
         }
     }
-    Ok((report, parsed))
+    let mut files = Vec::new();
+    for tree in &trees {
+        collect_rust_files(tree, &mut files)?;
+    }
+    files.sort();
+    files
+        .iter()
+        .map(|path| {
+            let rel = path.strip_prefix(root).unwrap_or(path);
+            let rel = rel.to_string_lossy().replace('\\', "/");
+            Ok((rel, std::fs::read_to_string(path)?))
+        })
+        .collect()
 }
 
 fn collect_rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -847,16 +627,10 @@ fn collect_rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         return Ok(());
     }
     for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
+        let path = entry?.path();
         if path.is_dir() {
-            if matches!(name.as_ref(), "target" | "vendor" | "fixtures" | ".git") {
-                continue;
-            }
             collect_rust_files(&path, out)?;
-        } else if name.ends_with(".rs") {
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
             out.push(path);
         }
     }
@@ -909,19 +683,12 @@ mod tests {
     }
 
     #[test]
-    fn word_boundaries_exclude_debug_assert() {
-        assert!(has_word("assert!(x)", "assert"));
-        assert!(!has_word("debug_assert!(x)", "assert"));
-        assert!(has_word("a.partial_cmp(b)", "partial_cmp"));
-    }
-
-    #[test]
     fn pragma_parsing() {
-        let ps = pragmas_in("// LINT-ALLOW(float-total-order): PartialOrd over integers");
+        let ps = pragmas_in("// LINT-ALLOW(panic-reach): the index is bounded above");
         assert_eq!(ps.len(), 1);
-        assert_eq!(ps[0].rule, "float-total-order");
+        assert_eq!(ps[0].rule, "panic-reach");
         assert!(ps[0].has_reason);
-        let bad = pragmas_in("// LINT-ALLOW(no-panic-hot-path):   ");
+        let bad = pragmas_in("// LINT-ALLOW(panic-reach):   ");
         assert!(!bad[0].has_reason);
     }
 }

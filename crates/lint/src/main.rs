@@ -1,5 +1,6 @@
-//! The `abft-lint` binary: lint the workspace, print diagnostics, exit
-//! non-zero on any unjustified violation.
+//! The `abft-lint` binary: walk the workspace's `src/` trees for panics a
+//! hot-path root reaches, print diagnostics, exit non-zero on any
+//! unjustified violation.
 //!
 //! ```text
 //! cargo run -p abft-lint              # human-readable diagnostics

@@ -1,26 +1,28 @@
 //! Stage 1 of the reachability analysis: a std-only item parser.
 //!
-//! Works on the same masked line stream the line rules use (comments,
-//! string/char literals, and `#[cfg(test)]` regions already handled by
-//! the lexer in the crate root — no `syn`, the container is
-//! vendored-only). The masked code is tokenized into identifiers and
-//! punctuation, then a single recursive pass extracts:
+//! Works on the masked line stream of the lexer in the crate root
+//! (comments, string/char literals, and `#[cfg(test)]` regions already
+//! handled — no `syn`, the build is offline). The masked code is tokenized
+//! into identifiers and punctuation, then a single recursive pass extracts:
 //!
 //! - `fn` definitions, each tagged with its owner (`Free`, an
 //!   `impl Type`/`impl Trait for Type` block, or a `trait` declaration),
 //! - every call site inside a body (`free(…)`, `Qual::assoc(…)`,
-//!   `.method(…)`), which stage 2 resolves into call-graph edges, and
-//! - every *sink* inside a body: panicking constructs (`unwrap`/`expect`,
-//!   `panic!`-family macros, slice indexing `x[i]`) and determinism
-//!   hazards (`Instant::now`, thread spawning, `HashMap`/`HashSet`,
-//!   entropy-seeded RNG).
+//!   `.method(…)`), which stage 2 resolves into call-graph edges,
+//! - every *panic site* inside a body: `unwrap`/`expect`, the
+//!   `panic!`-family macros, and slice indexing `x[i]`, and
+//! - every clippy lint an `#[expect(…)]` attribute names.
+//!
+//! A panic site that an `#[expect(clippy::<lint>, reason = …)]` on its
+//! statement or its `fn` already justifies — `expect_used` over an
+//! `.expect(`, `panic` over a `panic!` — is not recorded: clippy checks
+//! that exception, and the compiler fails it once it goes stale.
 //!
 //! Functions inside `#[cfg(test)]` regions are dropped: they are neither
 //! reachable from the hot-path roots nor legitimate resolution targets,
 //! and keeping them out prevents a test helper from aliasing a production
 //! function by name. `debug_assert!`-family macro arguments are skipped
-//! entirely — they vanish from release builds, exactly like the line
-//! rules' exemption.
+//! entirely — they vanish from release builds.
 //!
 //! The parser is deliberately approximate where Rust's grammar is
 //! irrelevant to call extraction (it tracks delimiters, not expressions),
@@ -53,28 +55,11 @@ pub enum Owner {
     },
 }
 
-/// What kind of hazard a [`Sink`] is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SinkKind {
-    /// Can abort the process: `unwrap`/`expect`, `panic!`-family macros,
-    /// slice indexing.
-    Panic,
-    /// Reads a wall clock: `Instant::now`, `SystemTime::now`.
-    Clock,
-    /// Spawns a thread: `thread::spawn`, `.spawn(`.
-    Spawn,
-    /// Iterates in hash order: `HashMap`/`HashSet`.
-    HashOrder,
-    /// Draws entropy: `from_entropy`, `thread_rng`, `OsRng`.
-    Entropy,
-}
-
-/// One hazardous site inside a function body.
+/// One panic site inside a function body.
 #[derive(Debug, Clone)]
 pub struct Sink {
-    pub kind: SinkKind,
-    /// The offending token, for diagnostics (`unwrap`, `slice-index`,
-    /// `Instant::now`, …).
+    /// The offending token, for diagnostics (`unwrap`, `assert!`,
+    /// `slice-index`, …).
     pub what: String,
     /// 0-based line of the site.
     pub line: usize,
@@ -124,6 +109,9 @@ pub struct FileItems {
     /// Trait declarations: name → the method names it declares (used to
     /// resolve `TraitName::method(…)` qualifiers).
     pub traits: Vec<(String, Vec<String>)>,
+    /// Every clippy lint an `#[expect(…)]` attribute names, with the
+    /// attribute's 0-based line — test regions included.
+    pub expects: Vec<(usize, String)>,
 }
 
 /// One source file, parsed: what [`lint_workspace`](crate::lint_workspace)
@@ -148,6 +136,16 @@ impl ParsedSource {
         let live = self.masked.iter().zip(in_test).filter(|(_, test)| !test);
         live.map(|(line, _)| line.code.as_str())
     }
+
+    /// Line `idx` (0-based) as a diagnostic shows it: trimmed, and cut at
+    /// 160 characters.
+    pub fn excerpt(&self, idx: usize) -> String {
+        let line = self.lines.get(idx).map_or("", |l| l.trim());
+        match line.char_indices().nth(160) {
+            Some((cut, _)) => format!("{}…", &line[..cut]),
+            None => line.to_string(),
+        }
+    }
 }
 
 /// Masks, tokenizes, and item-parses one source file.
@@ -161,6 +159,7 @@ pub fn parse_source(rel: &str, source: &str) -> ParsedSource {
         pos: 0,
         in_test: &in_test,
         items: &mut items,
+        expected: Vec::new(),
     };
     p.parse_scope(&Owner::Free, None);
     ParsedSource {
@@ -249,6 +248,17 @@ const NON_INDEX_KEYWORDS: &[&str] = &[
     "enum", "struct", "trait", "dyn", "unsafe", "await", "box", "await",
 ];
 
+/// Each panic site with a clippy twin, and the lint: an `#[expect]`
+/// naming that lint justifies the site. Asserts and indexing have none.
+const CLIPPY_TWINS: &[(&str, &str)] = &[
+    ("unwrap", "unwrap_used"),
+    ("expect", "expect_used"),
+    ("panic!", "panic"),
+    ("unreachable!", "unreachable"),
+    ("todo!", "todo"),
+    ("unimplemented!", "unimplemented"),
+];
+
 const PANIC_MACROS: &[&str] = &[
     "panic",
     "assert",
@@ -264,6 +274,9 @@ struct Parser<'a> {
     pos: usize,
     in_test: &'a [bool],
     items: &'a mut FileItems,
+    /// The clippy lints named by the `#[expect]`s seen so far, each with
+    /// the token index its scope ends at.
+    expected: Vec<(usize, String)>,
 }
 
 impl<'a> Parser<'a> {
@@ -285,9 +298,12 @@ impl<'a> Parser<'a> {
         self.in_test.get(line).copied().unwrap_or(false)
     }
 
-    /// Skips one attribute (`#[…]` / `#![…]`) with balanced brackets.
-    /// Positioned on the `#`.
-    fn skip_attribute(&mut self) {
+    /// Skips one attribute (`#[…]` / `#![…]`) with balanced brackets,
+    /// positioned on the `#`. When it is an `expect`, records the clippy
+    /// lints it names and puts them in force over the statement (`in_body`)
+    /// or item it annotates.
+    fn attribute(&mut self, in_body: bool) {
+        let start = self.pos;
         self.bump(); // '#'
         if self.peek().is_some_and(|t| t.text == "!") {
             self.bump();
@@ -303,6 +319,61 @@ impl<'a> Parser<'a> {
                     None => break,
                 }
             }
+        }
+        let toks = &self.toks[start..self.pos.min(self.toks.len())];
+        if toks
+            .iter()
+            .find(|t| t.is_ident())
+            .is_none_or(|t| t.text != "expect")
+        {
+            return;
+        }
+        let end = self.scope_end(in_body);
+        for w in toks.windows(3) {
+            if w[0].text == "clippy" && w[1].text == "::" {
+                self.items.expects.push((w[2].line, w[2].text.clone()));
+                self.expected.push((end, w[2].text.clone()));
+            }
+        }
+    }
+
+    /// The token index where the statement or item starting at the current
+    /// position ends: its `;`, the `}` closing a block it opened (unless
+    /// `else`, `.` or `?` continues past it), or the `}` closing the
+    /// enclosing block — and, in a body, the `,` ending a match arm.
+    fn scope_end(&self, in_body: bool) -> usize {
+        let mut depth = 0usize;
+        for (i, t) in self.toks.iter().enumerate().skip(self.pos) {
+            match t.text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" => depth = depth.saturating_sub(1),
+                "}" if depth == 0 => return i,
+                "}" => {
+                    depth -= 1;
+                    let next = self.toks.get(i + 1).map_or("", |t| t.text.as_str());
+                    if depth == 0 && !matches!(next, "else" | "." | "?") {
+                        return i;
+                    }
+                }
+                ";" if depth == 0 => return i,
+                "," if depth == 0 && in_body => return i,
+                _ => {}
+            }
+        }
+        self.toks.len()
+    }
+
+    /// Records a panic site at the current token, unless an `#[expect]` in
+    /// force names the clippy lint that denies it.
+    fn panic_sink(&self, item: &mut FnItem, what: String, line: usize) {
+        let twin = CLIPPY_TWINS.iter().find(|(site, _)| *site == what);
+        let justified = twin.is_some_and(|(_, lint)| {
+            self.expected
+                .iter()
+                .any(|(end, expected)| *end >= self.pos && expected == lint)
+        });
+        if !justified {
+            item.sinks.push(Sink { what, line });
         }
     }
 
@@ -388,7 +459,7 @@ impl<'a> Parser<'a> {
     fn parse_scope(&mut self, owner: &Owner, stop_depth: Option<()>) {
         while let Some(tok) = self.peek() {
             match tok.text.as_str() {
-                "#" => self.skip_attribute(),
+                "#" => self.attribute(false),
                 "}" => {
                     self.bump();
                     if stop_depth.is_some() {
@@ -557,7 +628,7 @@ impl<'a> Parser<'a> {
                     depth -= 1;
                     self.bump();
                 }
-                "#" => self.skip_attribute(),
+                "#" => self.attribute(true),
                 "fn" if self.at(1).is_some_and(Tok::is_ident) => {
                     // A nested function: its own item, its own sites.
                     self.parse_fn(Owner::Free);
@@ -575,11 +646,7 @@ impl<'a> Parser<'a> {
                             || p.text == "]"
                     });
                     if indexable {
-                        item.sinks.push(Sink {
-                            kind: SinkKind::Panic,
-                            what: "slice-index".to_string(),
-                            line: tok.line,
-                        });
+                        self.panic_sink(item, "slice-index".to_string(), tok.line);
                     }
                     self.bump();
                 }
@@ -615,36 +682,13 @@ impl<'a> Parser<'a> {
                 return;
             }
             if PANIC_MACROS.contains(&name) {
-                item.sinks.push(Sink {
-                    kind: SinkKind::Panic,
-                    what: format!("{name}!"),
-                    line: tok.line,
-                });
+                self.panic_sink(item, format!("{name}!"), tok.line);
             }
             // Scan the macro arguments as ordinary tokens (calls inside
             // `format!`/`write!`/… still create edges).
             self.bump();
             self.bump();
             return;
-        }
-
-        // Determinism sinks that are bare type/function names.
-        match name {
-            "HashMap" | "HashSet" => {
-                item.sinks.push(Sink {
-                    kind: SinkKind::HashOrder,
-                    what: name.to_string(),
-                    line: tok.line,
-                });
-            }
-            "from_entropy" | "thread_rng" | "OsRng" => {
-                item.sinks.push(Sink {
-                    kind: SinkKind::Entropy,
-                    what: name.to_string(),
-                    line: tok.line,
-                });
-            }
-            _ => {}
         }
 
         // Call site: `name(`.
@@ -656,40 +700,17 @@ impl<'a> Parser<'a> {
             } else {
                 (None, false)
             };
-            match (name, qualifier.as_deref(), method) {
-                // Panic sinks, not edges: nothing in the workspace
+            if method && (name == "unwrap" || name == "expect") {
+                // Panic sites, not edges: nothing in the workspace
                 // defines these.
-                ("unwrap" | "expect", _, true) => item.sinks.push(Sink {
-                    kind: SinkKind::Panic,
-                    what: name.to_string(),
+                self.panic_sink(item, name.to_string(), tok.line);
+            } else {
+                item.calls.push(CallSite {
+                    callee: name.to_string(),
+                    qualifier,
+                    method,
                     line: tok.line,
-                }),
-                ("now", Some("Instant" | "SystemTime"), _) => item.sinks.push(Sink {
-                    kind: SinkKind::Clock,
-                    what: format!("{}::now", qualifier.as_deref().unwrap_or("?")),
-                    line: tok.line,
-                }),
-                ("spawn", Some("thread"), _) => item.sinks.push(Sink {
-                    kind: SinkKind::Spawn,
-                    what: "thread::spawn".to_string(),
-                    line: tok.line,
-                }),
-                _ => {
-                    if name == "spawn" && method {
-                        // `builder.spawn(…)` — still a thread spawn.
-                        item.sinks.push(Sink {
-                            kind: SinkKind::Spawn,
-                            what: ".spawn".to_string(),
-                            line: tok.line,
-                        });
-                    }
-                    item.calls.push(CallSite {
-                        callee: name.to_string(),
-                        qualifier,
-                        method,
-                        line: tok.line,
-                    });
-                }
+                });
             }
         }
 
@@ -822,7 +843,6 @@ mod tests {
         let items = parse(src);
         let kinds: Vec<&str> = items.fns[0].sinks.iter().map(|s| s.what.as_str()).collect();
         assert_eq!(kinds, vec!["unwrap", "expect", "panic!", "slice-index"]);
-        assert!(items.fns[0].sinks.iter().all(|s| s.kind == SinkKind::Panic));
     }
 
     #[test]
@@ -847,14 +867,26 @@ mod tests {
     }
 
     #[test]
-    fn determinism_sinks_are_recorded() {
-        let src = "fn f() {\n    let _t = Instant::now();\n    std::thread::spawn(|| {});\n    let _m: HashMap<u32, u32> = HashMap::new();\n    let _r = rng.from_entropy();\n}\n";
+    fn clippy_expect_justifies_its_twin_on_the_statement_or_fn() {
+        let src = "fn f(x: Option<u32>) {\n    #[expect(clippy::expect_used, reason = \"x\")]\n    let _a = x.expect(\"a\");\n    let _b = x.expect(\"b\");\n}\n#[expect(\n    clippy::unwrap_used,\n    reason = \"x\"\n)]\npub(crate) fn g(x: Option<u32>) {\n    x.unwrap();\n    x.expect(\"c\");\n}\n";
         let items = parse(src);
-        let kinds: Vec<SinkKind> = items.fns[0].sinks.iter().map(|s| s.kind).collect();
-        assert!(kinds.contains(&SinkKind::Clock));
-        assert!(kinds.contains(&SinkKind::Spawn));
-        assert!(kinds.contains(&SinkKind::HashOrder));
-        assert!(kinds.contains(&SinkKind::Entropy));
+        let sites =
+            |f: usize| -> Vec<usize> { items.fns[f].sinks.iter().map(|s| s.line).collect() };
+        // Only the statement under the attribute is covered …
+        assert_eq!(sites(0), vec![3]);
+        // … and a `fn`-level expect covers its own lint, not another one.
+        assert_eq!(sites(1), vec![11]);
+        let lints: Vec<&str> = items.expects.iter().map(|(_, l)| l.as_str()).collect();
+        assert_eq!(lints, vec!["expect_used", "unwrap_used"]);
+    }
+
+    #[test]
+    fn clippy_expect_does_not_justify_an_assert_or_other_lints() {
+        let src = "fn f(xs: &[u32]) {\n    #[expect(clippy::expect_used, reason = \"x\")]\n    assert!(xs[0] > 0);\n    #[allow(clippy::unwrap_used)]\n    xs.first().unwrap();\n}\n";
+        let items = parse(src);
+        let kinds: Vec<&str> = items.fns[0].sinks.iter().map(|s| s.what.as_str()).collect();
+        assert_eq!(kinds, vec!["assert!", "slice-index", "unwrap"]);
+        assert_eq!(items.expects, vec![(1, "expect_used".to_string())]);
     }
 
     #[test]

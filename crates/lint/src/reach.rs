@@ -1,20 +1,14 @@
-//! Stage 2 of the reachability analysis: the `panic-reach` and
-//! `determinism-taint` rules, run over the [`CallGraph`](crate::graph).
+//! Stage 2 of the reachability analysis: the `panic-reach` rule, run over
+//! the [`CallGraph`](crate::graph).
 //!
-//! Both rules ask the same question — *which hazardous sites can a
-//! hot-path root reach?* — and differ only in what counts as hazardous:
-//!
-//! - **panic-reach**: panicking constructs (`unwrap`/`expect`,
-//!   `panic!`-family macros, slice indexing) transitively reachable from
-//!   a root, in *any* crate. This is `no-panic-hot-path` escalated from
-//!   per-file syntax to whole-workspace semantics: a helper in
-//!   `abft-core` that indexes a slice is a violation the moment a filter
-//!   can call it.
-//! - **determinism-taint**: clock reads, thread spawning,
-//!   `HashMap`/`HashSet`, and entropy-seeded RNG reachable from a root —
-//!   except at sites inside the sanctioned homes (`telemetry::clock`,
-//!   `linalg::pool`), whose whole purpose is to contain exactly those
-//!   constructs behind a deterministic interface.
+//! **panic-reach**: no panicking construct — `unwrap`/`expect`, the
+//! `panic!`-family macros including `assert!`, slice indexing — may be
+//! transitively reachable from a hot-path root, in *any* crate. Clippy's
+//! `unwrap_used`/`expect_used`/`panic` denies cover the hot-path crates'
+//! own calls, one crate at a time; this rule adds the asserts and indexing
+//! clippy has no lint for, and the helper crates the hot path calls into:
+//! a helper in `abft-core` that indexes a slice is a violation the moment
+//! a filter can call it.
 //!
 //! The hot-path roots are the functions a mid-round server executes:
 //! every `aggregate_into` impl (reached through `GradientFilter`
@@ -28,26 +22,18 @@
 //! `root → f → g → site` that proves reachability — rendered by the CLI
 //! and serialized in `--json`. Suppression is edge- and site-scoped:
 //!
-//! - a `panic-reach`/`determinism-taint` pragma at a **call site** cuts
-//!   that edge out of the rule's traversal (the annotation covers the
-//!   edge it sits on, nothing more);
-//! - the same pragma at a **sink line** (or at the `fn` definition line,
+//! - a `panic-reach` pragma at a **call site** cuts that edge out of the
+//!   traversal (the annotation covers the edge it sits on, nothing more);
+//! - the same pragma at a **site** (or at the `fn` definition line,
 //!   covering the whole body) suppresses the site itself;
-//! - the legacy line-rule pragma for the same hazard
-//!   (`no-panic-hot-path` for panics, `fixed-schedule` for clocks and
-//!   spawns, `deterministic-collections` for hashed collections) is
-//!   honored at sink lines, so a site justified once is not re-litigated
-//!   by the reachability pass.
+//! - a clippy `#[expect]` for the site's twin lint (`expect_used` over an
+//!   `.expect(`, …) on its statement or `fn` justifies it too: the parser
+//!   never records such a site (see [`parse`](crate::parse)).
 
 use crate::graph::CallGraph;
-use crate::parse::{ParsedSource, SinkKind};
-use crate::{annotated, pragmas_in, truncate, Hop, Violation};
+use crate::parse::ParsedSource;
+use crate::{annotated, pragmas_in, Hop, Violation};
 use std::collections::BTreeMap;
-
-/// Files whose determinism sinks are sanctioned: the clock home, and the
-/// fixed-schedule pool (the one thread home). `panic-reach` deliberately
-/// has no such list — nothing is allowed to panic mid-round.
-const TAINT_HOMES: &[&str] = &["crates/telemetry/src/clock.rs", "crates/linalg/src/pool.rs"];
 
 /// The hot-path roots named by `(function, workspace-relative file)`: the
 /// server step, then how rows arrive in each driver — the S1 collector
@@ -102,157 +88,78 @@ fn is_root(node: &crate::graph::Node) -> bool {
     }
 }
 
-/// One reachability rule's configuration.
-struct Rule {
-    name: &'static str,
-    /// Does this sink kind belong to the rule?
-    applies: fn(SinkKind) -> bool,
-    /// The legacy line rule whose pragma also suppresses a sink of this
-    /// kind (the hazard is the same, only the scope of the check grew).
-    legacy: fn(SinkKind) -> Option<&'static str>,
-    /// Sanctioned sink locations (exact workspace-relative paths).
-    homes: &'static [&'static str],
-}
-
-const RULES: &[Rule] = &[
-    Rule {
-        name: "panic-reach",
-        applies: |k| k == SinkKind::Panic,
-        legacy: |_| Some("no-panic-hot-path"),
-        homes: &[],
-    },
-    Rule {
-        name: "determinism-taint",
-        applies: |k| {
-            matches!(
-                k,
-                SinkKind::Clock | SinkKind::Spawn | SinkKind::HashOrder | SinkKind::Entropy
-            )
-        },
-        legacy: |k| match k {
-            SinkKind::Clock | SinkKind::Spawn => Some("fixed-schedule"),
-            SinkKind::HashOrder => Some("deterministic-collections"),
-            _ => None,
-        },
-        homes: TAINT_HOMES,
-    },
-];
-
-/// Runs both reachability rules over the graph. `files` is the same
-/// parsed set the graph was built from (for pragma lookups and source
-/// excerpts).
+/// Runs `panic-reach` over the graph. `files` is the same parsed set the
+/// graph was built from (for pragma lookups and source excerpts).
 pub fn check(graph: &CallGraph, files: &[ParsedSource]) -> Vec<Violation> {
     let by_rel: BTreeMap<&str, &ParsedSource> = files.iter().map(|f| (f.rel.as_str(), f)).collect();
 
-    // Is a pragma naming any of `rules` (with a reason) in force at
-    // 0-based `line` of `rel` — on the line, or in the annotation run
-    // directly above it?
-    let allowed = |rel: &str, line: usize, rules: &[&str]| -> bool {
+    // Is a `panic-reach` pragma with a reason in force at 0-based `line`
+    // of `rel` — on the line, or in the annotation run directly above it?
+    let allowed = |rel: &str, line: usize| -> bool {
         let Some(src) = by_rel.get(rel) else {
             return false;
         };
-        if line >= src.masked.len() {
-            return false;
-        }
-        annotated(&src.masked, line, &|ml| {
-            pragmas_in(&ml.comment)
-                .iter()
-                .any(|p| p.has_reason && rules.iter().any(|r| p.rule == *r))
-        })
+        line < src.masked.len()
+            && annotated(&src.masked, line, &|ml| {
+                pragmas_in(&ml.comment)
+                    .iter()
+                    .any(|p| p.has_reason && p.rule == "panic-reach")
+            })
     };
 
+    // BFS from all roots at once, recording one parent per node so every
+    // reached function has a shortest witness chain. Roots and edges are
+    // visited in deterministic (node-id) order.
     let roots: Vec<usize> = (0..graph.nodes.len())
         .filter(|&id| is_root(&graph.nodes[id]))
         .collect();
+    let mut parent: Vec<Option<usize>> = vec![None; graph.nodes.len()];
+    let mut seen = vec![false; graph.nodes.len()];
+    let mut queue: std::collections::VecDeque<usize> = roots.iter().copied().collect();
+    for &r in &roots {
+        seen[r] = true;
+    }
+    while let Some(id) = queue.pop_front() {
+        for edge in &graph.edges[id] {
+            // A call-site pragma cuts the edge.
+            if seen[edge.to] || allowed(&graph.nodes[id].file, edge.call_line) {
+                continue;
+            }
+            seen[edge.to] = true;
+            parent[edge.to] = Some(id);
+            queue.push_back(edge.to);
+        }
+    }
 
     let mut out = Vec::new();
-    for rule in RULES {
-        // BFS from all roots at once, recording one parent per node so
-        // every reached function has a shortest witness chain. Roots and
-        // edges are visited in deterministic (node-id) order.
-        let mut parent: Vec<Option<(usize, usize)>> = vec![None; graph.nodes.len()];
-        let mut seen = vec![false; graph.nodes.len()];
-        let mut queue: std::collections::VecDeque<usize> = roots.iter().copied().collect();
-        for &r in &roots {
-            seen[r] = true;
+    for (id, node) in graph.nodes.iter().enumerate() {
+        // A pragma on the `fn` line covers the whole body.
+        if !seen[id] || node.sinks.is_empty() || allowed(&node.file, node.line) {
+            continue;
         }
-        while let Some(id) = queue.pop_front() {
-            for edge in &graph.edges[id] {
-                if seen[edge.to] {
-                    continue;
-                }
-                // An edge-site pragma for this rule cuts the edge.
-                if allowed(&graph.nodes[id].file, edge.call_line, &[rule.name]) {
-                    continue;
-                }
-                seen[edge.to] = true;
-                parent[edge.to] = Some((id, edge.call_line));
-                queue.push_back(edge.to);
-            }
-        }
-
-        for (id, node) in graph.nodes.iter().enumerate() {
-            if !seen[id] {
+        let chain = witness(graph, &parent, id);
+        let root_name = chain
+            .first()
+            .map_or_else(|| node.display.clone(), |h| h.func.clone());
+        for sink in &node.sinks {
+            if allowed(&node.file, sink.line) {
                 continue;
             }
-            let live: Vec<_> = node
-                .sinks
-                .iter()
-                .filter(|s| (rule.applies)(s.kind))
-                .collect();
-            if live.is_empty() {
-                continue;
-            }
-            // Sanctioned home: sinks *located* there are the contained
-            // implementation the rest of the workspace is allowed to
-            // reach.
-            if rule.homes.contains(&node.file.as_str()) {
-                continue;
-            }
-            // A pragma on the `fn` line covers the whole body.
-            if allowed(&node.file, node.line, &[rule.name]) {
-                continue;
-            }
-            let chain = witness(graph, &parent, id);
-            let root_name = chain
-                .first()
-                .map_or_else(|| node.display.clone(), |h| h.func.clone());
-            for sink in live {
-                let mut site_rules = vec![rule.name];
-                if let Some(legacy) = (rule.legacy)(sink.kind) {
-                    site_rules.push(legacy);
-                }
-                if allowed(&node.file, sink.line, &site_rules) {
-                    continue;
-                }
-                let excerpt = by_rel
+            out.push(Violation {
+                file: node.file.clone(),
+                line: sink.line + 1,
+                rule: "panic-reach",
+                message: format!(
+                    "`{}` is reachable from hot-path root `{}` — the aggregation \
+                     path must not panic on adversarial input; return an error \
+                     or justify with a pragma",
+                    sink.what, root_name
+                ),
+                excerpt: by_rel
                     .get(node.file.as_str())
-                    .and_then(|src| src.lines.get(sink.line))
-                    .map_or(String::new(), |l| truncate(l.trim(), 160));
-                let message = if rule.name == "panic-reach" {
-                    format!(
-                        "`{}` is reachable from hot-path root `{}` — the aggregation \
-                         path must not panic on adversarial input; return an error \
-                         or justify with a pragma",
-                        sink.what, root_name
-                    )
-                } else {
-                    format!(
-                        "`{}` is reachable from hot-path root `{}` — nondeterminism \
-                         must stay inside the sanctioned homes (`telemetry::clock`, \
-                         `linalg::pool`)",
-                        sink.what, root_name
-                    )
-                };
-                out.push(Violation {
-                    file: node.file.clone(),
-                    line: sink.line + 1,
-                    rule: rule.name,
-                    message,
-                    excerpt,
-                    chain: chain.clone(),
-                });
-            }
+                    .map_or(String::new(), |src| src.excerpt(sink.line)),
+                chain: chain.clone(),
+            });
         }
     }
     out
@@ -260,10 +167,10 @@ pub fn check(graph: &CallGraph, files: &[ParsedSource]) -> Vec<Violation> {
 
 /// Reconstructs the witness chain `root → … → containing fn` for node
 /// `id` from the BFS parent pointers, root first, with 1-based lines.
-fn witness(graph: &CallGraph, parent: &[Option<(usize, usize)>], id: usize) -> Vec<Hop> {
+fn witness(graph: &CallGraph, parent: &[Option<usize>], id: usize) -> Vec<Hop> {
     let mut rev = vec![id];
     let mut cur = id;
-    while let Some((p, _)) = parent[cur] {
+    while let Some(p) = parent[cur] {
         rev.push(p);
         cur = p;
     }
@@ -324,15 +231,17 @@ mod tests {
     }
 
     #[test]
-    fn sink_pragma_suppresses_including_legacy_rule_name() {
-        let v = run(&[
-            ("crates/filters/src/mean.rs", FILTER),
-            (
-                "crates/core/src/util.rs",
-                "pub fn helper() {\n    // LINT-ALLOW(no-panic-hot-path): length checked by caller\n    Some(1).unwrap();\n}\n",
-            ),
-        ]);
-        assert!(v.iter().all(|v| v.rule != "panic-reach"));
+    fn sink_pragma_or_clippy_expect_suppresses() {
+        for helper in [
+            "pub fn helper() {\n    // LINT-ALLOW(panic-reach): length checked by caller\n    Some(1).unwrap();\n}\n",
+            "pub fn helper() {\n    #[expect(clippy::unwrap_used, reason = \"length checked by caller\")]\n    Some(1).unwrap();\n}\n",
+        ] {
+            let v = run(&[
+                ("crates/filters/src/mean.rs", FILTER),
+                ("crates/core/src/util.rs", helper),
+            ]);
+            assert!(v.iter().all(|v| v.rule != "panic-reach"), "{v:#?}");
+        }
     }
 
     #[test]
@@ -348,35 +257,6 @@ mod tests {
             ),
         ]);
         assert!(v.iter().all(|v| v.rule != "panic-reach"));
-    }
-
-    #[test]
-    fn determinism_sinks_in_sanctioned_homes_are_exempt() {
-        let v = run(&[
-            (
-                "crates/linalg/src/pool.rs",
-                "pub struct Pool;\nimpl GradientFilter for Pool {\n    fn aggregate_into(&self) {\n        std::thread::spawn(|| {});\n        tick();\n    }\n}\n",
-            ),
-            (
-                "crates/telemetry/src/clock.rs",
-                "pub fn tick() {\n    let _ = Instant::now();\n}\n",
-            ),
-        ]);
-        assert!(v.iter().all(|v| v.rule != "determinism-taint"), "{v:#?}");
-    }
-
-    #[test]
-    fn determinism_sink_outside_homes_is_reported() {
-        let v = run(&[
-            ("crates/filters/src/mean.rs", FILTER),
-            (
-                "crates/core/src/util.rs",
-                "pub fn helper() {\n    let _ = Instant::now();\n}\n",
-            ),
-        ]);
-        let taints: Vec<_> = v.iter().filter(|v| v.rule == "determinism-taint").collect();
-        assert_eq!(taints.len(), 1);
-        assert_eq!(taints[0].line, 2);
     }
 
     #[test]

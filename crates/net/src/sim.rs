@@ -29,7 +29,6 @@ impl<P> PartialEq for InFlight<P> {
 impl<P> Eq for InFlight<P> {}
 
 impl<P> PartialOrd for InFlight<P> {
-    // LINT-ALLOW(float-total-order): delegates to the total Ord on integer keys; no floats compared
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }

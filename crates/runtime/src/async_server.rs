@@ -47,7 +47,7 @@ use abft_linalg::Vector;
 use abft_net::rng::{mix, SplitMix64};
 use abft_net::{MessageBus, NetworkModel, SimulatedNetwork};
 use abft_telemetry::{Phase, Telemetry};
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Timing model of an asynchronous simulated-server run. All fields are
@@ -135,7 +135,7 @@ impl Default for AsyncConfig {
 /// One entry of the driver's own event queue. Network deliveries are not
 /// queued here — they live in the simulator's heap and are interleaved by
 /// time through the bus's continuous view, deliveries first on ties.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 enum DriverEvent {
     /// Server aggregation step `step` fires.
     ServerStep { step: usize },
@@ -143,28 +143,62 @@ enum DriverEvent {
     AgentFire { agent: usize },
 }
 
+/// One queued driver event, ordered by `(virtual time, schedule
+/// sequence)` alone — `seq` is unique, so the order is total and never
+/// looks at the event.
+struct Scheduled {
+    at: u64,
+    seq: u64,
+    event: DriverEvent,
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+
+impl Eq for Scheduled {}
+
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
 /// The driver's own deterministic event queue: a min-heap over
 /// `(virtual time, schedule sequence)`, the same total order the
 /// simulator uses for deliveries.
 #[derive(Default)]
 struct EventQueue {
-    heap: BinaryHeap<Reverse<(u64, u64, DriverEvent)>>,
+    heap: BinaryHeap<Scheduled>,
     seq: u64,
 }
 
 impl EventQueue {
     fn push(&mut self, at: u64, event: DriverEvent) {
-        self.heap.push(Reverse((at, self.seq, event)));
+        self.heap.push(Scheduled {
+            at,
+            seq: self.seq,
+            event,
+        });
         self.seq += 1;
     }
 
     /// Virtual time of the earliest queued event.
     fn next_at(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse((at, _, _))| *at)
+        self.heap.peek().map(|next| next.at)
     }
 
     fn pop(&mut self) -> Option<(u64, DriverEvent)> {
-        self.heap.pop().map(|Reverse((at, _, event))| (at, event))
+        self.heap.pop().map(|next| (next.at, next.event))
     }
 }
 

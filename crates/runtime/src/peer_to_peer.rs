@@ -54,7 +54,7 @@ impl BitsVector {
     ///
     /// Panics when `out.len()` differs from the encoded length.
     fn write_into(&self, out: &mut [f64]) {
-        // LINT-ALLOW(no-panic-hot-path): wire-format invariant; decode restores the encoded dimension
+        // LINT-ALLOW(panic-reach): wire-format invariant; decode restores the encoded dimension
         assert_eq!(out.len(), self.0.len(), "decoded gradient dimension");
         for (slot, &bits) in out.iter_mut().zip(&self.0) {
             *slot = f64::from_bits(bits);
@@ -122,7 +122,10 @@ pub(crate) struct P2pLink<'a> {
 // bounded by n, and every per-agent table (cells, slot_of, followers,
 // decided_batches, sender_values) is allocated with exactly that length
 // before the loop; ids arrive pre-validated by `DgdTask::fault_plan`.
-#[allow(clippy::needless_range_loop)]
+#[expect(
+    clippy::needless_range_loop,
+    reason = "agent ids index several per-agent tables at once"
+)]
 pub(crate) fn execute_on<B: MessageBus<EigMessage>>(
     task: DgdTask,
     filter: &dyn GradientFilter,

@@ -59,7 +59,10 @@ fn transmit<V: Clone>(
 }
 
 /// The path-keyed EIG broadcast (the callers pass valid configurations).
-#[allow(clippy::needless_range_loop)]
+#[expect(
+    clippy::needless_range_loop,
+    reason = "kept as written: the reference is the old implementation verbatim"
+)]
 fn reference_broadcast_on<V: Clone + Eq, B: MessageBus<PathMessage<V>>>(
     config: SystemConfig,
     sender: usize,

@@ -253,7 +253,10 @@ impl ScenarioSuite {
                 let next = &next;
                 let scenarios = &self.scenarios;
                 let shared_pool = shared_pool.clone();
-                // LINT-ALLOW(fixed-schedule): results carry their scenario index and are reassembled in order
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "results carry their scenario index and are reassembled in order"
+                )]
                 scope.spawn(move || {
                     let mut workspace = SuiteWorkspace::new();
                     if let Some(pool) = shared_pool {

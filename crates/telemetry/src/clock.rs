@@ -1,7 +1,7 @@
 //! The workspace's single sanctioned wall-clock home.
 //!
-//! `abft-lint`'s `fixed-schedule` rule bans `Instant::now` everywhere
-//! outside this file: timing must never feed control flow, so every
+//! `clippy.toml` bans `Instant::now` everywhere, and only this file
+//! expects the ban: timing must never feed control flow, so every
 //! wall-clock read in the stack funnels through here, where it is visibly
 //! metrics-only. Simulated runs do not use this module at
 //! all — they stamp telemetry from the [`SimulatedNetwork`] virtual clock
@@ -14,6 +14,7 @@ use std::time::{Duration, Instant};
 
 /// The process-wide clock origin: fixed at the first read, so every
 /// `monotonic_ns` value across threads shares one time base.
+#[expect(clippy::disallowed_methods, reason = "the sanctioned clock home")]
 fn origin() -> Instant {
     static ORIGIN: OnceLock<Instant> = OnceLock::new();
     *ORIGIN.get_or_init(Instant::now)
@@ -39,6 +40,7 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Starts timing now.
+    #[expect(clippy::disallowed_methods, reason = "the sanctioned clock home")]
     pub fn start() -> Self {
         Stopwatch {
             started: Instant::now(),

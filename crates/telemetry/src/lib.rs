@@ -72,7 +72,7 @@ impl TelemetryConfig {
 
 /// The instrumented phases, shared by every backend so profiles compare
 /// across execution models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// One full protocol round (encloses the other phases).
     Round = 0,
