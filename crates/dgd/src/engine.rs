@@ -1,16 +1,16 @@
-//! The one server step (S2 of Section 4.1) every driver calls.
+//! The one server step (S2 of Section 4.1) every driver calls, and the one
+//! server loop around it.
 //!
-//! `x ← Proj_W(x − η_t · GradFilter(g_1…g_n))` is written here once. The
-//! in-process driver and the event loop (one loop, see [`crate::fleet`]),
-//! the simulated server, the asynchronous server, every honest agent of
-//! the peer-to-peer simulation (leader and followers alike) and robust
-//! D-SGD (`abft_ml::train_distributed`) differ only in how the agents'
-//! rows travel into the batch they hand to [`RoundEngine::step`];
-//! aggregation, the divergence check, observation, halting, the update,
-//! the phase spans and the run's counters are this file's, so the drivers
-//! agree on them by construction. The engine knows nothing about agents:
-//! what a run's records *measure* is the [`RoundMetrics`] it is built with,
-//! and the batch a driver fills comes from [`RoundEngine::round_batch`].
+//! `x ← Proj_W(x − η_t · GradFilter(g_1…g_n))` is written here once: the
+//! three server topologies, every honest agent of the peer-to-peer
+//! simulation and robust D-SGD (`abft_ml::train_distributed`) differ only
+//! in how the agents' rows travel into the batch they hand to
+//! [`RoundEngine::step`], so they agree on aggregation, the divergence
+//! check, observation, halting, the update, the phase spans and the
+//! counters by construction. The server topologies share the loop too
+//! ([`RowSource::serve`]) and differ only in their [`RowSource`]. The
+//! engine knows nothing about agents: what a run's records *measure* is
+//! the [`RoundMetrics`] it is built with.
 
 use crate::error::DgdError;
 use crate::fleet::AgentCell;
@@ -129,12 +129,50 @@ pub trait RoundMetrics {
     fn phi(&self, x: &Vector, g: &Vector) -> f64;
 }
 
+/// How a server topology's rows arrive: cells writing loaned rows
+/// (`RoundWorkspace`), bus replies under a round deadline, or the freshest
+/// bus rows within a staleness bound (both in `abft_runtime`).
+pub trait RowSource {
+    /// Step S1 for iteration `t`, the budget aside: send `x_t` (read from
+    /// `engine`, where the counters and spans go too) and return the
+    /// round's rows in agent-id order. An agent the server has no row from
+    /// — crashed, straggling or stale — has none.
+    ///
+    /// # Errors
+    ///
+    /// [`DgdError::Dimension`] for a reply of the wrong dimension.
+    fn round_rows(
+        &mut self,
+        t: usize,
+        engine: &mut RoundEngine<'_>,
+    ) -> Result<&GradientBatch, DgdError>;
+
+    /// The server loop of Section 4.1 over `n` agents with fault budget
+    /// `f`: per iteration the source's rows, an agent without one
+    /// eliminated for the round (the filter runs with `f` less the absent
+    /// agents), then [`RoundEngine::step`] — until a step halts. The caller
+    /// finishes the engine.
+    ///
+    /// # Errors
+    ///
+    /// See [`RowSource::round_rows`] and [`RoundEngine::step`].
+    fn serve(&mut self, n: usize, f: usize, engine: &mut RoundEngine<'_>) -> Result<(), DgdError> {
+        for t in 0..=engine.options().iterations {
+            let batch = self.round_rows(t, engine)?;
+            let f_round = f.saturating_sub(n - batch.len());
+            if engine.step(t, batch, f_round)?.is_halt() {
+                break;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// One run's server state and the step that advances it.
 ///
-/// A driver builds the engine, then per round fills a batch however its
-/// topology delivers rows and calls [`RoundEngine::step`]; when a step
-/// halts it calls [`RoundEngine::finish`]. The engine owns no loop — the
-/// asynchronous driver steps from inside its event merge.
+/// A server driver hands the engine to its [`RowSource`]'s loop; the
+/// peer-to-peer perspectives and robust D-SGD step it per round
+/// themselves. Once a step halts, the driver calls [`RoundEngine::finish`].
 pub struct RoundEngine<'a> {
     x: Vector,
     aggregated: Vector,

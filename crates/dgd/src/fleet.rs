@@ -5,15 +5,17 @@
 //! *(cost, strategy, t, x)* into what an agent reports. The simulated
 //! servers and the peer-to-peer loop call it with a reused buffer; the
 //! lockstep server hands its cells to a [`RoundWorkspace`], whose
-//! [`run_rounds`](RoundWorkspace::run_rounds) is its one
-//! `for t { collect; step }` loop. Its in-process and event-loop launches
-//! differ in configuration only: in process the rows are filled on the
-//! caller's thread, the event loop shards the fill over `fleet_workers` of an
+//! [`run_rounds`](RoundWorkspace::run_rounds) is the one server loop
+//! ([`RowSource::serve`]) with the workspace as the row source: each round
+//! it collects the cells' rows into its batch. Its in-process and
+//! event-loop launches differ in
+//! configuration only: in process the rows are filled on the caller's
+//! thread, the event loop shards the fill over `fleet_workers` of an
 //! [`abft_linalg::WorkerPool`], whose **fixed schedule** makes the
 //! agent→worker assignment a pure function of `(active agents, workers)`
 //! — never of timing — so the rows are bit-identical at any worker count.
 
-use crate::engine::{RoundEngine, RunCounters};
+use crate::engine::{RoundEngine, RowSource, RunCounters};
 use crate::error::DgdError;
 use abft_attacks::{AttackContext, ByzantineStrategy, HonestGradients};
 use abft_linalg::{GradientBatch, SharedSlots, Vector, WorkerPool};
@@ -253,6 +255,8 @@ pub struct RoundWorkspace {
     /// Fill-worker count of the latest run (0 before the first).
     fill_workers: usize,
     runs_served: usize,
+    /// The latest run's message-level counters.
+    counters: RunCounters,
     /// Debug-build loan tables of the fill dispatch (cells, rows).
     loans: (LoanTable, LoanTable),
 }
@@ -278,6 +282,7 @@ impl RoundWorkspace {
             fill_pool: None,
             fill_workers: 0,
             runs_served: 0,
+            counters: RunCounters::default(),
             loans: Default::default(),
         }
     }
@@ -354,22 +359,23 @@ impl RoundWorkspace {
     /// for the honest rows, and is served in a second pass on the caller's
     /// thread with those rows — the truly honest agents', never a
     /// crash-scheduled one's — in view.
-    // LINT-ALLOW(panic-reach): `active` holds agent ids < cells.len() (set
-    // in `load`), and `row < active.len()` = the batch's row count.
     fn collect_round(&mut self, cells: &mut [AgentCell], t: usize, x: &Vector) -> usize {
         let sent = self.active.len();
-        self.active.retain(|&agent| !cells[agent].silent_at(t));
+        let replies = |agent: &usize| cells.get(*agent).is_some_and(|cell| !cell.silent_at(t));
+        self.active.retain(replies);
         let active = self.active.as_slice();
         self.batch.reset_rows(active.len());
 
         let dim = self.batch.dim();
         let round = SharedRound::new(cells, self.batch.as_flat_mut(), dim, &mut self.loans);
-        let fill = |range: Range<usize>| {
-            for row in range {
-                // SAFETY: the fixed schedule hands unit `row` — row `row`
-                // and active agent `active[row]`, ids being distinct — to
-                // exactly one worker.
-                let (cell, out) = unsafe { round.unit(row, active[row]) };
+        let fill = |rows: Range<usize>| {
+            let agents = active.get(rows.clone()).unwrap_or_default();
+            for (row, &agent) in rows.zip(agents) {
+                // SAFETY: `agent` indexes the cell table (`retain` kept
+                // only such ids), and the fixed schedule hands unit `row`
+                // — row `row` and active agent `agent`, ids being
+                // distinct — to exactly one worker.
+                let (cell, out) = unsafe { round.unit(row, agent) };
                 if !cell.omniscient {
                     cell.reply_into(t, x, HonestGradients::Hidden, out);
                 }
@@ -381,17 +387,18 @@ impl RoundWorkspace {
         }
 
         if self.omniscient {
-            let honest = |&(_, &agent): &(usize, &usize)| cells[agent].is_honest();
+            let honest =
+                |&(_, &agent): &(usize, &usize)| cells.get(agent).is_some_and(AgentCell::is_honest);
             let rows = active.iter().enumerate().filter(honest).map(|(row, _)| row);
             self.honest_rows.clear();
             self.honest_rows.extend(rows);
             for (row, &agent) in active.iter().enumerate() {
-                if cells[agent].omniscient {
+                if let Some(cell) = cells.get_mut(agent).filter(|cell| cell.omniscient) {
                     let view = HonestGradients::Rows {
                         batch: &self.batch,
                         rows: &self.honest_rows,
                     };
-                    cells[agent].reply_into(t, x, view, self.forged.as_mut_slice());
+                    cell.reply_into(t, x, view, self.forged.as_mut_slice());
                     let forged = self.forged.as_slice();
                     self.batch.row_mut(row).copy_from_slice(forged);
                 }
@@ -400,13 +407,12 @@ impl RoundWorkspace {
         sent
     }
 
-    /// The synchronous server loop over `cells`, in process or as an event
-    /// loop: per iteration, step S1 (the
-    /// collect, sharded over `fill_workers`; 1 fills on the caller's
-    /// thread) and step S2 ([`RoundEngine::step`], with the fault budget
-    /// `f` less the agents eliminated so far — the server knows a silent
-    /// agent is faulty, so its `(n, f)` view shrinks). Runs until a step
-    /// halts; the caller finishes the engine.
+    /// The synchronous server over `cells`, in process or as an event
+    /// loop: [`RowSource::serve`] with this workspace collecting each
+    /// round — step S1 sharded over `fill_workers` (1 fills on the caller's
+    /// thread), a silent agent eliminated for good, so the server's
+    /// `(n, f)` view shrinks. Runs until a step halts; the caller finishes
+    /// the engine.
     ///
     /// Returns the run's message-level counters (`rounds` is the engine's
     /// to count): the event loop reports them, the in-process launch —
@@ -425,28 +431,39 @@ impl RoundWorkspace {
         let options = engine.options();
         let dim = engine.x().dim();
         let warm = self.load(cells, dim, fill_workers.max(1), options.aggregation_threads);
-        let mut counters = RunCounters {
+        self.counters = RunCounters {
             fleet_reuse_hits: usize::from(warm),
             ..RunCounters::default()
         };
         engine.instrument(&mut self.batch);
-        for t in 0..=options.iterations {
-            let fill_span = engine.telemetry.begin(Phase::GradientFill);
-            let sent = self.collect_round(cells, t, engine.x());
-            counters.broadcasts_sent += sent;
-            counters.events_processed += sent;
-            counters.rounds_dispatched += 1;
-            counters.replies_received += self.batch.len();
-            counters.agents_eliminated = cells.len() - self.active.len();
-            engine.telemetry.end(fill_span);
-
-            let server_f = f.saturating_sub(counters.agents_eliminated);
-            if engine.step(t, &self.batch, server_f)?.is_halt() {
-                break;
-            }
-        }
+        let n = cells.len();
+        Lockstep(self, cells).serve(n, f, engine)?;
         engine.absorb(&mut self.batch);
-        Ok(counters)
+        Ok(self.counters)
+    }
+}
+
+/// The lockstep row source: every round, the workspace collects the
+/// cells' rows into its batch and counts the messages that took.
+struct Lockstep<'a>(&'a mut RoundWorkspace, &'a mut [AgentCell]);
+
+impl RowSource for Lockstep<'_> {
+    fn round_rows(
+        &mut self,
+        t: usize,
+        engine: &mut RoundEngine<'_>,
+    ) -> Result<&GradientBatch, DgdError> {
+        let Lockstep(workspace, cells) = self;
+        let fill_span = engine.telemetry.begin(Phase::GradientFill);
+        let sent = workspace.collect_round(cells, t, engine.x());
+        let counters = &mut workspace.counters;
+        counters.broadcasts_sent += sent;
+        counters.events_processed += sent;
+        counters.rounds_dispatched += 1;
+        counters.replies_received += workspace.batch.len();
+        counters.agents_eliminated = cells.len() - workspace.active.len();
+        engine.telemetry.end(fill_span);
+        Ok(&workspace.batch)
     }
 }
 

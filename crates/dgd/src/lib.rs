@@ -19,8 +19,9 @@
 //! which knows nothing of agents: what a run's records measure is a
 //! [`RoundMetrics`], and it is also the step of every honest agent of the
 //! peer-to-peer runtime and of robust D-SGD (`abft-ml`).
-//! [`RoundWorkspace::run_rounds`] is the one `for t { S1; S2 }` loop of the
-//! synchronous server, recording the paper's plotted series (loss,
+//! [`RowSource::serve`] is the one `for t { S1; S2 }` loop of every server
+//! topology — [`RoundWorkspace::run_rounds`] runs it over the lockstep
+//! cells — recording the paper's plotted series (loss,
 //! distance) plus Theorem 3's `φ_t` for convergence-condition checks
 //! ([`convergence`]).
 //!
@@ -90,7 +91,7 @@ pub mod schedule;
 pub mod simulation;
 
 pub use convergence::{phi_lower_bound_holds, settles_within};
-pub use engine::{Outcome, RoundEngine, RoundMetrics, RunCounters};
+pub use engine::{Outcome, RoundEngine, RoundMetrics, RowSource, RunCounters};
 pub use error::DgdError;
 pub use fleet::{AgentCell, RoundWorkspace};
 pub use projection::ProjectionSet;

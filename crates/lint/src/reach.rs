@@ -12,8 +12,9 @@
 //!
 //! The hot-path roots are the functions a mid-round server executes:
 //! every `aggregate_into` impl (reached through `GradientFilter`
-//! dispatch), plus the [`NAMED_ROOTS`] — the one server step every driver
-//! calls (`RoundEngine::step`) and each driver's row-arrival path. Named
+//! dispatch), plus the [`NAMED_ROOTS`] — the one server loop
+//! (`RowSource::serve`, around `RoundEngine::step`) and each driver's
+//! entry, from which every row source is reached. Named
 //! roots are matched by function name + file, so a rename would silently
 //! shrink the walk; [`unresolved_roots`] is the guard, and
 //! `tests/workspace_clean.rs` fails when it is non-empty.
@@ -36,17 +37,15 @@ use crate::{annotated, pragmas_in, Hop, Violation};
 use std::collections::BTreeMap;
 
 /// The hot-path roots named by `(function, workspace-relative file)`: the
-/// server step, then how rows arrive in each driver — the S1 collector
-/// the in-process driver and the event loop share, the event loop's
-/// entry, the simulated server, the simulated peer-to-peer entry (which
-/// is all of the EIG loop), and the asynchronous server.
+/// one server loop (which reaches the server step, and every row source's
+/// `round_rows` through the unknown-receiver fan-out), the lockstep
+/// entry, the one simulated-server entry, and the simulated peer-to-peer
+/// entry (which is all of the EIG loop).
 pub const NAMED_ROOTS: &[(&str, &str)] = &[
-    ("step", "crates/dgd/src/engine.rs"),
-    ("collect_round", "crates/dgd/src/fleet.rs"),
+    ("serve", "crates/dgd/src/engine.rs"),
     ("execute", "crates/runtime/src/event_loop.rs"),
     ("execute_server", "crates/runtime/src/simulated.rs"),
     ("execute_p2p", "crates/runtime/src/simulated.rs"),
-    ("execute_async_server", "crates/runtime/src/async_server.rs"),
 ];
 
 /// The [`NAMED_ROOTS`] no function of `graph` matches, as `name (file)`.

@@ -78,7 +78,7 @@ fn trait_dispatch_carries_the_chain_across_crates() {
         .find(|l| l.trim_start().starts_with("chain:"))
         .expect("witness chain line");
     // The root sits in the filters crate (reached through `GradientFilter`
-    // dynamic dispatch from the fixture collector) and the sink in the util
+    // dynamic dispatch from the fixture server loop) and the sink in the util
     // crate: a cross-crate edge the line-level rules can never see.
     let filters = chain.find("crates/filters/src/mean.rs").expect("root hop");
     let util = chain.find("crates/util/src/lib.rs").expect("sink hop");
@@ -107,22 +107,25 @@ fn json_report_carries_the_chain_with_stable_keys() {
 
 #[test]
 fn a_root_missing_from_the_tree_is_reported_not_silently_skipped() {
-    // The fixture workspace has a collector and a filter but no round engine,
-    // no event loop and no simulated drivers: the one named root it does
-    // define resolves, every other one is listed by name and file.
+    // The fixture workspace has a server loop and a filter but no event
+    // loop and no simulated drivers: the one named root it does define
+    // resolves, every other one is listed by name and file.
     let missing = abft_lint::unresolved_roots(&fixture("panic_ws")).expect("fixture is readable");
     assert!(
-        !missing.iter().any(|m| m.starts_with("collect_round ")),
-        "the fixture collector defines collect_round: {missing:?}"
+        !missing.iter().any(|m| m.starts_with("serve ")),
+        "the fixture server loop defines serve: {missing:?}"
     );
     for root in [
-        "step (crates/dgd/src/engine.rs)",
+        "execute (crates/runtime/src/event_loop.rs)",
         "execute_server (crates/runtime/src/simulated.rs)",
+        "execute_p2p (crates/runtime/src/simulated.rs)",
     ] {
         assert!(
             missing.iter().any(|m| m == root),
             "{root} not in {missing:?}"
         );
     }
+    // One loop and three entries: every row source is reached from them.
+    assert_eq!(missing.len(), 3, "{missing:?}");
     assert_eq!(missing.len(), abft_lint::reach::NAMED_ROOTS.len() - 1);
 }

@@ -1,53 +1,45 @@
-//! The asynchronous bounded-staleness simulated-server driver.
+//! The asynchronous bounded-staleness row source of the simulated server.
 //!
-//! The synchronous drivers run the paper's round lockstep: broadcast,
-//! collect what made the deadline, aggregate. This driver drops the
-//! lockstep. Agents fire gradient computations on their own per-agent
-//! clocks (base compute time plus seeded jitter, derived with the
-//! simulator's SplitMix64 discipline), replies cross the simulated network
-//! whenever they cross it, and the server aggregates on a fixed cadence:
-//! every [`AsyncConfig::step_interval_ns`] virtual nanoseconds it takes,
-//! per agent, the freshest gradient row it has heard — provided the row is
-//! no older than the staleness bound τ — and runs the filter with the
-//! per-step fault budget `f − #excluded`, the continuous-time
-//! generalization of the synchronous per-round S1 straggler rule.
+//! The lockstep sources wait for a round: broadcast, collect, aggregate.
+//! This one does not. Agents fire gradient computations on their own
+//! clocks (base compute time plus seeded jitter off per-agent SplitMix64
+//! streams), replies cross the simulated network whenever they cross it,
+//! and server step `t` fires at virtual time
+//! `(t + 1) · `[`AsyncConfig::step_interval_ns`]. Its rows are, per agent,
+//! the freshest gradient heard — if no older than the staleness bound τ
+//! ([`RunOptions::staleness_ns`]; `None` is [`AsyncConfig::UNBOUNDED`]).
+//! A stale or missing row is an absent row, so the server loop
+//! ([`RowSource::serve`]) runs the filter with `f − #excluded`: the
+//! synchronous per-round S1 rule, in continuous time.
 //!
-//! Determinism: the driver owns a seeded event queue (server steps and
-//! agent fires, ordered by `(virtual time, schedule sequence)`) and
-//! interleaves it with the network's own event queue through the bus's
-//! continuous [`advance_until`](MessageBus::advance_until) /
-//! [`next_event_at`](MessageBus::next_event_at) view — deliveries due at a
-//! driver event's time are processed first. Everything is a pure function
-//! of the task, the [`abft_net::NetworkModel`], and the
-//! [`AsyncConfig`], so two identically seeded runs produce bit-identical
-//! traces, schedules, and telemetry reports (pinned by tests).
+//! Determinism: the source's own event queue (server steps and agent
+//! fires, ordered by `(virtual time, schedule sequence)`) is merged with
+//! the network's through the bus's continuous
+//! [`advance_until`](MessageBus::advance_until) /
+//! [`next_event_at`](MessageBus::next_event_at) view, deliveries first on
+//! ties. A run is a pure function of the task, the network model and the
+//! [`AsyncConfig`]: identically seeded runs produce bit-identical traces,
+//! schedules and telemetry reports (pinned by tests).
 //!
-//! The staleness bound τ is the run's [`RunOptions::staleness_ns`]; `None`
-//! means unbounded ([`AsyncConfig::UNBOUNDED`]).
+//! Synchronous anchor: at unbounded τ over ideal links with zero jitter,
+//! every round-`t` gradient lands before step `t`, so each step aggregates
+//! the synchronous round-`t` batch and the trace is bit-identical to
+//! [`SimTopology::Server`](crate::SimTopology::Server). (Under unbounded τ
+//! a crashed agent's last row never ages out; τ = one step interval
+//! reproduces the synchronous crash elimination exactly.)
 //!
-//! Synchronous anchor: with τ unbounded, ideal links, and zero compute
-//! jitter, every agent's round-`t` gradient lands well before server step
-//! `t`, each step aggregates exactly the synchronous round-`t` batch in
-//! agent order with the full budget `f`, and the trace is bit-identical to
-//! [`SimTopology::Server`](crate::SimTopology::Server) — the equivalence
-//! pin that anchors the asynchronous family to the paper's model. (One
-//! deliberate asymmetry: under *unbounded* τ a crashed agent's final
-//! gradient row never ages out, so crash parity with the synchronous
-//! drivers needs a finite τ of one step interval — then the stale-row rule
-//! reproduces the synchronous `f − #silent` elimination exactly.)
+//! [`RunOptions::staleness_ns`]: abft_dgd::RunOptions::staleness_ns
 
-use crate::error::RuntimeError;
 use crate::message::ServerWire;
-use crate::simulated::{broadcast_estimate, check_reply_dim, wire_reply, SimulatedRun};
-use crate::task::{DgdTask, FaultPlan, Launch};
-use abft_core::observe::RunObserver;
-use abft_dgd::{AgentCell, Outcome, RoundEngine, RunOptions};
-use abft_filters::GradientFilter;
-use abft_linalg::Vector;
+use crate::simulated::ServerBus;
+#[cfg(test)]
+use crate::task::DgdTask;
+use abft_dgd::{DgdError, RoundEngine, RowSource, RunOptions};
+use abft_linalg::{GradientBatch, Vector};
 use abft_net::rng::{mix, SplitMix64};
-use abft_net::{MessageBus, NetworkModel, SimulatedNetwork};
-use abft_telemetry::{Phase, Telemetry};
-use std::cmp::Ordering;
+use abft_net::{MessageBus, NetworkModel};
+use abft_telemetry::Phase;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Timing model of an asynchronous simulated-server run. All fields are
@@ -59,6 +51,8 @@ use std::collections::BinaryHeap;
 /// set once as [`RunOptions::staleness_ns`] (`None` = unbounded). At an
 /// aggregation step, a gradient row whose age (`step time − sent_at`)
 /// exceeds τ is excluded and counted stale.
+///
+/// [`RunOptions::staleness_ns`]: abft_dgd::RunOptions::staleness_ns
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AsyncConfig {
     /// Cadence of server aggregation steps: step `t` runs at virtual time
@@ -82,6 +76,8 @@ impl AsyncConfig {
     /// The τ value meaning "no staleness bound": every known row stays
     /// eligible, however old. A run whose [`RunOptions::staleness_ns`] is
     /// `None` uses it.
+    ///
+    /// [`RunOptions::staleness_ns`]: abft_dgd::RunOptions::staleness_ns
     pub const UNBOUNDED: u64 = u64::MAX;
 
     /// Defaults anchored to the synchronous drivers: one aggregation step
@@ -132,83 +128,36 @@ impl Default for AsyncConfig {
     }
 }
 
-/// One entry of the driver's own event queue. Network deliveries are not
-/// queued here — they live in the simulator's heap and are interleaved by
-/// time through the bus's continuous view, deliveries first on ties.
-#[derive(Debug, Clone, Copy)]
-enum DriverEvent {
-    /// Server aggregation step `step` fires.
-    ServerStep { step: usize },
-    /// Agent `agent` finishes its in-progress gradient computation.
-    AgentFire { agent: usize },
-}
-
-/// One queued driver event, ordered by `(virtual time, schedule
-/// sequence)` alone — `seq` is unique, so the order is total and never
-/// looks at the event.
-struct Scheduled {
-    at: u64,
-    seq: u64,
-    event: DriverEvent,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl Eq for Scheduled {}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// The driver's own deterministic event queue: a min-heap over
+/// The source's own deterministic event queue: a min-heap over
 /// `(virtual time, schedule sequence)`, the same total order the
-/// simulator uses for deliveries.
+/// simulator uses for deliveries (`seq` is unique, so the order never
+/// looks further). An event is the agent whose computation finishes, or
+/// `None` for the pending server step. Network deliveries are not queued
+/// here — they live in the simulator's heap and are interleaved by time
+/// through the bus's continuous view, deliveries first on ties.
 #[derive(Default)]
 struct EventQueue {
-    heap: BinaryHeap<Scheduled>,
+    heap: BinaryHeap<Reverse<(u64, u64, Option<usize>)>>,
     seq: u64,
 }
 
 impl EventQueue {
-    fn push(&mut self, at: u64, event: DriverEvent) {
-        self.heap.push(Scheduled {
-            at,
-            seq: self.seq,
-            event,
-        });
+    fn push(&mut self, at: u64, fires: Option<usize>) {
+        self.heap.push(Reverse((at, self.seq, fires)));
         self.seq += 1;
     }
 
     /// Virtual time of the earliest queued event.
     fn next_at(&self) -> Option<u64> {
-        self.heap.peek().map(|next| next.at)
+        self.heap.peek().map(|Reverse((at, ..))| *at)
     }
 
-    fn pop(&mut self) -> Option<(u64, DriverEvent)> {
-        self.heap.pop().map(|next| (next.at, next.event))
+    fn pop(&mut self) -> Option<(u64, Option<usize>)> {
+        self.heap.pop().map(|Reverse((at, _, fires))| (at, fires))
     }
 }
 
-/// The freshest gradient row the server has heard from one agent.
-struct LatestRow {
-    sent_at: u64,
-    gradient: Vector,
-}
-
-/// Per-agent asynchronous state.
+/// Per-agent asynchronous state, and the server's view of the agent.
 struct AgentState {
     /// Newest estimate heard: `(iteration, x)`.
     known: Option<(usize, Vector)>,
@@ -220,255 +169,212 @@ struct AgentState {
     crashed: bool,
     /// This agent's own clock-jitter stream.
     stream: SplitMix64,
+    /// The freshest gradient row the server has heard from the agent:
+    /// `(sent_at, gradient)`.
+    latest: Option<(u64, Vector)>,
 }
 
-/// Entry point behind [`SimTopology::AsyncServer`](crate::SimTopology):
-/// the bounded-staleness server loop over the simulated network.
-// LINT-ALLOW(panic-reach): every index is an agent address < n — the
-// per-agent tables (cells, agents, latest) are all allocated with length n
-// up front, and delivery addresses come from the simulator, which only
-// routes to registered endpoints.
-pub(crate) fn execute_async_server(
-    task: DgdTask,
-    sim: &SimulatedRun,
-    config: AsyncConfig,
-    filter: &dyn GradientFilter,
-    options: &RunOptions,
-    observer: &mut dyn RunObserver,
-) -> Result<Outcome, RuntimeError> {
-    let n = task.config().n();
-    let server = SimulatedRun::server_address(n);
-    let tau = options.staleness_ns.unwrap_or(AsyncConfig::UNBOUNDED);
-    if config.step_interval_ns == 0 {
-        return Err(RuntimeError::Config(
-            "async step_interval_ns must be positive: a zero cadence never advances \
-             virtual time, so no gradient could ever arrive before a step"
-                .into(),
-        ));
+/// The row source of [`SimTopology::AsyncServer`](crate::SimTopology):
+/// the event merge, run until each server step comes due, and the
+/// freshest row per agent within τ at that step.
+pub(crate) struct Staleness<'b> {
+    bus: &'b mut ServerBus,
+    timing: AsyncConfig,
+    /// The staleness bound τ.
+    tau: u64,
+    agents: Vec<AgentState>,
+    queue: EventQueue,
+    /// Virtual time of the latest armed server step.
+    step_at: u64,
+}
+
+impl<'b> Staleness<'b> {
+    /// The source over `bus` under `timing` and the run's τ: per-agent
+    /// clock streams on the simulator's derivation discipline, one
+    /// independent stream per agent, and no row heard yet.
+    pub(crate) fn new(bus: &'b mut ServerBus, timing: AsyncConfig, options: &RunOptions) -> Self {
+        let agents = (0..bus.cells.len())
+            .map(|agent| AgentState {
+                known: None,
+                computing: None,
+                fired: None,
+                crashed: false,
+                stream: SplitMix64::new(mix(timing.clock_seed, agent as u64)),
+                latest: None,
+            })
+            .collect();
+        Staleness {
+            bus,
+            timing,
+            tau: options.staleness_ns.unwrap_or(AsyncConfig::UNBOUNDED),
+            agents,
+            queue: EventQueue::default(),
+            step_at: 0,
+        }
     }
-    // Fault assignment is the synchronous simulated server's, exactly.
-    let FaultPlan {
-        config: sys,
-        mut cells,
-        net_faults,
-        honest,
-    } = task.fault_plan(&sim.net_faults, n + 1, &Launch::Simulated(sim))?;
 
-    let mut net: SimulatedNetwork<ServerWire> = sim.network.build(n + 1);
-    // Async runs profile in virtual time, like every simulated driver.
-    let telemetry = Telemetry::for_bus(options.telemetry, Some(net.now()));
-    let mut engine = RoundEngine::new(&cells, &honest, filter, options, observer, telemetry)?;
-    let dim = engine.x().dim();
-    let mut batch = engine.round_batch(n);
-    let mut staging = Vector::zeros(dim);
-
-    // Per-agent clock streams: same derivation discipline as the
-    // simulator's per-link streams, one independent stream per agent.
-    let mut agents: Vec<AgentState> = (0..n)
-        .map(|agent| AgentState {
-            known: None,
-            computing: None,
-            fired: None,
-            crashed: false,
-            stream: SplitMix64::new(mix(config.clock_seed, agent as u64)),
-        })
-        .collect();
-    let mut latest: Vec<Option<LatestRow>> = (0..n).map(|_| None).collect();
-
-    let mut queue = EventQueue::default();
-
-    // Kick-off at virtual time 0: broadcast x_0 and arm the first step.
-    broadcast_estimate(&mut net, &mut engine, n, 0);
-    queue.push(config.step_interval_ns, DriverEvent::ServerStep { step: 0 });
-
-    'run: while let Some(at) = queue.next_at() {
-        // Interleave: every delivery due at or before the next driver
-        // event is processed first, one event time per hop. Handling a
-        // delivery may start a computation, i.e. push a driver event that
-        // precedes `at` — re-peeking each iteration keeps the merge exact.
-        if let Some(net_at) = net.next_event_at() {
-            if net_at <= at {
-                let span = engine.telemetry.begin(Phase::NetDelivery);
-                let deliveries = net.advance_until(net_at);
-                engine.telemetry.set_virtual_ns(net.now());
-                engine.telemetry.end(span);
-                for delivery in deliveries {
-                    match delivery.payload {
-                        ServerWire::Estimate {
-                            iteration,
-                            estimate,
-                        } => {
-                            let state = &mut agents[delivery.to];
-                            if state.crashed {
-                                continue;
-                            }
-                            let newer = match &state.known {
-                                Some((known, _)) => iteration > *known,
-                                None => true,
-                            };
-                            if newer {
-                                state.known = Some((iteration, estimate));
-                            }
-                            start_compute(
-                                &mut agents[delivery.to],
-                                &cells[delivery.to],
-                                &config,
-                                net_at,
-                                delivery.to,
-                                &mut queue,
-                            );
-                        }
-                        ServerWire::Gradient { gradient, .. } => {
-                            check_reply_dim(dim, delivery.from, &gradient)?;
-                            engine.counters.replies_received += 1;
-                            let slot = &mut latest[delivery.from];
-                            let fresher = match slot {
-                                // `>=` so reordered duplicates resolve to
-                                // the later *delivery*, deterministically.
-                                Some(row) => delivery.sent_at >= row.sent_at,
-                                None => true,
-                            };
-                            if fresher {
-                                *slot = Some(LatestRow {
-                                    sent_at: delivery.sent_at,
-                                    gradient,
-                                });
-                            }
-                        }
-                    }
+    /// Pops the next driver event, first delivering every message due at
+    /// or before it, one event time per hop. Handling a delivery may start
+    /// a computation, i.e. push a driver event that precedes the one peeked
+    /// — re-peeking each hop keeps the merge exact.
+    fn next_event(
+        &mut self,
+        engine: &mut RoundEngine<'_>,
+    ) -> Result<Option<(u64, Option<usize>)>, DgdError> {
+        while let Some(at) = self.queue.next_at() {
+            match self.bus.net.next_event_at() {
+                Some(net_at) if net_at <= at => self.deliver(net_at, engine)?,
+                _ => {
+                    // Advance the shared clock to the event (no deliveries
+                    // remain at or before `at`).
+                    let _ = self.bus.net.advance_until(at);
+                    engine.telemetry.set_virtual_ns(self.bus.net.now());
+                    return Ok(self.queue.pop());
                 }
-                continue 'run;
             }
         }
+        Ok(None)
+    }
 
-        let Some((at, event)) = queue.pop() else {
-            break;
-        };
-        // Advance the shared clock to the event (no deliveries remain at
-        // or before `at` — the merge above pulled them all).
-        let _ = net.advance_until(at);
-        engine.telemetry.set_virtual_ns(net.now());
-
-        match event {
-            DriverEvent::AgentFire { agent } => {
-                let Some((iteration, estimate, started)) = agents[agent].computing.take() else {
-                    continue;
-                };
-                agents[agent].fired = Some(iteration);
-                // Back-date the span to the compute's start: the fill
-                // phase occupies `[started, at]` on the virtual timeline.
-                engine.telemetry.set_virtual_ns(started);
-                let fill_span = engine.telemetry.begin(Phase::GradientFill);
-                engine.telemetry.set_virtual_ns(at);
-                let reply = wire_reply(
-                    &mut cells[agent],
-                    net_faults.get(&agent),
-                    server,
+    /// Processes every delivery due at `net_at`: an estimate an agent may
+    /// start computing on, or a gradient row the server keeps when it is
+    /// the sender's freshest.
+    fn deliver(&mut self, net_at: u64, engine: &mut RoundEngine<'_>) -> Result<(), DgdError> {
+        let span = engine.telemetry.begin(Phase::NetDelivery);
+        let deliveries = self.bus.net.advance_until(net_at);
+        engine.telemetry.set_virtual_ns(self.bus.net.now());
+        engine.telemetry.end(span);
+        for delivery in deliveries {
+            match delivery.payload {
+                ServerWire::Estimate {
                     iteration,
-                    &estimate,
-                    &mut staging,
-                );
-                engine.telemetry.end(fill_span);
-                if let Some(reply) = reply {
-                    net.send(agent, server, reply);
+                    estimate,
+                } => {
+                    let Some(state) = self.agents.get_mut(delivery.to) else {
+                        continue;
+                    };
+                    if !matches!(state.known, Some((known, _)) if known >= iteration) {
+                        state.known = Some((iteration, estimate));
+                    }
+                    self.start_compute(delivery.to, net_at);
                 }
-                // A newer estimate may have arrived mid-compute.
-                start_compute(
-                    &mut agents[agent],
-                    &cells[agent],
-                    &config,
-                    at,
-                    agent,
-                    &mut queue,
-                );
-            }
-            DriverEvent::ServerStep { step } => {
-                // Bounded staleness: per agent, the freshest row no older
-                // than τ joins the batch (agent-id order — the shared
-                // filter-input order); older rows are stale, absent rows
-                // missing, and both shrink this step's fault budget.
-                batch.clear();
-                let mut oldest = u64::MAX;
-                let mut newest = 0u64;
-                let counters = &mut engine.counters;
-                for slot in &latest {
-                    match slot {
-                        Some(row) if at.saturating_sub(row.sent_at) <= tau => {
-                            batch.push_row(row.gradient.as_slice());
-                            oldest = oldest.min(row.sent_at);
-                            newest = newest.max(row.sent_at);
-                        }
-                        Some(_) => counters.stale_rows += 1,
-                        None => counters.stragglers += 1,
+                ServerWire::Gradient { gradient, .. } => {
+                    self.bus.check_reply(delivery.from, &gradient)?;
+                    engine.counters.replies_received += 1;
+                    let Some(state) = self.agents.get_mut(delivery.from) else {
+                        continue;
+                    };
+                    // `>=` so reordered duplicates resolve to the later
+                    // *delivery*, deterministically.
+                    let sent_at = delivery.sent_at;
+                    if state.latest.as_ref().is_none_or(|(at, _)| sent_at >= *at) {
+                        state.latest = Some((sent_at, gradient));
                     }
                 }
-                counters.async_steps += 1;
-                if !batch.is_empty() {
-                    // Clock skew: how far apart in virtual time the rows
-                    // aggregated together were produced (maximum over
-                    // steps).
-                    counters.clock_skew_ns = counters.clock_skew_ns.max(newest - oldest);
-                }
-                // No eligible row at all holds the estimate, exactly like
-                // a fully silent synchronous round (the engine's rule).
-                let f_step = sys.f().saturating_sub(n - batch.len());
-                if engine.step(step, &batch, f_step)?.is_halt() {
-                    break 'run;
-                }
-
-                // Broadcast the new estimate and arm the next step.
-                broadcast_estimate(&mut net, &mut engine, n, step + 1);
-                queue.push(
-                    at + config.step_interval_ns,
-                    DriverEvent::ServerStep { step: step + 1 },
-                );
             }
         }
+        Ok(())
     }
 
-    // Messages abandoned in flight at shutdown stay accounted as late, so
-    // the sent/delivered/dropped/late balance holds for async runs too.
-    net.drain_in_flight();
-    Ok(engine.finish(net.metrics())?)
+    /// `agent` finishes its computation at `at`: its reply goes on the wire
+    /// and, if a newer estimate arrived mid-compute, the next one starts.
+    fn fire(&mut self, agent: usize, at: u64, engine: &mut RoundEngine<'_>) {
+        let Some(state) = self.agents.get_mut(agent) else {
+            return;
+        };
+        let Some((iteration, estimate, started)) = state.computing.take() else {
+            return;
+        };
+        state.fired = Some(iteration);
+        // Back-date the span to the compute's start: the fill phase
+        // occupies `[started, at]` on the virtual timeline.
+        engine.telemetry.set_virtual_ns(started);
+        let fill_span = engine.telemetry.begin(Phase::GradientFill);
+        engine.telemetry.set_virtual_ns(at);
+        self.bus.reply(agent, iteration, &estimate);
+        engine.telemetry.end(fill_span);
+        self.start_compute(agent, at);
+    }
+
+    /// Starts the next computation for `agent` at virtual time `now` when
+    /// it is idle and a not-yet-computed estimate is known — honoring the
+    /// crash schedule (an agent crashes the moment it would start working
+    /// on an iteration at or past its crash point, matching the
+    /// synchronous "no reply from iteration `c` on" semantics).
+    fn start_compute(&mut self, agent: usize, now: u64) {
+        let (Some(state), Some(cell)) = (self.agents.get_mut(agent), self.bus.cells.get(agent))
+        else {
+            return;
+        };
+        if state.crashed || state.computing.is_some() {
+            return;
+        }
+        let Some((iteration, estimate)) = &state.known else {
+            return;
+        };
+        let iteration = *iteration;
+        if state.fired.is_some_and(|done| iteration <= done) {
+            return;
+        }
+        if cell.silent_at(iteration) {
+            state.crashed = true;
+            return;
+        }
+        let estimate = estimate.clone();
+        let jitter = match self.timing.compute_jitter_ns {
+            0 => 0,
+            window => state.stream.next_below_inclusive(window),
+        };
+        state.computing = Some((iteration, estimate, now));
+        let done = now + self.timing.compute_ns + jitter;
+        self.queue.push(done, Some(agent));
+    }
 }
 
-/// Starts the next computation for `agent` at virtual time `now` when it
-/// is idle and a not-yet-computed estimate is known — honoring the crash
-/// schedule (an agent crashes the moment it would start working on an
-/// iteration at or past its crash point, matching the synchronous "no
-/// reply from iteration `c` on" semantics).
-fn start_compute(
-    state: &mut AgentState,
-    cell: &AgentCell,
-    config: &AsyncConfig,
-    now: u64,
-    agent: usize,
-    queue: &mut EventQueue,
-) {
-    if state.crashed || state.computing.is_some() {
-        return;
+impl RowSource for Staleness<'_> {
+    /// Broadcasts `x_t` as iteration `t` — the kick-off at virtual time 0
+    /// for `t = 0`, right after step `t − 1` otherwise — arms server step
+    /// `t` one interval after the last, and merges events until it comes
+    /// due. (No eligible row at all holds the estimate, exactly like a
+    /// fully silent synchronous round.)
+    fn round_rows(
+        &mut self,
+        t: usize,
+        engine: &mut RoundEngine<'_>,
+    ) -> Result<&GradientBatch, DgdError> {
+        self.bus.broadcast(engine, t);
+        self.step_at += self.timing.step_interval_ns;
+        self.queue.push(self.step_at, None);
+        while let Some((at, Some(agent))) = self.next_event(engine)? {
+            self.fire(agent, at, engine);
+        }
+        // Per agent, the freshest row no older than τ, in agent-id order:
+        // an older row is stale, a missing one straggles, and either way
+        // the agent has no row this step.
+        let at = self.step_at;
+        let batch = &mut self.bus.batch;
+        batch.clear();
+        let (mut oldest, mut newest) = (u64::MAX, 0u64);
+        let counters = &mut engine.counters;
+        for state in &self.agents {
+            match &state.latest {
+                Some((sent_at, gradient)) if at.saturating_sub(*sent_at) <= self.tau => {
+                    batch.push_row(gradient.as_slice());
+                    oldest = oldest.min(*sent_at);
+                    newest = newest.max(*sent_at);
+                }
+                Some(_) => counters.stale_rows += 1,
+                None => counters.stragglers += 1,
+            }
+        }
+        counters.async_steps += 1;
+        if !batch.is_empty() {
+            // Clock skew: how far apart in virtual time the rows
+            // aggregated together were produced (maximum over steps).
+            counters.clock_skew_ns = counters.clock_skew_ns.max(newest - oldest);
+        }
+        Ok(batch)
     }
-    let (iteration, estimate) = match &state.known {
-        Some((iteration, estimate)) => (*iteration, estimate.clone()),
-        None => return,
-    };
-    if state.fired.is_some_and(|done| iteration <= done) {
-        return;
-    }
-    if cell.silent_at(iteration) {
-        state.crashed = true;
-        return;
-    }
-    let jitter = if config.compute_jitter_ns > 0 {
-        state.stream.next_below_inclusive(config.compute_jitter_ns)
-    } else {
-        0
-    };
-    state.computing = Some((iteration, estimate, now));
-    queue.push(
-        now + config.compute_ns + jitter,
-        DriverEvent::AgentFire { agent },
-    );
 }
 
 #[cfg(test)]

@@ -1,24 +1,20 @@
 //! The lockstep server execution behind [`Launch::InProcess`],
 //! [`Launch::Threaded`] and [`Launch::Fleet`].
 //!
-//! This realizes the paper's Figure-1 server architecture as a persistent
-//! event loop instead of the historical thread-per-agent topology: one DGD
-//! iteration is still one synchronous round — broadcast, collect, filter,
-//! update — but the "broadcast" is a round event dispatched to
+//! The paper's Figure-1 server as an event loop: one iteration is one
+//! synchronous round of the server loop ([`abft_dgd::RowSource::serve`])
+//! over the lockstep row source, [`RoundWorkspace::run_rounds`]. The
+//! "broadcast" is a round event dispatched to
 //! [`AgentCell`](abft_dgd::AgentCell) state machines multiplexed over a
-//! worker pool, and the "reply" is the cell writing its gradient straight
-//! into its loaned batch row. A cell whose crash point has come sends
-//! nothing — the "no gradient received" case of step S1 — and the server
-//! eliminates the agent, updating its `(n, f)` view.
+//! worker pool, the "reply" is the cell writing its loaned batch row, and a
+//! cell past its crash point sends nothing — step S1's elimination.
 //!
-//! The three launches are one function over one round loop
-//! ([`RoundWorkspace::run_rounds`]), so they agree by construction. What
-//! makes a run *threaded* rather than *in process* is configuration: the
-//! fill is sharded over [`RunOptions::fleet_workers`] (one worker runs
-//! every agent inline with no threads at all; the pool's **fixed
-//! schedule** keeps the rows bit-identical at any count), omniscient
-//! strategies are rejected (an agent cannot see other agents' in-flight
-//! gradients), and the messages the loop passed are reported.
+//! The three launches are this one function, so they agree by
+//! construction. A run is *threaded* rather than *in process* by
+//! configuration: the fill is sharded over [`RunOptions::fleet_workers`]
+//! (the pool's **fixed schedule** keeps the rows bit-identical at any
+//! count), omniscient strategies are rejected (an agent cannot see other
+//! agents' in-flight gradients), and the messages passed are reported.
 
 use crate::error::RuntimeError;
 use crate::task::{DgdTask, FaultPlan, Launch};

@@ -9,20 +9,23 @@
 //! asks the same [`AgentCell`] what an agent reports (step S1) and calls
 //! the same server step ([`abft_dgd::RoundEngine::step`], step S2); they
 //! differ only in how a round's rows travel from the cells to the batch
-//! that step aggregates:
+//! that step aggregates. The three server topologies share even the loop
+//! ([`abft_dgd::RowSource::serve`]: rows, S1 budget, step) and differ only
+//! in their [`abft_dgd::RowSource`]:
 //!
 //! * [`Launch::InProcess`] / [`Launch::Threaded`] / [`Launch::Fleet`] —
 //!   the **server-based** architecture (a trustworthy server and `n`
 //!   agents, up to `f` Byzantine) in lockstep: dispatch a round event to
 //!   every agent cell (broadcast `x_t`), collect the rows they streamed
 //!   into the gradient batch, eliminate silent agents. One execution
-//!   ([`event_loop`]) over one loop ([`RoundWorkspace::run_rounds`]) in
-//!   two configurations. In process the cells fill on the caller's
-//!   thread, omniscient strategies are served and only rounds are
-//!   counted; as an event loop the fill is sharded over `fleet_workers`
-//!   of a fixed-schedule worker pool — traces bit-identical at any worker
-//!   count — and the messages passed are reported. A [`RoundWorkspace`]
-//!   survives across runs, so scenario grids pay setup once.
+//!   ([`event_loop`]) over the lockstep source
+//!   ([`RoundWorkspace::run_rounds`]) in two configurations. In process
+//!   the cells fill on the caller's thread, omniscient strategies are
+//!   served and only rounds are counted; as an event loop the fill is
+//!   sharded over `fleet_workers` of a fixed-schedule worker pool — traces
+//!   bit-identical at any worker count — and the messages passed are
+//!   reported. A [`RoundWorkspace`] survives across runs, so scenario
+//!   grids pay setup once.
 //! * [`Launch::PeerToPeer`] — a complete network of `n` agents,
 //!   `f < n/3` faulty, where the server algorithm is simulated with
 //!   Byzantine broadcast. [`eig_broadcast`] implements the classic
@@ -34,7 +37,9 @@
 //! * [`Launch::Simulated`] — either architecture, or the asynchronous
 //!   bounded-staleness server ([`async_server`]), over a seeded
 //!   `abft_net::SimulatedNetwork` whose links can delay, drop, reorder,
-//!   and partition messages. All message traffic — real or simulated —
+//!   and partition messages. Both simulated servers are one execution
+//!   ([`simulated`]): the row source under a round deadline, or the one
+//!   under a staleness bound. All message traffic — real or simulated —
 //!   travels through the same [`abft_net::MessageBus`] abstraction, so the
 //!   protocols are written once.
 //!

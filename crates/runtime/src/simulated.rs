@@ -20,23 +20,29 @@
 //!   [`Outcome::final_spread`]. Over ideal links this is bit-identical to
 //!   [`Launch::PeerToPeer`].
 //!
+//! The lockstep server and the asynchronous one
+//! ([`SimTopology::AsyncServer`]) are one execution: one set-up and finish
+//! around the server loop ([`RowSource::serve`]), over the topology's row
+//! source.
+//!
 //! Network-level Byzantine behaviours ([`NetFault`]: selective sending,
 //! per-link equivocation) layer on top of the value-forging attack
 //! registry: the attack decides *what* a faulty agent claims, the net
 //! fault decides *which links* hear it (or its negation).
 
-use crate::async_server::AsyncConfig;
+use crate::async_server::{AsyncConfig, Staleness};
 use crate::error::RuntimeError;
 use crate::message::ServerWire;
 use crate::peer_to_peer::{self, P2pLink};
 use crate::task::{DgdTask, FaultPlan, Launch};
 use abft_attacks::HonestGradients;
 use abft_core::observe::RunObserver;
-use abft_dgd::{AgentCell, Outcome, RoundEngine, RunOptions};
+use abft_dgd::{AgentCell, DgdError, Outcome, RoundEngine, RowSource, RunOptions};
 use abft_filters::GradientFilter;
-use abft_linalg::Vector;
+use abft_linalg::{GradientBatch, Vector};
 use abft_net::{MessageBus, NetFault, NetworkModel, SimulatedNetwork};
 use abft_telemetry::{Phase, Telemetry};
+use std::collections::BTreeMap;
 
 /// Which architecture the simulated network carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,12 +139,9 @@ pub(crate) fn execute_p2p(
     peer_to_peer::execute_on(task, filter, options, &mut net, link, observer)
 }
 
-/// The server architecture over the simulator: one iteration is two bus
-/// rounds (estimate broadcast down, gradient replies up), with the
-/// per-round S1 rule for replies that never make it.
-// LINT-ALLOW(panic-reach): every index is an agent address < n — the
-// per-agent tables (cells, heard) are allocated with length n, and the
-// simulator only delivers to registered endpoints.
+/// The server architecture over the simulator, in round lockstep
+/// ([`SimTopology::Server`]) or not ([`SimTopology::AsyncServer`]): one
+/// set-up, the server loop over the topology's row source, one finish.
 pub(crate) fn execute_server(
     task: DgdTask,
     sim: &SimulatedRun,
@@ -146,58 +149,174 @@ pub(crate) fn execute_server(
     options: &RunOptions,
     observer: &mut dyn RunObserver,
 ) -> Result<Outcome, RuntimeError> {
+    if matches!(sim.topology, SimTopology::AsyncServer(timing) if timing.step_interval_ns == 0) {
+        return Err(RuntimeError::Config(
+            "async step_interval_ns must be positive: a zero cadence never advances \
+             virtual time, so no gradient could ever arrive before a step"
+                .into(),
+        ));
+    }
     let n = task.config().n();
-    let server = SimulatedRun::server_address(n);
     // The server's address participates in the bus, so victim lists and
     // equivocation boundaries may reference it.
     let FaultPlan {
         config,
-        mut cells,
+        cells,
         net_faults,
         honest,
     } = task.fault_plan(&sim.net_faults, n + 1, &Launch::Simulated(sim))?;
 
-    let mut net: SimulatedNetwork<ServerWire> = sim.network.build(n + 1);
+    let net: SimulatedNetwork<ServerWire> = sim.network.build(n + 1);
     // Simulated runs profile in *virtual* time: spans advance only when
     // the network's schedule-driven clock does, so two identical seeded
     // runs produce identical reports (pinned by the determinism tests).
     let telemetry = Telemetry::for_bus(options.telemetry, Some(net.now()));
     let mut engine = RoundEngine::new(&cells, &honest, filter, options, observer, telemetry)?;
-    let dim = engine.x().dim();
-    let mut batch = engine.round_batch(n);
-    let mut staging = Vector::zeros(dim);
+    let mut bus = ServerBus {
+        batch: engine.round_batch(n),
+        staging: Vector::zeros(engine.x().dim()),
+        net,
+        cells,
+        net_faults,
+    };
+    if let SimTopology::AsyncServer(timing) = sim.topology {
+        Staleness::new(&mut bus, timing, options).serve(n, config.f(), &mut engine)?;
+    } else {
+        Deadline {
+            bus: &mut bus,
+            heard: vec![false; n],
+        }
+        .serve(n, config.f(), &mut engine)?;
+    }
+    // Messages abandoned in flight at shutdown stay accounted as late, so
+    // the sent/delivered/dropped/late balance holds for every run (a
+    // deadline round leaves nothing in flight).
+    bus.net.drain_in_flight();
+    Ok(engine.finish(bus.net.metrics())?)
+}
 
-    for t in 0..=options.iterations {
+/// What both simulated servers run on: the bus with the server at address
+/// `n`, one cell per agent and its net fault, the round batch, and the
+/// staging buffer replies are built in.
+pub(crate) struct ServerBus {
+    pub(crate) net: SimulatedNetwork<ServerWire>,
+    pub(crate) cells: Vec<AgentCell>,
+    net_faults: BTreeMap<usize, NetFault>,
+    pub(crate) batch: GradientBatch,
+    staging: Vector,
+}
+
+impl ServerBus {
+    /// Announces `iteration` to the bus and sends the server's estimate
+    /// entering it to every agent.
+    pub(crate) fn broadcast(&mut self, engine: &mut RoundEngine<'_>, iteration: usize) {
+        let server = SimulatedRun::server_address(self.cells.len());
+        self.net.begin_iteration(iteration);
+        for agent in 0..server {
+            let estimate = engine.x().clone();
+            self.net.send(
+                server,
+                agent,
+                ServerWire::Estimate {
+                    iteration,
+                    estimate,
+                },
+            );
+        }
+        engine.counters.broadcasts_sent += server;
+    }
+
+    /// `agent`'s reply to the estimate `x` of `iteration`: what its cell
+    /// reports, as seen from the server's side of any net fault — negated
+    /// when the server sits past an equivocation boundary, and nothing at
+    /// all when a selective sender lists the server among its victims.
+    /// Returns whether a reply went on the wire. The report is built in
+    /// the staging buffer; only the payload that is sent is allocated.
+    pub(crate) fn reply(&mut self, agent: usize, iteration: usize, x: &Vector) -> bool {
+        let server = SimulatedRun::server_address(self.cells.len());
+        let Some(cell) = self.cells.get_mut(agent) else {
+            return false;
+        };
+        let staging = &mut self.staging;
+        cell.reply_into(
+            iteration,
+            x,
+            HonestGradients::Hidden,
+            staging.as_mut_slice(),
+        );
+        match self.net_faults.get(&agent) {
+            Some(NetFault::SelectiveSend(victims)) if victims.contains(&server) => return false,
+            Some(NetFault::EquivocateSplit { boundary }) if server >= *boundary => {
+                staging.scale_mut(-1.0);
+            }
+            _ => {}
+        }
+        let gradient = staging.clone();
+        self.net.send(
+            agent,
+            server,
+            ServerWire::Gradient {
+                iteration,
+                gradient,
+            },
+        );
+        true
+    }
+
+    /// A reply must carry a gradient of the run's dimension.
+    pub(crate) fn check_reply(&self, from: usize, gradient: &Vector) -> Result<(), DgdError> {
+        let dim = self.staging.dim();
+        if gradient.dim() == dim {
+            return Ok(());
+        }
+        Err(DgdError::Dimension {
+            expected: format!("gradient of dim {dim}"),
+            actual: format!("agent {from} sent dim {}", gradient.dim()),
+        })
+    }
+}
+
+/// The row source of [`SimTopology::Server`]: one iteration is two bus
+/// rounds — the estimate down, the replies up — and the rows are the
+/// replies that made the round deadline.
+struct Deadline<'b> {
+    bus: &'b mut ServerBus,
+    /// Which agents heard this round's estimate; reset every round.
+    heard: Vec<bool>,
+}
+
+impl RowSource for Deadline<'_> {
+    fn round_rows(
+        &mut self,
+        t: usize,
+        engine: &mut RoundEngine<'_>,
+    ) -> Result<&GradientBatch, DgdError> {
+        let bus = &mut *self.bus;
         // Phase 1 — S1 broadcast: the server sends x_t to every agent.
         let down_span = engine.telemetry.begin(Phase::NetDelivery);
-        broadcast_estimate(&mut net, &mut engine, n, t);
+        bus.broadcast(engine, t);
         // Agents that heard the estimate this round compute a reply.
-        let mut heard = vec![false; n];
-        for delivery in net.end_round() {
+        self.heard.fill(false);
+        for delivery in bus.net.end_round() {
             if let ServerWire::Estimate { iteration, .. } = delivery.payload {
                 debug_assert_eq!(iteration, t, "rounds drain fully");
-                heard[delivery.to] = true;
+                if let Some(heard) = self.heard.get_mut(delivery.to) {
+                    *heard = true;
+                }
             }
         }
-        engine.telemetry.set_virtual_ns(net.now());
+        engine.telemetry.set_virtual_ns(bus.net.now());
         engine.telemetry.end(down_span);
 
-        // Phase 2 — replies: honest gradient, forged gradient, or silence.
+        // Phase 2 — replies: honest gradient, forged gradient, or silence
+        // (a crashed agent is permanently silent: no reply expected).
         let fill_span = engine.telemetry.begin(Phase::GradientFill);
         let x = engine.x();
         let mut expected = 0usize;
-        for agent in 0..n {
-            if !heard[agent] {
-                continue;
-            }
-            if cells[agent].silent_at(t) {
-                continue; // crashed: permanently silent, no reply expected
-            }
-            let fault = net_faults.get(&agent);
-            let reply = wire_reply(&mut cells[agent], fault, server, t, x, &mut staging);
-            if let Some(reply) = reply {
+        for (agent, _) in self.heard.iter().enumerate().filter(|(_, heard)| **heard) {
+            let live = bus.cells.get(agent).is_some_and(|cell| !cell.silent_at(t));
+            if live && bus.reply(agent, t, x) {
                 expected += 1;
-                net.send(agent, server, reply);
             }
         }
         engine.telemetry.end(fill_span);
@@ -205,14 +324,14 @@ pub(crate) fn execute_server(
         // Collect what made the deadline and stream it straight into the
         // batch: deliveries re-ordered by sender (stable, deterministic —
         // at most one reply per agent per round) so rows land in agent-id
-        // order, the filter-input order every backend shares, without the
-        // per-agent staging slots replies used to be parked in.
+        // order, the filter-input order every backend shares. A reply that
+        // never arrived leaves its agent without a row for the round.
         let up_span = engine.telemetry.begin(Phase::NetDelivery);
-        let mut deliveries = net.end_round();
-        engine.telemetry.set_virtual_ns(net.now());
+        let mut deliveries = bus.net.end_round();
+        engine.telemetry.set_virtual_ns(bus.net.now());
         engine.telemetry.end(up_span);
         deliveries.sort_by_key(|delivery| delivery.from);
-        batch.clear();
+        bus.batch.clear();
         for delivery in deliveries {
             if let ServerWire::Gradient {
                 iteration,
@@ -220,94 +339,14 @@ pub(crate) fn execute_server(
             } = delivery.payload
             {
                 debug_assert_eq!(iteration, t, "rounds drain fully");
-                check_reply_dim(dim, delivery.from, &gradient)?;
-                batch.push_row(gradient.as_slice());
+                bus.check_reply(delivery.from, &gradient)?;
+                bus.batch.push_row(gradient.as_slice());
             }
         }
-        engine.counters.replies_received += batch.len();
-        engine.counters.stragglers += expected - batch.len();
-
-        // Per-round S1: an agent whose gradient never arrived is treated
-        // exactly like a crashed agent for this round — its row is absent
-        // and it counts against the fault budget the filter is run with.
-        // (A fully silent round holds the estimate: the engine's
-        // empty-batch rule, the timeout-driven "no update this round".)
-        let f_round = config.f().saturating_sub(n - batch.len());
-        if engine.step(t, &batch, f_round)?.is_halt() {
-            break;
-        }
+        engine.counters.replies_received += bus.batch.len();
+        engine.counters.stragglers += expected - bus.batch.len();
+        Ok(&bus.batch)
     }
-    Ok(engine.finish(net.metrics())?)
-}
-
-/// Announces `iteration` to the bus and sends the server's estimate
-/// entering it to every agent.
-pub(crate) fn broadcast_estimate(
-    net: &mut SimulatedNetwork<ServerWire>,
-    engine: &mut RoundEngine<'_>,
-    n: usize,
-    iteration: usize,
-) {
-    net.begin_iteration(iteration);
-    for agent in 0..n {
-        net.send(
-            SimulatedRun::server_address(n),
-            agent,
-            ServerWire::Estimate {
-                iteration,
-                estimate: engine.x().clone(),
-            },
-        );
-    }
-    engine.counters.broadcasts_sent += n;
-}
-
-/// What one agent puts on its link to the server for `iteration`, having
-/// heard the estimate `x`: what its cell reports, as seen from the server's
-/// side of any net fault — negated when the server sits past an
-/// equivocation boundary, and nothing at all when a selective sender lists
-/// the server among its victims. The report is built in `staging`; only
-/// the payload that goes on the wire is allocated.
-pub(crate) fn wire_reply(
-    cell: &mut AgentCell,
-    net_fault: Option<&NetFault>,
-    server: usize,
-    iteration: usize,
-    x: &Vector,
-    staging: &mut Vector,
-) -> Option<ServerWire> {
-    cell.reply_into(
-        iteration,
-        x,
-        HonestGradients::Hidden,
-        staging.as_mut_slice(),
-    );
-    match net_fault {
-        Some(NetFault::SelectiveSend(victims)) if victims.contains(&server) => return None,
-        Some(NetFault::EquivocateSplit { boundary }) if server >= *boundary => {
-            staging.scale_mut(-1.0);
-        }
-        _ => {}
-    }
-    Some(ServerWire::Gradient {
-        iteration,
-        gradient: staging.clone(),
-    })
-}
-
-/// A reply must carry a gradient of the run's dimension.
-pub(crate) fn check_reply_dim(
-    dim: usize,
-    from: usize,
-    gradient: &Vector,
-) -> Result<(), RuntimeError> {
-    if gradient.dim() == dim {
-        return Ok(());
-    }
-    Err(RuntimeError::Dgd(abft_dgd::DgdError::Dimension {
-        expected: format!("gradient of dim {dim}"),
-        actual: format!("agent {from} sent dim {}", gradient.dim()),
-    }))
 }
 
 #[cfg(test)]

@@ -251,12 +251,9 @@ impl DgdTask {
                 SimTopology::PeerToPeer { equivocate } => {
                     crate::simulated::execute_p2p(self, sim, equivocate, filter, options, observer)
                 }
-                SimTopology::Server => {
+                SimTopology::Server | SimTopology::AsyncServer(_) => {
                     crate::simulated::execute_server(self, sim, filter, options, observer)
                 }
-                SimTopology::AsyncServer(config) => crate::async_server::execute_async_server(
-                    self, sim, config, filter, options, observer,
-                ),
             },
         }
     }

@@ -6,12 +6,14 @@
 use abft_attacks::{attack_by_name, attack_names};
 use abft_core::SystemConfig;
 use abft_dgd::RunOptions;
-use abft_filters::Cwtm;
-use abft_net::NetworkModel;
+use abft_filters::{Cwtm, FilterError, GradientFilter};
+use abft_linalg::{GradientBatch, Vector};
+use abft_net::{LinkModel, NetworkModel};
 use abft_problems::RegressionProblem;
 use abft_runtime::{
     AsyncConfig, DgdTask, Launch, RoundWorkspace, RunCounters, RuntimeError, SimulatedRun,
 };
+use std::sync::Mutex;
 
 const ITERATIONS: usize = 12;
 const CRASH_AT: usize = 5;
@@ -164,4 +166,94 @@ fn every_lockstep_launch_rejects_a_staleness_bound() {
     DgdTask::new(*problem.config(), problem.costs())
         .run_dense(Launch::Simulated(&asynchronous), &Cwtm::new(), &options)
         .expect("the asynchronous server reads the bound");
+}
+
+/// CWTM that logs `(rows, f)` — the batch size and the fault budget it is
+/// handed — on every call.
+#[derive(Default)]
+struct BudgetLog {
+    calls: Mutex<Vec<(usize, usize)>>,
+}
+
+impl BudgetLog {
+    fn calls(&self) -> Vec<(usize, usize)> {
+        self.calls.lock().expect("unpoisoned").clone()
+    }
+}
+
+impl GradientFilter for BudgetLog {
+    fn aggregate_into(
+        &self,
+        batch: &GradientBatch,
+        f: usize,
+        out: &mut Vector,
+    ) -> Result<(), FilterError> {
+        self.calls
+            .lock()
+            .expect("unpoisoned")
+            .push((batch.len(), f));
+        Cwtm::new().aggregate_into(batch, f, out)
+    }
+
+    fn name(&self) -> &'static str {
+        "budget-log"
+    }
+}
+
+/// Runs `task("gradient-reverse")` — agent 1 crashes at `CRASH_AT` — on
+/// `launch` through a [`BudgetLog`], and checks step S1's budget on every
+/// call: an agent the server has no row from counts against `f`, so the
+/// filter runs with `f − (n − rows)`, floored at zero.
+fn logged_budget(
+    launch: Launch<'_>,
+    options: impl Fn(RunOptions) -> RunOptions,
+) -> (Vec<(usize, usize)>, RunCounters) {
+    let (task, base) = task("gradient-reverse");
+    let (n, f) = (task.config().n(), task.config().f());
+    let log = BudgetLog::default();
+    let out = task
+        .run_dense(launch, &log, &options(base))
+        .expect("the run completes");
+    let calls = log.calls();
+    assert!(!calls.is_empty());
+    for &(rows, budget) in &calls {
+        assert_eq!(budget, f.saturating_sub(n - rows), "{rows} rows");
+    }
+    (calls, out.counters)
+}
+
+#[test]
+fn every_server_hands_the_filter_the_s1_budget() {
+    let (in_process, _) = logged_budget(Launch::InProcess(&mut RoundWorkspace::new()), |o| o);
+    let (threaded, _) = logged_budget(Launch::Threaded, |o| o);
+    let ideal = SimulatedRun::server(NetworkModel::ideal());
+    let (simulated, _) = logged_budget(Launch::Simulated(&ideal), |o| o);
+    let timing = AsyncConfig::new();
+    let asynchronous = SimulatedRun::async_server(NetworkModel::ideal(), timing);
+    let one_interval = |o: RunOptions| o.with_staleness_ns(timing.step_interval_ns);
+    let (stepped, _) = logged_budget(Launch::Simulated(&asynchronous), one_interval);
+    // Over ideal links the crash is the only absent row: six rows with the
+    // full budget until `CRASH_AT`, then five with one less — everywhere.
+    let expected: Vec<_> = (0..=ITERATIONS)
+        .map(|t| if t < CRASH_AT { (6, 2) } else { (5, 1) })
+        .collect();
+    assert_eq!(in_process, expected);
+    assert_eq!(threaded, expected);
+    assert_eq!(simulated, expected);
+    assert_eq!(stepped, expected);
+
+    let link = LinkModel::ideal().with_drop(0.2).with_reorder_ns(2_000);
+    let lossy = SimulatedRun::server(NetworkModel::seeded(7).with_default_link(link));
+    let (_, counters) = logged_budget(Launch::Simulated(&lossy), |o| o);
+    assert!(counters.stragglers > 0, "{counters:?}");
+
+    let jittered = AsyncConfig::new()
+        .with_compute_jitter_ns(400_000)
+        .with_clock_seed(7);
+    let link = LinkModel::ideal().with_drop(0.1).with_reorder_ns(50_000);
+    let network = NetworkModel::seeded(13).with_default_link(link);
+    let stale = SimulatedRun::async_server(network, jittered);
+    let bounded = |o: RunOptions| o.with_staleness_ns(2 * timing.step_interval_ns);
+    let (_, counters) = logged_budget(Launch::Simulated(&stale), bounded);
+    assert!(counters.stale_rows > 0, "{counters:?}");
 }
