@@ -103,7 +103,16 @@ impl Dataset {
 
     /// Samples a mini-batch of `size` indices with replacement.
     pub fn sample_batch(&self, rng: &mut StdRng, size: usize) -> Vec<usize> {
-        (0..size).map(|_| rng.gen_range(0..self.len())).collect()
+        let mut batch = Vec::with_capacity(size);
+        self.sample_batch_into(rng, size, &mut batch);
+        batch
+    }
+
+    /// [`Dataset::sample_batch`] into a reused vector: the same draws from
+    /// `rng`, replacing `batch`'s contents.
+    pub(crate) fn sample_batch_into(&self, rng: &mut StdRng, size: usize, batch: &mut Vec<usize>) {
+        batch.clear();
+        batch.extend((0..size).map(|_| rng.gen_range(0..self.len())));
     }
 
     /// Randomly and evenly splits the dataset into `shards` parts (the

@@ -328,6 +328,8 @@ pub fn train_distributed_observed<M: Model>(
     let mut round: GradientBatch = engine.round_batch(n);
 
     let mut rng = seeded_rng(config.seed);
+    // One agent's mini-batch indices, resampled in place.
+    let mut batch = Vec::with_capacity(config.batch_size);
     let mut records = Vec::new();
     let evaluate = |model: &M, iteration: usize, loss: f64| DsgdRecord {
         iteration,
@@ -349,7 +351,7 @@ pub fn train_distributed_observed<M: Model>(
         let mut honest_loss_sum = 0.0;
         let mut honest_count = 0usize;
         for (i, shard) in effective_shards.iter().enumerate() {
-            let batch = shard.sample_batch(&mut rng, config.batch_size);
+            shard.sample_batch_into(&mut rng, config.batch_size, &mut batch);
             let row = round.row_mut(i);
             let loss = model.loss_and_gradient_into(shard, &batch, row);
             if is_faulty[i] && fault == MlFault::GradientReverse {

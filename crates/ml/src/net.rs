@@ -5,34 +5,49 @@
 //! gradient filters only see parameter-gradient vectors, and the MLP
 //! preserves non-convexity, softmax loss, and mini-batch stochasticity at a
 //! size that trains on a laptop.
+//!
+//! # The kernel
+//!
+//! The parameters are one flat vector in the [`Model::params`] layout —
+//! each layer's `[weights (out × in, row-major) | biases]` in turn — and a
+//! layer is a set of offset views into it. A mini-batch crosses each layer
+//! as one `b × in` panel: the forward pass runs four samples × four
+//! outputs at a time over a transposed copy of the weights, so sixteen
+//! independent add chains are in flight. Softmax, the loss and the logits'
+//! δ then run per sample, and the backward pass per layer and, within it,
+//! per sample: `dW`, then `δ_prev = Wᵀδ` through the same weight rows. The
+//! activation panels and δ rows live in one scratch vector the model owns;
+//! once it has grown to the largest batch, a call allocates nothing.
+//!
+//! **Order contract** — what keeps every bit equal to the per-sample
+//! reference in `tests/mlp_reference.rs`:
+//! - a pre-activation is `(((−0.0 + w·a₀) + w·a₁) + …)` in input order —
+//!   the `Iterator::sum` fold, whose neutral element is `−0.0` — then
+//!   `+ b`, then ReLU as `< 0.0 → 0.0`;
+//! - softmax folds the max from `−∞`, takes `exp(v − max)`, sums from
+//!   `−0.0` and divides; the loss sums `−ln max(p_y, 10⁻³⁰⁰)` in batch
+//!   order;
+//! - every `dW`/`db` slot accumulates the samples in batch order from
+//!   `+0.0`; a `δ·scale` that is exactly zero is skipped for `dW` (so a
+//!   non-finite activation cannot turn it into NaN) but still added to
+//!   `db`;
+//! - `δ_prev[j]` is `0.0 + Σᵢ W[i][j]·δ[i]` in `i` order, then zeroed
+//!   where the layer's input is `≤ 0.0`;
+//! - [`Mlp::predict`] is a panel of one; of equal logits it picks the last
+//!   under `total_cmp`.
 
 use crate::dataset::Dataset;
 use crate::dsgd::Model;
 use crate::error::MlError;
 use abft_linalg::rng::{seeded_rng, standard_normal};
-use abft_linalg::{Matrix, Vector};
+use abft_linalg::Vector;
+use std::cell::Cell;
+use std::fmt;
 
-/// One dense layer `z = W·a + b`.
-#[derive(Debug, Clone)]
-struct DenseLayer {
-    weights: Matrix, // out × in
-    biases: Vector,  // out
-}
-
-impl DenseLayer {
-    /// He-style initialization.
-    fn new(input: usize, output: usize, rng: &mut rand::rngs::StdRng) -> Self {
-        let scale = (2.0 / input as f64).sqrt();
-        DenseLayer {
-            weights: Matrix::from_fn(output, input, |_, _| scale * standard_normal(rng)),
-            biases: Vector::zeros(output),
-        }
-    }
-
-    fn param_count(&self) -> usize {
-        self.weights.rows() * self.weights.cols() + self.biases.dim()
-    }
-}
+/// Samples per forward block, and outputs per packed weight panel.
+const BLOCK: usize = 4;
+/// Test samples `accuracy` runs through the layers at once.
+const EVAL_PANEL: usize = 64;
 
 /// A multilayer perceptron classifier.
 ///
@@ -47,10 +62,20 @@ impl DenseLayer {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
 pub struct Mlp {
-    layers: Vec<DenseLayer>,
     sizes: Vec<usize>,
+    /// Each layer's `[weights (out × in, row-major) | biases]` in turn:
+    /// the [`Model::params`] layout.
+    params: Vec<f64>,
+    /// Each layer's `Wᵀ` cut into panels of [`BLOCK`] outputs: panel `p`
+    /// holds, input by input, the weights of outputs `4p … 4p + 3` (zero
+    /// past the last output).
+    packed: Vec<f64>,
+    /// Where each layer starts in `params` and in `packed`.
+    offsets: Vec<(usize, usize)>,
+    /// Activation panels and δ rows: taken for a call and put back, so a
+    /// re-entrant call allocates its own instead of failing.
+    scratch: Cell<Vec<f64>>,
 }
 
 impl Mlp {
@@ -72,151 +97,348 @@ impl Mlp {
                 reason: "layer sizes must be positive".into(),
             });
         }
+        // He-style initialization, layer by layer: weights row-major, zero
+        // biases.
         let mut rng = seeded_rng(seed);
-        let layers = sizes
-            .windows(2)
-            .map(|w| DenseLayer::new(w[0], w[1], &mut rng))
-            .collect();
-        Ok(Mlp {
-            layers,
+        let mut params = Vec::new();
+        let (mut packed, mut offsets) = (0, Vec::new());
+        for (&inputs, &outputs) in sizes.iter().zip(sizes.iter().skip(1)) {
+            offsets.push((params.len(), packed));
+            let scale = (2.0 / inputs as f64).sqrt();
+            params.extend((0..inputs * outputs).map(|_| scale * standard_normal(&mut rng)));
+            params.extend(std::iter::repeat_n(0.0, outputs));
+            packed += packed_len(inputs, outputs);
+        }
+        let mut net = Mlp {
             sizes: sizes.to_vec(),
-        })
+            params,
+            packed: vec![0.0; packed],
+            offsets,
+            scratch: Cell::default(),
+        };
+        net.pack();
+        Ok(net)
     }
 
     /// Input dimension.
     pub fn input_dim(&self) -> usize {
-        self.sizes[0]
+        self.sizes.first().copied().unwrap_or_default()
     }
 
     /// Number of output classes.
     pub fn classes(&self) -> usize {
-        *self.sizes.last().expect("at least two sizes")
-    }
-
-    /// Forward pass returning every layer's post-activation output
-    /// (`activations[0]` is the input itself; the final entry is the
-    /// pre-softmax logits).
-    fn forward(&self, x: &Vector) -> Vec<Vector> {
-        let mut activations = Vec::with_capacity(self.layers.len() + 1);
-        activations.push(x.clone());
-        for (l, layer) in self.layers.iter().enumerate() {
-            let mut z = layer
-                .weights
-                .matvec(activations.last().expect("non-empty"))
-                .expect("layer shapes are consistent");
-            z += &layer.biases;
-            // ReLU on hidden layers; logits stay linear.
-            if l + 1 < self.layers.len() {
-                for v in z.as_mut_slice() {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
-                }
-            }
-            activations.push(z);
-        }
-        activations
-    }
-
-    /// Numerically stable softmax.
-    fn softmax(logits: &Vector) -> Vector {
-        let max = logits.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
-        let exps: Vec<f64> = logits.iter().map(|&v| (v - max).exp()).collect();
-        let sum: f64 = exps.iter().sum();
-        Vector::from(exps.into_iter().map(|e| e / sum).collect::<Vec<_>>())
+        self.sizes.last().copied().unwrap_or_default()
     }
 
     /// Predicted class for one sample.
     pub fn predict(&self, x: &Vector) -> usize {
-        let activations = self.forward(x);
-        let logits = activations.last().expect("non-empty");
-        (0..logits.dim())
-            .max_by(|&i, &j| logits[i].total_cmp(&logits[j]))
-            .expect("at least one class")
+        let mut scratch = self.scratch.take();
+        let (acts, _) = self.panels(&mut scratch, BLOCK, 0);
+        self.forward(std::iter::once(x), acts, BLOCK);
+        let class = self.logits(acts, BLOCK).next().map_or(0, argmax);
+        self.scratch.set(scratch);
+        class
     }
+
+    /// The layers front to back; `.rev()` walks them back to front.
+    fn layers(&self) -> impl DoubleEndedIterator<Item = Layer<'_>> {
+        let shapes = self.sizes.iter().zip(self.sizes.iter().skip(1));
+        let layers = shapes.zip(&self.offsets);
+        layers.map(|((&inputs, &outputs), &(at, packed_at))| {
+            let (weights, biases) = self.params.split_at(at).1.split_at(inputs * outputs);
+            let packed = self.packed.split_at(packed_at).1;
+            Layer {
+                inputs,
+                outputs,
+                weights,
+                biases: biases.split_at(outputs).0,
+                packed: packed.split_at(packed_len(inputs, outputs)).0,
+            }
+        })
+    }
+
+    /// Rebuilds [`Mlp::packed`] from the parameters.
+    fn pack(&mut self) {
+        let mut params = self.params.as_slice();
+        let mut packed = self.packed.as_mut_slice();
+        for (&inputs, &outputs) in self.sizes.iter().zip(self.sizes.iter().skip(1)) {
+            let (weights, rest) = params.split_at(inputs * outputs);
+            params = rest.split_at(outputs).1;
+            let (panels, rest) =
+                std::mem::take(&mut packed).split_at_mut(packed_len(inputs, outputs));
+            packed = rest;
+            let blocks = panels
+                .chunks_exact_mut(BLOCK * inputs)
+                .zip(weights.chunks(BLOCK * inputs));
+            for (panel, rows) in blocks {
+                panel.fill(0.0);
+                for (lane, row) in rows.chunks_exact(inputs).enumerate() {
+                    let slots = panel.iter_mut().skip(lane).step_by(BLOCK);
+                    for (slot, &w) in slots.zip(row) {
+                        *slot = w;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Grows `scratch` and carves it: the activation panels for `rows`
+    /// samples — one per layer boundary, `rows × sizes[l]`, row-major —
+    /// then at least `extra` more values.
+    fn panels<'s>(
+        &self,
+        scratch: &'s mut Vec<f64>,
+        rows: usize,
+        extra: usize,
+    ) -> (&'s mut [f64], &'s mut [f64]) {
+        let acts = rows * self.sizes.iter().sum::<usize>();
+        if scratch.len() < acts + extra {
+            scratch.resize(acts + extra, 0.0);
+        }
+        scratch.split_at_mut(acts)
+    }
+
+    /// Stages `inputs` in the first of the activation panels `acts` (zero
+    /// rows pad it to `rows`, a multiple of [`BLOCK`]) and runs every layer
+    /// over them, block by block.
+    fn forward<'x>(&self, inputs: impl Iterator<Item = &'x Vector>, acts: &mut [f64], rows: usize) {
+        let (input, mut rest) = acts.split_at_mut(rows * self.input_dim());
+        let mut slots = input.chunks_exact_mut(self.input_dim());
+        for (slot, x) in slots.by_ref().zip(inputs) {
+            slot.copy_from_slice(x.as_slice());
+        }
+        slots.for_each(|slot| slot.fill(0.0));
+
+        let hidden = self.sizes.len() - 2;
+        let mut input: &[f64] = input;
+        for (l, layer) in self.layers().enumerate() {
+            let (output, tail) = std::mem::take(&mut rest).split_at_mut(rows * layer.outputs);
+            let blocks = (input.chunks_exact(BLOCK * layer.inputs))
+                .zip(output.chunks_exact_mut(BLOCK * layer.outputs));
+            for (src, dst) in blocks {
+                layer.forward_block(src, dst, l < hidden);
+            }
+            (input, rest) = (output, tail);
+        }
+    }
+
+    /// The logits rows of the activation panels `acts` for `rows` samples.
+    fn logits<'a>(&self, acts: &'a [f64], rows: usize) -> std::slice::ChunksExact<'a, f64> {
+        let classes = self.classes();
+        acts.split_at(acts.len() - rows * classes)
+            .1
+            .chunks_exact(classes)
+    }
+}
+
+impl Clone for Mlp {
+    /// Clones the parameters; the clone starts with an empty scratch.
+    fn clone(&self) -> Self {
+        Mlp {
+            sizes: self.sizes.clone(),
+            params: self.params.clone(),
+            packed: self.packed.clone(),
+            offsets: self.offsets.clone(),
+            scratch: Cell::default(),
+        }
+    }
+}
+
+impl fmt::Debug for Mlp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Mlp")
+            .field("sizes", &self.sizes)
+            .field("params", &self.params)
+            .finish_non_exhaustive()
+    }
+}
+
+/// One dense layer `z = W·a + b` as views into the flat vectors.
+struct Layer<'a> {
+    inputs: usize,
+    outputs: usize,
+    /// `outputs × inputs`, row-major.
+    weights: &'a [f64],
+    biases: &'a [f64],
+    /// This layer's share of [`Mlp::packed`].
+    packed: &'a [f64],
+}
+
+/// The length of one layer's share of [`Mlp::packed`].
+fn packed_len(inputs: usize, outputs: usize) -> usize {
+    outputs.div_ceil(BLOCK) * BLOCK * inputs
+}
+
+impl Layer<'_> {
+    /// Runs one block of [`BLOCK`] samples through the layer: `src` holds
+    /// their inputs (`4 × inputs`), `dst` receives their outputs
+    /// (`4 × outputs`), ReLU'd when `relu`.
+    fn forward_block(&self, src: &[f64], dst: &mut [f64], relu: bool) {
+        let mut src = src.chunks_exact(self.inputs);
+        let x = [(); BLOCK].map(|()| src.next().unwrap_or_default());
+        let mut dst = dst.chunks_exact_mut(self.outputs);
+        let [z0, z1, z2, z3] = [(); BLOCK].map(|()| dst.next().unwrap_or_default());
+        let lanes = (z0.chunks_mut(BLOCK).zip(z1.chunks_mut(BLOCK)))
+            .zip(z2.chunks_mut(BLOCK).zip(z3.chunks_mut(BLOCK)));
+        let panels = (self.packed.chunks_exact(BLOCK * self.inputs)).zip(self.biases.chunks(BLOCK));
+        for ((panel, bias), ((z0, z1), (z2, z3))) in panels.zip(lanes) {
+            for (z, sums) in [z0, z1, z2, z3].into_iter().zip(dot_block(x, panel)) {
+                for ((z, sum), b) in z.iter_mut().zip(sums).zip(bias) {
+                    let v = sum + b;
+                    *z = if relu && v < 0.0 { 0.0 } else { v };
+                }
+            }
+        }
+    }
+
+    /// Adds this layer's gradient over the samples to `grad` (its
+    /// `[dW | db]` block) and, given `prevs`, writes each sample's
+    /// `δ_prev` there. `inputs` holds the samples' inputs to the layer and
+    /// `deltas` their δ at its outputs, one row per sample.
+    fn backward(
+        &self,
+        grad: &mut [f64],
+        inputs: &[f64],
+        deltas: &[f64],
+        prevs: Option<&mut [f64]>,
+        scale: f64,
+    ) {
+        let (grad_w, grad_b) = grad.split_at_mut(self.weights.len());
+        let mut prevs = prevs.map(|p| p.chunks_exact_mut(self.inputs));
+        let samples = deltas
+            .chunks_exact(self.outputs)
+            .zip(inputs.chunks_exact(self.inputs));
+        for (delta, a) in samples {
+            let mut prev = prevs.as_mut().and_then(Iterator::next);
+            if let Some(prev) = prev.as_deref_mut() {
+                prev.fill(0.0);
+            }
+            let rows = (self.weights.chunks_exact(self.inputs))
+                .zip(grad_w.chunks_exact_mut(self.inputs))
+                .zip(grad_b.iter_mut());
+            for (((w, g), b), &delta_i) in rows.zip(delta) {
+                let d = delta_i * scale;
+                if d != 0.0 {
+                    for (g, a) in g.iter_mut().zip(a) {
+                        *g += d * a;
+                    }
+                }
+                *b += d;
+                if let Some(prev) = prev.as_deref_mut() {
+                    for (p, w) in prev.iter_mut().zip(w) {
+                        *p += w * delta_i;
+                    }
+                }
+            }
+            // The ReLU gate: no gradient flows into an inactive input.
+            if let Some(prev) = prev {
+                for (p, a) in prev.iter_mut().zip(a) {
+                    if *a <= 0.0 {
+                        *p = 0.0;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `Σₖ w[k][o]·x_s[k]` for four samples `s` × the four outputs `o` of one
+/// packed panel: sixteen independent add chains, each `−0.0`-started and
+/// in `k` order — the fold `Iterator::sum` runs.
+fn dot_block(x: [&[f64]; BLOCK], panel: &[f64]) -> [[f64; BLOCK]; BLOCK] {
+    let [x0, x1, x2, x3] = x;
+    let (panel, _) = panel.as_chunks::<BLOCK>();
+    let mut sums = [[-0.0; BLOCK]; BLOCK];
+    for ((((a0, a1), a2), a3), w) in x0.iter().zip(x1).zip(x2).zip(x3).zip(panel) {
+        for (sum, a) in sums.iter_mut().zip([a0, a1, a2, a3]) {
+            for (s, w) in sum.iter_mut().zip(w) {
+                *s += w * a;
+            }
+        }
+    }
+    sums
+}
+
+/// Numerically stable softmax of `logits` into `probs`.
+fn softmax_into(logits: &[f64], probs: &mut [f64]) {
+    let max = logits.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
+    for (p, &v) in probs.iter_mut().zip(logits) {
+        *p = (v - max).exp();
+    }
+    let sum: f64 = probs.iter().sum();
+    for p in probs.iter_mut() {
+        *p /= sum;
+    }
+}
+
+/// The index of the largest score; of equal ones the last, as
+/// `Iterator::max_by` picks.
+pub(crate) fn argmax(scores: &[f64]) -> usize {
+    let best = scores
+        .iter()
+        .enumerate()
+        .max_by(|(_, a), (_, b)| a.total_cmp(b));
+    best.map_or(0, |(class, _)| class)
 }
 
 impl Model for Mlp {
     fn param_dim(&self) -> usize {
-        self.layers.iter().map(DenseLayer::param_count).sum()
+        self.params.len()
     }
 
     fn params(&self) -> Vector {
-        let mut flat = Vec::with_capacity(self.param_dim());
-        for layer in &self.layers {
-            flat.extend_from_slice(layer.weights.as_slice());
-            flat.extend_from_slice(layer.biases.as_slice());
-        }
-        Vector::from(flat)
+        Vector::from(self.params.as_slice())
     }
 
     fn set_params(&mut self, params: &Vector) {
         assert_eq!(params.dim(), self.param_dim(), "parameter vector length");
-        let mut rest = params.as_slice();
-        for layer in &mut self.layers {
-            let (weights, tail) = rest.split_at(layer.weights.as_slice().len());
-            let (biases, tail) = tail.split_at(layer.biases.dim());
-            layer.weights.as_mut_slice().copy_from_slice(weights);
-            layer.biases.as_mut_slice().copy_from_slice(biases);
-            rest = tail;
-        }
+        self.params.copy_from_slice(params.as_slice());
+        self.pack();
     }
 
     fn loss_and_gradient_into(&self, data: &Dataset, batch: &[usize], out: &mut [f64]) -> f64 {
         assert!(!batch.is_empty(), "empty mini-batch");
         assert_eq!(out.len(), self.param_dim(), "gradient buffer length");
+        debug_assert!(data.classes() <= self.classes(), "labels past the logits");
         let scale = 1.0 / batch.len() as f64;
-        let mut total_loss = 0.0;
         out.fill(0.0);
 
-        for &idx in batch {
-            let x = data.feature(idx);
-            let y = data.label(idx);
-            let activations = self.forward(x);
-            let logits = activations.last().expect("non-empty");
-            let probs = Self::softmax(logits);
-            total_loss += -(probs[y].max(1e-300)).ln();
+        let (samples, classes) = (batch.len(), self.classes());
+        let rows = samples.next_multiple_of(BLOCK);
+        // δ rows: a layer's outputs, or the inputs of a layer past the first.
+        let widest = self.sizes.iter().skip(1).copied().max().unwrap_or_default();
+        let mut scratch = self.scratch.take();
+        let (acts, deltas) = self.panels(&mut scratch, rows, 2 * samples * widest);
+        self.forward(batch.iter().map(|&i| data.feature(i)), acts, rows);
+        let (mut delta, mut prev) = deltas.split_at_mut(samples * widest);
 
-            // δ at the logits: softmax cross-entropy gradient.
-            let mut delta = probs;
-            delta[y] -= 1.0;
-
-            // Backwards through the layers, and so backwards through
-            // `out`: layer l's block is `[weights, row-major | biases]`,
-            // the params() layout.
-            let mut block_end = out.len();
-            for l in (0..self.layers.len()).rev() {
-                let input = &activations[l];
-                let block_start = block_end - self.layers[l].param_count();
-                let (grad_w, grad_b) =
-                    out[block_start..block_end].split_at_mut(delta.dim() * input.dim());
-                block_end = block_start;
-                // dW += δ ⊗ input, db += δ.
-                let rows = grad_w.chunks_exact_mut(input.dim());
-                for ((row, bias), &delta_r) in rows.zip(grad_b.iter_mut()).zip(delta.iter()) {
-                    let d = delta_r * scale;
-                    if d != 0.0 {
-                        for (g, a) in row.iter_mut().zip(input.iter()) {
-                            *g += d * a;
-                        }
-                    }
-                    *bias += d;
-                }
-                if l > 0 {
-                    // Propagate: δ_prev = Wᵀ δ, gated by ReLU (input > 0).
-                    let mut prev = self.layers[l]
-                        .weights
-                        .matvec_t(&delta)
-                        .expect("consistent shapes");
-                    for c in 0..prev.dim() {
-                        if activations[l][c] <= 0.0 {
-                            prev[c] = 0.0;
-                        }
-                    }
-                    delta = prev;
-                }
+        // Softmax, loss and δ at the logits, sample by sample.
+        let mut total_loss = 0.0;
+        let logits = self.logits(acts, rows);
+        for ((z, p), &i) in logits.zip(delta.chunks_exact_mut(classes)).zip(batch) {
+            softmax_into(z, p);
+            if let Some(p_y) = p.get_mut(data.label(i)) {
+                total_loss += -(p_y.max(1e-300)).ln();
+                *p_y -= 1.0;
             }
         }
+
+        // Backwards through the layers, and so backwards through `out`
+        // and the activation panels below the logits.
+        let mut below = acts.split_at(acts.len() - rows * classes).0;
+        let mut grad_below = out;
+        for layer in self.layers().rev() {
+            let (rest, inputs) = below.split_at(below.len() - rows * layer.inputs);
+            let at = grad_below.len() - layer.weights.len() - layer.outputs;
+            let (grad_rest, grad) = std::mem::take(&mut grad_below).split_at_mut(at);
+            let deltas = delta.split_at(samples * layer.outputs).0;
+            // The first layer (nothing below it) passes no δ back.
+            let prevs = (!rest.is_empty()).then(|| prev.split_at_mut(samples * layer.inputs).0);
+            layer.backward(grad, inputs, deltas, prevs, scale);
+            (below, grad_below) = (rest, grad_rest);
+            std::mem::swap(&mut delta, &mut prev);
+        }
+        self.scratch.set(scratch);
         total_loss * scale
     }
 
@@ -224,9 +446,18 @@ impl Model for Mlp {
         if data.is_empty() {
             return 0.0;
         }
-        let correct = (0..data.len())
-            .filter(|&i| self.predict(data.feature(i)) == data.label(i))
-            .count();
+        let mut scratch = self.scratch.take();
+        let mut correct = 0;
+        for start in (0..data.len()).step_by(EVAL_PANEL) {
+            let samples = start..data.len().min(start + EVAL_PANEL);
+            let rows = samples.len().next_multiple_of(BLOCK);
+            let (acts, _) = self.panels(&mut scratch, rows, 0);
+            self.forward(samples.clone().map(|i| data.feature(i)), acts, rows);
+            let hits =
+                (self.logits(acts, rows).zip(samples)).filter(|&(z, i)| argmax(z) == data.label(i));
+            correct += hits.count();
+        }
+        self.scratch.set(scratch);
         correct as f64 / data.len() as f64
     }
 }
@@ -267,12 +498,14 @@ mod tests {
 
     #[test]
     fn softmax_is_a_distribution() {
-        let s = Mlp::softmax(&Vector::from(vec![1.0, 2.0, 3.0]));
-        assert!((s.sum() - 1.0).abs() < 1e-12);
+        let mut s = [0.0; 3];
+        softmax_into(&[1.0, 2.0, 3.0], &mut s);
+        assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(s.iter().all(|&p| p > 0.0));
         assert!(s[2] > s[1] && s[1] > s[0]);
         // Stability at extreme logits.
-        let s = Mlp::softmax(&Vector::from(vec![1000.0, 0.0]));
+        let mut s = [0.0; 2];
+        softmax_into(&[1000.0, 0.0], &mut s);
         assert!((s[0] - 1.0).abs() < 1e-12);
     }
 

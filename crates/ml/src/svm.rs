@@ -8,16 +8,20 @@
 use crate::dataset::Dataset;
 use crate::dsgd::Model;
 use crate::error::MlError;
+use crate::net::argmax;
 use abft_linalg::{rowops, Matrix, Vector};
+use std::cell::Cell;
+use std::fmt;
 
 /// A linear classifier with per-class weight rows, trained with the
 /// multiclass hinge loss
 ///
 /// `L = (1/m)·Σ_k Σ_{j≠y_k} max(0, 1 + w_j·x_k − w_{y_k}·x_k) + (reg/2)·‖W‖²`.
-#[derive(Debug, Clone)]
 pub struct LinearSvm {
     weights: Matrix, // classes × dim
     reg: f64,
+    /// One sample's class scores: taken for a call and put back.
+    scores: Cell<Vec<f64>>,
 }
 
 impl LinearSvm {
@@ -41,6 +45,7 @@ impl LinearSvm {
         Ok(LinearSvm {
             weights: Matrix::zeros(classes, dim),
             reg,
+            scores: Cell::default(),
         })
     }
 
@@ -56,10 +61,47 @@ impl LinearSvm {
 
     /// Predicted class: `argmax_j w_j·x`.
     pub fn predict(&self, x: &Vector) -> usize {
-        let scores = self.weights.matvec(x).expect("dimension checked");
-        (0..scores.dim())
-            .max_by(|&i, &j| scores[i].total_cmp(&scores[j]))
-            .expect("at least one class")
+        let mut scores = self.take_scores();
+        self.scores_into(x, &mut scores);
+        let class = argmax(&scores);
+        self.scores.set(scores);
+        class
+    }
+
+    /// The scores scratch, one slot per class.
+    fn take_scores(&self) -> Vec<f64> {
+        let mut scores = self.scores.take();
+        scores.resize(self.classes(), 0.0);
+        scores
+    }
+
+    /// `w_j·x` for every class `j`, each summed from `−0.0` in feature
+    /// order (the `Iterator::sum` fold).
+    fn scores_into(&self, x: &Vector, scores: &mut [f64]) {
+        let rows = self.weights.as_slice().chunks_exact(self.input_dim());
+        for (score, row) in scores.iter_mut().zip(rows) {
+            *score = row.iter().zip(x.iter()).map(|(w, x)| w * x).sum();
+        }
+    }
+}
+
+impl Clone for LinearSvm {
+    /// Clones the parameters; the clone starts with an empty scratch.
+    fn clone(&self) -> Self {
+        LinearSvm {
+            weights: self.weights.clone(),
+            reg: self.reg,
+            scores: Cell::default(),
+        }
+    }
+}
+
+impl fmt::Debug for LinearSvm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LinearSvm")
+            .field("weights", &self.weights)
+            .field("reg", &self.reg)
+            .finish_non_exhaustive()
     }
 }
 
@@ -88,10 +130,11 @@ impl Model for LinearSvm {
         let mut loss = 0.0;
         out.fill(0.0);
 
+        let mut scores = self.take_scores();
         for &idx in batch {
             let x = data.feature(idx);
             let y = data.label(idx);
-            let scores = self.weights.matvec(x).expect("dimension checked");
+            self.scores_into(x, &mut scores);
             for j in 0..classes {
                 if j == y {
                     continue;
@@ -109,6 +152,7 @@ impl Model for LinearSvm {
                 }
             }
         }
+        self.scores.set(scores);
 
         // Regularization.
         let weights = self.weights.as_slice();

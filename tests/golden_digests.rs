@@ -12,24 +12,32 @@
 //! failing run prints every row that moved — label, expected, got — in
 //! the table's own format, so re-pinning is pasting the printed rows.
 //!
-//! The cells use only arithmetic that IEEE 754 rounds one way — `+ − × ÷`
-//! and `sqrt` — so the table is green on every machine: the paper's
+//! The DGD cells use only arithmetic that IEEE 754 rounds one way —
+//! `+ − × ÷` and `sqrt` — so they are green on every machine: the paper's
 //! regression instance (literal constants), the deterministic attacks
 //! (`gradient-reverse`, `scaled-reverse`, `zero`), no logistic cost, no
-//! Gaussian draw, no D-SGD. One in-process cell per registered filter;
-//! the order-statistics filters again at `n = 40`, where the order a
-//! trimmed mean sums its kept values in reaches the bits; then `cwtm` and
-//! `cge` on each of the other five backends.
+//! Gaussian draw. One in-process cell per registered filter; the
+//! order-statistics filters again at `n = 40`, where the order a trimmed
+//! mean sums its kept values in reaches the bits; then `cwtm` and `cge` on
+//! each of the other five backends.
+//!
+//! The last row is robust D-SGD: the final parameters of a small
+//! `train_distributed` run (MLP `[16, 8, 10]`, five shards, CWTM, one
+//! gradient reverser). Its data, initialisation and softmax call `ln`,
+//! `cos` and `exp`, which lower to the platform libm, so that row is
+//! pinned on this toolchain and target, not on every machine.
 
 use approx_bft::core::SystemConfig;
 use approx_bft::dgd::RunOptions;
 use approx_bft::filters::filter_names;
 use approx_bft::linalg::{Matrix, Vector};
+use approx_bft::ml::{train_distributed, DatasetSpec, DsgdConfig, MlFault, Mlp, Model};
 use approx_bft::problems::RegressionProblem;
 use approx_bft::scenario::{
     AsyncConfig, Backend, InProcess, LinkModel, NetworkModel, PeerToPeer, Scenario, Simulated,
     Threaded,
 };
+use approx_bft::telemetry::TelemetryConfig;
 use std::fmt::Write;
 
 const TABLE: &str = include_str!("golden_digests.tsv");
@@ -186,7 +194,31 @@ fn rows() -> Vec<String> {
         ));
         rows.push(row(name, backend.as_ref(), &paper, "cge", "zero"));
     }
+    rows.push(dsgd_row());
     rows
+}
+
+/// The D-SGD row: agent 0 of five reverses its gradient, CWTM filters,
+/// and the digest is of the parameters training ends with.
+fn dsgd_row() -> String {
+    let (train, test) = DatasetSpec::tiny().generate(13);
+    let shards = train.shard(5, 1).expect("shardable");
+    let mut model = Mlp::new(&[16, 8, 10], 1).expect("valid sizes");
+    let config = DsgdConfig {
+        batch_size: 32,
+        learning_rate_milli: 200,
+        iterations: ITERATIONS,
+        eval_every: 40,
+        seed: 5,
+        aggregation_threads: 1,
+        telemetry: TelemetryConfig::Off,
+    };
+    let filter = approx_bft::filters::Cwtm::new();
+    let fault = MlFault::GradientReverse;
+    train_distributed(&mut model, &shards, &[0], fault, &filter, &test, &config)
+        .expect("D-SGD trains");
+    let estimate = fnv1a(model.params().as_slice());
+    format!("dsgd/n5/cwtm/gradient-reverse\t{estimate:016x}\t-")
 }
 
 #[test]
