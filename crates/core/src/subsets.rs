@@ -40,25 +40,19 @@ impl Iterator for KSubsets {
 
     fn next(&mut self) -> Option<Vec<usize>> {
         let current = self.current.take()?;
-        let mut next = current.clone();
-        // Find the rightmost index that can be incremented.
-        let mut i = self.k;
-        loop {
-            if i == 0 {
-                // Exhausted.
-                self.current = None;
-                return Some(current);
+        // The rightmost position that can still be incremented (position
+        // `i` holds at most `n − k + i`); it and every position after it
+        // then count up from its old value plus one. None: exhausted.
+        let limit = self.n - self.k;
+        let mut positions = current.iter().enumerate().rev();
+        if let Some((i, &value)) = positions.find(|&(i, &value)| value < limit + i) {
+            let mut next = current.clone();
+            for (slot, value) in next.iter_mut().skip(i).zip(value + 1..) {
+                *slot = value;
             }
-            i -= 1;
-            if next[i] < self.n - self.k + i {
-                next[i] += 1;
-                for j in (i + 1)..self.k {
-                    next[j] = next[j - 1] + 1;
-                }
-                self.current = Some(next);
-                return Some(current);
-            }
+            self.current = Some(next);
         }
+        Some(current)
     }
 }
 

@@ -7,8 +7,10 @@
 //! in how the agents' rows travel into the batch they hand to
 //! [`RoundEngine::step`], so they agree on aggregation, the divergence
 //! check, observation, halting, the update, the phase spans and the
-//! counters by construction. The server topologies share the loop too
-//! ([`RowSource::serve`]) and differ only in their [`RowSource`]. The
+//! counters by construction. They share the loop around it too
+//! ([`RowSource::serve`]) and differ only in their [`RowSource`]: a
+//! peer-to-peer run serves its leader's decided multisets (the followers
+//! step inside the source), D-SGD its agents' mini-batch gradients. The
 //! engine knows nothing about agents: what a run's records *measure* is
 //! the [`RoundMetrics`] it is built with.
 
@@ -129,10 +131,16 @@ pub trait RoundMetrics {
     fn phi(&self, x: &Vector, g: &Vector) -> f64;
 }
 
-/// How a server topology's rows arrive: cells writing loaned rows
-/// (`RoundWorkspace`), bus replies under a round deadline, or the freshest
-/// bus rows within a staleness bound (both in `abft_runtime`).
+/// How a driver's rows arrive: cells writing loaned rows
+/// (`RoundWorkspace`), bus replies under a round deadline or the freshest
+/// bus rows within a staleness bound (both in `abft_runtime`), the
+/// leader's decided EIG multiset of a peer-to-peer run (`abft_runtime`),
+/// or the agents' mini-batch gradients of robust D-SGD (`abft_ml`).
 pub trait RowSource {
+    /// What the source's rounds fail with; the server step's own errors
+    /// convert into it.
+    type Error: From<DgdError>;
+
     /// Step S1 for iteration `t`, the budget aside: send `x_t` (read from
     /// `engine`, where the counters and spans go too) and return the
     /// round's rows in agent-id order. An agent the server has no row from
@@ -140,12 +148,13 @@ pub trait RowSource {
     ///
     /// # Errors
     ///
-    /// [`DgdError::Dimension`] for a reply of the wrong dimension.
+    /// The source's own; a server source's is [`DgdError::Dimension`] for
+    /// a reply of the wrong dimension.
     fn round_rows(
         &mut self,
         t: usize,
         engine: &mut RoundEngine<'_>,
-    ) -> Result<&GradientBatch, DgdError>;
+    ) -> Result<&GradientBatch, Self::Error>;
 
     /// The server loop of Section 4.1 over `n` agents with fault budget
     /// `f`: per iteration the source's rows, an agent without one
@@ -156,7 +165,12 @@ pub trait RowSource {
     /// # Errors
     ///
     /// See [`RowSource::round_rows`] and [`RoundEngine::step`].
-    fn serve(&mut self, n: usize, f: usize, engine: &mut RoundEngine<'_>) -> Result<(), DgdError> {
+    fn serve(
+        &mut self,
+        n: usize,
+        f: usize,
+        engine: &mut RoundEngine<'_>,
+    ) -> Result<(), Self::Error> {
         for t in 0..=engine.options().iterations {
             let batch = self.round_rows(t, engine)?;
             let f_round = f.saturating_sub(n - batch.len());
@@ -170,9 +184,8 @@ pub trait RowSource {
 
 /// One run's server state and the step that advances it.
 ///
-/// A server driver hands the engine to its [`RowSource`]'s loop; the
-/// peer-to-peer perspectives and robust D-SGD step it per round
-/// themselves. Once a step halts, the driver calls [`RoundEngine::finish`].
+/// A driver hands the engine to its [`RowSource`]'s loop; once a step
+/// halts, it calls [`RoundEngine::finish`].
 pub struct RoundEngine<'a> {
     x: Vector,
     aggregated: Vector,

@@ -448,6 +448,8 @@ impl RoundWorkspace {
 struct Lockstep<'a>(&'a mut RoundWorkspace, &'a mut [AgentCell]);
 
 impl RowSource for Lockstep<'_> {
+    type Error = DgdError;
+
     fn round_rows(
         &mut self,
         t: usize,

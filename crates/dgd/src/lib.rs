@@ -19,9 +19,10 @@
 //! which knows nothing of agents: what a run's records measure is a
 //! [`RoundMetrics`], and it is also the step of every honest agent of the
 //! peer-to-peer runtime and of robust D-SGD (`abft-ml`).
-//! [`RowSource::serve`] is the one `for t { S1; S2 }` loop of every server
-//! topology — [`RoundWorkspace::run_rounds`] runs it over the lockstep
-//! cells — recording the paper's plotted series (loss,
+//! [`RowSource::serve`] is the one `for t { S1; S2 }` loop of every
+//! driver — [`RoundWorkspace::run_rounds`] runs it over the lockstep
+//! cells, `abft-runtime` over its bus and peer-to-peer sources, `abft-ml`
+//! over D-SGD's mini-batches — recording the paper's plotted series (loss,
 //! distance) plus Theorem 3's `φ_t` for convergence-condition checks
 //! ([`convergence`]).
 //!

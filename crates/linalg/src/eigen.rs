@@ -7,7 +7,6 @@
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
-use crate::vector::Vector;
 
 /// Result of a symmetric eigendecomposition.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,66 +140,6 @@ pub fn sym_eigenvalues(a: &Matrix) -> Result<SymEigen, LinalgError> {
     })
 }
 
-/// Largest-magnitude eigenvalue and eigenvector of a symmetric matrix via
-/// power iteration, starting from the all-ones direction.
-///
-/// Used as an independent cross-check of the Jacobi solver and for large
-/// matrices where only the spectral norm is needed.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::NotSquare`] / [`LinalgError::Empty`] for malformed
-/// input and [`LinalgError::NoConvergence`] when the iteration stalls
-/// (e.g. degenerate leading eigenspace orthogonal to the start vector).
-pub fn power_iteration(
-    a: &Matrix,
-    max_iters: usize,
-    tol: f64,
-) -> Result<(f64, Vector), LinalgError> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    let n = a.rows();
-    if n == 0 {
-        return Err(LinalgError::Empty);
-    }
-    #[expect(clippy::expect_used, reason = "the all-ones vector has positive norm")]
-    let mut x = Vector::ones(n)
-        .normalized()
-        .expect("ones vector is non-zero");
-    let mut lambda = 0.0;
-    for _ in 0..max_iters {
-        #[expect(
-            clippy::expect_used,
-            reason = "square matvec with a matching vector cannot fail"
-        )]
-        let y = a.matvec(&x).expect("square matvec");
-        let norm = y.norm();
-        if norm < 1e-300 {
-            // A x = 0: x is in the kernel; eigenvalue 0.
-            return Ok((0.0, x));
-        }
-        let next = y.scale(1.0 / norm);
-        #[expect(
-            clippy::expect_used,
-            reason = "square matvec with a matching vector cannot fail"
-        )]
-        let next_lambda = next.dot(&a.matvec(&next).expect("square matvec"));
-        if (next_lambda - lambda).abs() <= tol * next_lambda.abs().max(1.0) {
-            return Ok((next_lambda, next));
-        }
-        lambda = next_lambda;
-        x = next;
-    }
-    Err(LinalgError::NoConvergence {
-        method: "power iteration",
-        iterations: max_iters,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,30 +193,6 @@ mod tests {
         assert!(sym_eigenvalues(&asym).is_err());
         assert!(sym_eigenvalues(&Matrix::zeros(2, 3)).is_err());
         assert!(sym_eigenvalues(&Matrix::zeros(0, 0)).is_err());
-    }
-
-    #[test]
-    fn power_iteration_finds_dominant_eigenvalue() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let (lambda, v) = power_iteration(&a, 10_000, 1e-14).unwrap();
-        assert!((lambda - 3.0).abs() < 1e-8);
-        // Eigenvector for lambda=3 is parallel to (1, 1).
-        assert!((v[0].abs() - v[1].abs()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn power_iteration_agrees_with_jacobi() {
-        let a = Matrix::from_rows(&[&[6.0, 2.0, 1.0], &[2.0, 5.0, 2.0], &[1.0, 2.0, 4.0]]).unwrap();
-        let eig = sym_eigenvalues(&a).unwrap();
-        let (lambda, _) = power_iteration(&a, 10_000, 1e-14).unwrap();
-        assert!((lambda - eig.max()).abs() < 1e-7);
-    }
-
-    #[test]
-    fn power_iteration_zero_matrix() {
-        let a = Matrix::zeros(3, 3);
-        let (lambda, _) = power_iteration(&a, 100, 1e-12).unwrap();
-        assert_eq!(lambda, 0.0);
     }
 
     #[test]

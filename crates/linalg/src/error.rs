@@ -3,9 +3,6 @@
 use std::fmt;
 
 /// Errors produced by the linear-algebra substrate.
-///
-/// (`PartialEq` only: [`LinalgError::InvalidQuantile`] carries the
-/// offending `f64`.)
 #[derive(Debug, Clone, PartialEq)]
 pub enum LinalgError {
     /// Operand shapes are incompatible for the requested operation.
@@ -30,13 +27,6 @@ pub enum LinalgError {
     },
     /// An operation that requires at least one element received none.
     Empty,
-    /// A quantile was requested outside `[0, 1]` (NaN included). Returned
-    /// as a value instead of asserting so an adversarial or miscomputed
-    /// `q` can never abort an aggregation server.
-    InvalidQuantile {
-        /// The offending quantile.
-        q: f64,
-    },
     /// An iterative method failed to converge within its iteration budget.
     NoConvergence {
         /// Name of the method that failed.
@@ -60,9 +50,6 @@ impl fmt::Display for LinalgError {
                 write!(f, "matrix must be square, got {rows}x{cols}")
             }
             LinalgError::Empty => write!(f, "operation requires a non-empty operand"),
-            LinalgError::InvalidQuantile { q } => {
-                write!(f, "quantile requires q in [0, 1], got {q}")
-            }
             LinalgError::NoConvergence { method, iterations } => {
                 write!(
                     f,
@@ -96,9 +83,6 @@ mod tests {
         }
         .to_string()
         .contains("jacobi"));
-        assert!(LinalgError::InvalidQuantile { q: 1.5 }
-            .to_string()
-            .contains("1.5"));
     }
 
     #[test]

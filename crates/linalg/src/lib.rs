@@ -53,7 +53,7 @@ pub mod stats;
 pub mod vector;
 
 pub use batch::{rowops, BatchScratch, GradientBatch};
-pub use eigen::{power_iteration, sym_eigenvalues, SymEigen};
+pub use eigen::{sym_eigenvalues, SymEigen};
 pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use pool::{SharedSlots, WorkerPool};
@@ -74,7 +74,7 @@ pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
 /// Convenience prelude re-exporting the most common items.
 pub mod prelude {
     pub use crate::batch::{BatchScratch, GradientBatch};
-    pub use crate::eigen::{power_iteration, sym_eigenvalues, SymEigen};
+    pub use crate::eigen::{sym_eigenvalues, SymEigen};
     pub use crate::error::LinalgError;
     pub use crate::matrix::Matrix;
     pub use crate::pool::{SharedSlots, WorkerPool};

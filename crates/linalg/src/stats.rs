@@ -81,32 +81,6 @@ pub fn trimmed_mean(values: &[f64], trim: usize) -> Result<f64, LinalgError> {
     mean(kept)
 }
 
-/// `q`-quantile (linear interpolation between order statistics), `q ∈ [0,1]`.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::InvalidQuantile`] when `q` is outside `[0, 1]`
-/// (NaN included) and [`LinalgError::Empty`] for an empty slice.
-pub fn quantile(values: &[f64], q: f64) -> Result<f64, LinalgError> {
-    if !(0.0..=1.0).contains(&q) {
-        return Err(LinalgError::InvalidQuantile { q });
-    }
-    if values.is_empty() {
-        return Err(LinalgError::Empty);
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        Ok(sorted[lo])
-    } else {
-        let w = pos - lo as f64;
-        Ok(sorted[lo] * (1.0 - w) + sorted[hi] * w)
-    }
-}
-
 /// Minimum of a non-empty slice.
 ///
 /// # Errors
@@ -220,40 +194,12 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_interpolate() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile(&xs, 0.0).unwrap(), 1.0);
-        assert_eq!(quantile(&xs, 1.0).unwrap(), 4.0);
-        assert_eq!(quantile(&xs, 0.5).unwrap(), 2.5);
-        assert!(quantile(&[], 0.5).is_err());
-    }
-
-    #[test]
-    fn quantile_rejects_out_of_range_as_an_error() {
-        for bad in [1.5, -0.1, f64::NAN, f64::INFINITY] {
-            match quantile(&[1.0], bad) {
-                Err(LinalgError::InvalidQuantile { q }) => {
-                    assert!(q.is_nan() == bad.is_nan() && (q == bad || bad.is_nan()));
-                }
-                other => panic!("q = {bad} must be InvalidQuantile, got {other:?}"),
-            }
-        }
-        // The range check fires before the emptiness check, so even a
-        // degenerate call site gets the more specific error.
-        assert!(matches!(
-            quantile(&[], 2.0),
-            Err(LinalgError::InvalidQuantile { .. })
-        ));
-    }
-
-    #[test]
     fn order_statistics_tolerate_non_finite_values_without_panicking() {
         // Finiteness is validated at the aggregation boundary; these calls
         // exist to pin that a NaN reaching this far degrades to a value,
         // never to a process abort.
         let _ = median(&[f64::NAN, 1.0, 2.0]).unwrap();
         let _ = trimmed_mean(&[f64::NAN, 1.0, 2.0], 1).unwrap();
-        let _ = quantile(&[f64::NAN, 1.0], 0.5).unwrap();
     }
 
     #[test]

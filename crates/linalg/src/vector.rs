@@ -166,27 +166,6 @@ impl Vector {
         }
     }
 
-    /// Element-wise product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub fn hadamard(&self, other: &Vector) -> Vector {
-        assert_eq!(
-            self.dim(),
-            other.dim(),
-            "hadamard requires equal dimensions"
-        );
-        Vector {
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| a * b)
-                .collect(),
-        }
-    }
-
     /// Clamps every entry into `[lo, hi]` in place — the projection onto
     /// the axis-aligned box `[lo, hi]^d` used as the compact set `W` in the
     /// paper's update rule (21), allocation-free for the DGD hot loop.
@@ -501,13 +480,6 @@ mod tests {
         let mut x = Vector::from(vec![1.0, 1.0]);
         x.axpy(2.0, &Vector::from(vec![3.0, 4.0]));
         assert_eq!(x.as_slice(), &[7.0, 9.0]);
-    }
-
-    #[test]
-    fn hadamard_is_elementwise() {
-        let x = Vector::from(vec![2.0, 3.0]);
-        let y = Vector::from(vec![5.0, 7.0]);
-        assert_eq!(x.hadamard(&y).as_slice(), &[10.0, 21.0]);
     }
 
     #[test]

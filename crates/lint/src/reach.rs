@@ -38,9 +38,10 @@ use std::collections::BTreeMap;
 
 /// The hot-path roots named by `(function, workspace-relative file)`: the
 /// one server loop (which reaches the server step, and every row source's
-/// `round_rows` through the unknown-receiver fan-out), the lockstep
-/// entry, the one simulated-server entry, and the simulated peer-to-peer
-/// entry (which is all of the EIG loop).
+/// `round_rows` — the D-SGD and peer-to-peer rounds included — through
+/// the unknown-receiver fan-out), the lockstep entry, the one
+/// simulated-server entry, and the simulated peer-to-peer entry (its
+/// set-up and the followers' final-round step).
 pub const NAMED_ROOTS: &[(&str, &str)] = &[
     ("serve", "crates/dgd/src/engine.rs"),
     ("execute", "crates/runtime/src/event_loop.rs"),

@@ -86,6 +86,8 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics when out of range.
+    // LINT-ALLOW(panic-reach): documented panic contract for caller bugs —
+    // callers iterate `0..len()` or sample below `len()`.
     pub fn feature(&self, i: usize) -> &Vector {
         &self.features[i]
     }

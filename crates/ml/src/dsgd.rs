@@ -7,19 +7,21 @@
 //! gradient filter and takes a fixed-step update (`b = 128`, `η = 0.01` in
 //! the paper).
 //!
-//! That server step is the DGD one fed stochastic gradients, so it is
-//! [`abft_dgd::RoundEngine::step`] (constant schedule, `W = ℝ^d`); this
-//! file is D-SGD's step S1 — how the agents' rows are sampled and filled
-//! — and the evaluation series.
+//! That server loop is the DGD one fed stochastic gradients, so it is
+//! [`abft_dgd::RowSource::serve`] around [`abft_dgd::RoundEngine::step`]
+//! (constant schedule, `W = ℝ^d`); this file is D-SGD's row source — how
+//! the agents' rows are sampled and filled each round — and the
+//! evaluation series.
 
 use crate::dataset::Dataset;
 use crate::error::MlError;
 use abft_core::observe::{NullObserver, RunObserver, RunSummary};
-use abft_dgd::{ProjectionSet, RoundEngine, RoundMetrics, RunOptions, StepSchedule};
+use abft_dgd::{ProjectionSet, RoundEngine, RoundMetrics, RowSource, RunOptions, StepSchedule};
 use abft_filters::GradientFilter;
 use abft_linalg::rng::seeded_rng;
 use abft_linalg::{GradientBatch, Vector};
 use abft_telemetry::{Phase, Telemetry, TelemetryConfig, TelemetryReport};
+use rand::rngs::StdRng;
 use std::borrow::Cow;
 use std::cell::Cell;
 
@@ -59,6 +61,26 @@ pub trait Model {
 
     /// Classification accuracy on a dataset.
     fn accuracy(&self, data: &Dataset) -> f64;
+}
+
+/// [`Model::set_params`]'s documented input check: panics unless `params`
+/// has `param_dim` entries.
+// LINT-ALLOW(panic-reach): D-SGD never trips it, as
+// `train_distributed_observed` starts its engine at `model.params()`.
+#[track_caller]
+pub(crate) fn check_params(params: &Vector, param_dim: usize) {
+    assert_eq!(params.dim(), param_dim, "parameter vector length");
+}
+
+/// [`Model::loss_and_gradient_into`]'s documented input checks: panics on
+/// an empty `batch`, or unless `out` has `param_dim` entries.
+// LINT-ALLOW(panic-reach): D-SGD never trips them, as
+// `train_distributed_observed` rejects a zero `batch_size` and sizes every
+// row to `model.params()`.
+#[track_caller]
+pub(crate) fn check_gradient_call(batch: &[usize], out: &[f64], param_dim: usize) {
+    assert!(!batch.is_empty(), "empty mini-batch");
+    assert_eq!(out.len(), param_dim, "gradient buffer length");
 }
 
 /// The fault behaviour of the Byzantine agents in a D-SGD run.
@@ -279,21 +301,15 @@ pub fn train_distributed_observed<M: Model>(
         })?;
     }
     let f = faulty.len();
-    let is_faulty = {
-        let mut mask = vec![false; n];
-        for &i in faulty {
-            mask[i] = true;
-        }
-        mask
-    };
+    let is_faulty: Vec<bool> = (0..n).map(|agent| faulty.contains(&agent)).collect();
 
     // Label-flip poisons the faulty shards' data once, up front; every
     // other shard is the caller's, borrowed.
     let effective_shards: Vec<Cow<'_, Dataset>> = shards
         .iter()
-        .enumerate()
-        .map(|(i, shard)| {
-            if is_faulty[i] && fault == MlFault::LabelFlip {
+        .zip(&is_faulty)
+        .map(|(shard, &faulty)| {
+            if faulty && fault == MlFault::LabelFlip {
                 Cow::Owned(shard.with_flipped_labels())
             } else {
                 Cow::Borrowed(shard)
@@ -324,71 +340,117 @@ pub fn train_distributed_observed<M: Model>(
     // training loop is bit-identical with telemetry off.
     let telemetry = Telemetry::wall(config.telemetry);
     let mut engine = RoundEngine::with_metrics(metrics, filter, &options, observer, telemetry);
-    // One row per agent, refilled in place every iteration.
-    let mut round: GradientBatch = engine.round_batch(n);
-
-    let mut rng = seeded_rng(config.seed);
-    // One agent's mini-batch indices, resampled in place.
-    let mut batch = Vec::with_capacity(config.batch_size);
-    let mut records = Vec::new();
-    let evaluate = |model: &M, iteration: usize, loss: f64| DsgdRecord {
-        iteration,
-        loss,
-        accuracy: model.accuracy(test),
+    let mut source = MiniBatch {
+        // One row per agent, refilled in place every iteration.
+        round: engine.round_batch(n),
+        model,
+        shards: effective_shards,
+        is_faulty,
+        fault,
+        rng: seeded_rng(config.seed),
+        batch: Vec::with_capacity(config.batch_size),
+        config,
+        honest_loss: &honest_loss,
+        test,
+        records: Vec::new(),
     };
-
     // Like the DGD drivers, the loop runs a *final record round* at
     // `t = iterations`: one more gradient pass + aggregation at the final
     // parameters, observed but never applied, so the observer sees
     // `iterations + 1` rounds and the summary's final record describes
-    // the parameters training actually ends with.
-    for t in 0..=config.iterations {
-        model.set_params(engine.x());
+    // the parameters training actually ends with. Every agent replies, so
+    // the budget is the full `f`.
+    source.serve(n, f, &mut engine)?;
+    // Final evaluation record at the (never again updated) parameters of
+    // the halt round — unless the eval schedule already recorded it.
+    let halt = engine.counters.rounds.saturating_sub(1);
+    if source.records.last().is_none_or(|r| r.iteration != halt) {
+        let record = source.evaluate(halt);
+        source.records.push(record);
+    }
+
+    engine.absorb(&mut source.round);
+    let run = engine.finish(Default::default())?.run;
+    Ok(DsgdOutcome {
+        records: source.records,
+        summary: run.summary,
+        telemetry: run.telemetry,
+    })
+}
+
+/// D-SGD's row source: every round, each agent's stochastic gradient of
+/// the current global model over a fresh mini-batch of its shard, written
+/// straight into its row — negated for a gradient-reversing agent — plus
+/// the honest agents' mean loss and the scheduled evaluation records.
+struct MiniBatch<'a, M> {
+    model: &'a mut M,
+    /// The agents' shards, the label-flipped ones poisoned.
+    shards: Vec<Cow<'a, Dataset>>,
+    is_faulty: Vec<bool>,
+    fault: MlFault,
+    rng: StdRng,
+    /// One agent's mini-batch indices, resampled in place.
+    batch: Vec<usize>,
+    config: &'a DsgdConfig,
+    /// The round's honest mean loss, which the engine's records read.
+    honest_loss: &'a Cell<f64>,
+    test: &'a Dataset,
+    records: Vec<DsgdRecord>,
+    round: GradientBatch,
+}
+
+impl<M: Model> MiniBatch<'_, M> {
+    /// The evaluation record of iteration `t`: the model's test accuracy
+    /// and the round's honest mean loss.
+    fn evaluate(&self, t: usize) -> DsgdRecord {
+        DsgdRecord {
+            iteration: t,
+            loss: self.honest_loss.get(),
+            accuracy: self.model.accuracy(self.test),
+        }
+    }
+}
+
+impl<M: Model> RowSource for MiniBatch<'_, M> {
+    type Error = MlError;
+
+    fn round_rows(
+        &mut self,
+        t: usize,
+        engine: &mut RoundEngine<'_>,
+    ) -> Result<&GradientBatch, MlError> {
+        self.model.set_params(engine.x());
         // Per-agent stochastic gradients of the current global model,
         // written straight into the batch rows.
         let fill_span = engine.telemetry.begin(Phase::GradientFill);
-        round.reset_rows(n);
+        let n = self.shards.len();
+        self.round.reset_rows(n);
         let mut honest_loss_sum = 0.0;
         let mut honest_count = 0usize;
-        for (i, shard) in effective_shards.iter().enumerate() {
-            shard.sample_batch_into(&mut rng, config.batch_size, &mut batch);
-            let row = round.row_mut(i);
-            let loss = model.loss_and_gradient_into(shard, &batch, row);
-            if is_faulty[i] && fault == MlFault::GradientReverse {
+        let agents = self.shards.iter().zip(&self.is_faulty).enumerate();
+        for (i, (shard, &faulty)) in agents {
+            shard.sample_batch_into(&mut self.rng, self.config.batch_size, &mut self.batch);
+            let row = self.round.row_mut(i);
+            let loss = self.model.loss_and_gradient_into(shard, &self.batch, row);
+            if faulty && self.fault == MlFault::GradientReverse {
                 for slot in row.iter_mut() {
                     *slot = -*slot;
                 }
-            } else if !is_faulty[i] {
+            } else if !faulty {
                 honest_loss_sum += loss;
                 honest_count += 1;
             }
         }
-        let mean_loss = honest_loss_sum / honest_count as f64;
-        honest_loss.set(mean_loss);
+        self.honest_loss.set(honest_loss_sum / honest_count as f64);
         engine.telemetry.end(fill_span);
         engine.counters.replies_received += n;
 
-        if t < config.iterations && t.is_multiple_of(config.eval_every) {
-            records.push(evaluate(model, t, mean_loss));
+        if t < self.config.iterations && t.is_multiple_of(self.config.eval_every) {
+            let record = self.evaluate(t);
+            self.records.push(record);
         }
-        if engine.step(t, &round, f)?.is_halt() {
-            // Final evaluation record at the (never again updated)
-            // parameters — unless the eval schedule already recorded this
-            // exact iteration a few lines up.
-            if records.last().is_none_or(|r| r.iteration != t) {
-                records.push(evaluate(model, t, mean_loss));
-            }
-            break;
-        }
+        Ok(&self.round)
     }
-
-    engine.absorb(&mut round);
-    let run = engine.finish(Default::default())?.run;
-    Ok(DsgdOutcome {
-        records,
-        summary: run.summary,
-        telemetry: run.telemetry,
-    })
 }
 
 /// Mean loss and flat gradient of `model` over `batch`, the gradient in a

@@ -29,6 +29,18 @@
 //! assert!(train.len() > 0 && test.len() > 0);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod dataset;
 pub mod dsgd;
 pub mod error;

@@ -37,7 +37,7 @@
 //!   under `total_cmp`.
 
 use crate::dataset::Dataset;
-use crate::dsgd::Model;
+use crate::dsgd::{check_gradient_call, check_params, Model};
 use crate::error::MlError;
 use abft_linalg::rng::{seeded_rng, standard_normal};
 use abft_linalg::Vector;
@@ -391,14 +391,13 @@ impl Model for Mlp {
     }
 
     fn set_params(&mut self, params: &Vector) {
-        assert_eq!(params.dim(), self.param_dim(), "parameter vector length");
+        check_params(params, self.param_dim());
         self.params.copy_from_slice(params.as_slice());
         self.pack();
     }
 
     fn loss_and_gradient_into(&self, data: &Dataset, batch: &[usize], out: &mut [f64]) -> f64 {
-        assert!(!batch.is_empty(), "empty mini-batch");
-        assert_eq!(out.len(), self.param_dim(), "gradient buffer length");
+        check_gradient_call(batch, out, self.param_dim());
         debug_assert!(data.classes() <= self.classes(), "labels past the logits");
         let scale = 1.0 / batch.len() as f64;
         out.fill(0.0);

@@ -6,7 +6,7 @@
 //! filters.
 
 use crate::dataset::Dataset;
-use crate::dsgd::Model;
+use crate::dsgd::{check_gradient_call, check_params, Model};
 use crate::error::MlError;
 use crate::net::argmax;
 use abft_linalg::{rowops, Matrix, Vector};
@@ -115,16 +115,15 @@ impl Model for LinearSvm {
     }
 
     fn set_params(&mut self, params: &Vector) {
-        assert_eq!(params.dim(), self.param_dim(), "parameter vector length");
+        check_params(params, self.param_dim());
         self.weights
             .as_mut_slice()
             .copy_from_slice(params.as_slice());
     }
 
     fn loss_and_gradient_into(&self, data: &Dataset, batch: &[usize], out: &mut [f64]) -> f64 {
-        assert!(!batch.is_empty(), "empty mini-batch");
-        assert_eq!(out.len(), self.param_dim(), "gradient buffer length");
-        let classes = self.classes();
+        check_gradient_call(batch, out, self.param_dim());
+        debug_assert!(data.classes() <= self.classes(), "labels past the scores");
         let dim = self.input_dim();
         let scale = 1.0 / batch.len() as f64;
         let mut loss = 0.0;
@@ -135,18 +134,27 @@ impl Model for LinearSvm {
             let x = data.feature(idx);
             let y = data.label(idx);
             self.scores_into(x, &mut scores);
-            for j in 0..classes {
-                if j == y {
-                    continue;
-                }
-                let margin = 1.0 + scores[j] - scores[y];
+            let Some(&score_y) = scores.get(y) else {
+                continue;
+            };
+            // ∂/∂w_j += x for every violated margin j, and ∂/∂w_y −= x once
+            // per violation — rows are disjoint, so the y row's
+            // subtractions may follow the others in the same order.
+            let mut violations = 0usize;
+            let rows = out.chunks_exact_mut(dim).zip(&scores).enumerate();
+            for (_, (row, &score_j)) in rows.filter(|&(j, _)| j != y) {
+                let margin = 1.0 + score_j - score_y;
                 if margin > 0.0 {
                     loss += margin * scale;
-                    // ∂/∂w_j += x, ∂/∂w_y −= x.
-                    for (g, xc) in out[j * dim..(j + 1) * dim].iter_mut().zip(x.iter()) {
+                    violations += 1;
+                    for (g, xc) in row.iter_mut().zip(x.iter()) {
                         *g += scale * xc;
                     }
-                    for (g, xc) in out[y * dim..(y + 1) * dim].iter_mut().zip(x.iter()) {
+                }
+            }
+            if let Some(row) = out.get_mut(y * dim..(y + 1) * dim) {
+                for _ in 0..violations {
+                    for (g, xc) in row.iter_mut().zip(x.iter()) {
                         *g -= scale * xc;
                     }
                 }

@@ -114,16 +114,6 @@ impl QuadraticCost {
         Ok(QuadraticCost { p, q, c })
     }
 
-    /// An isotropic quadratic `‖x − center‖²` (i.e. `P = 2I`).
-    pub fn squared_distance(center: &Vector) -> Self {
-        let d = center.dim();
-        QuadraticCost {
-            p: Matrix::identity(d).scale(2.0),
-            q: center.scale(-2.0),
-            c: center.norm_sq(),
-        }
-    }
-
     /// The unique minimizer `−P⁻¹q`, when `P` is positive definite.
     ///
     /// # Errors
@@ -206,7 +196,8 @@ mod tests {
         let mut out = [0.0; 2];
         cost.gradient_into(&x, &mut out);
         assert_eq!(out, cost.gradient(&x).as_slice());
-        let q = QuadraticCost::squared_distance(&Vector::from(vec![1.0, 2.0]));
+        let p = Matrix::identity(2).scale(2.0);
+        let q = QuadraticCost::new(p, Vector::from(vec![-2.0, -4.0]), 5.0).unwrap();
         let mut out = [0.0; 2];
         q.gradient_into(&x, &mut out);
         assert_eq!(out, q.gradient(&x).as_slice());
@@ -239,15 +230,5 @@ mod tests {
         // Any perturbation increases the value.
         let perturbed = &xmin + &Vector::from(vec![0.1, -0.1]);
         assert!(cost.value(&perturbed) > cost.value(&xmin));
-    }
-
-    #[test]
-    fn squared_distance_minimizes_at_center() {
-        let center = Vector::from(vec![1.5, -2.5]);
-        let cost = QuadraticCost::squared_distance(&center);
-        assert!(cost.minimizer().unwrap().approx_eq(&center, 1e-10));
-        assert!((cost.value(&center)).abs() < 1e-12);
-        let x = Vector::from(vec![2.5, -2.5]);
-        assert!((cost.value(&x) - 1.0).abs() < 1e-12); // ‖x − c‖² = 1
     }
 }

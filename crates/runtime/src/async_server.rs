@@ -332,6 +332,8 @@ impl<'b> Staleness<'b> {
 }
 
 impl RowSource for Staleness<'_> {
+    type Error = DgdError;
+
     /// Broadcasts `x_t` as iteration `t` — the kick-off at virtual time 0
     /// for `t = 0`, right after step `t − 1` otherwise — arms server step
     /// `t` one interval after the last, and merges events until it comes

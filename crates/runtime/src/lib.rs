@@ -9,9 +9,9 @@
 //! asks the same [`AgentCell`] what an agent reports (step S1) and calls
 //! the same server step ([`abft_dgd::RoundEngine::step`], step S2); they
 //! differ only in how a round's rows travel from the cells to the batch
-//! that step aggregates. The three server topologies share even the loop
-//! ([`abft_dgd::RowSource::serve`]: rows, S1 budget, step) and differ only
-//! in their [`abft_dgd::RowSource`]:
+//! that step aggregates. Every launch shares even the loop
+//! ([`abft_dgd::RowSource::serve`]: rows, S1 budget, step) and differs
+//! only in its [`abft_dgd::RowSource`]:
 //!
 //! * [`Launch::InProcess`] / [`Launch::Threaded`] / [`Launch::Fleet`] —
 //!   the **server-based** architecture (a trustworthy server and `n`
@@ -33,7 +33,9 @@
 //!   broadcast instance per agent per iteration gives every honest agent
 //!   the same multiset, and every honest agent steps its own
 //!   [`abft_dgd::RoundEngine`] over it, so the same server step keeps
-//!   them in lockstep.
+//!   them in lockstep. The leader's engine runs the loop; the row source
+//!   is every honest perspective, the others stepping inside it
+//!   ([`peer_to_peer`]).
 //! * [`Launch::Simulated`] — either architecture, or the asynchronous
 //!   bounded-staleness server ([`async_server`]), over a seeded
 //!   `abft_net::SimulatedNetwork` whose links can delay, drop, reorder,

@@ -8,6 +8,9 @@
 //! estimates in lockstep: the simulation argument of Section 1.4, which
 //! requires `f < n/3`.
 //!
+//! The code has the same shape: the leader's engine runs the server loop
+//! ([`RowSource::serve`]) over a row source of every honest perspective.
+//!
 //! All broadcast traffic travels through an [`abft_net::MessageBus`]. The
 //! real runtime ([`Launch::PeerToPeer`]) drives a
 //! reliable [`PerfectBus`] and keeps the historical bit-exact behaviour; the
@@ -21,7 +24,8 @@ use crate::error::RuntimeError;
 use crate::task::{DgdTask, FaultPlan, Launch};
 use abft_attacks::HonestGradients;
 use abft_core::observe::{NullObserver, RunObserver};
-use abft_dgd::{AgentCell, Outcome, RoundEngine, RunOptions};
+use abft_core::SystemConfig;
+use abft_dgd::{AgentCell, Outcome, RoundEngine, RowSource, RunOptions};
 use abft_filters::GradientFilter;
 use abft_linalg::{GradientBatch, Vector};
 use abft_net::{MessageBus, NetFault, PerfectBus};
@@ -95,20 +99,21 @@ pub(crate) struct P2pLink<'a> {
     pub(crate) enforce_lockstep: bool,
 }
 
-/// The peer-to-peer DGD loop over an arbitrary [`MessageBus`] — shared by
-/// the real runtime (reliable bus, lockstep asserted) and the network
-/// simulator (faulty bus, lockstep *measured*).
+/// Peer-to-peer DGD over an arbitrary [`MessageBus`] — shared by the real
+/// runtime (reliable bus, lockstep asserted) and the network simulator
+/// (faulty bus, lockstep *measured*).
 ///
 /// Every honest agent maintains its own protocol state — a
 /// [`RoundEngine`] each: it evaluates its gradient at its *own* estimate,
 /// broadcasts, and steps over its *own* decided multiset. The first
 /// honest agent — the leader — carries the caller's observer and the
-/// run's telemetry; the others run unobserved. Byzantine agents forge
-/// from the leader's estimate — exactly the historical common-estimate
-/// behaviour, so a reliable bus reproduces the pre-bus loop bit for bit
-/// in every regime. On a faulty bus honest trajectories may drift apart;
-/// the recorded trace follows the leader and the final spread is
-/// reported.
+/// run's telemetry, and its engine runs the server loop
+/// ([`RowSource::serve`]) over the [`Perspectives`]; the others run
+/// unobserved inside that source. Byzantine agents forge from the
+/// leader's estimate — exactly the historical common-estimate behaviour,
+/// so a reliable bus reproduces the pre-bus loop bit for bit in every
+/// regime. On a faulty bus honest trajectories may drift apart; the
+/// recorded trace follows the leader and the final spread is reported.
 ///
 /// `net_faults` layers network-level Byzantine behaviours (selective
 /// sending, per-link equivocation) on top of the agents' value-forging
@@ -118,14 +123,6 @@ pub(crate) struct P2pLink<'a> {
 /// Omniscient strategies are rejected (no agent can see others' in-flight
 /// gradients before sending its own in a broadcast round), and so are crash
 /// schedules (the peer-to-peer round structure has no S1 elimination rule).
-// LINT-ALLOW(panic-reach): every index below is an agent id or honest slot
-// bounded by n, and every per-agent table (cells, slot_of, followers,
-// decided_batches, sender_values) is allocated with exactly that length
-// before the loop; ids arrive pre-validated by `DgdTask::fault_plan`.
-#[expect(
-    clippy::needless_range_loop,
-    reason = "agent ids index several per-agent tables at once"
-)]
 pub(crate) fn execute_on<B: MessageBus<EigMessage>>(
     task: DgdTask,
     filter: &dyn GradientFilter,
@@ -149,7 +146,7 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage>>(
     // A net-faulty agent is Byzantine; it consumes budget unless its
     // value-forging strategy already did.
     let FaultPlan {
-        mut cells,
+        cells,
         mut net_faults,
         honest,
         ..
@@ -161,26 +158,15 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage>>(
              peer-to-peer runtime does not model crash faults"
         )));
     }
-    debug_assert!(
-        !honest.is_empty(),
-        "the fault budget keeps a majority of agents honest"
-    );
     // The legacy equivocation mode is a net fault: every forging agent
     // without one of its own splits its value across the network halves.
     if equivocate {
-        for agent in (0..n).filter(|&i| cells[i].is_forging()) {
-            let split = NetFault::EquivocateSplit { boundary: n / 2 };
-            net_faults.entry(agent).or_insert(split);
+        for (agent, cell) in cells.iter().enumerate() {
+            if cell.is_forging() {
+                let split = NetFault::EquivocateSplit { boundary: n / 2 };
+                net_faults.entry(agent).or_insert(split);
+            }
         }
-    }
-
-    // Every honest agent maintains its own estimate, indexed by its slot
-    // in `honest`: slot 0 — the leader — is `engine`'s, the rest are
-    // `followers[slot − 1]`'s. On a reliable bus these stay bit-identical;
-    // on a faulty one they may drift, which is measured.
-    let mut slot_of: Vec<Option<usize>> = vec![None; n];
-    for (slot, &agent) in honest.iter().enumerate() {
-        slot_of[agent] = Some(slot);
     }
 
     // Profile in the bus's clock domain: a simulated bus keeps a virtual
@@ -190,29 +176,126 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage>>(
     let telemetry = Telemetry::for_bus(options.telemetry, bus.virtual_time());
     let mut unobserved = vec![NullObserver; honest.len().saturating_sub(1)];
     let mut engine = RoundEngine::new(&cells, &honest, filter, options, observer, telemetry)?;
-    let mut followers = unobserved
+    let followers = unobserved
         .iter_mut()
         .map(|observer| {
             let telemetry = Telemetry::disabled();
             RoundEngine::new(&cells, &honest, filter, options, observer, telemetry)
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let dim = engine.x().dim();
-    let mut staging = Vector::zeros(dim);
-    let default = BitsVector::from_vector(&Vector::zeros(dim));
+    // Every honest agent maintains its own estimate: the leader's is
+    // `engine`'s, the rest are the followers'. On a reliable bus these
+    // stay bit-identical; on a faulty one they may drift, which is
+    // measured.
+    let mut perspectives = Perspectives {
+        config,
+        // One decided-gradient batch per honest perspective, reused across
+        // iterations, all handed out by the leader's engine: one pool
+        // serves every perspective's aggregation — the perspectives run
+        // serially, so sharing threads is free — and the run's report
+        // profiles them all.
+        decided: honest.iter().map(|_| engine.round_batch(n)).collect(),
+        slot_of: (0..n)
+            .map(|i| honest.iter().position(|&h| h == i))
+            .collect(),
+        cells,
+        net_faults,
+        followers,
+        staging: Vector::zeros(engine.x().dim()),
+        bus,
+        enforce_lockstep,
+    };
+    perspectives.serve(n, config.f(), &mut engine)?;
+    // Only an observer *halt* skips the followers' last step (the protocol
+    // stops mid-round there by design); on the natural final round they
+    // still aggregate — no update follows — so a filter failure in any
+    // honest agent's decided multiset surfaces.
+    if engine.counters.rounds > options.iterations {
+        perspectives.step_followers(options.iterations)?;
+    }
 
-    // One decided-gradient batch per honest perspective, reused across
-    // iterations, all handed out by the leader's engine: one pool serves
-    // every perspective's aggregation — the perspectives run serially, so
-    // sharing threads is free — and the run's report profiles them all.
-    // Rows are written in sender order, which is agent-id order, matching
-    // the server drivers.
-    let mut decided_batches: Vec<GradientBatch> =
-        honest.iter().map(|_| engine.round_batch(n)).collect();
+    let followers = &perspectives.followers;
+    let estimates = || {
+        std::iter::once(&engine)
+            .chain(followers)
+            .map(RoundEngine::x)
+    };
+    let final_spread = estimates()
+        .enumerate()
+        .flat_map(|(p, a)| estimates().skip(p + 1).map(move |b| a.dist(b)))
+        .fold(0.0f64, f64::max);
 
-    for t in 0..=options.iterations {
-        let advance = t < options.iterations;
-        bus.begin_iteration(t);
+    for batch in perspectives.decided.iter_mut() {
+        engine.absorb(batch);
+    }
+    let net = perspectives.bus.metrics();
+    engine.counters.eig_messages = net.sent as usize;
+    let mut outcome = engine.finish(net)?;
+    outcome.final_spread = final_spread;
+    Ok(outcome)
+}
+
+/// The peer-to-peer row source: every honest agent's perspective on the
+/// run, the leader's served. A round is the followers catching up on the
+/// previous one, then `n` EIG broadcasts of the gradients every agent
+/// computes at its own estimate; its rows are the leader's decided
+/// multiset — one row per sender, so the budget is always the full `f`.
+struct Perspectives<'a, B> {
+    config: SystemConfig,
+    cells: Vec<AgentCell>,
+    net_faults: BTreeMap<usize, NetFault>,
+    /// Each agent's slot in `honest`: 0 for the leader, `k` for
+    /// `followers[k − 1]`, none for a faulty agent.
+    slot_of: Vec<Option<usize>>,
+    /// The honest agents after the leader, each stepping its own engine.
+    followers: Vec<RoundEngine<'a>>,
+    /// Each slot's decided multiset, rows in sender (agent-id) order —
+    /// the server drivers' order.
+    decided: Vec<GradientBatch>,
+    staging: Vector,
+    bus: &'a mut B,
+    enforce_lockstep: bool,
+}
+
+impl<B> Perspectives<'_, B> {
+    /// Every follower's server step at `t` over its own decided multiset.
+    /// Unobserved, a follower halts on the final round only — with the
+    /// leader, whose step at `t` came first, so the observer saw the round
+    /// *before* any estimate moved.
+    fn step_followers(&mut self, t: usize) -> Result<(), RuntimeError> {
+        let f = self.config.f();
+        for (follower, decided) in self.followers.iter_mut().zip(self.decided.iter().skip(1)) {
+            let flow = follower.step(t, decided, f)?;
+            let last = t == follower.options().iterations;
+            debug_assert_eq!(flow.is_halt(), last, "followers halt with the leader");
+        }
+        Ok(())
+    }
+}
+
+impl<B: MessageBus<EigMessage>> RowSource for Perspectives<'_, B> {
+    type Error = RuntimeError;
+
+    fn round_rows(
+        &mut self,
+        t: usize,
+        engine: &mut RoundEngine<'_>,
+    ) -> Result<&GradientBatch, RuntimeError> {
+        // The leader did not halt at `t − 1`: every other honest agent
+        // filters and updates locally too, and on a reliable network its
+        // estimate must then match the leader's bit for bit.
+        if let Some(previous) = t.checked_sub(1) {
+            self.step_followers(previous)?;
+            let leader = engine.x();
+            let apart = |f: &RoundEngine<'_>| !f.x().approx_eq(leader, 0.0);
+            if self.enforce_lockstep && self.followers.iter().any(apart) {
+                return Err(RuntimeError::LockstepViolation {
+                    iteration: previous,
+                });
+            }
+        }
+        let n = self.cells.len();
+        self.bus.begin_iteration(t);
 
         // Each honest agent broadcasts the gradient at its own estimate;
         // a faulty agent forges from the leader's estimate (the historical
@@ -221,14 +304,14 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage>>(
         let fill_span = engine.telemetry.begin(Phase::GradientFill);
         let mut plans: BTreeMap<usize, EquivocationPlan<BitsVector>> = BTreeMap::new();
         let mut sender_values: Vec<BitsVector> = Vec::with_capacity(n);
-        for i in 0..n {
-            let at = match slot_of[i] {
-                Some(slot) if slot > 0 => followers[slot - 1].x(),
-                _ => engine.x(),
-            };
-            cells[i].reply_into(t, at, HonestGradients::Hidden, staging.as_mut_slice());
-            let bits = BitsVector::from_vector(&staging);
-            let plan = match net_faults.get(&i) {
+        let agents = self.cells.iter_mut().zip(&self.slot_of).enumerate();
+        for (i, (cell, slot)) in agents {
+            let follower = slot.and_then(|slot| self.followers.get(slot.checked_sub(1)?));
+            let at = follower.map_or(engine.x(), RoundEngine::x);
+            let staging = self.staging.as_mut_slice();
+            cell.reply_into(t, at, HonestGradients::Hidden, staging);
+            let bits = BitsVector::from_vector(&self.staging);
+            let plan = match self.net_faults.get(&i) {
                 Some(NetFault::SelectiveSend(victims)) => Some(EquivocationPlan::Selective {
                     victims: victims.clone(),
                 }),
@@ -237,7 +320,7 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage>>(
                     high: bits.negated(),
                     boundary: *boundary,
                 }),
-                None if cells[i].is_forging() => Some(EquivocationPlan::Consistent(bits.clone())),
+                None if cell.is_forging() => Some(EquivocationPlan::Consistent(bits.clone())),
                 None => None,
             };
             plans.extend(plan.map(|plan| (i, plan)));
@@ -248,74 +331,28 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage>>(
         // One broadcast instance per agent; every process records the
         // decided gradient multiset — straight into its reused batch.
         let net_span = engine.telemetry.begin(Phase::NetDelivery);
-        for batch in decided_batches.iter_mut() {
+        for batch in self.decided.iter_mut() {
             batch.reset_rows(n);
         }
-        for sender in 0..n {
-            let outcome = eig_broadcast_on(
-                config,
-                sender,
-                sender_values[sender].clone(),
-                default.clone(),
-                &plans,
-                bus,
-            )?;
+        for (sender, value) in sender_values.into_iter().enumerate() {
+            // What a process decides for a sender it heard nothing from.
+            let default = BitsVector(vec![0; self.staging.dim()]);
+            let outcome = eig_broadcast_on(self.config, sender, value, default, &plans, self.bus)?;
             engine.counters.eig_broadcasts += 1;
-            for (slot, &p) in honest.iter().enumerate() {
-                outcome.decisions[p].write_into(decided_batches[slot].row_mut(sender));
+            for (decision, slot) in outcome.decisions.iter().zip(&self.slot_of) {
+                if let Some(batch) = slot.and_then(|slot| self.decided.get_mut(slot)) {
+                    decision.write_into(batch.row_mut(sender));
+                }
             }
         }
-        if let Some(now) = bus.virtual_time() {
+        if let Some(now) = self.bus.virtual_time() {
             engine.telemetry.set_virtual_ns(now);
         }
         engine.telemetry.end(net_span);
-
-        // The leader's step comes first so the observer sees the round
-        // *before* any estimate moves — a halt therefore leaves every
-        // honest agent at `x_t`, matching the server drivers' halt
-        // semantics exactly. Only an observer *halt* skips the followers
-        // (the protocol stops mid-round there by design); on the natural
-        // final round they still aggregate — no update follows — so a
-        // filter failure in any honest agent's decided multiset surfaces.
-        let halted = engine.step(t, &decided_batches[0], config.f())?.is_halt();
-        if halted && advance {
-            break;
-        }
-        // Every other honest agent filters and updates locally; unobserved,
-        // it halts on the final round only — with the leader.
-        for (follower, decided) in followers.iter_mut().zip(&decided_batches[1..]) {
-            let flow = follower.step(t, decided, config.f())?;
-            debug_assert_eq!(flow.is_halt(), halted, "followers halt with the leader");
-        }
-        if halted {
-            break;
-        }
-        // Lockstep check: on a reliable network every honest agent's
-        // estimate must match the leader's bit-for-bit.
-        let leader = engine.x();
-        if enforce_lockstep && followers.iter().any(|f| !f.x().approx_eq(leader, 0.0)) {
-            return Err(RuntimeError::LockstepViolation { iteration: t });
-        }
+        self.decided
+            .first()
+            .ok_or_else(|| RuntimeError::Config("peer-to-peer DGD needs an honest agent".into()))
     }
-
-    let estimates = || {
-        std::iter::once(&engine)
-            .chain(&followers)
-            .map(RoundEngine::x)
-    };
-    let final_spread = estimates()
-        .enumerate()
-        .flat_map(|(p, a)| estimates().skip(p + 1).map(move |b| a.dist(b)))
-        .fold(0.0f64, f64::max);
-
-    for batch in decided_batches.iter_mut() {
-        engine.absorb(batch);
-    }
-    let net = bus.metrics();
-    engine.counters.eig_messages = net.sent as usize;
-    let mut outcome = engine.finish(net)?;
-    outcome.final_spread = final_spread;
-    Ok(outcome)
 }
 
 #[cfg(test)]

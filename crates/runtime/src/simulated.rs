@@ -13,17 +13,17 @@
 //!   applies the per-round S1 rule (its fault budget for the round shrinks
 //!   by the number of silent agents). Over ideal links this reproduces the
 //!   in-process and threaded drivers bit-for-bit, crashes included.
-//! * [`SimTopology::PeerToPeer`] — the EIG-broadcast loop of
+//! * [`SimTopology::PeerToPeer`] — the EIG-broadcast row source of
 //!   [`crate::peer_to_peer`] over simulated links. Lost or late
 //!   transmissions become EIG omissions; with enough of them, honest
 //!   agents fall out of lockstep — reported, not asserted, via
 //!   [`Outcome::final_spread`]. Over ideal links this is bit-identical to
 //!   [`Launch::PeerToPeer`].
 //!
-//! The lockstep server and the asynchronous one
-//! ([`SimTopology::AsyncServer`]) are one execution: one set-up and finish
-//! around the server loop ([`RowSource::serve`]), over the topology's row
-//! source.
+//! Every topology runs the one server loop ([`RowSource::serve`]) over
+//! its row source; the lockstep server and the asynchronous one
+//! ([`SimTopology::AsyncServer`]) share one set-up and finish around it
+//! too.
 //!
 //! Network-level Byzantine behaviours ([`NetFault`]: selective sending,
 //! per-link equivocation) layer on top of the value-forging attack
@@ -286,6 +286,8 @@ struct Deadline<'b> {
 }
 
 impl RowSource for Deadline<'_> {
+    type Error = DgdError;
+
     fn round_rows(
         &mut self,
         t: usize,

@@ -4,10 +4,12 @@
 //! says — omniscient strategies, message counters — and in nothing else.
 
 use abft_attacks::{attack_by_name, attack_names};
+use abft_core::observe::{ControlFlow, NullObserver, Probe, RoundView, RunObserver};
 use abft_core::SystemConfig;
 use abft_dgd::RunOptions;
 use abft_filters::{Cwtm, FilterError, GradientFilter};
 use abft_linalg::{GradientBatch, Vector};
+use abft_ml::{train_distributed, DatasetSpec, DsgdConfig, MlFault, Mlp};
 use abft_net::{LinkModel, NetworkModel};
 use abft_problems::RegressionProblem;
 use abft_runtime::{
@@ -256,4 +258,91 @@ fn every_server_hands_the_filter_the_s1_budget() {
     let bounded = |o: RunOptions| o.with_staleness_ns(2 * timing.step_interval_ns);
     let (_, counters) = logged_budget(Launch::Simulated(&stale), bounded);
     assert!(counters.stale_rows > 0, "{counters:?}");
+}
+
+/// Halts the run at iteration `.0` without reading any metric.
+struct HaltAt(usize);
+
+impl RunObserver for HaltAt {
+    fn probe(&self) -> Probe {
+        Probe::NONE
+    }
+
+    fn observe(&mut self, view: &RoundView<'_>) -> ControlFlow {
+        if view.iteration() >= self.0 {
+            ControlFlow::Halt
+        } else {
+            ControlFlow::Continue
+        }
+    }
+}
+
+/// Every honest perspective of a peer-to-peer run filters its own decided
+/// multiset each round, with the full budget: `n` rows (EIG decides one
+/// per sender) and `f`. A completed run steps every perspective on every
+/// round, the final record round included — that last aggregation is what
+/// surfaces a filter error in any honest agent's multiset — while an
+/// observer halt at `h` stops after the leader's step at `h`.
+#[test]
+fn every_peer_to_peer_perspective_filters_each_round_with_the_full_budget() {
+    let problem = RegressionProblem::paper_instance();
+    let (n, f) = (problem.config().n(), problem.config().f());
+    assert_eq!((n, f), (6, 1));
+    let honest = n - f;
+    let x_h = problem
+        .subset_minimizer(&[1, 2, 3, 4, 5])
+        .expect("full rank");
+    let options = RunOptions::paper_defaults_with_iterations(x_h, ITERATIONS);
+    let ideal = SimulatedRun::peer_to_peer(NetworkModel::ideal());
+    let launches = || {
+        [
+            ("peer-to-peer", Launch::PeerToPeer { equivocate: false }),
+            ("simulated peer-to-peer", Launch::Simulated(&ideal)),
+        ]
+    };
+    let run = |launch: Launch<'_>, observer: &mut dyn RunObserver| {
+        let (log, reverse) = (BudgetLog::default(), attack_by_name("gradient-reverse", 3));
+        DgdTask::new(*problem.config(), problem.costs())
+            .byzantine(0, reverse.expect("registered"))
+            .run(launch, &log, &options, observer)
+            .expect("the run completes");
+        log.calls()
+    };
+    for (name, launch) in launches() {
+        let calls = run(launch, &mut NullObserver);
+        assert_eq!(calls, vec![(n, f); honest * (ITERATIONS + 1)], "{name}");
+    }
+    let halt = ITERATIONS / 2;
+    for (name, launch) in launches() {
+        let calls = run(launch, &mut HaltAt(halt));
+        assert_eq!(calls, vec![(n, f); honest * halt + 1], "{name} halted");
+    }
+}
+
+/// Robust D-SGD filters one batch per round — a row from every agent,
+/// the full budget — on each of its `T + 1` rounds.
+#[test]
+fn dsgd_filters_each_round_with_the_full_budget() {
+    let (train, test) = DatasetSpec::tiny().generate(13);
+    let (n, f) = (5, 1);
+    let shards = train.shard(n, 1).expect("shards");
+    let config = DsgdConfig {
+        batch_size: 16,
+        iterations: ITERATIONS,
+        eval_every: 4,
+        ..DsgdConfig::paper(5)
+    };
+    let mut model = Mlp::new(&[16, 8, 10], 1).expect("layers");
+    let log = BudgetLog::default();
+    train_distributed(
+        &mut model,
+        &shards,
+        &[0],
+        MlFault::GradientReverse,
+        &log,
+        &test,
+        &config,
+    )
+    .expect("training completes");
+    assert_eq!(log.calls(), vec![(n, f); ITERATIONS + 1]);
 }
