@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 
 /// The most exceptions the tree may hold: reason-carrying `LINT-ALLOW`
 /// pragmas, plus every guarded lint an `#[expect(…)]` names.
-const PRAGMA_CEILING: usize = 67;
+const PRAGMA_CEILING: usize = 66;
 
 /// `clippy.toml`'s bans, as `(key, path)`.
 const BANS: [(&str, &str); 10] = [

@@ -27,7 +27,7 @@ pub struct Delivery<P> {
 /// views of time:
 ///
 /// * **Continuous** — [`advance_until`](MessageBus::advance_until) moves
-///   the clock to a caller-chosen deadline and returns exactly the
+///   the clock to a caller-chosen deadline and hands over exactly the
 ///   messages delivered by then, leaving later traffic in flight. Every
 ///   [`Delivery`] carries its `sent_at` stamp, so a receiver can compute
 ///   message staleness (`now − sent_at`) itself — the substrate of the
@@ -41,6 +41,10 @@ pub struct Delivery<P> {
 ///   not carried over — a synchronous protocol ignores stale-round
 ///   messages, so a late gradient looks exactly like a crashed sender for
 ///   that round.
+///
+/// Both views deliver into a buffer the caller keeps: its contents are
+/// replaced by the call's deliveries, so a driver that reuses one buffer
+/// across calls allocates nothing once it has grown to its largest round.
 ///
 /// The two views compose: on buses with a continuous clock, `end_round` is
 /// required to behave as the thin adapter "`advance_until(now +
@@ -58,25 +62,26 @@ pub trait MessageBus<P> {
     fn send(&mut self, from: usize, to: usize, payload: P);
 
     /// Closes the current round: advances the virtual clock to the round
-    /// deadline and returns every message that arrived by it, ordered by
-    /// `(delivered_at, send sequence)` — fully deterministic. Messages
-    /// still in flight at the deadline are discarded as late.
-    fn end_round(&mut self) -> Vec<Delivery<P>>;
+    /// deadline and replaces `delivered`'s contents with every message that
+    /// arrived by it, ordered by `(delivered_at, send sequence)` — fully
+    /// deterministic. Messages still in flight at the deadline are
+    /// discarded as late.
+    fn end_round(&mut self, delivered: &mut Vec<Delivery<P>>);
 
     /// Continuous-time event pull: advances the virtual clock to
-    /// `deadline` and returns every message delivered by then, ordered by
-    /// `(delivered_at, send sequence)`. Messages whose delivery time lies
-    /// past `deadline` stay queued for a later call — nothing is
-    /// discarded.
+    /// `deadline` and replaces `delivered`'s contents with every message
+    /// delivered by then, ordered by `(delivered_at, send sequence)`.
+    /// Messages whose delivery time lies past `deadline` stay queued for a
+    /// later call — nothing is discarded.
     ///
     /// Round-structured buses with no finer clock (the default) interpret
     /// any advance as closing the current round, so protocols written
     /// against the continuous view still run on them; only buses that keep
     /// a real event queue (see [`SimulatedNetwork`](crate::SimulatedNetwork))
     /// can honor the deadline exactly.
-    fn advance_until(&mut self, deadline: u64) -> Vec<Delivery<P>> {
+    fn advance_until(&mut self, deadline: u64, delivered: &mut Vec<Delivery<P>>) {
         let _ = deadline;
-        self.end_round()
+        self.end_round(delivered);
     }
 
     /// Virtual time of the earliest queued delivery, if the bus keeps a
@@ -153,15 +158,18 @@ impl<P> MessageBus<P> for PerfectBus<P> {
         });
     }
 
-    fn end_round(&mut self) -> Vec<Delivery<P>> {
+    /// Hands the round's pending buffer to the caller and keeps the
+    /// caller's (emptied) one for the next round, so the two buffers
+    /// alternate and neither is reallocated once both have grown.
+    fn end_round(&mut self, delivered: &mut Vec<Delivery<P>>) {
         self.round += 1;
         self.metrics.virtual_ns = self.round;
-        let delivered = std::mem::take(&mut self.pending);
-        for d in &delivered {
+        delivered.clear();
+        std::mem::swap(&mut self.pending, delivered);
+        for d in delivered.iter() {
             self.metrics
                 .record_delivery(d.from, d.to, d.sent_at, d.delivered_at);
         }
-        delivered
     }
 
     fn metrics(&self) -> NetMetrics {
@@ -179,10 +187,12 @@ mod tests {
         bus.send(0, 1, "a");
         bus.send(2, 0, "b");
         bus.send(1, 1, "c");
-        let round = bus.end_round();
+        let mut round = Vec::new();
+        bus.end_round(&mut round);
         let payloads: Vec<&str> = round.iter().map(|d| d.payload).collect();
         assert_eq!(payloads, vec!["a", "b", "c"]);
-        assert!(bus.end_round().is_empty(), "rounds do not carry over");
+        bus.end_round(&mut round);
+        assert!(round.is_empty(), "rounds do not carry over");
         let m = bus.metrics();
         assert_eq!(m.sent, 3);
         assert_eq!(m.delivered, 3);
@@ -201,11 +211,12 @@ mod tests {
     fn identical_usage_gives_identical_digests() {
         let drive = || {
             let mut bus = PerfectBus::new(4);
+            let mut round = Vec::new();
             bus.send(0, 1, 7u32);
             bus.send(3, 2, 9);
-            let _ = bus.end_round();
+            bus.end_round(&mut round);
             bus.send(1, 0, 1);
-            let _ = bus.end_round();
+            bus.end_round(&mut round);
             bus.metrics()
         };
         assert_eq!(drive(), drive());

@@ -13,10 +13,13 @@
 //!   view ([`advance_until`](MessageBus::advance_until) /
 //!   [`next_event_at`](MessageBus::next_event_at)) that the asynchronous
 //!   bounded-staleness drivers build on. A protocol written against either
-//!   view runs unmodified on any bus. [`PerfectBus`] is the reliable
-//!   reference implementation.
+//!   view runs unmodified on any bus; both deliver into a buffer the
+//!   caller keeps and reuses. [`PerfectBus`] is the reliable reference
+//!   implementation.
 //! * [`SimulatedNetwork`] — a seeded discrete-event simulator: virtual
-//!   clock, binary-heap event queue, per-link [`LinkModel`]s (fixed delay
+//!   clock, an event queue in `(delivered_at, send sequence)` order (a
+//!   send-order `Vec`, sorted in place only when a send lands out of
+//!   order), per-link [`LinkModel`]s (fixed delay
 //!   plus a uniform reorder window, drop probability) and scheduled
 //!   [`Partition`]s. The full event schedule is a pure function of the
 //!   [`NetworkModel`] and the call sequence; per-link randomness streams
@@ -45,7 +48,8 @@
 //! net.begin_iteration(0);
 //! net.send(0, 1, "gradient");
 //! net.send(2, 3, "gradient");
-//! let delivered = net.end_round();
+//! let mut delivered = Vec::new();
+//! net.end_round(&mut delivered);
 //! let metrics = net.metrics();
 //! assert!(metrics.is_balanced());
 //! assert_eq!(metrics.sent, 2);

@@ -24,7 +24,8 @@ use std::collections::BTreeMap;
 /// let mut net = model.build::<u32>(4);
 /// net.begin_iteration(0);
 /// net.send(0, 1, 7);
-/// let delivered = net.end_round();
+/// let mut delivered = Vec::new();
+/// net.end_round(&mut delivered);
 /// assert_eq!(delivered.len(), 1, "the overridden link is lossless");
 /// ```
 #[derive(Debug, Clone, PartialEq)]

@@ -5,12 +5,10 @@ use crate::link::LinkModel;
 use crate::metrics::NetMetrics;
 use crate::model::NetworkModel;
 use crate::rng::{mix, SplitMix64};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// One message in flight, ordered by `(delivered_at, seq)`. `seq` is the
-/// global send sequence number, which is unique — so the order is total
-/// and independent of the payload.
+/// One message in flight. `(delivered_at, seq)` is its place in the
+/// delivery order; `seq` is the global send sequence number, which is
+/// unique — so the order is total and independent of the payload.
 struct InFlight<P> {
     delivered_at: u64,
     seq: u64,
@@ -20,34 +18,22 @@ struct InFlight<P> {
     payload: P,
 }
 
-impl<P> PartialEq for InFlight<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.delivered_at == other.delivered_at && self.seq == other.seq
-    }
-}
-
-impl<P> Eq for InFlight<P> {}
-
-impl<P> PartialOrd for InFlight<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<P> Ord for InFlight<P> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        (other.delivered_at, other.seq).cmp(&(self.delivered_at, self.seq))
-    }
-}
-
-/// A deterministic discrete-event network simulator: virtual clock, a
-/// binary-heap event queue, per-link [`LinkModel`]s (delay, loss,
-/// reordering) and scheduled [`Partition`]s, all derived from one seed.
+/// A deterministic discrete-event network simulator: virtual clock, an
+/// event queue ordered by `(delivered_at, send sequence)`, per-link
+/// [`LinkModel`]s (delay, loss, reordering) and scheduled [`Partition`]s,
+/// all derived from one seed.
+///
+/// The queue is a `Vec` in send order. Most traffic arrives in that order
+/// already (equal link delays keep it), so the queue is sorted only when a
+/// send lands ahead of the message queued before it — a loopback, a
+/// jittered or a faster link — and then once, just before the next
+/// delivery. The sort key is unique, so the order is exactly a priority
+/// queue's, and the sort is in place: a warmed-up simulator allocates
+/// nothing per message.
 ///
 /// Determinism contract: the full event schedule — which messages are
 /// dropped, when each survivor is delivered, and the order
-/// [`end_round`](MessageBus::end_round) returns them in — is a pure
+/// [`end_round`](MessageBus::end_round) hands them over in — is a pure
 /// function of the [`NetworkModel`] and the sequence of bus calls. Each
 /// link's randomness stream is derived from `(seed, from, to)` and
 /// advanced only by that link's own traffic, so one link's schedule never
@@ -65,7 +51,10 @@ pub struct SimulatedNetwork<P> {
     now: u64,
     iteration: usize,
     seq: u64,
-    in_flight: BinaryHeap<InFlight<P>>,
+    /// Messages in flight, in send order until `sorted` says otherwise.
+    in_flight: Vec<InFlight<P>>,
+    /// `in_flight` is in `(delivered_at, seq)` order.
+    sorted: bool,
     /// Every directed link's model and randomness stream, `from ·
     /// processes + to`, resolved once at construction.
     links: Vec<Link>,
@@ -97,7 +86,8 @@ impl<P> SimulatedNetwork<P> {
             now: 0,
             iteration: 0,
             seq: 0,
-            in_flight: BinaryHeap::new(),
+            in_flight: Vec::new(),
+            sorted: true,
             links,
             metrics: NetMetrics::default(),
         }
@@ -119,9 +109,33 @@ impl<P> SimulatedNetwork<P> {
     /// drivers call it once at shutdown so messages abandoned mid-flight
     /// stay accounted (`NetMetrics::is_balanced` keeps holding).
     pub fn drain_in_flight(&mut self) {
-        while self.in_flight.pop().is_some() {
+        for _ in self.in_flight.drain(..) {
             self.metrics.record_late();
         }
+        self.sorted = true;
+    }
+
+    /// Queues a message for delivery at `delivered_at`, under the next
+    /// send sequence number.
+    fn enqueue(&mut self, delivered_at: u64, from: usize, to: usize, payload: P) {
+        // A later `seq` never sorts first on a tie, so only an earlier
+        // delivery time breaks the order.
+        if self
+            .in_flight
+            .last()
+            .is_some_and(|last| last.delivered_at > delivered_at)
+        {
+            self.sorted = false;
+        }
+        self.in_flight.push(InFlight {
+            delivered_at,
+            seq: self.seq,
+            sent_at: self.now,
+            from,
+            to,
+            payload,
+        });
+        self.seq += 1;
     }
 }
 
@@ -141,16 +155,7 @@ impl<P> MessageBus<P> for SimulatedNetwork<P> {
             // delays a process's message to itself, so loopbacks bypass
             // the link model entirely (partitions cannot sever them
             // either — a process is always on its own side of a cut).
-            let seq = self.seq;
-            self.seq += 1;
-            self.in_flight.push(InFlight {
-                delivered_at: self.now,
-                seq,
-                sent_at: self.now,
-                from,
-                to,
-                payload,
-            });
+            self.enqueue(self.now, from, to, payload);
             return;
         }
         if self.model.severed(from, to, self.iteration) {
@@ -170,46 +175,40 @@ impl<P> MessageBus<P> for SimulatedNetwork<P> {
         } else {
             0
         };
-        let seq = self.seq;
-        self.seq += 1;
-        self.in_flight.push(InFlight {
-            delivered_at: self.now + model.base_delay_ns + jitter,
-            seq,
-            sent_at: self.now,
-            from,
-            to,
-            payload,
-        });
+        let delivered_at = self.now + model.base_delay_ns + jitter;
+        self.enqueue(delivered_at, from, to, payload);
     }
 
     /// The synchronous adapter over the continuous clock: advance to the
     /// round deadline, deliver what made it, and discard the rest as late.
-    /// The heap pops in `(delivered_at, seq)` order, so every in-deadline
-    /// event surfaces before any late one and the delivery schedule (and
-    /// hence `schedule_digest`) is bit-identical to the historical
-    /// round-lockstep implementation.
-    fn end_round(&mut self) -> Vec<Delivery<P>> {
+    /// Deliveries leave in `(delivered_at, seq)` order, so every
+    /// in-deadline event surfaces before any late one and the delivery
+    /// schedule (and hence `schedule_digest`) is bit-identical to the
+    /// historical round-lockstep implementation.
+    fn end_round(&mut self, delivered: &mut Vec<Delivery<P>>) {
         let deadline = self.now + self.model.round_timeout_ns;
-        let delivered = self.advance_until(deadline);
+        self.advance_until(deadline, delivered);
         // Missed the synchronous deadline: the recipient proceeds without
         // it, exactly as if the sender had crashed for the round.
         self.drain_in_flight();
-        delivered
     }
 
     /// Continuous event pull: deliver everything due by `deadline` in
     /// `(delivered_at, seq)` order and advance the clock (monotonically) to
     /// `deadline`, leaving later traffic in flight.
-    fn advance_until(&mut self, deadline: u64) -> Vec<Delivery<P>> {
-        let mut delivered = Vec::new();
-        while let Some(head) = self.in_flight.peek() {
-            if head.delivered_at > deadline {
-                break;
-            }
-            // The peek above guarantees the pop succeeds.
-            let Some(event) = self.in_flight.pop() else {
-                break;
-            };
+    fn advance_until(&mut self, deadline: u64, delivered: &mut Vec<Delivery<P>>) {
+        if !self.sorted {
+            // The key is unique, so an unstable sort is exact — and it
+            // sorts in place.
+            self.in_flight
+                .sort_unstable_by_key(|event| (event.delivered_at, event.seq));
+            self.sorted = true;
+        }
+        let due = self
+            .in_flight
+            .partition_point(|event| event.delivered_at <= deadline);
+        delivered.clear();
+        for event in self.in_flight.drain(..due) {
             self.metrics
                 .record_delivery(event.from, event.to, event.sent_at, event.delivered_at);
             delivered.push(Delivery {
@@ -222,11 +221,14 @@ impl<P> MessageBus<P> for SimulatedNetwork<P> {
         }
         self.now = self.now.max(deadline);
         self.metrics.virtual_ns = self.now;
-        delivered
     }
 
     fn next_event_at(&self) -> Option<u64> {
-        self.in_flight.peek().map(|event| event.delivered_at)
+        if self.sorted {
+            self.in_flight.first().map(|event| event.delivered_at)
+        } else {
+            self.in_flight.iter().map(|event| event.delivered_at).min()
+        }
     }
 
     fn begin_iteration(&mut self, iteration: usize) {
@@ -247,13 +249,27 @@ mod tests {
     use super::*;
     use crate::link::{LinkModel, Partition};
 
+    /// One round's deliveries in a fresh buffer.
+    fn end_round(net: &mut SimulatedNetwork<u32>) -> Vec<Delivery<u32>> {
+        let mut delivered = Vec::new();
+        net.end_round(&mut delivered);
+        delivered
+    }
+
+    /// The deliveries due by `deadline`, in a fresh buffer.
+    fn advance_until(net: &mut SimulatedNetwork<u32>, deadline: u64) -> Vec<Delivery<u32>> {
+        let mut delivered = Vec::new();
+        net.advance_until(deadline, &mut delivered);
+        delivered
+    }
+
     fn drive_all_pairs(net: &mut SimulatedNetwork<u32>, n: usize) -> Vec<Delivery<u32>> {
         for from in 0..n {
             for to in 0..n {
                 net.send(from, to, (from * n + to) as u32);
             }
         }
-        net.end_round()
+        end_round(net)
     }
 
     #[test]
@@ -297,7 +313,7 @@ mod tests {
         let mut net = model.build::<u32>(2);
         net.send(0, 0, 1);
         net.send(0, 1, 2);
-        let delivered = net.end_round();
+        let delivered = end_round(&mut net);
         assert_eq!(delivered.len(), 1, "only the loopback makes the deadline");
         assert_eq!(delivered[0].to, 0);
         assert_eq!(net.metrics().late, 1);
@@ -323,13 +339,13 @@ mod tests {
             .with_round_timeout_ns(2_000);
         let mut net = model.build::<u32>(2);
         net.send(0, 1, 7);
-        assert!(net.end_round().is_empty());
+        assert!(end_round(&mut net).is_empty());
         let m = net.metrics();
         assert_eq!(m.late, 1);
         assert!(m.is_balanced());
         // The next round starts from the advanced clock and behaves the same.
         net.send(1, 0, 8);
-        assert!(net.end_round().is_empty());
+        assert!(end_round(&mut net).is_empty());
         assert_eq!(net.metrics().late, 2);
     }
 
@@ -342,7 +358,7 @@ mod tests {
             for k in 0..20 {
                 net.send(0, 1, k);
             }
-            net.end_round()
+            end_round(&mut net)
                 .into_iter()
                 .map(|d| d.payload)
                 .collect::<Vec<u32>>()
@@ -378,11 +394,11 @@ mod tests {
         net.send(0, 1, 1);
         assert_eq!(net.next_event_at(), Some(1_000));
         // Advance short of the delivery: clock moves, nothing arrives.
-        assert!(net.advance_until(500).is_empty());
+        assert!(advance_until(&mut net, 500).is_empty());
         assert_eq!(net.now(), 500);
         assert_eq!(net.next_event_at(), Some(1_000), "message is still queued");
         // Advancing to the delivery instant pulls exactly that event.
-        let delivered = net.advance_until(1_000);
+        let delivered = advance_until(&mut net, 1_000);
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].sent_at, 0);
         assert_eq!(delivered[0].delivered_at, 1_000);
@@ -393,8 +409,8 @@ mod tests {
     #[test]
     fn advance_until_never_moves_the_clock_backwards() {
         let mut net = NetworkModel::ideal().build::<u32>(2);
-        assert!(net.advance_until(5_000).is_empty());
-        assert!(net.advance_until(1_000).is_empty());
+        assert!(advance_until(&mut net, 5_000).is_empty());
+        assert!(advance_until(&mut net, 1_000).is_empty());
         assert_eq!(net.now(), 5_000, "a stale deadline is a no-op");
     }
 
@@ -417,12 +433,12 @@ mod tests {
         };
         let mut round_view = model.build::<u32>(4);
         drive(&mut round_view);
-        let by_round = round_view.end_round();
+        let by_round = end_round(&mut round_view);
 
         let mut continuous = model.build::<u32>(4);
         drive(&mut continuous);
         let deadline = continuous.now() + NetworkModel::DEFAULT_ROUND_TIMEOUT_NS;
-        let by_advance = continuous.advance_until(deadline);
+        let by_advance = advance_until(&mut continuous, deadline);
         continuous.drain_in_flight();
 
         assert_eq!(by_round, by_advance);
@@ -441,7 +457,7 @@ mod tests {
         };
         let mut one_shot = model.build::<u32>(3);
         drive(&mut one_shot);
-        let all = one_shot.advance_until(2_000_000);
+        let all = advance_until(&mut one_shot, 2_000_000);
 
         let mut piecewise = model.build::<u32>(3);
         drive(&mut piecewise);
@@ -451,9 +467,9 @@ mod tests {
             if at > 2_000_000 {
                 break;
             }
-            pulled.extend(piecewise.advance_until(at));
+            pulled.extend(advance_until(&mut piecewise, at));
         }
-        pulled.extend(piecewise.advance_until(2_000_000));
+        pulled.extend(advance_until(&mut piecewise, 2_000_000));
 
         assert_eq!(all, pulled);
         assert_eq!(one_shot.metrics(), piecewise.metrics());
@@ -472,8 +488,7 @@ mod tests {
         for k in 0..40 {
             net.send(2, 1, k);
         }
-        let delivered: Vec<(u64, u32)> = net
-            .end_round()
+        let delivered: Vec<(u64, u32)> = end_round(&mut net)
             .into_iter()
             .map(|d| (d.delivered_at, d.payload))
             .collect();
@@ -496,15 +511,14 @@ mod tests {
             .with_default_link(LinkModel::ideal().with_drop(0.5).with_reorder_ns(500));
         let mut quiet = model.build::<u32>(4);
         quiet.send(2, 3, 1);
-        let quiet_round = quiet.end_round();
+        let quiet_round = end_round(&mut quiet);
 
         let mut busy = model.build::<u32>(4);
         for k in 0..50 {
             busy.send(0, 1, k);
         }
         busy.send(2, 3, 1);
-        let busy_round: Vec<Delivery<u32>> = busy
-            .end_round()
+        let busy_round: Vec<Delivery<u32>> = end_round(&mut busy)
             .into_iter()
             .filter(|d| d.from == 2)
             .collect();

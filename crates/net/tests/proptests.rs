@@ -1,20 +1,25 @@
 //! Property tests for the simulator's determinism contract: the full event
 //! schedule is a pure function of the network model and the call sequence.
 
-use abft_net::{Delivery, LinkModel, MessageBus, NetworkModel, Partition};
+use abft_net::rng::{mix, SplitMix64};
+use abft_net::{Delivery, LinkModel, MessageBus, NetMetrics, NetworkModel, Partition};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A randomized but replayable usage trace: `iterations` protocol rounds,
 /// each sending every `(from, to)` pair from a shuffled-ish subset.
 fn drive(model: &NetworkModel, n: usize, sends: &[(usize, usize)], rounds: usize) -> DriveLog {
     let mut net = model.build::<u64>(n);
     let mut deliveries = Vec::new();
+    let mut delivered = Vec::new();
     for round in 0..rounds {
         net.begin_iteration(round);
         for (k, &(from, to)) in sends.iter().enumerate() {
             net.send(from % n, to % n, (round * sends.len() + k) as u64);
         }
-        deliveries.extend(net.end_round());
+        net.end_round(&mut delivered);
+        deliveries.append(&mut delivered);
     }
     DriveLog {
         deliveries,
@@ -24,7 +29,167 @@ fn drive(model: &NetworkModel, n: usize, sends: &[(usize, usize)], rounds: usize
 
 struct DriveLog {
     deliveries: Vec<Delivery<u64>>,
-    metrics: abft_net::NetMetrics,
+    metrics: NetMetrics,
+}
+
+/// The simulator's queue as a `BinaryHeap` min-ordered by
+/// `(delivered_at, seq)` — the reference the simulator's delivery order is
+/// held to. Links, loss and jitter draws, partitions, loopbacks and the
+/// counters follow the simulator's documented rules; only the queue is a
+/// heap.
+struct HeapNetwork {
+    model: NetworkModel,
+    processes: usize,
+    now: u64,
+    iteration: usize,
+    seq: u64,
+    in_flight: BinaryHeap<Reverse<Queued>>,
+    streams: Vec<SplitMix64>,
+    metrics: NetMetrics,
+}
+
+impl HeapNetwork {
+    fn new(model: &NetworkModel, processes: usize) -> Self {
+        let streams = (0..processes * processes)
+            .map(|link| {
+                let (from, to) = ((link / processes) as u64, (link % processes) as u64);
+                SplitMix64::new(mix(model.seed, mix(from, to)))
+            })
+            .collect();
+        HeapNetwork {
+            model: model.clone(),
+            processes,
+            now: 0,
+            iteration: 0,
+            seq: 0,
+            in_flight: BinaryHeap::new(),
+            streams,
+            metrics: NetMetrics::default(),
+        }
+    }
+
+    fn push(&mut self, delivered_at: u64, from: usize, to: usize, payload: u64) {
+        let entry = (delivered_at, self.seq, self.now, from, to, payload);
+        self.in_flight.push(Reverse(entry));
+        self.seq += 1;
+    }
+
+    fn send(&mut self, from: usize, to: usize, payload: u64) {
+        self.metrics.sent += 1;
+        if from == to {
+            self.push(self.now, from, to, payload);
+            return;
+        }
+        if self.model.severed(from, to, self.iteration) {
+            self.metrics.dropped += 1;
+            return;
+        }
+        let link = *self.model.link(from, to);
+        let stream = &mut self.streams[from * self.processes + to];
+        if stream.next_unit() < link.drop_probability {
+            self.metrics.dropped += 1;
+            return;
+        }
+        let jitter = if link.reorder_ns > 0 {
+            stream.next_below_inclusive(link.reorder_ns)
+        } else {
+            0
+        };
+        self.push(self.now + link.base_delay_ns + jitter, from, to, payload);
+    }
+
+    fn advance_until(&mut self, deadline: u64) -> Vec<Delivery<u64>> {
+        let mut delivered = Vec::new();
+        while let Some(Reverse(head)) = self.in_flight.peek() {
+            if head.0 > deadline {
+                break;
+            }
+            let Some(Reverse((delivered_at, _, sent_at, from, to, payload))) = self.in_flight.pop()
+            else {
+                break;
+            };
+            self.metrics.delivered += 1;
+            let event = mix(mix(from as u64, to as u64), mix(sent_at, delivered_at));
+            self.metrics.schedule_digest = mix(self.metrics.schedule_digest, event);
+            delivered.push(Delivery {
+                from,
+                to,
+                sent_at,
+                delivered_at,
+                payload,
+            });
+        }
+        self.now = self.now.max(deadline);
+        self.metrics.virtual_ns = self.now;
+        delivered
+    }
+
+    fn end_round(&mut self) -> Vec<Delivery<u64>> {
+        let delivered = self.advance_until(self.now + self.model.round_timeout_ns);
+        self.drain_in_flight();
+        delivered
+    }
+
+    fn drain_in_flight(&mut self) {
+        self.metrics.late += self.in_flight.len() as u64;
+        self.in_flight.clear();
+    }
+
+    fn next_event_at(&self) -> Option<u64> {
+        self.in_flight.peek().map(|Reverse(head)| head.0)
+    }
+}
+
+/// A queued message, `(delivered_at, seq, sent_at, from, to, payload)`;
+/// `seq` is unique, so the heap order never looks past it.
+type Queued = (u64, u64, u64, usize, usize, u64);
+
+/// One call on a bus, as the order proptest drives it.
+#[derive(Debug, Clone)]
+enum Call {
+    Send(usize, usize),
+    BeginIteration(usize),
+    EndRound,
+    /// `advance_until(now + ahead)`.
+    Advance(u64),
+    /// `advance_until(now − behind)`: a stale deadline.
+    AdvanceStale(u64),
+    /// `advance_until(next_event_at())`, the event-pull hop.
+    NextEvent,
+    DrainInFlight,
+}
+
+fn call_strategy() -> impl Strategy<Value = Call> {
+    // Sends weigh most; the rest are spread so every call kind recurs.
+    (0u32..18, 0usize..5, 0usize..5, 0u64..8_000).prop_map(|(kind, a, b, ns)| match kind {
+        0..=7 => Call::Send(a, b),
+        8 => Call::BeginIteration(a),
+        9 | 10 => Call::EndRound,
+        11 | 12 => Call::Advance(ns),
+        13 => Call::AdvanceStale(ns % 3_000),
+        14 | 15 => Call::NextEvent,
+        _ => Call::DrainInFlight,
+    })
+}
+
+/// Lossy, jittered, partitioned and sometimes deadline-missing models over
+/// five processes, with one asymmetric link override.
+fn order_model_strategy() -> impl Strategy<Value = NetworkModel> {
+    (model_strategy(), 0u64..2, 0u64..2).prop_map(|(model, slow, tight)| {
+        let slow_link = LinkModel::ideal()
+            .with_delay_ns(2_500)
+            .with_reorder_ns(1_500);
+        let model = if slow == 1 {
+            model.with_link(3, 1, slow_link)
+        } else {
+            model
+        };
+        if tight == 1 {
+            model.with_round_timeout_ns(3_000)
+        } else {
+            model
+        }
+    })
 }
 
 fn model_strategy() -> impl Strategy<Value = NetworkModel> {
@@ -114,6 +279,65 @@ proptest! {
         prop_assert_eq!(payloads, expected);
     }
 
+    /// The simulator's queue delivers in the order of a `BinaryHeap` over
+    /// `(delivered_at, seq)`, under any interleaving of the bus calls:
+    /// every call returns the same deliveries, and after every call the
+    /// counters (schedule digest included), the clock and the next event
+    /// time agree.
+    #[test]
+    fn delivery_order_is_the_heap_order(
+        model in order_model_strategy(),
+        calls in prop::collection::vec(call_strategy(), 1..120),
+    ) {
+        let mut net = model.build::<u64>(5);
+        let mut reference = HeapNetwork::new(&model, 5);
+        // One buffer across every call, as the drivers keep theirs.
+        let mut got = Vec::new();
+        for (payload, call) in calls.into_iter().enumerate() {
+            got.clear();
+            let want = match call {
+                Call::Send(from, to) => {
+                    net.send(from, to, payload as u64);
+                    reference.send(from, to, payload as u64);
+                    Vec::new()
+                }
+                Call::BeginIteration(iteration) => {
+                    net.begin_iteration(iteration);
+                    reference.iteration = iteration;
+                    Vec::new()
+                }
+                Call::EndRound => {
+                    net.end_round(&mut got);
+                    reference.end_round()
+                }
+                Call::Advance(ahead) => {
+                    let deadline = net.now() + ahead;
+                    net.advance_until(deadline, &mut got);
+                    reference.advance_until(deadline)
+                }
+                Call::AdvanceStale(behind) => {
+                    let deadline = net.now().saturating_sub(behind);
+                    net.advance_until(deadline, &mut got);
+                    reference.advance_until(deadline)
+                }
+                Call::NextEvent => {
+                    let deadline = net.next_event_at().unwrap_or(net.now());
+                    net.advance_until(deadline, &mut got);
+                    reference.advance_until(deadline)
+                }
+                Call::DrainInFlight => {
+                    net.drain_in_flight();
+                    reference.drain_in_flight();
+                    Vec::new()
+                }
+            };
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(net.metrics(), reference.metrics);
+            prop_assert_eq!(net.now(), reference.now);
+            prop_assert_eq!(net.next_event_at(), reference.next_event_at());
+        }
+    }
+
     /// The round view is exactly the continuous view: `end_round` must
     /// equal "advance to the round deadline, then drain the remainder as
     /// late" — even when the continuous side pulls its deliveries one
@@ -130,6 +354,7 @@ proptest! {
 
         let mut net = model.build::<u64>(4);
         let mut deliveries = Vec::new();
+        let mut delivered = Vec::new();
         for round in 0..rounds {
             net.begin_iteration(round);
             for (k, &(from, to)) in sends.iter().enumerate() {
@@ -141,9 +366,11 @@ proptest! {
                 if at > deadline {
                     break;
                 }
-                deliveries.extend(net.advance_until(at));
+                net.advance_until(at, &mut delivered);
+                deliveries.append(&mut delivered);
             }
-            deliveries.extend(net.advance_until(deadline));
+            net.advance_until(deadline, &mut delivered);
+            deliveries.append(&mut delivered);
             net.drain_in_flight();
         }
 

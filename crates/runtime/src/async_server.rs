@@ -133,7 +133,7 @@ impl Default for AsyncConfig {
 /// simulator uses for deliveries (`seq` is unique, so the order never
 /// looks further). An event is the agent whose computation finishes, or
 /// `None` for the pending server step. Network deliveries are not queued
-/// here — they live in the simulator's heap and are interleaved by time
+/// here — they live in the simulator's queue and are interleaved by time
 /// through the bus's continuous view, deliveries first on ties.
 #[derive(Default)]
 struct EventQueue {
@@ -227,7 +227,11 @@ impl<'b> Staleness<'b> {
                 _ => {
                     // Advance the shared clock to the event (no deliveries
                     // remain at or before `at`).
-                    let _ = self.bus.net.advance_until(at);
+                    self.bus.net.advance_until(at, &mut self.bus.delivered);
+                    debug_assert!(
+                        self.bus.delivered.is_empty(),
+                        "nothing is due at or before the event"
+                    );
                     engine.telemetry.set_virtual_ns(self.bus.net.now());
                     return Ok(self.queue.pop());
                 }
@@ -241,10 +245,13 @@ impl<'b> Staleness<'b> {
     /// the sender's freshest.
     fn deliver(&mut self, net_at: u64, engine: &mut RoundEngine<'_>) -> Result<(), DgdError> {
         let span = engine.telemetry.begin(Phase::NetDelivery);
-        let deliveries = self.bus.net.advance_until(net_at);
+        // The buffer leaves the bus while its deliveries are handled, and
+        // returns with its capacity.
+        let mut deliveries = std::mem::take(&mut self.bus.delivered);
+        self.bus.net.advance_until(net_at, &mut deliveries);
         engine.telemetry.set_virtual_ns(self.bus.net.now());
         engine.telemetry.end(span);
-        for delivery in deliveries {
+        for delivery in deliveries.drain(..) {
             match delivery.payload {
                 ServerWire::Estimate {
                     iteration,
@@ -273,6 +280,7 @@ impl<'b> Staleness<'b> {
                 }
             }
         }
+        self.bus.delivered = deliveries;
         Ok(())
     }
 

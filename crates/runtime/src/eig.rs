@@ -26,26 +26,34 @@
 //!
 //! # Nodes and handles
 //!
-//! A broadcast moves no heap data per message. Each call numbers the EIG
-//! tree once, in level order: node 0 is the root path `[sender]`, and the
-//! children of every interior node — one per process not yet on its path,
-//! ascending — are contiguous and follow the children of the node before
-//! it. The relay paths sit in one arena with a fixed stride of `f + 1`
-//! slots, and the numbering is the order the relays are sent in, so the
-//! `(from, to)` send sequence is the one the path-keyed implementation
-//! produced. Values travel as handles into a small per-broadcast table —
-//! the sender's value, the default, and every plan's values — interned by
-//! `Eq`, so two handles are equal exactly when their values are. An
-//! [`EigMessage`] is therefore a `Copy` pair of numbers; each process's
-//! tree is one row of a flat `n × nodes` table of heard handles, and
-//! resolution votes on handles bottom-up over the child ranges. The bus
-//! never reads a payload — it schedules, drops and stamps messages by
-//! `(from, to)` alone — so the change of payload leaves every delivery,
-//! drop and `schedule_digest` as it was.
+//! A broadcast moves no heap data per message. The EIG tree of a sender is
+//! numbered once, in level order: node 0 is the root path `[sender]`, and
+//! the children of every interior node — one per process not yet on its
+//! path, ascending — are contiguous and follow the children of the node
+//! before it. The relay paths sit in one arena with a fixed stride of
+//! `f + 1` slots, and the numbering is the order the relays are sent in,
+//! so the `(from, to)` send sequence is the one the path-keyed
+//! implementation produced. Values travel as handles into a value table
+//! whose equal handles are exactly its equal values. An [`EigMessage`] is
+//! therefore a `Copy` pair of numbers; each process's tree is one row of a
+//! flat `n × nodes` table of heard handles, and resolution votes on
+//! handles bottom-up over the child ranges. The bus never reads a payload
+//! — it schedules, drops and stamps messages by `(from, to)` alone — so the
+//! change of payload leaves every delivery, drop and `schedule_digest` as
+//! it was.
+//!
+//! There is one broadcast routine, `EigTree::broadcast`: a tree, each
+//! process's relay behaviour over handles, and reused working tables in;
+//! each process's decided handle out. The peer-to-peer runtime numbers
+//! one tree per sender and keeps one set of tables for the whole run, and
+//! its value table is the round's wire values, so a round allocates
+//! nothing. [`eig_broadcast_on`] wraps the same routine for a single
+//! broadcast of any `V`: it numbers one tree, interns the caller's values,
+//! runs the routine and maps the decided handles back.
 
 use crate::error::RuntimeError;
 use abft_core::SystemConfig;
-use abft_net::{MessageBus, PerfectBus};
+use abft_net::{Delivery, MessageBus, PerfectBus};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -82,8 +90,9 @@ pub enum EquivocationPlan<V> {
 
 /// One EIG transmission as carried by a [`MessageBus`]: the EIG-tree node
 /// the value was heard along and a handle to the value itself. Both are
-/// numbers of the one broadcast that sent the message (see the module
-/// docs); neither means anything outside it.
+/// numbers of the broadcast that sent the message — its sender's tree and
+/// its value table (see the module docs); neither means anything outside
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EigMessage {
     /// The relay path's number in the broadcast's level-order node table.
@@ -144,8 +153,8 @@ pub fn eig_broadcast<V: Clone + Eq>(
 }
 
 /// Runs one synchronous EIG Byzantine-broadcast instance over an arbitrary
-/// [`MessageBus`] — the shared message path of the real peer-to-peer
-/// runtime (with a [`PerfectBus`]) and the network simulator.
+/// [`MessageBus`] — the message path of the network simulator's
+/// peer-to-peer topology, one broadcast at a time.
 ///
 /// On a faulty bus, transmissions can be dropped, delayed past the round
 /// deadline, or reordered; a missing transmission leaves no entry in the
@@ -168,18 +177,7 @@ pub fn eig_broadcast_on<V: Clone + Eq, B: MessageBus<EigMessage>>(
     bus: &mut B,
 ) -> Result<BroadcastOutcome<V>, RuntimeError> {
     let n = config.n();
-    let f = config.f();
-    if bus.processes() < n {
-        return Err(RuntimeError::Config(format!(
-            "bus spans {} processes but the broadcast needs {n}",
-            bus.processes()
-        )));
-    }
-    if !config.supports_peer_to_peer() {
-        return Err(RuntimeError::Config(format!(
-            "EIG broadcast requires 3f < n, got n = {n}, f = {f}"
-        )));
-    }
+    check_plans(config, bus.processes(), faulty.len())?;
     if sender >= n {
         return Err(RuntimeError::Config(format!(
             "sender {sender} out of range"
@@ -190,18 +188,7 @@ pub fn eig_broadcast_on<V: Clone + Eq, B: MessageBus<EigMessage>>(
             "faulty agent {bad} out of range"
         )));
     }
-    if faulty.len() > f {
-        return Err(RuntimeError::Config(format!(
-            "{} faulty processes assigned but f = {f}",
-            faulty.len()
-        )));
-    }
-    let tree = EigTree::new(n, f, sender).ok_or_else(|| {
-        RuntimeError::Config(format!(
-            "the EIG tree for n = {n}, f = {f} has more nodes than u32 numbers"
-        ))
-    })?;
-    let nodes = tree.nodes();
+    let tree = EigTree::new(config, sender)?;
 
     // The value table: handle 0 is the sender's value, and every value a
     // plan can put on the wire is interned next to the default.
@@ -210,86 +197,61 @@ pub fn eig_broadcast_on<V: Clone + Eq, B: MessageBus<EigMessage>>(
     let default_handle = intern(&mut values, &default);
     let mut relays = vec![Relay::Faithful; n];
     for (&process, plan) in faulty {
-        let relay = match plan {
-            EquivocationPlan::Consistent(v) => Relay::Fixed(intern(&mut values, v)),
-            EquivocationPlan::Split {
-                low,
-                high,
-                boundary,
-            } => Relay::Split {
-                low: intern(&mut values, low),
-                high: intern(&mut values, high),
-                boundary: *boundary,
-            },
-            EquivocationPlan::Silent => Relay::Silent,
-            EquivocationPlan::Selective { victims } => Relay::Selective(victims),
-            EquivocationPlan::Honest => Relay::Faithful,
-        };
+        let relay = Relay::new(plan, |v| intern(&mut values, v));
         if let Some(slot) = relays.get_mut(process) {
             *slot = relay;
         }
     }
-    let relay_of = |process: usize| relays.get(process).copied().unwrap_or(Relay::Faithful);
 
-    // heard[p · nodes + v] is the handle p heard along node v. `None`
-    // records an omission — or a transmission the bus never delivered,
-    // which resolves identically.
-    let mut heard: Vec<Option<u32>> = vec![None; n * nodes];
-    let mut messages = 0usize;
-
-    // Round 1: the sender transmits to everyone.
-    let sender_relay = relay_of(sender);
-    for p in 0..n {
-        let value = sender_relay.transmit(p, Some(SENDER_VALUE));
-        bus.send(sender, p, EigMessage { node: 0, value });
-        messages += 1;
-    }
-    collect_round(bus, &mut heard, nodes);
-
-    // Rounds 2..=f+1: relay every node of the previous level, in node
-    // order. Nodes are enumerated structurally (not from any one process's
-    // tree), so a process that missed a transmission still relays — it
-    // relays the omission. The bus's round barrier provides the synchronous
-    // lockstep the in-memory version got from its collect-then-apply split.
-    for (depth, parents, children) in interior_levels(&tree.levels) {
-        let family = n - depth;
-        let paths = tree.paths.chunks_exact(tree.stride).skip(children.start);
-        for (child, path) in children.clone().zip(paths) {
-            let parent = parents.start + (child - children.start) / family;
-            // A depth-`depth` node's last relayer sits in slot `depth`.
-            let Some(&relayer) = path.get(depth) else {
-                continue;
-            };
-            let relayed = heard.get(relayer * nodes + parent).copied().flatten();
-            let relay = relay_of(relayer);
-            // `EigTree::new` keeps every node number within `u32`.
-            let node = child as u32;
-            for p in 0..n {
-                let value = relay.transmit(p, relayed);
-                bus.send(relayer, p, EigMessage { node, value });
-                messages += 1;
-            }
-        }
-        collect_round(bus, &mut heard, nodes);
-    }
-
-    // Resolution: recursive strict majority from the leaves up.
-    let mut resolved = vec![default_handle; nodes];
-    let decisions = heard
-        .chunks_exact(nodes)
-        .map(|row| {
-            let handle = tree.resolve(row, default_handle, &mut resolved);
+    let mut tables = EigTables::default();
+    tree.broadcast(&relays, SENDER_VALUE, default_handle, &mut tables, bus);
+    let decisions = tables
+        .decisions()
+        .iter()
+        .map(|&handle| {
             let value = values.get(handle as usize).copied().unwrap_or(&default);
             value.clone()
         })
         .collect();
     Ok(BroadcastOutcome {
         decisions,
-        messages,
+        messages: n * tree.nodes(),
     })
 }
 
-/// The sender's value is always handle 0 of a broadcast's value table.
+/// The checks a run of broadcasts passes once, before its first: `3f < n`
+/// (EIG's agreement bound), a bus spanning all `n` processes, and at most
+/// `f` processes with a plan.
+///
+/// # Errors
+///
+/// [`RuntimeError::Config`] naming the failed check.
+pub(crate) fn check_plans(
+    config: SystemConfig,
+    bus_processes: usize,
+    planned: usize,
+) -> Result<(), RuntimeError> {
+    let (n, f) = (config.n(), config.f());
+    if bus_processes < n {
+        return Err(RuntimeError::Config(format!(
+            "bus spans {bus_processes} processes but the broadcast needs {n}"
+        )));
+    }
+    if !config.supports_peer_to_peer() {
+        return Err(RuntimeError::Config(format!(
+            "EIG broadcast requires 3f < n, got n = {n}, f = {f}"
+        )));
+    }
+    if planned > f {
+        return Err(RuntimeError::Config(format!(
+            "{planned} faulty processes assigned but f = {f}"
+        )));
+    }
+    Ok(())
+}
+
+/// The sender's value is always handle 0 of [`eig_broadcast_on`]'s value
+/// table.
 const SENDER_VALUE: u32 = 0;
 
 /// The handle of `value` in `values`, appending it if no equal value is
@@ -306,7 +268,7 @@ fn intern<'a, V: Eq>(values: &mut Vec<&'a V>, value: &'a V) -> u32 {
 /// One process's relay behaviour in a broadcast, over value handles: its
 /// [`EquivocationPlan`] with the values replaced by their handles.
 #[derive(Debug, Clone, Copy)]
-enum Relay<'a> {
+pub(crate) enum Relay<'a> {
     /// Relays what it heard (honest processes and [`EquivocationPlan::Honest`]).
     Faithful,
     /// [`EquivocationPlan::Consistent`].
@@ -323,7 +285,30 @@ enum Relay<'a> {
     Selective(&'a [usize]),
 }
 
-impl Relay<'_> {
+impl<'a> Relay<'a> {
+    /// `plan` over handles: `handle` maps each value the plan sends to
+    /// its handle.
+    pub(crate) fn new<V>(
+        plan: &'a EquivocationPlan<V>,
+        mut handle: impl FnMut(&'a V) -> u32,
+    ) -> Self {
+        match plan {
+            EquivocationPlan::Consistent(v) => Relay::Fixed(handle(v)),
+            EquivocationPlan::Split {
+                low,
+                high,
+                boundary,
+            } => Relay::Split {
+                low: handle(low),
+                high: handle(high),
+                boundary: *boundary,
+            },
+            EquivocationPlan::Silent => Relay::Silent,
+            EquivocationPlan::Selective { victims } => Relay::Selective(victims),
+            EquivocationPlan::Honest => Relay::Faithful,
+        }
+    }
+
     /// The handle this process sends to `recipient`, given the handle an
     /// honest process would have sent.
     fn transmit(self, recipient: usize, heard: Option<u32>) -> Option<u32> {
@@ -341,11 +326,35 @@ impl Relay<'_> {
     }
 }
 
-/// The EIG tree of one broadcast, numbered in level order (see the module
+/// The working tables of a broadcast, reused from one broadcast to the
+/// next: every process's heard handles, the resolution scratch, the bus's
+/// delivery buffer and every process's decided handle. They are sized by
+/// the broadcast that uses them, so one set serves every sender's tree of
+/// a run and stops allocating once its first broadcast has sized it.
+#[derive(Default)]
+pub(crate) struct EigTables {
+    /// `heard[p · nodes + v]` is the handle `p` heard along node `v`.
+    /// `None` records an omission — or a transmission the bus never
+    /// delivered, which resolves identically.
+    heard: Vec<Option<u32>>,
+    resolved: Vec<u32>,
+    delivered: Vec<Delivery<EigMessage>>,
+    decided: Vec<u32>,
+}
+
+impl EigTables {
+    /// Each process's decided handle in the latest broadcast, in process
+    /// order (faulty processes' entries are computed but meaningless).
+    pub(crate) fn decisions(&self) -> &[u32] {
+        &self.decided
+    }
+}
+
+/// The EIG tree of one sender, numbered in level order (see the module
 /// docs): the children of every depth-`r` node form a contiguous run of
 /// `n − r` nodes, and those runs follow their parents' order, so
 /// `chunks_exact(n − r)` over level `r + 1` walks level `r`'s child ranges.
-struct EigTree {
+pub(crate) struct EigTree {
     /// Relay paths, `stride` slots per node; a depth-`r` node fills the
     /// first `r` and pads the rest with [`EigTree::PAD`].
     paths: Vec<usize>,
@@ -355,27 +364,40 @@ struct EigTree {
     levels: Vec<Range<usize>>,
     /// Processes taking part, `n`.
     processes: usize,
+    /// The root path's only process.
+    sender: usize,
 }
 
 impl EigTree {
     /// Pads a path past its depth; never a process id.
     const PAD: usize = usize::MAX;
 
-    /// Numbers the tree rooted at `[sender]`, or `None` when it has more
-    /// nodes than a `u32` numbers. The caller guarantees `f < n`.
-    fn new(n: usize, f: usize, sender: usize) -> Option<Self> {
+    /// Numbers the tree rooted at `[sender]` for `config`, which has
+    /// passed [`check_plans`].
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Config`] when the tree has more nodes than a `u32`
+    /// numbers.
+    pub(crate) fn new(config: SystemConfig, sender: usize) -> Result<Self, RuntimeError> {
+        let (n, f) = (config.n(), config.f());
+        let too_big = || {
+            RuntimeError::Config(format!(
+                "the EIG tree for n = {n}, f = {f} has more nodes than u32 numbers"
+            ))
+        };
         let stride = f + 1;
         let mut levels = Vec::with_capacity(stride);
         levels.push(0..1);
         let (mut end, mut width) = (1usize, 1usize);
         for depth in 1..=f {
-            width = width.checked_mul(n - depth)?;
+            width = width.checked_mul(n - depth).ok_or_else(too_big)?;
             let start = end;
-            end = end.checked_add(width)?;
+            end = end.checked_add(width).ok_or_else(too_big)?;
             levels.push(start..end);
         }
-        u32::try_from(end).ok()?;
-        let mut paths = vec![Self::PAD; end.checked_mul(stride)?];
+        u32::try_from(end).map_err(|_| too_big())?;
+        let mut paths = vec![Self::PAD; end.checked_mul(stride).ok_or_else(too_big)?];
         if let Some(root) = paths.first_mut() {
             *root = sender;
         }
@@ -396,17 +418,86 @@ impl EigTree {
                 }
             }
         }
-        Some(EigTree {
+        Ok(EigTree {
             paths,
             stride,
             levels,
             processes: n,
+            sender,
         })
     }
 
     /// Total node count.
     fn nodes(&self) -> usize {
         self.levels.last().map_or(0, |leaves| leaves.end)
+    }
+
+    /// Runs one broadcast of the sender's value `handle` over `bus` and
+    /// leaves each process's decided handle in [`EigTables::decisions`].
+    /// `relays[p]` is process `p`'s behaviour (a process past the slice
+    /// relays faithfully); `default` is what an omission resolves to.
+    /// Every node is sent to all `n` processes, so a broadcast sends
+    /// `n · nodes` messages.
+    pub(crate) fn broadcast<B: MessageBus<EigMessage>>(
+        &self,
+        relays: &[Relay<'_>],
+        handle: u32,
+        default: u32,
+        tables: &mut EigTables,
+        bus: &mut B,
+    ) {
+        let (n, nodes) = (self.processes, self.nodes());
+        let relay_of = |process: usize| relays.get(process).copied().unwrap_or(Relay::Faithful);
+        let EigTables {
+            heard,
+            resolved,
+            delivered,
+            decided,
+        } = tables;
+        heard.clear();
+        heard.resize(n * nodes, None);
+
+        // Round 1: the sender transmits to everyone.
+        let sender_relay = relay_of(self.sender);
+        for p in 0..n {
+            let value = sender_relay.transmit(p, Some(handle));
+            bus.send(self.sender, p, EigMessage { node: 0, value });
+        }
+        collect_round(bus, delivered, heard, nodes);
+
+        // Rounds 2..=f+1: relay every node of the previous level, in node
+        // order. Nodes are enumerated structurally (not from any one
+        // process's tree), so a process that missed a transmission still
+        // relays — it relays the omission. The bus's round barrier
+        // provides the synchronous lockstep the in-memory version got from
+        // its collect-then-apply split.
+        for (depth, parents, children) in interior_levels(&self.levels) {
+            let family = n - depth;
+            let paths = self.paths.chunks_exact(self.stride).skip(children.start);
+            for (child, path) in children.clone().zip(paths) {
+                let parent = parents.start + (child - children.start) / family;
+                // A depth-`depth` node's last relayer sits in slot `depth`.
+                let Some(&relayer) = path.get(depth) else {
+                    continue;
+                };
+                let relayed = heard.get(relayer * nodes + parent).copied().flatten();
+                let relay = relay_of(relayer);
+                // `EigTree::new` keeps every node number within `u32`.
+                let node = child as u32;
+                for p in 0..n {
+                    let value = relay.transmit(p, relayed);
+                    bus.send(relayer, p, EigMessage { node, value });
+                }
+            }
+            collect_round(bus, delivered, heard, nodes);
+        }
+
+        // Resolution: recursive strict majority from the leaves up.
+        resolved.clear();
+        resolved.resize(nodes, default);
+        decided.clear();
+        let rows = heard.chunks_exact(nodes);
+        decided.extend(rows.map(|row| self.resolve(row, default, resolved)));
     }
 
     /// One process's decision handle: leaves report the handle heard
@@ -463,11 +554,18 @@ fn majority(votes: &[u32]) -> Option<u32> {
     (2 * count > votes.len()).then_some(candidate)
 }
 
-/// Ends the bus round and files every delivered transmission into its
-/// recipient's row of `heard`. Each `(recipient, node)` pair is transmitted
-/// at most once per round, so delivery order cannot influence the rows.
-fn collect_round<B: MessageBus<EigMessage>>(bus: &mut B, heard: &mut [Option<u32>], nodes: usize) {
-    for delivery in bus.end_round() {
+/// Ends the bus round into `delivered` and files every delivered
+/// transmission into its recipient's row of `heard`. Each
+/// `(recipient, node)` pair is transmitted at most once per round, so
+/// delivery order cannot influence the rows.
+fn collect_round<B: MessageBus<EigMessage>>(
+    bus: &mut B,
+    delivered: &mut Vec<Delivery<EigMessage>>,
+    heard: &mut [Option<u32>],
+    nodes: usize,
+) {
+    bus.end_round(delivered);
+    for delivery in delivered.iter() {
         let EigMessage { node, value } = delivery.payload;
         let slot = heard
             .chunks_exact_mut(nodes)

@@ -1,15 +1,21 @@
 //! Peer-to-peer DGD via Byzantine broadcast (Figure 1, right).
 //!
 //! In the peer-to-peer architecture there is no trusted server: every agent
-//! broadcasts its gradient with [`eig_broadcast_on`], so all honest agents
-//! observe the *same* multiset of `n` reported gradients (agreement), run
-//! the same deterministic server step over it — an
+//! broadcasts its gradient by EIG Byzantine broadcast ([`crate::eig`]), so
+//! all honest agents observe the *same* multiset of `n` reported gradients
+//! (agreement), run the same deterministic server step over it — an
 //! [`abft_dgd::RoundEngine`] each — and therefore maintain identical
 //! estimates in lockstep: the simulation argument of Section 1.4, which
 //! requires `f < n/3`.
 //!
 //! The code has the same shape: the leader's engine runs the server loop
 //! ([`RowSource::serve`]) over a row source of every honest perspective.
+//!
+//! A round sends its messages and allocates nothing else: the EIG trees
+//! (one per sender) and their working tables are built at set-up, the
+//! values on the wire are the rows of one per-round table, messages carry
+//! handles into it, and every decision is copied from it into a
+//! perspective's batch row.
 //!
 //! All broadcast traffic travels through an [`abft_net::MessageBus`]. The
 //! real runtime ([`Launch::PeerToPeer`]) drives a
@@ -19,7 +25,7 @@
 //! EIG omissions and honest agents may (measurably) fall out of lockstep —
 //! the phenomenon the link-fault studies quantify.
 
-use crate::eig::{eig_broadcast_on, EigMessage, EquivocationPlan};
+use crate::eig::{check_plans, EigMessage, EigTables, EigTree, EquivocationPlan, Relay};
 use crate::error::RuntimeError;
 use crate::task::{DgdTask, FaultPlan, Launch};
 use abft_attacks::HonestGradients;
@@ -27,44 +33,9 @@ use abft_core::observe::{NullObserver, RunObserver};
 use abft_core::SystemConfig;
 use abft_dgd::{AgentCell, Outcome, RoundEngine, RowSource, RunOptions};
 use abft_filters::GradientFilter;
-use abft_linalg::{GradientBatch, Vector};
+use abft_linalg::GradientBatch;
 use abft_net::{MessageBus, NetFault, PerfectBus};
 use abft_telemetry::{Phase, Telemetry};
-use std::collections::BTreeMap;
-
-/// A vector with bit-exact equality, usable as an EIG broadcast value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct BitsVector(Vec<u64>);
-
-impl BitsVector {
-    pub(crate) fn from_vector(v: &Vector) -> Self {
-        BitsVector(v.iter().map(|x| x.to_bits()).collect())
-    }
-
-    /// Reference decoding (the hot path uses [`BitsVector::write_into`]).
-    #[cfg(test)]
-    fn to_vector(&self) -> Vector {
-        self.0.iter().map(|&b| f64::from_bits(b)).collect()
-    }
-
-    /// The negated vector — sign-bit flips, so exact.
-    fn negated(&self) -> Self {
-        BitsVector(self.0.iter().map(|&b| b ^ (1u64 << 63)).collect())
-    }
-
-    /// Decodes into a batch row without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out.len()` differs from the encoded length.
-    fn write_into(&self, out: &mut [f64]) {
-        // LINT-ALLOW(panic-reach): wire-format invariant; decode restores the encoded dimension
-        assert_eq!(out.len(), self.0.len(), "decoded gradient dimension");
-        for (slot, &bits) in out.iter_mut().zip(&self.0) {
-            *slot = f64::from_bits(bits);
-        }
-    }
-}
 
 /// The EIG-broadcast lockstep loop behind [`Launch::PeerToPeer`],
 /// on a reliable in-memory bus.
@@ -168,6 +139,36 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage>>(
             }
         }
     }
+    // Every agent's plan, fixed for the run, over wire rows (see
+    // `Perspectives::wire`): the `n` values sent, one negation per
+    // splitting agent, then the zero row an omission resolves to. A
+    // faulty agent's plan layers its net fault over the value it sends.
+    let mut rows = n;
+    let plans: Vec<EquivocationPlan<usize>> = (0..n)
+        .zip(&cells)
+        .map(|(agent, cell)| match net_faults.get(&agent) {
+            Some(NetFault::SelectiveSend(victims)) => EquivocationPlan::Selective {
+                victims: victims.clone(),
+            },
+            Some(NetFault::EquivocateSplit { boundary }) => {
+                rows += 1;
+                EquivocationPlan::Split {
+                    low: agent,
+                    high: rows - 1,
+                    boundary: *boundary,
+                }
+            }
+            None if cell.is_forging() => EquivocationPlan::Consistent(agent),
+            None => EquivocationPlan::Honest,
+        })
+        .collect();
+    let planned = plans
+        .iter()
+        .filter(|plan| !matches!(plan, EquivocationPlan::Honest));
+    check_plans(config, bus.processes(), planned.count())?;
+    let trees = (0..n)
+        .map(|sender| EigTree::new(config, sender))
+        .collect::<Result<Vec<_>, _>>()?;
 
     // Profile in the bus's clock domain: a simulated bus keeps a virtual
     // clock (deterministic reports, pinned by the determinism tests), the
@@ -183,6 +184,7 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage>>(
             RoundEngine::new(&cells, &honest, filter, options, observer, telemetry)
         })
         .collect::<Result<Vec<_>, _>>()?;
+    let dim = engine.x().dim();
     // Every honest agent maintains its own estimate: the leader's is
     // `engine`'s, the rest are the followers'. On a reliable bus these
     // stay bit-identical; on a faulty one they may drift, which is
@@ -199,9 +201,14 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage>>(
             .map(|i| honest.iter().position(|&h| h == i))
             .collect(),
         cells,
-        net_faults,
+        relays: vec![Relay::Faithful; n],
+        plans: &plans,
         followers,
-        staging: Vector::zeros(engine.x().dim()),
+        trees,
+        tables: EigTables::default(),
+        wire: vec![0.0; (rows + 1) * dim],
+        dim,
+        handles: vec![0; rows + 1],
         bus,
         enforce_lockstep,
     };
@@ -243,7 +250,9 @@ pub(crate) fn execute_on<B: MessageBus<EigMessage>>(
 struct Perspectives<'a, B> {
     config: SystemConfig,
     cells: Vec<AgentCell>,
-    net_faults: BTreeMap<usize, NetFault>,
+    /// Each agent's plan over wire rows; honest agents' are
+    /// [`EquivocationPlan::Honest`].
+    plans: &'a [EquivocationPlan<usize>],
     /// Each agent's slot in `honest`: 0 for the leader, `k` for
     /// `followers[k − 1]`, none for a faulty agent.
     slot_of: Vec<Option<usize>>,
@@ -252,7 +261,21 @@ struct Perspectives<'a, B> {
     /// Each slot's decided multiset, rows in sender (agent-id) order —
     /// the server drivers' order.
     decided: Vec<GradientBatch>,
-    staging: Vector,
+    /// Each sender's EIG tree, and the tables every broadcast works in.
+    trees: Vec<EigTree>,
+    tables: EigTables,
+    /// The round's wire values, `dim` per row: the value each agent sends
+    /// (row = agent id), the negation of each splitting agent's (its
+    /// plan's `high` row), and a zero row last — what a process decides
+    /// for a sender it heard nothing from. Every value a round puts on the
+    /// wire is one of these rows.
+    wire: Vec<f64>,
+    dim: usize,
+    /// Each wire row's handle: the first row with equal bits, so equal
+    /// handles mean bit-equal values.
+    handles: Vec<u32>,
+    /// Each agent's plan over this round's handles.
+    relays: Vec<Relay<'a>>,
     bus: &'a mut B,
     enforce_lockstep: bool,
 }
@@ -271,6 +294,42 @@ impl<B> Perspectives<'_, B> {
         }
         Ok(())
     }
+
+    /// Completes the round's wire table once the agents have written their
+    /// rows: the splitting agents' negations (sign-bit flips, so exact),
+    /// every row's handle, and every agent's relay over the handles.
+    fn encode_wire(&mut self) {
+        let dim = self.dim;
+        for plan in self.plans {
+            let EquivocationPlan::Split { low, high, .. } = *plan else {
+                continue;
+            };
+            // `high` is a negation row, past every agent's row `low`.
+            let Some((sent, rest)) = self.wire.split_at_mut_checked(high * dim) else {
+                continue;
+            };
+            let value = sent.chunks_exact(dim).nth(low).unwrap_or_default();
+            let negation = rest.chunks_exact_mut(dim).next().unwrap_or_default();
+            for (slot, &x) in negation.iter_mut().zip(value) {
+                *slot = -x;
+            }
+        }
+        let rows = self.wire.chunks_exact(dim);
+        for (row, handle) in rows.clone().zip(self.handles.iter_mut()) {
+            let first = rows.clone().position(|other| same_bits(other, row));
+            // At most `2n + 1` rows.
+            *handle = first.unwrap_or_default() as u32;
+        }
+        let handles = &self.handles;
+        for (relay, plan) in self.relays.iter_mut().zip(self.plans) {
+            *relay = Relay::new(plan, |&row| handles.get(row).copied().unwrap_or_default());
+        }
+    }
+}
+
+/// `a` and `b` hold the same bits — the equality EIG decides by.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 impl<B: MessageBus<EigMessage>> RowSource for Perspectives<'_, B> {
@@ -299,33 +358,16 @@ impl<B: MessageBus<EigMessage>> RowSource for Perspectives<'_, B> {
 
         // Each honest agent broadcasts the gradient at its own estimate;
         // a faulty agent forges from the leader's estimate (the historical
-        // behaviour) and its per-recipient plan layers any net fault over
-        // the forged value.
+        // behaviour) and its plan layers any net fault over the forged
+        // value. Each writes straight into its wire row.
         let fill_span = engine.telemetry.begin(Phase::GradientFill);
-        let mut plans: BTreeMap<usize, EquivocationPlan<BitsVector>> = BTreeMap::new();
-        let mut sender_values: Vec<BitsVector> = Vec::with_capacity(n);
-        let agents = self.cells.iter_mut().zip(&self.slot_of).enumerate();
-        for (i, (cell, slot)) in agents {
+        let rows = self.wire.chunks_exact_mut(self.dim);
+        for ((cell, slot), row) in self.cells.iter_mut().zip(&self.slot_of).zip(rows) {
             let follower = slot.and_then(|slot| self.followers.get(slot.checked_sub(1)?));
             let at = follower.map_or(engine.x(), RoundEngine::x);
-            let staging = self.staging.as_mut_slice();
-            cell.reply_into(t, at, HonestGradients::Hidden, staging);
-            let bits = BitsVector::from_vector(&self.staging);
-            let plan = match self.net_faults.get(&i) {
-                Some(NetFault::SelectiveSend(victims)) => Some(EquivocationPlan::Selective {
-                    victims: victims.clone(),
-                }),
-                Some(NetFault::EquivocateSplit { boundary }) => Some(EquivocationPlan::Split {
-                    low: bits.clone(),
-                    high: bits.negated(),
-                    boundary: *boundary,
-                }),
-                None if cell.is_forging() => Some(EquivocationPlan::Consistent(bits.clone())),
-                None => None,
-            };
-            plans.extend(plan.map(|plan| (i, plan)));
-            sender_values.push(bits);
+            cell.reply_into(t, at, HonestGradients::Hidden, row);
         }
+        self.encode_wire();
         engine.telemetry.end(fill_span);
 
         // One broadcast instance per agent; every process records the
@@ -334,14 +376,19 @@ impl<B: MessageBus<EigMessage>> RowSource for Perspectives<'_, B> {
         for batch in self.decided.iter_mut() {
             batch.reset_rows(n);
         }
-        for (sender, value) in sender_values.into_iter().enumerate() {
-            // What a process decides for a sender it heard nothing from.
-            let default = BitsVector(vec![0; self.staging.dim()]);
-            let outcome = eig_broadcast_on(self.config, sender, value, default, &plans, self.bus)?;
+        let default = self.handles.last().copied().unwrap_or_default();
+        for (sender, tree) in self.trees.iter().enumerate() {
+            let value = self.handles.get(sender).copied().unwrap_or(default);
+            tree.broadcast(&self.relays, value, default, &mut self.tables, self.bus);
             engine.counters.eig_broadcasts += 1;
-            for (decision, slot) in outcome.decisions.iter().zip(&self.slot_of) {
-                if let Some(batch) = slot.and_then(|slot| self.decided.get_mut(slot)) {
-                    decision.write_into(batch.row_mut(sender));
+            for (&handle, slot) in self.tables.decisions().iter().zip(&self.slot_of) {
+                let Some(batch) = slot.and_then(|slot| self.decided.get_mut(slot)) else {
+                    continue;
+                };
+                let decided = self.wire.chunks_exact(self.dim).nth(handle as usize);
+                let row = batch.row_mut(sender);
+                for (out, &x) in row.iter_mut().zip(decided.unwrap_or_default()) {
+                    *out = x;
                 }
             }
         }
@@ -370,17 +417,6 @@ mod tests {
         let x_h = problem.subset_minimizer(&[1, 2, 3, 4, 5]).unwrap();
         let options = RunOptions::paper_defaults_with_iterations(x_h, iterations);
         (problem, options)
-    }
-
-    #[test]
-    fn bits_vector_round_trips_and_negates() {
-        let v = Vector::from(vec![1.5, -0.25, 0.0]);
-        assert!(BitsVector::from_vector(&v).to_vector().approx_eq(&v, 0.0));
-        assert_eq!(BitsVector::from_vector(&v), BitsVector::from_vector(&v));
-        assert!(BitsVector::from_vector(&v)
-            .negated()
-            .to_vector()
-            .approx_eq(&v.scale(-1.0), 0.0));
     }
 
     #[test]

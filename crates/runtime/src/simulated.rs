@@ -40,7 +40,7 @@ use abft_core::observe::RunObserver;
 use abft_dgd::{AgentCell, DgdError, Outcome, RoundEngine, RowSource, RunOptions};
 use abft_filters::GradientFilter;
 use abft_linalg::{GradientBatch, Vector};
-use abft_net::{MessageBus, NetFault, NetworkModel, SimulatedNetwork};
+use abft_net::{Delivery, MessageBus, NetFault, NetworkModel, SimulatedNetwork};
 use abft_telemetry::{Phase, Telemetry};
 use std::collections::BTreeMap;
 
@@ -176,6 +176,7 @@ pub(crate) fn execute_server(
         batch: engine.round_batch(n),
         staging: Vector::zeros(engine.x().dim()),
         net,
+        delivered: Vec::new(),
         cells,
         net_faults,
     };
@@ -196,10 +197,14 @@ pub(crate) fn execute_server(
 }
 
 /// What both simulated servers run on: the bus with the server at address
-/// `n`, one cell per agent and its net fault, the round batch, and the
-/// staging buffer replies are built in.
+/// `n` and the buffer its deliveries land in, one cell per agent and its
+/// net fault, the round batch, and the staging buffer replies are built
+/// in.
 pub(crate) struct ServerBus {
     pub(crate) net: SimulatedNetwork<ServerWire>,
+    /// The latest `end_round` or `advance_until`'s deliveries, reused
+    /// across calls.
+    pub(crate) delivered: Vec<Delivery<ServerWire>>,
     pub(crate) cells: Vec<AgentCell>,
     net_faults: BTreeMap<usize, NetFault>,
     pub(crate) batch: GradientBatch,
@@ -299,7 +304,8 @@ impl RowSource for Deadline<'_> {
         bus.broadcast(engine, t);
         // Agents that heard the estimate this round compute a reply.
         self.heard.fill(false);
-        for delivery in bus.net.end_round() {
+        bus.net.end_round(&mut bus.delivered);
+        for delivery in &bus.delivered {
             if let ServerWire::Estimate { iteration, .. } = delivery.payload {
                 debug_assert_eq!(iteration, t, "rounds drain fully");
                 if let Some(heard) = self.heard.get_mut(delivery.to) {
@@ -329,19 +335,19 @@ impl RowSource for Deadline<'_> {
         // order, the filter-input order every backend shares. A reply that
         // never arrived leaves its agent without a row for the round.
         let up_span = engine.telemetry.begin(Phase::NetDelivery);
-        let mut deliveries = bus.net.end_round();
+        bus.net.end_round(&mut bus.delivered);
         engine.telemetry.set_virtual_ns(bus.net.now());
         engine.telemetry.end(up_span);
-        deliveries.sort_by_key(|delivery| delivery.from);
+        bus.delivered.sort_by_key(|delivery| delivery.from);
         bus.batch.clear();
-        for delivery in deliveries {
+        for delivery in &bus.delivered {
             if let ServerWire::Gradient {
                 iteration,
                 gradient,
-            } = delivery.payload
+            } = &delivery.payload
             {
-                debug_assert_eq!(iteration, t, "rounds drain fully");
-                bus.check_reply(delivery.from, &gradient)?;
+                debug_assert_eq!(*iteration, t, "rounds drain fully");
+                bus.check_reply(delivery.from, gradient)?;
                 bus.batch.push_row(gradient.as_slice());
             }
         }

@@ -1,13 +1,21 @@
-//! Pins what one EIG broadcast costs the allocator. Messages are `Copy`
-//! pairs of numbers and the trees are rows of one flat table, so a
+//! Pins what EIG broadcast costs the allocator. Messages are `Copy` pairs
+//! of numbers and the trees are rows of one flat table, so a single
 //! broadcast allocates a fixed handful of tables per call — however many
-//! messages it sends — plus the growth of the bus's own delivery buffer.
-//! (The path-keyed implementation allocated a relay path, a value clone
-//! and a map entry per message.)
+//! messages it sends — plus the growth of its delivery buffers. (The
+//! path-keyed implementation allocated a relay path, a value clone and a
+//! map entry per message.) A peer-to-peer run builds its trees and tables
+//! once, so its rounds allocate nothing at all.
 
+use abft_attacks::GradientReverse;
+use abft_core::observe::NullObserver;
 use abft_core::SystemConfig;
-use abft_net::{MessageBus, PerfectBus};
+use abft_dgd::RunOptions;
+use abft_filters::Cge;
+use abft_net::{MessageBus, NetworkModel, PerfectBus};
+use abft_problems::RegressionProblem;
 use abft_runtime::eig::{eig_broadcast, EigMessage, EquivocationPlan};
+use abft_runtime::{DgdTask, Launch, SimulatedRun};
+use abft_telemetry::TelemetryConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -98,6 +106,7 @@ fn one_broadcast_allocates_a_constant_beside_the_bus_buffer() {
     }
     let before = allocations();
     let mut bus = PerfectBus::new(n);
+    let mut delivered = Vec::new();
     for messages in rounds {
         for k in 0..messages {
             let message = EigMessage {
@@ -106,20 +115,59 @@ fn one_broadcast_allocates_a_constant_beside_the_bus_buffer() {
             };
             bus.send(k % n, k % n, message);
         }
-        drop(bus.end_round());
+        bus.end_round(&mut delivered);
     }
     let bus_growth = allocations() - before;
 
-    // The delivery buffer restarts empty every round and doubles from 4
-    // slots: 3 + 6 + 9 + 12 allocations for rounds of 10, 90, 720 and
-    // 5 040 messages.
-    assert_eq!(bus_growth, 30, "PerfectBus's buffer growth");
-    // The broadcast's own: the level ranges, the path arena, the value and
-    // relay tables, the heard-handle table, the resolution scratch and
-    // the decisions.
+    // The bus's pending buffer and the caller's swap at every round end,
+    // so each round fills the buffer the round before last filled, which
+    // doubles from 4 slots: 3 + 6 + 6 + 6 allocations for rounds of 10,
+    // 90, 720 and 5 040 messages.
+    assert_eq!(bus_growth, 21, "the delivery buffers' growth");
+    // The broadcast's own: the level ranges and the path arena of its
+    // tree, the value and relay tables, the heard-handle table, the
+    // resolution scratch, the decided handles and the decisions.
     assert_eq!(
         broadcast - bus_growth,
-        7,
-        "one broadcast allocated {broadcast} times, {bus_growth} of them the bus's"
+        8,
+        "one broadcast allocated {broadcast} times, {bus_growth} of them the buffers'"
     );
+}
+
+/// Allocations of one whole peer-to-peer run over `iterations` rounds at
+/// the benchmark's shape (`n = 9`, `f = 1`, agent 0 reversing its
+/// gradient, CGE), unobserved, serial and with telemetry off.
+fn p2p_run_allocations(launch: Launch<'_>, iterations: usize) -> usize {
+    let config = SystemConfig::new(9, 1).expect("valid (n, f)");
+    let problem = RegressionProblem::fan(config, 160.0, 0.01, 7).expect("n - 2f >= 2");
+    let honest: Vec<usize> = (1..9).collect();
+    let x_h = problem.subset_minimizer(&honest).expect("full rank");
+    let options = RunOptions::paper_defaults_with_iterations(x_h, iterations)
+        .with_aggregation_threads(1)
+        .with_telemetry(TelemetryConfig::Off);
+    let task = DgdTask::new(config, problem.costs()).byzantine(0, Box::new(GradientReverse::new()));
+    let before = allocations();
+    task.run(launch, &Cge::new(), &options, &mut NullObserver)
+        .expect("runs");
+    allocations() - before
+}
+
+/// A run on `launch` allocates as much at `T = 110` as at `T = 10`.
+fn assert_rounds_allocate_nothing<'a>(name: &str, launch: impl Fn() -> Launch<'a>) {
+    let run = |iterations| p2p_run_allocations(launch(), iterations);
+    // Warm-up, so lazy process-level allocations don't count.
+    let _ = run(5);
+    let short = run(10);
+    let long = run(110);
+    assert_eq!(
+        long, short,
+        "{name}: a run allocates {short} times at T = 10 but {long} at T = 110"
+    );
+}
+
+#[test]
+fn a_peer_to_peer_round_allocates_nothing() {
+    assert_rounds_allocate_nothing("peer-to-peer", || Launch::PeerToPeer { equivocate: false });
+    let sim = SimulatedRun::peer_to_peer(NetworkModel::ideal());
+    assert_rounds_allocate_nothing("simulated peer-to-peer", || Launch::Simulated(&sim));
 }

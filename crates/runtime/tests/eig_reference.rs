@@ -149,7 +149,9 @@ fn collect_round<V, B: MessageBus<PathMessage<V>>>(
     bus: &mut B,
     trees: &mut [BTreeMap<Vec<usize>, Option<V>>],
 ) {
-    for delivery in bus.end_round() {
+    let mut delivered = Vec::new();
+    bus.end_round(&mut delivered);
+    for delivery in delivered {
         if let Some(tree) = trees.get_mut(delivery.to) {
             tree.insert(delivery.payload.path, delivery.payload.value);
         }
