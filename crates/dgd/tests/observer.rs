@@ -32,10 +32,6 @@ impl CostFunction for CountingCost {
         self.inner.value(x)
     }
 
-    fn gradient(&self, x: &Vector) -> Vector {
-        self.inner.gradient(x)
-    }
-
     fn gradient_into(&self, x: &Vector, out: &mut [f64]) {
         self.inner.gradient_into(x, out);
     }

@@ -17,8 +17,9 @@
 //!   caller keeps and reuses. [`PerfectBus`] is the reliable reference
 //!   implementation.
 //! * [`SimulatedNetwork`] — a seeded discrete-event simulator: virtual
-//!   clock, an event queue in `(delivered_at, send sequence)` order (a
-//!   send-order `Vec`, sorted in place only when a send lands out of
+//!   clock, an event queue in `(delivered_at, send sequence)` order (two
+//!   send-order lanes, loopbacks and link messages, merged on delivery;
+//!   the link lane is sorted in place only when a send lands out of
 //!   order), per-link [`LinkModel`]s (fixed delay
 //!   plus a uniform reorder window, drop probability) and scheduled
 //!   [`Partition`]s. The full event schedule is a pure function of the

@@ -5,6 +5,7 @@ use crate::link::LinkModel;
 use crate::metrics::NetMetrics;
 use crate::model::NetworkModel;
 use crate::rng::{mix, SplitMix64};
+use std::vec::Drain;
 
 /// One message in flight. `(delivered_at, seq)` is its place in the
 /// delivery order; `seq` is the global send sequence number, which is
@@ -23,13 +24,17 @@ struct InFlight<P> {
 /// [`LinkModel`]s (delay, loss, reordering) and scheduled [`Partition`]s,
 /// all derived from one seed.
 ///
-/// The queue is a `Vec` in send order. Most traffic arrives in that order
-/// already (equal link delays keep it), so the queue is sorted only when a
-/// send lands ahead of the message queued before it — a loopback, a
-/// jittered or a faster link — and then once, just before the next
-/// delivery. The sort key is unique, so the order is exactly a priority
-/// queue's, and the sort is in place: a warmed-up simulator allocates
-/// nothing per message.
+/// The queue is two lanes, each a `Vec` in send order. A loopback is
+/// delivered the instant it is sent, ahead of every link message still in
+/// flight, so loopbacks keep a lane of their own, which send order keeps
+/// in `(delivered_at, seq)` order; delivery merges the two lanes by that
+/// key. Link traffic on equal fixed delays arrives in send order too, so
+/// the link lane is sorted only when a send lands ahead of the message
+/// queued before it — a jittered or a faster link — and then once, just
+/// before the next delivery. Fixed-delay links (every ideal link among
+/// them) therefore never sort. The key is unique, so the order is exactly
+/// a priority queue's, and the sort is in place: a warmed-up simulator
+/// allocates nothing per message.
 ///
 /// Determinism contract: the full event schedule — which messages are
 /// dropped, when each survivor is delivered, and the order
@@ -37,7 +42,9 @@ struct InFlight<P> {
 /// function of the [`NetworkModel`] and the sequence of bus calls. Each
 /// link's randomness stream is derived from `(seed, from, to)` and
 /// advanced only by that link's own traffic, so one link's schedule never
-/// depends on another's.
+/// depends on another's. A link that can neither lose nor jitter a
+/// message skips its draws: their outcome is fixed, and nothing else reads
+/// the stream.
 ///
 /// With every link ideal (no loss, no jitter, delay within the deadline),
 /// the simulator delivers exactly what a [`PerfectBus`](crate::PerfectBus)
@@ -51,10 +58,14 @@ pub struct SimulatedNetwork<P> {
     now: u64,
     iteration: usize,
     seq: u64,
-    /// Messages in flight, in send order until `sorted` says otherwise.
+    /// Link messages in flight, in send order until `sorted` says
+    /// otherwise.
     in_flight: Vec<InFlight<P>>,
     /// `in_flight` is in `(delivered_at, seq)` order.
     sorted: bool,
+    /// Loopbacks in flight, in send order — which is `(delivered_at, seq)`
+    /// order, since each is due the instant it is sent.
+    loopbacks: Vec<InFlight<P>>,
     /// Every directed link's model and randomness stream, `from ·
     /// processes + to`, resolved once at construction.
     links: Vec<Link>,
@@ -88,6 +99,7 @@ impl<P> SimulatedNetwork<P> {
             seq: 0,
             in_flight: Vec::new(),
             sorted: true,
+            loopbacks: Vec::new(),
             links,
             metrics: NetMetrics::default(),
         }
@@ -109,33 +121,72 @@ impl<P> SimulatedNetwork<P> {
     /// drivers call it once at shutdown so messages abandoned mid-flight
     /// stay accounted (`NetMetrics::is_balanced` keeps holding).
     pub fn drain_in_flight(&mut self) {
-        for _ in self.in_flight.drain(..) {
+        for _ in self.in_flight.drain(..).chain(self.loopbacks.drain(..)) {
             self.metrics.record_late();
         }
         self.sorted = true;
     }
 
-    /// Queues a message for delivery at `delivered_at`, under the next
+    /// A message sent now for delivery at `delivered_at`, under the next
     /// send sequence number.
-    fn enqueue(&mut self, delivered_at: u64, from: usize, to: usize, payload: P) {
-        // A later `seq` never sorts first on a tie, so only an earlier
-        // delivery time breaks the order.
-        if self
-            .in_flight
-            .last()
-            .is_some_and(|last| last.delivered_at > delivered_at)
-        {
-            self.sorted = false;
-        }
-        self.in_flight.push(InFlight {
+    fn stamp(&mut self, delivered_at: u64, from: usize, to: usize, payload: P) -> InFlight<P> {
+        let event = InFlight {
             delivered_at,
             seq: self.seq,
             sent_at: self.now,
             from,
             to,
             payload,
-        });
+        };
         self.seq += 1;
+        event
+    }
+}
+
+impl<P> InFlight<P> {
+    /// The message's place in the delivery order.
+    fn key(&self) -> (u64, u64) {
+        (self.delivered_at, self.seq)
+    }
+}
+
+/// Hands two lanes' due messages over in `(delivered_at, seq)` order, a
+/// run at a time: the link messages due before the next loopback, then the
+/// loopbacks due before the next link message, until one lane runs dry.
+fn merge<P>(
+    mut links: Drain<'_, InFlight<P>>,
+    mut loopbacks: Drain<'_, InFlight<P>>,
+    metrics: &mut NetMetrics,
+    delivered: &mut Vec<Delivery<P>>,
+) {
+    // Hands over `lane`'s messages due before `next`, or all of them.
+    let mut hand_over = |lane: &mut Drain<'_, InFlight<P>>, next: Option<(u64, u64)>| {
+        let run = next.map_or(lane.len(), |next| {
+            lane.as_slice().partition_point(|event| event.key() < next)
+        });
+        delivered.extend(lane.take(run).map(|event| deliver(metrics, event)));
+    };
+    let head = |lane: &Drain<'_, InFlight<P>>| lane.as_slice().first().map(InFlight::key);
+    while let Some(next) = head(&loopbacks) {
+        hand_over(&mut links, Some(next));
+        let Some(next) = head(&links) else {
+            break;
+        };
+        hand_over(&mut loopbacks, Some(next));
+    }
+    hand_over(&mut loopbacks, None);
+    hand_over(&mut links, None);
+}
+
+/// Records `event` in the schedule and hands it over as a delivery.
+fn deliver<P>(metrics: &mut NetMetrics, event: InFlight<P>) -> Delivery<P> {
+    metrics.record_delivery(event.from, event.to, event.sent_at, event.delivered_at);
+    Delivery {
+        from: event.from,
+        to: event.to,
+        sent_at: event.sent_at,
+        delivered_at: event.delivered_at,
+        payload: event.payload,
     }
 }
 
@@ -155,7 +206,8 @@ impl<P> MessageBus<P> for SimulatedNetwork<P> {
             // delays a process's message to itself, so loopbacks bypass
             // the link model entirely (partitions cannot sever them
             // either — a process is always on its own side of a cut).
-            self.enqueue(self.now, from, to, payload);
+            let event = self.stamp(self.now, from, to, payload);
+            self.loopbacks.push(event);
             return;
         }
         if self.model.severed(from, to, self.iteration) {
@@ -165,18 +217,34 @@ impl<P> MessageBus<P> for SimulatedNetwork<P> {
         // In range: both endpoints were checked above.
         let Link { model, stream } = &mut self.links[from * self.processes + to];
         // One loss draw per message keeps each link's stream aligned with
-        // its own traffic regardless of the configured probability.
-        if stream.next_unit() < model.drop_probability {
-            self.metrics.record_drop();
-            return;
-        }
-        let jitter = if model.reorder_ns > 0 {
-            stream.next_below_inclusive(model.reorder_ns)
-        } else {
+        // its own traffic regardless of the configured probability. A
+        // lossless, jitter-free link skips its draws: they could only come
+        // out "keep, no jitter", and nothing else reads its stream.
+        let jitter = if model.is_ideal_behaviour() {
             0
+        } else {
+            if stream.next_unit() < model.drop_probability {
+                self.metrics.record_drop();
+                return;
+            }
+            if model.reorder_ns > 0 {
+                stream.next_below_inclusive(model.reorder_ns)
+            } else {
+                0
+            }
         };
         let delivered_at = self.now + model.base_delay_ns + jitter;
-        self.enqueue(delivered_at, from, to, payload);
+        // A later `seq` never sorts first on a tie, so only an earlier
+        // delivery time breaks the lane's order.
+        if self
+            .in_flight
+            .last()
+            .is_some_and(|last| last.delivered_at > delivered_at)
+        {
+            self.sorted = false;
+        }
+        let event = self.stamp(delivered_at, from, to, payload);
+        self.in_flight.push(event);
     }
 
     /// The synchronous adapter over the continuous clock: advance to the
@@ -200,34 +268,45 @@ impl<P> MessageBus<P> for SimulatedNetwork<P> {
         if !self.sorted {
             // The key is unique, so an unstable sort is exact — and it
             // sorts in place.
-            self.in_flight
-                .sort_unstable_by_key(|event| (event.delivered_at, event.seq));
+            self.in_flight.sort_unstable_by_key(InFlight::key);
             self.sorted = true;
         }
         let due = self
             .in_flight
             .partition_point(|event| event.delivered_at <= deadline);
         delivered.clear();
-        for event in self.in_flight.drain(..due) {
-            self.metrics
-                .record_delivery(event.from, event.to, event.sent_at, event.delivered_at);
-            delivered.push(Delivery {
-                from: event.from,
-                to: event.to,
-                sent_at: event.sent_at,
-                delivered_at: event.delivered_at,
-                payload: event.payload,
-            });
+        let metrics = &mut self.metrics;
+        if self.loopbacks.is_empty() {
+            // One lane, as in every server topology: its due prefix as it
+            // stands (a plain loop here measures faster than the merge).
+            for event in self.in_flight.drain(..due) {
+                delivered.push(deliver(metrics, event));
+            }
+        } else {
+            let looped = self
+                .loopbacks
+                .partition_point(|event| event.delivered_at <= deadline);
+            delivered.reserve(due + looped);
+            let links = self.in_flight.drain(..due);
+            merge(links, self.loopbacks.drain(..looped), metrics, delivered);
         }
         self.now = self.now.max(deadline);
         self.metrics.virtual_ns = self.now;
     }
 
     fn next_event_at(&self) -> Option<u64> {
-        if self.sorted {
+        let link = if self.sorted {
             self.in_flight.first().map(|event| event.delivered_at)
         } else {
             self.in_flight.iter().map(|event| event.delivered_at).min()
+        };
+        // Loopbacks are due in send order, so the lane's first is its
+        // earliest.
+        match self.loopbacks.first() {
+            None => link,
+            Some(looped) => {
+                Some(link.map_or(looped.delivered_at, |at| at.min(looped.delivered_at)))
+            }
         }
     }
 

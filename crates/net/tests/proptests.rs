@@ -173,23 +173,31 @@ fn call_strategy() -> impl Strategy<Value = Call> {
 }
 
 /// Lossy, jittered, partitioned and sometimes deadline-missing models over
-/// five processes, with one asymmetric link override.
+/// five processes, with up to three link overrides: an asymmetric slow
+/// link; a zero-delay link, whose messages tie the loopbacks sent in the
+/// same instant; and a lossless, jitter-free link, which draws nothing
+/// from its stream while the lossy links beside it draw on every send.
 fn order_model_strategy() -> impl Strategy<Value = NetworkModel> {
-    (model_strategy(), 0u64..2, 0u64..2).prop_map(|(model, slow, tight)| {
-        let slow_link = LinkModel::ideal()
-            .with_delay_ns(2_500)
-            .with_reorder_ns(1_500);
-        let model = if slow == 1 {
-            model.with_link(3, 1, slow_link)
-        } else {
+    (model_strategy(), 0u64..2, 0u64..2, 0u64..2, 0u64..2).prop_map(
+        |(mut model, slow, instant, ideal, tight)| {
+            if slow == 1 {
+                let slow_link = LinkModel::ideal()
+                    .with_delay_ns(2_500)
+                    .with_reorder_ns(1_500);
+                model = model.with_link(3, 1, slow_link);
+            }
+            if instant == 1 {
+                model = model.with_link(2, 0, LinkModel::ideal().with_delay_ns(0));
+            }
+            if ideal == 1 {
+                model = model.with_link(4, 3, LinkModel::ideal());
+            }
+            if tight == 1 {
+                model = model.with_round_timeout_ns(3_000);
+            }
             model
-        };
-        if tight == 1 {
-            model.with_round_timeout_ns(3_000)
-        } else {
-            model
-        }
-    })
+        },
+    )
 }
 
 fn model_strategy() -> impl Strategy<Value = NetworkModel> {

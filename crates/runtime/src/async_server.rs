@@ -158,20 +158,26 @@ impl EventQueue {
 }
 
 /// Per-agent asynchronous state, and the server's view of the agent.
+/// Every vector is a buffer of the agent's own, copied into from the
+/// wire, so no agent holds a slab row.
 struct AgentState {
-    /// Newest estimate heard: `(iteration, x)`.
-    known: Option<(usize, Vector)>,
-    /// In-progress computation: `(iteration, captured estimate, started)`.
-    computing: Option<(usize, Vector, u64)>,
+    /// Iteration of the newest estimate heard, which `known_x` holds.
+    known: Option<usize>,
+    known_x: Vector,
+    /// In-progress computation: `(iteration, started)`, on the estimate
+    /// `computing_x` captured when it started.
+    computing: Option<(usize, u64)>,
+    computing_x: Vector,
     /// Newest iteration already computed and sent.
     fired: Option<usize>,
     /// Permanently silent (crash schedule reached).
     crashed: bool,
     /// This agent's own clock-jitter stream.
     stream: SplitMix64,
-    /// The freshest gradient row the server has heard from the agent:
-    /// `(sent_at, gradient)`.
-    latest: Option<(u64, Vector)>,
+    /// When the freshest gradient row the server has heard from the agent
+    /// was sent; `latest_row` holds the row.
+    latest: Option<u64>,
+    latest_row: Vector,
 }
 
 /// The row source of [`SimTopology::AsyncServer`](crate::SimTopology):
@@ -193,14 +199,18 @@ impl<'b> Staleness<'b> {
     /// clock streams on the simulator's derivation discipline, one
     /// independent stream per agent, and no row heard yet.
     pub(crate) fn new(bus: &'b mut ServerBus, timing: AsyncConfig, options: &RunOptions) -> Self {
+        let dim = bus.batch.dim();
         let agents = (0..bus.cells.len())
             .map(|agent| AgentState {
                 known: None,
+                known_x: Vector::zeros(dim),
                 computing: None,
+                computing_x: Vector::zeros(dim),
                 fired: None,
                 crashed: false,
                 stream: SplitMix64::new(mix(timing.clock_seed, agent as u64)),
                 latest: None,
+                latest_row: Vector::zeros(dim),
             })
             .collect();
         Staleness {
@@ -217,13 +227,10 @@ impl<'b> Staleness<'b> {
     /// or before it, one event time per hop. Handling a delivery may start
     /// a computation, i.e. push a driver event that precedes the one peeked
     /// — re-peeking each hop keeps the merge exact.
-    fn next_event(
-        &mut self,
-        engine: &mut RoundEngine<'_>,
-    ) -> Result<Option<(u64, Option<usize>)>, DgdError> {
+    fn next_event(&mut self, engine: &mut RoundEngine<'_>) -> Option<(u64, Option<usize>)> {
         while let Some(at) = self.queue.next_at() {
             match self.bus.net.next_event_at() {
-                Some(net_at) if net_at <= at => self.deliver(net_at, engine)?,
+                Some(net_at) if net_at <= at => self.deliver(net_at, engine),
                 _ => {
                     // Advance the shared clock to the event (no deliveries
                     // remain at or before `at`).
@@ -233,17 +240,18 @@ impl<'b> Staleness<'b> {
                         "nothing is due at or before the event"
                     );
                     engine.telemetry.set_virtual_ns(self.bus.net.now());
-                    return Ok(self.queue.pop());
+                    return self.queue.pop();
                 }
             }
         }
-        Ok(None)
+        None
     }
 
     /// Processes every delivery due at `net_at`: an estimate an agent may
     /// start computing on, or a gradient row the server keeps when it is
-    /// the sender's freshest.
-    fn deliver(&mut self, net_at: u64, engine: &mut RoundEngine<'_>) -> Result<(), DgdError> {
+    /// the sender's freshest. Both are copied off the wire, which releases
+    /// their slab rows.
+    fn deliver(&mut self, net_at: u64, engine: &mut RoundEngine<'_>) {
         let span = engine.telemetry.begin(Phase::NetDelivery);
         // The buffer leaves the bus while its deliveries are handled, and
         // returns with its capacity.
@@ -260,13 +268,16 @@ impl<'b> Staleness<'b> {
                     let Some(state) = self.agents.get_mut(delivery.to) else {
                         continue;
                     };
-                    if !matches!(state.known, Some((known, _)) if known >= iteration) {
-                        state.known = Some((iteration, estimate));
+                    if state.known.is_none_or(|known| known < iteration) {
+                        state.known = Some(iteration);
+                        state
+                            .known_x
+                            .as_mut_slice()
+                            .copy_from_slice(estimate.as_slice());
                     }
                     self.start_compute(delivery.to, net_at);
                 }
                 ServerWire::Gradient { gradient, .. } => {
-                    self.bus.check_reply(delivery.from, &gradient)?;
                     engine.counters.replies_received += 1;
                     let Some(state) = self.agents.get_mut(delivery.from) else {
                         continue;
@@ -274,14 +285,17 @@ impl<'b> Staleness<'b> {
                     // `>=` so reordered duplicates resolve to the later
                     // *delivery*, deterministically.
                     let sent_at = delivery.sent_at;
-                    if state.latest.as_ref().is_none_or(|(at, _)| sent_at >= *at) {
-                        state.latest = Some((sent_at, gradient));
+                    if state.latest.is_none_or(|at| sent_at >= at) {
+                        state.latest = Some(sent_at);
+                        state
+                            .latest_row
+                            .as_mut_slice()
+                            .copy_from_slice(gradient.as_slice());
                     }
                 }
             }
         }
         self.bus.delivered = deliveries;
-        Ok(())
     }
 
     /// `agent` finishes its computation at `at`: its reply goes on the wire
@@ -290,7 +304,7 @@ impl<'b> Staleness<'b> {
         let Some(state) = self.agents.get_mut(agent) else {
             return;
         };
-        let Some((iteration, estimate, started)) = state.computing.take() else {
+        let Some((iteration, started)) = state.computing.take() else {
             return;
         };
         state.fired = Some(iteration);
@@ -299,7 +313,7 @@ impl<'b> Staleness<'b> {
         engine.telemetry.set_virtual_ns(started);
         let fill_span = engine.telemetry.begin(Phase::GradientFill);
         engine.telemetry.set_virtual_ns(at);
-        self.bus.reply(agent, iteration, &estimate);
+        self.bus.reply(agent, iteration, &state.computing_x);
         engine.telemetry.end(fill_span);
         self.start_compute(agent, at);
     }
@@ -317,10 +331,9 @@ impl<'b> Staleness<'b> {
         if state.crashed || state.computing.is_some() {
             return;
         }
-        let Some((iteration, estimate)) = &state.known else {
+        let Some(iteration) = state.known else {
             return;
         };
-        let iteration = *iteration;
         if state.fired.is_some_and(|done| iteration <= done) {
             return;
         }
@@ -328,12 +341,15 @@ impl<'b> Staleness<'b> {
             state.crashed = true;
             return;
         }
-        let estimate = estimate.clone();
+        state
+            .computing_x
+            .as_mut_slice()
+            .copy_from_slice(state.known_x.as_slice());
         let jitter = match self.timing.compute_jitter_ns {
             0 => 0,
             window => state.stream.next_below_inclusive(window),
         };
-        state.computing = Some((iteration, estimate, now));
+        state.computing = Some((iteration, now));
         let done = now + self.timing.compute_ns + jitter;
         self.queue.push(done, Some(agent));
     }
@@ -355,7 +371,7 @@ impl RowSource for Staleness<'_> {
         self.bus.broadcast(engine, t);
         self.step_at += self.timing.step_interval_ns;
         self.queue.push(self.step_at, None);
-        while let Some((at, Some(agent))) = self.next_event(engine)? {
+        while let Some((at, Some(agent))) = self.next_event(engine) {
             self.fire(agent, at, engine);
         }
         // Per agent, the freshest row no older than τ, in agent-id order:
@@ -367,11 +383,11 @@ impl RowSource for Staleness<'_> {
         let (mut oldest, mut newest) = (u64::MAX, 0u64);
         let counters = &mut engine.counters;
         for state in &self.agents {
-            match &state.latest {
-                Some((sent_at, gradient)) if at.saturating_sub(*sent_at) <= self.tau => {
-                    batch.push_row(gradient.as_slice());
-                    oldest = oldest.min(*sent_at);
-                    newest = newest.max(*sent_at);
+            match state.latest {
+                Some(sent_at) if at.saturating_sub(sent_at) <= self.tau => {
+                    batch.push_row(state.latest_row.as_slice());
+                    oldest = oldest.min(sent_at);
+                    newest = newest.max(sent_at);
                 }
                 Some(_) => counters.stale_rows += 1,
                 None => counters.stragglers += 1,

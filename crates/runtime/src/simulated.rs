@@ -32,7 +32,7 @@
 
 use crate::async_server::{AsyncConfig, Staleness};
 use crate::error::RuntimeError;
-use crate::message::ServerWire;
+use crate::message::{RowSlab, ServerWire};
 use crate::peer_to_peer::{self, P2pLink};
 use crate::task::{DgdTask, FaultPlan, Launch};
 use abft_attacks::HonestGradients;
@@ -43,6 +43,7 @@ use abft_linalg::{GradientBatch, Vector};
 use abft_net::{Delivery, MessageBus, NetFault, NetworkModel, SimulatedNetwork};
 use abft_telemetry::{Phase, Telemetry};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Which architecture the simulated network carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,7 +175,9 @@ pub(crate) fn execute_server(
     let mut engine = RoundEngine::new(&cells, &honest, filter, options, observer, telemetry)?;
     let mut bus = ServerBus {
         batch: engine.round_batch(n),
-        staging: Vector::zeros(engine.x().dim()),
+        // Room for a lockstep round's traffic: the estimate and one reply
+        // per agent. A run only grows it while every slot is held.
+        slab: RowSlab::new(engine.x().dim(), n + 1),
         net,
         delivered: Vec::new(),
         cells,
@@ -186,6 +189,7 @@ pub(crate) fn execute_server(
         Deadline {
             bus: &mut bus,
             heard: vec![false; n],
+            replies: vec![None; n],
         }
         .serve(n, config.f(), &mut engine)?;
     }
@@ -198,8 +202,8 @@ pub(crate) fn execute_server(
 
 /// What both simulated servers run on: the bus with the server at address
 /// `n` and the buffer its deliveries land in, one cell per agent and its
-/// net fault, the round batch, and the staging buffer replies are built
-/// in.
+/// net fault, the round batch, and the slab of rows the payloads point
+/// into.
 pub(crate) struct ServerBus {
     pub(crate) net: SimulatedNetwork<ServerWire>,
     /// The latest `end_round` or `advance_until`'s deliveries, reused
@@ -208,23 +212,25 @@ pub(crate) struct ServerBus {
     pub(crate) cells: Vec<AgentCell>,
     net_faults: BTreeMap<usize, NetFault>,
     pub(crate) batch: GradientBatch,
-    staging: Vector,
+    slab: RowSlab,
 }
 
 impl ServerBus {
     /// Announces `iteration` to the bus and sends the server's estimate
-    /// entering it to every agent.
+    /// entering it to every agent: one slab row, shared by every message.
     pub(crate) fn broadcast(&mut self, engine: &mut RoundEngine<'_>, iteration: usize) {
         let server = SimulatedRun::server_address(self.cells.len());
         self.net.begin_iteration(iteration);
+        let estimate = self
+            .slab
+            .share(|row| row.copy_from_slice(engine.x().as_slice()));
         for agent in 0..server {
-            let estimate = engine.x().clone();
             self.net.send(
                 server,
                 agent,
                 ServerWire::Estimate {
                     iteration,
-                    estimate,
+                    estimate: Rc::clone(&estimate),
                 },
             );
         }
@@ -235,28 +241,27 @@ impl ServerBus {
     /// reports, as seen from the server's side of any net fault — negated
     /// when the server sits past an equivocation boundary, and nothing at
     /// all when a selective sender lists the server among its victims.
-    /// Returns whether a reply went on the wire. The report is built in
-    /// the staging buffer; only the payload that is sent is allocated.
+    /// Returns whether a reply went on the wire. This is where a row enters
+    /// the bus: the report is written straight into a slab row, which is
+    /// `d` wide by construction, and the message carries a handle to it.
     pub(crate) fn reply(&mut self, agent: usize, iteration: usize, x: &Vector) -> bool {
         let server = SimulatedRun::server_address(self.cells.len());
         let Some(cell) = self.cells.get_mut(agent) else {
             return false;
         };
-        let staging = &mut self.staging;
-        cell.reply_into(
-            iteration,
-            x,
-            HonestGradients::Hidden,
-            staging.as_mut_slice(),
-        );
-        match self.net_faults.get(&agent) {
-            Some(NetFault::SelectiveSend(victims)) if victims.contains(&server) => return false,
-            Some(NetFault::EquivocateSplit { boundary }) if server >= *boundary => {
-                staging.scale_mut(-1.0);
+        let fault = self.net_faults.get(&agent);
+        let negate =
+            matches!(fault, Some(NetFault::EquivocateSplit { boundary }) if server >= *boundary);
+        let gradient = self.slab.share(|row| {
+            cell.reply_into(iteration, x, HonestGradients::Hidden, row);
+            if negate {
+                row.iter_mut().for_each(|value| *value *= -1.0);
             }
-            _ => {}
+        });
+        if matches!(fault, Some(NetFault::SelectiveSend(victims)) if victims.contains(&server)) {
+            // Computed, never sent: the row goes straight back to the slab.
+            return false;
         }
-        let gradient = staging.clone();
         self.net.send(
             agent,
             server,
@@ -267,18 +272,6 @@ impl ServerBus {
         );
         true
     }
-
-    /// A reply must carry a gradient of the run's dimension.
-    pub(crate) fn check_reply(&self, from: usize, gradient: &Vector) -> Result<(), DgdError> {
-        let dim = self.staging.dim();
-        if gradient.dim() == dim {
-            return Ok(());
-        }
-        Err(DgdError::Dimension {
-            expected: format!("gradient of dim {dim}"),
-            actual: format!("agent {from} sent dim {}", gradient.dim()),
-        })
-    }
 }
 
 /// The row source of [`SimTopology::Server`]: one iteration is two bus
@@ -288,6 +281,9 @@ struct Deadline<'b> {
     bus: &'b mut ServerBus,
     /// Which agents heard this round's estimate; reset every round.
     heard: Vec<bool>,
+    /// Per agent, the reply that made this round's deadline; emptied as
+    /// the rows are laid out.
+    replies: Vec<Option<Rc<Vector>>>,
 }
 
 impl RowSource for Deadline<'_> {
@@ -329,17 +325,15 @@ impl RowSource for Deadline<'_> {
         }
         engine.telemetry.end(fill_span);
 
-        // Collect what made the deadline and stream it straight into the
-        // batch: deliveries re-ordered by sender (stable, deterministic —
-        // at most one reply per agent per round) so rows land in agent-id
-        // order, the filter-input order every backend shares. A reply that
-        // never arrived leaves its agent without a row for the round.
+        // Collect what made the deadline: each reply takes its sender's
+        // place (at most one reply per agent per round), so rows land in
+        // agent-id order, the filter-input order every backend shares. A
+        // reply that never arrived leaves its agent without a row for the
+        // round.
         let up_span = engine.telemetry.begin(Phase::NetDelivery);
         bus.net.end_round(&mut bus.delivered);
         engine.telemetry.set_virtual_ns(bus.net.now());
         engine.telemetry.end(up_span);
-        bus.delivered.sort_by_key(|delivery| delivery.from);
-        bus.batch.clear();
         for delivery in &bus.delivered {
             if let ServerWire::Gradient {
                 iteration,
@@ -347,9 +341,15 @@ impl RowSource for Deadline<'_> {
             } = &delivery.payload
             {
                 debug_assert_eq!(*iteration, t, "rounds drain fully");
-                bus.check_reply(delivery.from, gradient)?;
-                bus.batch.push_row(gradient.as_slice());
+                if let Some(place) = self.replies.get_mut(delivery.from) {
+                    debug_assert!(place.is_none(), "one reply per agent per round");
+                    *place = Some(Rc::clone(gradient));
+                }
             }
+        }
+        bus.batch.clear();
+        for gradient in self.replies.iter_mut().filter_map(Option::take) {
+            bus.batch.push_row(gradient.as_slice());
         }
         engine.counters.replies_received += bus.batch.len();
         engine.counters.stragglers += expected - bus.batch.len();

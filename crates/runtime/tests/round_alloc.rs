@@ -1,20 +1,23 @@
-//! Pins what EIG broadcast costs the allocator. Messages are `Copy` pairs
-//! of numbers and the trees are rows of one flat table, so a single
-//! broadcast allocates a fixed handful of tables per call — however many
-//! messages it sends — plus the growth of its delivery buffers. (The
-//! path-keyed implementation allocated a relay path, a value clone and a
-//! map entry per message.) A peer-to-peer run builds its trees and tables
-//! once, so its rounds allocate nothing at all.
+//! Pins what a round of message passing costs the allocator. EIG messages
+//! are `Copy` pairs of numbers and the trees are rows of one flat table,
+//! so a single broadcast allocates a fixed handful of tables per call —
+//! however many messages it sends — plus the growth of its delivery
+//! buffers. (The path-keyed implementation allocated a relay path, a value
+//! clone and a map entry per message.) A peer-to-peer run builds its trees
+//! and tables once, and a simulated server's payloads are handles into a
+//! slab of rows the run keeps, so a warmed-up round — peer-to-peer,
+//! simulated server or asynchronous step — allocates nothing at all.
 
 use abft_attacks::GradientReverse;
 use abft_core::observe::NullObserver;
 use abft_core::SystemConfig;
 use abft_dgd::RunOptions;
 use abft_filters::Cge;
+use abft_net::LinkModel;
 use abft_net::{MessageBus, NetworkModel, PerfectBus};
 use abft_problems::RegressionProblem;
 use abft_runtime::eig::{eig_broadcast, EigMessage, EquivocationPlan};
-use abft_runtime::{DgdTask, Launch, SimulatedRun};
+use abft_runtime::{AsyncConfig, DgdTask, Launch, SimulatedRun};
 use abft_telemetry::TelemetryConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -134,17 +137,19 @@ fn one_broadcast_allocates_a_constant_beside_the_bus_buffer() {
     );
 }
 
-/// Allocations of one whole peer-to-peer run over `iterations` rounds at
-/// the benchmark's shape (`n = 9`, `f = 1`, agent 0 reversing its
-/// gradient, CGE), unobserved, serial and with telemetry off.
-fn p2p_run_allocations(launch: Launch<'_>, iterations: usize) -> usize {
+/// Allocations of one whole run over `iterations` rounds at the
+/// benchmark's shape (`n = 9`, `f = 1`, agent 0 reversing its gradient,
+/// CGE), unobserved, serial and with telemetry off, under the staleness
+/// bound `staleness_ns` (only the asynchronous server takes one).
+fn run_allocations(launch: Launch<'_>, iterations: usize, staleness_ns: Option<u64>) -> usize {
     let config = SystemConfig::new(9, 1).expect("valid (n, f)");
     let problem = RegressionProblem::fan(config, 160.0, 0.01, 7).expect("n - 2f >= 2");
     let honest: Vec<usize> = (1..9).collect();
     let x_h = problem.subset_minimizer(&honest).expect("full rank");
-    let options = RunOptions::paper_defaults_with_iterations(x_h, iterations)
+    let mut options = RunOptions::paper_defaults_with_iterations(x_h, iterations)
         .with_aggregation_threads(1)
         .with_telemetry(TelemetryConfig::Off);
+    options.staleness_ns = staleness_ns;
     let task = DgdTask::new(config, problem.costs()).byzantine(0, Box::new(GradientReverse::new()));
     let before = allocations();
     task.run(launch, &Cge::new(), &options, &mut NullObserver)
@@ -153,8 +158,12 @@ fn p2p_run_allocations(launch: Launch<'_>, iterations: usize) -> usize {
 }
 
 /// A run on `launch` allocates as much at `T = 110` as at `T = 10`.
-fn assert_rounds_allocate_nothing<'a>(name: &str, launch: impl Fn() -> Launch<'a>) {
-    let run = |iterations| p2p_run_allocations(launch(), iterations);
+fn assert_rounds_allocate_nothing<'a>(
+    name: &str,
+    staleness_ns: Option<u64>,
+    launch: impl Fn() -> Launch<'a>,
+) {
+    let run = |iterations| run_allocations(launch(), iterations, staleness_ns);
     // Warm-up, so lazy process-level allocations don't count.
     let _ = run(5);
     let short = run(10);
@@ -167,7 +176,35 @@ fn assert_rounds_allocate_nothing<'a>(name: &str, launch: impl Fn() -> Launch<'a
 
 #[test]
 fn a_peer_to_peer_round_allocates_nothing() {
-    assert_rounds_allocate_nothing("peer-to-peer", || Launch::PeerToPeer { equivocate: false });
+    assert_rounds_allocate_nothing("peer-to-peer", None, || Launch::PeerToPeer {
+        equivocate: false,
+    });
     let sim = SimulatedRun::peer_to_peer(NetworkModel::ideal());
-    assert_rounds_allocate_nothing("simulated peer-to-peer", || Launch::Simulated(&sim));
+    assert_rounds_allocate_nothing("simulated peer-to-peer", None, || Launch::Simulated(&sim));
+}
+
+#[test]
+fn a_simulated_server_round_allocates_nothing() {
+    // The lossy link of perfbench's `message-passing` workload: 0.2 ms
+    // delay, a 0.1 ms reorder window and 5 % drops under the default 1 ms
+    // round deadline.
+    let lossy = LinkModel::ideal()
+        .with_delay_ns(200_000)
+        .with_reorder_ns(100_000)
+        .with_drop(0.05);
+    let sim = SimulatedRun::server(NetworkModel::seeded(1).with_default_link(lossy));
+    assert_rounds_allocate_nothing("lossy simulated server", None, || Launch::Simulated(&sim));
+}
+
+#[test]
+fn an_asynchronous_step_allocates_nothing() {
+    // The async cells of the same workload: 5 % drops, 0.2 ms of compute
+    // jitter and τ = two step intervals.
+    let network = NetworkModel::seeded(1).with_default_link(LinkModel::ideal().with_drop(0.05));
+    let timing = AsyncConfig::new()
+        .with_compute_jitter_ns(200_000)
+        .with_clock_seed(1);
+    let sim = SimulatedRun::async_server(network, timing);
+    let tau = 2 * NetworkModel::DEFAULT_ROUND_TIMEOUT_NS;
+    assert_rounds_allocate_nothing("asynchronous server", Some(tau), || Launch::Simulated(&sim));
 }
