@@ -135,35 +135,12 @@ impl SystemConfig {
     pub fn fault_fraction(&self) -> f64 {
         self.f as f64 / self.n as f64
     }
-
-    /// Number of `(n − f)`-subsets of the `n` agents, i.e. `C(n, f)`.
-    ///
-    /// This is the number of candidate sets `T` enumerated by the exact
-    /// algorithm of Theorem 2; it grows combinatorially, which is exactly the
-    /// paper's remark that the algorithm "is not very practical".
-    pub fn quorum_count(&self) -> u128 {
-        binomial(self.n as u128, self.f as u128)
-    }
 }
 
 impl std::fmt::Display for SystemConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "(n = {}, f = {})", self.n, self.f)
     }
-}
-
-/// Binomial coefficient `C(n, k)` computed without overflow for the moderate
-/// sizes used in this workspace.
-fn binomial(n: u128, k: u128) -> u128 {
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let mut result: u128 = 1;
-    for i in 0..k {
-        result = result * (n - i) / (i + 1);
-    }
-    result
 }
 
 #[cfg(test)]
@@ -216,24 +193,6 @@ mod tests {
     fn fault_fraction_matches() {
         let cfg = SystemConfig::new(10, 3).unwrap();
         assert!((cfg.fault_fraction() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quorum_count_is_n_choose_f() {
-        let cfg = SystemConfig::new(6, 1).unwrap();
-        assert_eq!(cfg.quorum_count(), 6); // C(6,1): choose which agent to drop
-        let cfg = SystemConfig::new(10, 3).unwrap();
-        assert_eq!(cfg.quorum_count(), 120); // C(10,3)
-    }
-
-    #[test]
-    fn binomial_basics() {
-        assert_eq!(binomial(0, 0), 1);
-        assert_eq!(binomial(5, 0), 1);
-        assert_eq!(binomial(5, 5), 1);
-        assert_eq!(binomial(5, 2), 10);
-        assert_eq!(binomial(3, 5), 0);
-        assert_eq!(binomial(52, 5), 2_598_960);
     }
 
     #[test]

@@ -14,16 +14,17 @@
 //! [`abft_linalg::WorkerPool`], whose **fixed schedule** makes the
 //! agent→worker assignment a pure function of `(active agents, workers)`
 //! — never of timing — so the rows are bit-identical at any worker count.
+//! The pool hands each worker its chunk's rows and agent cells as `&mut`
+//! pieces ([`WorkerPool::run_split`]), so no two workers can reach the
+//! same row or cell, and the compiler checks it.
 
 use crate::engine::{RoundEngine, RowSource, RunCounters};
 use crate::error::DgdError;
 use abft_attacks::{AttackContext, ByzantineStrategy, HonestGradients};
-use abft_linalg::{GradientBatch, SharedSlots, Vector, WorkerPool};
+use abft_linalg::{GradientBatch, Vector, WorkerPool};
 use abft_problems::SharedCost;
 use abft_telemetry::Phase;
-use std::marker::PhantomData;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// One agent as a state machine: its true cost, the strategy it forges
@@ -121,109 +122,6 @@ impl AgentCell {
     }
 }
 
-/// Debug-build loan tracker: one flag per loanable slot, cleared when a
-/// dispatch begins and set on first loan.
-///
-/// This is the dynamic half of the pool's fixed-schedule contract:
-/// the raw-pointer view below is sound *because* the pool's fixed
-/// schedule hands every slot to exactly one worker per dispatch. The
-/// tracker turns that safety argument into a checked property — a
-/// schedule bug that loaned the same row (or cell) to two workers would
-/// be a silent data race in release; in debug builds it aborts the
-/// dispatch on the spot instead. In release builds both methods are empty
-/// and the table stays an unallocated `Vec`, so the hot path is untouched.
-#[derive(Debug, Default)]
-struct LoanTable {
-    flags: Vec<AtomicBool>,
-}
-
-impl LoanTable {
-    /// Starts a dispatch over `slots` slots, none of them out on loan. The
-    /// flags are reused: only a larger dispatch than any before allocates.
-    fn begin(&mut self, slots: usize) -> &Self {
-        if cfg!(debug_assertions) {
-            self.flags.clear();
-            self.flags.resize_with(slots, Default::default);
-        }
-        self
-    }
-
-    /// Records the loan of slot `i`, aborting if it is already out (or was
-    /// never part of the dispatch).
-    fn claim(&self, i: usize, what: &str) {
-        let loan = |flag: &AtomicBool| flag.swap(true, Ordering::Relaxed);
-        debug_assert!(
-            !self.flags.get(i).is_none_or(loan),
-            "abft race detector: {what} {i} loaned twice within one dispatch — \
-             the fixed schedule must hand every slot to exactly one worker"
-        );
-    }
-}
-
-/// A shared view of one round's dispatch units for disjoint parallel
-/// fills: unit `row` is row `row` of the batch together with the cell of
-/// the active agent that row belongs to. The rows are
-/// [`abft_linalg::SharedSlots`]; the cell table is its `AgentCell`
-/// counterpart.
-struct SharedRound<'a> {
-    cells: *mut AgentCell,
-    rows: SharedSlots<'a>,
-    dim: usize,
-    cell_loans: &'a LoanTable,
-    row_loans: &'a LoanTable,
-    _cells: PhantomData<&'a mut [AgentCell]>,
-}
-
-// SAFETY: the fixed worker schedule hands every unit — a row and the one
-// active agent it belongs to, agent ids being distinct — to exactly one
-// chunk, so no two workers ever touch the same cell or row; cell contents
-// are `Send`. Debug builds verify the disjointness with loan tables that
-// abort on overlap.
-unsafe impl Send for SharedRound<'_> {}
-// SAFETY: see `Send` above — all shared access is to disjoint units.
-unsafe impl Sync for SharedRound<'_> {}
-
-impl<'a> SharedRound<'a> {
-    /// A shared view over the `cells` table and over `flat` as rows of
-    /// width `dim`, loans tracked in `loans` (cells, rows).
-    fn new(
-        cells: &'a mut [AgentCell],
-        flat: &'a mut [f64],
-        dim: usize,
-        loans: &'a mut (LoanTable, LoanTable),
-    ) -> Self {
-        SharedRound {
-            cell_loans: loans.0.begin(cells.len()),
-            row_loans: loans.1.begin(flat.len() / dim.max(1)),
-            cells: cells.as_mut_ptr(),
-            rows: SharedSlots::new(flat),
-            dim,
-            _cells: PhantomData,
-        }
-    }
-
-    /// # Safety
-    ///
-    /// `agent` must index the cell table and `row` a row of the storage
-    /// the view was built over, and each must be handed to exactly one
-    /// worker for the duration of the dispatch (guaranteed by the pool's
-    /// fixed schedule), which is exactly why the `&self -> &mut` shape is
-    /// sound here. Debug builds abort on an overlapping loan.
-    #[expect(
-        clippy::mut_from_ref,
-        reason = "each loan is exclusive under the fixed schedule (see Safety)"
-    )]
-    unsafe fn unit(&self, row: usize, agent: usize) -> (&mut AgentCell, &mut [f64]) {
-        self.cell_loans.claim(agent, "cell");
-        self.row_loans.claim(row, "row");
-        let columns = row * self.dim..(row + 1) * self.dim;
-        // SAFETY: `agent` is in bounds of the cell table and row `row`
-        // lies inside the batch storage this view was built over, and per
-        // the contract above no other loan of either exists.
-        unsafe { (&mut *self.cells.add(agent), self.rows.slice(columns)) }
-    }
-}
-
 /// The persistent working memory of the synchronous server loop: the
 /// round's `n × d` gradient batch, the worker pools that fill and
 /// aggregate it, and the per-round bookkeeping of step S1.
@@ -257,8 +155,6 @@ pub struct RoundWorkspace {
     runs_served: usize,
     /// The latest run's message-level counters.
     counters: RunCounters,
-    /// Debug-build loan tables of the fill dispatch (cells, rows).
-    loans: (LoanTable, LoanTable),
 }
 
 impl Default for RoundWorkspace {
@@ -283,7 +179,6 @@ impl RoundWorkspace {
             fill_workers: 0,
             runs_served: 0,
             counters: RunCounters::default(),
-            loans: Default::default(),
         }
     }
 
@@ -366,24 +261,31 @@ impl RoundWorkspace {
         let active = self.active.as_slice();
         self.batch.reset_rows(active.len());
 
-        let dim = self.batch.dim();
-        let round = SharedRound::new(cells, self.batch.as_flat_mut(), dim, &mut self.loans);
-        let fill = |rows: Range<usize>| {
-            let agents = active.get(rows.clone()).unwrap_or_default();
-            for (row, &agent) in rows.zip(agents) {
-                // SAFETY: `agent` indexes the cell table (`retain` kept
-                // only such ids), and the fixed schedule hands unit `row`
-                // — row `row` and active agent `agent`, ids being
-                // distinct — to exactly one worker.
-                let (cell, out) = unsafe { round.unit(row, agent) };
-                if !cell.omniscient {
-                    cell.reply_into(t, x, HonestGradients::Hidden, out);
-                }
-            }
+        // Unit `row` is row `row` of the batch and the cell of `active[row]`:
+        // a chunk's rows are one piece of the batch, and — `active` being
+        // strictly increasing — its agents' cells one piece of the table,
+        // starting at its first agent's cell (chunk 0 at cell 0). A silent
+        // agent's cell sits inside some piece and is never touched.
+        let (dim, table) = (self.batch.dim(), cells.len());
+        let edge = |row: usize| match row {
+            0 => (0, 0),
+            _ => (row * dim, active.get(row).copied().unwrap_or(table)),
         };
+        let fill =
+            |_: &mut Vec<f64>, rows: Range<usize>, (out, cells): (&mut [f64], &mut [AgentCell])| {
+                let first = edge(rows.start).1;
+                let agents = active.get(rows).unwrap_or_default();
+                for (out, &agent) in out.chunks_exact_mut(dim).zip(agents) {
+                    let cell = cells.get_mut(agent - first).filter(|cell| !cell.omniscient);
+                    if let Some(cell) = cell {
+                        cell.reply_into(t, x, HonestGradients::Hidden, out);
+                    }
+                }
+            };
+        let round = (self.batch.as_flat_mut(), &mut *cells);
         match &self.fill_pool {
-            Some(pool) => pool.run(active.len(), &fill),
-            None => fill(0..active.len()),
+            Some(pool) => pool.run_split(active.len(), round, edge, &mut Vec::new(), &fill),
+            None => fill(&mut Vec::new(), 0..active.len(), round),
         }
 
         if self.omniscient {
@@ -497,24 +399,33 @@ mod tests {
     #[test]
     fn dispatch_is_bit_identical_at_any_worker_count() {
         let x = Vector::from(vec![0.3, -0.7]);
-        let rows_at = |workers: usize| -> Vec<Vec<f64>> {
+        let rows_at = |workers: usize, silent: Option<usize>| -> Vec<Vec<f64>> {
             let mut cells = paper_cells();
+            if let Some(agent) = silent {
+                cells[agent].crash_at(0);
+            }
             let mut workspace = RoundWorkspace::new();
             workspace.load(&cells, 2, workers, 1);
             assert_eq!(workspace.collect_round(&mut cells, 0, &x), cells.len());
+            let replied = cells.len() - usize::from(silent.is_some());
+            assert_eq!(workspace.batch().len(), replied);
             workspace.batch().rows_iter().map(<[f64]>::to_vec).collect()
         };
-        let reference = rows_at(1);
-        for workers in [2usize, 3, 4] {
-            let rows = rows_at(workers);
-            assert_eq!(rows.len(), reference.len());
-            for (i, (row, expected)) in rows.iter().zip(&reference).enumerate() {
-                assert!(
-                    row.iter()
-                        .zip(expected)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "row {i} diverged at {workers} workers"
-                );
+        // No silent agent, then the first, the last, and agent 3 — the
+        // first agent of chunk 1 when 2 workers split all 6 agents.
+        for silent in [None, Some(0), Some(5), Some(3)] {
+            let reference = rows_at(1, silent);
+            for workers in [2usize, 3, 4] {
+                let rows = rows_at(workers, silent);
+                assert_eq!(rows.len(), reference.len());
+                for (i, (row, expected)) in rows.iter().zip(&reference).enumerate() {
+                    assert!(
+                        row.iter()
+                            .zip(expected)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "row {i} diverged at {workers} workers, silent {silent:?}"
+                    );
+                }
             }
         }
     }
@@ -537,40 +448,5 @@ mod tests {
             workspace.collect_round(&mut cells, 6, &Vector::zeros(2)),
             n - 1
         );
-    }
-
-    /// The debug race detector must abort when one row is loaned to two
-    /// borrowers within a single dispatch — the exact bug a broken worker
-    /// schedule would introduce.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "loaned twice")]
-    fn overlapping_row_loan_aborts_in_debug_builds() {
-        let (mut cells, mut storage) = (paper_cells(), vec![0.0f64; 3 * 2]);
-        let mut loans = Default::default();
-        let round = SharedRound::new(&mut cells, &mut storage, 2, &mut loans);
-        // SAFETY: a single loan of row 0 (with cell 0) is sound on its
-        // own; the claim below is the violation under test.
-        let _first = unsafe { round.unit(0, 0) };
-        // SAFETY: deliberately loans row 0 a second time (with another
-        // cell); the loan table must catch it before the aliasing
-        // references could coexist.
-        let _second = unsafe { round.unit(0, 1) };
-    }
-
-    /// Same contract for the cell table view.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "loaned twice")]
-    fn overlapping_cell_loan_aborts_in_debug_builds() {
-        let (mut cells, mut storage) = (paper_cells(), vec![0.0f64; 3 * 2]);
-        let mut loans = Default::default();
-        let round = SharedRound::new(&mut cells, &mut storage, 2, &mut loans);
-        // SAFETY: a single loan of cell 1 (with row 0) is sound; the
-        // second claim is the violation under test.
-        let _first = unsafe { round.unit(0, 1) };
-        // SAFETY: deliberately loans cell 1 a second time (with another
-        // row) to exercise the debug loan table.
-        let _second = unsafe { round.unit(1, 1) };
     }
 }

@@ -86,15 +86,6 @@ impl ProjectionSet {
             ProjectionSet::Ball { center, radius } => x.dist(center) <= radius + 1e-12,
         }
     }
-
-    /// The diameter bound `Γ = max_{x∈W} ‖x − y‖` used in the proofs, from
-    /// an arbitrary member `y` (worst case over the set).
-    pub fn diameter(&self, dim: usize) -> f64 {
-        match self {
-            ProjectionSet::Box { lo, hi } => (hi - lo) * (dim as f64).sqrt(),
-            ProjectionSet::Ball { radius, .. } => 2.0 * radius,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -170,14 +161,6 @@ mod tests {
         assert!(w.project(&x).dist(&w.project(&y)) <= x.dist(&y) + 1e-12);
         let b = ProjectionSet::ball(Vector::zeros(2), 1.5);
         assert!(b.project(&x).dist(&b.project(&y)) <= x.dist(&y) + 1e-12);
-    }
-
-    #[test]
-    fn diameters() {
-        let w = ProjectionSet::centered_box(-1.0, 1.0);
-        assert!((w.diameter(4) - 4.0).abs() < 1e-12); // 2·√4
-        let b = ProjectionSet::ball(Vector::zeros(3), 5.0);
-        assert_eq!(b.diameter(3), 10.0);
     }
 
     #[test]

@@ -99,11 +99,8 @@ impl RunOptions {
     /// variable overrides it — how CI forces the tier-1 suite through the
     /// multi-worker event loop without a feature flag.
     pub fn default_fleet_workers() -> usize {
-        std::env::var("ABFT_FLEET_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&w| w >= 1)
-            .unwrap_or(1)
+        let raw = std::env::var("ABFT_FLEET_WORKERS").ok();
+        abft_linalg::pool::parse_worker_count(raw.as_deref()).unwrap_or(1)
     }
 
     /// Overrides the fleet's event-loop worker count (clamped to at

@@ -43,6 +43,10 @@ fn allocations() -> usize {
     ALLOCATIONS.with(Cell::get)
 }
 
+#[expect(
+    unsafe_code,
+    reason = "a counting global allocator implements the unsafe `GlobalAlloc` trait"
+)]
 // SAFETY: every method delegates to `System`, preserving its guarantees.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: same contract as `System.alloc`, to which this forwards.
@@ -227,9 +231,9 @@ fn sharded_fill_allocates_nothing_per_iteration_after_warm_up() {
     // The same pin with the fill sharded over two workers — the threaded
     // backend's configuration of the loop. The first run on a workspace
     // spawns the pool's thread and sizes its queues; after that a round's
-    // dispatch must cost the dispatching thread no allocation at all (the
-    // debug-build loan tables are reused too), so the count cannot depend
-    // on the horizon.
+    // dispatch must cost the dispatching thread no allocation at all (each
+    // chunk's piece waits for its worker on the dispatching thread's
+    // stack), so the count cannot depend on the horizon.
     let problem = RegressionProblem::paper_instance();
     let x_h = problem
         .subset_minimizer(&[1, 2, 3, 4, 5])

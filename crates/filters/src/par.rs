@@ -1,18 +1,21 @@
 //! Tiled kernels shared by the filters, serial or sharded across a
 //! [`WorkerPool`].
 //!
-//! Every kernel here obeys the pool contract (fixed schedule, disjoint
-//! output slots — see [`abft_linalg::pool`]): a unit's result is computed
-//! by exactly the same floating-point operations in the same order
-//! whether the batch carries a pool or not, so parallel aggregation is
-//! **bit-identical** to serial at any thread count. Kernels read the batch
-//! through [`Rows`] — a `Copy` view of the flat storage — because the
-//! batch itself (scratch arena included) is deliberately not `Sync`.
+//! Every kernel here obeys the pool contract (fixed schedule, split
+//! output — see [`abft_linalg::pool`]): the pool cuts the kernel's output
+//! at its own chunk edges and hands each chunk its piece as `&mut`, and a
+//! unit's result is computed by exactly the same floating-point operations
+//! in the same order whether the batch carries a pool or not, so parallel
+//! aggregation is **bit-identical** to serial at any thread count. No
+//! kernel here writes through a pointer: the serial pass is the same task
+//! called once on the whole output. Kernels read the batch through
+//! [`Rows`] — a `Copy` view of the flat storage — because the batch itself
+//! (scratch arena included) is deliberately not `Sync`.
 //!
 //! Three sharding axes cover all registered filters:
 //!
 //! * **Columns** ([`trimmed_mean_columns`], [`weighted_sum_into`],
-//!   [`for_each_column_range`]): the per-coordinate filters and every
+//!   [`for_each_slot_range`]): the per-coordinate filters and every
 //!   row-accumulation reduce independently per coordinate. The order-statistics filters (CWTM,
 //!   CWMed, Bulyan's trim stage) split the columns into 32-column tiles,
 //!   each copied row-major and sorted whole by one sorting-network pass;
@@ -24,10 +27,10 @@
 //! * **Pair indices** ([`pairwise_dist_sq_into`]): the Krum family
 //!   (Krum, multi-Krum, Bulyan) fills one symmetric squared-distance
 //!   matrix per aggregation call; the linearised upper-triangle pairs are
-//!   split into contiguous chunks, each pair owning its two mirrored
-//!   slots.
+//!   split into contiguous chunks, each filling its run of a packed
+//!   triangle that one serial pass mirrors into the matrix.
 
-use abft_linalg::pool::{SharedSlots, WorkerPool};
+use abft_linalg::pool::WorkerPool;
 use abft_linalg::{rowops, GradientBatch, SortingNetwork};
 use abft_telemetry::DispatchProfile;
 use std::hint::select_unpredictable;
@@ -139,33 +142,23 @@ pub(crate) fn trimmed_mean_columns(
     let schedule = network.for_rows(count);
     let dim = slots.len();
     let tiles = dim.div_ceil(TILE_COLUMNS);
-    let reduce = |t: usize, tile_slots: &mut [f64], buf: &mut Vec<f64>| match rows {
-        None => reduce_tile(view.iter(), t, trim, schedule, buf, tile_slots),
-        Some(rows) => {
-            let listed = rows.iter().map(|&i| view.row(i));
-            reduce_tile(listed, t, trim, schedule, buf, tile_slots);
+    let reduce = |buf: &mut Vec<f64>, tiles: Range<usize>, slots: &mut [f64]| {
+        for (t, tile_slots) in tiles.zip(slots.chunks_mut(TILE_COLUMNS)) {
+            match rows {
+                None => reduce_tile(view.iter(), t, trim, schedule, buf, tile_slots),
+                Some(rows) => {
+                    let listed = rows.iter().map(|&i| view.row(i));
+                    reduce_tile(listed, t, trim, schedule, buf, tile_slots);
+                }
+            }
         }
     };
     match worth_sharding(batch.worker_pool(), count * dim) {
-        Some(pool) if tiles > 1 => {
-            let out = SharedSlots::new(slots);
-            timed_dispatch(batch.dispatch_profile(), || {
-                pool.run_with_scratch(tiles, tile, &|buf, tile_range| {
-                    for t in tile_range {
-                        let k0 = t * TILE_COLUMNS;
-                        let width = TILE_COLUMNS.min(dim - k0);
-                        // SAFETY: tile `t` owns columns `k0..k0 + width`, and
-                        // the fixed schedule hands every tile to one chunk.
-                        reduce(t, unsafe { out.slice(k0..k0 + width) }, buf);
-                    }
-                });
-            });
-        }
-        _ => {
-            for (t, tile_slots) in slots.chunks_mut(TILE_COLUMNS).enumerate() {
-                reduce(t, tile_slots, tile);
-            }
-        }
+        Some(pool) if tiles > 1 => timed_dispatch(batch.dispatch_profile(), || {
+            let edge = |t: usize| (t * TILE_COLUMNS).min(dim);
+            pool.run_split(tiles, slots, edge, tile, &reduce);
+        }),
+        _ => reduce(tile, 0..tiles, slots),
     }
 }
 
@@ -292,72 +285,60 @@ pub(crate) fn fill_slots(
     slots: &mut [f64],
     compute: impl Fn(usize) -> f64 + Sync,
 ) {
-    match worth_sharding(pool, slots.len().saturating_mul(unit_work)) {
-        Some(pool) if slots.len() > 1 => {
-            let out = SharedSlots::new(slots);
-            timed_dispatch(profile, || {
-                pool.run(out.len(), &|range| {
-                    for i in range {
-                        // SAFETY: `i` is owned by exactly one chunk.
-                        unsafe { out.write(i, compute(i)) };
-                    }
-                });
-            });
+    let work = slots.len().saturating_mul(unit_work);
+    for_each_slot_range(pool, profile, work, slots, |range, slots| {
+        for (i, slot) in range.zip(slots) {
+            *slot = compute(i);
         }
-        _ => {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                *slot = compute(i);
-            }
-        }
-    }
+    });
 }
 
 /// Fills `out` with the batch's symmetric `n × n` squared-distance matrix
 /// (row-major, zero diagonal): `out[i·n + j] = dist(row_i, row_j)²`.
 ///
 /// Each unordered pair is computed once — four pairs per walk over row
-/// `i` ([`rowops::dist4`]) — and written to both mirrored slots. The unit
-/// of the fixed schedule is the linearised upper-triangle pair index
-/// (`(0,1), (0,2), …, (n−2,n−1)`), so chunks balance even though row `i`
-/// owns `n − 1 − i` pairs. Whatever chunk or four-wide group a pair lands
-/// in, its value is [`rowops::dist`]'s bit for bit, so the matrix is
-/// identical at any thread count.
+/// `i` ([`rowops::dist4`]) — into its slot of a packed upper triangle
+/// kept past the matrix's end, then mirrored into both matrix slots. The
+/// unit of the fixed schedule is the linearised upper-triangle pair index
+/// (`(0,1), (0,2), …, (n−2,n−1)`), which is also the packed slot, so a
+/// chunk's pairs are one contiguous piece and chunks balance even though
+/// row `i` owns `n − 1 − i` pairs. Whatever chunk or four-wide group a
+/// pair lands in, its value is [`rowops::dist`]'s bit for bit, so the
+/// matrix is identical at any thread count.
 pub(crate) fn pairwise_dist_sq_into(batch: &GradientBatch, out: &mut Vec<f64>) {
     let rows = Rows::of(batch);
     let n = batch.len();
     let pairs = n * n.saturating_sub(1) / 2;
     out.clear();
-    out.resize(n * n, 0.0);
-    let slots = SharedSlots::new(out);
-    match worth_sharding(batch.worker_pool(), pairs.saturating_mul(batch.dim())) {
-        Some(pool) if pairs > 1 => timed_dispatch(batch.dispatch_profile(), || {
-            // SAFETY: `slots` has `n × n` entries and the fixed schedule
-            // hands every pair index below `pairs` to exactly one chunk.
-            pool.run(pairs, &|range| unsafe {
-                fill_pairs(rows, n, range, &slots)
-            });
-        }),
-        // SAFETY: `slots` has `n × n` entries and nothing else runs.
-        _ => unsafe { fill_pairs(rows, n, 0..pairs, &slots) },
+    out.resize(n * n + pairs, 0.0);
+    let (matrix, packed) = out.split_at_mut(n * n);
+    let work = pairs.saturating_mul(batch.dim());
+    for_each_slot_range(
+        batch.worker_pool(),
+        batch.dispatch_profile(),
+        work,
+        packed,
+        |range, packed| fill_pairs(rows, n, range, packed),
+    );
+    let upper = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
+    for (&d_sq, (i, j)) in packed.iter().zip(upper) {
+        for at in [i * n + j, j * n + i] {
+            if let Some(slot) = matrix.get_mut(at) {
+                *slot = d_sq;
+            }
+        }
     }
+    out.truncate(n * n);
 }
 
-/// The pairs of [`pairwise_dist_sq_into`] with linear indices in `range`.
-///
-/// # Safety
-///
-/// `rows` holds `n` rows, `out` has `n × n` slots, `range` lies within
-/// `0..n(n − 1)/2`, and no other thread concurrently handles a pair index
-/// in `range` — pair `(i, j)` is the sole writer of slots `(i, j)` and
-/// `(j, i)`.
-unsafe fn fill_pairs(rows: Rows<'_>, n: usize, range: Range<usize>, out: &SharedSlots<'_>) {
-    let store = |i: usize, j: usize, d: f64| {
-        // SAFETY: the walk below only reaches `i < j < n`, inside the
-        // `n × n` matrix, and this call owns pair `(i, j)` per the
-        // function's contract.
-        unsafe {
-            out.write(i * n + j, d * d);
-            out.write(j * n + i, d * d);
+/// The pairs of [`pairwise_dist_sq_into`] with linear indices in `range`,
+/// squared into `packed` in that order. `rows` holds `n` rows and `range`
+/// lies within `0..n(n − 1)/2`.
+fn fill_pairs(rows: Rows<'_>, n: usize, range: Range<usize>, packed: &mut [f64]) {
+    let mut slots = packed.iter_mut();
+    let mut store = |d: f64| {
+        if let Some(slot) = slots.next() {
+            *slot = d * d;
         }
     };
     if range.is_empty() {
@@ -377,13 +358,11 @@ unsafe fn fill_pairs(rows: Rows<'_>, n: usize, range: Range<usize>, out: &Shared
         let a = rows.row(i);
         while j + 4 <= end {
             let four = rowops::dist4(a, [j, j + 1, j + 2, j + 3].map(|p| rows.row(p)));
-            for (lane, d) in four.into_iter().enumerate() {
-                store(i, j + lane, d);
-            }
+            four.into_iter().for_each(&mut store);
             j += 4;
         }
         while j < end {
-            store(i, j, rowops::dist(a, rows.row(j)));
+            store(rowops::dist(a, rows.row(j)));
             j += 1;
         }
         i += 1;
@@ -391,12 +370,13 @@ unsafe fn fill_pairs(rows: Rows<'_>, n: usize, range: Range<usize>, out: &Shared
     }
 }
 
-/// `task(columns, &mut out[columns])` over contiguous column ranges that
-/// cover `out`: one range on the caller when serial, one per chunk of the
+/// `task(range, &mut out[range])` over contiguous slot ranges that cover
+/// `out`: one range on the caller when serial, one piece per chunk of the
 /// pool's fixed schedule when `work` estimated scalar operations clear the
-/// sharding floor. A task that computes each column from that column of
-/// the input alone is bit-identical at any thread count.
-pub(crate) fn for_each_column_range(
+/// sharding floor. A task that computes each slot from that slot's own
+/// inputs alone (a column, a row, a pair) is bit-identical at any thread
+/// count.
+pub(crate) fn for_each_slot_range(
     pool: Option<&WorkerPool>,
     profile: Option<&DispatchProfile>,
     work: usize,
@@ -404,15 +384,17 @@ pub(crate) fn for_each_column_range(
     task: impl Fn(Range<usize>, &mut [f64]) + Sync,
 ) {
     match worth_sharding(pool, work) {
-        Some(pool) if out.len() > 1 => {
-            let slots = SharedSlots::new(out);
-            timed_dispatch(profile, || {
-                pool.run(slots.len(), &|range| {
-                    // SAFETY: this chunk owns exactly the columns in `range`.
-                    task(range.clone(), unsafe { slots.slice(range) });
-                });
-            });
-        }
+        Some(pool) if out.len() > 1 => timed_dispatch(profile, || {
+            pool.run_split(
+                out.len(),
+                out,
+                |k| k,
+                &mut Vec::new(),
+                &|_, range, piece| {
+                    task(range, piece);
+                },
+            );
+        }),
         _ => task(0..out.len(), out),
     }
 }
@@ -436,42 +418,16 @@ pub(crate) fn weighted_sum_into(
 ) {
     debug_assert!(indices.is_none_or(|idx| idx.len() == count));
     debug_assert!(weights.is_none_or(|w| w.len() == count));
-    match worth_sharding(pool, count.saturating_mul(acc.len())) {
-        Some(pool) if acc.len() > 1 => {
-            let out = SharedSlots::new(acc);
-            timed_dispatch(profile, || {
-                pool.run(out.len(), &|range| {
-                    // SAFETY: this chunk owns exactly the columns in `range`.
-                    let acc = unsafe { out.slice(range.clone()) };
-                    for p in 0..count {
-                        let row = &rows.row(indices.map_or(p, |idx| idx[p]))[range.clone()];
-                        match weights {
-                            None => {
-                                for (a, &v) in acc.iter_mut().zip(row) {
-                                    *a += v;
-                                }
-                            }
-                            Some(w) => {
-                                let w = w[p];
-                                for (a, &v) in acc.iter_mut().zip(row) {
-                                    *a += w * v;
-                                }
-                            }
-                        }
-                    }
-                });
-            });
-        }
-        _ => {
-            for p in 0..count {
-                let row = rows.row(indices.map_or(p, |idx| idx[p]));
-                match weights {
-                    None => rowops::add_assign(acc, row),
-                    Some(w) => rowops::axpy(acc, w[p], row),
-                }
+    let work = count.saturating_mul(acc.len());
+    for_each_slot_range(pool, profile, work, acc, |columns, acc| {
+        for p in 0..count {
+            let row = &rows.row(indices.map_or(p, |idx| idx[p]))[columns.clone()];
+            match weights {
+                None => rowops::add_assign(acc, row),
+                Some(w) => rowops::axpy(acc, w[p], row),
             }
         }
-    }
+    });
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! reference \[3\], Bernstein et al.).
 
 use crate::error::FilterError;
-use crate::par::{for_each_column_range, Rows};
+use crate::par::{for_each_slot_range, Rows};
 use crate::traits::{validate_batch, zeroed_out, GradientFilter};
 use abft_linalg::{GradientBatch, Vector};
 
@@ -59,7 +59,7 @@ impl GradientFilter for SignMajority {
         let pool = batch.worker_pool();
         let work = batch.len() * dim;
         let votes = zeroed_out(out, dim);
-        for_each_column_range(
+        for_each_slot_range(
             pool,
             batch.dispatch_profile(),
             work,

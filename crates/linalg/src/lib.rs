@@ -56,7 +56,7 @@ pub use batch::{rowops, BatchScratch, GradientBatch};
 pub use eigen::{sym_eigenvalues, SymEigen};
 pub use error::LinalgError;
 pub use matrix::Matrix;
-pub use pool::{SharedSlots, WorkerPool};
+pub use pool::WorkerPool;
 pub use solve::{cholesky, determinant, inverse, least_squares, solve, solve_spd};
 pub use sortnet::SortingNetwork;
 pub use vector::Vector;
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::eigen::{sym_eigenvalues, SymEigen};
     pub use crate::error::LinalgError;
     pub use crate::matrix::Matrix;
-    pub use crate::pool::{SharedSlots, WorkerPool};
+    pub use crate::pool::WorkerPool;
     pub use crate::solve::{cholesky, determinant, inverse, least_squares, solve, solve_spd};
     pub use crate::vector::Vector;
 }

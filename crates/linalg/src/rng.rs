@@ -51,16 +51,6 @@ pub fn fill_gaussian(rng: &mut impl Rng, out: &mut [f64], mean: f64, std: f64) {
     }
 }
 
-/// Samples a vector of i.i.d. `Uniform[lo, hi)` entries.
-///
-/// # Panics
-///
-/// Panics if `lo >= hi`.
-pub fn uniform_vector(rng: &mut impl Rng, dim: usize, lo: f64, hi: f64) -> Vector {
-    assert!(lo < hi, "uniform_vector requires lo < hi");
-    Vector::from_fn(dim, |_| rng.gen_range(lo..hi))
-}
-
 /// Samples a uniformly random unit vector (Gaussian direction, normalized).
 pub fn random_unit_vector(rng: &mut impl Rng, dim: usize) -> Vector {
     assert!(dim > 0, "random_unit_vector requires dim > 0");
@@ -121,20 +111,6 @@ mod tests {
             "std {} too far from 200",
             var.sqrt()
         );
-    }
-
-    #[test]
-    fn uniform_vector_in_range() {
-        let mut rng = seeded_rng(4);
-        let v = uniform_vector(&mut rng, 1000, -2.0, 3.0);
-        assert!(v.iter().all(|&x| (-2.0..3.0).contains(&x)));
-    }
-
-    #[test]
-    #[should_panic(expected = "lo < hi")]
-    fn uniform_vector_rejects_empty_range() {
-        let mut rng = seeded_rng(5);
-        let _ = uniform_vector(&mut rng, 2, 1.0, 1.0);
     }
 
     #[test]

@@ -109,8 +109,9 @@ pub struct FileItems {
     /// Trait declarations: name → the method names it declares (used to
     /// resolve `TraitName::method(…)` qualifiers).
     pub traits: Vec<(String, Vec<String>)>,
-    /// Every clippy lint an `#[expect(…)]` attribute names, with the
-    /// attribute's 0-based line — test regions included.
+    /// Every lint an `#[expect(…)]` attribute names (a clippy lint without
+    /// its `clippy::` prefix, a compiler lint such as `unsafe_code` as
+    /// spelled), with the attribute's 0-based line — test regions included.
     pub expects: Vec<(usize, String)>,
 }
 
@@ -299,9 +300,9 @@ impl<'a> Parser<'a> {
     }
 
     /// Skips one attribute (`#[…]` / `#![…]`) with balanced brackets,
-    /// positioned on the `#`. When it is an `expect`, records the clippy
-    /// lints it names and puts them in force over the statement (`in_body`)
-    /// or item it annotates.
+    /// positioned on the `#`. When it is an `expect`, records the lints it
+    /// names and puts them in force over the statement (`in_body`) or item
+    /// it annotates.
     fn attribute(&mut self, in_body: bool) {
         let start = self.pos;
         self.bump(); // '#'
@@ -330,10 +331,13 @@ impl<'a> Parser<'a> {
         }
         let end = self.scope_end(in_body);
         for w in toks.windows(3) {
-            if w[0].text == "clippy" && w[1].text == "::" {
-                self.items.expects.push((w[2].line, w[2].text.clone()));
-                self.expected.push((end, w[2].text.clone()));
-            }
+            let lint = match [0, 1, 2].map(|i| w[i].text.as_str()) {
+                ["clippy", "::", _] => &w[2],
+                ["(" | ",", _, "," | ")"] if w[1].is_ident() => &w[1],
+                _ => continue,
+            };
+            self.items.expects.push((lint.line, lint.text.clone()));
+            self.expected.push((end, lint.text.clone()));
         }
     }
 
@@ -887,6 +891,13 @@ mod tests {
         let kinds: Vec<&str> = items.fns[0].sinks.iter().map(|s| s.what.as_str()).collect();
         assert_eq!(kinds, vec!["assert!", "slice-index", "unwrap"]);
         assert_eq!(items.expects, vec![(1, "expect_used".to_string())]);
+    }
+
+    #[test]
+    fn compiler_lint_expects_are_recorded_by_name() {
+        let src = "#![expect(unsafe_code, reason = \"x\")]\n#[expect(dead_code, clippy::panic, reason = \"y\")]\nfn f() {}\n";
+        let lints: Vec<String> = parse(src).expects.into_iter().map(|(_, l)| l).collect();
+        assert_eq!(lints, ["unsafe_code", "dead_code", "panic"]);
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl LogisticCost {
         self.features.rows()
     }
 
-    /// Strong-convexity constant contributed by the regularizer.
-    pub fn strong_convexity(&self) -> f64 {
-        self.reg
-    }
-
     /// `log(1 + exp(t))` computed without overflow.
     fn log1p_exp(t: f64) -> f64 {
         if t > 0.0 {
@@ -198,10 +193,5 @@ mod tests {
         assert!((LogisticCost::sigmoid(1000.0) - 1.0).abs() < 1e-12);
         assert!(LogisticCost::sigmoid(-1000.0).abs() < 1e-12);
         assert!((LogisticCost::sigmoid(0.0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn strong_convexity_reported() {
-        assert_eq!(toy_cost().strong_convexity(), 0.1);
     }
 }

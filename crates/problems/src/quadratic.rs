@@ -8,7 +8,7 @@
 
 use crate::cost::CostFunction;
 use crate::error::ProblemError;
-use abft_linalg::{rowops, solve_spd, Matrix, Vector};
+use abft_linalg::{rowops, Matrix, Vector};
 
 /// An agent's regression cost `Q_i(x) = (B_i − A_i x)²` (Appendix J).
 ///
@@ -113,15 +113,6 @@ impl QuadraticCost {
         }
         Ok(QuadraticCost { p, q, c })
     }
-
-    /// The unique minimizer `−P⁻¹q`, when `P` is positive definite.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ProblemError::Linalg`] when `P` is singular or indefinite.
-    pub fn minimizer(&self) -> Result<Vector, ProblemError> {
-        Ok(solve_spd(&self.p, &self.q.scale(-1.0))?)
-    }
 }
 
 impl CostFunction for QuadraticCost {
@@ -150,6 +141,7 @@ impl CostFunction for QuadraticCost {
 mod tests {
     use super::*;
     use crate::cost::finite_difference_gradient;
+    use abft_linalg::solve_spd;
 
     #[test]
     fn regression_cost_value_and_gradient() {
@@ -224,8 +216,10 @@ mod tests {
     #[test]
     fn quadratic_minimizer_zeroes_gradient() {
         let p = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]).unwrap();
-        let cost = QuadraticCost::new(p, Vector::from(vec![1.0, -2.0]), 0.0).unwrap();
-        let xmin = cost.minimizer().unwrap();
+        let q = Vector::from(vec![1.0, -2.0]);
+        // The unique minimizer `−P⁻¹q` (`P` is positive definite).
+        let xmin = solve_spd(&p, &q.scale(-1.0)).unwrap();
+        let cost = QuadraticCost::new(p, q, 0.0).unwrap();
         assert!(cost.gradient(&xmin).norm() < 1e-10);
         // Any perturbation increases the value.
         let perturbed = &xmin + &Vector::from(vec![0.1, -0.1]);

@@ -43,6 +43,10 @@ fn allocations() -> usize {
     ALLOCATIONS.with(Cell::get)
 }
 
+#[expect(
+    unsafe_code,
+    reason = "a counting global allocator implements the unsafe `GlobalAlloc` trait"
+)]
 // SAFETY: every method delegates to `System`, preserving its guarantees.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: same contract as `System.alloc`, to which this forwards.
