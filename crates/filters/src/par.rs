@@ -29,8 +29,20 @@
 //!   matrix per aggregation call; the linearised upper-triangle pairs are
 //!   split into contiguous chunks, each filling its run of a packed
 //!   triangle that one serial pass mirrors into the matrix.
+//!
+//! The tile kernel — copy, exchanges, signed-zero fix-up and ascending
+//! sum — is a [`simd::Kernel`]: each pool chunk runs it at the widest
+//! vector width the CPU reports (AVX-512F, AVX2 or the SSE2 baseline,
+//! [`simd::widest`]), so a 32-lane exchange is four 512-bit `min`/`max`
+//! pairs instead of sixteen 128-bit ones. Every width performs the same
+//! operations in the same order, so its bits are the baseline's, which
+//! stays the reference (the unit tests below hold every supported width
+//! to it). A batch narrower than one tile — the paper's `d = 2` — keeps
+//! the baseline copy: the choice follows the input's shape, never an
+//! option.
 
 use abft_linalg::pool::WorkerPool;
+use abft_linalg::simd::{self, Kernel};
 use abft_linalg::{rowops, GradientBatch, SortingNetwork};
 use abft_telemetry::DispatchProfile;
 use std::hint::select_unpredictable;
@@ -142,15 +154,23 @@ pub(crate) fn trimmed_mean_columns(
     let schedule = network.for_rows(count);
     let dim = slots.len();
     let tiles = dim.div_ceil(TILE_COLUMNS);
-    let reduce = |buf: &mut Vec<f64>, tiles: Range<usize>, slots: &mut [f64]| {
-        for (t, tile_slots) in tiles.zip(slots.chunks_mut(TILE_COLUMNS)) {
-            match rows {
-                None => reduce_tile(view.iter(), t, trim, schedule, buf, tile_slots),
-                Some(rows) => {
-                    let listed = rows.iter().map(|&i| view.row(i));
-                    reduce_tile(listed, t, trim, schedule, buf, tile_slots);
-                }
-            }
+    let reduce = |tile: &mut Vec<f64>, tiles: Range<usize>, slots: &mut [f64]| {
+        let kernel = TileKernel {
+            view,
+            rows,
+            trim,
+            schedule,
+            tiles,
+            tile,
+            slots,
+        };
+        // A batch narrower than one tile (the paper's `d = 2`) keeps the
+        // instructions it always ran: its few lanes gain nothing from
+        // wider vectors.
+        if dim < TILE_COLUMNS {
+            kernel.compute();
+        } else {
+            simd::widest(kernel);
         }
     };
     match worth_sharding(batch.worker_pool(), count * dim) {
@@ -162,9 +182,50 @@ pub(crate) fn trimmed_mean_columns(
     }
 }
 
+/// Tiles `tiles` of [`trimmed_mean_columns`] reduced into `slots` (the
+/// tiles' columns, in order) through the `tile` buffer — the whole
+/// per-tile kernel, compiled at every [`simd::Width`].
+struct TileKernel<'a, 'b> {
+    view: Rows<'a>,
+    rows: Option<&'a [usize]>,
+    trim: usize,
+    schedule: &'a [(usize, usize)],
+    tiles: Range<usize>,
+    tile: &'b mut Vec<f64>,
+    slots: &'b mut [f64],
+}
+
+impl Kernel for TileKernel<'_, '_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn compute(self) {
+        let TileKernel {
+            view,
+            rows,
+            trim,
+            schedule,
+            tiles,
+            tile,
+            slots,
+        } = self;
+        for (t, tile_slots) in tiles.zip(slots.chunks_mut(TILE_COLUMNS)) {
+            match rows {
+                None => reduce_tile(view.iter(), t, trim, schedule, tile, tile_slots),
+                Some(rows) => {
+                    let listed = rows.iter().map(|&i| view.row(i));
+                    reduce_tile(listed, t, trim, schedule, tile, tile_slots);
+                }
+            }
+        }
+    }
+}
+
 /// Tile `t` of [`trimmed_mean_columns`]: copy the rows' segments of its
 /// `slots.len()` columns into `tile`, sort the columns, and average rows
-/// `trim..count − trim` into the slots.
+/// `trim..count − trim` into the slots. Inlined, like everything it calls,
+/// into each width's copy of [`TileKernel::compute`].
+#[inline(always)]
 fn reduce_tile<'a>(
     rows: impl ExactSizeIterator<Item = &'a [f64]>,
     t: usize,
@@ -260,6 +321,7 @@ fn sort_lanes<const LANES: usize>(
 /// Restores `total_cmp`'s `-0.0 < +0.0` in every column of a tile sorted
 /// by [`sort_lanes`]: a column's zeros sit in consecutive rows, so
 /// rewriting them in row order, negatives first, is the sorted order.
+#[inline(always)]
 fn order_zeros(tile: &mut [f64], width: usize) {
     for c in 0..width {
         let column = || tile.iter().skip(c).step_by(width);
@@ -430,9 +492,15 @@ pub(crate) fn weighted_sum_into(
     });
 }
 
+// The integration tests' hostile columns, for the kernel's own tests.
+#[cfg(test)]
+#[path = "../tests/common/hostile.rs"]
+mod hostile;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abft_linalg::simd::Width;
     use abft_linalg::{stats, WorkerPool};
     use std::sync::Arc;
 
@@ -455,6 +523,135 @@ mod tests {
         let trim = (rows.map_or(batch.len(), <[usize]>::len) - 1) / 2;
         trimmed_mean_columns(batch, rows, trim, &mut s.network, &mut s.flat, &mut slots);
         slots
+    }
+
+    /// A batch of `count` hostile rows of width `dim`.
+    fn hostile_batch(count: usize, dim: usize, seed: u64) -> GradientBatch {
+        let mut batch = GradientBatch::new(dim);
+        for row in hostile::hostile_rows(count, dim, seed) {
+            batch.push_row(row.as_slice());
+        }
+        batch
+    }
+
+    /// [`TileKernel`] over every tile of the batch (or of its listed
+    /// rows) at `width`, or `None` when the CPU lacks the width.
+    fn kernel_at(
+        width: Width,
+        batch: &GradientBatch,
+        rows: Option<&[usize]>,
+        trim: usize,
+    ) -> Option<Vec<u64>> {
+        let count = rows.map_or(batch.len(), <[usize]>::len);
+        let mut network = SortingNetwork::default();
+        let mut tile = Vec::new();
+        let mut slots = vec![f64::NAN; batch.dim()];
+        let kernel = TileKernel {
+            view: Rows::of(batch),
+            rows,
+            trim,
+            schedule: network.for_rows(count),
+            tiles: 0..batch.dim().div_ceil(TILE_COLUMNS),
+            tile: &mut tile,
+            slots: &mut slots,
+        };
+        width.call(kernel).ok()?;
+        Some(slots.iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// Runs the kernel at every width the CPU supports and requires the
+    /// baseline's bits from each; returns the baseline's bits.
+    fn every_width_agrees(batch: &GradientBatch, rows: Option<&[usize]>, trim: usize) -> Vec<u64> {
+        let baseline = kernel_at(Width::Baseline, batch, rows, trim);
+        let baseline = baseline.expect("the baseline always runs");
+        for width in Width::ALL.into_iter().filter(|w| w.is_supported()) {
+            let got = kernel_at(width, batch, rows, trim);
+            assert_eq!(
+                got.as_ref(),
+                Some(&baseline),
+                "{width:?}: n={} d={} rows={rows:?} trim={trim}",
+                batch.len(),
+                batch.dim(),
+            );
+        }
+        baseline
+    }
+
+    #[test]
+    fn every_width_matches_the_baseline_at_every_count_and_trim() {
+        // 63 columns: one full tile, then lane groups of 16, 8, 4, 2 and 1.
+        for count in 1..=70usize {
+            let batch = hostile_batch(count, 63, count as u64);
+            for trim in 0..=(count - 1) / 2 {
+                every_width_agrees(&batch, None, trim);
+            }
+        }
+    }
+
+    #[test]
+    fn every_width_matches_the_baseline_at_every_lane_group() {
+        for dim in [1usize, 2, 31, 32, 33, 63, 100] {
+            for count in [1usize, 2, 3, 9, 40, 70] {
+                let batch = hostile_batch(count, dim, (count * 131 + dim) as u64);
+                for trim in [0, 1, (count - 1) / 2]
+                    .into_iter()
+                    .filter(|t| count > 2 * t)
+                {
+                    every_width_agrees(&batch, None, trim);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_width_matches_the_baseline_on_row_subsets() {
+        // Bulyan's trim stage reduces a selection of rows, in its order.
+        let batch = hostile_batch(40, 100, 7);
+        let odd_reversed: Vec<usize> = (1..40).step_by(2).rev().collect();
+        let selections = [vec![3, 1], vec![39, 0, 17], odd_reversed, (0..40).collect()];
+        for rows in &selections {
+            for trim in 0..=(rows.len() - 1) / 2 {
+                let bits = every_width_agrees(&batch, Some(rows), trim);
+                let mut gathered = GradientBatch::new(batch.dim());
+                for &i in rows {
+                    gathered.push_row(batch.row(i));
+                }
+                assert_eq!(bits, every_width_agrees(&gathered, None, trim));
+            }
+        }
+    }
+
+    #[test]
+    fn every_width_orders_signed_zeros_across_the_trim_boundary() {
+        // Column `k` of 24 rows holds `k % 9` values of -1, then signed
+        // zeros alternating with a column-dependent phase, then +1s, with
+        // rows permuted: a run of zeros starts and ends on every row and
+        // so straddles every trim boundary, in every lane position.
+        let (count, dim) = (24usize, 100usize);
+        let mut batch = GradientBatch::new(dim);
+        for i in 0..count {
+            let row: Vec<f64> = (0..dim)
+                .map(|k| {
+                    let rank = (i * 7 + k) % count;
+                    let (below, zeros) = (k % 9, 3 + k % 13);
+                    match rank {
+                        r if r < below => -1.0,
+                        r if r < below + zeros && (r + k / 9) % 2 == 0 => -0.0,
+                        r if r < below + zeros => 0.0,
+                        _ => 1.0,
+                    }
+                })
+                .collect();
+            batch.push_row(&row);
+        }
+        for trim in 0..=(count - 1) / 2 {
+            let bits = every_width_agrees(&batch, None, trim);
+            for (k, got) in bits.into_iter().enumerate() {
+                let column: Vec<f64> = batch.rows_iter().map(|row| row[k]).collect();
+                let want = stats::trimmed_mean(&column, trim).unwrap();
+                assert_eq!(got, want.to_bits(), "trim={trim} column {k}");
+            }
+        }
     }
 
     #[test]

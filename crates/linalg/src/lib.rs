@@ -47,6 +47,7 @@ pub mod error;
 pub mod matrix;
 pub mod pool;
 pub mod rng;
+pub mod simd;
 pub mod solve;
 pub mod sortnet;
 pub mod stats;

@@ -34,8 +34,9 @@
 //! dispatches, so after its first dispatch a pool costs its caller no
 //! allocation per run (pinned by `crates/dgd/tests/alloc_free.rs`).
 //!
-//! This module is the workspace's one home of `unsafe` (the workspace
-//! denies `unsafe_code` everywhere else): a dispatched chunk reaches its
+//! This module is one of the workspace's two homes of `unsafe` (the other
+//! is [`crate::simd`]'s feature-checked dispatch; the workspace denies
+//! `unsafe_code` everywhere else): a dispatched chunk reaches its
 //! worker as a lifetime-erased pointer to a frame the dispatching thread
 //! keeps alive until the chunk reports back.
 #![expect(

@@ -597,6 +597,26 @@ pub fn unresolved_roots(root: &Path) -> io::Result<Vec<String>> {
     Ok(reach::unresolved_roots(&graph::CallGraph::build(&parsed)))
 }
 
+/// The witness chain by which the hot-path walk reaches the function
+/// `name` defined in the workspace-relative `file` — root first, the
+/// function last — or `None` when no root reaches it (or no such function
+/// exists). The chain is the one a `panic-reach` violation in that
+/// function would print, so `Some` means its panics are checked.
+pub fn hot_path_chain(root: &Path, file: &str, name: &str) -> io::Result<Option<Vec<Hop>>> {
+    let parsed: Vec<_> = read_src_trees(root)?
+        .iter()
+        .filter(|(rel, _)| !rel.starts_with("crates/lint/"))
+        .map(|(rel, source)| parse::parse_source(rel, source))
+        .collect();
+    let graph = graph::CallGraph::build(&parsed);
+    let walk = reach::Walk::new(&graph, &parsed);
+    let id = graph
+        .nodes
+        .iter()
+        .position(|node| node.file == file && node.name == name);
+    Ok(id.and_then(|id| walk.chain(id)))
+}
+
 /// Every `.rs` file under `root/src/` and `root/crates/*/src/`, as
 /// `(workspace-relative path, text)` pairs sorted by path — which makes
 /// call-graph node ids, and so every ordering downstream, deterministic.

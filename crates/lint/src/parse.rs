@@ -695,8 +695,9 @@ impl<'a> Parser<'a> {
             return;
         }
 
-        // Call site: `name(`.
-        if next == "(" && !NON_CALL_KEYWORDS.contains(&name) {
+        // Call site: `name(`, or `name::<…>(` with a turbofish.
+        let opens_call = next == "(" || (next == "::" && self.turbofish_then_paren());
+        if opens_call && !NON_CALL_KEYWORDS.contains(&name) {
             let (qualifier, method) = if prev == "." {
                 (None, true)
             } else if prev == "::" {
@@ -743,6 +744,29 @@ impl<'a> Parser<'a> {
                 None => return,
             }
         }
+    }
+
+    /// Whether the identifier at the cursor is followed by a turbofish
+    /// and an argument list: `sort_lanes::<32>(…)`, `.sum::<f64>()`.
+    fn turbofish_then_paren(&self) -> bool {
+        if self.at(2).is_none_or(|t| t.text != "<") {
+            return false;
+        }
+        let angles = self.toks.get(self.pos + 2..).unwrap_or_default();
+        let mut depth = 0usize;
+        for (i, t) in angles.iter().enumerate() {
+            match t.text.as_str() {
+                "<" => depth += 1,
+                ">" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return angles.get(i + 1).is_some_and(|t| t.text == "(");
+                    }
+                }
+                _ => {}
+            }
+        }
+        false
     }
 
     /// The path segment directly before the `::` at `sep` — skipping a
@@ -921,6 +945,18 @@ mod tests {
         assert!(calls
             .iter()
             .any(|c| c.callee == "go" && c.qualifier.as_deref() == Some("Self")));
+    }
+
+    #[test]
+    fn a_turbofish_on_the_callee_is_still_a_call() {
+        let src = "fn f(v: &V) {\n    lanes::<32>(v);\n    v.iter().sum::<Vec<f64>>();\n    let t = size_of::<u8>;\n}\n";
+        let items = parse(src);
+        let calls: Vec<(&str, bool)> = items.fns[0]
+            .calls
+            .iter()
+            .map(|c| (c.callee.as_str(), c.method))
+            .collect();
+        assert_eq!(calls, [("lanes", false), ("iter", true), ("sum", true)]);
     }
 
     #[test]

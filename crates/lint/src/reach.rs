@@ -88,14 +88,63 @@ fn is_root(node: &crate::graph::Node) -> bool {
     }
 }
 
-/// Runs `panic-reach` over the graph. `files` is the same parsed set the
-/// graph was built from (for pragma lookups and source excerpts).
-pub fn check(graph: &CallGraph, files: &[ParsedSource]) -> Vec<Violation> {
-    let by_rel: BTreeMap<&str, &ParsedSource> = files.iter().map(|f| (f.rel.as_str(), f)).collect();
+/// The functions reachable from the hot-path roots, each with one
+/// shortest witness chain: a breadth-first walk from every root at once
+/// that follows every call edge no `panic-reach` pragma cuts.
+pub struct Walk<'g> {
+    graph: &'g CallGraph,
+    /// One BFS parent per reached node (`None` for the roots).
+    parent: Vec<Option<usize>>,
+    seen: Vec<bool>,
+}
 
-    // Is a `panic-reach` pragma with a reason in force at 0-based `line`
-    // of `rel` — on the line, or in the annotation run directly above it?
-    let allowed = |rel: &str, line: usize| -> bool {
+impl<'g> Walk<'g> {
+    /// Walks `graph`. `files` is the same parsed set the graph was built
+    /// from (for the pragmas that cut edges).
+    pub fn new(graph: &'g CallGraph, files: &[ParsedSource]) -> Self {
+        let allowed = pragma_lookup(files);
+        // Roots and edges are visited in deterministic (node-id) order.
+        let roots: Vec<usize> = (0..graph.nodes.len())
+            .filter(|&id| is_root(&graph.nodes[id]))
+            .collect();
+        let mut parent: Vec<Option<usize>> = vec![None; graph.nodes.len()];
+        let mut seen = vec![false; graph.nodes.len()];
+        let mut queue: std::collections::VecDeque<usize> = roots.iter().copied().collect();
+        for &r in &roots {
+            seen[r] = true;
+        }
+        while let Some(id) = queue.pop_front() {
+            for edge in &graph.edges[id] {
+                // A call-site pragma cuts the edge.
+                if seen[edge.to] || allowed(&graph.nodes[id].file, edge.call_line) {
+                    continue;
+                }
+                seen[edge.to] = true;
+                parent[edge.to] = Some(id);
+                queue.push_back(edge.to);
+            }
+        }
+        Walk {
+            graph,
+            parent,
+            seen,
+        }
+    }
+
+    /// The witness chain `root → … → fn` of node `id`, root first, or
+    /// `None` when no root reaches it.
+    pub fn chain(&self, id: usize) -> Option<Vec<Hop>> {
+        let reached = self.seen.get(id) == Some(&true);
+        reached.then(|| witness(self.graph, &self.parent, id))
+    }
+}
+
+/// Whether a `panic-reach` pragma with a reason is in force at 0-based
+/// `line` of a file — on the line, or in the annotation run directly
+/// above it.
+fn pragma_lookup(files: &[ParsedSource]) -> impl Fn(&str, usize) -> bool + '_ {
+    let by_rel: BTreeMap<&str, &ParsedSource> = files.iter().map(|f| (f.rel.as_str(), f)).collect();
+    move |rel: &str, line: usize| -> bool {
         let Some(src) = by_rel.get(rel) else {
             return false;
         };
@@ -105,39 +154,25 @@ pub fn check(graph: &CallGraph, files: &[ParsedSource]) -> Vec<Violation> {
                     .iter()
                     .any(|p| p.has_reason && p.rule == "panic-reach")
             })
-    };
+    }
+}
 
-    // BFS from all roots at once, recording one parent per node so every
-    // reached function has a shortest witness chain. Roots and edges are
-    // visited in deterministic (node-id) order.
-    let roots: Vec<usize> = (0..graph.nodes.len())
-        .filter(|&id| is_root(&graph.nodes[id]))
-        .collect();
-    let mut parent: Vec<Option<usize>> = vec![None; graph.nodes.len()];
-    let mut seen = vec![false; graph.nodes.len()];
-    let mut queue: std::collections::VecDeque<usize> = roots.iter().copied().collect();
-    for &r in &roots {
-        seen[r] = true;
-    }
-    while let Some(id) = queue.pop_front() {
-        for edge in &graph.edges[id] {
-            // A call-site pragma cuts the edge.
-            if seen[edge.to] || allowed(&graph.nodes[id].file, edge.call_line) {
-                continue;
-            }
-            seen[edge.to] = true;
-            parent[edge.to] = Some(id);
-            queue.push_back(edge.to);
-        }
-    }
+/// Runs `panic-reach` over the graph. `files` is the same parsed set the
+/// graph was built from (for pragma lookups and source excerpts).
+pub fn check(graph: &CallGraph, files: &[ParsedSource]) -> Vec<Violation> {
+    let by_rel: BTreeMap<&str, &ParsedSource> = files.iter().map(|f| (f.rel.as_str(), f)).collect();
+    let allowed = pragma_lookup(files);
+    let walk = Walk::new(graph, files);
 
     let mut out = Vec::new();
     for (id, node) in graph.nodes.iter().enumerate() {
         // A pragma on the `fn` line covers the whole body.
-        if !seen[id] || node.sinks.is_empty() || allowed(&node.file, node.line) {
+        if node.sinks.is_empty() || allowed(&node.file, node.line) {
             continue;
         }
-        let chain = witness(graph, &parent, id);
+        let Some(chain) = walk.chain(id) else {
+            continue;
+        };
         let root_name = chain
             .first()
             .map_or_else(|| node.display.clone(), |h| h.func.clone());

@@ -7,7 +7,7 @@
 //! crate, or the exceptions outgrow their ceiling.
 
 use abft_lint::parse::{parse_source, ParsedSource};
-use abft_lint::{default_root, lint_workspace, unresolved_roots};
+use abft_lint::{default_root, hot_path_chain, lint_workspace, unresolved_roots};
 use std::path::{Path, PathBuf};
 
 /// The most exceptions the tree may hold: reason-carrying `LINT-ALLOW`
@@ -97,9 +97,11 @@ fn the_clippy_policy_is_in_force() {
         table("[workspace.lints.rust]").contains(&"unsafe_code = \"deny\""),
         "Cargo.toml: `[workspace.lints.rust]` must set `unsafe_code = \"deny\"`"
     );
-    // The one home of `unsafe`: a single module may lift the deny, and only
-    // for the pool's lifetime erasure. (The counting allocators of the
-    // allocation tests lift it too, outside `src/`.)
+    // The two homes of `unsafe`, one `expect` each: the pool's module-level
+    // one for its lifetime erasure, and the item-level one on the SIMD
+    // dispatch that calls `#[target_feature]` code after detecting the
+    // feature. (The counting allocators of the allocation tests lift it
+    // too, outside `src/`.)
     let root = default_root();
     let src_dirs = std::fs::read_dir(root.join("crates"))
         .expect("workspace crates are listed")
@@ -112,20 +114,31 @@ fn the_clippy_policy_is_in_force() {
     let mut unsafe_homes: Vec<String> = src_dirs
         .chain([root.join("src")])
         .flat_map(|dir| parse_tree(&dir))
-        .filter(|(_, parsed)| parsed.items.expects.iter().any(|(_, l)| l == "unsafe_code"))
-        .map(|(path, _)| {
-            path.strip_prefix(&root)
-                .unwrap_or(&path)
-                .display()
-                .to_string()
+        .flat_map(|(path, parsed)| {
+            let rel = path.strip_prefix(&root).unwrap_or(&path).display();
+            let unsafe_expects = parsed.items.expects.iter();
+            let unsafe_expects = unsafe_expects.filter(|(_, lint)| lint == "unsafe_code");
+            vec![rel.to_string(); unsafe_expects.count()]
         })
         .collect();
     unsafe_homes.sort();
     assert_eq!(
         unsafe_homes,
-        ["crates/linalg/src/pool.rs"],
-        "non-test `src/` files that expect `unsafe_code`"
+        ["crates/linalg/src/pool.rs", "crates/linalg/src/simd.rs"],
+        "non-test `src/` `expect(unsafe_code)`s, one per file"
     );
+    // The pool lifts the deny for its module; the dispatch for one item.
+    for (home, module_level) in [("pool", true), ("simd", false)] {
+        let source: String = read(&format!("crates/linalg/src/{home}.rs"))
+            .split_whitespace()
+            .collect();
+        assert_eq!(
+            source.contains("#![expect(unsafe_code"),
+            module_level,
+            "crates/linalg/src/{home}.rs: a module-level `expect(unsafe_code)` must be {}",
+            if module_level { "there" } else { "absent" }
+        );
+    }
 
     let levels = table("[workspace.lints.clippy]");
     for lint in WORKSPACE_LINTS {
@@ -216,6 +229,40 @@ fn every_named_hot_path_root_resolves_to_a_function() {
         missing.is_empty(),
         "hot-path roots named in crates/lint/src/reach.rs match no function: {missing:?}"
     );
+}
+
+/// The order-statistics tile kernel runs behind a trait method
+/// (`simd::Kernel::compute`) inside `#[target_feature]` wrappers. The walk
+/// must still reach it from a filter root — through the wrappers as well
+/// as directly — or its indexing would drop out of `panic-reach`.
+#[test]
+fn the_tile_kernel_stays_inside_the_hot_path_walk() {
+    let root = default_root();
+    let chain = |file: &str, name: &str| {
+        let chain = hot_path_chain(&root, file, name).expect("workspace sources are readable");
+        let chain = chain.unwrap_or_else(|| panic!("the hot-path walk misses `{name}` ({file})"));
+        chain.into_iter().map(|hop| hop.func).collect::<Vec<_>>()
+    };
+    for kernel in ["reduce_tile", "sort_lanes", "order_zeros"] {
+        let funcs = chain("crates/filters/src/par.rs", kernel);
+        assert!(
+            funcs
+                .first()
+                .is_some_and(|f| f.ends_with("::aggregate_into")),
+            "`{kernel}` must be reached from an `aggregate_into` root: {funcs:?}"
+        );
+        assert!(
+            funcs.iter().any(|f| f == "TileKernel::compute"),
+            "`{kernel}` must be reached through the kernel: {funcs:?}"
+        );
+    }
+    for wrapper in ["widest", "run_avx2", "run_avx512"] {
+        let funcs = chain("crates/linalg/src/simd.rs", wrapper);
+        assert!(
+            funcs.iter().any(|f| f == "trimmed_mean_columns"),
+            "`{wrapper}` must be reached from the tile dispatch: {funcs:?}"
+        );
+    }
 }
 
 /// Every `.rs` file under `dir`, parsed — skipping build output and the
