@@ -409,3 +409,54 @@ fn coordinate_wise_aggregation_allocates_nothing_after_warm_up() {
         }
     }
 }
+
+#[test]
+fn row_distance_aggregation_allocates_nothing_after_warm_up() {
+    // The row-distance filters at a width past one column block (1100
+    // columns: eight 128-column blocks and a partial one), where the Krum
+    // family's pair matrix comes from the column-block kernel and every
+    // row-to-centre pass walks four rows at a time. The block lives past
+    // the distance matrix on the caller and in the pool's persistent
+    // buffer on a worker; 11 × 1100 clears the sharding floor, so at two
+    // threads the centre passes shard too. Same three windows as above.
+    let rows: Vec<Vector> = (0..11)
+        .map(|i| {
+            Vector::from_fn(1100, |k| {
+                ((i * 7 + k * 3) % 11) as f64 - 5.0 + 0.1 * i as f64
+            })
+        })
+        .collect();
+    let mut batch = batch_of(&rows).expect("batch builds");
+    let mut out = Vector::zeros(1100);
+    let filters = [
+        "krum",
+        "multi-krum",
+        "bulyan",
+        "geomed",
+        "faba",
+        "centered-clipping",
+        "cge",
+        "norm-clipping",
+    ];
+    for threads in [1usize, 2] {
+        batch.set_worker_pool(Some(Arc::new(WorkerPool::new(threads))));
+        for name in filters {
+            let filter = by_name(name).expect("registered");
+            let mut calls = |count: usize| {
+                let before = allocations();
+                for _ in 0..count {
+                    filter
+                        .aggregate_into(&batch, 2, &mut out)
+                        .expect("aggregates");
+                }
+                allocations() - before
+            };
+            calls(1);
+            let windows = [calls(10), calls(10), calls(10)];
+            assert!(
+                windows.contains(&0),
+                "{name}, {threads} thread(s): {windows:?} allocations per 10 calls"
+            );
+        }
+    }
+}

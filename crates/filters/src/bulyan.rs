@@ -20,11 +20,12 @@ use abft_linalg::{rowops, GradientBatch, Vector};
 /// Requires `n ≥ 4f + 3` so that every intermediate Krum call sees at least
 /// `2f + 3` gradients and the final trim keeps at least one value.
 ///
-/// Cost per call: `n(n−1)/2` full-`d` distance passes — the batch's
-/// squared-distance matrix, computed once and shared by all `θ` selection
-/// rounds — plus `O(θ · n² log n)` scalar work re-scoring the shrinking
-/// pool out of it, plus the trimmed mean's `O(d · θ log² θ)` sorting-
-/// network pass.
+/// Cost per call: the batch's squared-distance matrix — `n(n−1)/2` pairs
+/// over `d` columns, computed once and shared by all `θ` selection
+/// rounds; from one 128-column block up, eight pairs of a row advance per
+/// vector op over a column-major copy of the block — plus
+/// `O(θ · n² log n)` scalar work re-scoring the shrinking pool out of it,
+/// plus the trimmed mean's `O(d · θ log² θ)` sorting-network pass.
 ///
 /// **Order contract.** Stage 2 is [`Cwtm`](crate::Cwtm)'s kernel on the
 /// selected rows: coordinate `k` is bit-equal to

@@ -1,7 +1,7 @@
 //! Comparative gradient elimination (CGE) — eq. (23) of the paper.
 
 use crate::error::FilterError;
-use crate::par::{fill_slots, weighted_sum_into, Rows};
+use crate::par::{centre_dists_into, weighted_sum_into, Rows};
 use crate::traits::{validate_batch, zeroed_out, GradientFilter};
 use abft_linalg::{rowops, BatchScratch, GradientBatch, Vector};
 
@@ -60,12 +60,13 @@ impl Cge {
         let rows = Rows::of(batch);
         scratch.keys.clear();
         scratch.keys.resize(n, 0.0);
-        fill_slots(
+        centre_dists_into(
             batch.worker_pool(),
             batch.dispatch_profile(),
-            batch.dim(),
+            rows,
+            None,
+            None,
             &mut scratch.keys,
-            |i| rowops::norm(rows.row(i)),
         );
         scratch.order.clear();
         scratch.order.extend(0..n);

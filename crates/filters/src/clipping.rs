@@ -2,6 +2,7 @@
 //! paper's reference \[28\]) and norm clipping.
 
 use crate::error::FilterError;
+use crate::par::{centre_dists_into, Rows};
 use crate::traits::{validate_batch, zeroed_out, GradientFilter};
 use abft_linalg::{rowops, GradientBatch, Vector};
 
@@ -83,12 +84,18 @@ impl GradientFilter for CenteredClipping {
         let correction = &mut s.vec_b;
         correction.clear();
         correction.resize(dim, 0.0);
+        let dists = &mut s.keys;
+        dists.clear();
+        dists.resize(batch.len(), 0.0);
         for _ in 0..self.iterations {
+            // ‖row − v‖ for every row, four rows per walk over `v`: the
+            // iteration's correction loop reads the same fixed `v`.
+            centre_dists(batch, Some(v), dists);
             rowops::fill_zero(correction);
-            for row in batch.rows_iter() {
+            for (row, &dist) in batch.rows_iter().zip(dists.iter()) {
                 // correction += clip(row − v, radius), without building the
                 // difference: the clip factor only needs ‖row − v‖.
-                let factor = Self::clip_factor(rowops::dist(row, v), self.radius);
+                let factor = Self::clip_factor(dist, self.radius);
                 for (c, (g, vi)) in correction.iter_mut().zip(row.iter().zip(v.iter())) {
                     *c += (g - vi) * factor;
                 }
@@ -103,6 +110,13 @@ impl GradientFilter for CenteredClipping {
     fn name(&self) -> &'static str {
         "centered-clipping"
     }
+}
+
+/// `slots[p] = ‖row_p − centre‖` (`‖row_p‖` without a centre) for every
+/// row of the batch, sharded like the other filters' row passes.
+fn centre_dists(batch: &GradientBatch, centre: Option<&[f64]>, slots: &mut [f64]) {
+    let (pool, profile) = (batch.worker_pool(), batch.dispatch_profile());
+    centre_dists_into(pool, profile, Rows::of(batch), None, centre, slots);
 }
 
 /// Norm clipping: rescales every gradient to norm at most `radius`, then
@@ -138,9 +152,14 @@ impl GradientFilter for NormClipping {
         out: &mut Vector,
     ) -> Result<(), FilterError> {
         let dim = validate_batch("norm-clipping", batch, f)?;
+        let mut scratch = batch.scratch();
+        let norms = &mut scratch.keys;
+        norms.clear();
+        norms.resize(batch.len(), 0.0);
+        centre_dists(batch, None, norms);
         let acc = zeroed_out(out, dim);
-        for row in batch.rows_iter() {
-            let factor = CenteredClipping::clip_factor(rowops::norm(row), self.radius);
+        for (row, &norm) in batch.rows_iter().zip(norms.iter()) {
+            let factor = CenteredClipping::clip_factor(norm, self.radius);
             rowops::axpy(acc, factor, row);
         }
         rowops::scale(acc, 1.0 / batch.len() as f64);

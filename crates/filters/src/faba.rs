@@ -7,7 +7,7 @@
 //! norm blends in but whose direction is off.
 
 use crate::error::FilterError;
-use crate::par::{fill_slots, weighted_sum_into, Rows};
+use crate::par::{centre_dists_into, weighted_sum_into, Rows};
 use crate::traits::{validate_batch, zeroed_out, GradientFilter};
 use abft_linalg::{rowops, GradientBatch, Vector};
 
@@ -59,11 +59,7 @@ impl GradientFilter for Faba {
             let members = &s.pool;
             s.keys.clear();
             s.keys.resize(members.len(), 0.0);
-            fill_slots(pool, profile, dim, &mut s.keys, |p| {
-                // LINT-ALLOW(panic-reach): keys was resized to
-                // members.len(), and fill_slots hands out slot indices
-                rowops::dist(rows.row(members[p]), mean)
-            });
+            centre_dists_into(pool, profile, rows, Some(members), Some(mean), &mut s.keys);
 
             // Discard the farthest-from-mean gradient; ties break by the
             // gradient's lexicographic value for permutation invariance

@@ -1,7 +1,7 @@
 //! Geometric median (Weiszfeld) and geometric median-of-means.
 
 use crate::error::FilterError;
-use crate::par::{fill_slots, weighted_sum_into, Rows};
+use crate::par::{centre_dists_into, weighted_sum_into, Rows};
 use crate::traits::{validate_batch, zeroed_out, GradientFilter};
 use abft_linalg::pool::WorkerPool;
 use abft_linalg::{rowops, GradientBatch, Vector};
@@ -39,12 +39,16 @@ impl GeometricMedian {
 /// `numerator` are caller-owned scratch (reused across calls); nothing
 /// is allocated here beyond their first-use growth.
 ///
-/// With a `pool`, each iteration shards its two O(count · dim) phases:
-/// the per-row weights `w_p = 1/(‖z − g_p‖ + ε)` across row slots, and
-/// the weighted accumulation across column tiles — both bit-identical
-/// to the serial pass (the per-coordinate addition order is the row
-/// order either way, and the denominator sums the weights buffer in
-/// row order exactly as the fused serial loop did).
+/// Each iteration makes two O(count · dim) passes: the distances
+/// `‖z − g_p‖`, four rows per walk over `z`
+/// ([`centre_dists_into`]), which then become the weights
+/// `w_p = 1/(‖z − g_p‖ + ε)`; and the weighted accumulation. Every
+/// distance equals [`rowops::dist`]`(z, g_p)` bit for bit, whatever group
+/// of four its row lands in. With a `pool`, the distances shard across
+/// row slots and the accumulation across column ranges — both
+/// bit-identical to the serial pass (the per-coordinate addition order is
+/// the row order either way, and the denominator sums the weights buffer
+/// in row order).
 #[expect(
     clippy::too_many_arguments,
     reason = "internal kernel: scratch plumbing"
@@ -71,11 +75,9 @@ fn weiszfeld_into(
     weights.clear();
     weights.resize(count, 0.0);
     for _ in 0..MAX_ITERS {
-        {
-            let z = &*z;
-            fill_slots(pool, profile, dim, weights, |p| {
-                1.0 / (rowops::dist(z, rows.row(p)) + EPSILON)
-            });
+        centre_dists_into(pool, profile, rows, None, Some(z), weights);
+        for w in weights.iter_mut() {
+            *w = 1.0 / (*w + EPSILON);
         }
         let denominator: f64 = weights.iter().sum();
         rowops::fill_zero(numerator);

@@ -21,25 +21,36 @@
 //!   each copied row-major and sorted whole by one sorting-network pass;
 //!   the accumulations (mean, the weighted sums, sign-majority's vote)
 //!   walk the batch row-major over contiguous column ranges.
-//! * **Slot rows** ([`fill_slots`]): CGE, FABA and geomed compute one
-//!   scalar per row — a norm, a distance to the running mean, a Weiszfeld
-//!   weight — into its own slot; rows are split into contiguous chunks.
+//! * **Slot rows** ([`centre_dists_into`]): CGE, FABA, geomed and the two
+//!   clipping filters compute one scalar per row — a norm, a distance to
+//!   the running mean, to the Weiszfeld iterate or to the clipping
+//!   iterate — into its own slot, four rows per walk over the centre;
+//!   rows are split into contiguous chunks.
 //! * **Pair indices** ([`pairwise_dist_sq_into`]): the Krum family
 //!   (Krum, multi-Krum, Bulyan) fills one symmetric squared-distance
 //!   matrix per aggregation call; the linearised upper-triangle pairs are
-//!   split into contiguous chunks, each filling its run of a packed
-//!   triangle that one serial pass mirrors into the matrix.
+//!   split into contiguous chunks — a chunk may start and end mid-row —
+//!   each filling its run of a packed triangle that one serial pass
+//!   mirrors into the matrix.
 //!
-//! The tile kernel — copy, exchanges, signed-zero fix-up and ascending
-//! sum — is a [`simd::Kernel`]: each pool chunk runs it at the widest
-//! vector width the CPU reports (AVX-512F, AVX2 or the SSE2 baseline,
-//! [`simd::widest`]), so a 32-lane exchange is four 512-bit `min`/`max`
-//! pairs instead of sixteen 128-bit ones. Every width performs the same
-//! operations in the same order, so its bits are the baseline's, which
-//! stays the reference (the unit tests below hold every supported width
-//! to it). A batch narrower than one tile — the paper's `d = 2` — keeps
-//! the baseline copy: the choice follows the input's shape, never an
-//! option.
+//! Two kernels are [`simd::Kernel`]s: each pool chunk runs them at the
+//! widest vector width the CPU reports (AVX-512F, AVX2 or the SSE2
+//! baseline, [`simd::widest`]). Every width performs the same operations
+//! in the same order, so its bits are the baseline's, which stays the
+//! reference (the unit tests below hold every supported width to it and,
+//! for the pairs, to [`rowops::dist`]).
+//!
+//! * The **tile kernel** — copy, exchanges, signed-zero fix-up and
+//!   ascending sum — so a 32-lane exchange is four 512-bit `min`/`max`
+//!   pairs instead of sixteen 128-bit ones.
+//! * The **pair kernel** ([`PairKernel`]) copies a block of columns
+//!   column-major, so one vector op advances eight pairs `(i, j)` of a row
+//!   `i` by one column each, every lane summing its own `(x − y)²` terms
+//!   in column order: the per-pair add chain is no longer the bound.
+//!
+//! A batch narrower than one tile or block — the paper's `d = 2` — keeps
+//! the baseline instructions and, for the pairs, the four-pair walk: the
+//! choice follows the input's shape, never an option.
 
 use abft_linalg::pool::WorkerPool;
 use abft_linalg::simd::{self, Kernel};
@@ -335,53 +346,110 @@ fn order_zeros(tile: &mut [f64], width: usize) {
     }
 }
 
-/// `slots[i] = compute(i)` for every slot, chunked across the pool when
-/// one is supplied and the total work (`slots.len() × unit_work`
-/// estimated scalar operations) clears the sharding floor. Each slot is
-/// an independent computation, so parallel output is bit-identical to
-/// serial.
-pub(crate) fn fill_slots(
+/// `slots[p] = ‖row_p − centre‖` — or `‖row_p‖` when `centre` is `None` —
+/// where `row_p` is row `members[p]` of `rows` (row `p` when `members` is
+/// `None`): the row-to-centre pass of geomed, FABA, centered-clipping and
+/// the norm filters. Rows go four per walk over the centre
+/// ([`rowops::dist4`], [`rowops::norm4`]), so four add chains run side by
+/// side; every slot still equals [`rowops::dist`]`(row_p, centre)` (or
+/// [`rowops::norm`]`(row_p)`) bit for bit, because `(x − y)² ≡ (y − x)²`
+/// and `(0 − y)² ≡ y²`. Slots are chunked across the pool when the work
+/// clears the sharding floor; a chunk's four-row groups start at its own
+/// first slot, which moves no bit.
+pub(crate) fn centre_dists_into(
     pool: Option<&WorkerPool>,
     profile: Option<&DispatchProfile>,
-    unit_work: usize,
+    rows: Rows<'_>,
+    members: Option<&[usize]>,
+    centre: Option<&[f64]>,
     slots: &mut [f64],
-    compute: impl Fn(usize) -> f64 + Sync,
 ) {
-    let work = slots.len().saturating_mul(unit_work);
+    // LINT-ALLOW(panic-reach): callers pass one member per slot, and the
+    // pool hands out slot indices below `slots.len()`.
+    let row = |p: usize| rows.row(members.map_or(p, |m| m[p]));
+    let work = slots.len().saturating_mul(rows.dim);
     for_each_slot_range(pool, profile, work, slots, |range, slots| {
-        for (i, slot) in range.zip(slots) {
-            *slot = compute(i);
+        let mut p = range.start;
+        let mut fours = slots.chunks_exact_mut(4);
+        for four in &mut fours {
+            let group = [p, p + 1, p + 2, p + 3].map(row);
+            four.copy_from_slice(&match centre {
+                Some(centre) => rowops::dist4(centre, group),
+                None => rowops::norm4(group),
+            });
+            p += 4;
+        }
+        for slot in fours.into_remainder() {
+            *slot = match centre {
+                Some(centre) => rowops::dist(centre, row(p)),
+                None => rowops::norm(row(p)),
+            };
+            p += 1;
         }
     });
 }
 
+/// Columns per block of the pair kernel. A block of 40 rows is 40 KiB,
+/// which a 48 KiB L1 data cache holds while every row's `k` loop walks
+/// it, and each row's partial sums make one round trip through the packed
+/// triangle per 128 columns.
+const PAIR_BLOCK: usize = 128;
+
+/// `f64` lanes per accumulator group: one AVX-512 register.
+const GROUP_LANES: usize = 8;
+
+/// Most lane groups one `k` loop advances together: 48 pairs, six
+/// AVX-512 registers of partial sums — all of row 0's at `n = 40`. With
+/// more, the compiler stops unrolling the group loop and the sums spill.
+const MAX_GROUPS: usize = 6;
+
 /// Fills `out` with the batch's symmetric `n × n` squared-distance matrix
 /// (row-major, zero diagonal): `out[i·n + j] = dist(row_i, row_j)²`.
 ///
-/// Each unordered pair is computed once — four pairs per walk over row
-/// `i` ([`rowops::dist4`]) — into its slot of a packed upper triangle
-/// kept past the matrix's end, then mirrored into both matrix slots. The
-/// unit of the fixed schedule is the linearised upper-triangle pair index
-/// (`(0,1), (0,2), …, (n−2,n−1)`), which is also the packed slot, so a
-/// chunk's pairs are one contiguous piece and chunks balance even though
-/// row `i` owns `n − 1 − i` pairs. Whatever chunk or four-wide group a
-/// pair lands in, its value is [`rowops::dist`]'s bit for bit, so the
-/// matrix is identical at any thread count.
+/// Each unordered pair is computed once into its slot of a packed upper
+/// triangle kept past the matrix's end, then mirrored into both matrix
+/// slots. The unit of the fixed schedule is the linearised upper-triangle
+/// pair index (`(0,1), (0,2), …, (n−2,n−1)`), which is also the packed
+/// slot, so a chunk's pairs are one contiguous piece — which may start and
+/// end mid-row — and chunks balance even though row `i` owns `n − 1 − i`
+/// pairs. Each chunk is one [`fill_pairs`] call: the caller's runs in a
+/// column block kept past the triangle, a worker's in its persistent
+/// buffer. Whatever chunk, block or lane a pair lands in, its value is
+/// [`rowops::dist`]'s squared, bit for bit, so the matrix is identical at
+/// any thread count and any vector width.
 pub(crate) fn pairwise_dist_sq_into(batch: &GradientBatch, out: &mut Vec<f64>) {
     let rows = Rows::of(batch);
     let n = batch.len();
     let pairs = n * n.saturating_sub(1) / 2;
+    let block_len = if batch.dim() < PAIR_BLOCK {
+        0
+    } else {
+        PAIR_BLOCK * n.next_multiple_of(GROUP_LANES)
+    };
     out.clear();
-    out.resize(n * n + pairs, 0.0);
-    let (matrix, packed) = out.split_at_mut(n * n);
-    let work = pairs.saturating_mul(batch.dim());
-    for_each_slot_range(
-        batch.worker_pool(),
-        batch.dispatch_profile(),
-        work,
-        packed,
-        |range, packed| fill_pairs(rows, n, range, packed),
-    );
+    out.resize(n * n + pairs + block_len, 0.0);
+    let (matrix, rest) = out.split_at_mut(n * n);
+    let (packed, block) = rest.split_at_mut(pairs);
+    // Every cut leaves the whole block with the first chunk; a chunk whose
+    // piece of it is empty runs on a worker, in the worker's own buffer.
+    let fill =
+        |scratch: &mut Vec<f64>, range: Range<usize>, (packed, block): (&mut [f64], &mut [f64])| {
+            let block = if block.len() < block_len {
+                scratch.clear();
+                scratch.resize(block_len, 0.0);
+                scratch.as_mut_slice()
+            } else {
+                block
+            };
+            fill_pairs(rows, n, range, packed, block);
+        };
+    match worth_sharding(batch.worker_pool(), pairs.saturating_mul(batch.dim())) {
+        Some(pool) if pairs > 1 => timed_dispatch(batch.dispatch_profile(), || {
+            let edge = |p: usize| (p, block_len);
+            pool.run_split(pairs, (&mut *packed, block), edge, &mut Vec::new(), &fill);
+        }),
+        _ => fill(&mut Vec::new(), 0..pairs, (&mut *packed, block)),
+    }
     let upper = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
     for (&d_sq, (i, j)) in packed.iter().zip(upper) {
         for at in [i * n + j, j * n + i] {
@@ -394,9 +462,50 @@ pub(crate) fn pairwise_dist_sq_into(batch: &GradientBatch, out: &mut Vec<f64>) {
 }
 
 /// The pairs of [`pairwise_dist_sq_into`] with linear indices in `range`,
-/// squared into `packed` in that order. `rows` holds `n` rows and `range`
-/// lies within `0..n(n − 1)/2`.
-fn fill_pairs(rows: Rows<'_>, n: usize, range: Range<usize>, packed: &mut [f64]) {
+/// squared into `packed` in that order. `rows` holds `n` rows, `range`
+/// lies within `0..n(n − 1)/2`, and `block` holds at least
+/// `PAIR_BLOCK · n` values rounded up to whole lane groups.
+///
+/// A batch at least one [`PAIR_BLOCK`] wide runs the [`PairKernel`] at the
+/// widest vector width the CPU reports; a narrower one — the paper's
+/// `d = 2` — walks each row against four others at a time
+/// ([`rowops::dist4`]), the instructions it always ran.
+fn fill_pairs(
+    rows: Rows<'_>,
+    n: usize,
+    range: Range<usize>,
+    packed: &mut [f64],
+    block: &mut [f64],
+) {
+    if rows.dim < PAIR_BLOCK {
+        walk_pairs(rows, n, range, packed);
+    } else {
+        simd::widest(PairKernel {
+            rows,
+            n,
+            range,
+            packed,
+            block,
+        });
+    }
+}
+
+/// The pair of linear index `p` in `n` rows' upper triangle: row `i` owns
+/// the `n − 1 − i` pairs `(i, i + 1) … (i, n − 1)`. `p` lies below
+/// `n(n − 1)/2`.
+#[inline(always)]
+fn unlinearise(n: usize, p: usize) -> (usize, usize) {
+    let (mut i, mut offset) = (0, p);
+    while offset >= n - 1 - i {
+        offset -= n - 1 - i;
+        i += 1;
+    }
+    (i, i + 1 + offset)
+}
+
+/// [`fill_pairs`] on a batch narrower than one block: four pairs per walk
+/// over row `i`.
+fn walk_pairs(rows: Rows<'_>, n: usize, range: Range<usize>, packed: &mut [f64]) {
     let mut slots = packed.iter_mut();
     let mut store = |d: f64| {
         if let Some(slot) = slots.next() {
@@ -406,13 +515,7 @@ fn fill_pairs(rows: Rows<'_>, n: usize, range: Range<usize>, packed: &mut [f64])
     if range.is_empty() {
         return;
     }
-    // Unlinearise the first pair: row `i` owns `n − 1 − i` pairs.
-    let (mut i, mut offset) = (0, range.start);
-    while offset >= n - 1 - i {
-        offset -= n - 1 - i;
-        i += 1;
-    }
-    let mut j = i + 1 + offset;
+    let (mut i, mut j) = unlinearise(n, range.start);
     let mut left = range.len();
     while left > 0 {
         let end = n.min(j + left);
@@ -430,6 +533,260 @@ fn fill_pairs(rows: Rows<'_>, n: usize, range: Range<usize>, packed: &mut [f64])
         i += 1;
         j = i + 1;
     }
+}
+
+/// The pairs `range` of [`pairwise_dist_sq_into`] into `packed`, one
+/// column block at a time — the whole pair kernel, compiled at every
+/// [`simd::Width`].
+///
+/// Each block of [`PAIR_BLOCK`] columns is copied column-major into
+/// `block` — the chunk's rows from the first one's 8-aligned lane up,
+/// padded with zeros to whole groups of [`GROUP_LANES`] — so column `k`'s
+/// values for those rows are contiguous. Then, for each row `i`, one `k`
+/// loop advances all of its lanes `j` together, up to [`MAX_GROUPS`]
+/// groups of 8 in registers: lane `j` adds `(x_ik − x_jk)²` to its own sum,
+/// in column order from `−0.0`, exactly [`rowops::dist`]'s order. Lanes
+/// outside the row's pairs in `range` (`j ≤ i`, pad lanes, pairs of other
+/// chunks) ride along and are discarded. Partial sums cross block edges in
+/// the packed slots; after the last block each is square-rooted and
+/// squared back, as [`walk_pairs`] stores it.
+struct PairKernel<'a, 'b> {
+    rows: Rows<'a>,
+    n: usize,
+    range: Range<usize>,
+    packed: &'b mut [f64],
+    block: &'b mut [f64],
+}
+
+/// Where a column block sits in the batch: the first starts each sum at
+/// `−0.0`, the last finishes it.
+#[derive(Clone, Copy)]
+struct BlockEdge {
+    first: bool,
+    last: bool,
+}
+
+impl Kernel for PairKernel<'_, '_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn compute(self) {
+        let PairKernel {
+            rows,
+            n,
+            range,
+            packed,
+            block,
+        } = self;
+        if range.is_empty() {
+            return;
+        }
+        let (first_row, first_j) = unlinearise(n, range.start);
+        let base = first_row - first_row % GROUP_LANES;
+        let lanes = (n - base).next_multiple_of(GROUP_LANES);
+        let Some(block) = block.get_mut(..PAIR_BLOCK * lanes) else {
+            return;
+        };
+        let dim = rows.dim;
+        let blocks = dim.div_ceil(PAIR_BLOCK);
+        for b in 0..blocks {
+            let columns = b * PAIR_BLOCK..dim.min((b + 1) * PAIR_BLOCK);
+            let width = columns.len();
+            transpose_block(rows, base..n, columns, lanes, block);
+            let edge = BlockEdge {
+                first: b == 0,
+                last: b + 1 == blocks,
+            };
+            let block = block.get(..width * lanes).unwrap_or_default();
+            let (mut i, mut j) = (first_row, first_j);
+            let mut slots: &mut [f64] = packed;
+            let mut left = range.len();
+            while left > 0 {
+                let count = left.min(n - j);
+                let Some((row_slots, rest)) = slots.split_at_mut_checked(count) else {
+                    break;
+                };
+                row_pairs(block, lanes, i - base, j - base, row_slots, edge);
+                slots = rest;
+                left -= count;
+                i += 1;
+                j = i + 1;
+            }
+        }
+    }
+}
+
+/// Copies `columns` of `rows` into `block` column-major: column `k`'s
+/// value of row `r` lands at `k · lanes + (r − rows.start)`, and lanes
+/// past the last row get zeros. Eight rows go per walk, so each column
+/// gets one contiguous group of eight values per walk.
+#[inline(always)]
+fn transpose_block(
+    view: Rows<'_>,
+    rows: Range<usize>,
+    columns: Range<usize>,
+    lanes: usize,
+    block: &mut [f64],
+) {
+    let width = columns.len();
+    let zeros: &[f64] = &[0.0; PAIR_BLOCK];
+    for (g, first) in rows.clone().step_by(GROUP_LANES).enumerate() {
+        let segment = |l: usize| {
+            let row = Some(first + l).filter(|r| rows.contains(r));
+            let segment = row.and_then(|r| view.row(r).get(columns.clone()));
+            segment.or(zeros.get(..width)).unwrap_or_default()
+        };
+        let segments: [&[f64]; GROUP_LANES] = std::array::from_fn(segment);
+        for (k, column) in block.chunks_exact_mut(lanes).take(width).enumerate() {
+            let group = column.get_mut(g * GROUP_LANES..);
+            let Some(group) = group.and_then(<[f64]>::first_chunk_mut::<GROUP_LANES>) else {
+                continue;
+            };
+            for (slot, segment) in group.iter_mut().zip(&segments) {
+                *slot = segment.get(k).copied().unwrap_or(0.0);
+            }
+        }
+    }
+}
+
+/// Row `i`'s pairs against lanes `first..first + slots.len()` over one
+/// column-major `block` (rows of `lanes` values, one per column): `x` is
+/// row `i`'s lane. Lanes are taken in aligned groups of [`GROUP_LANES`],
+/// at most [`MAX_GROUPS`] per `k` loop.
+#[inline(always)]
+fn row_pairs(
+    block: &[f64],
+    lanes: usize,
+    x: usize,
+    first: usize,
+    mut slots: &mut [f64],
+    edge: BlockEdge,
+) {
+    let mut lane = first - first % GROUP_LANES;
+    let mut offset = first - lane;
+    while !slots.is_empty() {
+        let groups = (offset + slots.len()).div_ceil(GROUP_LANES).min(MAX_GROUPS);
+        let count = slots.len().min(groups * GROUP_LANES - offset);
+        let Some((piece, rest)) = slots.split_at_mut_checked(count) else {
+            break;
+        };
+        let pass = LanePass {
+            block,
+            lanes,
+            x,
+            lane,
+            offset,
+            edge,
+        };
+        match groups {
+            1 => pass.sweep::<1>(piece),
+            2 => pass.sweep::<2>(piece),
+            3 => pass.sweep::<3>(piece),
+            4 => pass.sweep::<4>(piece),
+            5 => pass.sweep::<5>(piece),
+            _ => pass.sweep::<6>(piece),
+        }
+        slots = rest;
+        lane += groups * GROUP_LANES;
+        offset = 0;
+    }
+}
+
+/// One `k` loop of [`row_pairs`]: groups of lanes from `lane` on against
+/// row `x`'s lane, whose pairs are the lanes from `lane + offset` on.
+#[derive(Clone, Copy)]
+struct LanePass<'a> {
+    block: &'a [f64],
+    lanes: usize,
+    x: usize,
+    lane: usize,
+    offset: usize,
+    edge: BlockEdge,
+}
+
+impl LanePass<'_> {
+    /// Advances `GROUPS` groups of lanes over every column of the block,
+    /// the partial sums in registers, and stores the lanes that are pairs
+    /// into `slots` (slot `s` is lane `lane + offset + s`).
+    #[inline(always)]
+    fn sweep<const GROUPS: usize>(self, slots: &mut [f64]) {
+        let LanePass {
+            block,
+            lanes,
+            x,
+            lane,
+            offset,
+            edge,
+        } = self;
+        if lane + GROUPS * GROUP_LANES > lanes || x >= lanes {
+            return;
+        }
+        // The sums move through these buffers with one slice copy each
+        // way; every access to the sums themselves has a constant index,
+        // so they stay in registers, never in an indexed stack array.
+        let pairs = offset..offset + slots.len();
+        let mut carried = [-0.0f64; MAX_GROUPS * GROUP_LANES];
+        if !edge.first {
+            if let Some(carried) = carried.get_mut(pairs.clone()) {
+                carried.copy_from_slice(slots);
+            }
+        }
+        let sums: [[f64; GROUP_LANES]; GROUPS] = std::array::from_fn(|g| {
+            std::array::from_fn(|l| carried.get(g * GROUP_LANES + l).copied().unwrap_or(-0.0))
+        });
+        let sums = advance(block, lanes, x, lane, sums);
+        let mut done = [0.0f64; MAX_GROUPS * GROUP_LANES];
+        for (g, group) in sums.iter().enumerate() {
+            for (l, &sum) in group.iter().enumerate() {
+                if let Some(slot) = done.get_mut(g * GROUP_LANES + l) {
+                    *slot = sum;
+                }
+            }
+        }
+        if let Some(done) = done.get(pairs) {
+            slots.copy_from_slice(done);
+        }
+        if edge.last {
+            for slot in slots {
+                let d = slot.sqrt();
+                *slot = d * d;
+            }
+        }
+    }
+}
+
+/// `sums` advanced over every column of `block` (rows of `lanes` values):
+/// lane `lane + g·8 + l` adds `(x_k − y_k)²` in column order, `x` being
+/// row `x`'s lane. Kept apart from the loads and stores around it so the
+/// sums stay in vector registers — up to [`MAX_GROUPS`] of them, where the
+/// compiler still unrolls the group loop.
+#[inline(always)]
+fn advance<const GROUPS: usize>(
+    block: &[f64],
+    lanes: usize,
+    x: usize,
+    lane: usize,
+    mut sums: [[f64; GROUP_LANES]; GROUPS],
+) -> [[f64; GROUP_LANES]; GROUPS] {
+    let window = lane..lane + GROUPS * GROUP_LANES;
+    for column in block.chunks_exact(lanes) {
+        // One length check per column: the groups are then a fixed-size
+        // array, and the body below is straight-line vector code.
+        let ys = column
+            .get(window.clone())
+            .map(|ys| ys.as_chunks::<GROUP_LANES>().0);
+        let ys: Option<&[[f64; GROUP_LANES]; GROUPS]> = ys.and_then(|ys| ys.try_into().ok());
+        let (Some(&xk), Some(ys)) = (column.get(x), ys) else {
+            continue;
+        };
+        for (group, ys) in sums.iter_mut().zip(ys) {
+            for (sum, &y) in group.iter_mut().zip(ys) {
+                let d = xk - y;
+                *sum += d * d;
+            }
+        }
+    }
+    sums
 }
 
 /// `task(range, &mut out[range])` over contiguous slot ranges that cover
@@ -754,15 +1111,152 @@ mod tests {
         }
     }
 
+    /// [`PairKernel`] over pairs `range` of the batch at `width`, or
+    /// `None` when the CPU lacks the width.
+    fn pairs_at(width: Width, batch: &GradientBatch, range: Range<usize>) -> Option<Vec<u64>> {
+        let n = batch.len();
+        let mut packed = vec![f64::NAN; range.len()];
+        let mut block = vec![f64::NAN; PAIR_BLOCK * n.next_multiple_of(GROUP_LANES)];
+        let kernel = PairKernel {
+            rows: Rows::of(batch),
+            n,
+            range,
+            packed: &mut packed,
+            block: &mut block,
+        };
+        width.call(kernel).ok()?;
+        Some(packed.iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// `dist(row_i, row_j)²` of every pair, in linear pair order.
+    fn reference_pairs(batch: &GradientBatch) -> Vec<u64> {
+        let n = batch.len();
+        let upper = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
+        let dist_sq = |(i, j)| {
+            let d = rowops::dist(batch.row(i), batch.row(j));
+            (d * d).to_bits()
+        };
+        upper.map(dist_sq).collect()
+    }
+
+    /// The pool's fixed schedule: `units` cut into `chunks` ranges.
+    fn chunk_ranges(units: usize, chunks: usize) -> Vec<Range<usize>> {
+        let (base, extra) = (units / chunks, units % chunks);
+        let start = |w: usize| w * base + w.min(extra);
+        (0..chunks).map(|w| start(w)..start(w + 1)).collect()
+    }
+
+    /// Runs the pair kernel over `range` at every width the CPU supports
+    /// and requires the reference's bits from each.
+    fn every_width_fills_pairs(batch: &GradientBatch, range: Range<usize>, reference: &[u64]) {
+        let want = reference
+            .get(range.clone())
+            .expect("range within the triangle");
+        for width in Width::ALL.into_iter().filter(|w| w.is_supported()) {
+            let got = pairs_at(width, batch, range.clone());
+            assert_eq!(
+                got.as_deref(),
+                Some(want),
+                "{width:?}: n={} d={} pairs {range:?}",
+                batch.len(),
+                batch.dim(),
+            );
+        }
+    }
+
     #[test]
-    fn fill_slots_covers_every_slot_in_parallel() {
-        let pool = WorkerPool::new(3);
-        let mut serial = vec![0.0; 11];
-        fill_slots(None, None, 10_000, &mut serial, |i| (i as f64).sqrt());
-        let mut parallel = vec![0.0; 11];
-        fill_slots(Some(&pool), None, 10_000, &mut parallel, |i| {
-            (i as f64).sqrt()
-        });
-        assert_eq!(serial, parallel);
+    fn every_width_fills_the_pair_triangle_at_every_count() {
+        // One block and one column: every lane-group count up to 9, and
+        // rows whose lanes start at every offset inside a group.
+        for n in 2..=70usize {
+            let batch = hostile_batch(n, PAIR_BLOCK + 1, n as u64);
+            let reference = reference_pairs(&batch);
+            every_width_fills_pairs(&batch, 0..reference.len(), &reference);
+        }
+    }
+
+    #[test]
+    fn every_width_fills_the_pair_triangle_across_block_edges() {
+        for dim in [
+            PAIR_BLOCK - 1,
+            PAIR_BLOCK,
+            PAIR_BLOCK + 1,
+            2 * PAIR_BLOCK + 5,
+        ] {
+            for n in [2usize, 3, 7, 8, 9, 16, 17, 40, 41, 70] {
+                let batch = hostile_batch(n, dim, (n * 131 + dim) as u64);
+                let reference = reference_pairs(&batch);
+                every_width_fills_pairs(&batch, 0..reference.len(), &reference);
+                // The dispatch: the narrow walk below one block, the
+                // kernel from one block up.
+                let mut matrix = Vec::new();
+                pairwise_dist_sq_into(&batch, &mut matrix);
+                let upper = (0..n).flat_map(|i| (i + 1..n).map(move |j| i * n + j));
+                let got: Vec<u64> = upper.map(|at| matrix[at].to_bits()).collect();
+                assert_eq!(got, reference, "n={n} d={dim}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_width_fills_pair_ranges_cut_at_every_chunk_edge() {
+        // Each thread count's chunks, and ranges that start and end
+        // mid-row: inside one row, across two, and across many.
+        for n in [9usize, 40, 43, 70] {
+            let batch = hostile_batch(n, 2 * PAIR_BLOCK + 5, n as u64 + 5);
+            let reference = reference_pairs(&batch);
+            let pairs = reference.len();
+            let mut ranges: Vec<Range<usize>> = (1..=4)
+                .flat_map(|threads| chunk_ranges(pairs, threads))
+                .collect();
+            ranges.extend([2..5, n - 3..n + 4, n + 1..pairs - 2, pairs - 1..pairs]);
+            for range in ranges {
+                every_width_fills_pairs(&batch, range, &reference);
+            }
+            let mut sharded = batch;
+            let mut serial = Vec::new();
+            pairwise_dist_sq_into(&sharded, &mut serial);
+            for threads in 2..=4 {
+                sharded.set_worker_pool(Some(Arc::new(WorkerPool::new(threads))));
+                let mut parallel = Vec::new();
+                pairwise_dist_sq_into(&sharded, &mut parallel);
+                assert_eq!(serial, parallel, "n={n}, {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn centre_distances_equal_dist_and_norm_per_row_at_any_thread_count() {
+        // 1500 columns clear the sharding floor from 6 rows on; the counts
+        // leave every four-row remainder, on the caller and on a worker.
+        let centre = hostile_batch(1, 1500, 99);
+        let centre = centre.row(0);
+        for count in [1usize, 2, 3, 4, 5, 6, 7, 9, 11] {
+            let batch = hostile_batch(count, 1500, count as u64);
+            let rows = Rows::of(&batch);
+            let members: Vec<usize> = (0..count).rev().step_by(2).collect();
+            let cases = [
+                (None, None),
+                (Some(&members[..]), None),
+                (None, Some(centre)),
+            ];
+            for (listed, centre) in cases {
+                let picked = |p: usize| batch.row(listed.map_or(p, |m| m[p]));
+                let len = listed.map_or(count, <[usize]>::len);
+                let want: Vec<u64> = (0..len)
+                    .map(|p| match centre {
+                        Some(centre) => rowops::dist(picked(p), centre).to_bits(),
+                        None => rowops::norm(picked(p)).to_bits(),
+                    })
+                    .collect();
+                for threads in [None, Some(2usize), Some(3), Some(4)] {
+                    let pool = threads.map(WorkerPool::new);
+                    let mut slots = vec![f64::NAN; len];
+                    centre_dists_into(pool.as_ref(), None, rows, listed, centre, &mut slots);
+                    let got: Vec<u64> = slots.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "count={count} {threads:?} threads");
+                }
+            }
+        }
     }
 }

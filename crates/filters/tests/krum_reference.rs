@@ -1,8 +1,9 @@
 //! The Krum family against a slow reference in the pre-matrix formulation.
 //!
 //! Krum, Multi-Krum and Bulyan score out of one squared-distance matrix
-//! per aggregation call, each unordered pair computed once by the
-//! four-wide kernel. The reference below does what the filters did before
+//! per aggregation call, each unordered pair computed once: by the
+//! four-wide walk below one 128-column block, by the column-block kernel
+//! from one block up. The reference below does what the filters did before
 //! that: one `rowops::dist` per *ordered* pair, again in every Bulyan
 //! selection round. The two must agree on every output bit — over sizes
 //! around the four-wide grouping (`n ≡ 0, 1, 3 mod 4`), every admissible
@@ -222,6 +223,54 @@ fn krum_family_matches_the_reference_at_n41() {
 #[test]
 fn krum_family_matches_the_reference_at_n43() {
     check_sizes(&[43]);
+}
+
+/// `par::PAIR_BLOCK`: from this many columns on, the pair matrix comes
+/// from the column-block kernel at the CPU's widest vector width.
+const PAIR_BLOCK: usize = 128;
+
+#[test]
+fn krum_family_matches_the_reference_across_column_blocks() {
+    // The tests above run `n ≥ 40` at `d ≤ 11`, the narrow pair walk; here
+    // the wide shape's `n` meets widths on both sides of one block and
+    // past two, with irregular and hostile rows, serial and sharded.
+    let pools = [1usize, 2, 4].map(|threads| Arc::new(WorkerPool::new(threads)));
+    for n in [40usize, 41, 43] {
+        for dim in [
+            PAIR_BLOCK - 1,
+            PAIR_BLOCK,
+            PAIR_BLOCK + 1,
+            2 * PAIR_BLOCK + 5,
+        ] {
+            let hostile = common::hostile_rows(n, dim, (n * 131 + dim) as u64);
+            for (kind, rows) in [("irregular", irregular(n, dim)), ("hostile", hostile)] {
+                for f in [0, 1, (n - 3) / 4, (n - 3) / 2] {
+                    let label = format!("{kind} n={n} d={dim} f={f}");
+                    let scores = reference_full_scores(&rows, f);
+                    let expected = reference_krum(&rows, &scores);
+                    let krum = format!("krum {label}");
+                    assert_matches_reference(&pools, &Krum::new(), &rows, f, &expected, &krum);
+                    let m = (n - f) / 2;
+                    let expected = reference_multi_krum(&rows, &scores, m);
+                    let multi_krum = MultiKrum::new(m).expect("m >= 1");
+                    let label_m = format!("multi-krum m={m} {label}");
+                    assert_matches_reference(&pools, &multi_krum, &rows, f, &expected, &label_m);
+                    if n >= 4 * f + 3 {
+                        let expected = reference_bulyan(&rows, f);
+                        let bulyan = format!("bulyan {label}");
+                        assert_matches_reference(
+                            &pools,
+                            &Bulyan::new(),
+                            &rows,
+                            f,
+                            &expected,
+                            &bulyan,
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]

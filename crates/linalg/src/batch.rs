@@ -61,7 +61,9 @@ pub struct BatchScratch {
     /// so a steady row count builds it once.
     pub network: SortingNetwork,
     /// Row-major `n × n` pairwise workspace (the Krum family's symmetric
-    /// squared-distance matrix, filled once per aggregation call).
+    /// squared-distance matrix, filled once per aggregation call; while it
+    /// is filled, the packed triangle and the pair kernel's column block
+    /// sit past its end).
     pub dist_sq: Vec<f64>,
 }
 
@@ -306,7 +308,10 @@ pub mod rowops {
     /// lane `l` equals [`dist`]`(a, rows[l])` **bit for bit** — each lane
     /// sums its `(x − y)²` terms in index order into its own accumulator,
     /// so the four add chains are independent where a lone [`dist`] call
-    /// is bound by one chain's latency.
+    /// is bound by one chain's latency. The Krum family's narrow pair walk
+    /// runs it with `a` a row, the filters' row-to-centre passes with `a`
+    /// the centre: since `(x − y)² ≡ (y − x)²`, lane `l` is also
+    /// [`dist`]`(rows[l], a)` bit for bit.
     ///
     /// # Panics
     ///
@@ -322,6 +327,27 @@ pub mod rowops {
             s1 += (x - y1) * (x - y1);
             s2 += (x - y2) * (x - y2);
             s3 += (x - y3) * (x - y3);
+        }
+        [s0.sqrt(), s1.sqrt(), s2.sqrt(), s3.sqrt()]
+    }
+
+    /// Euclidean norms of four rows in one walk: lane `l` equals
+    /// [`norm`]`(rows[l])` **bit for bit**, each lane summing its squares
+    /// in index order into its own accumulator — [`dist4`] against the
+    /// origin, since `(0 − y)² ≡ y²`, without reading one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when lengths differ (debug builds).
+    pub fn norm4(rows: [&[f64]; 4]) -> [f64; 4] {
+        let [b0, b1, b2, b3] = rows;
+        debug_assert!(rows.iter().all(|b| b.len() == b0.len()));
+        let (mut s0, mut s1, mut s2, mut s3) = (-0.0f64, -0.0f64, -0.0f64, -0.0f64);
+        for (((y0, y1), y2), y3) in b0.iter().zip(b1).zip(b2).zip(b3) {
+            s0 += y0 * y0;
+            s1 += y1 * y1;
+            s2 += y2 * y2;
+            s3 += y3 * y3;
         }
         [s0.sqrt(), s1.sqrt(), s2.sqrt(), s3.sqrt()]
     }

@@ -226,4 +226,20 @@ proptest! {
             );
         }
     }
+
+    #[test]
+    fn norm4_and_a_reversed_dist4_equal_norm_and_dist_bit_for_bit(rows in five_hostile_rows()) {
+        // The row-to-centre passes: `norm4` per row, and `dist4` with the
+        // centre as `a`, which must equal `dist(row, centre)`.
+        let [centre, b0, b1, b2, b3] = &rows[..] else { unreachable!("five rows") };
+        let lanes = [b0.as_slice(), b1, b2, b3];
+        let same = |got: f64, want: f64| {
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+        };
+        let (norms, dists) = (rowops::norm4(lanes), rowops::dist4(centre, lanes));
+        for ((&norm, &dist), b) in norms.iter().zip(&dists).zip(lanes) {
+            prop_assert!(same(norm, rowops::norm(b)), "len {}: {norm:e}", b.len());
+            prop_assert!(same(dist, rowops::dist(b, centre)), "len {}: {dist:e}", b.len());
+        }
+    }
 }

@@ -603,18 +603,55 @@ pub fn unresolved_roots(root: &Path) -> io::Result<Vec<String>> {
 /// exists). The chain is the one a `panic-reach` violation in that
 /// function would print, so `Some` means its panics are checked.
 pub fn hot_path_chain(root: &Path, file: &str, name: &str) -> io::Result<Option<Vec<Hop>>> {
-    let parsed: Vec<_> = read_src_trees(root)?
+    let parsed = parsed_workspace(root)?;
+    let graph = graph::CallGraph::build(&parsed);
+    let walk = reach::Walk::new(&graph, &parsed);
+    Ok(node_of(&graph, file, name).and_then(|id| walk.chain(id)))
+}
+
+/// [`hot_path_chain`] of the function `name` in `file`, forced through
+/// the function `via_name` in `via_file`: the walk's chain to `via`, then
+/// the shortest path on from `via` along call edges no pragma cuts. `None`
+/// when no root reaches `via`, or `via` does not reach the function. It
+/// tells which of several callers a shared function is reached from, where
+/// [`hot_path_chain`] shows only the first.
+pub fn hot_path_chain_via(
+    root: &Path,
+    (via_file, via_name): (&str, &str),
+    file: &str,
+    name: &str,
+) -> io::Result<Option<Vec<Hop>>> {
+    let parsed = parsed_workspace(root)?;
+    let graph = graph::CallGraph::build(&parsed);
+    let (Some(via), Some(id)) = (
+        node_of(&graph, via_file, via_name),
+        node_of(&graph, file, name),
+    ) else {
+        return Ok(None);
+    };
+    let to_via = reach::Walk::new(&graph, &parsed).chain(via);
+    let onward = reach::Walk::from_roots(&graph, &parsed, &[via]).chain(id);
+    Ok(to_via.zip(onward).map(|(mut chain, onward)| {
+        chain.extend(onward.into_iter().skip(1));
+        chain
+    }))
+}
+
+/// The workspace's `src/` files, the lint crate's own excluded, parsed.
+fn parsed_workspace(root: &Path) -> io::Result<Vec<parse::ParsedSource>> {
+    Ok(read_src_trees(root)?
         .iter()
         .filter(|(rel, _)| !rel.starts_with("crates/lint/"))
         .map(|(rel, source)| parse::parse_source(rel, source))
-        .collect();
-    let graph = graph::CallGraph::build(&parsed);
-    let walk = reach::Walk::new(&graph, &parsed);
-    let id = graph
+        .collect())
+}
+
+/// The call-graph node of the function `name` defined in `file`.
+fn node_of(graph: &graph::CallGraph, file: &str, name: &str) -> Option<usize> {
+    graph
         .nodes
         .iter()
-        .position(|node| node.file == file && node.name == name);
-    Ok(id.and_then(|id| walk.chain(id)))
+        .position(|node| node.file == file && node.name == name)
 }
 
 /// Every `.rs` file under `root/src/` and `root/crates/*/src/`, as

@@ -102,15 +102,21 @@ impl<'g> Walk<'g> {
     /// Walks `graph`. `files` is the same parsed set the graph was built
     /// from (for the pragmas that cut edges).
     pub fn new(graph: &'g CallGraph, files: &[ParsedSource]) -> Self {
-        let allowed = pragma_lookup(files);
         // Roots and edges are visited in deterministic (node-id) order.
         let roots: Vec<usize> = (0..graph.nodes.len())
             .filter(|&id| is_root(&graph.nodes[id]))
             .collect();
+        Walk::from_roots(graph, files, &roots)
+    }
+
+    /// The same walk from the nodes `roots` alone (e.g. one dispatch
+    /// function, to ask what it reaches).
+    pub fn from_roots(graph: &'g CallGraph, files: &[ParsedSource], roots: &[usize]) -> Self {
+        let allowed = pragma_lookup(files);
         let mut parent: Vec<Option<usize>> = vec![None; graph.nodes.len()];
         let mut seen = vec![false; graph.nodes.len()];
         let mut queue: std::collections::VecDeque<usize> = roots.iter().copied().collect();
-        for &r in &roots {
+        for &r in roots {
             seen[r] = true;
         }
         while let Some(id) = queue.pop_front() {
@@ -234,6 +240,37 @@ mod tests {
     }
 
     const FILTER: &str = "pub struct M;\nimpl GradientFilter for M {\n    fn aggregate_into(&self) {\n        helper();\n    }\n}\n";
+
+    #[test]
+    fn a_walk_from_one_caller_finds_its_own_path_to_a_shared_callee() {
+        let files = [
+            ("crates/filters/src/m.rs", FILTER),
+            (
+                "crates/util/src/lib.rs",
+                "pub fn helper() {\n    near();\n    far();\n}\nfn near() {\n    shared();\n}\nfn far() {\n    middle();\n}\nfn middle() {\n    shared();\n}\nfn shared() {}\n",
+            ),
+        ];
+        let parsed: Vec<ParsedSource> = files
+            .iter()
+            .map(|(rel, src)| parse_source(rel, src))
+            .collect();
+        let graph = CallGraph::build(&parsed);
+        let id = |name: &str| graph.nodes.iter().position(|n| n.name == name).unwrap();
+        let names = |chain: Option<Vec<Hop>>| -> Vec<String> {
+            chain.unwrap().into_iter().map(|hop| hop.func).collect()
+        };
+        let all = Walk::new(&graph, &parsed);
+        assert_eq!(
+            names(all.chain(id("shared"))),
+            ["M::aggregate_into", "helper", "near", "shared"]
+        );
+        let from_far = Walk::from_roots(&graph, &parsed, &[id("far")]);
+        assert_eq!(
+            names(from_far.chain(id("shared"))),
+            ["far", "middle", "shared"]
+        );
+        assert_eq!(from_far.chain(id("near")), None);
+    }
 
     #[test]
     fn transitive_panic_is_reported_with_chain() {

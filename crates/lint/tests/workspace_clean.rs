@@ -7,7 +7,9 @@
 //! crate, or the exceptions outgrow their ceiling.
 
 use abft_lint::parse::{parse_source, ParsedSource};
-use abft_lint::{default_root, hot_path_chain, lint_workspace, unresolved_roots};
+use abft_lint::{
+    default_root, hot_path_chain, hot_path_chain_via, lint_workspace, unresolved_roots,
+};
 use std::path::{Path, PathBuf};
 
 /// The most exceptions the tree may hold: reason-carrying `LINT-ALLOW`
@@ -261,6 +263,49 @@ fn the_tile_kernel_stays_inside_the_hot_path_walk() {
         assert!(
             funcs.iter().any(|f| f == "trimmed_mean_columns"),
             "`{wrapper}` must be reached from the tile dispatch: {funcs:?}"
+        );
+    }
+}
+
+/// The Krum family's pair kernel runs behind the same trait method and
+/// wrappers as the tile kernel. Its functions must be reached from a
+/// filter root through `PairKernel::compute`, and the pair dispatch must
+/// reach the wrappers itself — not only through the tile dispatch, which
+/// the walk happens to find first.
+#[test]
+fn the_pair_kernel_stays_inside_the_hot_path_walk() {
+    let root = default_root();
+    let funcs = |chain: Option<Vec<abft_lint::Hop>>, what: &str| {
+        let chain = chain.unwrap_or_else(|| panic!("the hot-path walk misses {what}"));
+        chain.into_iter().map(|hop| hop.func).collect::<Vec<_>>()
+    };
+    for kernel in ["transpose_block", "row_pairs", "sweep", "advance"] {
+        let chain = hot_path_chain(&root, "crates/filters/src/par.rs", kernel);
+        let funcs = funcs(chain.expect("workspace sources are readable"), kernel);
+        assert!(
+            funcs
+                .first()
+                .is_some_and(|f| f.ends_with("::aggregate_into")),
+            "`{kernel}` must be reached from an `aggregate_into` root: {funcs:?}"
+        );
+        assert!(
+            funcs.iter().any(|f| f == "PairKernel::compute"),
+            "`{kernel}` must be reached through the kernel: {funcs:?}"
+        );
+    }
+    let dispatch = ("crates/filters/src/par.rs", "fill_pairs");
+    for wrapper in ["widest", "run_avx2", "run_avx512"] {
+        let chain = hot_path_chain_via(&root, dispatch, "crates/linalg/src/simd.rs", wrapper);
+        let funcs = funcs(chain.expect("workspace sources are readable"), wrapper);
+        assert!(
+            funcs
+                .first()
+                .is_some_and(|f| f.ends_with("::aggregate_into")),
+            "`{wrapper}` must be reached from an `aggregate_into` root: {funcs:?}"
+        );
+        assert!(
+            funcs.iter().any(|f| f == "pairwise_dist_sq_into"),
+            "`{wrapper}` must be reached from the pair dispatch: {funcs:?}"
         );
     }
 }

@@ -20,7 +20,7 @@
 //! | [`core`] | `(n, f)` configuration, traces, subsets, and [`core::observe`] — the streaming `RunObserver` sink API (lazy per-round views, trace recorders, convergence-triggered halting, constant-memory CSV streaming) every driver reports through |
 //! | [`linalg`] | vectors, matrices, solvers, eigenvalues (from scratch), [`linalg::GradientBatch`] — the contiguous `n × d` arena the whole aggregation path runs on — and [`linalg::WorkerPool`], the deterministic pool that shards aggregation bit-identically across threads |
 //! | [`problems`] | cost functions with in-place `gradient_into`, the paper's regression dataset, µ/γ analysis |
-//! | [`filters`] | CGE, CWTM + nine baseline robust aggregators, each implementing the zero-copy `aggregate_into` batch path (the `&[Vector]` signature remains as a thin adapter) |
+//! | [`filters`] | 14 filters registered by name: the paper's CGE and CWTM, plain averaging, a CGE-average ablation and ten baseline robust aggregators; `GradientFilter::aggregate_into` over a `GradientBatch` is the one entry point (a caller holding `&[Vector]` builds the batch with `batch_of`) |
 //! | [`attacks`] | gradient-reverse, random (σ=200), ALIE, … — forging directly into batch rows via `corrupt_into` |
 //! | [`redundancy`] | ε measurement, Theorem-2 exact algorithm, bounds, necessity witness |
 //! | [`dgd`] | the Section-4 DGD step — [`dgd::RoundEngine`], the one server step every driver calls (the five DGD drivers, every honest agent of the peer-to-peer simulation, and robust D-SGD; what a run's records measure is its [`dgd::RoundMetrics`]) — with [`dgd::AgentCell`] (what one agent reports), projection and schedules, and [`dgd::RoundWorkspace`], the synchronous server's round loop: one batch + scratch reused across all `T` iterations (zero per-iteration gradient allocations). It holds the steps, not a launcher — see [`runtime`] |
