@@ -128,7 +128,7 @@ impl CsvTable {
     /// # Errors
     ///
     /// Returns [`CoreError::Io`] when the writer fails.
-    pub fn write_to(&self, writer: &mut impl Write) -> Result<(), CoreError> {
+    fn write_to(&self, writer: &mut impl Write) -> Result<(), CoreError> {
         writer.write_all(self.to_csv_string().as_bytes())?;
         Ok(())
     }

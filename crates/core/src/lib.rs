@@ -42,7 +42,7 @@ pub use config::SystemConfig;
 pub use error::CoreError;
 pub use observe::{
     observe_round, ControlFlow, ConvergenceHalt, CsvStreamer, HaltReason, MetricSource,
-    NullObserver, Probe, RoundView, RunObserver, RunSummary, TraceRecorder,
+    NullObserver, RoundView, RunObserver, RunSummary, TraceRecorder,
 };
 pub use trace::{IterationRecord, Trace};
 pub use validate::ValidationError;

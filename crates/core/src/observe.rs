@@ -23,11 +23,6 @@
 //!   an observer that reads nothing costs nothing — in particular, the
 //!   per-round honest-cost pass behind `loss` never runs for
 //!   pure-throughput observers.
-//! * [`Probe`] — the mask of derived metrics an observer declares it will
-//!   read. Drivers whose metric inputs are transient (e.g. the
-//!   peer-to-peer runtime, which overwrites the leader's aggregate while
-//!   processing later agents) consult the probe to decide what to capture
-//!   eagerly; everything outside the probe may be skipped.
 //! * [`RunSummary`] — the always-present result of an observed run: the
 //!   final record (computed once, at the end), the number of rounds
 //!   executed, and why the run stopped ([`HaltReason`]).
@@ -48,9 +43,6 @@
 //!
 //! struct PrintDistance;
 //! impl RunObserver for PrintDistance {
-//!     fn probe(&self) -> abft_core::observe::Probe {
-//!         abft_core::observe::Probe::DISTANCE
-//!     }
 //!     fn observe(&mut self, view: &RoundView<'_>) -> ControlFlow {
 //!         println!("t = {}: d = {}", view.iteration(), view.distance());
 //!         ControlFlow::Continue
@@ -67,67 +59,6 @@ use crate::trace::{IterationRecord, Trace};
 use std::cell::Cell;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-
-/// The set of derived per-round metrics an observer intends to read.
-///
-/// Iteration index, estimate, and filtered gradient are always available
-/// for free; the four derived series cost real work (`loss` is a full
-/// pass over the honest costs). An observer's probe is a *contract*: the
-/// driver guarantees the probed metrics are readable from every
-/// [`RoundView`] it hands out, and may skip capturing anything outside
-/// the probe. Reading an unprobed metric is a logic error (checked by a
-/// debug assertion).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Probe {
-    /// Reads the honest aggregate loss `Σ_{i∈H} Q_i(x_t)`.
-    pub loss: bool,
-    /// Reads the approximation error `‖x_t − reference‖`.
-    pub distance: bool,
-    /// Reads the filtered gradient norm.
-    pub grad_norm: bool,
-    /// Reads Theorem 3's inner product `φ_t`.
-    pub phi: bool,
-}
-
-impl Probe {
-    /// Reads nothing — the pure-throughput probe.
-    pub const NONE: Probe = Probe {
-        loss: false,
-        distance: false,
-        grad_norm: false,
-        phi: false,
-    };
-
-    /// Reads every derived metric (the [`TraceRecorder`] probe).
-    pub const ALL: Probe = Probe {
-        loss: true,
-        distance: true,
-        grad_norm: true,
-        phi: true,
-    };
-
-    /// Reads only the distance series (the [`ConvergenceHalt`] probe).
-    pub const DISTANCE: Probe = Probe {
-        distance: true,
-        ..Probe::NONE
-    };
-
-    /// The union of two probes — what a composite observer declares.
-    #[must_use]
-    pub fn union(self, other: Probe) -> Probe {
-        Probe {
-            loss: self.loss || other.loss,
-            distance: self.distance || other.distance,
-            grad_norm: self.grad_norm || other.grad_norm,
-            phi: self.phi || other.phi,
-        }
-    }
-
-    /// `true` when at least one derived metric is probed.
-    pub fn any(self) -> bool {
-        self.loss || self.distance || self.grad_norm || self.phi
-    }
-}
 
 /// What an observer tells the driver after seeing a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,7 +154,6 @@ pub struct RoundView<'a> {
     estimate: &'a [f64],
     aggregate: &'a [f64],
     source: &'a dyn MetricSource,
-    probe: Probe,
     loss: Cell<Option<f64>>,
     distance: Cell<Option<f64>>,
     grad_norm: Cell<Option<f64>>,
@@ -233,21 +163,18 @@ pub struct RoundView<'a> {
 impl<'a> RoundView<'a> {
     /// A view for iteration `iteration` at estimate `estimate` with
     /// filtered gradient `aggregate`, deriving metrics from `source`.
-    /// `probe` is the observer's declared mask (used only to debug-assert
-    /// the contract; metrics are computed lazily either way).
+    /// Any metric can be read from any view; each is computed at most once.
     pub fn new(
         iteration: usize,
         estimate: &'a [f64],
         aggregate: &'a [f64],
         source: &'a dyn MetricSource,
-        probe: Probe,
     ) -> Self {
         RoundView {
             iteration,
             estimate,
             aggregate,
             source,
-            probe,
             loss: Cell::new(None),
             distance: Cell::new(None),
             grad_norm: Cell::new(None),
@@ -265,7 +192,8 @@ impl<'a> RoundView<'a> {
         self.estimate
     }
 
-    /// The filtered (aggregated) gradient of this round.
+    /// The filtered (aggregated) gradient of this round. Free, like the
+    /// estimate: an observer reads the aggregate itself without a metric.
     pub fn filtered_gradient(&self) -> &[f64] {
         self.aggregate
     }
@@ -283,31 +211,21 @@ impl<'a> RoundView<'a> {
 
     /// Honest aggregate loss `Σ_{i∈H} Q_i(x_t)` (computed on first access).
     pub fn loss(&self) -> f64 {
-        debug_assert!(self.probe.loss, "loss read outside the declared probe");
         Self::memo(&self.loss, || self.source.loss())
     }
 
     /// Approximation error `‖x_t − reference‖` (computed on first access).
     pub fn distance(&self) -> f64 {
-        debug_assert!(
-            self.probe.distance,
-            "distance read outside the declared probe"
-        );
         Self::memo(&self.distance, || self.source.distance())
     }
 
     /// Filtered gradient norm (computed on first access).
     pub fn grad_norm(&self) -> f64 {
-        debug_assert!(
-            self.probe.grad_norm,
-            "grad_norm read outside the declared probe"
-        );
         Self::memo(&self.grad_norm, || self.source.grad_norm())
     }
 
     /// Theorem 3's `φ_t` (computed on first access).
     pub fn phi(&self) -> f64 {
-        debug_assert!(self.probe.phi, "phi read outside the declared probe");
         Self::memo(&self.phi, || self.source.phi())
     }
 
@@ -316,15 +234,14 @@ impl<'a> RoundView<'a> {
     /// an earlier single-metric read — shares the work). Field order
     /// matches the historical record construction exactly.
     ///
-    /// This accessor ignores the probe: drivers use it to build the final
-    /// [`RunSummary`] record regardless of what the observers declared.
+    /// Drivers use it to build the final [`RunSummary`] record.
     pub fn record(&self) -> IterationRecord {
         IterationRecord {
             iteration: self.iteration,
-            loss: Self::memo(&self.loss, || self.source.loss()),
-            distance: Self::memo(&self.distance, || self.source.distance()),
-            grad_norm: Self::memo(&self.grad_norm, || self.source.grad_norm()),
-            phi: Self::memo(&self.phi, || self.source.phi()),
+            loss: self.loss(),
+            distance: self.distance(),
+            grad_norm: self.grad_norm(),
+            phi: self.phi(),
         }
     }
 }
@@ -371,15 +288,9 @@ pub fn observe_round(
 /// iteration order, and stop early when it returns [`ControlFlow::Halt`].
 /// Observation must not mutate the run: two runs differing only in their
 /// observers produce identical estimates (pinned by the cross-backend
-/// equivalence tests).
+/// equivalence tests). What an observer costs is what it reads from the
+/// view: every derived metric is lazy, so there is nothing to declare.
 pub trait RunObserver {
-    /// The derived metrics this observer will read. Drivers may skip
-    /// capturing anything outside the union of their observers' probes.
-    /// Defaults to [`Probe::ALL`] (always safe, never fastest).
-    fn probe(&self) -> Probe {
-        Probe::ALL
-    }
-
     /// Observes one round; return [`ControlFlow::Halt`] to stop the run
     /// with this round as its final record.
     fn observe(&mut self, view: &RoundView<'_>) -> ControlFlow;
@@ -387,12 +298,8 @@ pub trait RunObserver {
 
 /// Observers compose as tuples: both see every round (even when the first
 /// halts, so a recorder paired with a halt rule still captures the halt
-/// round), and the run stops when either asks to. Probes union.
+/// round), and the run stops when either asks to.
 impl<A: RunObserver, B: RunObserver> RunObserver for (A, B) {
-    fn probe(&self) -> Probe {
-        self.0.probe().union(self.1.probe())
-    }
-
     fn observe(&mut self, view: &RoundView<'_>) -> ControlFlow {
         let first = self.0.observe(view);
         first.merge(self.1.observe(view))
@@ -400,26 +307,18 @@ impl<A: RunObserver, B: RunObserver> RunObserver for (A, B) {
 }
 
 impl RunObserver for Box<dyn RunObserver + '_> {
-    fn probe(&self) -> Probe {
-        self.as_ref().probe()
-    }
-
     fn observe(&mut self, view: &RoundView<'_>) -> ControlFlow {
         self.as_mut().observe(view)
     }
 }
 
-/// The do-nothing observer: probes nothing, never halts. The observer of
+/// The do-nothing observer: reads nothing, never halts. The observer of
 /// a pure-throughput (`SummaryOnly`) run — with it, no per-round loss/φ
 /// evaluation ever happens.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullObserver;
 
 impl RunObserver for NullObserver {
-    fn probe(&self) -> Probe {
-        Probe::NONE
-    }
-
     fn observe(&mut self, _view: &RoundView<'_>) -> ControlFlow {
         ControlFlow::Continue
     }
@@ -465,10 +364,6 @@ impl TraceRecorder {
 }
 
 impl RunObserver for TraceRecorder {
-    fn probe(&self) -> Probe {
-        Probe::ALL
-    }
-
     fn observe(&mut self, view: &RoundView<'_>) -> ControlFlow {
         if view.iteration().is_multiple_of(self.every) {
             self.trace.push(view.record());
@@ -519,10 +414,6 @@ impl ConvergenceHalt {
 }
 
 impl RunObserver for ConvergenceHalt {
-    fn probe(&self) -> Probe {
-        Probe::DISTANCE
-    }
-
     fn observe(&mut self, view: &RoundView<'_>) -> ControlFlow {
         // `<=` with a NaN distance is false, so a diverged run can never
         // satisfy the halt rule by accident.
@@ -621,10 +512,6 @@ impl<W: Write> CsvStreamer<W> {
 }
 
 impl<W: Write> RunObserver for CsvStreamer<W> {
-    fn probe(&self) -> Probe {
-        Probe::ALL
-    }
-
     fn observe(&mut self, view: &RoundView<'_>) -> ControlFlow {
         if self.error.is_none() && view.iteration().is_multiple_of(self.every) {
             let record = view.record();
@@ -672,26 +559,14 @@ mod tests {
         }
     }
 
-    fn view<'a>(t: usize, source: &'a Counting, probe: Probe) -> RoundView<'a> {
-        RoundView::new(t, &[], &[], source, probe)
-    }
-
-    #[test]
-    fn probe_unions_and_any() {
-        assert!(!Probe::NONE.any());
-        assert!(Probe::DISTANCE.any());
-        assert_eq!(Probe::NONE.union(Probe::ALL), Probe::ALL);
-        let u = Probe::DISTANCE.union(Probe {
-            phi: true,
-            ..Probe::NONE
-        });
-        assert!(u.distance && u.phi && !u.loss && !u.grad_norm);
+    fn view<'a>(t: usize, source: &'a Counting) -> RoundView<'a> {
+        RoundView::new(t, &[], &[], source)
     }
 
     #[test]
     fn view_is_lazy_and_memoized() {
         let source = Counting::new(1.0);
-        let v = view(3, &source, Probe::ALL);
+        let v = view(3, &source);
         assert_eq!(source.loss_calls.get(), 0, "nothing computed up front");
         assert_eq!(v.loss(), 7.5);
         assert_eq!(v.loss(), 7.5);
@@ -707,9 +582,9 @@ mod tests {
         let mut dense = TraceRecorder::dense("d");
         let mut sparse = TraceRecorder::every("s", 3);
         for t in 0..8 {
-            let v = view(t, &source, Probe::ALL);
+            let v = view(t, &source);
             assert!(!dense.observe(&v).is_halt());
-            let v = view(t, &source, Probe::ALL);
+            let v = view(t, &source);
             assert!(!sparse.observe(&v).is_halt());
         }
         assert_eq!(dense.trace().len(), 8);
@@ -736,7 +611,7 @@ mod tests {
         let run = [&far, &near, &near, &far, &near, &near, &near];
         let mut halted_at = None;
         for (t, source) in run.iter().enumerate() {
-            let v = view(t, source, Probe::DISTANCE);
+            let v = view(t, source);
             if halt.observe(&v).is_halt() {
                 halted_at = Some(t);
                 break;
@@ -751,7 +626,7 @@ mod tests {
     fn convergence_halt_never_fires_on_nan() {
         let mut halt = ConvergenceHalt::new(f64::INFINITY, 0.0, 1);
         let nan = Counting::new(f64::NAN);
-        let v = view(0, &nan, Probe::DISTANCE);
+        let v = view(0, &nan);
         assert!(!halt.observe(&v).is_halt());
     }
 
@@ -759,8 +634,7 @@ mod tests {
     fn tuple_composition_halts_when_either_does_and_both_see_the_round() {
         let source = Counting::new(0.0);
         let mut pair = (TraceRecorder::dense("t"), ConvergenceHalt::within(1.0, 1));
-        assert_eq!(pair.probe(), Probe::ALL);
-        let v = view(0, &source, Probe::ALL);
+        let v = view(0, &source);
         assert!(pair.observe(&v).is_halt());
         // The recorder captured the halt round.
         assert_eq!(pair.0.trace().len(), 1);
@@ -774,7 +648,7 @@ mod tests {
             let mut streamer = CsvStreamer::new(&mut buffer);
             let mut recorder = TraceRecorder::dense("t");
             for t in 0..4 {
-                let v = view(t, &source, Probe::ALL);
+                let v = view(t, &source);
                 let _ = streamer.observe(&v);
                 let _ = recorder.observe(&v);
             }
@@ -800,7 +674,7 @@ mod tests {
         let source = Counting::new(1.0);
         let mut streamer = CsvStreamer::new(Broken);
         for t in 0..3 {
-            let v = view(t, &source, Probe::ALL);
+            let v = view(t, &source);
             assert!(!streamer.observe(&v).is_halt(), "I/O never stops the run");
         }
         assert!(streamer.finish().is_err());
@@ -809,7 +683,7 @@ mod tests {
     #[test]
     fn null_observer_reads_nothing() {
         let source = Counting::new(1.0);
-        let v = view(0, &source, Probe::NONE);
+        let v = view(0, &source);
         assert!(!NullObserver.observe(&v).is_halt());
         assert_eq!(source.loss_calls.get(), 0);
     }

@@ -118,12 +118,11 @@ impl Trace {
     }
 
     /// The distance series in iteration order, borrowed — no allocation.
-    pub fn iter_distances(&self) -> impl Iterator<Item = f64> + '_ {
+    fn iter_distances(&self) -> impl Iterator<Item = f64> + '_ {
         self.records.iter().map(|r| r.distance)
     }
 
-    /// The distance series, in iteration order (allocating; prefer
-    /// [`Trace::iter_distances`] when a borrow suffices).
+    /// The distance series, in iteration order.
     pub fn distances(&self) -> Vec<f64> {
         self.iter_distances().collect()
     }

@@ -16,9 +16,10 @@
 
 use crate::error::DgdError;
 use crate::fleet::AgentCell;
+use crate::projection::ProjectionSet;
 use crate::simulation::{ObservedRun, RunOptions};
 use abft_core::observe::{
-    observe_round, ControlFlow, MetricSource, Probe, RoundView, RunObserver, RunSummary,
+    observe_round, ControlFlow, MetricSource, RoundView, RunObserver, RunSummary,
 };
 use abft_core::validate;
 use abft_filters::GradientFilter;
@@ -193,7 +194,6 @@ pub struct RoundEngine<'a> {
     filter: &'a dyn GradientFilter,
     options: &'a RunOptions,
     observer: &'a mut dyn RunObserver,
-    probe: Probe,
     round_span: SpanToken,
     summary: Option<RunSummary>,
     /// The run's aggregation pool, created by the first
@@ -217,8 +217,8 @@ impl<'a> RoundEngine<'a> {
     /// # Errors
     ///
     /// [`DgdError::Config`] when there are no agents, and
-    /// [`DgdError::Dimension`] when the costs, `x0` or the reference
-    /// disagree on dimension.
+    /// [`DgdError::Dimension`] when the costs, `x0`, the reference or a
+    /// ball projection's centre disagree on dimension.
     pub fn new(
         cells: &[AgentCell],
         honest: &[usize],
@@ -230,6 +230,14 @@ impl<'a> RoundEngine<'a> {
         let dims = cells.iter().map(|cell| cell.cost().dim());
         let dim = validate::cost_dimension(cells.len(), dims)?;
         validate::run_point_dimensions(dim, options.x0.dim(), options.reference.dim())?;
+        if let ProjectionSet::Ball { center, .. } = &options.projection {
+            if center.dim() != dim {
+                return Err(DgdError::Dimension {
+                    expected: format!("projection centre of dim {dim}"),
+                    actual: format!("projection centre of dim {}", center.dim()),
+                });
+            }
+        }
         let honest_costs = honest.iter().filter_map(|&agent| cells.get(agent));
         let metrics = HonestCosts {
             costs: honest_costs.map(|cell| cell.cost().clone()).collect(),
@@ -256,7 +264,6 @@ impl<'a> RoundEngine<'a> {
             metrics: Box::new(metrics),
             filter,
             options,
-            probe: observer.probe(),
             observer,
             round_span: telemetry.begin(Phase::Round),
             summary: None,
@@ -347,7 +354,7 @@ impl<'a> RoundEngine<'a> {
             aggregated: &self.aggregated,
         };
         let (x, aggregated) = (self.x.as_slice(), self.aggregated.as_slice());
-        let view = RoundView::new(t, x, aggregated, &source, self.probe);
+        let view = RoundView::new(t, x, aggregated, &source);
         self.summary = observe_round(self.observer, &view, advance);
         self.telemetry.end(span);
         self.counters.rounds += 1;
@@ -449,7 +456,7 @@ impl MetricSource for StepMetrics<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ProjectionSet, StepSchedule};
+    use crate::StepSchedule;
     use abft_core::observe::NullObserver;
     use abft_filters::Mean;
     use abft_telemetry::TelemetryConfig;

@@ -14,7 +14,9 @@ pub enum ProjectionSet {
     },
     /// The Euclidean ball of the given radius around a center.
     Ball {
-        /// Ball center.
+        /// Ball center, in the run's dimension: [`crate::RoundEngine::new`]
+        /// rejects another with [`crate::DgdError::Dimension`], and the
+        /// distance to it is checked in debug builds only.
         center: Vector,
         /// Ball radius (must be positive).
         radius: f64,

@@ -4,8 +4,7 @@
 //! halt freezes the estimate at the halt round.
 
 use abft_core::observe::{
-    ControlFlow, ConvergenceHalt, HaltReason, NullObserver, Probe, RoundView, RunObserver,
-    TraceRecorder,
+    ControlFlow, ConvergenceHalt, HaltReason, NullObserver, RoundView, RunObserver, TraceRecorder,
 };
 use abft_dgd::{RoundWorkspace, RunOptions};
 use abft_filters::Cge;
@@ -187,9 +186,6 @@ fn probe_none_observer_can_still_halt_on_iteration_alone() {
     /// Halts at a fixed iteration without reading any metric.
     struct HaltAt(usize);
     impl RunObserver for HaltAt {
-        fn probe(&self) -> Probe {
-            Probe::NONE
-        }
         fn observe(&mut self, view: &RoundView<'_>) -> ControlFlow {
             if view.iteration() >= self.0 {
                 ControlFlow::Halt

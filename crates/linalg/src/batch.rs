@@ -267,8 +267,9 @@ impl GradientBatch {
     }
 }
 
-/// Elementary slice kernels shared by filters and drivers. These mirror
-/// the corresponding [`crate::Vector`] operations but run on borrowed rows.
+/// Elementary slice kernels shared by filters and drivers: the workspace's
+/// one home of the row reductions and `axpy`. [`crate::Vector`]'s methods
+/// are these, on the vector's entries.
 pub mod rowops {
     /// Squared Euclidean norm.
     pub fn norm_sq(row: &[f64]) -> f64 {

@@ -1,5 +1,6 @@
 //! Dense row-major `f64` matrices.
 
+use crate::batch::rowops;
 use crate::error::LinalgError;
 use crate::vector::Vector;
 use std::fmt;
@@ -174,12 +175,13 @@ impl Matrix {
         Vector::from(self.row(i))
     }
 
-    /// Copy column `j` into a [`Vector`].
+    /// Copy column `j` into a [`Vector`] (the tests' view of a column).
     ///
     /// # Panics
     ///
     /// Panics when `j` is out of bounds.
-    pub fn col_vector(&self, j: usize) -> Vector {
+    #[cfg(test)]
+    pub(crate) fn col_vector(&self, j: usize) -> Vector {
         assert!(j < self.cols, "column index out of bounds");
         Vector::from_fn(self.rows, |i| self.get(i, j))
     }
@@ -330,8 +332,8 @@ impl Matrix {
     }
 
     /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|a| a * a).sum::<f64>().sqrt()
+    pub(crate) fn frobenius_norm(&self) -> f64 {
+        rowops::norm(&self.data)
     }
 
     /// Trace (sum of diagonal entries).

@@ -260,7 +260,7 @@ pub fn solve_spd(a: &Matrix, b: &Vector) -> Result<Vector, LinalgError> {
     clippy::needless_range_loop,
     reason = "the Householder vector v and the factors R/Q are traversed over the same row range k..m"
 )]
-pub fn householder_qr(a: &Matrix) -> Result<(Matrix, Matrix), LinalgError> {
+fn householder_qr(a: &Matrix) -> Result<(Matrix, Matrix), LinalgError> {
     let m = a.rows();
     let n = a.cols();
     if m < n {

@@ -1,5 +1,6 @@
 //! Dense `f64` vectors.
 
+use crate::batch::rowops;
 use crate::error::LinalgError;
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
@@ -90,80 +91,55 @@ impl Vector {
         self.data.iter()
     }
 
-    /// Inner product `⟨self, other⟩`.
+    /// Inner product `⟨self, other⟩`: [`rowops::dot`].
     ///
     /// # Panics
     ///
-    /// Panics if dimensions differ.
+    /// Panics when dimensions differ (debug builds).
+    #[inline]
     pub fn dot(&self, other: &Vector) -> f64 {
-        // LINT-ALLOW(panic-reach): documented panic contract for caller bugs, not a data-dependent failure
-        assert_eq!(
-            self.dim(),
-            other.dim(),
-            "dot product requires equal dimensions"
-        );
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a * b)
-            .sum()
+        rowops::dot(self.as_slice(), other.as_slice())
     }
 
-    /// Squared Euclidean norm `‖self‖²`.
+    /// Squared Euclidean norm `‖self‖²`: [`rowops::norm_sq`].
+    #[inline]
     pub fn norm_sq(&self) -> f64 {
-        self.data.iter().map(|a| a * a).sum()
+        rowops::norm_sq(self.as_slice())
     }
 
-    /// Euclidean norm `‖self‖` — the norm used throughout the paper.
+    /// Euclidean norm `‖self‖` — the norm used throughout the paper:
+    /// [`rowops::norm`].
+    #[inline]
     pub fn norm(&self) -> f64 {
-        self.norm_sq().sqrt()
+        rowops::norm(self.as_slice())
     }
 
-    /// Euclidean distance `‖self − other‖`.
+    /// Euclidean distance `‖self − other‖`: [`rowops::dist`].
     ///
     /// # Panics
     ///
-    /// Panics if dimensions differ.
+    /// Panics when dimensions differ (debug builds).
+    #[inline]
     pub fn dist(&self, other: &Vector) -> f64 {
-        // LINT-ALLOW(panic-reach): documented panic contract for caller bugs, not a data-dependent failure
-        assert_eq!(
-            self.dim(),
-            other.dim(),
-            "distance requires equal dimensions"
-        );
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
+        rowops::dist(self.as_slice(), other.as_slice())
     }
 
-    /// Returns `self` scaled by `factor`.
+    /// Returns `self` scaled by `factor`: [`rowops::scale`] on a copy.
+    #[inline]
     pub fn scale(&self, factor: f64) -> Vector {
-        Vector {
-            data: self.data.iter().map(|a| a * factor).collect(),
-        }
+        let mut out = self.clone();
+        rowops::scale(out.as_mut_slice(), factor);
+        out
     }
 
-    /// Scales in place.
-    pub fn scale_mut(&mut self, factor: f64) {
-        for a in &mut self.data {
-            *a *= factor;
-        }
-    }
-
-    /// Adds `factor * other` in place (BLAS `axpy`).
+    /// Adds `factor * other` in place (BLAS `axpy`): [`rowops::axpy`].
     ///
     /// # Panics
     ///
-    /// Panics if dimensions differ.
+    /// Panics when dimensions differ (debug builds).
+    #[inline]
     pub fn axpy(&mut self, factor: f64, other: &Vector) {
-        // LINT-ALLOW(panic-reach): documented panic contract for caller bugs, not a data-dependent failure
-        assert_eq!(self.dim(), other.dim(), "axpy requires equal dimensions");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += factor * b;
-        }
+        rowops::axpy(self.as_mut_slice(), factor, other.as_slice());
     }
 
     /// Clamps every entry into `[lo, hi]` in place — the projection onto
@@ -186,7 +162,7 @@ impl Vector {
     /// # Errors
     ///
     /// Returns [`LinalgError::Singular`] for the zero vector.
-    pub fn normalized(&self) -> Result<Vector, LinalgError> {
+    pub(crate) fn normalized(&self) -> Result<Vector, LinalgError> {
         let n = self.norm();
         if n == 0.0 {
             return Err(LinalgError::Singular);
@@ -232,7 +208,7 @@ impl Vector {
     /// [`LinalgError::Dimension`] when dimensions are inconsistent.
     pub fn mean_of(vectors: &[Vector]) -> Result<Vector, LinalgError> {
         let mut sum = Self::sum_of(vectors)?;
-        sum.scale_mut(1.0 / vectors.len() as f64);
+        rowops::scale(sum.as_mut_slice(), 1.0 / vectors.len() as f64);
         Ok(sum)
     }
 

@@ -6,7 +6,7 @@
 //! reachable from a hot-path root through any chain of calls, in any
 //! crate, or the exceptions outgrow their ceiling.
 
-use abft_lint::parse::{parse_source, ParsedSource};
+use abft_lint::parse::{parse_source, CallSite, Owner, ParsedSource};
 use abft_lint::{
     default_root, hot_path_chain, hot_path_chain_via, lint_workspace, unresolved_roots,
 };
@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 
 /// The most exceptions the tree may hold: reason-carrying `LINT-ALLOW`
 /// pragmas, plus every guarded lint an `#[expect(…)]` names.
-const PRAGMA_CEILING: usize = 65;
+const PRAGMA_CEILING: usize = 62;
 
 /// `clippy.toml`'s bans, as `(key, path)`.
 const BANS: [(&str, &str); 10] = [
@@ -499,4 +499,102 @@ fn each_data_path_trait_has_one_in_place_entry_point() {
         methods.sort();
         assert_eq!(methods, expected, "the methods of `{name}`");
     }
+}
+
+/// An observer has one method. `observe` gets a lazy view from which any
+/// metric can be read, so there is nothing to declare up front: the
+/// deleted `Probe` mask and `RunObserver::probe` coming back fail here.
+#[test]
+fn the_observer_contract_is_one_method() {
+    let sources = parsed_sources(&["core"]);
+    let declared: Vec<&Vec<String>> = sources
+        .iter()
+        .flat_map(|(_, parsed)| &parsed.items.traits)
+        .filter(|(trait_name, _)| trait_name == "RunObserver")
+        .map(|(_, methods)| methods)
+        .collect();
+    assert_eq!(
+        declared,
+        [&vec!["observe".to_string()]],
+        "`trait RunObserver`"
+    );
+    let root = default_root();
+    let mut found = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        for (path, parsed) in parse_tree(&root.join(dir)) {
+            let probes = parsed.items.fns.iter().filter(|f| f.name == "probe");
+            found.extend(probes.map(|f| format!("{}: fn {}", path.display(), f.display())));
+            let structs = parsed.live_code().filter(|code| {
+                code.split_once("struct Probe").is_some_and(|(_, rest)| {
+                    !rest.starts_with(|c: char| c.is_alphanumeric() || c == '_')
+                })
+            });
+            found.extend(structs.map(|code| format!("{}: {}", path.display(), code.trim())));
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "a probe mask is back:\n{}",
+        found.join("\n")
+    );
+}
+
+/// The row reductions and `axpy` have one home, `rowops`. Each `Vector`
+/// method among them calls its `rowops` kernel on the vector's entries
+/// and does nothing else: no loop or iterator in its code (comments
+/// aside), no call but the kernel, `as_slice`, `as_mut_slice` and
+/// `clone`. `scale_mut` is deleted (its callers call `rowops::scale`).
+#[test]
+fn vector_reductions_are_calls_into_rowops() {
+    const KEPT: [&str; 6] = ["axpy", "dist", "dot", "norm", "norm_sq", "scale"];
+    const REDUCTIONS: [&str; 7] = [
+        "axpy",
+        "dist",
+        "dot",
+        "norm",
+        "norm_sq",
+        "scale",
+        "scale_mut",
+    ];
+    const ACCESSORS: [&str; 3] = ["as_slice", "as_mut_slice", "clone"];
+    const LOOPS: [&str; 7] = ["for ", "while ", "loop ", ".iter", ".zip", ".sum", ".fold"];
+    let path = default_root().join("crates/linalg/src/vector.rs");
+    let source = std::fs::read_to_string(&path).expect("workspace sources are readable");
+    let parsed = parse_source(&path.to_string_lossy(), &source);
+    let mut kept = Vec::new();
+    let mut own = Vec::new();
+    for item in &parsed.items.fns {
+        let inherent = matches!(
+            &item.owner,
+            Owner::Impl { self_ty, trait_name: None } if self_ty == "Vector"
+        );
+        if !inherent || !REDUCTIONS.contains(&item.name.as_str()) {
+            continue;
+        }
+        kept.push(item.name.clone());
+        let is_kernel =
+            |c: &CallSite| c.qualifier.as_deref() == Some("rowops") && c.callee == item.name;
+        if !item.calls.iter().any(is_kernel) {
+            own.push(format!("Vector::{0} does not call rowops::{0}", item.name));
+        }
+        for call in &item.calls {
+            if !is_kernel(call) && !ACCESSORS.contains(&call.callee.as_str()) {
+                own.push(format!("Vector::{} calls {}", item.name, call.callee));
+            }
+        }
+        let body = parsed.lines[item.line + 1..]
+            .iter()
+            .take_while(|l| *l != "    }")
+            .map(|l| l.split("//").next().unwrap_or_default());
+        for code in body.filter(|code| LOOPS.iter().any(|w| code.contains(w))) {
+            own.push(format!("Vector::{}: {}", item.name, code.trim()));
+        }
+    }
+    assert!(
+        own.is_empty(),
+        "arithmetic of its own in vector.rs:\n{}",
+        own.join("\n")
+    );
+    kept.sort();
+    assert_eq!(kept, KEPT, "the reductions `Vector` keeps");
 }

@@ -733,14 +733,11 @@ mod tests {
 
     #[test]
     fn halting_on_an_eval_iteration_does_not_duplicate_records() {
-        use abft_core::observe::{ControlFlow, HaltReason, Probe, RoundView, RunObserver};
+        use abft_core::observe::{ControlFlow, HaltReason, RoundView, RunObserver};
 
         /// Halts at a fixed iteration without reading any metric.
         struct HaltAt(usize);
         impl RunObserver for HaltAt {
-            fn probe(&self) -> Probe {
-                Probe::NONE
-            }
             fn observe(&mut self, view: &RoundView<'_>) -> ControlFlow {
                 if view.iteration() >= self.0 {
                     ControlFlow::Halt

@@ -32,7 +32,7 @@ pub struct ConvexityConstants {
 ///
 /// For the paper's unit-norm leading rows this evaluates to `2`, matching
 /// Section 5.
-pub fn smoothness_constant(problem: &RegressionProblem) -> f64 {
+fn smoothness_constant(problem: &RegressionProblem) -> f64 {
     (0..problem.config().n())
         .map(|i| problem.agent_cost(i).smoothness())
         .fold(0.0, f64::max)
@@ -48,7 +48,7 @@ pub fn smoothness_constant(problem: &RegressionProblem) -> f64 {
 ///
 /// Returns [`ProblemError::Linalg`] if an eigendecomposition fails
 /// (degenerate input shapes).
-pub fn strong_convexity_constant(problem: &RegressionProblem) -> Result<f64, ProblemError> {
+fn strong_convexity_constant(problem: &RegressionProblem) -> Result<f64, ProblemError> {
     let n = problem.config().n();
     let quorum = problem.config().honest_quorum();
     let mut gamma = f64::INFINITY;
@@ -119,6 +119,7 @@ pub fn gradient_diversity(problem: &RegressionProblem, honest: &[usize], probe_r
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abft_linalg::rowops;
 
     #[test]
     fn paper_smoothness_is_two() {
@@ -200,8 +201,8 @@ mod tests {
                 gy += &p.agent_cost(i).gradient(y);
             }
             // Assumption 3 is about the average cost: divide by |H|.
-            gx.scale_mut(1.0 / honest.len() as f64);
-            gy.scale_mut(1.0 / honest.len() as f64);
+            rowops::scale(gx.as_mut_slice(), 1.0 / honest.len() as f64);
+            rowops::scale(gy.as_mut_slice(), 1.0 / honest.len() as f64);
             let lhs = (&gx - &gy).dot(&(x - y));
             let rhs = gamma * (x - y).norm_sq();
             assert!(

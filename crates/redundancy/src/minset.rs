@@ -67,11 +67,14 @@ impl MinimizerSet {
         }
     }
 
-    /// Point-to-set distance `dist(x, X) = inf_{y∈X} ‖x − y‖` (eq. 3).
+    /// Point-to-set distance `dist(x, X) = inf_{y∈X} ‖x − y‖` (eq. 3);
+    /// `+∞` for an empty finite set.
     ///
     /// # Panics
     ///
-    /// Panics on dimension mismatch or an empty finite set.
+    /// Panics when an interval set meets a point outside `ℝ`. Another
+    /// dimension mismatch is checked in debug builds only: the exact
+    /// algorithm takes `x` and the set from one oracle.
     pub fn dist_to_point(&self, x: &Vector) -> f64 {
         match self {
             MinimizerSet::Point(p) => x.dist(p),
@@ -105,7 +108,7 @@ impl MinimizerSet {
     /// dimension mismatches.
     pub fn hausdorff(&self, other: &MinimizerSet) -> Result<f64, RedundancyError> {
         use MinimizerSet::*;
-        if self.dim() != other.dim() {
+        if self.dim() != other.dim() || !self.is_uniform() || !other.is_uniform() {
             return Err(RedundancyError::IncomparableSets {
                 left: format!("{self}"),
                 right: format!("{other}"),
@@ -139,6 +142,14 @@ impl MinimizerSet {
                 left: format!("{self}"),
                 right: format!("{other}"),
             }),
+        }
+    }
+
+    /// `true` unless a finite set mixes dimensions.
+    fn is_uniform(&self) -> bool {
+        match self {
+            MinimizerSet::Finite(points) => points.iter().all(|p| p.dim() == self.dim()),
+            _ => true,
         }
     }
 
@@ -224,6 +235,14 @@ mod tests {
         let a = MinimizerSet::Point(Vector::zeros(2));
         let b = MinimizerSet::interval(0.0, 1.0);
         assert!(a.hausdorff(&b).is_err());
+    }
+
+    #[test]
+    fn a_finite_set_mixing_dimensions_is_an_error() {
+        let mixed = MinimizerSet::Finite(vec![Vector::zeros(2), Vector::zeros(3)]);
+        let point = MinimizerSet::Point(Vector::zeros(2));
+        assert!(mixed.hausdorff(&point).is_err());
+        assert!(point.hausdorff(&mixed).is_err());
     }
 
     #[test]

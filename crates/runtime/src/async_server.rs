@@ -93,20 +93,6 @@ impl AsyncConfig {
         }
     }
 
-    /// Sets the aggregation-step cadence in virtual nanoseconds.
-    #[must_use]
-    pub fn with_step_interval_ns(mut self, interval_ns: u64) -> Self {
-        self.step_interval_ns = interval_ns;
-        self
-    }
-
-    /// Sets the base per-gradient compute time in virtual nanoseconds.
-    #[must_use]
-    pub fn with_compute_ns(mut self, compute_ns: u64) -> Self {
-        self.compute_ns = compute_ns;
-        self
-    }
-
     /// Sets the per-compute jitter window in virtual nanoseconds.
     #[must_use]
     pub fn with_compute_jitter_ns(mut self, jitter_ns: u64) -> Self {
@@ -532,8 +518,10 @@ mod tests {
         // them, and the run still completes.
         let (problem, options) = paper_options(40);
         let options = options.with_staleness_ns(NetworkModel::DEFAULT_ROUND_TIMEOUT_NS);
-        let config =
-            AsyncConfig::new().with_compute_ns(3 * NetworkModel::DEFAULT_ROUND_TIMEOUT_NS / 2);
+        let config = AsyncConfig {
+            compute_ns: 3 * NetworkModel::DEFAULT_ROUND_TIMEOUT_NS / 2,
+            ..AsyncConfig::new()
+        };
         let sim = SimulatedRun::async_server(NetworkModel::ideal(), config);
         let outcome = DgdTask::new(*problem.config(), problem.costs())
             .run_dense(Launch::Simulated(&sim), &Cge::new(), &options)
@@ -597,7 +585,10 @@ mod tests {
         let (problem, options) = paper_options(5);
         let sim = SimulatedRun::async_server(
             NetworkModel::ideal(),
-            AsyncConfig::new().with_step_interval_ns(0),
+            AsyncConfig {
+                step_interval_ns: 0,
+                ..AsyncConfig::new()
+            },
         );
         assert!(DgdTask::new(*problem.config(), problem.costs())
             .run_dense(Launch::Simulated(&sim), &Cge::new(), &options)

@@ -105,16 +105,9 @@ impl SimulatedRun {
         }
     }
 
-    /// Adds a network-level Byzantine behaviour for `agent`.
-    #[must_use]
-    pub fn with_net_fault(mut self, agent: usize, fault: NetFault) -> Self {
-        self.net_faults.push((agent, fault));
-        self
-    }
-
     /// The server's bus address in a [`SimTopology::Server`] run over `n`
-    /// agents (useful for link overrides and selective-send victim lists).
-    pub fn server_address(n: usize) -> usize {
+    /// agents.
+    fn server_address(n: usize) -> usize {
         n
     }
 }
@@ -490,8 +483,9 @@ mod tests {
     fn selective_send_to_server_silences_the_agent() {
         let (problem, options) = paper_options(50);
         let server = SimulatedRun::server_address(problem.config().n());
-        let sim = SimulatedRun::server(NetworkModel::ideal())
-            .with_net_fault(0, NetFault::SelectiveSend(vec![server]));
+        let mut sim = SimulatedRun::server(NetworkModel::ideal());
+        sim.net_faults
+            .push((0, NetFault::SelectiveSend(vec![server])));
         let outcome = DgdTask::new(*problem.config(), problem.costs())
             .run_dense(Launch::Simulated(&sim), &Cge::new(), &options)
             .unwrap();
@@ -504,9 +498,10 @@ mod tests {
     #[test]
     fn duplicate_net_faults_are_rejected() {
         let (problem, options) = paper_options(5);
-        let sim = SimulatedRun::server(NetworkModel::ideal())
-            .with_net_fault(0, NetFault::EquivocateSplit { boundary: 1 })
-            .with_net_fault(0, NetFault::SelectiveSend(vec![1]));
+        let mut sim = SimulatedRun::server(NetworkModel::ideal());
+        sim.net_faults
+            .push((0, NetFault::EquivocateSplit { boundary: 1 }));
+        sim.net_faults.push((0, NetFault::SelectiveSend(vec![1])));
         assert!(DgdTask::new(*problem.config(), problem.costs())
             .run_dense(Launch::Simulated(&sim), &Cge::new(), &options)
             .is_err());

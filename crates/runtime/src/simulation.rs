@@ -236,6 +236,17 @@ mod tests {
     }
 
     #[test]
+    fn run_validates_the_projection_centre() {
+        let (sim, x_h) = paper_setup();
+        let mut options = RunOptions::paper_defaults_with_iterations(x_h, 1);
+        options.projection = ProjectionSet::ball(Vector::zeros(3), 1.0);
+        assert!(matches!(
+            run(sim, &Cge::new(), &options),
+            Err(RuntimeError::Dgd(DgdError::Dimension { .. }))
+        ));
+    }
+
+    #[test]
     fn deterministic_given_same_seed() {
         let run = |seed: u64, filter: &dyn abft_filters::GradientFilter| {
             let (sim, x_h) = paper_setup();

@@ -4,7 +4,7 @@
 //! says — omniscient strategies, message counters — and in nothing else.
 
 use abft_attacks::{attack_by_name, attack_names};
-use abft_core::observe::{ControlFlow, NullObserver, Probe, RoundView, RunObserver};
+use abft_core::observe::{ControlFlow, NullObserver, RoundView, RunObserver};
 use abft_core::SystemConfig;
 use abft_dgd::RunOptions;
 use abft_filters::{Cwtm, FilterError, GradientFilter};
@@ -264,10 +264,6 @@ fn every_server_hands_the_filter_the_s1_budget() {
 struct HaltAt(usize);
 
 impl RunObserver for HaltAt {
-    fn probe(&self) -> Probe {
-        Probe::NONE
-    }
-
     fn observe(&mut self, view: &RoundView<'_>) -> ControlFlow {
         if view.iteration() >= self.0 {
             ControlFlow::Halt

@@ -4,7 +4,7 @@ use crate::error::ScenarioError;
 use crate::spec::{HaltRule, Recording, Scenario};
 use abft_core::csv::CsvTable;
 use abft_core::observe::{
-    ControlFlow, ConvergenceHalt, Probe, RoundView, RunObserver, RunSummary, TraceRecorder,
+    ControlFlow, ConvergenceHalt, RoundView, RunObserver, RunSummary, TraceRecorder,
 };
 use abft_core::{CoreError, Trace};
 use abft_linalg::Vector;
@@ -233,12 +233,6 @@ impl ScenarioObserver {
 }
 
 impl RunObserver for ScenarioObserver {
-    fn probe(&self) -> Probe {
-        let recorder = self.recorder.as_ref().map_or(Probe::NONE, |r| r.probe());
-        let halt = self.halt.as_ref().map_or(Probe::NONE, |h| h.probe());
-        recorder.union(halt)
-    }
-
     fn observe(&mut self, view: &RoundView<'_>) -> ControlFlow {
         let mut flow = ControlFlow::Continue;
         if let Some(recorder) = &mut self.recorder {

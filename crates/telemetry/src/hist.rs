@@ -53,7 +53,7 @@ impl Histogram {
     }
 
     /// The inclusive lower bound of bucket `index`, in nanoseconds.
-    pub fn bucket_floor_ns(index: usize) -> u64 {
+    fn bucket_floor_ns(index: usize) -> u64 {
         if index == 0 {
             0
         } else {
