@@ -7,8 +7,8 @@
 /// A step-size schedule `t ↦ η_t`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StepSchedule {
-    /// Constant `η_t = c`. Violates `Σ η_t² < ∞` — kept for the ablation of
-    /// `DESIGN.md` §7 (constant steps plateau at a noise floor).
+    /// Constant `η_t = c`. Violates `Σ η_t² < ∞` — kept for the step-size
+    /// ablation, which shows constant steps plateau at a noise floor.
     Constant(f64),
     /// Harmonic decay `η_t = c/(t+1)` — the paper's choice with `c = 1.5`.
     Harmonic {

@@ -55,7 +55,8 @@ impl RunOptions {
     /// caller-supplied reference (normally `x_H`).
     ///
     /// (Appendix J quotes `x_0 = (0, 0)ᵀ` for the same experiment — one of
-    /// the paper's two internal inconsistencies; see `EXPERIMENTS.md`. The
+    /// the paper's two internal inconsistencies; the other is Appendix J's
+    /// smoothness constant, see `abft_problems::ScalarRegressionCost`. The
     /// Section-5 value is used here.)
     pub fn paper_defaults(reference: Vector) -> Self {
         RunOptions {

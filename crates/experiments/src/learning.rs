@@ -40,7 +40,7 @@ pub fn figure4or5(out_dir: &Path, task: Task) -> Result<(), Box<dyn Error>> {
     let (train, test) = spec.generate(2024);
     let shards = train.shard(10, 7)?;
     let faulty = [0usize, 4, 7]; // f = 3 of n = 10, fixed like the paper's seed
-                                 // η scaled to the substitute MLP (DESIGN.md §4); batch 128 as the paper.
+                                 // η scaled up for the small MLP that stands in for LeNet; batch 128 as the paper.
     let config = DsgdConfig {
         iterations: 1000,
         eval_every: 50,

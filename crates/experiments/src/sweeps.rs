@@ -1,5 +1,6 @@
 //! Extension experiments: the filter×attack grid, fault-fraction and
-//! redundancy sweeps, and the design-choice ablations of DESIGN.md §7.
+//! redundancy sweeps, and the design-choice ablations (CGE's sum against
+//! its mean, harmonic against constant step sizes).
 //!
 //! All of these are scenario grids now: each cell is a declarative
 //! [`Scenario`], and the big grid fans out across worker threads via
@@ -277,7 +278,7 @@ pub fn sweep_lambda(out_dir: &Path) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// The DESIGN.md §7 ablations: CGE sum-vs-mean semantics and step schedules.
+/// The design-choice ablations: CGE sum-vs-mean semantics and step schedules.
 pub fn ablation(out_dir: &Path) -> Result<(), Box<dyn Error>> {
     let problem = RegressionProblem::paper_instance();
     let x_h = problem.subset_minimizer(&[1, 2, 3, 4, 5])?;

@@ -14,8 +14,8 @@ use abft_linalg::{rowops, BatchScratch, GradientBatch, Vector};
 /// `α = 1 − (f/n)(1 + 2µ/γ) > 0`.
 ///
 /// The [`Cge::averaged`] variant divides by `n − f` — an ablation of the
-/// paper's *sum* semantics (`DESIGN.md` §7, item 3): averaging rescales the
-/// effective step size by `1/(n−f)` but selects the same gradients.
+/// paper's *sum* semantics: averaging rescales the effective step size by
+/// `1/(n−f)` but selects the same gradients.
 #[derive(Debug, Clone, Copy)]
 pub struct Cge {
     averaged: bool,

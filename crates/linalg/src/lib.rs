@@ -8,7 +8,8 @@
 //! and seeded Gaussian sampling for the *random* Byzantine attack (σ = 200).
 //!
 //! No external linear-algebra crate is used — this crate *is* the substrate,
-//! built from scratch per the reproduction's design (see `DESIGN.md` §2).
+//! built from scratch so the workspace builds offline with no dependency
+//! beyond the vendored `rand` and `proptest` subsets.
 //!
 //! # Example
 //!

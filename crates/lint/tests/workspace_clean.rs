@@ -310,6 +310,53 @@ fn the_pair_kernel_stays_inside_the_hot_path_walk() {
     }
 }
 
+/// The MLP's forward and backward passes are one `simd::Kernel` too
+/// (`Pass` in `crates/ml/src/net.rs`), run by `Mlp::pass` through
+/// `simd::widest`. Its loop functions must be reached from the D-SGD row
+/// source through `Pass::compute`, and its dispatch must reach the
+/// wrappers itself — the filter dispatches reach them first, and through
+/// the wrappers' `compute` fan-out they reach the MLP's loops as well.
+#[test]
+fn the_mlp_kernel_stays_inside_the_hot_path_walk() {
+    let root = default_root();
+    let funcs = |chain: Option<Vec<abft_lint::Hop>>, what: &str| {
+        let chain = chain.unwrap_or_else(|| panic!("the hot-path walk misses {what}"));
+        chain.into_iter().map(|hop| hop.func).collect::<Vec<_>>()
+    };
+    let source = ("crates/ml/src/dsgd.rs", "round_rows");
+    // `store` ends both backward rows' chunks and `gate` the `δ_prev`
+    // ones': `sum_lanes` would name the trait's bodiless declaration.
+    for kernel in [
+        "forward_slices",
+        "dot_slice",
+        "fill_chunks",
+        "store",
+        "gate",
+    ] {
+        let chain = hot_path_chain_via(&root, source, "crates/ml/src/net.rs", kernel);
+        let funcs = funcs(chain.expect("workspace sources are readable"), kernel);
+        assert!(
+            funcs.first().is_some_and(|f| f.ends_with("::serve")),
+            "`{kernel}` must be reached from the `serve` root: {funcs:?}"
+        );
+        for hop in ["MiniBatch::round_rows", "Pass::compute"] {
+            assert!(
+                funcs.iter().any(|f| f == hop),
+                "`{kernel}` must be reached through `{hop}`: {funcs:?}"
+            );
+        }
+    }
+    let dispatch = ("crates/ml/src/net.rs", "pass");
+    for wrapper in ["widest", "run_avx2", "run_avx512"] {
+        let chain = hot_path_chain_via(&root, dispatch, "crates/linalg/src/simd.rs", wrapper);
+        let funcs = funcs(chain.expect("workspace sources are readable"), wrapper);
+        assert!(
+            funcs.iter().any(|f| f == "Mlp::pass"),
+            "`{wrapper}` must be reached from the MLP dispatch: {funcs:?}"
+        );
+    }
+}
+
 /// Every `.rs` file under `dir`, parsed — skipping build output and the
 /// lint fixtures, which break the rules on purpose.
 fn parse_tree(dir: &Path) -> Vec<(PathBuf, ParsedSource)> {
@@ -466,6 +513,8 @@ fn each_data_path_trait_has_one_in_place_entry_point() {
             "Model",
             &[
                 "accuracy",
+                "classes",
+                "input_dim",
                 "loss_and_gradient_into",
                 "param_dim",
                 "params",

@@ -1,6 +1,6 @@
 //! Deterministic synthetic image-classification datasets.
 //!
-//! The substitution for MNIST / Fashion-MNIST (`DESIGN.md` §4): each class
+//! The offline stand-in for MNIST / Fashion-MNIST: each class
 //! `y` has a prototype vector `p_y`, and samples are `x = p_y + N(0, σ²·I)`.
 //! Class separability — the property that distinguishes MNIST-like (easy)
 //! from Fashion-MNIST-like (hard) workloads for the paper's purposes — is

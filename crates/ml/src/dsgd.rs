@@ -37,6 +37,12 @@ pub trait Model {
     /// Total number of parameters `d`.
     fn param_dim(&self) -> usize;
 
+    /// The feature width a sample must have.
+    fn input_dim(&self) -> usize;
+
+    /// The number of classes: a label must lie below it.
+    fn classes(&self) -> usize;
+
     /// The current parameters, flattened.
     fn params(&self) -> Vector;
 
@@ -52,6 +58,11 @@ pub trait Model {
     /// into `out`, overwriting every slot, and returns the mean loss — the
     /// only way a model produces a gradient: the D-SGD loop fills
     /// `GradientBatch` rows through it.
+    ///
+    /// A sample of another width than [`Model::input_dim`], or a label
+    /// not below [`Model::classes`], gives an unspecified loss and
+    /// gradient; [`train_distributed_observed`] rejects such a dataset
+    /// before its first round.
     ///
     /// # Panics
     ///
@@ -224,8 +235,10 @@ pub struct DsgdRecord {
 /// # Errors
 ///
 /// Returns [`MlError::Shape`] / [`MlError::InvalidConfig`] for structural
-/// problems, [`MlError::Filter`] when the filter rejects a round, and
-/// [`MlError::Diverged`] when the filtered direction or the parameters are
+/// problems — among them a shard or a test set whose samples are not
+/// [`Model::input_dim`] wide, or that has more classes than
+/// [`Model::classes`] —, [`MlError::Filter`] when the filter rejects a
+/// round, and [`MlError::Diverged`] when the filtered direction or the parameters are
 /// non-finite on a round that would update.
 pub fn train_distributed<M: Model>(
     model: &mut M,
@@ -300,6 +313,10 @@ pub fn train_distributed_observed<M: Model>(
             actual: e.to_string(),
         })?;
     }
+    for (i, shard) in shards.iter().enumerate() {
+        check_shape(&*model, shard, &format!("shard {i}"))?;
+    }
+    check_shape(&*model, test, "the test set")?;
     let f = faulty.len();
     let is_faulty: Vec<bool> = (0..n).map(|agent| faulty.contains(&agent)).collect();
 
@@ -376,6 +393,24 @@ pub fn train_distributed_observed<M: Model>(
         summary: run.summary,
         telemetry: run.telemetry,
     })
+}
+
+/// Rejects a dataset `model` cannot read: samples of another width than
+/// [`Model::input_dim`], or more classes than [`Model::classes`].
+fn check_shape<M: Model>(model: &M, data: &Dataset, what: &str) -> Result<(), MlError> {
+    if !data.is_empty() && data.dim() != model.input_dim() {
+        return Err(MlError::Shape {
+            expected: format!("samples of width {}", model.input_dim()),
+            actual: format!("{what} of width {}", data.dim()),
+        });
+    }
+    if data.classes() > model.classes() {
+        return Err(MlError::Shape {
+            expected: format!("at most {} classes", model.classes()),
+            actual: format!("{what} of {} classes", data.classes()),
+        });
+    }
+    Ok(())
 }
 
 /// D-SGD's row source: every round, each agent's stochastic gradient of
@@ -472,6 +507,7 @@ mod tests {
     use super::*;
     use crate::dataset::DatasetSpec;
     use crate::net::Mlp;
+    use crate::svm::LinearSvm;
     use abft_filters::{Cge, Cwtm, Mean};
 
     /// A fast setup: tiny dataset, 5 agents, 1 faulty.
@@ -528,6 +564,61 @@ mod tests {
             &quick_config()
         )
         .is_err());
+    }
+
+    /// A dataset the model cannot read is a typed error before any round
+    /// runs, for both model families: samples one wider than the model's
+    /// input, or labels past its logits — in a shard or in the test set.
+    #[test]
+    fn a_wrong_shaped_dataset_is_a_shape_error() {
+        fn outcome<M: Model>(
+            mut model: M,
+            shards: &[Dataset],
+            test: &Dataset,
+        ) -> Result<(), MlError> {
+            let config = DsgdConfig {
+                iterations: 2,
+                eval_every: 1,
+                ..quick_config()
+            };
+            let run = train_distributed(
+                &mut model,
+                shards,
+                &[],
+                MlFault::None,
+                &Mean::new(),
+                test,
+                &config,
+            );
+            run.map(drop)
+        }
+        let is_shape = |run: Result<(), MlError>| matches!(run, Err(MlError::Shape { .. }));
+        let (shards, test) = setup();
+        let (dim, classes) = (shards[0].dim(), shards[0].classes());
+        let (_, wide_test) = DatasetSpec {
+            dim: dim + 1,
+            ..DatasetSpec::tiny()
+        }
+        .generate(13);
+
+        let mlp = |input, classes| Mlp::new(&[input, 8, classes], 1).unwrap();
+        assert!(outcome(mlp(dim, classes), &shards, &test).is_ok());
+        for (model, test) in [
+            (mlp(dim + 1, classes), &test),
+            (mlp(dim, 3), &test),
+            (mlp(dim, classes), &wide_test),
+        ] {
+            assert!(is_shape(outcome(model, &shards, test)));
+        }
+        let svm = |input, classes| LinearSvm::new(input, classes, 0.0).unwrap();
+        assert!(outcome(svm(dim, classes), &shards, &test).is_ok());
+        for (model, test) in [
+            (svm(dim + 1, classes), &test),
+            (svm(dim, 3), &test),
+            (svm(dim, classes), &wide_test),
+        ] {
+            assert!(is_shape(outcome(model, &shards, test)));
+        }
     }
 
     #[test]

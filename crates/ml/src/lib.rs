@@ -3,7 +3,8 @@
 //! The paper trains LeNet on MNIST / Fashion-MNIST with distributed SGD
 //! (D-SGD), `n = 10` agents, `f = 3` faulty, under label-flip and
 //! gradient-reverse faults. Neither dataset nor a GPU is available offline,
-//! so this crate provides the documented substitutions (`DESIGN.md` §4):
+//! so this crate substitutes synthetic data and a small MLP, which keep what
+//! the filters see — non-convex, stochastic, softmax-loss gradients:
 //!
 //! * [`dataset`] — deterministic synthetic 10-class image generators:
 //!   `synthetic_mnist` (well-separated class prototypes — easy, like MNIST)

@@ -49,16 +49,6 @@ impl LinearSvm {
         })
     }
 
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.weights.rows()
-    }
-
-    /// Feature dimension.
-    pub fn input_dim(&self) -> usize {
-        self.weights.cols()
-    }
-
     /// Predicted class: `argmax_j w_j·x`.
     pub fn predict(&self, x: &Vector) -> usize {
         let mut scores = self.take_scores();
@@ -108,6 +98,14 @@ impl fmt::Debug for LinearSvm {
 impl Model for LinearSvm {
     fn param_dim(&self) -> usize {
         self.weights.rows() * self.weights.cols()
+    }
+
+    fn input_dim(&self) -> usize {
+        self.weights.cols()
+    }
+
+    fn classes(&self) -> usize {
+        self.weights.rows()
     }
 
     fn params(&self) -> Vector {

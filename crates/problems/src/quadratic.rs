@@ -15,7 +15,7 @@ use abft_linalg::{rowops, Matrix, Vector};
 /// The gradient is `∇Q_i(x) = 2 A_iᵀ (A_i x − B_i)`. Note the factor 2: the
 /// paper's Section 5 reports the smoothness constant `µ = 2` for unit-norm
 /// rows, consistent with this calculus convention (Appendix J's `µ = 1`
-/// drops the factor — see `DESIGN.md` §5 and `EXPERIMENTS.md`).
+/// drops the factor; the code follows Section 5).
 ///
 /// # Example
 ///

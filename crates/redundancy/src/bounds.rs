@@ -30,7 +30,7 @@ pub fn cge_alpha(n: usize, f: usize, mu: f64, gamma: f64) -> f64 {
 /// Note: for the paper's own instance (n = 6, f = 1, µ = 2, γ = 0.712) the
 /// margin is `α ≈ −0.10 < 0`, so Theorem 4 certifies nothing there — use the
 /// sharper [`cge_v2_resilience_factor`] (Theorem 5), whose margin is
-/// positive. See `EXPERIMENTS.md`.
+/// positive: Theorem 5 is the bound that applies to the paper's instance.
 ///
 /// # Example
 ///

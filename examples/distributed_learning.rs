@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let faulty = [0usize, 4, 7]; // f = 3, as in the paper
                                  // The paper's η = 0.01 is tuned to LeNet's scale; our 2.4k-parameter MLP
                                  // on the synthetic substitute needs a proportionally larger step
-                                 // (DESIGN.md §4 substitution note).
+                                 // (the MLP and data stand in for LeNet and MNIST).
     let config = DsgdConfig {
         iterations: 600,
         eval_every: 100,
